@@ -238,13 +238,13 @@ fn cursor_read_ahead() {
         v.extend_from_slice(&b.to_le_bytes());
         v
     };
-    let col = CompressedColumn {
-        name: "mc".into(),
-        precision: fcbench_core::Precision::Double,
-        rows: 4,
-        chunk_elems: 2,
-        chunks: vec![chunk(1.0, 2.0), chunk(3.0, 4.0)],
-    };
+    let col = CompressedColumn::from_chunks(
+        "mc",
+        fcbench_core::Precision::Double,
+        4,
+        2,
+        &[chunk(1.0, 2.0), chunk(3.0, 4.0)],
+    );
     let mut cursor = must(col.cursor(&pool, &codec)).max_in_flight(1);
     let mut seen = Vec::new();
     loop {

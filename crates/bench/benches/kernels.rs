@@ -2,15 +2,17 @@
 //! rewrite of the slow codec kernels. Measures the blocked 8x8 bitshuffle
 //! transpose (forward and inverse) against the retained bit-granular
 //! `bitshuffle::reference`, and the word-at-a-time lz77 hash-chain match
-//! finder against `lz77::reference`, on bitshuffle-shaped inputs. The
-//! headline acceptance number is the worst gated speedup, which must stay
-//! ≥ 2x.
+//! finder against `lz77::reference`, on bitshuffle-shaped inputs, and the
+//! slice-by-16 CRC-32 behind every FCDB2 record against a local
+//! byte-at-a-time loop. The headline acceptance number is the worst gated
+//! speedup, which must stay ≥ 2x.
 //!
 //! Runs without the Criterion harness (`harness = false`): it prints one
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
 //! shrinks the iteration counts.
 
 use fcbench_codecs_cpu::bitshuffle;
+use fcbench_core::stream::crc32;
 use fcbench_entropy::lz77::{self, Lz77Config};
 use std::hint::black_box;
 use std::time::Instant;
@@ -147,6 +149,46 @@ fn bench_lz77(name: &'static str, input: &[u8], cfg: Lz77Config, reps: usize) ->
     )
 }
 
+/// The byte-at-a-time table loop `Crc32::update` used to be: what the
+/// shipped kernel must keep beating, so it cannot silently fall back.
+fn crc32_bytewise(table: &[u32; 256], bytes: &[u8]) -> u32 {
+    let mut s = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        s = table[((s ^ b as u32) & 0xFF) as usize] ^ (s >> 8);
+    }
+    s ^ 0xFFFF_FFFF
+}
+
+fn bench_crc32(name: &'static str, len: usize, reps: usize) -> Row {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        *slot = (0..8).fold(i as u32, |c, _| {
+            (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
+        });
+    }
+    let data = ramp_bytes(len);
+    assert_eq!(crc32(&data), crc32_bytewise(&table, &data));
+    // Enough passes per timing that a 16 KiB buffer outlasts the clock.
+    let passes = (4 << 20) / len;
+    let new_s = best_of(reps, || {
+        for _ in 0..passes {
+            black_box(crc32(black_box(&data)));
+        }
+    });
+    let ref_s = best_of(reps, || {
+        for _ in 0..passes {
+            black_box(crc32_bytewise(&table, black_box(&data)));
+        }
+    });
+    Row {
+        name,
+        new_s,
+        ref_s,
+        bytes: (passes * len) as u64,
+        gated: true,
+    }
+}
+
 fn main() {
     let elems = if quick() { 8192 } else { 65_536 };
     let reps = if quick() { 5 } else { 20 };
@@ -186,6 +228,10 @@ fn main() {
     let (c, d) = bench_lz77("lz77 compress fast", &shuffled, Lz77Config::fast(), reps);
     gate(&c);
     gate(&d);
+
+    // One FCDB2 page record and one steady-state buffer.
+    gate(&bench_crc32("crc32 16 KiB", 16 << 10, reps));
+    gate(&bench_crc32("crc32 1 MiB", 1 << 20, reps));
 
     println!("worst gated speedup: {worst_gated:.2}x (acceptance gate: >= 2x)");
     // The gate is real: the bench fails if a kernel regresses on any gated

@@ -265,6 +265,11 @@ fn predictor_family_reserves_once_and_pools_cleanly() {
     let registry = full_registry();
     let data = telemetry(4096);
     let pool = WorkerPool::new(PoolConfig::with_threads(1).queue_depth(2));
+    // The counter is process-wide and a starting worker thread allocates:
+    // a finished job proves the worker is up before anything is counted.
+    let first = registry.get("last-value").expect("registered codec");
+    pool.run_compress(&first, &data, &mut Vec::new())
+        .expect("compress");
 
     for name in ["last-value", "last-stride", "dfcm"] {
         let codec = registry.get(name).expect("registered codec");

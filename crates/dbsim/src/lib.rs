@@ -6,6 +6,12 @@
 //! scans, and the [three-primitive timer](bench3) (file I/O, decode,
 //! query) behind Table 11 and the block-size study of Table 10.
 //!
+//! A table read back with [`read_container`] holds the file's bytes once;
+//! each [`CompressedColumn`] hands out its compressed pages as slices of
+//! that image through [`chunk`](CompressedColumn::chunk) and
+//! [`chunks`](CompressedColumn::chunks), every one already checked against
+//! its record's checksum and the commit directory.
+//!
 //! As the paper notes, this deliberately oversimplifies a real database —
 //! no joins, no updates — to "bypass the substantial engineering efforts
 //! needed to integrate compressors into an actual database system".

@@ -117,7 +117,10 @@ fn fingerprint(read: &fcbench::dbsim::ContainerRead) -> Fingerprint {
     read.table
         .columns
         .iter()
-        .map(|c| (c.name.clone(), c.rows, c.chunks.clone()))
+        .map(|c| {
+            let chunks = c.chunks().map(<[u8]>::to_vec).collect();
+            (c.name.clone(), c.rows, chunks)
+        })
         .collect()
 }
 
