@@ -16,7 +16,9 @@
 //! checker honest — if the buggy one stops failing, the scheduler has lost
 //! coverage, and `tests/model_check.rs` pins that.
 
+use fcbench_core::pool::Window;
 use fcbench_core::sync::{lock, wait, Condvar, Mutex};
+use fcbench_core::telemetry::InflightGauge;
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Domain, Error, FloatData, Platform,
     PoolConfig, PrecisionSupport, Result, WorkerPool,
@@ -62,6 +64,20 @@ pub fn all() -> Vec<Scenario> {
             about: "dropping a ticket abandons the job; the slot is recycled and \
                     accounting still balances",
             run: pool_abandon,
+            expect_failure: false,
+        },
+        Scenario {
+            name: "window-writer-saturated",
+            about: "two Windows on two threads share a 2-slot pool, three pushes each: \
+                    no schedule deadlocks and each window collects its own jobs in order",
+            run: window_writer_saturated,
+            expect_failure: false,
+        },
+        Scenario {
+            name: "window-failure-abandons",
+            about: "a failing job fails its Window sticky: later pops refuse, the tickets \
+                    behind it are abandoned, drain returns and every slot is free",
+            run: window_failure_abandons,
             expect_failure: false,
         },
         Scenario {
@@ -226,6 +242,93 @@ fn pool_abandon() {
         2,
         "abandoned jobs still count as completed work"
     );
+}
+
+/// Three pushes through one window, then drain it; returns the tags of the
+/// collected jobs in the order they came back.
+fn push_three(pool: &WorkerPool, codec: &Arc<dyn Compressor>, base: usize) -> Vec<usize> {
+    /// A job tagged with its element count came back with its own payload.
+    fn own(payload: &[u8], tag: usize) -> Result<usize> {
+        assert_eq!(
+            payload.len(),
+            tag * 8,
+            "a job came back under another's tag"
+        );
+        Ok(tag)
+    }
+    let mut window: Window<usize> = Window::new(InflightGauge::detached(), None);
+    let mut seen = Vec::new();
+    for elems in base..base + 3 {
+        let vals = vec![1.5f64; elems];
+        let data = match FloatData::from_f64(&vals, vec![elems], Domain::Hpc) {
+            Ok(d) => d,
+            Err(e) => panic!("scenario setup: {e}"),
+        };
+        must(window.push_compress(
+            pool,
+            codec,
+            data.desc(),
+            data.bytes(),
+            elems,
+            |payload, tag| own(payload, tag).map(|tag| seen.push(tag)),
+        ));
+    }
+    while let Some(tag) = must(window.pop(own)) {
+        seen.push(tag);
+    }
+    seen
+}
+
+fn window_writer_saturated() {
+    // Between them the two windows want six slots of a pool that has two:
+    // whichever holds tickets when the pool saturates must collect its own
+    // oldest rather than wait on the other.
+    let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(1).queue_depth(2)));
+    let codec: Arc<dyn Compressor> = Arc::new(StoreCodec);
+    let (pool2, codec2) = (Arc::clone(&pool), Arc::clone(&codec));
+    let peer = fcbench_core::sync::thread::Builder::new()
+        .name("mc-window-peer".into())
+        .spawn(move || push_three(&pool2, &codec2, 10));
+    let peer = match peer {
+        Ok(h) => h,
+        Err(e) => panic!("spawn peer: {e}"),
+    };
+    assert_eq!(push_three(&pool, &codec, 1), [1, 2, 3]);
+    match peer.join() {
+        Ok(seen) => assert_eq!(seen, [10, 11, 12]),
+        Err(_) => panic!("peer window panicked"),
+    }
+}
+
+fn window_failure_abandons() {
+    let pool = WorkerPool::new(PoolConfig::with_threads(1).queue_depth(3));
+    let bad: Arc<dyn Compressor> = Arc::new(PanicCodec);
+    let good: Arc<dyn Compressor> = Arc::new(StoreCodec);
+    let data = sample();
+    let mut window: Window<usize> = Window::new(InflightGauge::detached(), None);
+    for (i, codec) in [&bad, &good, &good].into_iter().enumerate() {
+        must(window.push_compress(&pool, codec, data.desc(), data.bytes(), i, |_, _| Ok(())));
+    }
+    match window.pop(|_, tag| Ok(tag)) {
+        Err(Error::WorkerPanic(_)) => {}
+        Err(e) => panic!("the failed job must surface its own error, got {e}"),
+        Ok(tag) => panic!("a panicking job must not yield a result, got {tag:?}"),
+    }
+    assert!(window.is_empty(), "the jobs behind a failure are abandoned");
+    assert!(
+        matches!(window.pop(|_, tag| Ok(tag)), Err(Error::Corrupt(_))),
+        "a failed window refuses instead of yielding out of order"
+    );
+    pool.drain();
+    // Every slot is back on the free list, whether its job was abandoned
+    // while queued, while running, or after it finished: filling the pool
+    // again would block forever on a leaked one.
+    let tickets: Vec<_> = (0..pool.queue_depth())
+        .map(|_| must(pool.submit_compress(&good, data.desc(), data.bytes())))
+        .collect();
+    for t in tickets {
+        must(t.collect(|p| p.len()));
+    }
 }
 
 fn cursor_read_ahead() {

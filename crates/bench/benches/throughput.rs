@@ -10,9 +10,9 @@
 //! The gorilla/chimp rows here are the end-to-end view of the bitstream
 //! engine (`fcbench_entropy::bits`): their inner loops are almost pure
 //! bit I/O, so movement on these rows tracks the `bitstream` microbench.
-//! README's "Performance" table records the PR 4 → PR 5 before/after; the
-//! machine-readable trajectory lives in `BENCH_5.json` (see the
-//! `bench-json` subcommand).
+//! The perf ledger is the ladder in `benchmark/` (its `codec_matrix`
+//! workload runs the same codecs at 1 Mi elements); this bench is the quick
+//! per-codec view.
 //!
 //! The counting allocator is installed binary-wide (it is a `#[global_allocator]`,
 //! there is no narrower scope), adding a few relaxed atomic ops per allocation

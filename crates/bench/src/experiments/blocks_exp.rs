@@ -3,14 +3,14 @@
 //! Block decomposition runs on the campaign's shared
 //! [`WorkerPool`](fcbench_core::pool::WorkerPool) engine: each
 //! block-capable codec is wrapped in a [`Pipeline`] over the warm pool
-//! (no thread spawn per cell) and measured through the chunked `FCB2`
-//! frame, whose block directory plays the role of the page directory a
+//! (no thread spawn per cell) and measured through the `FCB3` frame,
+//! whose per-block length fields play the role of the page directory a
 //! database container would keep.
 
 use crate::context::{render_table, Context};
 use fcbench_core::blocks::{BLOCK_4K, BLOCK_64K, BLOCK_8M};
 use fcbench_core::metrics::{arithmetic_mean, harmonic_mean};
-use fcbench_core::runner::{run_cell_pipelined, NamedData, RunConfig};
+use fcbench_core::runner::{run_cell, NamedData, RunConfig};
 use fcbench_core::Pipeline;
 use std::sync::Arc;
 
@@ -49,9 +49,7 @@ fn run_block_size(
                     Pipeline::with_codec(Arc::clone(entry.codec()))
                 }
                 .block_elems(block_elems);
-                if let fcbench_core::CellOutcome::Ok(m) =
-                    run_cell_pipelined(&pipeline, &ds.data, cfg)
-                {
+                if let fcbench_core::CellOutcome::Ok(m) = run_cell(&pipeline, &ds.data, cfg) {
                     crs.push(m.compression_ratio());
                     cts.push(m.compression_throughput_gbs());
                     dts.push(m.decompression_throughput_gbs());
@@ -75,8 +73,8 @@ pub fn table10(ctx: &Context) -> String {
     let mut out = format!(
         "Table 10: compression performance under different block sizes\n\
          (block-parallel on the shared {}-worker engine; CR includes the\n\
-         FCB2 frame's per-block directory, the container accounting a paged\n\
-         store pays)\n",
+         FCB3 frame's per-block length fields, the container accounting a\n\
+         paged store pays)\n",
         ctx.pool.threads()
     );
     let mut headers = vec!["blocksize / metric".to_string()];

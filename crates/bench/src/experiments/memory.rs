@@ -80,8 +80,8 @@ fn streaming_footprint(base_elems: usize) -> String {
     let registry = paper_registry();
     let mut out = format!(
         "\nstreaming engine footprint ({:.1} MB input, 16Ki-element blocks,\n\
-         2-worker pool; 'frame' holds the whole FCB2 frame, 'stream' sends\n\
-         FCB3 records to a null sink as blocks finish):\n",
+         2-worker pool; 'frame' holds the whole FCB3 frame, 'stream' sends\n\
+         the same records to a null sink as blocks finish):\n",
         data.bytes().len() as f64 / 1e6
     );
     out.push_str(&format!(

@@ -5,10 +5,8 @@
 //! fcbench table4|table5|table6|table7|table9|table10|table11
 //! fcbench fig5|fig6|fig7|fig9|fig10|fig11
 //! fcbench dzip                the §4.5 neural-compression experiment
-//! fcbench bench-json          write the machine-readable perf snapshot
 //! fcbench --elems N <exp>     scaled dataset size (default 131072)
 //! fcbench --reps N <exp>      timing repetitions per cell (default 1)
-//! fcbench --out PATH          snapshot path for bench-json (default BENCH_8.json)
 //! ```
 
 use fcbench_bench::alloc_track::{mark_installed, CountingAllocator};
@@ -20,18 +18,12 @@ static ALLOC: CountingAllocator = CountingAllocator;
 struct Opts {
     elems: usize,
     reps: usize,
-    out: String,
     experiments: Vec<String>,
 }
-
-/// PR number stamped into perf snapshots; the default snapshot path is
-/// `BENCH_<PERF_PR>.json`.
-const PERF_PR: u32 = 8;
 
 fn parse_args() -> Opts {
     let mut elems = DEFAULT_ELEMS;
     let mut reps = 1usize;
-    let mut out = format!("BENCH_{PERF_PR}.json");
     let mut experiments = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -48,9 +40,6 @@ fn parse_args() -> Opts {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--reps needs a number"));
             }
-            "--out" => {
-                out = args.next().unwrap_or_else(|| die("--out needs a path"));
-            }
             "--help" | "-h" => {
                 print_usage();
                 std::process::exit(0);
@@ -64,7 +53,6 @@ fn parse_args() -> Opts {
     Opts {
         elems,
         reps,
-        out,
         experiments,
     }
 }
@@ -76,11 +64,10 @@ fn die(msg: &str) -> ! {
 
 fn print_usage() {
     println!(
-        "usage: fcbench [--elems N] [--reps N] [--out PATH] <experiment>...\n\
+        "usage: fcbench [--elems N] [--reps N] <experiment>...\n\
          experiments: all, table4, fig5, fig6, fig7, table5, fig9, table6,\n\
          table7 (incl. table8), table9, table10, table11, fig10, fig11, dzip,\n\
-         recommend (the S7.3 selection map),\n\
-         bench-json (machine-readable codec throughput snapshot)"
+         recommend (the S7.3 selection map)"
     );
 }
 
@@ -151,13 +138,6 @@ fn main() {
             "dzip" => experiments::dzip_experiment(16384),
             "recommend" => {
                 fcbench_bench::recommend::recommendation_map(ctx.as_ref().expect("matrix built"))
-            }
-            "bench-json" => {
-                let json = fcbench_bench::perf_json::write_snapshot(
-                    &opts.out, PERF_PR, opts.elems, opts.reps,
-                )
-                .unwrap_or_else(|e| die(&format!("bench-json: cannot write {}: {e}", opts.out)));
-                format!("wrote {}\n{json}", opts.out)
             }
             other => {
                 eprintln!("fcbench: unknown experiment {other:?}");

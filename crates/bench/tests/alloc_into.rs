@@ -11,7 +11,10 @@
 use fcbench_bench::alloc_track::{self, CountingAllocator};
 use fcbench_bench::codecs::{full_registry, paper_registry};
 use fcbench_core::pool::{PoolConfig, WorkerPool};
-use fcbench_core::{Domain, FloatData, Precision};
+use fcbench_core::{
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Domain, FloatData, Platform, Precision,
+    PrecisionSupport, Result,
+};
 use fcbench_dbsim::{ChunkExec, ContainerWriter};
 use fcbench_telemetry::{Registry, Snapshot};
 
@@ -234,6 +237,21 @@ fn warm_pool_submits_do_not_allocate_or_spawn() {
     // a multi-worker pool too: slots are recycled LIFO, so a single
     // in-flight job reuses one warm slot whichever worker serves it.
     let pool = WorkerPool::new(PoolConfig::with_threads(2));
+    // Sequential warm-up jobs can all be served by one worker, leaving the
+    // other's thread start-up and first job to land inside the counted
+    // window. Two jobs that finish only once both are executing prove both
+    // workers have run before anything is counted.
+    let rendezvous: std::sync::Arc<dyn Compressor> =
+        std::sync::Arc::new(Rendezvous(std::sync::Barrier::new(2)));
+    let both: Vec<_> = (0..2)
+        .map(|_| {
+            pool.submit_compress(&rendezvous, data.desc(), data.bytes())
+                .expect("submit")
+        })
+        .collect();
+    for ticket in both {
+        ticket.collect(|_| ()).expect("rendezvous job");
+    }
     let gorilla = registry.get("gorilla").expect("registered codec");
     let mut payload = Vec::new();
     for _ in 0..4 {
@@ -253,6 +271,33 @@ fn warm_pool_submits_do_not_allocate_or_spawn() {
         "gorilla: two-worker warm pool submits must not allocate"
     );
     assert_eq!(pool.threads_spawned(), 2);
+}
+
+/// A store codec whose `compress_into` returns only once two calls are
+/// executing at the same time — on a two-worker pool, one on each worker.
+struct Rendezvous(std::sync::Barrier);
+
+impl Compressor for Rendezvous {
+    fn info(&self) -> CodecInfo {
+        CodecInfo {
+            name: "rendezvous",
+            year: 2024,
+            community: Community::General,
+            class: CodecClass::Delta,
+            platform: Platform::Cpu,
+            parallel: false,
+            precisions: PrecisionSupport::Both,
+        }
+    }
+    fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+        self.0.wait();
+        out.clear();
+        out.extend_from_slice(data.bytes());
+        Ok(out.len())
+    }
+    fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
+        out.refill_from_slice(desc, payload)
+    }
 }
 
 /// The predictor codec family holds the same allocation discipline as the

@@ -328,9 +328,9 @@ impl Compressor for Pfpc {
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
-        // The descriptor is untrusted (FCB1 frames and the runner hand it
-        // over unchecked): reject implausible output claims before anything
-        // is reserved against them.
+        // The descriptor is untrusted (the runner and other direct callers
+        // hand it over unchecked): reject implausible output claims before
+        // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
         let mut pos = 0usize;
         let nwords = read_u64(payload, &mut pos)

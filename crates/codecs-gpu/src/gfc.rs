@@ -230,9 +230,9 @@ impl Compressor for Gfc {
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
-        // The descriptor is untrusted (FCB1 frames and the runner hand it
-        // over unchecked): reject implausible output claims before anything
-        // is reserved against them.
+        // The descriptor is untrusted (the runner and other direct callers
+        // hand it over unchecked): reject implausible output claims before
+        // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
         let ledger = TransferLedger::new();
         ledger.record(self.gpu.config(), Dir::HostToDevice, payload.len());

@@ -22,6 +22,8 @@ pub mod mpc;
 pub mod ndzip_gpu;
 pub mod nvcomp;
 
+use std::sync::{Mutex, PoisonError};
+
 /// Last-completed-call transfer times for a GPU codec instance.
 ///
 /// The transfer ledger is per call, not per instance: the registry shares
@@ -29,24 +31,25 @@ pub mod nvcomp;
 /// interleave their transfer records. This slot stays single: under
 /// concurrent calls it holds the most recently *completed* call's coherent
 /// totals (last writer wins), which is all
-/// [`fcbench_core::Compressor::last_aux_time`] promises.
-pub(crate) struct AuxSlot(parking_lot::Mutex<fcbench_core::AuxTime>);
+/// [`fcbench_core::Compressor::last_aux_time`] promises. A poisoned lock is
+/// recovered: the slot is one `Copy` value, valid whenever it is visible.
+pub(crate) struct AuxSlot(Mutex<fcbench_core::AuxTime>);
 
 impl AuxSlot {
     pub(crate) fn new() -> Self {
-        AuxSlot(parking_lot::Mutex::new(fcbench_core::AuxTime::default()))
+        AuxSlot(Mutex::new(fcbench_core::AuxTime::default()))
     }
 
     pub(crate) fn store(&self, ledger: &fcbench_gpu_sim::TransferLedger) {
         let (h2d, d2h) = ledger.totals();
-        *self.0.lock() = fcbench_core::AuxTime {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = fcbench_core::AuxTime {
             h2d_seconds: h2d,
             d2h_seconds: d2h,
         };
     }
 
     pub(crate) fn get(&self) -> fcbench_core::AuxTime {
-        *self.0.lock()
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

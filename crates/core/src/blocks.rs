@@ -1,21 +1,15 @@
 //! Block/page-based compression (§6.2.1, Table 10).
 //!
 //! Database systems compress per page; the paper measures how CR/CT/DT react
-//! to 4 KB, 64 KB, and 8 MB block sizes. [`BlockCodec`] wraps any
-//! [`Compressor`], splitting the element stream into fixed-byte blocks that
-//! are compressed independently, with a small directory so blocks can be
-//! decompressed (and in a database, fetched) individually.
-//!
-//! Container layout (little-endian):
-//!
-//! ```text
-//! block count      4 bytes
-//! per block:       8-byte compressed length
-//! payloads         concatenated
-//! ```
+//! to 4 KB, 64 KB, and 8 MB block sizes. The block decomposition itself —
+//! fixed-size blocks compressed independently, each length alongside its
+//! payload so blocks can be decompressed (and in a database, fetched)
+//! individually — is the [`FCB3` frame](crate::frame) a
+//! [`Pipeline`](crate::pipeline::Pipeline) produces. This module holds the
+//! paper's block sizes and the plausibility gate every block decode passes
+//! before its codec runs.
 
-use crate::codec::{AuxTime, CodecInfo, Compressor, OpProfile};
-use crate::data::{DataDesc, FloatData};
+use crate::data::DataDesc;
 use crate::error::{Error, Result};
 
 /// Paper's three studied block sizes.
@@ -24,35 +18,6 @@ pub const BLOCK_4K: usize = 4 * 1024;
 pub const BLOCK_64K: usize = 64 * 1024;
 /// 8 MB — the paper's large-block configuration.
 pub const BLOCK_8M: usize = 8 * 1024 * 1024;
-
-/// A [`Compressor`] adaptor that compresses fixed-size blocks independently.
-pub struct BlockCodec<C> {
-    inner: C,
-    block_bytes: usize,
-}
-
-impl<C: Compressor> BlockCodec<C> {
-    /// Wrap `inner`, using blocks of `block_bytes` (rounded down to a whole
-    /// number of elements at compress time; must fit at least one element).
-    pub fn new(inner: C, block_bytes: usize) -> Self {
-        assert!(block_bytes >= 4, "block must hold at least one element");
-        BlockCodec { inner, block_bytes }
-    }
-
-    /// The wrapped codec.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Block size in bytes.
-    pub fn block_bytes(&self) -> usize {
-        self.block_bytes
-    }
-
-    fn elems_per_block(&self, desc: &DataDesc) -> usize {
-        (self.block_bytes / desc.precision.bytes()).max(1)
-    }
-}
 
 /// Per-block ceiling on declared-output vs payload size. Codecs typically
 /// reserve `desc.byte_len()` before decoding, so a block descriptor is
@@ -68,10 +33,11 @@ const MAX_BLOCK_EXPANSION: usize = 1 << 20;
 /// Codecs typically reserve `desc.byte_len()` before decoding anything, so
 /// every `decompress_into` implementation calls this **before touching the
 /// allocator** — a tiny hostile payload carrying a petabyte-claiming
-/// descriptor (via an `FCB1` frame, the runner, or a direct codec call)
-/// gets a typed [`Error::Corrupt`] instead of forcing the reservation. The
-/// ceiling is far above any real compression ratio: a legitimate decode
-/// would need to expand a payload by over a million to trip it.
+/// descriptor (via a frame, a container directory, the runner, or a direct
+/// codec call) gets a typed [`Error::Corrupt`] instead of forcing the
+/// reservation. The ceiling is far above any real compression ratio: a
+/// legitimate decode would need to expand a payload by over a million to
+/// trip it.
 pub fn check_decode_claim(desc: &DataDesc, payload_len: usize) -> Result<()> {
     if desc.byte_len() / MAX_BLOCK_EXPANSION > payload_len {
         return Err(Error::Corrupt(format!(
@@ -82,196 +48,18 @@ pub fn check_decode_claim(desc: &DataDesc, payload_len: usize) -> Result<()> {
     Ok(())
 }
 
-/// Decode one `elems`-element block from `payload` into `scratch`:
-/// plausibility gate, decode, size check. The shared validation sequence —
-/// any tightening here covers [`BlockCodec`] and both
-/// [`crate::pipeline::Pipeline`] decode paths at once.
-fn decode_block_scratch(
-    codec: &dyn Compressor,
-    desc: &DataDesc,
-    elems: usize,
-    payload: &[u8],
-    scratch: &mut FloatData,
-) -> Result<()> {
-    let bdesc = DataDesc::new(desc.precision, vec![elems], desc.domain)?;
-    check_decode_claim(&bdesc, payload.len())?;
-    codec.decompress_into(payload, &bdesc, scratch)?;
-    if scratch.bytes().len() != bdesc.byte_len() {
-        return Err(Error::Corrupt("block decoded to a wrong size".into()));
-    }
-    Ok(())
-}
-
-/// [`decode_block_scratch`] + append: the sequential decode-loop step of
-/// [`BlockCodec`] and the pipeline's inline path.
-pub(crate) fn decode_block_into(
-    codec: &dyn Compressor,
-    desc: &DataDesc,
-    elems: usize,
-    payload: &[u8],
-    scratch: &mut FloatData,
-    bytes: &mut Vec<u8>,
-) -> Result<()> {
-    decode_block_scratch(codec, desc, elems, payload, scratch)?;
-    bytes.extend_from_slice(scratch.bytes());
-    Ok(())
-}
-
-/// Sequentially compress `data` in `bpb`-byte blocks through one reusable
-/// scratch container and one reusable payload buffer; compressed blocks
-/// accumulate in a contiguous blob. Shared by [`BlockCodec`] and the
-/// single-threaded [`crate::pipeline::Pipeline`] path, which differ only in
-/// the container they wrap around the `(lens, blob)` pair.
-pub(crate) fn compress_blocks_sequential(
-    codec: &dyn Compressor,
-    data: &FloatData,
-    bpb: usize,
-    nblocks: usize,
-) -> Result<(Vec<usize>, Vec<u8>)> {
-    let desc = data.desc();
-    let esize = desc.precision.bytes();
-    let mut scratch = FloatData::scratch();
-    let mut block_payload = Vec::new();
-    let mut blob = Vec::new();
-    let mut lens = Vec::with_capacity(nblocks);
-    for chunk in data.bytes().chunks(bpb) {
-        let block_desc = DataDesc::new(desc.precision, vec![chunk.len() / esize], desc.domain)?;
-        scratch.refill_from_slice(&block_desc, chunk)?;
-        let n = codec.compress_into(&scratch, &mut block_payload)?;
-        lens.push(n);
-        blob.extend_from_slice(&block_payload[..n]);
-    }
-    Ok((lens, blob))
-}
-
-impl<C: Compressor> Compressor for BlockCodec<C> {
-    fn info(&self) -> CodecInfo {
-        self.inner.info()
-    }
-
-    fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        let desc = data.desc();
-        let esize = desc.precision.bytes();
-        let epb = self.elems_per_block(desc);
-        let bpb = epb * esize;
-        let bytes = data.bytes();
-        let nblocks = bytes.len().div_ceil(bpb).max(1);
-        if nblocks > u32::MAX as usize {
-            return Err(Error::Unsupported("too many blocks".into()));
-        }
-
-        let (lens, blob) = compress_blocks_sequential(&self.inner, data, bpb, nblocks)?;
-
-        out.clear();
-        out.reserve(4 + 8 * lens.len() + blob.len());
-        out.extend_from_slice(&(lens.len() as u32).to_le_bytes());
-        for &l in &lens {
-            out.extend_from_slice(&(l as u64).to_le_bytes());
-        }
-        out.extend_from_slice(&blob);
-        Ok(out.len())
-    }
-
-    fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
-        if payload.len() < 4 {
-            return Err(Error::Corrupt("block container truncated".into()));
-        }
-        let nblocks = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]) as usize;
-        let dir_end = nblocks
-            .checked_mul(8)
-            .and_then(|n| n.checked_add(4))
-            .filter(|&e| e <= payload.len())
-            .ok_or_else(|| Error::Corrupt("block directory truncated".into()))?;
-        // lint: claim-checked(nblocks bounded by the dir_end byte check above)
-        let mut lens = Vec::with_capacity(nblocks);
-        for i in 0..nblocks {
-            let off = 4 + 8 * i;
-            lens.push(crate::wire::len64(crate::wire::le_u64(payload, off)?));
-        }
-
-        let epb = self.elems_per_block(desc);
-        let total_elems = desc.elements();
-        out.refill(desc, |bytes| {
-            // lint: claim-checked(desc is gated by check_decode_claim at the pool/frame boundary)
-            bytes.reserve(desc.byte_len());
-            let mut block = FloatData::scratch();
-            let mut pos = dir_end;
-            let mut remaining = total_elems;
-            for len in lens {
-                if len > payload.len() - pos {
-                    return Err(Error::Corrupt("block payload truncated".into()));
-                }
-                let block_elems = remaining.min(epb);
-                if block_elems == 0 {
-                    return Err(Error::Corrupt("more blocks than elements".into()));
-                }
-                decode_block_into(
-                    &self.inner,
-                    desc,
-                    block_elems,
-                    &payload[pos..pos + len],
-                    &mut block,
-                    bytes,
-                )?;
-                pos += len;
-                remaining -= block_elems;
-            }
-            if remaining != 0 {
-                return Err(Error::Corrupt(format!(
-                    "{remaining} elements missing from blocks"
-                )));
-            }
-            if pos != payload.len() {
-                return Err(Error::Corrupt("trailing bytes after final block".into()));
-            }
-            if bytes.len() != desc.byte_len() {
-                return Err(Error::Corrupt("reassembled size mismatch".into()));
-            }
-            Ok(())
-        })
-    }
-
-    fn last_aux_time(&self) -> AuxTime {
-        self.inner.last_aux_time()
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        self.inner.op_profile(desc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{CodecClass, Community, Platform, PrecisionSupport};
-    use crate::data::Domain;
+    use crate::codec::Compressor;
+    use crate::data::{Domain, FloatData};
+    use crate::pipeline::Pipeline;
+    use crate::testing::HeaderedStore;
+    use std::sync::Arc;
 
-    /// Store codec with a 2-byte header per call, so block overhead is visible.
-    struct HeaderedStore;
-
-    impl Compressor for HeaderedStore {
-        fn info(&self) -> CodecInfo {
-            CodecInfo {
-                name: "hstore",
-                year: 2024,
-                community: Community::General,
-                class: CodecClass::Delta,
-                platform: Platform::Cpu,
-                parallel: false,
-                precisions: PrecisionSupport::Both,
-            }
-        }
-        fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
-            let mut v = vec![0xAB, 0xCD];
-            v.extend_from_slice(data.bytes());
-            Ok(v)
-        }
-        fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-            if payload.len() < 2 || payload[0] != 0xAB || payload[1] != 0xCD {
-                return Err(Error::Corrupt("bad hstore header".into()));
-            }
-            FloatData::from_bytes(desc.clone(), payload[2..].to_vec())
-        }
+    /// `HeaderedStore` in `block_bytes`-byte blocks of f32, as a codec.
+    fn blocked(block_bytes: usize) -> Pipeline {
+        Pipeline::with_codec(Arc::new(HeaderedStore)).block_elems(block_bytes / 4)
     }
 
     fn sample(n: usize) -> FloatData {
@@ -281,7 +69,7 @@ mod tests {
 
     #[test]
     fn round_trip_exact_multiple() {
-        let bc = BlockCodec::new(HeaderedStore, 16); // 4 f32 per block
+        let bc: &dyn Compressor = &blocked(16); // 4 f32 per block
         let data = sample(16);
         let payload = bc.compress(&data).unwrap();
         let back = bc.decompress(&payload, data.desc()).unwrap();
@@ -290,7 +78,7 @@ mod tests {
 
     #[test]
     fn round_trip_ragged_tail() {
-        let bc = BlockCodec::new(HeaderedStore, 16);
+        let bc: &dyn Compressor = &blocked(16);
         for n in [1usize, 3, 5, 17, 31] {
             let data = sample(n);
             let payload = bc.compress(&data).unwrap();
@@ -302,17 +90,15 @@ mod tests {
     #[test]
     fn small_blocks_cost_more_overhead() {
         let data = sample(1024);
-        let small = BlockCodec::new(HeaderedStore, 16).compress(&data).unwrap();
-        let large = BlockCodec::new(HeaderedStore, 4096)
-            .compress(&data)
-            .unwrap();
-        // More blocks => more 2-byte headers + directory entries.
+        let small = blocked(16).compress(&data).unwrap();
+        let large = blocked(4096).compress(&data).unwrap();
+        // More blocks => more 2-byte headers + 8-byte length fields.
         assert!(small.len() > large.len());
     }
 
     #[test]
     fn rejects_corruption() {
-        let bc = BlockCodec::new(HeaderedStore, 16);
+        let bc: &dyn Compressor = &blocked(16);
         let data = sample(8);
         let payload = bc.compress(&data).unwrap();
         assert!(bc.decompress(&payload[..3], data.desc()).is_err());
@@ -322,6 +108,8 @@ mod tests {
         let mut extra = payload.clone();
         extra.push(0);
         assert!(bc.decompress(&extra, data.desc()).is_err());
+        // As a codec the frame must describe the data that was asked for.
+        assert!(bc.decompress(&payload, sample(9).desc()).is_err());
     }
 
     #[test]

@@ -227,9 +227,9 @@ pub trait Compressor: Send + Sync {
     }
 }
 
-/// Forward the whole trait through a smart pointer / reference so adaptors
-/// like [`crate::blocks::BlockCodec`] can wrap `&dyn Compressor`,
-/// `Box<dyn Compressor>`, or the registry's `Arc<dyn Compressor>` directly.
+/// Forward the whole trait through a smart pointer / reference so generic
+/// code can be handed `&dyn Compressor`, `Box<dyn Compressor>`, or the
+/// registry's `Arc<dyn Compressor>` directly.
 macro_rules! forward_compressor {
     ($ty:ty) => {
         impl<T: Compressor + ?Sized> Compressor for $ty {

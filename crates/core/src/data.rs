@@ -7,10 +7,9 @@
 //! byte length is consistent with the descriptor.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// IEEE-754 precision of the elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// 32-bit `f32` ("S" in the paper's tables).
     Single,
@@ -44,7 +43,7 @@ impl Precision {
 }
 
 /// Application domain of a dataset (Table 3 groups).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Domain {
     /// Scientific-simulation data (SDRBench et al.).
     Hpc,
@@ -77,7 +76,7 @@ impl Domain {
 }
 
 /// Shape and type description of a floating-point dataset.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataDesc {
     /// Element precision.
     pub precision: Precision,

@@ -1,69 +1,37 @@
-//! Self-describing container frames wrapped around compressed payloads.
+//! The self-describing `FCB3` frame wrapped around compressed blocks.
 //!
-//! Frames carry everything needed to decompress without out-of-band
+//! A frame carries everything needed to decompress without out-of-band
 //! metadata: codec name, precision, dimensional extent, domain tag, and the
-//! payload length(s). Two layouts share one header (all integers
-//! little-endian):
-//!
-//! **`FCB1` — single-shot.** One payload covering the whole dataset:
+//! block decomposition. The element stream is split into fixed-size blocks
+//! (the last may be short), each compressed independently — the block
+//! decomposition FCBench applies to its ndzip/GPU methods and the Table 10
+//! page study — and every block record carries its own length inline, so a
+//! writer emits records as blocks finish compressing and neither side ever
+//! needs the whole frame resident. There is one layout (all integers
+//! little-endian); a single-shot frame is simply a one-block stream:
 //!
 //! ```text
-//! magic            4 bytes  "FCB1"
+//! magic            4 bytes  "FCB3"
 //! codec name len   1 byte   n
 //! codec name       n bytes  UTF-8
 //! precision        1 byte   0 = single, 1 = double
 //! domain           1 byte   0 = HPC, 1 = TS, 2 = OBS, 3 = DB
 //! ndims            1 byte   d  (1..=255)
 //! dims             8*d bytes
-//! payload len      8 bytes
-//! payload          ...
-//! ```
-//!
-//! **`FCB2` — chunked.** The element stream is split into fixed-size blocks
-//! (the last may be short), each compressed independently — the layout
-//! produced and consumed by [`crate::pipeline::Pipeline`], mirroring the
-//! block decomposition FCBench applies to its ndzip/GPU methods:
-//!
-//! ```text
-//! magic            4 bytes  "FCB2"
-//! codec name len   1 byte   n
-//! codec name       n bytes  UTF-8
-//! precision        1 byte
-//! domain           1 byte
-//! ndims            1 byte   d  (1..=255)
-//! dims             8*d bytes
-//! block elems      8 bytes  elements per block (>= 1)
-//! block count      4 bytes  == ceil(elements / block elems)
-//! block lens       8 bytes each
-//! payloads         concatenated
-//! ```
-//!
-//! **`FCB3` — streamed chunks.** The on-wire form of `FCB2` for datasets
-//! that never need to be fully resident: the same shared header, but block
-//! records carry their own length inline so a writer can emit them as they
-//! are compressed (an `FCB2` frame front-loads every length, which forces
-//! the whole frame into memory). Produced and consumed by
-//! [`crate::stream::FrameWriter`] / [`crate::stream::FrameReader`]:
-//!
-//! ```text
-//! magic            4 bytes  "FCB3"
-//! codec name len   1 byte   n
-//! codec name       n bytes  UTF-8
-//! precision        1 byte
-//! domain           1 byte
-//! ndims            1 byte   d  (1..=255)
-//! dims             8*d bytes
 //! block elems      8 bytes  elements per block (>= 1)
 //! per block:       8-byte payload len, then the payload
 //!                  (block count is implied: ceil(elements / block elems))
 //! ```
+//!
+//! This module owns the prologue (everything before the first block
+//! record); [`crate::stream::FrameWriter`] / [`crate::stream::FrameReader`]
+//! produce and consume the records, and [`crate::pipeline::Pipeline`] is
+//! the whole-buffer entry point over them.
 
-use crate::data::{DataDesc, Domain, FloatData, Precision};
+use crate::data::{DataDesc, Domain, Precision};
 use crate::error::{Error, Result};
 
-const MAGIC_V1: &[u8; 4] = b"FCB1";
-const MAGIC_V2: &[u8; 4] = b"FCB2";
-const MAGIC_V3: &[u8; 4] = b"FCB3";
+const MAGIC: &[u8; 4] = b"FCB3";
 
 /// Check that `name` and `desc` fit the frame header's single-byte length
 /// fields. The benchmark runner calls this up front so an unencodable cell
@@ -80,41 +48,7 @@ pub fn check_frame_params(name: &str, desc: &DataDesc) -> Result<()> {
     Ok(())
 }
 
-/// Append the shared header (magic through dims) to `out`.
-fn encode_header(magic: &[u8; 4], name: &str, desc: &DataDesc, out: &mut Vec<u8>) -> Result<()> {
-    check_frame_params(name, desc)?;
-    out.extend_from_slice(magic);
-    out.push(name.len() as u8);
-    out.extend_from_slice(name.as_bytes());
-    out.push(match desc.precision {
-        Precision::Single => 0,
-        Precision::Double => 1,
-    });
-    out.push(match desc.domain {
-        Domain::Hpc => 0,
-        Domain::TimeSeries => 1,
-        Domain::Observation => 2,
-        Domain::Database => 3,
-    });
-    out.push(desc.dims.len() as u8);
-    for &d in &desc.dims {
-        out.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-    Ok(())
-}
-
-/// Encode a frame around `payload` for data described by `desc`,
-/// compressed by codec `name`.
-pub fn encode_frame(name: &str, desc: &DataDesc, payload: &[u8]) -> Result<Vec<u8>> {
-    let mut out =
-        Vec::with_capacity(4 + 2 + name.len() + 3 + 8 * desc.dims.len() + 8 + payload.len());
-    encode_header(MAGIC_V1, name, desc, &mut out)?;
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
-}
-
-/// Bounds-checked slice cursor shared by both decoders.
+/// Bounds-checked slice cursor.
 fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
     // `pos` never exceeds `bytes.len()`, so this subtraction cannot wrap —
     // and unlike `pos + n` it cannot overflow on hostile length fields.
@@ -136,7 +70,7 @@ fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
     crate::wire::le_u64(s, 0)
 }
 
-/// Decode the shared header after the magic: `(codec name, descriptor)`.
+/// Decode the header after the magic: `(codec name, descriptor)`.
 fn decode_header(bytes: &[u8], pos: &mut usize) -> Result<(String, DataDesc)> {
     let name_len = take(bytes, pos, 1)?[0] as usize;
     let name_bytes = take(bytes, pos, name_len)?;
@@ -177,217 +111,41 @@ fn decode_header(bytes: &[u8], pos: &mut usize) -> Result<(String, DataDesc)> {
     Ok((codec, desc))
 }
 
-/// A decoded single-shot frame: codec name, data descriptor, borrowed payload.
-#[derive(Debug, PartialEq, Eq)]
-pub struct Frame<'a> {
-    pub codec: String,
-    pub desc: DataDesc,
-    pub payload: &'a [u8],
-}
-
-/// Decode a frame produced by [`encode_frame`].
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>> {
-    let mut pos = 0usize;
-    if take(bytes, &mut pos, 4)? != MAGIC_V1 {
-        return Err(Error::Corrupt("bad magic (expected FCB1)".into()));
-    }
-    let (codec, desc) = decode_header(bytes, &mut pos)?;
-    let plen = read_u64(bytes, &mut pos)?;
-    let plen = usize::try_from(plen)
-        .map_err(|_| Error::Corrupt(format!("payload length {plen} exceeds the address space")))?;
-    let payload = take(bytes, &mut pos, plen)?;
-    if pos != bytes.len() {
-        return Err(Error::Corrupt(format!(
-            "{} trailing bytes after payload",
-            bytes.len() - pos
-        )));
-    }
-    Ok(Frame {
-        codec,
-        desc,
-        payload,
-    })
-}
-
-/// Encode a chunked `FCB2` frame from per-block payloads. `block_elems` is
-/// the elements-per-block the stream was split with; `payloads.len()` must
-/// equal `ceil(desc.elements() / block_elems)`.
-pub fn encode_chunked_frame<P: AsRef<[u8]>>(
-    name: &str,
-    desc: &DataDesc,
-    block_elems: usize,
-    payloads: &[P],
-) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    encode_chunked_frame_into(name, desc, block_elems, payloads, &mut out)?;
-    Ok(out)
-}
-
-/// [`encode_chunked_frame`] into a reusable buffer (contents replaced).
-/// Returns the frame length.
-pub fn encode_chunked_frame_into<P: AsRef<[u8]>>(
-    name: &str,
-    desc: &DataDesc,
-    block_elems: usize,
-    payloads: &[P],
-    out: &mut Vec<u8>,
-) -> Result<usize> {
-    check_chunked_params(desc, block_elems, payloads.len())?;
-    let total: usize = payloads.iter().map(|p| p.as_ref().len()).sum();
-    out.clear();
-    out.reserve(4 + 2 + name.len() + 3 + 8 * desc.dims.len() + 12 + 8 * payloads.len() + total);
-    encode_header(MAGIC_V2, name, desc, out)?;
-    out.extend_from_slice(&(block_elems as u64).to_le_bytes());
-    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    for p in payloads {
-        out.extend_from_slice(&(p.as_ref().len() as u64).to_le_bytes());
-    }
-    for p in payloads {
-        out.extend_from_slice(p.as_ref());
-    }
-    Ok(out.len())
-}
-
-/// Like [`encode_chunked_frame_into`] but from a `(lengths, contiguous
-/// blob)` pair, so a sequential encoder can accumulate blocks through one
-/// reused scratch buffer instead of allocating a `Vec` per block.
-pub fn encode_chunked_frame_parts_into(
-    name: &str,
-    desc: &DataDesc,
-    block_elems: usize,
-    lens: &[usize],
-    blob: &[u8],
-    out: &mut Vec<u8>,
-) -> Result<usize> {
-    check_chunked_params(desc, block_elems, lens.len())?;
-    let total: usize = lens.iter().sum();
-    if total != blob.len() {
-        return Err(Error::BadDescriptor(format!(
-            "block lengths sum to {total} but the blob holds {} bytes",
-            blob.len()
-        )));
-    }
-    out.clear();
-    out.reserve(4 + 2 + name.len() + 3 + 8 * desc.dims.len() + 12 + 8 * lens.len() + total);
-    encode_header(MAGIC_V2, name, desc, out)?;
-    out.extend_from_slice(&(block_elems as u64).to_le_bytes());
-    out.extend_from_slice(&(lens.len() as u32).to_le_bytes());
-    for &l in lens {
-        out.extend_from_slice(&(l as u64).to_le_bytes());
-    }
-    out.extend_from_slice(blob);
-    Ok(out.len())
-}
-
-fn check_chunked_params(desc: &DataDesc, block_elems: usize, nblocks: usize) -> Result<()> {
-    if block_elems == 0 {
-        return Err(Error::BadDescriptor("block_elems must be >= 1".into()));
-    }
-    let expected = desc.elements().div_ceil(block_elems);
-    if nblocks != expected {
-        return Err(Error::BadDescriptor(format!(
-            "{nblocks} payloads but {} elements in {block_elems}-element blocks need {expected}",
-            desc.elements()
-        )));
-    }
-    if nblocks > u32::MAX as usize {
-        return Err(Error::Unsupported("too many blocks for FCB2".into()));
-    }
-    Ok(())
-}
-
-/// A decoded chunked frame: shared header fields plus borrowed per-block
-/// payload slices in stream order.
-#[derive(Debug, PartialEq, Eq)]
-pub struct ChunkedFrame<'a> {
-    pub codec: String,
-    pub desc: DataDesc,
-    /// Elements per block (the final block holds the remainder).
-    pub block_elems: usize,
-    pub payloads: Vec<&'a [u8]>,
-}
-
-impl ChunkedFrame<'_> {
-    /// Element count of block `i` (the tail block may be short). Returns 0
-    /// for `i >= payloads.len()`; the arithmetic saturates so out-of-range
-    /// indices and `block_elems` near `usize::MAX` never overflow.
-    pub fn block_len(&self, i: usize) -> usize {
-        let total = self.desc.elements();
-        let start = i.saturating_mul(self.block_elems).min(total);
-        self.block_elems.min(total - start)
-    }
-}
-
-/// Decode a frame produced by [`encode_chunked_frame`].
-pub fn decode_chunked_frame(bytes: &[u8]) -> Result<ChunkedFrame<'_>> {
-    let mut pos = 0usize;
-    if take(bytes, &mut pos, 4)? != MAGIC_V2 {
-        return Err(Error::Corrupt("bad magic (expected FCB2)".into()));
-    }
-    let (codec, desc) = decode_header(bytes, &mut pos)?;
-    let block_elems = read_u64(bytes, &mut pos)?;
-    let block_elems = usize::try_from(block_elems)
-        .ok()
-        .filter(|&b| b >= 1)
-        .ok_or_else(|| Error::Corrupt(format!("bad block size {block_elems}")))?;
-    let nblocks = crate::wire::le_u32(take(bytes, &mut pos, 4)?, 0)?;
-    let expected = desc.elements().div_ceil(block_elems);
-    if nblocks as usize != expected {
-        return Err(Error::Corrupt(format!(
-            "frame declares {nblocks} blocks but {} elements in {block_elems}-element \
-             blocks need {expected}",
-            desc.elements()
-        )));
-    }
-    // Bound the preallocation by the bytes actually present (8 per length)
-    // so a hostile count can't trigger a huge allocation before validation.
-    let avail = bytes.len().saturating_sub(pos) / 8;
-    // lint: claim-checked(count clamped to the directory bytes actually present)
-    let mut lens = Vec::with_capacity((nblocks as usize).min(avail));
-    for _ in 0..nblocks {
-        let l = read_u64(bytes, &mut pos)?;
-        let l = usize::try_from(l)
-            .map_err(|_| Error::Corrupt(format!("block length {l} exceeds the address space")))?;
-        lens.push(l);
-    }
-    // lint: claim-checked(lens were all parsed from real bytes above)
-    let mut payloads = Vec::with_capacity(lens.len());
-    for l in lens {
-        payloads.push(take(bytes, &mut pos, l)?);
-    }
-    if pos != bytes.len() {
-        return Err(Error::Corrupt(format!(
-            "{} trailing bytes after final block",
-            bytes.len() - pos
-        )));
-    }
-    Ok(ChunkedFrame {
-        codec,
-        desc,
-        block_elems,
-        payloads,
-    })
-}
-
-/// Encode the streaming `FCB3` prologue — everything before the first
-/// block record.
+/// Encode the `FCB3` prologue — everything before the first block record.
 pub fn encode_stream_header(name: &str, desc: &DataDesc, block_elems: usize) -> Result<Vec<u8>> {
     if block_elems == 0 {
         return Err(Error::BadDescriptor("block_elems must be >= 1".into()));
     }
+    check_frame_params(name, desc)?;
     let mut out = Vec::with_capacity(4 + 2 + name.len() + 3 + 8 * desc.dims.len() + 8);
-    encode_header(MAGIC_V3, name, desc, &mut out)?;
+    out.extend_from_slice(MAGIC);
+    out.push(name.len() as u8);
+    out.extend_from_slice(name.as_bytes());
+    out.push(match desc.precision {
+        Precision::Single => 0,
+        Precision::Double => 1,
+    });
+    out.push(match desc.domain {
+        Domain::Hpc => 0,
+        Domain::TimeSeries => 1,
+        Domain::Observation => 2,
+        Domain::Database => 3,
+    });
+    out.push(desc.dims.len() as u8);
+    for &d in &desc.dims {
+        out.extend_from_slice(&(d as u64).to_le_bytes());
+    }
     out.extend_from_slice(&(block_elems as u64).to_le_bytes());
     Ok(out)
 }
 
-/// Decode a streaming `FCB3` prologue from `src`:
+/// Decode an `FCB3` prologue from `src`:
 /// `(codec name, descriptor, block elems)`. Reads exactly the prologue
 /// bytes, leaving `src` positioned at the first block record.
 pub fn decode_stream_header<R: std::io::Read>(src: &mut R) -> Result<(String, DataDesc, usize)> {
     let mut magic = [0u8; 4];
     src.read_exact(&mut magic)?;
-    if &magic != MAGIC_V3 {
+    if &magic != MAGIC {
         return Err(Error::Corrupt("bad magic (expected FCB3)".into()));
     }
     // Accumulate the variable-length header and reuse the slice decoder
@@ -416,140 +174,240 @@ pub fn decode_stream_header<R: std::io::Read>(src: &mut R) -> Result<(String, Da
     Ok((codec, desc, block_elems))
 }
 
-/// Compress `data` with `codec` and wrap the result in an `FCB1` frame.
-pub fn compress_framed(codec: &dyn crate::codec::Compressor, data: &FloatData) -> Result<Vec<u8>> {
-    let payload = codec.compress(data)?;
-    encode_frame(codec.info().name, data.desc(), &payload)
-}
-
-/// Decode a frame and decompress it with `codec`, checking the codec name.
-pub fn decompress_framed(codec: &dyn crate::codec::Compressor, bytes: &[u8]) -> Result<FloatData> {
-    let frame = decode_frame(bytes)?;
-    if frame.codec != codec.info().name {
-        return Err(Error::Corrupt(format!(
-            "frame was written by codec {:?} but {:?} was asked to decode it",
-            frame.codec,
-            codec.info().name
-        )));
-    }
-    // Codecs typically reserve the descriptor's full byte length before
-    // validating the payload, so gate implausible descriptors here — the
-    // FCB1 counterpart of the pipeline's per-block check.
-    crate::blocks::check_decode_claim(&frame.desc, frame.payload.len())?;
-    codec.decompress(frame.payload, &frame.desc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{CodecInfo, Compressor};
+    use crate::data::FloatData;
+    use crate::pipeline::Pipeline;
+    use crate::pool::{PoolConfig, WorkerPool};
+    use crate::stream::{FrameReader, FrameWriter};
+    use crate::testing::{info, Store};
+    use std::sync::Arc;
+
+    /// Compresses all-zero blocks to nothing at all.
+    struct Zeros;
+
+    impl Compressor for Zeros {
+        fn info(&self) -> CodecInfo {
+            info("zeros")
+        }
+        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+            assert!(data.bytes().iter().all(|&b| b == 0));
+            out.clear();
+            Ok(0)
+        }
+        fn decompress_into(
+            &self,
+            payload: &[u8],
+            desc: &DataDesc,
+            out: &mut FloatData,
+        ) -> Result<()> {
+            assert!(payload.is_empty());
+            out.refill(desc, |bytes| {
+                bytes.resize(desc.byte_len(), 0);
+                Ok(())
+            })
+        }
+    }
 
     fn desc() -> DataDesc {
         DataDesc::new(Precision::Double, vec![3, 5], Domain::TimeSeries).unwrap()
     }
 
-    #[test]
-    fn round_trip() {
-        let payload = vec![1u8, 2, 3, 4, 5];
-        let framed = encode_frame("gorilla", &desc(), &payload).unwrap();
-        let frame = decode_frame(&framed).unwrap();
-        assert_eq!(frame.codec, "gorilla");
-        assert_eq!(frame.desc, desc());
-        assert_eq!(frame.payload, &payload[..]);
+    fn decode(bytes: &[u8]) -> Result<(String, DataDesc, usize)> {
+        decode_stream_header(&mut &bytes[..])
+    }
+
+    /// A whole frame over `desc()`-shaped data in 4-element blocks.
+    fn frame() -> (FloatData, Vec<u8>) {
+        let vals: Vec<f64> = (0..15).map(|i| i as f64 * 1.5).collect();
+        let data = FloatData::from_f64(&vals, vec![3, 5], Domain::TimeSeries).unwrap();
+        let framed = Pipeline::with_codec(Arc::new(Store))
+            .block_elems(4)
+            .compress(&data)
+            .unwrap();
+        (data, framed)
     }
 
     #[test]
-    fn implausible_fcb1_descriptor_is_rejected_before_the_codec_runs() {
-        use crate::codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport};
+    fn round_trip() {
+        let prologue = encode_stream_header("gorilla", &desc(), 7).unwrap();
+        let mut src = &prologue[..];
+        let (codec, d, block_elems) = decode_stream_header(&mut src).unwrap();
+        assert_eq!(codec, "gorilla");
+        assert_eq!(d, desc());
+        assert_eq!(block_elems, 7);
+        assert!(src.is_empty(), "reads exactly the prologue");
+    }
 
-        /// Panics if decompression is ever attempted.
-        struct MustNotDecode;
-        impl crate::codec::Compressor for MustNotDecode {
-            fn info(&self) -> CodecInfo {
-                CodecInfo {
-                    name: "nodecode",
-                    year: 2024,
-                    community: Community::General,
-                    class: CodecClass::Delta,
-                    platform: Platform::Cpu,
-                    parallel: false,
-                    precisions: PrecisionSupport::Both,
-                }
+    #[test]
+    fn the_format_is_frozen_against_a_golden_image() {
+        // Hand-assembled from the layout in the module docs: f64 and f32,
+        // 4-element blocks, so each stream ends in a short tail block.
+        fn golden(precision: u8, domain: u8, dims: &[u64], data: &FloatData) -> Vec<u8> {
+            let mut g = Vec::new();
+            g.extend_from_slice(b"FCB3");
+            g.push(5);
+            g.extend_from_slice(b"store");
+            g.push(precision);
+            g.push(domain);
+            g.push(dims.len() as u8);
+            for d in dims {
+                g.extend_from_slice(&d.to_le_bytes());
             }
-            fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
-                Ok(data.bytes().to_vec())
+            g.extend_from_slice(&4u64.to_le_bytes());
+            for block in data.bytes().chunks(4 * data.desc().precision.bytes()) {
+                g.extend_from_slice(&(block.len() as u64).to_le_bytes());
+                g.extend_from_slice(block);
             }
-            fn decompress(&self, _payload: &[u8], _desc: &DataDesc) -> Result<FloatData> {
-                panic!("hostile frame must be rejected before the codec runs");
+            g
+        }
+        let price: Vec<f64> = (0..10).map(|i| 100.0 + i as f64 * 0.25).collect();
+        let price = FloatData::from_f64(&price, vec![2, 5], Domain::Database).unwrap();
+        let qty: Vec<f32> = (0..6).map(|i| i as f32 * 1.5).collect();
+        let qty = FloatData::from_f32(&qty, vec![6], Domain::Observation).unwrap();
+        let cases = [
+            (golden(1, 3, &[2, 5], &price), price),
+            (golden(0, 2, &[6], &qty), qty),
+        ];
+        let codec: Arc<dyn Compressor> = Arc::new(Store);
+        let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(2)));
+        for (golden, data) in &cases {
+            for engine in [None, Some(Arc::clone(&pool))] {
+                let desc = data.desc().clone();
+                let mut w =
+                    FrameWriter::new(Vec::new(), Arc::clone(&codec), desc, 4, engine.clone())
+                        .unwrap();
+                w.write(data.bytes()).unwrap();
+                assert_eq!(&w.finish().unwrap(), golden);
+
+                let mut r = FrameReader::new(&golden[..], Arc::clone(&codec), engine).unwrap();
+                let mut back = FloatData::scratch();
+                r.read_to_end(&mut back).unwrap();
+                assert_eq!(back.bytes(), data.bytes());
+            }
+            for p in [
+                Pipeline::with_codec(Arc::clone(&codec)).block_elems(4),
+                Pipeline::with_pool(Arc::clone(&codec), Arc::clone(&pool)).block_elems(4),
+            ] {
+                assert_eq!(&p.compress(data).unwrap(), golden);
+                let back = p.decompress(golden).unwrap();
+                assert_eq!(back.bytes(), data.bytes());
+                assert_eq!(back.desc(), data.desc());
             }
         }
-
-        // A tiny FCB1 frame claiming 2^59 doubles (2^62 bytes): the gate
-        // must return a typed error without handing the codec the
-        // descriptor (whose byte length it would try to reserve).
-        let huge = DataDesc::new(Precision::Double, vec![1usize << 59], Domain::Hpc).unwrap();
-        let framed = encode_frame("nodecode", &huge, &[1, 2, 3, 4]).unwrap();
-        assert!(matches!(
-            decompress_framed(&MustNotDecode, &framed),
-            Err(Error::Corrupt(_))
-        ));
     }
 
     #[test]
     fn empty_payload_round_trip() {
-        let framed = encode_frame("x", &desc(), &[]).unwrap();
-        let frame = decode_frame(&framed).unwrap();
-        assert!(frame.payload.is_empty());
+        // A block record may carry a zero-length payload.
+        let data = FloatData::from_f64(&[0.0; 10], vec![10], Domain::Hpc).unwrap();
+        let p = Pipeline::with_codec(Arc::new(Zeros)).block_elems(4);
+        let framed = p.compress(&data).unwrap();
+        let prologue = encode_stream_header("zeros", data.desc(), 4).unwrap();
+        assert_eq!(framed.len(), prologue.len() + 3 * 8);
+        assert_eq!(p.decompress(&framed).unwrap().bytes(), data.bytes());
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let mut framed = encode_frame("x", &desc(), &[1, 2, 3]).unwrap();
-        framed[0] = b'Z';
-        assert!(matches!(decode_frame(&framed), Err(Error::Corrupt(_))));
+        let mut prologue = encode_stream_header("x", &desc(), 1).unwrap();
+        prologue[0] = b'Z';
+        assert!(matches!(decode(&prologue), Err(Error::Corrupt(_))));
+        // The retired single-shot and directory-first magics are foreign too.
+        for old in [b'1', b'2'] {
+            prologue[..4].copy_from_slice(&[b'F', b'C', b'B', old]);
+            assert!(matches!(decode(&prologue), Err(Error::Corrupt(_))));
+        }
     }
 
     #[test]
     fn rejects_truncation_at_every_length() {
-        let framed = encode_frame("gorilla", &desc(), &[9u8; 32]).unwrap();
+        let prologue = encode_stream_header("gorilla", &desc(), 4).unwrap();
+        for cut in 0..prologue.len() {
+            assert!(
+                decode(&prologue[..cut]).is_err(),
+                "truncation to {cut} bytes must fail"
+            );
+        }
+        // A whole frame in memory: cutting it anywhere — prologue, length
+        // field, payload — is corruption, not an I/O failure.
+        let (_, framed) = frame();
+        let p = Pipeline::with_codec(Arc::new(Store));
         for cut in 0..framed.len() {
             assert!(
-                decode_frame(&framed[..cut]).is_err(),
-                "truncation to {cut} bytes must fail"
+                matches!(p.decompress(&framed[..cut]), Err(Error::Corrupt(_))),
+                "truncation to {cut} bytes must be Corrupt"
             );
         }
     }
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut framed = encode_frame("x", &desc(), &[1, 2, 3]).unwrap();
+        let (data, mut framed) = frame();
+        let p = Pipeline::with_codec(Arc::new(Store));
+        assert_eq!(p.decompress(&framed).unwrap().bytes(), data.bytes());
         framed.push(0xAA);
-        assert!(matches!(decode_frame(&framed), Err(Error::Corrupt(_))));
+        assert!(matches!(p.decompress(&framed), Err(Error::Corrupt(_))));
     }
 
     #[test]
     fn rejects_bad_precision_and_domain_bytes() {
-        let framed = encode_frame("x", &desc(), &[]).unwrap();
+        let prologue = encode_stream_header("x", &desc(), 1).unwrap();
         // precision byte sits right after magic + name-len + name
         let ppos = 4 + 1 + 1;
-        let mut bad = framed.clone();
+        let mut bad = prologue.clone();
         bad[ppos] = 9;
-        assert!(decode_frame(&bad).is_err());
-        let mut bad = framed.clone();
+        assert!(decode(&bad).is_err());
+        let mut bad = prologue.clone();
         bad[ppos + 1] = 9;
-        assert!(decode_frame(&bad).is_err());
+        assert!(decode(&bad).is_err());
+    }
+
+    #[test]
+    fn hostile_prologue_fields_are_typed_errors() {
+        let prologue = encode_stream_header("x", &desc(), 4).unwrap();
+        let (name_at, ndims_at, dims_at) = (5, 8, 9);
+        let block_elems_at = dims_at + 16;
+        let corrupt = |at: usize, with: &[u8]| {
+            let mut bad = prologue.clone();
+            bad[at..at + with.len()].copy_from_slice(with);
+            decode(&bad)
+        };
+        // Non-UTF-8 codec name.
+        assert!(matches!(corrupt(name_at, &[0xFF]), Err(Error::Corrupt(_))));
+        // No dimensions at all (the dims then read as the block size).
+        assert!(matches!(corrupt(ndims_at, &[0]), Err(Error::Corrupt(_))));
+        // A zero-extent dimension.
+        assert!(matches!(
+            corrupt(dims_at, &0u64.to_le_bytes()),
+            Err(Error::Corrupt(_))
+        ));
+        // Dimensions whose product overflows the address space.
+        assert!(corrupt(dims_at, &(u64::MAX / 2).to_le_bytes()).is_err());
+        // A zero block size.
+        assert!(matches!(
+            corrupt(block_elems_at, &0u64.to_le_bytes()),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]
     fn oversized_params_are_typed_errors_not_panics() {
         let long = "x".repeat(256);
         assert!(matches!(
-            encode_frame(&long, &desc(), &[]),
+            encode_stream_header(&long, &desc(), 1),
             Err(Error::NameTooLong { len: 256 })
         ));
         let many = DataDesc::new(Precision::Single, vec![1; 300], Domain::Hpc).unwrap();
         assert!(matches!(
-            encode_frame("x", &many, &[]),
+            encode_stream_header("x", &many, 1),
             Err(Error::TooManyDims { ndims: 300 })
+        ));
+        assert!(matches!(
+            encode_stream_header("x", &desc(), 0),
+            Err(Error::BadDescriptor(_))
         ));
         assert!(check_frame_params("x", &desc()).is_ok());
     }
@@ -559,57 +417,66 @@ mod tests {
         for domain in Domain::ALL {
             for precision in [Precision::Single, Precision::Double] {
                 let d = DataDesc::new(precision, vec![2, 2, 2], domain).unwrap();
-                let framed = encode_frame("c", &d, &[0xFF]).unwrap();
-                let frame = decode_frame(&framed).unwrap();
-                assert_eq!(frame.desc.domain, domain);
-                assert_eq!(frame.desc.precision, precision);
+                let prologue = encode_stream_header("c", &d, 3).unwrap();
+                let (_, back, _) = decode(&prologue).unwrap();
+                assert_eq!(back.domain, domain);
+                assert_eq!(back.precision, precision);
             }
         }
     }
 
     #[test]
     fn chunked_round_trip() {
-        let d = DataDesc::new(Precision::Single, vec![10], Domain::Hpc).unwrap();
-        // 10 elements in 4-element blocks => 3 blocks.
-        let payloads = [vec![1u8, 2], vec![3u8], vec![4u8, 5, 6]];
-        let framed = encode_chunked_frame("chimp128", &d, 4, &payloads).unwrap();
-        let frame = decode_chunked_frame(&framed).unwrap();
-        assert_eq!(frame.codec, "chimp128");
-        assert_eq!(frame.desc, d);
-        assert_eq!(frame.block_elems, 4);
-        assert_eq!(frame.payloads.len(), 3);
-        assert_eq!(frame.payloads[2], &[4, 5, 6]);
-        assert_eq!(frame.block_len(0), 4);
-        assert_eq!(frame.block_len(2), 2);
+        // 10 elements in 4-element blocks => 3 blocks, the last one short.
+        let vals: Vec<f32> = (0..10).map(|i| i as f32).collect();
+        let data = FloatData::from_f32(&vals, vec![10], Domain::Hpc).unwrap();
+        let codec: Arc<dyn Compressor> = Arc::new(Store);
+        let mut w =
+            FrameWriter::new(Vec::new(), Arc::clone(&codec), data.desc().clone(), 4, None).unwrap();
+        w.write(data.bytes()).unwrap();
+        let framed = w.finish().unwrap();
+
+        let mut r = FrameReader::new(&framed[..], codec, None).unwrap();
+        assert_eq!(r.desc(), data.desc());
+        assert_eq!(r.block_elems(), 4);
+        assert_eq!(r.blocks_total(), 3);
+        let mut lens = Vec::new();
+        while let Some(block) = r.next_block().unwrap() {
+            lens.push(block.len() / 4);
+        }
+        assert_eq!(lens, [4, 4, 2]);
     }
 
     #[test]
     fn chunked_rejects_wrong_block_count_and_truncation() {
-        let d = DataDesc::new(Precision::Single, vec![10], Domain::Hpc).unwrap();
-        // Wrong payload count at encode time.
-        assert!(encode_chunked_frame("c", &d, 4, &[vec![0u8]]).is_err());
-        assert!(encode_chunked_frame::<Vec<u8>>("c", &d, 0, &[]).is_err());
+        let (data, framed) = frame();
+        let codec: Arc<dyn Compressor> = Arc::new(Store);
+        // Too few blocks at encode time: the writer refuses to finish.
+        let mut w =
+            FrameWriter::new(Vec::new(), Arc::clone(&codec), data.desc().clone(), 4, None).unwrap();
+        w.write(&data.bytes()[..64]).unwrap();
+        assert!(matches!(w.finish(), Err(Error::BadDescriptor(_))));
 
-        let payloads = [vec![1u8, 2], vec![3u8], vec![4u8, 5, 6]];
-        let framed = encode_chunked_frame("c", &d, 4, &payloads).unwrap();
-        for cut in 0..framed.len() {
-            assert!(decode_chunked_frame(&framed[..cut]).is_err());
-        }
+        // Too few blocks at decode time: 15 elements need four 4-element
+        // blocks; a frame that ends cleanly after the third is refused,
+        // as is one with a fifth.
+        let p = Pipeline::with_codec(codec);
+        let last_record = 8 + 3 * 8;
+        assert!(p.decompress(&framed[..framed.len() - last_record]).is_err());
         let mut extra = framed.clone();
-        extra.push(0);
-        assert!(decode_chunked_frame(&extra).is_err());
-        // FCB1 magic on an FCB2 decoder and vice versa.
-        assert!(decode_chunked_frame(&encode_frame("c", &d, &[]).unwrap()).is_err());
-        assert!(decode_frame(&framed).is_err());
+        extra.extend_from_slice(&framed[framed.len() - last_record..]);
+        assert!(p.decompress(&extra).is_err());
     }
 
     #[test]
     fn chunked_encode_into_reuses_buffer() {
-        let d = DataDesc::new(Precision::Single, vec![4], Domain::Hpc).unwrap();
+        let (data, framed) = frame();
         let mut buf = vec![0xFF; 3];
-        let n = encode_chunked_frame_into("c", &d, 4, &[vec![9u8, 9]], &mut buf).unwrap();
+        let n = Pipeline::with_codec(Arc::new(Store))
+            .block_elems(4)
+            .compress_into(&data, &mut buf)
+            .unwrap();
         assert_eq!(n, buf.len());
-        let frame = decode_chunked_frame(&buf).unwrap();
-        assert_eq!(frame.payloads, vec![&[9u8, 9][..]]);
+        assert_eq!(buf, framed);
     }
 }

@@ -11,16 +11,18 @@
 //!   and its buffer-reusing `compress_into`/`decompress_into` hot path;
 //! - the [codec registry](registry) (lookup by name, filtering by platform,
 //!   class, and precision);
-//! - the self-describing [frame] containers (`FCB1` single-shot,
-//!   `FCB2` chunked, `FCB3` streamed);
+//! - the self-describing [`FCB3` frame](frame): fixed-size blocks
+//!   compressed independently, each behind its own length;
 //! - the persistent [worker-pool execution engine](pool) every compression
-//!   job runs on;
-//! - the chunked block-parallel [pipeline], a façade over the pool;
-//! - [streaming frame I/O](stream) for datasets that exceed memory;
+//!   job runs on, and the bounded in-flight [`Window`](pool::Window) every
+//!   pipelined consumer of it submits through;
+//! - [streaming frame I/O](stream) for datasets that exceed memory, and
+//!   the block-parallel [pipeline], its whole-buffer form;
 //! - the paper's [metrics] (CR/CT/DT, harmonic/arithmetic means);
 //! - the benchmark [run matrix](runner) (codecs × datasets);
 //! - [boxplot & group summaries](summary) for Figures 5–6;
-//! - [block/page compression](blocks) for the Table 10 experiment;
+//! - the [block sizes](blocks) of the Table 10 experiment and the
+//!   plausibility gate every block decode passes;
 //! - the [thread-scaling harness](scaling) for Tables 7–8;
 //! - the [sync] shim (one poison policy, swappable for the
 //!   `fcbench-analyze` model checker behind the `model-check` feature) and
@@ -52,6 +54,8 @@ pub mod scaling;
 pub mod stream;
 pub mod summary;
 pub mod sync;
+#[cfg(test)]
+mod testing;
 pub mod wire;
 
 /// The zero-alloc telemetry spine every layer records into, re-exported

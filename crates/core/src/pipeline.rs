@@ -4,13 +4,16 @@
 //! [`Pipeline`] splits a [`FloatData`] element stream into fixed-size blocks
 //! (the discipline FCBench applies to its ndzip/GPU methods and the Table 10
 //! page study), compresses the blocks independently, and emits the
-//! self-describing chunked [`FCB2`
-//! frame](crate::frame::encode_chunked_frame). Decompression reverses the
-//! process and reassembles the exact original bytes.
+//! self-describing [`FCB3` frame](crate::frame). Decompression reverses the
+//! process and reassembles the exact original bytes. It is the
+//! whole-buffer form of the streaming [`FrameWriter`] / [`FrameReader`]
+//! pair — the same code, the same bytes — and is itself a [`Compressor`]
+//! (frame out, frame in), so the runner and the scaling sweep drive a
+//! block-decomposed codec exactly as they drive a bare one.
 //!
 //! With more than one thread configured, blocks are **submitted to a
 //! long-lived [`WorkerPool`]** rather than to per-call scoped threads: the
-//! pool is spawned once (lazily, on the first multi-block call) and reused
+//! pool is spawned once (lazily, on the first call) and reused
 //! by every subsequent call, so worker scratch — slot buffers, codec
 //! thread-locals such as chimp's window state — reaches steady state across
 //! calls instead of being rebuilt each time. Pipelines built from a
@@ -19,10 +22,9 @@
 //! already model device-wide parallelism) run inline regardless of the
 //! configured thread count.
 //!
-//! For datasets that should never be fully resident, the same engine drives
-//! the streaming [`FrameWriter`](crate::stream::FrameWriter) /
-//! [`FrameReader`](crate::stream::FrameReader) pair — see
-//! [`Pipeline::frame_writer`] and [`Pipeline::frame_reader`].
+//! For datasets that should never be fully resident, use the stream pair
+//! directly — see [`Pipeline::frame_writer`] and
+//! [`Pipeline::frame_reader`].
 //!
 //! ```
 //! use fcbench_core::pipeline::Pipeline;
@@ -55,25 +57,17 @@
 //! assert_eq!(back.bytes(), data.bytes());
 //! ```
 
-use crate::codec::Compressor;
+use crate::codec::{AuxTime, CodecInfo, Compressor, OpProfile};
 use crate::data::{DataDesc, FloatData};
 use crate::error::{Error, Result};
-use crate::frame::{decode_chunked_frame, encode_chunked_frame_parts_into};
-use crate::pool::{PoolConfig, Ticket, WorkerPool};
+use crate::pool::{PoolConfig, WorkerPool};
 use crate::registry::CodecRegistry;
-use std::collections::VecDeque;
+use crate::stream::{FrameReader, FrameWriter};
 use std::sync::{Arc, OnceLock};
 
 /// Default elements per block: 64 Ki elements, the paper's bitshuffle/nvCOMP
 /// working-set scale.
 pub const DEFAULT_BLOCK_ELEMS: usize = 64 * 1024;
-
-/// Cap on the speculative upfront reservation for decoding: output memory
-/// beyond this grows only with actually-decoded data, so a tiny hostile
-/// frame claiming petabytes cannot force a huge allocation. (Per-block
-/// output claims are additionally gated against payload plausibility —
-/// see [`crate::blocks::check_decode_claim`].)
-const MAX_UPFRONT_RESERVE: usize = 16 * 1024 * 1024;
 
 /// A configured block-parallel compression pipeline around one codec.
 pub struct Pipeline {
@@ -137,16 +131,6 @@ impl Pipeline {
         self
     }
 
-    /// The codec this pipeline drives.
-    pub fn codec(&self) -> &Arc<dyn Compressor> {
-        &self.codec
-    }
-
-    /// The configured block size in elements.
-    pub fn block_size(&self) -> usize {
-        self.block_elems
-    }
-
     /// The thread count the engine will actually use: the configured count,
     /// or 1 when the registry gated this codec off pool dispatch.
     pub fn effective_threads(&self) -> usize {
@@ -163,14 +147,13 @@ impl Pipeline {
         if self.effective_threads() <= 1 {
             return None;
         }
-        Some(self.pool.get_or_init(|| {
-            Arc::new(WorkerPool::new(
-                PoolConfig::with_threads(self.threads).block_elems(self.block_elems),
-            ))
-        }))
+        Some(
+            self.pool
+                .get_or_init(|| Arc::new(WorkerPool::new(PoolConfig::with_threads(self.threads)))),
+        )
     }
 
-    /// Compress `data` into a freshly allocated `FCB2` frame.
+    /// Compress `data` into a freshly allocated `FCB3` frame.
     pub fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         self.compress_into(data, &mut out)?;
@@ -180,102 +163,14 @@ impl Pipeline {
     /// Compress `data` into `out` (contents replaced, capacity reused).
     /// Returns the frame length.
     pub fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        let desc = data.desc();
-        let esize = desc.precision.bytes();
-        // Saturate: block_elems beyond the element count means one block, and
-        // any bpb >= data.bytes().len() chunks identically (no overflow UB).
-        let bpb = self.block_elems.saturating_mul(esize);
-        let nblocks = data.elements().div_ceil(self.block_elems);
-        let bytes = data.bytes();
-
-        let pool = if nblocks > 1 { self.engine() } else { None };
-        let Some(pool) = pool else {
-            // Inline path: reusable scratch + payload buffer, contiguous
-            // blob — no per-block allocation.
-            let (lens, blob) =
-                crate::blocks::compress_blocks_sequential(&*self.codec, data, bpb, nblocks)?;
-            return encode_chunked_frame_parts_into(
-                self.codec.info().name,
-                desc,
-                self.block_elems,
-                &lens,
-                &blob,
-                out,
-            );
-        };
-
-        // Engine path: feed blocks to the persistent pool, collecting
-        // completed payloads in submission order so the queue stays at most
-        // `queue_depth` deep. Workers reuse warm slot buffers; this loop
-        // owns only the (lens, blob) accumulator the frame is built from.
-        // `submit_compress_draining` applies the saturation discipline:
-        // when the pool is full, the drain closure collects our own oldest
-        // block instead of blocking with tickets in hand.
-        let mut lens: Vec<usize> = Vec::with_capacity(nblocks);
-        let mut blob: Vec<u8> = Vec::new();
-        let mut pending: VecDeque<Ticket> = VecDeque::with_capacity(pool.queue_depth());
-        let mut first_err: Option<Error> = None;
-        let mut bdesc = DataDesc {
-            precision: desc.precision,
-            dims: vec![0],
-            domain: desc.domain,
-        };
-
-        /// Collect the oldest in-flight block into (lens, blob); `false`
-        /// when nothing is in flight.
-        fn collect_front(
-            pending: &mut VecDeque<Ticket>,
-            lens: &mut Vec<usize>,
-            blob: &mut Vec<u8>,
-        ) -> Result<bool> {
-            let Some(ticket) = pending.pop_front() else {
-                return Ok(false);
-            };
-            let n = ticket.collect(|payload| {
-                blob.extend_from_slice(payload);
-                payload.len()
-            })?;
-            lens.push(n);
-            Ok(true)
-        }
-
-        for i in 0..nblocks {
-            let start = i * bpb;
-            let end = (start + bpb).min(bytes.len());
-            bdesc.dims[0] = (end - start) / esize;
-            let block = &bytes[start..end];
-            let submitted = pool.submit_compress_draining(&self.codec, &bdesc, block, || {
-                collect_front(&mut pending, &mut lens, &mut blob)
-            });
-            match submitted {
-                Ok(t) => pending.push_back(t),
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Always empty the queue — outstanding slots must be recycled even
-        // after an error (their results are discarded past the first error).
-        while !pending.is_empty() {
-            if let Err(e) = collect_front(&mut pending, &mut lens, &mut blob) {
-                let _ = first_err.get_or_insert(e);
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        encode_chunked_frame_parts_into(
-            self.codec.info().name,
-            desc,
-            self.block_elems,
-            &lens,
-            &blob,
-            out,
-        )
+        out.clear();
+        let mut writer = self.frame_writer(data.desc(), &mut *out)?;
+        writer.write(data.bytes())?;
+        writer.finish()?;
+        Ok(out.len())
     }
 
-    /// Decode an `FCB2` frame produced by this pipeline's codec into a
+    /// Decode an `FCB3` frame produced by this pipeline's codec into a
     /// freshly allocated container.
     pub fn decompress(&self, frame: &[u8]) -> Result<FloatData> {
         let mut out = FloatData::scratch();
@@ -283,94 +178,43 @@ impl Pipeline {
         Ok(out)
     }
 
-    /// Decode an `FCB2` frame into a reusable container.
+    /// Decode an `FCB3` frame into a reusable container.
     ///
     /// The frame's block size takes precedence over the pipeline's
     /// configured one — frames are self-describing. Every declared size in
     /// the frame is untrusted: per-block output claims are gated against
     /// payload plausibility before any codec runs, and output memory is
     /// reserved incrementally, so a tiny hostile frame cannot force a huge
-    /// allocation.
+    /// allocation. `frame` must be exactly one frame: a truncated one and
+    /// one followed by further bytes are both [`Error::Corrupt`].
     pub fn decompress_into(&self, frame: &[u8], out: &mut FloatData) -> Result<()> {
-        let frame = decode_chunked_frame(frame)?;
-        let name = self.codec.info().name;
-        if frame.codec != name {
-            return Err(Error::Corrupt(format!(
-                "frame was written by codec {:?} but {:?} was asked to decode it",
-                frame.codec, name
-            )));
+        self.decode(frame, None, out)
+    }
+
+    /// [`decompress_into`](Self::decompress_into), refusing up front a
+    /// frame that describes data other than `expect`.
+    fn decode(&self, frame: &[u8], expect: Option<&DataDesc>, out: &mut FloatData) -> Result<()> {
+        let mut src = frame;
+        let decoded = self.frame_reader(&mut src).and_then(|mut reader| {
+            if let Some(want) = expect.filter(|want| *want != reader.desc()) {
+                return Err(Error::Corrupt(format!(
+                    "frame describes {:?} but {want:?} was asked for",
+                    reader.desc()
+                )));
+            }
+            reader.read_to_end(out)
+        });
+        match decoded {
+            // The source is a slice: the only I/O failure it has is running
+            // out of bytes.
+            Err(Error::Io(e)) => Err(Error::Corrupt(format!("frame truncated: {e}"))),
+            Err(e) => Err(e),
+            Ok(()) if !src.is_empty() => Err(Error::Corrupt(format!(
+                "{} trailing bytes after final block",
+                src.len()
+            ))),
+            Ok(()) => Ok(()),
         }
-        let desc = frame.desc.clone();
-        let nblocks = frame.payloads.len();
-        let pool = if nblocks > 1 { self.engine() } else { None };
-
-        out.refill(&desc, |bytes| {
-            // Blocks are appended in stream order — no zero-fill of the
-            // output, every byte written exactly once, allocation growth
-            // bounded by actually-decoded data.
-            bytes.reserve(desc.byte_len().min(MAX_UPFRONT_RESERVE));
-
-            let Some(pool) = pool else {
-                let mut scratch = FloatData::scratch();
-                for (i, payload) in frame.payloads.iter().enumerate() {
-                    crate::blocks::decode_block_into(
-                        &*self.codec,
-                        &desc,
-                        frame.block_len(i),
-                        payload,
-                        &mut scratch,
-                        bytes,
-                    )?;
-                }
-                return Ok(());
-            };
-
-            // Engine path: workers decode blocks concurrently (each gated
-            // for plausibility and size-checked); collection in submission
-            // order reassembles the stream, with the same saturation
-            // discipline as the compress path.
-            let mut pending: VecDeque<Ticket> = VecDeque::with_capacity(pool.queue_depth());
-            let mut first_err: Option<Error> = None;
-            let mut bdesc = DataDesc {
-                precision: desc.precision,
-                dims: vec![0],
-                domain: desc.domain,
-            };
-
-            /// Append the oldest in-flight decoded block; `false` when
-            /// nothing is in flight.
-            fn collect_front(pending: &mut VecDeque<Ticket>, bytes: &mut Vec<u8>) -> Result<bool> {
-                let Some(ticket) = pending.pop_front() else {
-                    return Ok(false);
-                };
-                ticket.collect(|decoded| bytes.extend_from_slice(decoded))?;
-                Ok(true)
-            }
-
-            for (i, payload) in frame.payloads.iter().enumerate() {
-                bdesc.dims[0] = frame.block_len(i);
-                let submitted =
-                    pool.submit_decompress_draining(&self.codec, &bdesc, payload, || {
-                        collect_front(&mut pending, bytes)
-                    });
-                match submitted {
-                    Ok(t) => pending.push_back(t),
-                    Err(e) => {
-                        first_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            while !pending.is_empty() {
-                if let Err(e) = collect_front(&mut pending, bytes) {
-                    let _ = first_err.get_or_insert(e);
-                }
-            }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        })
     }
 
     /// A streaming `FCB3` writer over this pipeline's codec, block size, and
@@ -380,8 +224,8 @@ impl Pipeline {
         &self,
         desc: &DataDesc,
         sink: W,
-    ) -> Result<crate::stream::FrameWriter<W>> {
-        crate::stream::FrameWriter::new(
+    ) -> Result<FrameWriter<W>> {
+        FrameWriter::new(
             sink,
             Arc::clone(&self.codec),
             desc.clone(),
@@ -393,51 +237,42 @@ impl Pipeline {
     /// A streaming `FCB3` reader over this pipeline's codec and engine;
     /// decoded blocks come out in stream order, read-ahead bounded by the
     /// engine's queue depth.
-    pub fn frame_reader<R: std::io::Read>(&self, src: R) -> Result<crate::stream::FrameReader<R>> {
-        crate::stream::FrameReader::new(src, Arc::clone(&self.codec), self.engine().cloned())
+    pub fn frame_reader<R: std::io::Read>(&self, src: R) -> Result<FrameReader<R>> {
+        FrameReader::new(src, Arc::clone(&self.codec), self.engine().cloned())
+    }
+}
+
+/// A pipeline is a codec whose payload is the whole `FCB3` frame: the
+/// measured compressed size includes the frame's prologue and per-block
+/// length fields — the container accounting the Table 10 block study wants.
+impl Compressor for Pipeline {
+    fn info(&self) -> CodecInfo {
+        self.codec.info()
+    }
+
+    fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+        Pipeline::compress_into(self, data, out)
+    }
+
+    fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
+        self.decode(payload, Some(desc), out)
+    }
+
+    fn last_aux_time(&self) -> AuxTime {
+        self.codec.last_aux_time()
+    }
+
+    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
+        self.codec.op_profile(desc)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport};
     use crate::data::Domain;
     use crate::registry::{CodecRegistry, RegistryEntry};
-
-    /// Store codec with a 2-byte header so block boundaries are observable.
-    struct HeaderedStore;
-
-    impl Compressor for HeaderedStore {
-        fn info(&self) -> CodecInfo {
-            CodecInfo {
-                name: "hstore",
-                year: 2024,
-                community: Community::General,
-                class: CodecClass::Delta,
-                platform: Platform::Cpu,
-                parallel: false,
-                precisions: PrecisionSupport::Both,
-            }
-        }
-        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-            out.clear();
-            out.extend_from_slice(&[0xAB, 0xCD]);
-            out.extend_from_slice(data.bytes());
-            Ok(out.len())
-        }
-        fn decompress_into(
-            &self,
-            payload: &[u8],
-            desc: &DataDesc,
-            out: &mut FloatData,
-        ) -> Result<()> {
-            if payload.len() < 2 || payload[0] != 0xAB || payload[1] != 0xCD {
-                return Err(Error::Corrupt("bad hstore header".into()));
-            }
-            out.refill_from_slice(desc, &payload[2..])
-        }
-    }
+    use crate::testing::{info, HeaderedStore};
 
     fn registry() -> CodecRegistry {
         CodecRegistry::new().with(RegistryEntry::new(HeaderedStore).thread_scalable())
@@ -597,15 +432,7 @@ mod tests {
 
     impl Compressor for ReservingStore {
         fn info(&self) -> CodecInfo {
-            CodecInfo {
-                name: "rstore",
-                year: 2024,
-                community: Community::General,
-                class: CodecClass::Delta,
-                platform: Platform::Cpu,
-                parallel: false,
-                precisions: PrecisionSupport::Both,
-            }
+            info("rstore")
         }
         fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
             out.clear();
@@ -628,13 +455,13 @@ mod tests {
 
     #[test]
     fn implausible_declared_size_errors_without_huge_allocation() {
-        // A ~40-byte hostile frame declaring 2^50 doubles (8 PB) must fail
+        // A ~50-byte hostile frame declaring 2^50 doubles (8 PB) must fail
         // with a typed error before the codec can reserve the claimed size.
         let r = CodecRegistry::new().with(RegistryEntry::new(ReservingStore).thread_scalable());
         for threads in [1usize, 8] {
             let p = Pipeline::new(&r, "rstore").unwrap().threads(threads);
             let mut f = Vec::new();
-            f.extend_from_slice(b"FCB2");
+            f.extend_from_slice(b"FCB3");
             f.push(6);
             f.extend_from_slice(b"rstore");
             f.push(1); // double
@@ -642,7 +469,6 @@ mod tests {
             f.push(1); // ndims
             f.extend_from_slice(&(1u64 << 50).to_le_bytes()); // dims[0]
             f.extend_from_slice(&(1u64 << 50).to_le_bytes()); // block elems -> 1 block
-            f.extend_from_slice(&1u32.to_le_bytes());
             let payload = [1u8, 2, 3, 4, 5, 6, 7, 8];
             f.extend_from_slice(&(payload.len() as u64).to_le_bytes());
             f.extend_from_slice(&payload);
@@ -687,14 +513,10 @@ mod tests {
 
         // Corrupt the first block's 0xAB marker: the per-block decode error
         // must surface through both the inline and the engine path.
-        let payload_total: usize = decode_chunked_frame(&frame)
-            .unwrap()
-            .payloads
-            .iter()
-            .map(|b| b.len())
-            .sum();
+        let prologue = crate::frame::encode_stream_header("hstore", data.desc(), 16).unwrap();
         let mut bad = frame.clone();
-        let first_payload_offset = bad.len() - payload_total;
+        let first_payload_offset = prologue.len() + 8;
+        assert_eq!(bad[first_payload_offset], 0xAB);
         bad[first_payload_offset] ^= 0xFF;
         assert!(p.decompress(&bad).is_err());
         let p8 = Pipeline::new(&r, "hstore")

@@ -24,6 +24,11 @@
 //! Dropping a ticket without collecting it abandons the job: its result is
 //! discarded and the slot returns to the free list on completion.
 //!
+//! A caller that keeps several jobs in flight — every frame stream,
+//! container writer and column cursor — holds its tickets in a [`Window`],
+//! which bounds them, collects them in order, and never lets the caller
+//! block in a submit while it pins slots of a pool others share.
+//!
 //! Shutdown is graceful: [`WorkerPool::shutdown`] (or dropping the pool)
 //! lets workers finish every queued job before exiting, and outstanding
 //! tickets stay collectable. A panicking codec does not poison the pool: the
@@ -71,7 +76,7 @@ use crate::data::{DataDesc, FloatData};
 use crate::error::{Error, Result};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{lock, wait, AtomicU64, Condvar, Mutex};
-use fcbench_telemetry::{Counter, Gauge, Histogram, HistogramFamily, Registry};
+use fcbench_telemetry::{Counter, Gauge, Histogram, HistogramFamily, InflightGauge, Registry};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -86,9 +91,6 @@ pub struct PoolConfig {
     /// blocks (clamped to at least 1). This bounds the memory a streaming
     /// producer can pin: at most `queue_depth` blocks exist at once.
     pub queue_depth: usize,
-    /// Default elements per block for frame streaming built on this pool
-    /// (callers that chunk their own work may ignore it).
-    pub block_elems: usize,
 }
 
 impl Default for PoolConfig {
@@ -98,14 +100,13 @@ impl Default for PoolConfig {
 }
 
 impl PoolConfig {
-    /// A configuration with `threads` workers, a `2 * threads` slot queue,
-    /// and the pipeline's default block size.
+    /// A configuration with `threads` workers and a `2 * threads` slot
+    /// queue.
     pub fn with_threads(threads: usize) -> Self {
         let threads = threads.max(1);
         PoolConfig {
             threads,
             queue_depth: 2 * threads,
-            block_elems: crate::pipeline::DEFAULT_BLOCK_ELEMS,
         }
     }
 
@@ -127,13 +128,6 @@ impl PoolConfig {
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Builder-style block-size override (clamped to at least 1).
-    #[must_use]
-    pub fn block_elems(mut self, elems: usize) -> Self {
-        self.block_elems = elems.max(1);
         self
     }
 }
@@ -400,7 +394,6 @@ impl WorkerPool {
         let config = PoolConfig {
             threads,
             queue_depth: depth,
-            block_elems: config.block_elems.max(1),
         };
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
@@ -472,10 +465,10 @@ impl WorkerPool {
     ///
     /// Deadlock discipline: a caller that already holds uncollected
     /// [`Ticket`]s must not block here — with every slot pinned by ticket
-    /// holders, nobody would ever free one. The pipelined consumers
-    /// (pipeline, frame streams, containers) therefore use the
-    /// `try_submit_*` forms and collect their own oldest job when the pool
-    /// is saturated, only blocking when they hold nothing.
+    /// holders, nobody would ever free one. The pipelined consumers (frame
+    /// streams, containers) therefore submit through a [`Window`], which
+    /// collects its own oldest job when the pool is saturated and only
+    /// blocks when it holds nothing.
     fn acquire_slot(&self) -> Result<usize> {
         let mut inner = lock(&self.shared.inner);
         loop {
@@ -584,11 +577,9 @@ impl WorkerPool {
     /// Submit a compression job over `bytes`, a little-endian element
     /// buffer shaped like `desc` (`bytes.len()` must equal
     /// `desc.byte_len()`). Blocks while every slot is in flight — callers
-    /// holding uncollected tickets should use
-    /// [`try_submit_compress`](Self::try_submit_compress) and drain their
-    /// own jobs instead. The
-    /// returned ticket's [`collect`](Ticket::collect) sees the compressed
-    /// payload.
+    /// that keep several jobs in flight should submit through a [`Window`]
+    /// instead. The returned ticket's [`collect`](Ticket::collect) sees the
+    /// compressed payload.
     pub fn submit_compress(
         &self,
         codec: &Arc<dyn Compressor>,
@@ -631,72 +622,6 @@ impl WorkerPool {
     ) -> Result<Ticket> {
         crate::fault::fail_point("pool.submit")?;
         let idx = self.acquire_slot()?;
-        self.dispatch_decompress(idx, codec, desc, payload)
-    }
-
-    /// Non-blocking [`submit_decompress`](Self::submit_decompress): returns
-    /// `Ok(None)` when every slot is in flight.
-    pub fn try_submit_decompress(
-        &self,
-        codec: &Arc<dyn Compressor>,
-        desc: &DataDesc,
-        payload: &[u8],
-    ) -> Result<Option<Ticket>> {
-        crate::fault::fail_point("pool.submit")?;
-        match self.try_acquire_slot()? {
-            Some(idx) => Ok(Some(self.dispatch_decompress(idx, codec, desc, payload)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// The saturation-discipline loop shared by every pipelined consumer:
-    /// try to take a slot; when the pool is saturated, ask the caller to
-    /// collect its own oldest job (`drain_own` returns `Ok(false)` when it
-    /// holds nothing, at which point blocking is safe — the slots are
-    /// pinned by other sessions, which will release them).
-    fn acquire_slot_draining(&self, mut drain_own: impl FnMut() -> Result<bool>) -> Result<usize> {
-        loop {
-            if let Some(idx) = self.try_acquire_slot()? {
-                return Ok(idx);
-            }
-            if !drain_own()? {
-                return self.acquire_slot();
-            }
-            self.shared.metrics.drain_stalls.inc();
-        }
-    }
-
-    /// [`submit_compress`](Self::submit_compress) for callers that hold
-    /// uncollected tickets: instead of ever blocking on a saturated pool
-    /// (a deadlock when every slot is pinned by ticket holders), calls
-    /// `drain_own` so the caller collects its own oldest job; `drain_own`
-    /// returns `Ok(false)` when the caller holds nothing, and only then
-    /// does the submit block.
-    pub fn submit_compress_draining(
-        &self,
-        codec: &Arc<dyn Compressor>,
-        desc: &DataDesc,
-        bytes: &[u8],
-        drain_own: impl FnMut() -> Result<bool>,
-    ) -> Result<Ticket> {
-        crate::fault::fail_point("pool.submit")?;
-        Self::check_compress_job(desc, bytes)?;
-        let idx = self.acquire_slot_draining(drain_own)?;
-        self.dispatch_compress(idx, codec, desc, bytes)
-    }
-
-    /// [`submit_decompress`](Self::submit_decompress) with the same
-    /// drain-own-oldest saturation discipline as
-    /// [`submit_compress_draining`](Self::submit_compress_draining).
-    pub fn submit_decompress_draining(
-        &self,
-        codec: &Arc<dyn Compressor>,
-        desc: &DataDesc,
-        payload: &[u8],
-        drain_own: impl FnMut() -> Result<bool>,
-    ) -> Result<Ticket> {
-        crate::fault::fail_point("pool.submit")?;
-        let idx = self.acquire_slot_draining(drain_own)?;
         self.dispatch_decompress(idx, codec, desc, payload)
     }
 
@@ -869,45 +794,198 @@ impl Drop for Ticket {
     }
 }
 
+/// One consumer's bounded window of in-flight jobs — the discipline every
+/// pipelined user of a shared [`WorkerPool`] (frame streams, the container
+/// writer, column cursors) has to follow, enforced in one place:
+///
+/// - **Bounded.** At most `min(queue_depth, max_in_flight)` jobs are in
+///   flight, so one consumer's footprint — and its share of a pool many
+///   consumers share — never depends on how much data passes through.
+/// - **Never block in submit while holding a ticket.** With every slot
+///   pinned by ticket holders nobody would ever free one, so a saturated
+///   submit collects this window's own oldest job instead (counted in
+///   `pool.drain.stalls`) and blocks only when the window holds nothing —
+///   the slots are then pinned by other consumers, which will release them.
+/// - **In order.** Jobs are collected strictly in submission order.
+/// - **Sticky failure.** The first error — from a submit, a job, or a
+///   consumer's collect closure — abandons every outstanding ticket (their
+///   slots recycle as the workers finish) and every later call refuses,
+///   so nothing is ever yielded out of order past a failure.
+///
+/// `T` is a per-job tag handed back with the job's output (`()` for frame
+/// blocks, the element count for container chunks).
+pub struct Window<T = ()> {
+    pending: VecDeque<(Ticket, T)>,
+    /// The consumer's own cap on `pending.len()`; the pool's queue depth
+    /// bounds it from above.
+    cap: usize,
+    failed: bool,
+    /// This window's share of a gauge of in-flight jobs, kept equal to
+    /// `pending.len()`.
+    inflight: InflightGauge,
+    /// Counts the [`pop`](Self::pop)s that had to wait for a job that had
+    /// not finished — a read-ahead not keeping up with its consumer.
+    wait_stalls: Option<Counter>,
+}
+
+impl<T> Window<T> {
+    /// An empty window reporting its depth into `inflight` and, when given,
+    /// its blocking pops into `wait_stalls`.
+    pub fn new(inflight: InflightGauge, wait_stalls: Option<Counter>) -> Self {
+        Window {
+            pending: VecDeque::new(),
+            cap: usize::MAX,
+            failed: false,
+            inflight,
+            wait_stalls,
+        }
+    }
+
+    /// Cap this window at `cap` in-flight jobs (clamped to at least 1).
+    /// When many independent consumers share one host-sized engine — a
+    /// serving front-end's connections — per-consumer caps stop any single
+    /// one from pinning every job slot.
+    pub fn set_max_in_flight(&mut self, cap: usize) {
+        self.cap = cap.max(1);
+    }
+
+    /// `true` when nothing is in flight.
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// The typed refusal every call makes once the window has failed.
+    pub fn check(&self) -> Result<()> {
+        if self.failed {
+            return Err(Error::Corrupt(
+                "in-flight window is in a failed state (an earlier job errored)".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Fold a step's outcome into the window's state: on error, enter the
+    /// failed state — abandon every outstanding ticket and refuse all later
+    /// calls. Every window operation ends here; consumers pass the outcome
+    /// of their own steps through too, so a failure outside the window (a
+    /// sink error, an input error) releases their slots right away instead
+    /// of leaving them pinned until the consumer is dropped.
+    pub fn settle<R>(&mut self, r: Result<R>) -> Result<R> {
+        if r.is_err() {
+            self.pending.clear();
+            self.failed = true;
+        }
+        self.inflight.sync(self.pending.len());
+        r
+    }
+
+    /// Collect the oldest job through `f`; `None` when nothing is in flight.
+    fn take_front<R>(&mut self, f: impl FnOnce(&[u8], T) -> Result<R>) -> Result<Option<R>> {
+        let Some((ticket, tag)) = self.pending.pop_front() else {
+            return Ok(None);
+        };
+        ticket.collect(|bytes| f(bytes, tag))?.map(Some)
+    }
+
+    /// Submit a compression job (see [`WorkerPool::submit_compress`]) that
+    /// must be accepted now — a writer's next block. Whenever the window or
+    /// the pool is full, this window's own oldest jobs are collected
+    /// through `on_oldest` (output bytes, tag) to make room.
+    pub fn push_compress(
+        &mut self,
+        pool: &WorkerPool,
+        codec: &Arc<dyn Compressor>,
+        desc: &DataDesc,
+        bytes: &[u8],
+        tag: T,
+        mut on_oldest: impl FnMut(&[u8], T) -> Result<()>,
+    ) -> Result<()> {
+        self.check()?;
+        let r = (|| -> Result<()> {
+            while self.pending.len() >= self.cap {
+                self.take_front(&mut on_oldest)?;
+            }
+            crate::fault::fail_point("pool.submit")?;
+            WorkerPool::check_compress_job(desc, bytes)?;
+            let idx = loop {
+                if let Some(idx) = pool.try_acquire_slot()? {
+                    break idx;
+                }
+                if self.take_front(&mut on_oldest)?.is_none() {
+                    break pool.acquire_slot()?;
+                }
+                pool.shared.metrics.drain_stalls.inc();
+            };
+            let ticket = pool.dispatch_compress(idx, codec, desc, bytes)?;
+            self.pending.push_back((ticket, tag));
+            Ok(())
+        })();
+        self.settle(r)
+    }
+
+    /// Submit a decompression job (see [`WorkerPool::submit_decompress`])
+    /// that may wait — a reader's read-ahead. Returns `Ok(false)` without
+    /// submitting when the window is full, or when the pool is saturated
+    /// while this window holds tickets (collecting its front frees a slot;
+    /// the caller keeps the payload for its next call).
+    pub fn try_push_decompress(
+        &mut self,
+        pool: &WorkerPool,
+        codec: &Arc<dyn Compressor>,
+        desc: &DataDesc,
+        payload: &[u8],
+        tag: T,
+    ) -> Result<bool> {
+        self.check()?;
+        if self.pending.len() >= pool.queue_depth().min(self.cap) {
+            return Ok(false);
+        }
+        let r = (|| -> Result<bool> {
+            crate::fault::fail_point("pool.submit")?;
+            let idx = match pool.try_acquire_slot()? {
+                Some(idx) => idx,
+                None if self.pending.is_empty() => pool.acquire_slot()?,
+                None => return Ok(false),
+            };
+            let ticket = pool.dispatch_decompress(idx, codec, desc, payload)?;
+            self.pending.push_back((ticket, tag));
+            Ok(true)
+        })();
+        self.settle(r)
+    }
+
+    /// Wait for the oldest job and hand its output bytes and tag to `f`;
+    /// `None` when nothing is in flight.
+    pub fn pop<R>(&mut self, f: impl FnOnce(&[u8], T) -> Result<R>) -> Result<Option<R>> {
+        self.check()?;
+        if let (Some(stalls), Some((ticket, _))) = (&self.wait_stalls, self.pending.front()) {
+            if !ticket.is_finished() {
+                stalls.inc();
+            }
+        }
+        let r = self.take_front(f);
+        self.settle(r)
+    }
+
+    /// [`pop`](Self::pop) only if the oldest job has already finished:
+    /// never waits. Lets a consumer blocked on a slow input source hand
+    /// completed work on, releasing its slots to other consumers.
+    pub fn pop_ready<R>(&mut self, f: impl FnOnce(&[u8], T) -> Result<R>) -> Result<Option<R>> {
+        self.check()?;
+        if !self.pending.front().is_some_and(|(t, _)| t.is_finished()) {
+            return Ok(None);
+        }
+        self.pop(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport};
+    use crate::codec::CodecInfo;
     use crate::data::Domain;
+    use crate::testing::{info, Store};
     use std::sync::atomic::AtomicUsize;
-
-    fn info(name: &'static str) -> CodecInfo {
-        CodecInfo {
-            name,
-            year: 2024,
-            community: Community::General,
-            class: CodecClass::Delta,
-            platform: Platform::Cpu,
-            parallel: false,
-            precisions: PrecisionSupport::Both,
-        }
-    }
-
-    struct Store;
-
-    impl Compressor for Store {
-        fn info(&self) -> CodecInfo {
-            info("store")
-        }
-        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-            out.clear();
-            out.extend_from_slice(data.bytes());
-            Ok(out.len())
-        }
-        fn decompress_into(
-            &self,
-            payload: &[u8],
-            desc: &DataDesc,
-            out: &mut FloatData,
-        ) -> Result<()> {
-            out.refill_from_slice(desc, payload)
-        }
-    }
 
     /// Sleeps per call and counts executions — for shutdown/drain tests.
     struct Slow(Arc<AtomicUsize>);
@@ -1119,31 +1197,27 @@ mod tests {
 
     #[test]
     fn draining_submits_make_progress_on_a_saturated_pool() {
+        // Twelve pushes through a 2-slot pool: every saturated push must
+        // collect the window's own oldest job, in submission order.
         let pool = WorkerPool::new(PoolConfig::with_threads(2).queue_depth(2));
         let codec = arc(Store);
-        let data = sample(32);
-        let mut pending: VecDeque<Ticket> = VecDeque::new();
-        let mut collected = 0usize;
-        for _ in 0..12 {
-            let t = pool
-                .submit_compress_draining(&codec, data.desc(), data.bytes(), || {
-                    match pending.pop_front() {
-                        None => Ok(false),
-                        Some(t) => {
-                            t.collect(|b| assert_eq!(b, data.bytes()))?;
-                            collected += 1;
-                            Ok(true)
-                        }
-                    }
-                })
-                .unwrap();
-            pending.push_back(t);
+        let mut w = Window::new(InflightGauge::detached(), None);
+        let mut collected = Vec::new();
+        for i in 0..12usize {
+            let data = sample(8 + i);
+            w.push_compress(&pool, &codec, data.desc(), data.bytes(), i, |b, tag| {
+                assert_eq!(b.len(), (8 + tag) * 8);
+                collected.push(tag);
+                Ok(())
+            })
+            .unwrap();
         }
-        while let Some(t) = pending.pop_front() {
-            t.collect(|b| assert_eq!(b, data.bytes())).unwrap();
-            collected += 1;
+        while let Some(tag) = w.pop(|_, tag| Ok(tag)).unwrap() {
+            collected.push(tag);
         }
-        assert_eq!(collected, 12);
+        assert_eq!(collected, (0..12).collect::<Vec<_>>());
+        let stalls = pool.telemetry().snapshot().counter("pool.drain.stalls");
+        assert_eq!(stalls, Some(10), "every push past the second drained one");
     }
 
     #[test]
@@ -1255,14 +1329,11 @@ mod tests {
         let p = WorkerPool::new(PoolConfig {
             threads: 0,
             queue_depth: 0,
-            block_elems: 0,
         });
         assert_eq!(p.threads(), 1);
         assert_eq!(p.queue_depth(), 1);
-        assert_eq!(p.config().block_elems, 1);
-        let c = PoolConfig::with_threads(3).queue_depth(9).block_elems(128);
+        let c = PoolConfig::with_threads(3).queue_depth(9);
         assert_eq!(c.threads, 3);
         assert_eq!(c.queue_depth, 9);
-        assert_eq!(c.block_elems, 128);
     }
 }

@@ -11,7 +11,6 @@ use crate::codec::{AuxTime, CodecInfo, Compressor};
 use crate::data::{DataDesc, FloatData};
 use crate::error::Error;
 use crate::metrics::Measurement;
-use crate::pipeline::Pipeline;
 use crate::pool::WorkerPool;
 use std::sync::Arc;
 use std::time::Instant;
@@ -159,30 +158,17 @@ impl Default for RunConfig {
     }
 }
 
-/// How one cell's compression work is executed: directly on the caller
-/// thread, as single jobs on the persistent [`WorkerPool`] engine, or
-/// block-parallel through a [`Pipeline`].
-enum Exec<'a> {
-    Inline(&'a dyn Compressor),
-    Pooled(&'a WorkerPool, &'a Arc<dyn Compressor>),
-    Pipelined(&'a Pipeline),
-}
+/// A codec whose every call is one submitted-and-collected job on the
+/// persistent [`WorkerPool`] engine.
+struct Pooled<'a>(&'a WorkerPool, &'a Arc<dyn Compressor>);
 
-impl Exec<'_> {
+impl Compressor for Pooled<'_> {
     fn info(&self) -> CodecInfo {
-        match self {
-            Exec::Inline(c) => c.info(),
-            Exec::Pooled(_, c) => c.info(),
-            Exec::Pipelined(p) => p.codec().info(),
-        }
+        self.1.info()
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> crate::error::Result<usize> {
-        match self {
-            Exec::Inline(c) => c.compress_into(data, out),
-            Exec::Pooled(pool, c) => pool.run_compress(c, data, out),
-            Exec::Pipelined(p) => p.compress_into(data, out),
-        }
+        self.0.run_compress(self.1, data, out)
     }
 
     fn decompress_into(
@@ -191,19 +177,11 @@ impl Exec<'_> {
         desc: &DataDesc,
         out: &mut FloatData,
     ) -> crate::error::Result<()> {
-        match self {
-            Exec::Inline(c) => c.decompress_into(payload, desc, out),
-            Exec::Pooled(pool, c) => pool.run_decompress(c, payload, desc, out),
-            Exec::Pipelined(p) => p.decompress_into(payload, out),
-        }
+        self.0.run_decompress(self.1, payload, desc, out)
     }
 
     fn last_aux_time(&self) -> AuxTime {
-        match self {
-            Exec::Inline(c) => c.last_aux_time(),
-            Exec::Pooled(_, c) => c.last_aux_time(),
-            Exec::Pipelined(p) => p.codec().last_aux_time(),
-        }
+        self.1.last_aux_time()
     }
 }
 
@@ -213,40 +191,11 @@ impl Exec<'_> {
 /// [`compress_into`](Compressor::compress_into) /
 /// [`decompress_into`](Compressor::decompress_into) forms with scratch
 /// buffers held across repetitions, so after the first repetition the
-/// measurement captures codec work, not the allocator.
+/// measurement captures codec work, not the allocator. A block-parallel
+/// [`Pipeline`](crate::pipeline::Pipeline) is a codec like any other here:
+/// its payload is the whole `FCB3` frame.
 pub fn run_cell(codec: &dyn Compressor, data: &FloatData, cfg: RunConfig) -> CellOutcome {
-    run_cell_exec(&Exec::Inline(codec), data, cfg)
-}
-
-/// [`run_cell`] routed through the persistent [`WorkerPool`] engine: each
-/// timed call is one submitted-and-collected pool job, so the measurement
-/// reflects a warm worker (steady-state scratch, no thread spawn) plus the
-/// engine's dispatch cost — which includes the O(n) copies into and out of
-/// the job slot, bounded by memcpy bandwidth. For multi-GB/s codecs those
-/// copies are a real fraction of the cell time: these are
-/// "executed-through-the-engine" numbers, deliberately not identical to
-/// [`run_cell`]'s direct-call methodology (the paper-shape assertions use
-/// the direct form). Payload bytes are identical to the inline form — the
-/// job is not block-decomposed.
-pub fn run_cell_pooled(
-    pool: &WorkerPool,
-    codec: &Arc<dyn Compressor>,
-    data: &FloatData,
-    cfg: RunConfig,
-) -> CellOutcome {
-    run_cell_exec(&Exec::Pooled(pool, codec), data, cfg)
-}
-
-/// [`run_cell`] through a block-parallel [`Pipeline`]: compression produces
-/// (and decompression consumes) the chunked `FCB2` frame, so the measured
-/// compressed size includes the frame's block directory — the container
-/// accounting the Table 10 block study wants.
-pub fn run_cell_pipelined(pipeline: &Pipeline, data: &FloatData, cfg: RunConfig) -> CellOutcome {
-    run_cell_exec(&Exec::Pipelined(pipeline), data, cfg)
-}
-
-fn run_cell_exec(exec: &Exec<'_>, data: &FloatData, cfg: RunConfig) -> CellOutcome {
-    let info = exec.info();
+    let info = codec.info();
     if !info.precisions.accepts(data.desc().precision) {
         return CellOutcome::Failed(format!(
             "{} does not support {:?}",
@@ -265,19 +214,19 @@ fn run_cell_exec(exec: &Exec<'_>, data: &FloatData, cfg: RunConfig) -> CellOutco
     let mut runs = Vec::with_capacity(cfg.repetitions.max(1));
     for _ in 0..cfg.repetitions.max(1) {
         let t0 = Instant::now();
-        let comp_bytes = match exec.compress_into(data, &mut payload) {
+        let comp_bytes = match codec.compress_into(data, &mut payload) {
             Ok(n) => n,
             Err(e) => return CellOutcome::Failed(e.to_string()),
         };
         let comp_seconds = t0.elapsed().as_secs_f64();
-        let comp_aux = exec.last_aux_time();
+        let comp_aux = codec.last_aux_time();
 
         let t1 = Instant::now();
-        if let Err(e) = exec.decompress_into(&payload[..comp_bytes], data.desc(), &mut back) {
+        if let Err(e) = codec.decompress_into(&payload[..comp_bytes], data.desc(), &mut back) {
             return CellOutcome::Failed(e.to_string());
         }
         let decomp_seconds = t1.elapsed().as_secs_f64();
-        let decomp_aux = exec.last_aux_time();
+        let decomp_aux = codec.last_aux_time();
 
         if cfg.verify && back.bytes() != data.bytes() {
             return CellOutcome::Failed(
@@ -302,6 +251,25 @@ fn run_cell_exec(exec: &Exec<'_>, data: &FloatData, cfg: RunConfig) -> CellOutco
     }
 }
 
+/// [`run_cell`] routed through the persistent [`WorkerPool`] engine: each
+/// timed call is one submitted-and-collected pool job, so the measurement
+/// reflects a warm worker (steady-state scratch, no thread spawn) plus the
+/// engine's dispatch cost — which includes the O(n) copies into and out of
+/// the job slot, bounded by memcpy bandwidth. For multi-GB/s codecs those
+/// copies are a real fraction of the cell time: these are
+/// "executed-through-the-engine" numbers, deliberately not identical to
+/// [`run_cell`]'s direct-call methodology (the paper-shape assertions use
+/// the direct form). Payload bytes are identical to the inline form — the
+/// job is not block-decomposed.
+pub fn run_cell_pooled(
+    pool: &WorkerPool,
+    codec: &Arc<dyn Compressor>,
+    data: &FloatData,
+    cfg: RunConfig,
+) -> CellOutcome {
+    run_cell(&Pooled(pool, codec), data, cfg)
+}
+
 /// Run the full codec × dataset matrix.
 pub fn run_matrix(codecs: &[&dyn Compressor], datasets: &[NamedData], cfg: RunConfig) -> RunMatrix {
     let mut cells = Vec::with_capacity(codecs.len());
@@ -322,7 +290,7 @@ pub fn run_matrix(codecs: &[&dyn Compressor], datasets: &[NamedData], cfg: RunCo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport};
+    use crate::codec::{CodecInfo, PrecisionSupport};
     use crate::data::{DataDesc, Domain};
     use crate::error::Result;
 
@@ -331,13 +299,8 @@ mod tests {
     impl Compressor for StoreCodec {
         fn info(&self) -> CodecInfo {
             CodecInfo {
-                name: self.0,
-                year: 2024,
-                community: Community::General,
-                class: CodecClass::Delta,
-                platform: Platform::Cpu,
-                parallel: false,
                 precisions: self.1,
+                ..crate::testing::info(self.0)
             }
         }
         fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
@@ -401,6 +364,7 @@ mod tests {
 
     #[test]
     fn pooled_and_pipelined_cells_match_inline_results() {
+        use crate::pipeline::Pipeline;
         use crate::pool::{PoolConfig, WorkerPool};
         use crate::registry::{CodecRegistry, RegistryEntry};
 
@@ -427,14 +391,15 @@ mod tests {
             pooled.measurement().unwrap().comp_bytes
         );
 
-        // The pipelined cell's compressed size includes the FCB2 directory.
+        // The pipelined cell's compressed size includes the frame around
+        // its blocks.
         let registry = CodecRegistry::new()
             .with(RegistryEntry::new(StoreCodec("a", PrecisionSupport::Both)).thread_scalable());
         let p = Pipeline::new(&registry, "a")
             .unwrap()
             .block_elems(64)
             .threads(2);
-        let piped = run_cell_pipelined(&p, &data, cfg);
+        let piped = run_cell(&p, &data, cfg);
         assert!(piped.measurement().unwrap().comp_bytes > inline.measurement().unwrap().comp_bytes);
         assert!(piped.ratio().is_some());
     }

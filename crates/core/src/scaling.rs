@@ -76,7 +76,13 @@ where
     for &t in thread_counts {
         let codec = factory(t);
         name = codec.info().name.to_string();
+        // One untimed pass of the timed direction (compression also yields
+        // the payload to decode): codec-internal or engine threads, their
+        // buffers and thread-locals are spawned and warm before timing.
         codec.compress_into(data, &mut payload)?;
+        if direction == Direction::Decompress {
+            codec.decompress_into(&payload, data.desc(), &mut scratch)?;
+        }
         let mut best = f64::INFINITY;
         for _ in 0..reps.max(1) {
             let secs = match direction {
@@ -101,11 +107,6 @@ where
         raw.push((t, mbps));
     }
 
-    Ok(curve_from_raw(name, raw))
-}
-
-/// Normalise raw `(threads, MB/s)` samples into a [`ScalingCurve`].
-fn curve_from_raw(codec: String, raw: Vec<(usize, f64)>) -> ScalingCurve {
     let base = raw[0].1.max(f64::MIN_POSITIVE);
     let points = raw
         .into_iter()
@@ -116,16 +117,17 @@ fn curve_from_raw(codec: String, raw: Vec<(usize, f64)>) -> ScalingCurve {
             efficiency: mb_per_s / base / threads as f64,
         })
         .collect();
-    ScalingCurve { codec, points }
+    Ok(ScalingCurve {
+        codec: name,
+        points,
+    })
 }
 
 /// Sweep the **execution engine** instead of codec-internal threading: for
-/// each thread count, spawn a [`WorkerPool`], drive `codec` block-parallel
-/// through a [`Pipeline`] over it, and time the requested direction. This
-/// is how serial codecs (gorilla, chimp, ...) scale — the engine fans their
-/// blocks out across persistent workers. The pool is warmed with one
-/// untimed pass so the measurements see steady-state workers, not spawn
-/// and allocator cost.
+/// each thread count, spawn a [`WorkerPool`] and drive `codec`
+/// block-parallel through a [`Pipeline`] over it. This is how serial codecs
+/// (gorilla, chimp, ...) scale — the engine fans their blocks out across
+/// persistent workers.
 pub fn pool_scaling_sweep(
     codec: &Arc<dyn Compressor>,
     data: &FloatData,
@@ -134,48 +136,22 @@ pub fn pool_scaling_sweep(
     direction: Direction,
     reps: usize,
 ) -> Result<ScalingCurve> {
-    assert!(!thread_counts.is_empty());
-    let name = codec.info().name.to_string();
-    let mut raw: Vec<(usize, f64)> = Vec::with_capacity(thread_counts.len());
-
-    let mut frame = Vec::new();
-    let mut out = FloatData::scratch();
-    for &t in thread_counts {
-        let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(t)));
-        let pipeline = Pipeline::with_pool(Arc::clone(codec), pool).block_elems(block_elems);
-        // Warm-up: spawn-once cost, slot buffers, codec thread-locals.
-        pipeline.compress_into(data, &mut frame)?;
-        pipeline.decompress_into(&frame, &mut out)?;
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let secs = match direction {
-                Direction::Compress => {
-                    let t0 = Instant::now();
-                    let n = pipeline.compress_into(data, &mut frame)?;
-                    let s = t0.elapsed().as_secs_f64();
-                    std::hint::black_box(n);
-                    s
-                }
-                Direction::Decompress => {
-                    let t0 = Instant::now();
-                    pipeline.decompress_into(&frame, &mut out)?;
-                    let s = t0.elapsed().as_secs_f64();
-                    std::hint::black_box(out.bytes().len());
-                    s
-                }
-            };
-            best = best.min(secs);
-        }
-        let mbps = data.bytes().len() as f64 / best.max(f64::MIN_POSITIVE) / 1e6;
-        raw.push((t, mbps));
-    }
-    Ok(curve_from_raw(name, raw))
+    scaling_sweep(
+        |t| {
+            let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(t)));
+            Box::new(Pipeline::with_pool(Arc::clone(codec), pool).block_elems(block_elems))
+        },
+        data,
+        thread_counts,
+        direction,
+        reps,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport};
+    use crate::codec::CodecInfo;
     use crate::data::{DataDesc, Domain};
 
     /// Codec whose compression does `work / threads` spins, simulating
@@ -187,13 +163,8 @@ mod tests {
     impl Compressor for SpinCodec {
         fn info(&self) -> CodecInfo {
             CodecInfo {
-                name: "spin",
-                year: 2024,
-                community: Community::General,
-                class: CodecClass::Delta,
-                platform: Platform::Cpu,
                 parallel: true,
-                precisions: PrecisionSupport::Both,
+                ..crate::testing::info("spin")
             }
         }
         fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {

@@ -2,9 +2,9 @@
 //! through the [`WorkerPool`] engine, so neither the raw data nor the
 //! compressed frame ever needs to be fully resident.
 //!
-//! The on-wire format is the [`FCB3` layout](crate::frame) — the streamed
-//! form of the chunked `FCB2` frame, with block lengths inlined ahead of
-//! each payload so a writer can emit records as blocks finish compressing.
+//! The on-wire format is the [`FCB3` layout](crate::frame): block lengths
+//! are inlined ahead of each payload so a writer can emit records as blocks
+//! finish compressing.
 //!
 //! [`FrameWriter`] accepts element bytes in arbitrary-sized chunks, carves
 //! them into fixed-size blocks, and fans the blocks out to a pool (when one
@@ -57,9 +57,8 @@ use crate::codec::Compressor;
 use crate::data::{DataDesc, FloatData};
 use crate::error::{Error, Result};
 use crate::frame::{decode_stream_header, encode_stream_header};
-use crate::pool::{Ticket, WorkerPool};
-use fcbench_telemetry::{Counter, InflightGauge};
-use std::collections::VecDeque;
+use crate::pool::{Window, WorkerPool};
+use fcbench_telemetry::InflightGauge;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
@@ -278,11 +277,9 @@ pub struct FrameWriter<W: Write> {
     bpb: usize,
     /// Partial-block accumulator.
     buf: Vec<u8>,
-    /// In-flight pool jobs, in stream order.
-    pending: VecDeque<Ticket>,
-    /// Upper bound on `pending.len()` — how much of a shared pool this one
-    /// stream may pin. Defaults to the whole queue.
-    inflight_cap: usize,
+    /// In-flight pool jobs, in stream order; reports into the pool-wide
+    /// `stream.writer.blocks_in_flight` gauge (unused without a pool).
+    window: Window,
     /// Reusable per-block descriptor.
     bdesc: DataDesc,
     /// Inline-mode scratch input container.
@@ -293,9 +290,6 @@ pub struct FrameWriter<W: Write> {
     consumed: usize,
     /// Bytes emitted to the sink so far.
     written: u64,
-    /// This writer's share of the pool-wide
-    /// `stream.writer.blocks_in_flight` gauge (no-op without a pool).
-    inflight: InflightGauge,
 }
 
 impl<W: Write> FrameWriter<W> {
@@ -328,26 +322,22 @@ impl<W: Write> FrameWriter<W> {
             esize,
             bpb: block_elems.saturating_mul(esize),
             buf: Vec::new(),
-            pending: VecDeque::new(),
-            inflight_cap: usize::MAX,
+            window: Window::new(inflight, None),
             bdesc,
             scratch: FloatData::scratch(),
             payload: Vec::new(),
             consumed: 0,
             written: prologue.len() as u64,
             desc,
-            inflight,
         })
     }
 
     /// Cap the number of blocks this writer may have in flight on a shared
-    /// pool at once (clamped to at least 1). When many independent streams
-    /// share one host-sized engine — a serving front-end's connections —
-    /// per-stream caps stop any single stream from pinning every job slot.
-    /// Inline writers (no pool) ignore it.
+    /// pool at once (see [`Window::set_max_in_flight`]). Inline writers (no
+    /// pool) ignore it.
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.inflight_cap = cap.max(1);
+        self.window.set_max_in_flight(cap);
         self
     }
 
@@ -369,13 +359,8 @@ impl<W: Write> FrameWriter<W> {
     /// pool slots immediately) and the stream is unusable; drop it.
     pub fn write(&mut self, bytes: &[u8]) -> Result<()> {
         let r = crate::fault::fail_point("frame.write").and_then(|()| self.write_inner(bytes));
-        if r.is_err() {
-            // Free our pool slots right away — an errored writer must not
-            // pin the engine for other sessions.
-            self.pending.clear();
-            self.inflight.sync(0);
-        }
-        r
+        // An errored writer must not pin the engine for other sessions.
+        self.window.settle(r)
     }
 
     fn write_inner(&mut self, mut bytes: &[u8]) -> Result<()> {
@@ -415,48 +400,21 @@ impl<W: Write> FrameWriter<W> {
     fn emit_block(&mut self, block: &[u8]) -> Result<()> {
         debug_assert!(!block.is_empty() && block.len() % self.esize == 0);
         self.bdesc.dims[0] = block.len() / self.esize;
-        match self.pool.clone() {
-            Some(pool) => {
-                // Per-stream cap: flush our own oldest records until we are
-                // back under it before taking another slot.
-                while self.pending.len() >= self.inflight_cap {
-                    self.flush_front()?;
-                }
-                // Saturation discipline: never block in submit while
-                // holding tickets — the drain closure flushes our own
-                // oldest record to free a slot instead.
-                let FrameWriter {
-                    pending,
-                    sink,
-                    written,
-                    codec,
-                    bdesc,
-                    inflight,
-                    ..
-                } = self;
-                let ticket = pool.submit_compress_draining(codec, bdesc, block, || {
-                    flush_oldest(pending, sink, written)
-                })?;
-                pending.push_back(ticket);
-                inflight.sync(pending.len());
-                Ok(())
-            }
+        match self.pool.as_deref() {
+            Some(pool) => self.window.push_compress(
+                pool,
+                &self.codec,
+                &self.bdesc,
+                block,
+                (),
+                |payload, ()| put_block(&mut self.sink, &mut self.written, payload),
+            ),
             None => {
                 self.scratch.refill_from_slice(&self.bdesc, block)?;
                 let n = self.codec.compress_into(&self.scratch, &mut self.payload)?;
-                self.sink.write_all(&(n as u64).to_le_bytes())?;
-                self.sink.write_all(&self.payload[..n])?;
-                self.written += 8 + n as u64;
-                Ok(())
+                put_block(&mut self.sink, &mut self.written, &self.payload[..n])
             }
         }
-    }
-
-    /// Collect the oldest in-flight block and write its record.
-    fn flush_front(&mut self) -> Result<()> {
-        flush_oldest(&mut self.pending, &mut self.sink, &mut self.written)?;
-        self.inflight.sync(self.pending.len());
-        Ok(())
     }
 
     /// Emit records for in-flight blocks that have already finished
@@ -470,12 +428,11 @@ impl<W: Write> FrameWriter<W> {
     /// like [`write`](Self::write).
     pub fn flush_ready(&mut self) -> Result<usize> {
         let mut flushed = 0usize;
-        while self.pending.front().is_some_and(Ticket::is_finished) {
-            if let Err(e) = self.flush_front() {
-                self.pending.clear();
-                self.inflight.sync(0);
-                return Err(e);
-            }
+        while self
+            .window
+            .pop_ready(|payload, ()| put_block(&mut self.sink, &mut self.written, payload))?
+            .is_some()
+        {
             flushed += 1;
         }
         Ok(flushed)
@@ -497,40 +454,31 @@ impl<W: Write> FrameWriter<W> {
             let tail = std::mem::take(&mut self.buf);
             self.emit_block(&tail)?;
         }
-        while !self.pending.is_empty() {
-            self.flush_front()?;
-        }
+        while self
+            .window
+            .pop(|payload, ()| put_block(&mut self.sink, &mut self.written, payload))?
+            .is_some()
+        {}
         self.sink.flush()?;
         Ok(self.sink)
     }
 }
 
-/// Collect a writer's oldest in-flight block and emit its record to the
-/// sink; `false` when nothing is in flight.
-fn flush_oldest<W: Write>(
-    pending: &mut VecDeque<Ticket>,
-    sink: &mut W,
-    written: &mut u64,
-) -> Result<bool> {
-    let Some(ticket) = pending.pop_front() else {
-        return Ok(false);
-    };
-    let n = ticket.collect(|payload| -> std::io::Result<usize> {
-        sink.write_all(&(payload.len() as u64).to_le_bytes())?;
-        sink.write_all(payload)?;
-        Ok(payload.len())
-    })??;
-    *written += 8 + n as u64;
-    Ok(true)
+/// Emit one block record — payload length, then the payload — to `sink`.
+fn put_block<W: Write>(sink: &mut W, written: &mut u64, payload: &[u8]) -> Result<()> {
+    sink.write_all(&(payload.len() as u64).to_le_bytes())?;
+    sink.write_all(payload)?;
+    *written += 8 + payload.len() as u64;
+    Ok(())
 }
 
-/// Which reader-owned buffer holds the block [`FrameReader::advance`] just
-/// decoded.
+/// Where [`FrameReader::advance`] left the block it just decoded.
 enum BlockHome {
-    /// Inline mode: `FrameReader::scratch`.
+    /// Inline mode: in `FrameReader::scratch`, the codec's decode target.
     Scratch,
-    /// Pool mode: `FrameReader::current`.
-    Current,
+    /// Pool mode: appended to the caller's buffer straight from the
+    /// engine's slot.
+    Appended,
 }
 
 /// Streaming `FCB3` decoder; see the [module docs](self).
@@ -548,26 +496,20 @@ pub struct FrameReader<R: Read> {
     record_ready: bool,
     /// Blocks handed to the caller.
     collected: usize,
-    /// Sticky failure: once a block errors, later reads refuse instead of
-    /// yielding blocks out of order.
-    failed: bool,
-    pending: VecDeque<Ticket>,
-    /// Upper bound on read-ahead jobs in flight (shared-pool fairness; see
-    /// [`FrameWriter::max_in_flight`]).
-    inflight_cap: usize,
+    /// The read-ahead jobs in flight, and the reader's sticky failure (in
+    /// both modes): once a block errors, later reads refuse instead of
+    /// yielding blocks out of order. Reports into the pool-wide
+    /// `stream.reader.blocks_in_flight` gauge and counts the times the
+    /// caller had to wait on a block the read-ahead had not finished
+    /// decoding in `stream.reader.read_ahead.stalls`.
+    window: Window,
     bdesc: DataDesc,
     /// Reusable compressed-record buffer.
     payload: Vec<u8>,
-    /// Pool mode: the most recently collected decoded block.
+    /// Pool mode: the block most recently handed out by `next_block`.
     current: Vec<u8>,
     /// Inline mode: the reusable decode target.
     scratch: FloatData,
-    /// This reader's share of the pool-wide
-    /// `stream.reader.blocks_in_flight` gauge (no-op without a pool).
-    inflight: InflightGauge,
-    /// `stream.reader.read_ahead.stalls` — times the caller had to wait on
-    /// a block the read-ahead had not finished decoding.
-    stalls: Option<Counter>,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -608,25 +550,21 @@ impl<R: Read> FrameReader<R> {
             submitted: 0,
             record_ready: false,
             collected: 0,
-            failed: false,
-            pending: VecDeque::new(),
-            inflight_cap: usize::MAX,
+            window: Window::new(inflight, stalls),
             bdesc,
             payload: Vec::new(),
             current: Vec::new(),
             scratch: FloatData::scratch(),
             desc,
-            inflight,
-            stalls,
         })
     }
 
-    /// Cap this reader's decode read-ahead at `cap` in-flight blocks
-    /// (clamped to at least 1) — the reader-side twin of
-    /// [`FrameWriter::max_in_flight`]. Inline readers (no pool) ignore it.
+    /// Cap this reader's decode read-ahead at `cap` in-flight blocks — the
+    /// reader-side twin of [`FrameWriter::max_in_flight`]. Inline readers
+    /// (no pool) ignore it.
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.inflight_cap = cap.max(1);
+        self.window.set_max_in_flight(cap);
         self
     }
 
@@ -643,11 +581,6 @@ impl<R: Read> FrameReader<R> {
     /// Total number of blocks in the stream.
     pub fn blocks_total(&self) -> usize {
         self.nblocks
-    }
-
-    /// Blocks not yet handed to the caller.
-    pub fn blocks_remaining(&self) -> usize {
-        self.nblocks - self.collected
     }
 
     /// Element count of block `i`.
@@ -699,98 +632,74 @@ impl<R: Read> FrameReader<R> {
     /// `None` after the final block. The returned slice lives until the
     /// next call.
     pub fn next_block(&mut self) -> Result<Option<&[u8]>> {
-        if self.failed {
-            return Err(Error::Corrupt(
-                "stream reader is in a failed state (an earlier block errored)".into(),
-            ));
-        }
-        match self.advance() {
-            Ok(None) => Ok(None),
-            Ok(Some(BlockHome::Scratch)) => Ok(Some(self.scratch.bytes())),
-            Ok(Some(BlockHome::Current)) => Ok(Some(&self.current)),
-            Err(e) => {
-                // Fail sticky: abandon the read-ahead (recycling its pool
-                // slots) and refuse further reads instead of yielding
-                // blocks out of order — or panicking on a drained queue.
-                self.failed = true;
-                self.pending.clear();
-                self.inflight.sync(0);
-                Err(e)
-            }
-        }
+        let mut current = std::mem::take(&mut self.current);
+        current.clear();
+        let home = self.advance(&mut current);
+        self.current = current;
+        Ok(match home? {
+            None => None,
+            Some(BlockHome::Scratch) => Some(self.scratch.bytes()),
+            Some(BlockHome::Appended) => Some(&self.current),
+        })
     }
 
-    /// [`next_block`](Self::next_block) minus the borrow of the output
-    /// buffer: decodes the next block into [`BlockHome::Scratch`] (inline)
-    /// or [`BlockHome::Current`] (pooled) so the caller-facing wrapper can
-    /// record failure before handing out a slice.
-    fn advance(&mut self) -> Result<Option<BlockHome>> {
+    /// Decode the next block, appending its element bytes to `out` in pool
+    /// mode and leaving them in `scratch` inline (see [`BlockHome`]). Any
+    /// error fails the reader sticky: the read-ahead is abandoned
+    /// (recycling its pool slots) and later calls refuse.
+    fn advance(&mut self, out: &mut Vec<u8>) -> Result<Option<BlockHome>> {
+        self.window.check()?;
+        let r = self.advance_inner(out);
+        self.window.settle(r)
+    }
+
+    fn advance_inner(&mut self, out: &mut Vec<u8>) -> Result<Option<BlockHome>> {
         if self.collected == self.nblocks {
             return Ok(None);
         }
-        match self.pool.clone() {
-            None => {
-                self.read_record(self.collected)?;
-                self.bdesc.dims[0] = self.block_len(self.collected);
-                crate::blocks::check_decode_claim(&self.bdesc, self.payload.len())?;
-                self.codec
-                    .decompress_into(&self.payload, &self.bdesc, &mut self.scratch)?;
-                if self.scratch.bytes().len() != self.bdesc.byte_len() {
-                    return Err(Error::Corrupt("block decoded to a wrong size".into()));
-                }
-                self.collected += 1;
-                Ok(Some(BlockHome::Scratch))
+        let Some(pool) = self.pool.clone() else {
+            self.read_record(self.collected)?;
+            self.bdesc.dims[0] = self.block_len(self.collected);
+            crate::blocks::check_decode_claim(&self.bdesc, self.payload.len())?;
+            self.codec
+                .decompress_into(&self.payload, &self.bdesc, &mut self.scratch)?;
+            if self.scratch.bytes().len() != self.bdesc.byte_len() {
+                return Err(Error::Corrupt("block decoded to a wrong size".into()));
             }
-            Some(pool) => {
-                // Keep the read-ahead window full, bounded by the queue.
-                // Saturation discipline: with jobs of our own in flight we
-                // never block in submit — a saturated pool just ends the
-                // top-up (collecting our front below frees a slot), and a
-                // record already read off `src` waits in `payload` for the
-                // next call.
-                let window = pool.queue_depth().min(self.inflight_cap);
-                while self.submitted < self.nblocks && self.pending.len() < window {
-                    let i = self.submitted;
-                    if !self.record_ready {
-                        self.read_record(i)?;
-                        self.record_ready = true;
-                    }
-                    self.bdesc.dims[0] = self.block_len(i);
-                    let ticket = match pool.try_submit_decompress(
-                        &self.codec,
-                        &self.bdesc,
-                        &self.payload,
-                    )? {
-                        Some(t) => t,
-                        None if self.pending.is_empty() => {
-                            pool.submit_decompress(&self.codec, &self.bdesc, &self.payload)?
-                        }
-                        None => break,
-                    };
-                    self.pending.push_back(ticket);
-                    self.submitted += 1;
-                    self.record_ready = false;
-                }
-                self.inflight.sync(self.pending.len());
-                let ticket = self
-                    .pending
-                    .pop_front()
-                    .ok_or_else(|| Error::Corrupt("stream reader lost its read-ahead".into()))?;
-                if !ticket.is_finished() {
-                    if let Some(stalls) = self.stalls.as_ref() {
-                        stalls.inc();
-                    }
-                }
-                let current = &mut self.current;
-                ticket.collect(|decoded| {
-                    current.clear();
-                    current.extend_from_slice(decoded);
-                })?;
-                self.inflight.sync(self.pending.len());
-                self.collected += 1;
-                Ok(Some(BlockHome::Current))
+            self.collected += 1;
+            return Ok(Some(BlockHome::Scratch));
+        };
+        // Keep the read-ahead window full. When the window declines a
+        // block (it is full, or the pool is saturated while we hold
+        // tickets) the top-up just ends: the record already read off `src`
+        // waits in `payload` for the next call.
+        while self.submitted < self.nblocks {
+            let i = self.submitted;
+            if !self.record_ready {
+                self.read_record(i)?;
+                self.record_ready = true;
             }
+            self.bdesc.dims[0] = self.block_len(i);
+            if !self.window.try_push_decompress(
+                &pool,
+                &self.codec,
+                &self.bdesc,
+                &self.payload,
+                (),
+            )? {
+                break;
+            }
+            self.submitted += 1;
+            self.record_ready = false;
         }
+        self.window
+            .pop(|decoded, ()| {
+                out.extend_from_slice(decoded);
+                Ok(())
+            })?
+            .ok_or_else(|| Error::Corrupt("stream reader lost its read-ahead".into()))?;
+        self.collected += 1;
+        Ok(Some(BlockHome::Appended))
     }
 
     /// Decode every remaining block into `out` (for a fresh reader: the
@@ -806,8 +715,10 @@ impl<R: Read> FrameReader<R> {
         out.refill(&desc, |bytes| {
             // lint: claim-checked(reservation clamped to MAX_UPFRONT_RESERVE)
             bytes.reserve(desc.byte_len().min(MAX_UPFRONT_RESERVE));
-            while let Some(block) = self.next_block()? {
-                bytes.extend_from_slice(block);
+            while let Some(home) = self.advance(bytes)? {
+                if let BlockHome::Scratch = home {
+                    bytes.extend_from_slice(self.scratch.bytes());
+                }
             }
             Ok(())
         })
@@ -817,42 +728,10 @@ impl<R: Read> FrameReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport};
+    use crate::codec::CodecInfo;
     use crate::data::{Domain, Precision};
     use crate::pool::PoolConfig;
-
-    struct HeaderedStore;
-
-    impl Compressor for HeaderedStore {
-        fn info(&self) -> CodecInfo {
-            CodecInfo {
-                name: "hstore",
-                year: 2024,
-                community: Community::General,
-                class: CodecClass::Delta,
-                platform: Platform::Cpu,
-                parallel: false,
-                precisions: PrecisionSupport::Both,
-            }
-        }
-        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-            out.clear();
-            out.extend_from_slice(&[0xAB, 0xCD]);
-            out.extend_from_slice(data.bytes());
-            Ok(out.len())
-        }
-        fn decompress_into(
-            &self,
-            payload: &[u8],
-            desc: &DataDesc,
-            out: &mut FloatData,
-        ) -> Result<()> {
-            if payload.len() < 2 || payload[0] != 0xAB || payload[1] != 0xCD {
-                return Err(Error::Corrupt("bad hstore header".into()));
-            }
-            out.refill_from_slice(desc, &payload[2..])
-        }
-    }
+    use crate::testing::{info, HeaderedStore};
 
     fn codec() -> Arc<dyn Compressor> {
         Arc::new(HeaderedStore)
@@ -943,10 +822,7 @@ mod tests {
         struct Other;
         impl Compressor for Other {
             fn info(&self) -> CodecInfo {
-                CodecInfo {
-                    name: "other",
-                    ..HeaderedStore.info()
-                }
+                info("other")
             }
             fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
                 Ok(data.bytes().to_vec())

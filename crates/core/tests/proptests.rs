@@ -1,11 +1,14 @@
-//! Property tests for the core substrate: frames and block containers are
-//! exact inverses, and their decoders reject malformed input gracefully.
+//! Property tests for the core substrate: the `FCB3` frame and its prologue
+//! are exact inverses, and their decoders reject malformed input gracefully.
 
-use fcbench_core::blocks::BlockCodec;
 use fcbench_core::codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport};
-use fcbench_core::frame::{decode_chunked_frame, decode_frame, encode_chunked_frame, encode_frame};
-use fcbench_core::{Compressor, DataDesc, Domain, Error, FloatData, Pipeline, Precision, Result};
+use fcbench_core::frame::{decode_stream_header, encode_stream_header};
+use fcbench_core::{
+    Compressor, DataDesc, Domain, Error, FloatData, FrameReader, FrameWriter, Pipeline, Precision,
+    Result,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Trivial store codec used to exercise container plumbing.
 struct Store;
@@ -30,6 +33,25 @@ impl Compressor for Store {
     }
 }
 
+/// Deterministic pseudo-random element bytes for `desc`.
+fn arb_data(desc: &DataDesc, seed: u64) -> FloatData {
+    let mut x = seed | 1;
+    let bytes: Vec<u8> = (0..desc.byte_len())
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 56) as u8
+        })
+        .collect();
+    FloatData::from_bytes(desc.clone(), bytes).unwrap()
+}
+
+/// `Store` in `block_elems`-element blocks.
+fn blocked(block_elems: usize) -> Pipeline {
+    Pipeline::with_codec(Arc::new(Store)).block_elems(block_elems)
+}
+
 fn arb_desc() -> impl Strategy<Value = DataDesc> {
     (
         prop::bool::ANY,
@@ -52,29 +74,40 @@ proptest! {
     #[test]
     fn frames_are_exact_inverses(
         desc in arb_desc(),
-        payload in prop::collection::vec(any::<u8>(), 0..500),
+        block_elems in 1usize..5000,
         name in "[a-z][a-z0-9-]{0,30}",
+        tail in prop::collection::vec(any::<u8>(), 0..50),
     ) {
-        let framed = encode_frame(&name, &desc, &payload).unwrap();
-        let frame = decode_frame(&framed).unwrap();
-        prop_assert_eq!(frame.codec, name);
-        prop_assert_eq!(&frame.desc, &desc);
-        prop_assert_eq!(frame.payload, &payload[..]);
+        // The prologue decoder returns what was encoded and consumes exactly
+        // the prologue, whatever follows it.
+        let mut framed = encode_stream_header(&name, &desc, block_elems).unwrap();
+        let prologue_len = framed.len();
+        framed.extend_from_slice(&tail);
+        let mut src = &framed[..];
+        let (codec, d, be) = decode_stream_header(&mut src).unwrap();
+        prop_assert_eq!(codec, name);
+        prop_assert_eq!(&d, &desc);
+        prop_assert_eq!(be, block_elems);
+        prop_assert_eq!(src, &framed[prologue_len..]);
     }
 
     #[test]
     fn frame_decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
-        let _ = decode_frame(&bytes);
+        let _ = decode_stream_header(&mut &bytes[..]);
+        // Past the magic check, too.
+        let mut framed = b"FCB3".to_vec();
+        framed.extend_from_slice(&bytes);
+        let _ = decode_stream_header(&mut &framed[..]);
     }
 
     #[test]
     fn frame_decoder_rejects_every_truncation(
         desc in arb_desc(),
-        payload in prop::collection::vec(any::<u8>(), 0..100),
+        block_elems in 1usize..100,
     ) {
-        let framed = encode_frame("codec", &desc, &payload).unwrap();
-        for cut in 0..framed.len() {
-            prop_assert!(decode_frame(&framed[..cut]).is_err());
+        let prologue = encode_stream_header("codec", &desc, block_elems).unwrap();
+        for cut in 0..prologue.len() {
+            prop_assert!(decode_stream_header(&mut &prologue[..cut]).is_err());
         }
     }
 
@@ -82,61 +115,70 @@ proptest! {
     fn chunked_frames_are_exact_inverses(
         desc in arb_desc(),
         block_elems in 1usize..64,
-        name in "[a-z][a-z0-9-]{0,30}",
+        chunk in 1usize..200,
         seed in any::<u64>(),
     ) {
-        let nblocks = desc.elements().div_ceil(block_elems);
-        let mut x = seed | 1;
-        let payloads: Vec<Vec<u8>> = (0..nblocks)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (0..(x % 40) as usize).map(|i| (x >> (i % 8)) as u8).collect()
-            })
-            .collect();
-        let framed = encode_chunked_frame(&name, &desc, block_elems, &payloads).unwrap();
-        let frame = decode_chunked_frame(&framed).unwrap();
-        prop_assert_eq!(&frame.codec, &name);
-        prop_assert_eq!(&frame.desc, &desc);
-        prop_assert_eq!(frame.block_elems, block_elems);
-        prop_assert_eq!(frame.payloads.len(), nblocks);
-        for (a, b) in frame.payloads.iter().zip(payloads.iter()) {
-            prop_assert_eq!(*a, &b[..]);
+        // Fed in arbitrary pieces, the writer emits ceil(n / block) records,
+        // each block's bytes behind its own length, and the reader hands
+        // the same blocks back.
+        let data = arb_data(&desc, seed);
+        let codec: Arc<dyn Compressor> = Arc::new(Store);
+        let mut w =
+            FrameWriter::new(Vec::new(), Arc::clone(&codec), desc.clone(), block_elems, None).unwrap();
+        for piece in data.bytes().chunks(chunk) {
+            w.write(piece).unwrap();
         }
+        let framed = w.finish().unwrap();
+
+        let bpb = block_elems * desc.precision.bytes();
+        let mut expect = encode_stream_header("store", &desc, block_elems).unwrap();
+        for block in data.bytes().chunks(bpb) {
+            expect.extend_from_slice(&(block.len() as u64).to_le_bytes());
+            expect.extend_from_slice(block);
+        }
+        prop_assert_eq!(&framed, &expect);
+
+        let mut r = FrameReader::new(&framed[..], codec, None).unwrap();
+        prop_assert_eq!(r.desc(), &desc);
+        prop_assert_eq!(r.block_elems(), block_elems);
+        prop_assert_eq!(r.blocks_total(), desc.elements().div_ceil(block_elems));
+        for block in data.bytes().chunks(bpb) {
+            prop_assert_eq!(r.next_block().unwrap(), Some(block));
+        }
+        prop_assert_eq!(r.next_block().unwrap(), None);
     }
 
     #[test]
     fn chunked_frame_decoder_rejects_every_truncation_and_garbage(
         desc in arb_desc(),
         block_elems in 1usize..32,
+        seed in any::<u64>(),
         garbage in prop::collection::vec(any::<u8>(), 0..400),
     ) {
+        let p = blocked(block_elems);
         // Garbage never panics (typed error or — astronomically unlikely —
         // a structurally valid frame).
-        let _ = decode_chunked_frame(&garbage);
+        let _ = p.decompress(&garbage);
 
-        let nblocks = desc.elements().div_ceil(block_elems);
-        let payloads: Vec<Vec<u8>> = (0..nblocks).map(|i| vec![i as u8; 3]).collect();
-        let framed = encode_chunked_frame("codec", &desc, block_elems, &payloads).unwrap();
+        let framed = p.compress(&arb_data(&desc, seed)).unwrap();
         for cut in 0..framed.len() {
-            prop_assert!(decode_chunked_frame(&framed[..cut]).is_err());
+            prop_assert!(matches!(p.decompress(&framed[..cut]), Err(Error::Corrupt(_))));
         }
     }
 
     #[test]
     fn hostile_headers_yield_typed_errors_never_panics(
-        magic_v2 in prop::bool::ANY,
         dim_bytes in prop::collection::vec(any::<u8>(), 8..64),
         plen in any::<u64>(),
     ) {
-        // Hand-build a frame whose dims and payload length are hostile:
-        // dims overflowing the element count, payload lengths beyond the
-        // buffer. Both decoders must produce typed errors.
+        // Hand-build a frame whose dims and lengths are hostile: dims
+        // overflowing the element count, a block size and a payload length
+        // beyond anything the buffer holds. Both entry points must produce
+        // typed errors.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(if magic_v2 { b"FCB2" } else { b"FCB1" });
-        bytes.push(1); // name len
-        bytes.push(b'c');
+        bytes.extend_from_slice(b"FCB3");
+        bytes.push(5); // name len
+        bytes.extend_from_slice(b"store");
         bytes.push(1); // precision double
         bytes.push(0); // domain HPC
         let ndims = (dim_bytes.len() / 8).min(255);
@@ -147,14 +189,12 @@ proptest! {
             d[7] |= 0x80;
             bytes.extend_from_slice(&d);
         }
-        bytes.extend_from_slice(&plen.to_le_bytes()); // block_elems or payload len
-        bytes.extend_from_slice(&plen.to_le_bytes()[..4]); // block count-ish tail
-        let r1 = decode_frame(&bytes);
-        let r2 = decode_chunked_frame(&bytes);
-        prop_assert!(r1.is_err());
-        prop_assert!(r2.is_err());
-        prop_assert!(matches!(r1.unwrap_err(), Error::Corrupt(_) | Error::BadDescriptor(_)));
-        prop_assert!(matches!(r2.unwrap_err(), Error::Corrupt(_) | Error::BadDescriptor(_)));
+        bytes.extend_from_slice(&plen.to_le_bytes()); // block elems
+        bytes.extend_from_slice(&plen.to_le_bytes()); // first payload len
+        let r1 = decode_stream_header(&mut &bytes[..]);
+        let r2 = blocked(64).decompress(&bytes);
+        prop_assert!(matches!(r1, Err(Error::Corrupt(_) | Error::BadDescriptor(_))));
+        prop_assert!(matches!(r2, Err(Error::Corrupt(_) | Error::BadDescriptor(_))));
     }
 
     #[test]
@@ -164,17 +204,7 @@ proptest! {
         threads in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let n = desc.byte_len();
-        let mut x = seed | 1;
-        let bytes: Vec<u8> = (0..n)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 56) as u8
-            })
-            .collect();
-        let data = FloatData::from_bytes(desc, bytes).unwrap();
+        let data = arb_data(&desc, seed);
         let registry = fcbench_core::CodecRegistry::new().with(Store);
         let p = Pipeline::new(&registry, "store")
             .unwrap()
@@ -192,18 +222,11 @@ proptest! {
         block_bytes in 8usize..512,
         seed in any::<u64>(),
     ) {
-        let n = desc.byte_len();
-        let mut x = seed | 1;
-        let bytes: Vec<u8> = (0..n)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 56) as u8
-            })
-            .collect();
-        let data = FloatData::from_bytes(desc.clone(), bytes).unwrap();
-        let bc = BlockCodec::new(Store, block_bytes);
+        // The block container as a codec: blocks sized in bytes, the way
+        // the Table 10 study names them.
+        let data = arb_data(&desc, seed);
+        let p = blocked((block_bytes / desc.precision.bytes()).max(1));
+        let bc: &dyn Compressor = &p;
         let payload = bc.compress(&data).unwrap();
         let back = bc.decompress(&payload, &desc).unwrap();
         prop_assert_eq!(back.bytes(), data.bytes());
@@ -214,9 +237,16 @@ proptest! {
         desc in arb_desc(),
         bytes in prop::collection::vec(any::<u8>(), 0..300),
     ) {
-        let bc = BlockCodec::new(Store, 64);
-        if let Ok(out) = bc.decompress(&bytes, &desc) {
-            prop_assert_eq!(out.bytes().len(), desc.byte_len());
+        // Garbage behind a valid prologue, so the block records — not the
+        // magic check — are what has to hold.
+        let mut framed = encode_stream_header("store", &desc, 16).unwrap();
+        framed.extend_from_slice(&bytes);
+        let p = blocked(16);
+        let bc: &dyn Compressor = &p;
+        for payload in [&bytes, &framed] {
+            if let Ok(out) = bc.decompress(payload, &desc) {
+                prop_assert_eq!(out.bytes().len(), desc.byte_len());
+            }
         }
     }
 }

@@ -26,8 +26,8 @@ pub struct ThreePrimitives {
     /// Scan checksum (total matched rows), for verification.
     pub scan_checksum: usize,
     /// How the container read arrived at its table (`Clean` for a file
-    /// that was just written; `Recovered`/`Legacy` are possible when
-    /// measuring a pre-existing path).
+    /// that was just written; `Recovered` is possible when measuring a
+    /// pre-existing path).
     pub recovery: RecoveryOutcome,
 }
 

@@ -7,8 +7,6 @@
 //! decompress chunks independently, which is what the Table 11 "read"
 //! primitive measures.
 //!
-//! Unlike the legacy `FCDB1` layout (directory first, body after — so the
-//! whole container had to be resident before the first byte hit disk),
 //! `FCDB2` is a record *log*: chunks stream to the sink as they finish
 //! compressing, the directory trails the data it describes, and a
 //! checksummed commit footer marks the last durable point. Writing holds
@@ -47,23 +45,18 @@
 //! directory referencing it is valid) is an error, not a recovery —
 //! recovery is for torn tails only.
 
-use fcbench_core::pool::{Ticket, WorkerPool};
-use fcbench_core::stream::{
-    check_record, crc32, put_record, take_record, RecordCheck, RECORD_OVERHEAD,
-};
+use fcbench_core::pool::{Window, WorkerPool};
+use fcbench_core::stream::{check_record, crc32, put_record, take_record, RecordCheck};
 use fcbench_core::wire;
 use fcbench_core::{Compressor, DataDesc, Domain, Error, FloatData, Precision, Result};
 use fcbench_telemetry::{Counter, Histogram, InflightGauge};
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Magic of the legacy `FCDB1` layout (see [`legacy`]).
-const MAGIC_V1: &[u8; 4] = b"FCDB";
-/// Magic of the streaming `FCDB2` layout.
-const MAGIC_V2: &[u8; 4] = b"FCD2";
+/// Magic of the `FCDB2` layout.
+const MAGIC: &[u8; 4] = b"FCD2";
 /// Magic of the commit locator written after every `COMMIT` record.
 const LOCATOR_MAGIC: &[u8; 4] = b"FC2C";
 /// Size of a commit locator: magic + commit offset + crc32.
@@ -173,7 +166,7 @@ fn write_prologue<W: Write>(sink: &mut W, codec_name: &str) -> Result<u64> {
         return Err(Error::NameTooLong { len: name.len() });
     }
     let mut pro = Vec::with_capacity(9 + name.len());
-    pro.extend_from_slice(MAGIC_V2);
+    pro.extend_from_slice(MAGIC);
     pro.push(name.len() as u8);
     pro.extend_from_slice(name);
     let crc = crc32(&pro);
@@ -249,12 +242,6 @@ fn encode_directory(columns: &[ColumnMeta]) -> Vec<u8> {
     dir
 }
 
-/// A pooled compression job whose chunk record has not been emitted yet.
-struct PendingChunk {
-    ticket: Ticket,
-    elems: u32,
-}
-
 /// Streaming `FCDB2` encoder: columns are declared with
 /// [`begin_column`](Self::begin_column), fed element bytes in
 /// arbitrary-sized chunks with [`write`](Self::write), and made durable
@@ -282,11 +269,9 @@ pub struct ContainerWriter<'a, W: Write> {
     open: bool,
     /// Partial-chunk accumulator for the open column.
     buf: Vec<u8>,
-    /// In-flight pool jobs, in chunk order (never spanning columns).
-    pending: VecDeque<PendingChunk>,
-    /// Upper bound on `pending.len()` (shared-pool fairness; see
-    /// [`FrameWriter::max_in_flight`](fcbench_core::stream::FrameWriter::max_in_flight)).
-    inflight_cap: usize,
+    /// In-flight pool jobs, in chunk order (never spanning columns), each
+    /// tagged with its element count.
+    window: Window<u32>,
     /// Reusable per-chunk descriptor.
     bdesc: DataDesc,
     /// Inline-mode scratch input container.
@@ -317,8 +302,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
             columns: Vec::new(),
             open: false,
             buf: Vec::new(),
-            pending: VecDeque::new(),
-            inflight_cap: usize::MAX,
+            window: Window::new(InflightGauge::detached(), None),
             bdesc: DataDesc::new(Precision::Double, vec![1], Domain::Database)?,
             scratch: FloatData::scratch(),
             payload: Vec::new(),
@@ -329,10 +313,11 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     }
 
     /// Cap the number of chunks this writer may have in flight on a shared
-    /// pool at once (clamped to at least 1). Inline writers ignore it.
+    /// pool at once (see [`Window::set_max_in_flight`]). Inline writers
+    /// ignore it.
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.inflight_cap = cap.max(1);
+        self.window.set_max_in_flight(cap);
         self
     }
 
@@ -356,10 +341,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         chunk_elems: usize,
     ) -> Result<()> {
         let r = self.begin_column_inner(name.into(), precision, chunk_elems);
-        if r.is_err() {
-            self.pending.clear();
-        }
-        r
+        self.window.settle(r)
     }
 
     fn begin_column_inner(
@@ -405,10 +387,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// as they form.
     pub fn write(&mut self, bytes: &[u8]) -> Result<()> {
         let r = self.write_inner(bytes);
-        if r.is_err() {
-            self.pending.clear();
-        }
-        r
+        self.window.settle(r)
     }
 
     fn write_inner(&mut self, mut bytes: &[u8]) -> Result<()> {
@@ -454,85 +433,55 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
             ChunkExec::Inline(codec) => {
                 self.scratch.refill_from_slice(&self.bdesc, chunk)?;
                 let n = codec.compress_into(&self.scratch, &mut self.payload)?;
-                let offset = self.written;
-                let rec = put_record(
+                Self::put_chunk(
                     &mut self.sink,
-                    TAG_CHUNK,
-                    &[&elems.to_le_bytes(), &self.payload[..n]],
-                )?;
-                let col = open_column_mut(&mut self.columns)?;
-                col.chunks.push(ChunkMeta {
-                    offset,
-                    payload_len: n as u64,
+                    &mut self.written,
+                    &mut self.uncommitted,
+                    &mut self.columns,
                     elems,
-                });
-                col.rows += elems as u64;
-                self.written += rec;
-                self.uncommitted += 1;
-                Ok(())
+                    &self.payload[..n],
+                )
             }
-            ChunkExec::Pooled(pool, codec) => {
-                // Per-writer cap: collect our own oldest chunks until we
-                // are back under it before taking another slot.
-                while self.pending.len() >= self.inflight_cap {
-                    let ContainerWriter {
-                        pending,
-                        sink,
-                        written,
-                        uncommitted,
-                        columns,
-                        ..
-                    } = self;
-                    Self::collect_oldest(pending, sink, written, uncommitted, columns)?;
-                }
-                // Saturation discipline: never block in submit while
-                // holding tickets — the drain closure collects our own
-                // oldest chunk to free a slot instead.
-                let ContainerWriter {
-                    pending,
-                    sink,
-                    written,
-                    uncommitted,
-                    columns,
-                    bdesc,
-                    ..
-                } = self;
-                let ticket = pool.submit_compress_draining(codec, bdesc, chunk, || {
-                    Self::collect_oldest(pending, sink, written, uncommitted, columns)
-                })?;
-                pending.push_back(PendingChunk { ticket, elems });
-                Ok(())
-            }
+            ChunkExec::Pooled(pool, codec) => self.window.push_compress(
+                pool,
+                codec,
+                &self.bdesc,
+                chunk,
+                elems,
+                |payload, elems| {
+                    Self::put_chunk(
+                        &mut self.sink,
+                        &mut self.written,
+                        &mut self.uncommitted,
+                        &mut self.columns,
+                        elems,
+                        payload,
+                    )
+                },
+            ),
         }
     }
 
-    /// Collect the oldest in-flight chunk, emit its record, and log its
-    /// directory metadata; `false` when nothing is in flight.
-    fn collect_oldest(
-        pending: &mut VecDeque<PendingChunk>,
+    /// Emit one chunk record and log its directory metadata.
+    fn put_chunk(
         sink: &mut W,
         written: &mut u64,
         uncommitted: &mut u64,
         columns: &mut [ColumnMeta],
-    ) -> Result<bool> {
-        let Some(PendingChunk { ticket, elems }) = pending.pop_front() else {
-            return Ok(false);
-        };
-        let offset = *written;
-        let (payload_len, rec_len) = ticket.collect(|payload| -> Result<(u64, u64)> {
-            let n = put_record(sink, TAG_CHUNK, &[&elems.to_le_bytes(), payload])?;
-            Ok((payload.len() as u64, n))
-        })??;
+        elems: u32,
+        payload: &[u8],
+    ) -> Result<()> {
+        let rec = put_record(sink, TAG_CHUNK, &[&elems.to_le_bytes(), payload])?;
         let col = open_column_mut(columns)?;
         col.chunks.push(ChunkMeta {
-            offset,
-            payload_len,
+            offset: *written,
+            payload_len: payload.len() as u64,
             elems,
         });
         col.rows += elems as u64;
-        *written += rec_len;
+        *written += rec;
         *uncommitted += 1;
-        Ok(true)
+        Ok(())
     }
 
     /// Close the open column: emit the short tail page (if any) and drain
@@ -540,10 +489,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// A no-op when no column is open.
     pub fn end_column(&mut self) -> Result<()> {
         let r = self.end_column_inner();
-        if r.is_err() {
-            self.pending.clear();
-        }
-        r
+        self.window.settle(r)
     }
 
     fn end_column_inner(&mut self) -> Result<()> {
@@ -564,19 +510,20 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
             self.buf.clear();
             r?;
         }
-        loop {
-            let ContainerWriter {
-                pending,
-                sink,
-                written,
-                uncommitted,
-                columns,
-                ..
-            } = self;
-            if !Self::collect_oldest(pending, sink, written, uncommitted, columns)? {
-                break;
-            }
-        }
+        while self
+            .window
+            .pop(|payload, elems| {
+                Self::put_chunk(
+                    &mut self.sink,
+                    &mut self.written,
+                    &mut self.uncommitted,
+                    &mut self.columns,
+                    elems,
+                    payload,
+                )
+            })?
+            .is_some()
+        {}
         self.open = false;
         Ok(())
     }
@@ -587,10 +534,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// the newest commit point it can validate.
     pub fn commit(&mut self) -> Result<()> {
         let r = self.commit_inner();
-        if r.is_err() {
-            self.pending.clear();
-        }
-        r
+        self.window.settle(r)
     }
 
     fn commit_inner(&mut self) -> Result<()> {
@@ -616,11 +560,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// container has at least one commit point — even an empty one.)
     pub fn finish(mut self) -> Result<W> {
         if self.uncommitted > 0 || self.commits == 0 {
-            let r = self.commit_inner();
-            if let Err(e) = r {
-                self.pending.clear();
-                return Err(e);
-            }
+            self.commit_inner()?;
         }
         Ok(self.sink)
     }
@@ -706,9 +646,6 @@ pub enum RecoveryOutcome {
     /// (complete-but-uncommitted records, plus one for a partial tail
     /// record when present).
     Recovered { dropped_records: u64 },
-    /// A legacy `FCDB1` file, parsed by the [`legacy`] compatibility path
-    /// (which has no commit points and no recovery).
-    Legacy,
 }
 
 /// A parsed container together with its [`RecoveryOutcome`].
@@ -744,26 +681,18 @@ pub fn parse_container(bytes: &[u8]) -> Result<ContainerRead> {
 /// Parse a container image the returned table then owns: its columns
 /// borrow their chunk payloads from it instead of copying them out.
 fn parse_image(image: Arc<Vec<u8>>) -> Result<ContainerRead> {
-    let read = if image.starts_with(MAGIC_V1) {
-        ContainerRead {
-            table: legacy::parse_container_v1(&image)?,
-            outcome: RecoveryOutcome::Legacy,
-        }
-    } else {
-        parse_container_v2(&image)?
-    };
+    let read = parse_records(&image)?;
     note_outcome(&read.outcome);
     Ok(read)
 }
 
-/// Count how a parse resolved: `dbsim.recovery.clean` / `.legacy` /
-/// `.recovered` tally outcomes, and `dbsim.recovery.dropped_records`
-/// accumulates the records lost to torn tails.
+/// Count how a parse resolved: `dbsim.recovery.clean` / `.recovered` tally
+/// outcomes, and `dbsim.recovery.dropped_records` accumulates the records
+/// lost to torn tails.
 fn note_outcome(outcome: &RecoveryOutcome) {
     let reg = crate::metrics::registry();
     match outcome {
         RecoveryOutcome::Clean => reg.counter("dbsim.recovery.clean").inc(),
-        RecoveryOutcome::Legacy => reg.counter("dbsim.recovery.legacy").inc(),
         RecoveryOutcome::Recovered { dropped_records } => {
             reg.counter("dbsim.recovery.recovered").inc();
             reg.counter("dbsim.recovery.dropped_records")
@@ -779,7 +708,7 @@ fn parse_prologue(bytes: &[u8]) -> Result<(String, usize)> {
     if bytes.len() < 4 {
         return Err(Error::Corrupt("container prologue truncated".into()));
     }
-    if &bytes[..4] != MAGIC_V2 {
+    if &bytes[..4] != MAGIC {
         return Err(Error::Corrupt("bad container magic".into()));
     }
     let nlen = usize::from(
@@ -832,7 +761,7 @@ fn valid_trailing_locator(bytes: &[u8], body_start: usize) -> Option<&[u8]> {
     Some(rec.body)
 }
 
-fn parse_container_v2(image: &Arc<Vec<u8>>) -> Result<ContainerRead> {
+fn parse_records(image: &Arc<Vec<u8>>) -> Result<ContainerRead> {
     let bytes = image.as_slice();
     let (codec_name, body_start) = parse_prologue(bytes)?;
 
@@ -1030,8 +959,8 @@ fn load_directory(
 
 impl CompressedColumn {
     /// A column over already-compressed chunk payloads that live in memory
-    /// rather than in a container file (the legacy parser, fixtures): the
-    /// payloads are packed into an image of the column's own.
+    /// rather than in a container file (fixtures): the payloads are packed
+    /// into an image of the column's own.
     pub fn from_chunks<C: AsRef<[u8]>>(
         name: impl Into<String>,
         precision: Precision,
@@ -1115,12 +1044,11 @@ impl CompressedColumn {
             submitted: 0,
             collected: 0,
             remaining_submit: self.rows,
-            pending: VecDeque::new(),
-            inflight_cap: usize::MAX,
+            window: Window::new(
+                InflightGauge::attached(reg.gauge("dbsim.cursor.chunks_in_flight")),
+                Some(reg.counter("dbsim.cursor.read_ahead.stalls")),
+            ),
             current: Vec::new(),
-            failed: false,
-            stalls: reg.counter("dbsim.cursor.read_ahead.stalls"),
-            inflight: InflightGauge::attached(reg.gauge("dbsim.cursor.chunks_in_flight")),
         })
     }
 
@@ -1170,28 +1098,23 @@ pub struct ColumnCursor<'a> {
     collected: usize,
     /// Rows not yet covered by submitted chunks.
     remaining_submit: usize,
-    pending: VecDeque<Ticket>,
-    /// Upper bound on read-ahead jobs in flight (shared-pool fairness).
-    inflight_cap: usize,
+    /// The read-ahead jobs in flight, and the cursor's sticky failure: once
+    /// a chunk errors, later reads refuse instead of yielding pages out of
+    /// order. Reports into `dbsim.cursor.chunks_in_flight` (released on
+    /// drop even if the cursor is abandoned mid-column) and counts the
+    /// times the caller had to wait on a decode that hadn't finished in
+    /// `dbsim.cursor.read_ahead.stalls` — read-ahead not keeping up.
+    window: Window,
     /// The page most recently handed out by `next_chunk`.
     current: Vec<u8>,
-    /// Sticky failure: once a chunk errors, later reads refuse instead of
-    /// yielding pages out of order.
-    failed: bool,
-    /// Times the caller had to wait on a decode that hadn't finished
-    /// (`dbsim.cursor.read_ahead.stalls`) — read-ahead not keeping up.
-    stalls: Counter,
-    /// This cursor's contribution to `dbsim.cursor.chunks_in_flight`;
-    /// released on drop even if the cursor is abandoned mid-column.
-    inflight: InflightGauge,
 }
 
 impl ColumnCursor<'_> {
-    /// Cap this cursor's decode read-ahead at `cap` in-flight chunks
-    /// (clamped to at least 1).
+    /// Cap this cursor's decode read-ahead at `cap` in-flight chunks (see
+    /// [`Window::set_max_in_flight`]).
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.inflight_cap = cap.max(1);
+        self.window.set_max_in_flight(cap);
         self
     }
 
@@ -1215,319 +1138,46 @@ impl ColumnCursor<'_> {
     /// to `out` straight from the engine's slot, with no stop in the
     /// cursor; `false` after the final chunk.
     fn next_chunk_into(&mut self, out: &mut Vec<u8>) -> Result<bool> {
-        if self.failed {
-            return Err(Error::Corrupt(
-                "column cursor is in a failed state (an earlier chunk errored)".into(),
-            ));
-        }
+        self.window.check()?;
         let r = self.advance(out);
-        if r.is_err() {
-            self.failed = true;
-            self.pending.clear();
-            self.inflight.sync(0);
-        }
-        r
+        self.window.settle(r)
     }
 
     fn advance(&mut self, out: &mut Vec<u8>) -> Result<bool> {
         if self.collected == self.col.chunks.len() {
             return Ok(false);
         }
-        // Keep the read-ahead window full, bounded by the queue. With jobs
-        // of our own in flight we never block in submit — a saturated pool
-        // just ends the top-up (collecting our front below frees a slot).
-        let window = self.pool.queue_depth().min(self.inflight_cap);
-        while self.submitted < self.col.chunks.len() && self.pending.len() < window {
+        // Keep the read-ahead window full; when the window declines a chunk
+        // (it is full, or the pool is saturated while we hold tickets) the
+        // top-up just ends.
+        while self.submitted < self.col.chunks.len() {
             let elems = self.remaining_submit.min(self.col.chunk_elems);
             if elems == 0 {
                 return Err(Error::Corrupt("more chunks than rows".into()));
             }
             self.bdesc.dims[0] = elems;
             let payload = self.col.chunk(self.submitted);
-            let ticket = match self
-                .pool
-                .try_submit_decompress(&self.codec, &self.bdesc, payload)?
+            if !self
+                .window
+                .try_push_decompress(self.pool, &self.codec, &self.bdesc, payload, ())?
             {
-                Some(t) => t,
-                None if self.pending.is_empty() => {
-                    self.pool
-                        .submit_decompress(&self.codec, &self.bdesc, payload)?
-                }
-                None => break,
-            };
-            self.pending.push_back(ticket);
+                break;
+            }
             self.submitted += 1;
             self.remaining_submit -= elems;
         }
-        self.inflight.sync(self.pending.len());
         if self.submitted == self.col.chunks.len() && self.remaining_submit != 0 {
             return Err(Error::Corrupt("chunks do not cover all rows".into()));
         }
-        let ticket = self
-            .pending
-            .pop_front()
+        self.window
+            .pop(|decoded, ()| {
+                out.extend_from_slice(decoded);
+                Ok(())
+            })?
             .ok_or_else(|| Error::Corrupt("column cursor lost its read-ahead".into()))?;
-        if !ticket.is_finished() {
-            self.stalls.inc();
-        }
-        ticket.collect(|decoded| out.extend_from_slice(decoded))?;
         self.collected += 1;
-        self.inflight.sync(self.pending.len());
         Ok(true)
     }
-}
-
-/// The legacy `FCDB1` layout: directory first, concatenated chunk body
-/// after, no checksums and no commit points.
-///
-/// **Deprecated.** New containers are always written as `FCDB2`; this
-/// module exists so files produced before the layout change still read
-/// (surfacing [`RecoveryOutcome::Legacy`]) and can be upgraded in place
-/// with [`upgrade_container`]. A torn or bit-flipped `FCDB1` file is
-/// undetectable beyond structural bounds checks — migrate.
-pub mod legacy {
-    use super::*;
-
-    /// Parse a legacy `FCDB1` image. Prefer [`parse_container`], which
-    /// dispatches on the magic and reports the layout via
-    /// [`RecoveryOutcome::Legacy`].
-    pub fn parse_container_v1(bytes: &[u8]) -> Result<CompressedTable> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            let s = bytes
-                .get(*pos..*pos + n)
-                .ok_or_else(|| Error::Corrupt("container truncated".into()))?;
-            *pos += n;
-            Ok(s)
-        };
-        if take(&mut pos, 4)? != MAGIC_V1 {
-            return Err(Error::Corrupt("bad container magic".into()));
-        }
-        let nlen = usize::from(take(&mut pos, 1)?[0]);
-        let codec_name = String::from_utf8(take(&mut pos, nlen)?.to_vec())
-            .map_err(|_| Error::Corrupt("codec name not UTF-8".into()))?;
-        let ncols = wire::len32(wire::le_u32(take(&mut pos, 4)?, 0)?);
-        // Bound the claim by real bytes before reserving anything for it: a
-        // column header is at least 18 bytes (name length, precision, rows,
-        // chunk_elems, nchunks), so a count beyond remaining/18 is hostile.
-        if ncols > bytes.len().saturating_sub(pos) / 18 {
-            return Err(Error::Corrupt(format!(
-                "container claims {ncols} columns in {} bytes",
-                bytes.len()
-            )));
-        }
-
-        struct Meta {
-            name: String,
-            precision: Precision,
-            rows: usize,
-            chunk_elems: usize,
-            sizes: Vec<usize>,
-        }
-        // lint: claim-checked(ncols bounded by remaining bytes above)
-        let mut metas = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            let nlen = usize::from(take(&mut pos, 1)?[0]);
-            let name = String::from_utf8(take(&mut pos, nlen)?.to_vec())
-                .map_err(|_| Error::Corrupt("column name not UTF-8".into()))?;
-            let precision = match take(&mut pos, 1)?[0] {
-                0 => Precision::Single,
-                1 => Precision::Double,
-                b => return Err(Error::Corrupt(format!("bad precision byte {b}"))),
-            };
-            let rows = usize::try_from(wire::le_u64(take(&mut pos, 8)?, 0)?)
-                .map_err(|_| Error::Corrupt("row count does not fit in memory".into()))?;
-            let chunk_elems = wire::len32(wire::le_u32(take(&mut pos, 4)?, 0)?);
-            let nchunks = wire::len32(wire::le_u32(take(&mut pos, 4)?, 0)?);
-            if chunk_elems == 0 || nchunks > rows.max(1) {
-                return Err(Error::Corrupt("implausible chunk layout".into()));
-            }
-            // The size table is 8 bytes per chunk; bound the count by the
-            // bytes actually present before reserving the list.
-            if nchunks > bytes.len().saturating_sub(pos) / 8 {
-                return Err(Error::Corrupt("chunk size table truncated".into()));
-            }
-            // lint: claim-checked(nchunks bounded by remaining bytes above)
-            let mut sizes = Vec::with_capacity(nchunks);
-            for _ in 0..nchunks {
-                sizes.push(wire::len64(wire::le_u64(take(&mut pos, 8)?, 0)?));
-            }
-            metas.push(Meta {
-                name,
-                precision,
-                rows,
-                chunk_elems,
-                sizes,
-            });
-        }
-
-        // lint: claim-checked(ncols bounded by remaining bytes above)
-        let mut columns = Vec::with_capacity(ncols);
-        for m in metas {
-            // lint: claim-checked(each size table was bounded by real bytes when parsed)
-            let mut chunks = Vec::with_capacity(m.sizes.len());
-            for &sz in &m.sizes {
-                chunks.push(take(&mut pos, sz)?);
-            }
-            columns.push(CompressedColumn::from_chunks(
-                m.name,
-                m.precision,
-                m.rows,
-                m.chunk_elems,
-                &chunks,
-            ));
-        }
-        if pos != bytes.len() {
-            return Err(Error::Corrupt("trailing bytes in container".into()));
-        }
-        Ok(CompressedTable {
-            codec_name,
-            columns,
-        })
-    }
-
-    /// Write `columns` in the legacy `FCDB1` layout (inline compression
-    /// only, whole container materialized in memory — the behavior
-    /// `FCDB2` replaced). Kept for fixture generation and upgrade tests;
-    /// do not use for new files.
-    pub fn write_container_v1(
-        path: &Path,
-        codec: &dyn Compressor,
-        columns: &[ColumnData],
-        chunk_elems: usize,
-    ) -> Result<()> {
-        assert!(chunk_elems > 0);
-        let codec_name = codec.info().name.as_bytes();
-        if codec_name.len() > 255 {
-            return Err(Error::NameTooLong {
-                len: codec_name.len(),
-            });
-        }
-        let mut header = Vec::new();
-        header.extend_from_slice(MAGIC_V1);
-        header.push(codec_name.len() as u8);
-        header.extend_from_slice(codec_name);
-        header.extend_from_slice(&(columns.len() as u32).to_le_bytes());
-
-        let mut scratch = FloatData::scratch();
-        let mut payload = Vec::new();
-        let mut body: Vec<u8> = Vec::new();
-        for col in columns {
-            let esize = col.precision.bytes();
-            let chunk_bytes = chunk_elems * esize;
-            let nchunks = col.bytes.len().div_ceil(chunk_bytes).max(1);
-
-            let name = col.name.as_bytes();
-            header.push(name.len() as u8);
-            header.extend_from_slice(name);
-            header.push(precision_byte(col.precision));
-            header.extend_from_slice(&(col.rows() as u64).to_le_bytes());
-            header.extend_from_slice(&(chunk_elems as u32).to_le_bytes());
-            header.extend_from_slice(&(nchunks as u32).to_le_bytes());
-
-            let mut sizes: Vec<u64> = Vec::with_capacity(nchunks);
-            for chunk in col.bytes.chunks(chunk_bytes.max(esize)) {
-                let elems = chunk.len() / esize;
-                let desc = DataDesc::new(col.precision, vec![elems], Domain::Database)?;
-                scratch.refill_from_slice(&desc, chunk)?;
-                let n = codec.compress_into(&scratch, &mut payload)?;
-                sizes.push(n as u64);
-                body.extend_from_slice(&payload[..n]);
-            }
-            for s in sizes {
-                header.extend_from_slice(&s.to_le_bytes());
-            }
-        }
-
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&header)?;
-        f.write_all(&body)?;
-        f.sync_all()?;
-        Ok(())
-    }
-}
-
-/// One-shot converter: read the container at `src` (any layout) and write
-/// it at `dst` as a clean single-commit `FCDB2` file, re-framing the
-/// already-compressed chunks without recompressing anything (no codec
-/// needed).
-pub fn upgrade_container(src: &Path, dst: &Path) -> Result<()> {
-    let read = read_container(src)?;
-    write_compressed_table(dst, &read.table)
-}
-
-/// Write an already-compressed table as a single-commit `FCDB2` file.
-fn write_compressed_table(path: &Path, table: &CompressedTable) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut sink = buffered(file);
-    let mut written = write_prologue(&mut sink, &table.codec_name)?;
-    let mut metas = Vec::with_capacity(table.columns.len());
-    for col in &table.columns {
-        if col.name.len() > 255 {
-            return Err(Error::NameTooLong {
-                len: col.name.len(),
-            });
-        }
-        if col.chunk_elems == 0 || col.chunk_elems > u32::MAX as usize {
-            return Err(Error::BadDescriptor(format!(
-                "chunk size {} is outside 1..=u32::MAX elements",
-                col.chunk_elems
-            )));
-        }
-        let nlen = [col.name.len() as u8];
-        let prec = [precision_byte(col.precision)];
-        let ce = (col.chunk_elems as u32).to_le_bytes();
-        written += put_record(
-            &mut sink,
-            TAG_COLUMN,
-            &[&nlen, col.name.as_bytes(), &prec, &ce],
-        )?;
-        let mut meta = ColumnMeta {
-            name: col.name.clone(),
-            precision: col.precision,
-            chunk_elems: col.chunk_elems as u32,
-            rows: 0,
-            chunks: Vec::new(),
-        };
-        let mut remaining = col.rows;
-        for chunk in col.chunks() {
-            let elems = remaining.min(col.chunk_elems);
-            if elems == 0 {
-                return Err(Error::Corrupt("more chunks than rows".into()));
-            }
-            let offset = written;
-            let rec = put_record(
-                &mut sink,
-                TAG_CHUNK,
-                &[&(elems as u32).to_le_bytes(), chunk],
-            )?;
-            meta.chunks.push(ChunkMeta {
-                offset,
-                payload_len: chunk.len() as u64,
-                elems: elems as u32,
-            });
-            meta.rows += elems as u64;
-            written += rec;
-            remaining -= elems;
-        }
-        if remaining != 0 {
-            return Err(Error::Corrupt("chunks do not cover all rows".into()));
-        }
-        metas.push(meta);
-    }
-    let dir = encode_directory(&metas);
-    put_record(&mut sink, TAG_COMMIT, &[&dir])?;
-    sink.write_all(&locator(written))?;
-    sink.flush()?;
-    let file = sink.into_inner().map_err(|e| Error::Io(e.to_string()))?;
-    file.sync_all()?;
-    Ok(())
-}
-
-/// Byte length of a framed record with `body_len` body bytes (exposed for
-/// the crash-recovery tests, which compute framing boundaries).
-pub fn record_len(body_len: u64) -> u64 {
-    RECORD_OVERHEAD + body_len
 }
 
 #[cfg(test)]
@@ -1684,10 +1334,16 @@ mod tests {
         write_container(&path, &StoreCodec, &[ColumnData::from_f64("x", &a)], 32).unwrap();
         let good = std::fs::read(&path).unwrap();
 
-        // Bad magic is an error — there is nothing to recover toward.
-        let mut bad = good.clone();
-        bad[0] = b'Z';
-        assert!(parse_container(&bad).is_err());
+        // Bad magic is an error — there is nothing to recover toward. That
+        // includes the magic of the retired directory-first layout.
+        for magic in [b"ZCD2", b"FCDB"] {
+            let mut bad = good.clone();
+            bad[..4].copy_from_slice(magic);
+            assert!(matches!(
+                parse_container(&bad),
+                Err(Error::Corrupt(m)) if m == "bad container magic"
+            ));
+        }
 
         // Shaving the locator's last byte tears the tail but loses no
         // committed data: the commit record itself still validates.
@@ -1763,37 +1419,6 @@ mod tests {
         assert_eq!(cursor.chunks_remaining(), 0);
         assert!(cursor.next_chunk().unwrap().is_none());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn legacy_v1_files_read_and_upgrade() {
-        let v1 = tmp("legacy-v1");
-        let v2 = tmp("legacy-v2");
-        let a: Vec<f64> = (0..300).map(|i| i as f64 * 1.5).collect();
-        let cols = [ColumnData::from_f64("x", &a)];
-        legacy::write_container_v1(&v1, &StoreCodec, &cols, 128).unwrap();
-
-        let read = read_container(&v1).unwrap();
-        assert_eq!(read.outcome, RecoveryOutcome::Legacy);
-        assert_eq!(
-            read.table.columns[0].decode(&StoreCodec).unwrap().bytes,
-            cols[0].bytes
-        );
-
-        upgrade_container(&v1, &v2).unwrap();
-        let upgraded = read_container(&v2).unwrap();
-        assert!(upgraded.is_clean());
-        assert_eq!(upgraded.table.codec_name, "store");
-        assert_eq!(
-            upgraded.table.columns[0].decode(&StoreCodec).unwrap().bytes,
-            cols[0].bytes
-        );
-        // Same compressed payloads, no recompression.
-        assert!(upgraded.table.columns[0]
-            .chunks()
-            .eq(read.table.columns[0].chunks()));
-        std::fs::remove_file(&v1).ok();
-        std::fs::remove_file(&v2).ok();
     }
 
     /// The columns of the golden image: f64 and f32, each ending in a

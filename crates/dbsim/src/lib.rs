@@ -42,8 +42,8 @@ pub mod metrics {
 
 pub use bench3::{measure_three_primitives, measure_three_primitives_pooled, ThreePrimitives};
 pub use container::{
-    legacy, parse_container, read_container, upgrade_container, write_container,
-    write_container_pooled, ChunkExec, ColumnCursor, ColumnData, CompressedColumn, CompressedTable,
-    ContainerRead, ContainerWriter, RecoveryOutcome,
+    parse_container, read_container, write_container, write_container_pooled, ChunkExec,
+    ColumnCursor, ColumnData, CompressedColumn, CompressedTable, ContainerRead, ContainerWriter,
+    RecoveryOutcome,
 };
 pub use dataframe::{Column, DataFrame};

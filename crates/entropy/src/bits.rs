@@ -20,8 +20,8 @@
 //!   codec) read the stream once and branch on the result.
 //!
 //! The wire layout is exactly the MSB-first layout of the reference
-//! implementation — every FCB1/FCB2/FCB3 stream and FCS1 reply produced
-//! before the rewrite round-trips byte-identically (enforced by the
+//! implementation — every codec payload, and so every FCB3 stream and FCS1
+//! reply carrying one, round-trips byte-identically (enforced by the
 //! differential proptests in `tests/proptests.rs`).
 //!
 //! No `unsafe` anywhere: the unaligned loads/stores are

@@ -10,7 +10,7 @@
 //! `fcbench_core`-style aux-time reporting.
 
 use crate::config::GpuConfig;
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Direction of a modelled copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,10 +38,16 @@ impl TransferLedger {
         Self::default()
     }
 
+    /// The recorded transfers. A poisoned lock is recovered: every update
+    /// is a single push or take, so the list is valid at every step.
+    fn entries(&self) -> MutexGuard<'_, Vec<Transfer>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Model a copy of `bytes` in direction `dir` and record it.
     pub fn record(&self, cfg: &GpuConfig, dir: Dir, bytes: usize) -> f64 {
         let seconds = cfg.transfer_latency_s + bytes as f64 / (cfg.pcie_gbs * 1e9);
-        self.inner.lock().push(Transfer {
+        self.entries().push(Transfer {
             dir,
             bytes,
             seconds,
@@ -51,7 +57,7 @@ impl TransferLedger {
 
     /// Total modelled seconds per direction since the last [`Self::drain`].
     pub fn totals(&self) -> (f64, f64) {
-        let inner = self.inner.lock();
+        let inner = self.entries();
         let h2d = inner
             .iter()
             .filter(|t| t.dir == Dir::HostToDevice)
@@ -67,16 +73,16 @@ impl TransferLedger {
 
     /// Clear and return all recorded transfers.
     pub fn drain(&self) -> Vec<Transfer> {
-        std::mem::take(&mut *self.inner.lock())
+        std::mem::take(&mut *self.entries())
     }
 
     /// Number of recorded transfers.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.entries().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.entries().is_empty()
     }
 }
 

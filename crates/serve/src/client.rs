@@ -20,7 +20,6 @@
 //!   ([`RetryPolicy::default`]); opt in with [`RetryPolicy::retries`].
 
 use crate::protocol::{self, CodecListing};
-use crate::stats::StatsSnapshot;
 use fcbench_core::fault::Rng;
 use fcbench_core::{Error, FloatData, Result};
 use fcbench_telemetry::{Counter, Registry};
@@ -370,16 +369,6 @@ impl Client {
             c.stream.flush()?;
             let body = c.read_reply()?;
             protocol::decode_listings(&body)
-        })
-    }
-
-    /// The server's live counters. Idempotent: retried under the policy.
-    pub fn stats(&mut self) -> Result<StatsSnapshot> {
-        self.retrying(|c| {
-            c.stream.write_all(&[protocol::VERB_STATS])?;
-            c.stream.flush()?;
-            let body = c.read_reply()?;
-            StatsSnapshot::decode(&body)
         })
     }
 

@@ -13,11 +13,11 @@
 //!   `FrameWriter`/`FrameReader` under the shared-pool saturation
 //!   discipline, capped per connection so no client pins every job slot.
 //! - [`Client`] is the matching blocking library.
-//! - [`ServerStats`] (the `STATS` verb) counts bytes, requests, and
-//!   per-codec traffic on the server's telemetry registry — the same
-//!   registry the pool and frame streams record latency histograms
-//!   into, exposed whole over the wire by the `STATS_V2` verb
-//!   ([`Client::stats_v2`] → [`StatsV2`]).
+//! - [`ServerStats`] counts bytes, requests, and per-codec traffic on
+//!   the server's telemetry registry — the same registry the pool and
+//!   frame streams record latency histograms into, exposed whole over
+//!   the wire by the `STATS_V2` verb ([`Client::stats_v2`] →
+//!   [`StatsV2`]).
 //!
 //! Every protocol error — unknown codec, oversized record, malformed
 //! header, truncated stream — fails the *request* with a typed reply; the
@@ -54,8 +54,8 @@
 //! let restored = client.decompress(&compressed).unwrap();
 //! assert_eq!(restored.bytes(), data.bytes());
 //!
-//! let stats = client.stats().unwrap();
-//! assert_eq!(stats.requests_ok, 2);
+//! let stats = client.stats_v2().unwrap();
+//! assert_eq!(stats.counter("serve.requests.ok"), Some(2));
 //! drop(client);
 //! running.shutdown().unwrap();
 //! ```

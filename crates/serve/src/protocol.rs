@@ -16,7 +16,7 @@
 //!   2 DECOMPRESS   u64 stream len, then an FCB3 stream (self-describing:
 //!                  its prologue names the codec, shape, and block size)
 //!   3 LIST_CODECS  (no payload)
-//!   4 STATS        (no payload)
+//!   4              reserved (refused as an unknown verb)
 //!   5 STATS_V2     (no payload)
 //!
 //! descriptor       u8 precision (0 single / 1 double), u8 domain (0..=3),
@@ -27,8 +27,6 @@
 //!   DECOMPRESS ok  descriptor, then the raw element bytes
 //!   LIST_CODECS ok u16 count, per codec: u8 name len + name + u8 flags
 //!                  (bit 0 thread-scalable, bit 1 block-capable)
-//!   STATS ok       6 x u64 counters + u16 count + per codec
-//!                  (u8 name len + name + u64 requests)
 //!   STATS_V2 ok    the server's full telemetry registry snapshot:
 //!                  u16 counter count + (u16 name len + name + u64) each,
 //!                  u16 gauge count   + (u16 name len + name + u64) each,
@@ -66,7 +64,8 @@ pub const VERSION: u16 = 1;
 pub const VERB_COMPRESS: u8 = 1;
 pub const VERB_DECOMPRESS: u8 = 2;
 pub const VERB_LIST_CODECS: u8 = 3;
-pub const VERB_STATS: u8 = 4;
+// Verb 4 is reserved (an earlier stats verb used it, so it is never
+// reassigned) and is refused like any unknown verb.
 pub const VERB_STATS_V2: u8 = 5;
 
 /// Reply status codes. `0` is success; everything else maps onto a

@@ -109,7 +109,6 @@ struct ServeMetrics {
     req_compress: Histogram,
     req_decompress: Histogram,
     req_list_codecs: Histogram,
-    req_stats: Histogram,
     req_stats_v2: Histogram,
     /// Served-request wall time by codec (`serve.request.codec.<name>`),
     /// recorded when the reply body is ready.
@@ -142,7 +141,6 @@ impl ServeMetrics {
             req_compress: registry.histogram("serve.request.compress"),
             req_decompress: registry.histogram("serve.request.decompress"),
             req_list_codecs: registry.histogram("serve.request.list_codecs"),
-            req_stats: registry.histogram("serve.request.stats"),
             req_stats_v2: registry.histogram("serve.request.stats_v2"),
             req_codec: registry.histogram_family("serve.request.codec"),
             phase_decode: registry.histogram("serve.phase.decode"),
@@ -163,7 +161,6 @@ impl ServeMetrics {
             protocol::VERB_COMPRESS => Some(&self.req_compress),
             protocol::VERB_DECOMPRESS => Some(&self.req_decompress),
             protocol::VERB_LIST_CODECS => Some(&self.req_list_codecs),
-            protocol::VERB_STATS => Some(&self.req_stats),
             protocol::VERB_STATS_V2 => Some(&self.req_stats_v2),
             _ => None,
         }
@@ -673,7 +670,6 @@ fn serve_connection(stream: &TcpStream, shared: &Shared) -> Result<()> {
             protocol::VERB_COMPRESS => handle_compress(&mut conn, shared, started),
             protocol::VERB_DECOMPRESS => handle_decompress(&mut conn, shared, started),
             protocol::VERB_LIST_CODECS => handle_list_codecs(&mut conn, shared),
-            protocol::VERB_STATS => handle_stats(&mut conn, shared),
             protocol::VERB_STATS_V2 => handle_stats_v2(&mut conn, shared),
             other => fail_close(
                 &mut conn,
@@ -1014,22 +1010,11 @@ fn handle_list_codecs(conn: &mut Conn<'_>, shared: &Shared) -> Result<Flow> {
     Ok(Flow::Continue)
 }
 
-fn handle_stats(conn: &mut Conn<'_>, shared: &Shared) -> Result<Flow> {
-    // Snapshot first so a STATS reply never counts itself, then count
-    // before replying like every other verb.
-    let body = match shared.stats.snapshot().encode() {
-        Ok(b) => b,
-        Err(e) => return fail_continue(conn, &e),
-    };
-    conn.count_ok();
-    protocol::write_ok_reply(conn, &body)?;
-    Ok(Flow::Continue)
-}
-
 fn handle_stats_v2(conn: &mut Conn<'_>, shared: &Shared) -> Result<Flow> {
-    // Snapshot-then-count, like STATS: a STATS_V2 reply never counts
-    // itself. The body carries the whole registry — pool, frame-stream,
-    // and serve metrics, with sparse histogram buckets.
+    // Snapshot first so a STATS_V2 reply never counts itself, then count
+    // before replying like every other verb. The body carries the whole
+    // registry — pool, frame-stream, and serve metrics, with sparse
+    // histogram buckets.
     let body = match protocol::encode_stats_v2(&shared.metrics.registry.snapshot()) {
         Ok(b) => b,
         Err(e) => return fail_continue(conn, &e),

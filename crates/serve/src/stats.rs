@@ -1,14 +1,14 @@
-//! Serving counters surfaced by the `STATS` verb.
+//! The serving counters every connection handler updates.
 //!
-//! Since the telemetry spine landed, [`ServerStats`] is a *view* over
-//! pre-resolved handles on the server's [`Registry`] — the same registry
-//! the pool and frame streams record into — rather than a second,
-//! parallel set of atomics. The `STATS` v1 wire reply is byte-identical
-//! to what the plain-atomics version produced; `STATS_V2` exposes the
-//! whole registry (see [`protocol::encode_stats_v2`](crate::protocol)).
+//! [`ServerStats`] is a *view* over pre-resolved handles on the server's
+//! [`Registry`] — the same registry the pool and frame streams record
+//! into — rather than a second, parallel set of atomics. On the wire the
+//! counters travel with everything else in that registry, over `STATS_V2`
+//! (see [`protocol::encode_stats_v2`](crate::protocol)); in process,
+//! [`RunningServer::stats`](crate::RunningServer::stats) reads them as a
+//! [`StatsSnapshot`].
 
-use crate::protocol::{decode_name, encode_name, read_u16, read_u64};
-use fcbench_core::{CodecRegistry, Error, Result};
+use fcbench_core::CodecRegistry;
 use fcbench_telemetry::{Counter, Gauge, GaugeGuard, Registry};
 
 /// Pre-resolved serving handles, updated lock-free by every connection
@@ -104,8 +104,8 @@ impl ServerStats {
     }
 }
 
-/// What `STATS` reports: totals plus per-codec request counts in
-/// registration order.
+/// A point-in-time copy of the serving counters: totals plus per-codec
+/// request counts in registration order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsSnapshot {
     pub bytes_in: u64,
@@ -120,65 +120,11 @@ pub struct StatsSnapshot {
     pub per_codec: Vec<(String, u64)>,
 }
 
-impl StatsSnapshot {
-    /// Encode as a `STATS` reply body. Errors (`NameTooLong`) rather than
-    /// silently truncating a codec name the client would decode differently.
-    pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut body = Vec::new();
-        for v in [
-            self.bytes_in,
-            self.bytes_out,
-            self.requests_ok,
-            self.requests_failed,
-            self.connections_accepted,
-            self.connections_active,
-        ] {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
-        body.extend_from_slice(&(self.per_codec.len().min(u16::MAX as usize) as u16).to_le_bytes());
-        for (name, count) in self.per_codec.iter().take(u16::MAX as usize) {
-            encode_name(name, &mut body)?;
-            body.extend_from_slice(&count.to_le_bytes());
-        }
-        Ok(body)
-    }
-
-    /// Decode a `STATS` reply body.
-    pub fn decode(body: &[u8]) -> Result<Self> {
-        let mut src = body;
-        let bytes_in = read_u64(&mut src)?;
-        let bytes_out = read_u64(&mut src)?;
-        let requests_ok = read_u64(&mut src)?;
-        let requests_failed = read_u64(&mut src)?;
-        let connections_accepted = read_u64(&mut src)?;
-        let connections_active = read_u64(&mut src)?;
-        let count = usize::from(read_u16(&mut src)?);
-        // lint: claim-checked(count is u16-bounded, at most 65535 small rows)
-        let mut per_codec = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = decode_name(&mut src)?;
-            per_codec.push((name, read_u64(&mut src)?));
-        }
-        if !src.is_empty() {
-            return Err(Error::Corrupt("trailing bytes after stats body".into()));
-        }
-        Ok(StatsSnapshot {
-            bytes_in,
-            bytes_out,
-            requests_ok,
-            requests_failed,
-            connections_accepted,
-            connections_active,
-            per_codec,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fcbench_core::codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport};
-    use fcbench_core::{Compressor, DataDesc, FloatData};
+    use fcbench_core::{Compressor, DataDesc, FloatData, Result};
     use std::sync::Arc;
 
     struct Fake(&'static str);
@@ -248,44 +194,5 @@ mod tests {
         }
         assert_eq!(stats.snapshot().connections_active, 0);
         assert_eq!(stats.snapshot().connections_accepted, 2);
-    }
-
-    #[test]
-    fn snapshot_round_trips_on_the_wire() {
-        let snap = StatsSnapshot {
-            bytes_in: 1,
-            bytes_out: 2,
-            requests_ok: 3,
-            requests_failed: 4,
-            connections_accepted: 5,
-            connections_active: 6,
-            per_codec: vec![("gorilla".into(), 7), ("chimp128".into(), 0)],
-        };
-        let wire = snap.encode().unwrap();
-        assert_eq!(StatsSnapshot::decode(&wire).unwrap(), snap);
-        assert!(StatsSnapshot::decode(&wire[..10]).is_err());
-    }
-
-    #[test]
-    fn v1_wire_reply_is_byte_identical_to_the_pre_telemetry_layout() {
-        // The v1 body is a fixed hand-computable layout: 6 u64 counters,
-        // u16 codec count, then (u8 len + name + u64) per codec. Pin it so
-        // the registry migration can never drift the wire.
-        let registry = CodecRegistry::new().with(Fake("ab"));
-        let metrics = Arc::new(Registry::new());
-        let stats = ServerStats::new(&registry, &metrics);
-        stats.add_bytes_in(7);
-        stats.request_ok();
-        stats.count_codec("ab");
-        let wire = stats.snapshot().encode().unwrap();
-        let mut expect = Vec::new();
-        for v in [7u64, 0, 1, 0, 0, 0] {
-            expect.extend_from_slice(&v.to_le_bytes());
-        }
-        expect.extend_from_slice(&1u16.to_le_bytes());
-        expect.push(2);
-        expect.extend_from_slice(b"ab");
-        expect.extend_from_slice(&1u64.to_le_bytes());
-        assert_eq!(wire, expect);
     }
 }

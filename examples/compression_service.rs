@@ -89,26 +89,29 @@ fn main() {
         .expect_err("unknown codec must fail");
     println!("\nunknown codec reply: {err}");
 
-    let stats = admin.stats().expect("STATS");
-    println!(
-        "\nSTATS: {} ok / {} failed requests over {} connections \
-         ({} bytes in, {} bytes out)",
-        stats.requests_ok,
-        stats.requests_failed,
-        stats.connections_accepted,
-        stats.bytes_in,
-        stats.bytes_out
-    );
-    for (name, count) in stats.per_codec.iter().filter(|(_, c)| *c > 0) {
-        println!("  {name:<16} {count} requests");
-    }
-    assert!(stats.requests_ok >= 17); // 8x(compress+decompress) + list
-    assert!(stats.requests_failed >= 1);
-
-    // STATS_V2: the whole telemetry registry over the wire — serve verbs,
-    // frame-stream occupancy, and pool latency in one mergeable snapshot.
-    // The client takes its own quantiles from the sparse bucket rows.
+    // STATS_V2: the whole telemetry registry over the wire — serving
+    // counters, frame-stream occupancy, and pool latency in one mergeable
+    // snapshot.
     let v2 = admin.stats_v2().expect("STATS_V2");
+    let count = |name: &str| v2.counter(name).unwrap_or(0);
+    println!(
+        "\nSTATS_V2: {} ok / {} failed requests over {} connections \
+         ({} bytes in, {} bytes out)",
+        count("serve.requests.ok"),
+        count("serve.requests.failed"),
+        count("serve.connections.accepted"),
+        count("serve.bytes.in"),
+        count("serve.bytes.out")
+    );
+    for (name, n) in v2.counters.iter().filter(|(_, n)| *n > 0) {
+        if let Some(codec) = name.strip_prefix("serve.requests.codec.") {
+            println!("  {codec:<16} {n} requests");
+        }
+    }
+    assert!(count("serve.requests.ok") >= 17); // 8x(compress+decompress) + list
+    assert!(count("serve.requests.failed") >= 1);
+
+    // The client takes its own quantiles from the sparse bucket rows.
     println!("\nSTATS_V2 latency (client-side quantiles, µs):");
     println!(
         "{:<26} {:>8} {:>10} {:>10}",

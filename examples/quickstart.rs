@@ -2,14 +2,14 @@
 //! series losslessly through the zero-copy `_into` API, inspect the ratio,
 //! decompress, verify bit-exactness — then run the same data through the
 //! block-parallel pipeline (backed by the persistent worker-pool engine)
-//! and its chunked `FCB2` frame, and finally stream it chunk-by-chunk
-//! through the `FCB3` `FrameWriter`/`FrameReader` pair.
+//! and its self-describing `FCB3` frame, and finally stream the same frame
+//! chunk-by-chunk through the `FrameWriter`/`FrameReader` pair.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use fcbench::core::{frame, Domain, FloatData, Pipeline};
+use fcbench::core::{Domain, FloatData, Pipeline};
 use fcbench_bench::codecs::paper_registry;
 
 fn main() {
@@ -62,19 +62,21 @@ fn main() {
     }
 
     // Self-describing frames carry codec + shape, so a reader needs no
-    // out-of-band metadata.
-    let gorilla = registry.get("gorilla").expect("registered codec");
-    let framed = frame::compress_framed(&gorilla, &data).expect("frame");
-    let back = frame::decompress_framed(&gorilla, &framed).expect("unframe");
+    // out-of-band metadata. A single-shot frame is a one-block stream.
+    let gorilla = Pipeline::new(&registry, "gorilla")
+        .expect("registered codec")
+        .block_elems(values.len());
+    let framed = gorilla.compress(&data).expect("frame");
+    let back = gorilla.decompress(&framed).expect("unframe");
     assert_eq!(back.bytes(), data.bytes());
     println!(
-        "\nframed stream: {} bytes (self-describing FCB1 container)",
+        "\nframed stream: {} bytes (self-describing FCB3 frame, one block)",
         framed.len()
     );
 
     // The pipeline splits the stream into fixed-size blocks and submits
     // them to a persistent worker pool (spawned once, on the first call;
-    // later calls reuse the warm workers), emitting the chunked FCB2 frame.
+    // later calls reuse the warm workers), emitting one record per block.
     let threads = fcbench::core::PoolConfig::for_host().threads.min(8);
     let pipeline = Pipeline::new(&registry, "chimp128")
         .expect("registered codec")
@@ -99,13 +101,13 @@ fn main() {
     assert_eq!(back.bytes(), data.bytes());
     println!(
         "pipeline (chimp128, 16Ki-element blocks, {threads} pool workers): \
-         {} bytes FCB2 frame; cold call {:.1} ms, warm call {:.1} ms",
+         {} bytes FCB3 frame; cold call {:.1} ms, warm call {:.1} ms",
         chunked.len(),
         cold.as_secs_f64() * 1e3,
         warm.as_secs_f64() * 1e3
     );
 
-    // Streaming: the same engine drives FCB3 frame I/O chunk-by-chunk, so
+    // Streaming: the same engine writes the same frame chunk-by-chunk, so
     // neither the raw data nor the compressed frame is ever fully resident
     // (here the "file" is just a Vec for demonstration).
     let mut writer = pipeline
@@ -115,6 +117,7 @@ fn main() {
         writer.write(chunk).expect("stream write");
     }
     let stored = writer.finish().expect("finish stream");
+    assert_eq!(stored, chunked, "one frame format, however it is written");
     let mut reader = pipeline.frame_reader(&stored[..]).expect("frame reader");
     let mut restored = Vec::new();
     while let Some(block) = reader.next_block().expect("stream read") {

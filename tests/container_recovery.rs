@@ -10,8 +10,7 @@ use fcbench::core::stream::{crc32, put_record, take_record};
 use fcbench::core::{Compressor, Precision};
 use fcbench::cpu::Gorilla;
 use fcbench::dbsim::{
-    legacy, parse_container, read_container, upgrade_container, ChunkExec, ColumnData,
-    ContainerWriter, RecoveryOutcome,
+    parse_container, read_container, ChunkExec, ColumnData, ContainerWriter, RecoveryOutcome,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -414,37 +413,4 @@ fn concurrent_pooled_readers_share_one_engine() {
             });
         }
     });
-}
-
-/// The v1 layout still reads (flagged `Legacy`) and upgrades in place to
-/// a clean v2 container with identical chunk bytes.
-#[test]
-fn legacy_containers_read_and_upgrade() {
-    let tmp = std::env::temp_dir();
-    let v1 = tmp.join(format!("fcbench-rec-v1-{}", std::process::id()));
-    let v2 = tmp.join(format!("fcbench-rec-v2-{}", std::process::id()));
-    let cols = vec![column("w", 300, 0.5)];
-    let codec = Gorilla::new();
-    legacy::write_container_v1(&v1, &codec, &cols, 64).expect("v1 write");
-
-    let old = read_container(&v1).expect("v1 read");
-    assert_eq!(old.outcome, RecoveryOutcome::Legacy);
-    assert!(!old.is_clean());
-
-    upgrade_container(&v1, &v2).expect("upgrade");
-    let new = read_container(&v2).expect("v2 read");
-    assert_eq!(new.outcome, RecoveryOutcome::Clean);
-    assert_eq!(new.table.codec_name, old.table.codec_name);
-    for (a, b) in old.table.columns.iter().zip(new.table.columns.iter()) {
-        assert!(
-            a.chunks().eq(b.chunks()),
-            "upgrade re-frames without recoding"
-        );
-        assert_eq!(
-            a.decode(&codec).expect("decode").bytes,
-            b.decode(&codec).expect("decode").bytes
-        );
-    }
-    std::fs::remove_file(&v1).ok();
-    std::fs::remove_file(&v2).ok();
 }

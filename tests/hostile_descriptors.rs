@@ -1,7 +1,7 @@
 //! Codec-level hostile-descriptor hardening: a descriptor claiming
 //! petabytes of output paired with a tiny payload must be rejected by
 //! `decompress_into` **before** anything is reserved against the claim —
-//! on the direct codec path (what a hostile `FCB1` frame or runner cell
+//! on the direct codec path (what a runner cell or any other direct caller
 //! hands over), through the worker pool, and through the framed decoder.
 //! If any codec reserved first, these cases would abort the process on the
 //! failed multi-terabyte allocation instead of returning a typed error.

@@ -4,7 +4,7 @@
 //! length) and worker-thread counts — with IEEE-754 landmines (NaN
 //! payloads, signed zeros, subnormals, infinities) in the stream.
 
-use fcbench::core::frame::decode_chunked_frame;
+use fcbench::core::frame::decode_stream_header;
 use fcbench::core::{Domain, FloatData, Pipeline};
 use fcbench_bench::codecs::paper_registry;
 
@@ -94,12 +94,14 @@ fn pipeline_sweep_every_codec_succeeds_on_decimal_telemetry() {
                 .compress(&data)
                 .unwrap_or_else(|e| panic!("{} must accept decimals: {e}", entry.name()));
 
-            // The FCB2 frame is self-describing and names the codec.
-            let decoded = decode_chunked_frame(&frame).expect("valid FCB2");
-            assert_eq!(decoded.codec, entry.name());
-            assert_eq!(&decoded.desc, data.desc());
-            assert_eq!(decoded.block_elems, 64);
-            assert_eq!(decoded.payloads.len(), LEN.div_ceil(64));
+            // The frame is self-describing and names the codec.
+            let (codec, desc, block_elems) =
+                decode_stream_header(&mut &frame[..]).expect("valid prologue");
+            assert_eq!(codec, entry.name());
+            assert_eq!(&desc, data.desc());
+            assert_eq!(block_elems, 64);
+            let reader = p.frame_reader(&frame[..]).expect("valid frame");
+            assert_eq!(reader.blocks_total(), LEN.div_ceil(64));
 
             let back = p.decompress(&frame).expect("decompress");
             assert_eq!(back.bytes(), data.bytes(), "{}", entry.name());

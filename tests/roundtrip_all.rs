@@ -1,7 +1,8 @@
 //! Cross-crate integration: every codec round-trips every domain's data
 //! bit-exactly, through both raw payloads and self-describing frames.
 
-use fcbench::core::{frame, Compressor, Domain, FloatData};
+use fcbench::core::frame::decode_stream_header;
+use fcbench::core::{Compressor, Domain, FloatData, Pipeline};
 use fcbench::datasets::{catalog, generate};
 
 /// All 14 paper methods, consumed through the shared registry.
@@ -59,13 +60,17 @@ fn every_codec_round_trips_every_domain() {
 #[test]
 fn framed_streams_are_self_describing() {
     let datasets = sample_datasets();
-    for codec in all_codecs() {
+    for codec in fcbench_bench::codecs::paper_registry().codecs() {
         let data = &datasets[0];
-        let framed = frame::compress_framed(codec.as_ref(), data).expect("frame");
-        let decoded = frame::decode_frame(&framed).expect("decode frame");
-        assert_eq!(decoded.codec, codec.info().name);
-        assert_eq!(&decoded.desc, data.desc());
-        let back = frame::decompress_framed(codec.as_ref(), &framed).expect("unframe");
+        // A single-shot frame: the whole dataset as one block.
+        let single = Pipeline::with_codec(codec.clone()).block_elems(data.elements());
+        let framed = single.compress(data).expect("frame");
+        let (name, desc, block_elems) =
+            decode_stream_header(&mut &framed[..]).expect("decode prologue");
+        assert_eq!(name, codec.info().name);
+        assert_eq!(&desc, data.desc());
+        assert_eq!(block_elems, data.elements());
+        let back = single.decompress(&framed).expect("unframe");
         assert_eq!(back.bytes(), data.bytes());
     }
 }
@@ -76,8 +81,10 @@ fn wrong_codec_refuses_foreign_frames() {
     let registry = fcbench_bench::codecs::paper_registry();
     let gorilla = registry.get("gorilla").expect("registered");
     let chimp = registry.get("chimp128").expect("registered");
-    let framed = frame::compress_framed(&gorilla, &data).expect("frame");
-    assert!(frame::decompress_framed(&chimp, &framed).is_err());
+    let framed = Pipeline::with_codec(gorilla)
+        .compress(&data)
+        .expect("frame");
+    assert!(Pipeline::with_codec(chimp).decompress(&framed).is_err());
 }
 
 #[test]

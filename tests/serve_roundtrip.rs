@@ -146,6 +146,20 @@ fn hostile_inputs_fail_the_request_not_the_server() {
         assert!(matches!(err, Error::Corrupt(_)), "got {err:?}");
     }
 
+    // 1b. An unknown verb — including 4, reserved since the fixed-layout
+    //     counters reply was retired for STATS_V2: a typed protocol error,
+    //     that connection only.
+    for verb in [4u8, 0xEE] {
+        let mut client = Client::connect(addr).expect("connect");
+        let err = client
+            .send_raw(&[verb])
+            .expect_err("unknown verb must fail");
+        assert!(
+            matches!(&err, Error::Corrupt(m) if m.contains("unknown request verb")),
+            "got {err:?}"
+        );
+    }
+
     // 2. Unknown codec: the typed registry error crosses the wire with the
     //    available-name listing, and the SAME connection keeps serving.
     {
@@ -261,13 +275,10 @@ fn hostile_inputs_fail_the_request_not_the_server() {
     let mut client = Client::connect(addr).expect("connect");
     let restored = client.roundtrip("gorilla", &data, 64).expect("roundtrip");
     assert_eq!(restored.bytes(), data.bytes());
-    let stats = client.stats().expect("stats");
-    assert!(
-        stats.requests_failed >= 6,
-        "failed requests counted: {}",
-        stats.requests_failed
-    );
-    assert!(stats.requests_ok >= 8);
+    let stats = client.stats_v2().expect("stats");
+    let failed = stats.counter("serve.requests.failed").unwrap_or(0);
+    assert!(failed >= 8, "failed requests counted: {failed}");
+    assert!(stats.counter("serve.requests.ok").unwrap_or(0) >= 8);
     drop(client);
     running.shutdown().expect("graceful shutdown");
 }
@@ -409,18 +420,20 @@ fn stats_v2_carries_layered_latency_histograms_over_the_wire() {
         let restored = client.roundtrip("gorilla", &data, 64).expect("roundtrip");
         assert_eq!(restored.bytes(), data.bytes());
     }
-    let v1 = client.stats().expect("stats v1");
     let v2 = client.stats_v2().expect("stats v2");
 
-    // The v1 counters and the registry view are the same numbers — one
-    // metrics system, two wire forms. (STATS ran before STATS_V2, so the
-    // ok-count v2 reports includes the STATS request itself.)
-    assert_eq!(v2.counter("serve.requests.ok"), Some(v1.requests_ok + 1));
-    assert_eq!(
-        v2.counter("serve.requests.codec.gorilla"),
-        Some(v1.per_codec.iter().find(|(n, _)| n == "gorilla").unwrap().1)
-    );
+    // The serving counters ride the registry body, and agree with the
+    // in-process view of the same handles. (The snapshot is taken before
+    // the STATS_V2 request counts itself.)
+    assert_eq!(v2.counter("serve.requests.ok"), Some(8));
+    assert_eq!(v2.counter("serve.requests.codec.gorilla"), Some(8));
     assert_eq!(v2.gauge("serve.connections.active"), Some(1));
+    let local = running.stats();
+    assert_eq!(
+        local.requests_ok, 9,
+        "the STATS_V2 request has counted by now"
+    );
+    assert_eq!(local.requests_failed, 0);
 
     // Serve-layer latency histograms crossed the wire with usable
     // quantiles: 4 compress + 4 decompress requests were timed.
