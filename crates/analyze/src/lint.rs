@@ -3,7 +3,7 @@
 //!
 //! | Rule | Meaning |
 //! |---|---|
-//! | `R001` no-panic | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the production crates (`core`, `serve`, `dbsim`, `entropy`, `telemetry`) |
+//! | `R001` no-panic | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the production crates (`core`, `serve`, `dbsim`, `entropy`, `telemetry`) and of the codec chunk scaffold (`codecs-cpu/src/common.rs`) |
 //! | `R002` claim-gate | no capacity reservation (`with_capacity`, `reserve`, `vec![x; n]`) in decode-like functions of the wire/container modules unless the function also calls a claim gate, or the site carries a `// lint: claim-checked(reason)` waiver |
 //! | `R003` wire-cast | no truncating `as` cast on a line that decodes wire integers in `protocol.rs`/`stream.rs`/`container.rs`, unless waived with `// lint: cast-checked(reason)` |
 //! | `R004` forbid-unsafe | every non-compat crate root carries `#![forbid(unsafe_code)]` (the `bench` crate is exempt: its tracking allocator implements `GlobalAlloc`) |
@@ -23,14 +23,20 @@ use std::path::{Path, PathBuf};
 /// Crates whose non-test code must be panic-free (R001).
 const PANIC_FREE_CRATES: &[&str] = &["core", "serve", "dbsim", "entropy", "telemetry"];
 
+/// Single files held to R001 ahead of their crate: the chunk scaffold every
+/// chunk-parallel decoder's first contact with untrusted bytes goes through.
+const PANIC_FREE_FILES: &[&str] = &["crates/codecs-cpu/src/common.rs"];
+
 /// Files whose decode-like functions must gate reservations (R002).
 const CLAIM_GATE_FILES: &[&str] = &[
     "crates/core/src/frame.rs",
     "crates/core/src/stream.rs",
     "crates/core/src/blocks.rs",
     "crates/core/src/fault.rs",
+    "crates/core/src/wire.rs",
     "crates/serve/src/protocol.rs",
     "crates/dbsim/src/container.rs",
+    "crates/codecs-cpu/src/common.rs",
     "crates/codecs-cpu/src/predictor.rs",
 ];
 
@@ -205,9 +211,10 @@ pub fn lint_file(rel: &str, s: &Scrubbed, findings: &mut Vec<Finding>) {
 }
 
 fn in_panic_free_crate(rel: &str) -> bool {
-    PANIC_FREE_CRATES
-        .iter()
-        .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
+    PANIC_FREE_FILES.contains(&rel)
+        || PANIC_FREE_CRATES
+            .iter()
+            .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
 }
 
 /// R001: panics in non-test production code.

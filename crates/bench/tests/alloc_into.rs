@@ -38,6 +38,37 @@ fn main() {
     println!("test streaming_container_writer_memory_stays_bounded ... ok");
     telemetry_records_and_warm_snapshots_do_not_allocate();
     println!("test telemetry_records_and_warm_snapshots_do_not_allocate ... ok");
+    bitshuffle_block_claims_are_bounded_by_the_descriptor();
+    println!("test bitshuffle_block_claims_are_bounded_by_the_descriptor ... ok");
+}
+
+/// A bitshuffle block carries its own raw length, and that length sizes the
+/// block's decode buffer. It is held to the bytes the descriptor still has
+/// left, so a 4 GiB claim in a few-byte block is a typed error that
+/// allocates next to nothing — not one 4 GiB reservation per block.
+fn bitshuffle_block_claims_are_bounded_by_the_descriptor() {
+    alloc_track::mark_installed();
+    let registry = paper_registry();
+    let data = telemetry(20_000); // 160 KB: three 64 KiB blocks
+    for name in ["bitshuffle-lz4", "bitshuffle-zstd"] {
+        let codec = registry.get(name).expect("registered codec");
+        let mut payload = Vec::new();
+        codec.compress_into(&data, &mut payload).expect("compress");
+        assert_eq!(payload[..4], 3u32.to_le_bytes(), "{name}: block count");
+        // `u32 nblocks | 3 x u32 size`, then the first block's raw length.
+        payload[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut out = FloatData::scratch();
+        let (peak, result) =
+            alloc_track::measure_peak(|| codec.decompress_into(&payload, data.desc(), &mut out));
+        assert!(
+            result.is_err(),
+            "{name}: a 4 GiB block claim must be rejected"
+        );
+        assert!(
+            peak < 2 * data.desc().byte_len(),
+            "{name}: a hostile block claim peaked at {peak} bytes"
+        );
+    }
 }
 
 /// The telemetry spine's overhead contract: recording through a

@@ -17,15 +17,13 @@
 //! Payload: `u32 nblocks | per-block u32 compressed size | blocks`, each
 //! block `u32 raw length | backend stream`.
 
-use crate::common::{push_u32, read_u32};
+use crate::common::{code_chunks, fan_out};
+use fcbench_core::wire::Cursor;
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
     PrecisionSupport, Result,
 };
 use fcbench_entropy::{lz4, lz77::Lz77Config, zzip};
-
-/// Reference bitshuffle's L1-cache-sized block (§3.7).
-pub const L1_BLOCK_BYTES: usize = 4096;
 
 /// Default block size in bytes — the paper's evaluation block (64 KB).
 pub const DEFAULT_BLOCK_BYTES: usize = 64 * 1024;
@@ -74,10 +72,6 @@ impl Bitshuffle {
             block_bytes,
             threads: threads.max(1),
         }
-    }
-
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 }
 
@@ -317,7 +311,8 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-fn compress_one(block: &[u8], elem_size: usize, backend: Backend) -> Vec<u8> {
+/// Append one block: `u32 raw length | backend stream`.
+fn compress_one(block: &[u8], elem_size: usize, backend: Backend, out: &mut Vec<u8>) {
     SHUFFLE_SCRATCH.with_borrow_mut(|shuffled| {
         shuffle_block_into(block, elem_size, shuffled);
         let body = match backend {
@@ -335,19 +330,19 @@ fn compress_one(block: &[u8], elem_size: usize, backend: Backend) -> Vec<u8> {
                 )
             }
         };
-        let mut out = Vec::with_capacity(4 + body.len());
-        push_u32(&mut out, block.len() as u32);
+        out.reserve(4 + body.len());
+        out.extend_from_slice(&(block.len() as u32).to_le_bytes());
         out.extend_from_slice(&body);
-        out
     })
 }
 
-fn decompress_one(payload: &[u8], elem_size: usize, backend: Backend) -> Result<Vec<u8>> {
-    let mut pos = 0usize;
-    let raw_len = read_u32(payload, &mut pos)
-        .ok_or_else(|| Error::Corrupt("bitshuffle: missing block length".into()))?
-        as usize;
-    let body = &payload[pos..];
+/// Decode one block's backend stream to exactly `raw_len` bytes.
+fn decompress_one(
+    body: &[u8],
+    raw_len: usize,
+    elem_size: usize,
+    backend: Backend,
+) -> Result<Vec<u8>> {
     let shuffled = match backend {
         Backend::Lz4 => {
             lz4::decompress(body, raw_len).map_err(|e| Error::Corrupt(e.to_string()))?
@@ -383,44 +378,11 @@ impl Compressor for Bitshuffle {
         let elem_size = data.desc().precision.bytes();
         let bytes = data.bytes();
         let blocks: Vec<&[u8]> = bytes.chunks(self.block_bytes).collect();
-        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); blocks.len()];
-
-        // Distribute blocks round-robin over `threads` workers. A single
-        // worker runs inline: the per-block payloads don't depend on the
-        // worker count, and a spawn costs more than a small input.
-        let nworkers = self.threads.min(blocks.len()).max(1);
-        if nworkers == 1 {
-            for (slot, block) in payloads.iter_mut().zip(&blocks) {
-                *slot = compress_one(block, elem_size, self.backend);
-            }
-        } else {
-            std::thread::scope(|s| {
-                // Split payload slots into per-worker strided views via chunks:
-                // simplest safe partition is contiguous ranges.
-                let per = payloads.len().div_ceil(nworkers);
-                for (wi, slot_chunk) in payloads.chunks_mut(per).enumerate() {
-                    let start = wi * per;
-                    let blocks = &blocks;
-                    let backend = self.backend;
-                    s.spawn(move || {
-                        for (k, slot) in slot_chunk.iter_mut().enumerate() {
-                            *slot = compress_one(blocks[start + k], elem_size, backend);
-                        }
-                    });
-                }
-            });
-        }
-
-        let total: usize = payloads.iter().map(|p| p.len()).sum();
         out.clear();
-        out.reserve(8 + 4 * payloads.len() + total);
-        push_u32(out, payloads.len() as u32);
-        for p in &payloads {
-            push_u32(out, p.len() as u32);
-        }
-        for p in &payloads {
-            out.extend_from_slice(p);
-        }
+        out.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+        code_chunks(out, blocks.len(), bytes.len(), self.threads, |k, out| {
+            compress_one(blocks[k], elem_size, self.backend, out)
+        })?;
         Ok(out.len())
     }
 
@@ -429,66 +391,45 @@ impl Compressor for Bitshuffle {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let mut pos = 0usize;
-        let nblocks = read_u32(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("bitshuffle: missing block count".into()))?
-            as usize;
+        let mut cur = Cursor::new("bitshuffle", payload);
+        let nblocks = cur.len32("block count")?;
         if nblocks > desc.byte_len().max(1) {
-            return Err(Error::Corrupt("bitshuffle: absurd block count".into()));
+            return Err(cur.corrupt("absurd block count"));
         }
-        let mut sizes = Vec::with_capacity(nblocks);
-        for _ in 0..nblocks {
-            sizes.push(
-                read_u32(payload, &mut pos)
-                    .ok_or_else(|| Error::Corrupt("bitshuffle: directory truncated".into()))?
-                    as usize,
-            );
+        let blocks = cur.take_chunks(nblocks)?;
+
+        // A block's stored raw length sizes its decode buffer, so it is held
+        // to the bytes the descriptor still has left — whatever block size
+        // the stream was written with.
+        let mut left = desc.byte_len();
+        let mut slots = Vec::with_capacity(nblocks);
+        for block in blocks {
+            let mut block = Cursor::new("bitshuffle", block);
+            let raw_len = block.len32("block length")?;
+            let Some(after) = left.checked_sub(raw_len) else {
+                return Err(cur.corrupt("block claims more bytes than the descriptor has left"));
+            };
+            left = after;
+            slots.push((block.rest(), raw_len, Ok(Vec::new())));
         }
-        let mut slices = Vec::with_capacity(nblocks);
-        for &sz in &sizes {
-            let s = payload
-                .get(pos..pos + sz)
-                .ok_or_else(|| Error::Corrupt("bitshuffle: block truncated".into()))?;
-            slices.push(s);
-            pos += sz;
+        if left != 0 {
+            return Err(cur.corrupt("blocks do not cover the descriptor"));
         }
-        if pos != payload.len() {
-            return Err(Error::Corrupt("bitshuffle: trailing bytes".into()));
-        }
+        cur.finish()?;
 
         let elem_size = desc.precision.bytes();
-        let mut results: Vec<Result<Vec<u8>>> = Vec::with_capacity(nblocks);
-        results.resize_with(nblocks, || Ok(Vec::new()));
-        let nworkers = self.threads.min(nblocks).max(1);
-        if nworkers <= 1 {
-            for (slot, slice) in results.iter_mut().zip(&slices) {
-                *slot = decompress_one(slice, elem_size, self.backend);
-            }
-        } else {
-            let per = results.len().div_ceil(nworkers).max(1);
-            std::thread::scope(|s| {
-                for (wi, slot_chunk) in results.chunks_mut(per).enumerate() {
-                    let start = wi * per;
-                    let slices = &slices;
-                    let backend = self.backend;
-                    s.spawn(move || {
-                        for (k, slot) in slot_chunk.iter_mut().enumerate() {
-                            *slot = decompress_one(slices[start + k], elem_size, backend);
-                        }
-                    });
-                }
-            });
-        }
-
+        fan_out(
+            &mut slots,
+            desc.byte_len(),
+            self.threads,
+            |_, (body, raw_len, done)| {
+                *done = decompress_one(body, *raw_len, elem_size, self.backend);
+            },
+        );
         out.refill(desc, |bytes| {
             bytes.reserve(desc.byte_len());
-            for r in results {
-                bytes.extend_from_slice(&r?);
-            }
-            if bytes.len() != desc.byte_len() {
-                return Err(Error::Corrupt(
-                    "bitshuffle: reassembled size mismatch".into(),
-                ));
+            for (_, _, done) in slots {
+                bytes.extend_from_slice(&done?);
             }
             Ok(())
         })

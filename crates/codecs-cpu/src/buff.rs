@@ -25,7 +25,7 @@
 //! `count u64 | precision u8 | bits u8 | min i64 | n_outliers u32 |
 //!  outliers (u32 index + i64 scaled)* | column-major byte planes`.
 
-use crate::common::{push_u64, read_u64};
+use fcbench_core::wire::{le_u32, le_u64, len32, Cursor};
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
     Precision, PrecisionSupport, Result,
@@ -239,7 +239,7 @@ impl Compressor for Buff {
         let enc = encode_scaled(p, &scaled);
         out.clear();
         out.reserve(22 + 12 * enc.outliers.len() + enc.planes.len());
-        push_u64(out, enc.count);
+        out.extend_from_slice(&enc.count.to_le_bytes());
         out.push(enc.precision);
         out.push(enc.bits);
         out.extend_from_slice(&enc.min.to_le_bytes());
@@ -307,73 +307,44 @@ pub struct BuffView<'a> {
 }
 
 impl<'a> BuffView<'a> {
-    /// Parse the payload header, borrowing the plane storage.
+    /// Parse the payload header, borrowing the plane storage. Runs once per
+    /// call, and stays out of line: inlined into `decompress_into` it cost
+    /// the plane loops it feeds a measured 15 % of decode throughput.
+    #[inline(never)]
     pub fn parse(payload: &'a [u8]) -> Result<Self> {
-        let mut pos = 0usize;
-        let count = read_u64(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("buff: missing count".into()))?
-            as usize;
-        let precision = *payload
-            .get(pos)
-            .ok_or_else(|| Error::Corrupt("buff: missing precision".into()))?
-            as u32;
-        let bits = *payload
-            .get(pos + 1)
-            .ok_or_else(|| Error::Corrupt("buff: missing bit width".into()))?
-            as u32;
-        pos += 2;
-        let min_bytes = payload
-            .get(pos..pos + 8)
-            .ok_or_else(|| Error::Corrupt("buff: missing minimum".into()))?;
-        let min = i64::from_le_bytes([
-            min_bytes[0],
-            min_bytes[1],
-            min_bytes[2],
-            min_bytes[3],
-            min_bytes[4],
-            min_bytes[5],
-            min_bytes[6],
-            min_bytes[7],
-        ]);
-        pos += 8;
+        let mut cur = Cursor::new("buff", payload);
+        let count = cur.len64("count")?;
+        let precision = u32::from(cur.u8("precision")?);
+        let bits = u32::from(cur.u8("bit width")?);
+        let min = le_u64(cur.take(8, "minimum")?, 0)? as i64;
         if precision > MAX_PRECISION || bits == 0 || bits > 63 {
-            return Err(Error::Corrupt("buff: invalid header fields".into()));
+            return Err(cur.corrupt("invalid header fields"));
         }
-        let n_outliers = u32::from_le_bytes(
-            payload
-                .get(pos..pos + 4)
-                .ok_or_else(|| Error::Corrupt("buff: missing outlier count".into()))?
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
-        pos += 4;
+        let n_outliers = cur.len32("outlier count")?;
         if n_outliers > count {
-            return Err(Error::Corrupt("buff: more outliers than records".into()));
+            return Err(cur.corrupt("more outliers than records"));
         }
+        // The stash is read before anything is sized by its claimed length.
+        let stash = cur.take(n_outliers.saturating_mul(12), "outlier stash")?;
         let mut outliers = Vec::with_capacity(n_outliers);
-        for _ in 0..n_outliers {
-            let entry = payload
-                .get(pos..pos + 12)
-                .ok_or_else(|| Error::Corrupt("buff: outlier stash truncated".into()))?;
-            let idx = u32::from_le_bytes(entry[..4].try_into().expect("4 bytes"));
-            let q = i64::from_le_bytes(entry[4..].try_into().expect("8 bytes"));
-            if idx as usize >= count {
-                return Err(Error::Corrupt("buff: outlier index out of range".into()));
+        for entry in stash.chunks_exact(12) {
+            let idx = le_u32(entry, 0)?;
+            let q = le_u64(entry, 4)? as i64;
+            if len32(idx) >= count {
+                return Err(cur.corrupt("outlier index out of range"));
             }
             outliers.push((idx, q));
-            pos += 12;
         }
         let sorted = outliers.windows(2).all(|w| w[0].0 < w[1].0);
         if !sorted {
-            return Err(Error::Corrupt("buff: outlier stash not sorted".into()));
+            return Err(cur.corrupt("outlier stash not sorted"));
         }
         let nbytes = (bits as usize).div_ceil(8);
-        let planes = &payload[pos..];
-        if planes.len() != nbytes * count {
+        let planes = cur.rest();
+        if count.checked_mul(nbytes) != Some(planes.len()) {
             return Err(Error::Corrupt(format!(
-                "buff: plane storage is {} bytes, expected {}",
+                "buff: plane storage is {} bytes, expected {nbytes} for each of {count} records",
                 planes.len(),
-                nbytes * count
             )));
         }
         Ok(BuffView {

@@ -20,7 +20,8 @@
 //!   leading-zero bucket equals the previous one: `bits − lz` bits verbatim;
 //! - `11` — like `10` but with a fresh 3-bit leading-zero bucket first.
 
-use crate::common::{push_u64, read_u64, u32_words, u64_words};
+use crate::common::{u32_words, u64_words};
+use fcbench_core::wire::Cursor;
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
     Precision, PrecisionSupport, Result,
@@ -382,7 +383,7 @@ impl Compressor for Chimp {
         let stream_bits = lay.bits as usize + data.elements().saturating_sub(1) * per_value;
         out.clear();
         out.reserve(8 + stream_bits.div_ceil(8));
-        push_u64(out, data.elements() as u64);
+        out.extend_from_slice(&(data.elements() as u64).to_le_bytes());
         let mut w = BitSink::new(out);
         match data.desc().precision {
             Precision::Double => {
@@ -405,17 +406,15 @@ impl Compressor for Chimp {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let mut pos = 0usize;
-        let count = read_u64(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("chimp: missing element count".into()))?
-            as usize;
+        let mut cur = Cursor::new("chimp", payload);
+        let count = cur.len64("element count")?;
         if count != desc.elements() {
             return Err(Error::Corrupt("chimp: element count mismatch".into()));
         }
         let idx_bits = self.index_bits();
         out.refill(desc, |bytes| {
             bytes.reserve(desc.byte_len());
-            let mut r = BitReader::new(&payload[pos..]);
+            let mut r = BitReader::new(cur.rest());
             match desc.precision {
                 Precision::Double => decode_words(&mut r, count, L64, self.window, idx_bits, |w| {
                     bytes.extend_from_slice(&w.to_le_bytes())

@@ -1,10 +1,32 @@
-//! Shared helpers for the CPU codec implementations.
+//! The chunk scaffold shared by both codec crates.
+//!
+//! Every parallel method the paper surveys (§3.6–3.8, §4.1–4.4) cuts its
+//! input into independent chunks, codes each, and stores them behind a
+//! size directory. The directory and the cursor that reads it live in
+//! [`fcbench_core::wire`]; this module holds the rest of the mechanism,
+//! once:
+//!
+//! - `fan_out` — the single rule for when chunk work leaves the calling
+//!   thread (`PARALLEL_BYTES`) — and `code_chunks`, which codes chunks
+//!   behind a directory under that rule, for the CPU codecs (the GPU
+//!   codecs fan out on the simulated device);
+//! - [`pack_counted`] / [`unpack_counted`] — the 4-bit code + truncated
+//!   residual coder of `pfpc`, `gfc` and `nvcomp-bitcomp`, generic over
+//!   each codec's nibble alphabet (the `predictor` family uses the same
+//!   coder without the two counts);
+//! - [`begin_word_frame`] / [`read_word_frame`] — the `nwords | nchunks |
+//!   tail_len` frame `pfpc` and `gfc` share;
+//! - the word views: [`put_words`] and [`load_le`], and the crate's
+//!   `u64_words` / `u32_words` iterators.
+//!
+//! The file is held to the no-panic and claim-gate lints (R001, R002).
 
-use fcbench_core::{DataDesc, Precision};
+use fcbench_core::wire::{self, Cursor};
+use fcbench_core::{DataDesc, Result};
 
 /// Split `total` elements into per-thread chunk ranges of roughly equal size.
 /// Returns at most `threads` non-empty `(start, end)` ranges.
-pub fn chunk_ranges(total: usize, threads: usize) -> Vec<(usize, usize)> {
+pub(crate) fn chunk_ranges(total: usize, threads: usize) -> Vec<(usize, usize)> {
     let threads = threads.max(1);
     if total == 0 {
         return Vec::new();
@@ -23,7 +45,7 @@ pub fn chunk_ranges(total: usize, threads: usize) -> Vec<(usize, usize)> {
 /// Effective dimensionality for codecs that cap at 3-D: higher-dimensional
 /// extents collapse extra leading axes into the slowest one (matching how
 /// fpzip/ndzip are driven with at most 3 dimensions in the paper).
-pub fn effective_dims(desc: &DataDesc) -> Vec<usize> {
+pub(crate) fn effective_dims(desc: &DataDesc) -> Vec<usize> {
     let dims = &desc.dims;
     if dims.len() <= 3 {
         return dims.clone();
@@ -32,59 +54,265 @@ pub fn effective_dims(desc: &DataDesc) -> Vec<usize> {
     vec![lead, dims[dims.len() - 2], dims[dims.len() - 1]]
 }
 
-/// Byte length of one element.
-pub fn elem_bytes(p: Precision) -> usize {
-    p.bytes()
+/// Calls on less input than this run their chunks on the calling thread:
+/// the chunk layout — and so the stream — is the same either way, and below
+/// it a thread spawn costs more than the chunk work it would carry (the
+/// block sizes frame streams and containers hand a codec sit under it).
+pub(crate) const PARALLEL_BYTES: usize = 512 * 1024;
+
+/// How many threads a call over `input_bytes` in `slots` chunks may use.
+fn workers(slots: usize, input_bytes: usize, threads: usize) -> usize {
+    if input_bytes < PARALLEL_BYTES {
+        return 1;
+    }
+    threads.min(slots).max(1)
+}
+
+/// Run `f(k, &mut slots[k])` for every slot: inline below
+/// [`PARALLEL_BYTES`] of input, otherwise on `min(threads, slots)` scoped
+/// threads that each take one contiguous run of slots.
+pub(crate) fn fan_out<S: Send>(
+    slots: &mut [S],
+    input_bytes: usize,
+    threads: usize,
+    f: impl Fn(usize, &mut S) + Sync,
+) {
+    let workers = workers(slots.len(), input_bytes, threads);
+    if workers == 1 {
+        slots.iter_mut().enumerate().for_each(|(k, s)| f(k, s));
+        return;
+    }
+    let per = slots.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        for (w, run) in slots.chunks_mut(per).enumerate() {
+            let f = &f;
+            scope.spawn(move || {
+                for (k, s) in run.iter_mut().enumerate() {
+                    f(w * per + k, s);
+                }
+            });
+        }
+    });
+}
+
+/// Code `count` chunks with `f(k, out)` behind a [`wire::put_chunks`]
+/// directory. Inline, each chunk is appended straight onto `out`; fanned
+/// out, each is coded into its own buffer and the buffers appended in
+/// order — the bytes are the same.
+pub(crate) fn code_chunks(
+    out: &mut Vec<u8>,
+    count: usize,
+    input_bytes: usize,
+    threads: usize,
+    f: impl Fn(usize, &mut Vec<u8>) + Sync,
+) -> Result<()> {
+    if workers(count, input_bytes, threads) == 1 {
+        return wire::put_chunks(out, count, f);
+    }
+    let mut coded = vec![Vec::new(); count];
+    fan_out(&mut coded, input_bytes, threads, f);
+    out.reserve(4 * count + coded.iter().map(Vec::len).sum::<usize>());
+    wire::put_chunks(out, count, |k, out| out.extend_from_slice(&coded[k]))
 }
 
 /// Iterate little-endian `u64` bit-pattern words over a payload without
 /// materialising a vector — the allocation-free feed for `compress_into`
-/// hot paths. The caller guarantees `bytes.len()` is a multiple of 8
-/// (`FloatData` enforces this for double-precision payloads).
-pub fn u64_words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+/// hot paths. A trailing partial word is not visited.
+pub(crate) fn u64_words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    let word = |c: &[u8]| u64::from_le_bytes(c.first_chunk().copied().unwrap_or_default());
+    bytes.chunks_exact(8).map(word)
 }
 
 /// Iterate little-endian `u32` bit-pattern words over a payload
 /// (single-precision sibling of [`u64_words`]).
-pub fn u32_words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+pub(crate) fn u32_words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + '_ {
+    let word = |c: &[u8]| u32::from_le_bytes(c.first_chunk().copied().unwrap_or_default());
+    bytes.chunks_exact(4).map(word)
 }
 
-/// Write a `u32` length prefix.
-pub fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Append the low `esize` little-endian bytes of every word: the inverse
+/// of [`load_le`] over `esize`-byte pieces.
+pub fn put_words(words: &[u64], esize: usize, out: &mut Vec<u8>) {
+    for w in words {
+        out.extend_from_slice(&w.to_le_bytes()[..esize.min(8)]);
+    }
 }
 
-/// Read a `u32` at `pos`, advancing it.
-pub fn read_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    let s = bytes.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
+/// A little-endian word from its low `bytes.len()` (at most 8) bytes.
+pub fn load_le(bytes: &[u8]) -> u64 {
+    let n = bytes.len().min(8);
+    let mut le = [0u8; 8];
+    le[..n].copy_from_slice(&bytes[..n]);
+    u64::from_le_bytes(le)
 }
 
-/// Write a `u64` length prefix.
-pub fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Code each whole `u64` word of `bytes` as a 4-bit code plus a residual
+/// truncated to the width the code implies, appending `codes | residuals`
+/// to `out` (two codes per byte, even word in the high nibble) and
+/// returning the residual byte count. `code(word)` is the codec's
+/// alphabet: it returns `(nibble, residual, residual bytes kept)`.
+///
+/// The code region is sized and written in place; each residual is one
+/// 8-byte store truncated to its width.
+#[inline]
+pub(crate) fn pack_nibbles(
+    bytes: &[u8],
+    out: &mut Vec<u8>,
+    mut code: impl FnMut(u64) -> (u8, u64, usize),
+) -> usize {
+    let count = bytes.len() / 8;
+    let code_base = out.len();
+    out.resize(code_base + count.div_ceil(2), 0);
+    out.reserve(count * 8);
+    let residual_base = out.len();
+    for (i, word) in u64_words(bytes).enumerate() {
+        let (nibble, residual, nbytes) = code(word);
+        // The even word's store needs no load of the zeroed byte; the odd
+        // word's read-modify-write hits the byte just stored.
+        if i & 1 == 0 {
+            out[code_base + i / 2] = nibble << 4;
+        } else {
+            out[code_base + i / 2] |= nibble;
+        }
+        let at = out.len();
+        out.extend_from_slice(&residual.to_le_bytes());
+        out.truncate(at + nbytes);
+    }
+    out.len() - residual_base
 }
 
-/// Read a `u64` at `pos`, advancing it.
-pub fn read_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let s = bytes.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes([
-        s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-    ]))
+/// The nibble/residual coder behind its two counts: `u32 ncodes | u32
+/// nresidual | codes | residuals` — one chunk of `pfpc` or `gfc`, one
+/// `bitcomp` page. `code(word)` is the codec's alphabet: it returns
+/// `(nibble, residual, residual bytes kept)`.
+#[inline]
+pub fn pack_counted(bytes: &[u8], out: &mut Vec<u8>, code: impl FnMut(u64) -> (u8, u64, usize)) {
+    let base = out.len();
+    out.extend_from_slice(&((bytes.len() / 8).div_ceil(2) as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    let nresidual = pack_nibbles(bytes, out, code) as u32;
+    out[base + 4..base + 8].copy_from_slice(&nresidual.to_le_bytes());
+}
+
+/// Inverse of [`pack_nibbles`]: read `count` codes and `nresidual`
+/// residual bytes from `cur` and hand each `(nibble, residual)` to `emit`.
+/// `width(nibble)` is the residual bytes the codec's alphabet keeps for a
+/// code, `None` for a nibble it never emits. The residual bytes must be
+/// consumed exactly.
+#[inline]
+pub(crate) fn unpack_nibbles(
+    cur: &mut Cursor<'_>,
+    count: usize,
+    nresidual: usize,
+    width: impl Fn(u8) -> Option<usize>,
+    mut emit: impl FnMut(u8, u64),
+) -> Result<()> {
+    let codes = cur.take(count.div_ceil(2), "nibble codes")?;
+    let residuals = cur.take(nresidual, "residual bytes")?;
+    let mut rpos = 0usize;
+    for idx in 0..count {
+        let nibble = if idx & 1 == 0 {
+            codes[idx / 2] >> 4
+        } else {
+            codes[idx / 2] & 0x0F
+        };
+        let Some(nbytes) = width(nibble).filter(|&n| n <= 8) else {
+            return Err(cur.corrupt("invalid code nibble"));
+        };
+        // One unaligned 8-byte load + mask covers every residual width;
+        // the byte copy only runs for the last few residuals.
+        let residual = match residuals.get(rpos..rpos + 8).and_then(|s| s.first_chunk()) {
+            Some(w) if nbytes == 8 => u64::from_le_bytes(*w),
+            Some(w) => u64::from_le_bytes(*w) & ((1u64 << (8 * nbytes)) - 1),
+            None => match residuals.get(rpos..rpos + nbytes) {
+                Some(low) => load_le(low),
+                None => return Err(cur.corrupt("residual bytes run out")),
+            },
+        };
+        rpos += nbytes;
+        emit(nibble, residual);
+    }
+    if rpos != residuals.len() {
+        return Err(cur.corrupt("trailing residual bytes"));
+    }
+    Ok(())
+}
+
+/// Inverse of [`pack_counted`] for a chunk of `count` words: each
+/// `(nibble, residual)` goes to `emit`; `width(nibble)` is the residual
+/// bytes the codec's alphabet keeps for a code, `None` for a nibble it
+/// never emits.
+#[inline]
+pub fn unpack_counted(
+    cur: &mut Cursor<'_>,
+    count: usize,
+    width: impl Fn(u8) -> Option<usize>,
+    emit: impl FnMut(u8, u64),
+) -> Result<()> {
+    let ncodes = cur.len32("code count")?;
+    let nresidual = cur.len32("residual count")?;
+    if ncodes != count.div_ceil(2) {
+        return Err(cur.corrupt("code count mismatch"));
+    }
+    unpack_nibbles(cur, count, nresidual, width, emit)
+}
+
+/// Start the frame `pfpc` and `gfc` share — `u64 nwords | u32 nchunks |
+/// u8 tail_len`, then the chunk directory, the chunks, and the verbatim
+/// sub-word tail. `out` is replaced by the header; the whole words of
+/// `bytes` come back cut into at most `nchunks` balanced runs, beside the
+/// tail.
+pub fn begin_word_frame<'a>(
+    out: &mut Vec<u8>,
+    bytes: &'a [u8],
+    nchunks: usize,
+) -> (Vec<&'a [u8]>, &'a [u8]) {
+    let (word_bytes, tail) = bytes.split_at(bytes.len() / 8 * 8);
+    let ranges = chunk_ranges(word_bytes.len() / 8, nchunks);
+    out.clear();
+    out.extend_from_slice(&((word_bytes.len() / 8) as u64).to_le_bytes());
+    out.extend_from_slice(&(ranges.len() as u32).to_le_bytes());
+    out.push(tail.len() as u8);
+    let runs = ranges.iter().map(|&(s, e)| &word_bytes[s * 8..e * 8]);
+    (runs.collect(), tail)
+}
+
+/// Each chunk of a word frame beside the number of words it decodes to.
+type WordChunks<'a> = Vec<(&'a [u8], usize)>;
+
+/// Parse a [`begin_word_frame`] frame against the descriptor it must
+/// decode to: each chunk with its word count, and the tail. The directory
+/// is read — so the chunk count is backed by payload bytes — before
+/// anything is sized by it.
+pub fn read_word_frame<'a>(
+    codec: &'static str,
+    payload: &'a [u8],
+    desc: &DataDesc,
+) -> Result<(WordChunks<'a>, &'a [u8])> {
+    let mut cur = Cursor::new(codec, payload);
+    let nwords = cur.len64("word count")?;
+    let nchunks = cur.len32("chunk count")?;
+    let tail_len = usize::from(cur.u8("tail length")?);
+    if nwords != desc.byte_len() / 8 || tail_len != desc.byte_len() % 8 {
+        return Err(cur.corrupt(format_args!(
+            "stream geometry ({nwords} words + {tail_len}) does not match descriptor"
+        )));
+    }
+    let chunks = cur.take_chunks(nchunks)?;
+    let ranges = chunk_ranges(nwords, nchunks.max(1));
+    if ranges.len() != nchunks {
+        return Err(cur.corrupt("chunk layout mismatch"));
+    }
+    let tail = cur.take(tail_len, "tail")?;
+    cur.finish()?;
+    let counts = ranges.iter().map(|&(s, e)| e - s);
+    Ok((chunks.into_iter().zip(counts).collect(), tail))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcbench_core::Domain;
+    use fcbench_core::{Domain, Precision};
 
     #[test]
     fn chunking_covers_everything_without_overlap() {
@@ -124,13 +352,97 @@ mod tests {
 
     #[test]
     fn int_io_round_trip() {
-        let mut buf = Vec::new();
-        push_u32(&mut buf, 0xDEAD_BEEF);
-        push_u64(&mut buf, 0x0123_4567_89AB_CDEF);
-        let mut pos = 0;
-        assert_eq!(read_u32(&buf, &mut pos), Some(0xDEAD_BEEF));
-        assert_eq!(read_u64(&buf, &mut pos), Some(0x0123_4567_89AB_CDEF));
-        assert_eq!(pos, 12);
-        assert_eq!(read_u32(&buf, &mut pos), None);
+        let words = [u64::from(1.5f32.to_bits()), 0x8000_0000, 0x7FC0_0001, 7];
+        let mut bytes = Vec::new();
+        put_words(&words, 4, &mut bytes);
+        assert_eq!(bytes.len(), 16);
+        assert_eq!(u32_words(&bytes).map(u64::from).collect::<Vec<_>>(), words);
+        assert_eq!(
+            bytes.chunks_exact(4).map(load_le).collect::<Vec<_>>(),
+            words
+        );
+        assert_eq!(u64_words(&bytes).next(), Some(words[0] | words[1] << 32));
+        assert_eq!(
+            u64_words(&bytes[..15]).len(),
+            1,
+            "a partial word is not visited"
+        );
+        assert_eq!(load_le(&[0xCD, 0xAB]), 0xABCD);
+        assert_eq!(load_le(&[]), 0);
+    }
+
+    #[test]
+    fn fan_out_visits_every_slot_once_on_either_side_of_the_threshold() {
+        for (input_bytes, threads) in [(0, 8), (PARALLEL_BYTES, 1), (PARALLEL_BYTES, 3)] {
+            for n in [0usize, 1, 2, 7, 64] {
+                let mut slots = vec![0usize; n];
+                fan_out(&mut slots, input_bytes, threads, |k, s| *s += k + 1);
+                let want: Vec<usize> = (1..=n).collect();
+                assert_eq!(slots, want, "{input_bytes} bytes, {threads} threads");
+            }
+        }
+        let main = std::thread::current().id();
+        let mut ids = vec![main; 4];
+        fan_out(&mut ids, PARALLEL_BYTES - 1, 8, |_, id| {
+            *id = std::thread::current().id()
+        });
+        assert!(ids.iter().all(|&id| id == main), "below the threshold");
+        fan_out(&mut ids, PARALLEL_BYTES, 8, |_, id| {
+            *id = std::thread::current().id()
+        });
+        assert!(ids.iter().all(|&id| id != main), "at the threshold");
+    }
+
+    #[test]
+    fn code_chunks_writes_the_same_bytes_inline_and_fanned_out() {
+        let chunk = |k: usize, out: &mut Vec<u8>| out.extend(std::iter::repeat_n(k as u8, 3 * k));
+        let (mut inline, mut fanned) = (vec![9u8], vec![9u8]);
+        code_chunks(&mut inline, 5, 0, 4, chunk).unwrap();
+        code_chunks(&mut fanned, 5, PARALLEL_BYTES, 4, chunk).unwrap();
+        assert_eq!(inline, fanned);
+        let mut cur = Cursor::new("demo", &inline[1..]);
+        let read = cur.take_chunks(5).unwrap();
+        assert_eq!(read[4], [4u8; 12]);
+        cur.finish().unwrap();
+    }
+
+    #[test]
+    fn nibble_packer_round_trips_every_width_and_rejects_bad_streams() {
+        // Alphabet: the nibble is the leading-zero-byte count, 0..=8.
+        let code = |w: u64| {
+            let lzb = w.leading_zeros() / 8;
+            (lzb as u8, w, 8 - lzb as usize)
+        };
+        let width = |n: u8| 8usize.checked_sub(n.into());
+        let words: Vec<u64> = (0..=8)
+            .map(|b| u64::MAX.checked_shr(8 * b).unwrap_or(0))
+            .collect();
+        let mut bytes = Vec::new();
+        put_words(&words, 8, &mut bytes);
+        let mut packed = Vec::new();
+        pack_counted(&bytes, &mut packed, code);
+        assert_eq!(
+            packed.len(),
+            8 + 5 + 36,
+            "5 code bytes, 8+7+..+0 residual bytes"
+        );
+
+        let unpack = |stream: &[u8]| {
+            let mut cur = Cursor::new("demo", stream);
+            let mut got = Vec::new();
+            unpack_counted(&mut cur, words.len(), width, |_, w| got.push(w))?;
+            cur.finish().map(|()| got)
+        };
+        assert_eq!(unpack(&packed).unwrap(), words);
+        for cut in 0..packed.len() {
+            assert!(unpack(&packed[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut bad = packed.clone();
+        bad[8] = 0xF0; // 15 is not a leading-zero-byte count
+        assert!(unpack(&bad).is_err());
+        let mut longer = packed.clone();
+        longer[4] += 1; // one residual byte more than the codes consume
+        longer.push(0);
+        assert!(unpack(&longer).is_err());
     }
 }

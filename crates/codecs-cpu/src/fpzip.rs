@@ -15,7 +15,8 @@
 //! Dimensionality comes from the data descriptor; >3-D extents collapse
 //! (fpzip is driven with ≤ 3 dims throughout the paper's evaluation).
 
-use crate::common::{effective_dims, push_u32, read_u32};
+use crate::common::effective_dims;
+use fcbench_core::wire::Cursor;
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
     Precision, PrecisionSupport, Result,
@@ -171,22 +172,21 @@ macro_rules! fpzip_impl {
 
             let rc_bytes = rc.finish();
             let mut out = Vec::with_capacity(8 + rc_bytes.len() + verbatim.byte_len());
-            push_u32(&mut out, rc_bytes.len() as u32);
+            out.extend_from_slice(&(rc_bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(&rc_bytes);
             out.extend_from_slice(&verbatim.into_bytes());
             out
         }
 
-        fn $dec(payload: &[u8], dims: &[usize], count: usize) -> Result<Vec<$t>> {
-            let mut pos = 0usize;
-            let rc_len = read_u32(payload, &mut pos)
-                .ok_or_else(|| Error::Corrupt("fpzip: missing rc length".into()))?
-                as usize;
-            let rc_bytes = payload
-                .get(pos..pos + rc_len)
-                .ok_or_else(|| Error::Corrupt("fpzip: range stream truncated".into()))?;
-            let verbatim = &payload[pos + rc_len..];
-
+        // Out of line on purpose: inlined into `decompress_into`'s refill
+        // closure, this serial range-decoder loop measured 12 % slower.
+        #[inline(never)]
+        fn $dec(
+            rc_bytes: &[u8],
+            verbatim: &[u8],
+            dims: &[usize],
+            count: usize,
+        ) -> Result<Vec<$t>> {
             let mut model = AdaptiveModel::new(2 * $bits + 1);
             let mut rc = RangeDecoder::new(rc_bytes);
             let mut bits = BitReader::new(verbatim);
@@ -279,16 +279,21 @@ impl Compressor for Fpzip {
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
         let dims = effective_dims(desc);
+        // `u32 rc_len | range-coder stream | verbatim bit stream`.
+        let mut cur = Cursor::new("fpzip", payload);
+        let rc_len = cur.len32("range stream length")?;
+        let rc_bytes = cur.take(rc_len, "range stream")?;
+        let verbatim = cur.rest();
         out.refill(desc, |bytes| {
             bytes.reserve(desc.byte_len());
             match desc.precision {
                 Precision::Double => {
-                    for v in decode_f64(payload, &dims, desc.elements())? {
+                    for v in decode_f64(rc_bytes, verbatim, &dims, desc.elements())? {
                         bytes.extend_from_slice(&v.to_le_bytes());
                     }
                 }
                 Precision::Single => {
-                    for v in decode_f32(payload, &dims, desc.elements())? {
+                    for v in decode_f32(rc_bytes, verbatim, &dims, desc.elements())? {
                         bytes.extend_from_slice(&v.to_le_bytes());
                     }
                 }

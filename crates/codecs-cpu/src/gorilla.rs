@@ -14,7 +14,8 @@
 //! by any FCBench experiment. Works on both precisions via bit-pattern
 //! words (Table 4 runs Gorilla on fp32 datasets too).
 
-use crate::common::{push_u64, read_u64, u32_words, u64_words};
+use crate::common::{u32_words, u64_words};
+use fcbench_core::wire::Cursor;
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
     Precision, PrecisionSupport, Result,
@@ -206,7 +207,7 @@ impl Compressor for Gorilla {
         };
         out.clear();
         out.reserve(worst_case_bytes(lay, data.elements()));
-        push_u64(out, data.elements() as u64);
+        out.extend_from_slice(&(data.elements() as u64).to_le_bytes());
         let mut w = BitSink::new(out);
         match data.desc().precision {
             Precision::Double => encode_words(u64_words(data.bytes()), L64, &mut w),
@@ -221,10 +222,8 @@ impl Compressor for Gorilla {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let mut pos = 0usize;
-        let count = read_u64(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("gorilla: missing element count".into()))?
-            as usize;
+        let mut cur = Cursor::new("gorilla", payload);
+        let count = cur.len64("element count")?;
         if count != desc.elements() {
             return Err(Error::Corrupt(format!(
                 "gorilla: stream holds {count} elements, descriptor expects {}",
@@ -233,7 +232,7 @@ impl Compressor for Gorilla {
         }
         out.refill(desc, |bytes| {
             bytes.reserve(desc.byte_len());
-            let mut r = BitReader::new(&payload[pos..]);
+            let mut r = BitReader::new(cur.rest());
             match desc.precision {
                 Precision::Double => decode_words(&mut r, count, L64, |w| {
                     bytes.extend_from_slice(&w.to_le_bytes())

@@ -15,7 +15,15 @@
 //! | [`Ndzip`] | 3.8 | integer Lorenzo + transpose | threads |
 //!
 //! Every codec implements [`fcbench_core::Compressor`] and round-trips
-//! bit-exactly (NaN payloads and signed zeros included).
+//! bit-exactly (NaN payloads and signed zeros included). [`Predictor`] adds
+//! the three single-predictor baseline rows (`last-value`, `last-stride`,
+//! `dfcm`).
+//!
+//! The three threaded codecs — and the GPU crate's five — share one chunk
+//! scaffold: the wire cursor and chunk directory of [`fcbench_core::wire`],
+//! and [`common`]'s fan-out rule, nibble/residual packer and word views.
+//! A payload's first contact with untrusted bytes is that cursor, never a
+//! hand-rolled `pos + n`.
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +33,6 @@ pub mod chimp;
 pub mod common;
 pub mod fpzip;
 pub mod gorilla;
-pub mod gorilla_ts;
 pub mod ndzip;
 pub mod pfpc;
 pub mod predictor;
@@ -36,7 +43,6 @@ pub use buff::{Buff, BuffView};
 pub use chimp::Chimp;
 pub use fpzip::Fpzip;
 pub use gorilla::Gorilla;
-pub use gorilla_ts::{compress_timestamps, decompress_timestamps};
 pub use ndzip::Ndzip;
 pub use pfpc::Pfpc;
 pub use predictor::{Predictor, PredictorKind};

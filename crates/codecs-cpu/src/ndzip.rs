@@ -19,19 +19,15 @@
 //! Payload: `u32 ncubes | per-cube u32 size | cube streams | border bytes`.
 
 use crate::bitshuffle::{bit_transpose_into, bit_untranspose_into};
-use crate::common::{effective_dims, push_u32, read_u32};
+use crate::common::{code_chunks, effective_dims, load_le, put_words};
+use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
-    Precision, PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, OpProfile, Platform,
+    PrecisionSupport, Result,
 };
 
 /// Elements per hypercube.
 pub const CUBE_ELEMS: usize = 4096;
-
-/// Below this many elements compression runs its cubes inline on the
-/// calling thread — the emitted streams are identical either way, and at
-/// benchmark block sizes the per-call spawn cost dwarfs the cube work.
-const PARALLEL_WORDS: usize = 1 << 16;
 
 /// The ndzip CPU codec.
 #[derive(Debug, Clone)]
@@ -73,8 +69,15 @@ impl Ndzip {
         }
     }
 
+    /// The cube decomposition of a `desc`-shaped grid (at most 3-D: extra
+    /// leading axes collapse into the slowest one).
+    pub fn plan(&self, desc: &DataDesc) -> Cubes {
+        let dims = effective_dims(desc);
+        plan_cubes(&dims, &self.cube_sides(dims.len()), desc.precision.bits())
+    }
+
     /// Cube side lengths for dimensionality `nd`.
-    pub fn cube_sides(&self, nd: usize) -> Vec<usize> {
+    fn cube_sides(&self, nd: usize) -> Vec<usize> {
         match nd {
             1 => vec![self.cube_elems],
             2 => {
@@ -111,7 +114,7 @@ pub fn unzigzag(v: u64, bits: u32) -> u64 {
 /// dimension over a row-major cube of `sides` extents, followed by a
 /// zigzag sign fold of the residuals. Shared with ndzip-GPU, whose
 /// pipeline is identical (§4.4). `bits` is the element width (32/64).
-pub fn lorenzo_forward(words: &mut [u64], sides: &[usize], bits: u32) {
+fn lorenzo_forward(words: &mut [u64], sides: &[usize], bits: u32) {
     let nd = sides.len();
     let mut stride = 1usize;
     for d in (0..nd).rev() {
@@ -135,7 +138,7 @@ pub fn lorenzo_forward(words: &mut [u64], sides: &[usize], bits: u32) {
 
 /// Inverse integer Lorenzo: unfold signs, then prefix-sum sweeps in the
 /// opposite order.
-pub fn lorenzo_inverse(words: &mut [u64], sides: &[usize], bits: u32) {
+fn lorenzo_inverse(words: &mut [u64], sides: &[usize], bits: u32) {
     for w in words.iter_mut() {
         *w = unzigzag(*w, bits);
     }
@@ -152,104 +155,10 @@ pub fn lorenzo_inverse(words: &mut [u64], sides: &[usize], bits: u32) {
     }
 }
 
-/// Compress one cube of residual words (already Lorenzo-transformed):
-/// bit-transpose chunks of `chunk` words, emit bitmap + nonzero words.
-pub fn encode_cube(words: &[u64], elem_bits: usize, out: &mut Vec<u8>) {
-    let chunk = elem_bits; // 32 words of 32 bits, or 64 words of 64 bits
-    let esize = elem_bits / 8;
-    // Chunk staging buffers are hoisted out of the loop (a cube runs 64–128
-    // chunks) and nonzero words stream straight into `out`, the bitmap
-    // patched in place once the chunk's zero scan is done.
-    let mut raw = Vec::with_capacity(chunk * esize);
-    let mut t = Vec::new();
-    for words_chunk in words.chunks(chunk) {
-        if words_chunk.len() == chunk {
-            // Serialize chunk to bytes, transpose, scan for zero words.
-            raw.clear();
-            for &w in words_chunk {
-                raw.extend_from_slice(&w.to_le_bytes()[..esize]);
-            }
-            bit_transpose_into(&raw, chunk, elem_bits, &mut t);
-            // The transposed data is `elem_bits` words of `chunk` bits each;
-            // word w is bytes [w*esize, (w+1)*esize) since chunk == elem_bits.
-            let mut bitmap = [0u8; 8];
-            let bitmap_pos = out.len();
-            out.extend_from_slice(&bitmap[..esize]);
-            for w in 0..elem_bits {
-                let slice = &t[w * esize..(w + 1) * esize];
-                if slice.iter().any(|&b| b != 0) {
-                    bitmap[w / 8] |= 1 << (w % 8);
-                    out.extend_from_slice(slice);
-                }
-            }
-            out[bitmap_pos..bitmap_pos + esize].copy_from_slice(&bitmap[..esize]);
-        } else {
-            // Ragged tail inside a border cube: store verbatim.
-            for &w in words_chunk {
-                out.extend_from_slice(&w.to_le_bytes()[..esize]);
-            }
-        }
-    }
-}
-
-/// Inverse of [`encode_cube`] for `count` words, advancing `pos`.
-pub fn decode_cube(
-    payload: &[u8],
-    pos: &mut usize,
-    count: usize,
-    elem_bits: usize,
-) -> Result<Vec<u64>> {
-    let chunk = elem_bits;
-    let esize = elem_bits / 8;
-    let mut words = Vec::with_capacity(count);
-    let mut t = Vec::new();
-    let mut raw = Vec::new();
-    let mut remaining = count;
-    while remaining > 0 {
-        if remaining >= chunk {
-            let bitmap = payload
-                .get(*pos..*pos + esize)
-                .ok_or_else(|| Error::Corrupt("ndzip: bitmap truncated".into()))?;
-            *pos += esize;
-            let nset: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
-            let nz = payload
-                .get(*pos..*pos + nset * esize)
-                .ok_or_else(|| Error::Corrupt("ndzip: nonzero words truncated".into()))?;
-            *pos += nset * esize;
-            t.clear();
-            t.resize(chunk * esize, 0);
-            let mut taken = 0usize;
-            for w in 0..elem_bits {
-                if bitmap[w / 8] & (1 << (w % 8)) != 0 {
-                    t[w * esize..(w + 1) * esize]
-                        .copy_from_slice(&nz[taken * esize..(taken + 1) * esize]);
-                    taken += 1;
-                }
-            }
-            bit_untranspose_into(&t, chunk, elem_bits, &mut raw);
-            for c in raw.chunks_exact(esize) {
-                let mut le = [0u8; 8];
-                le[..esize].copy_from_slice(c);
-                words.push(u64::from_le_bytes(le));
-            }
-            remaining -= chunk;
-        } else {
-            let raw = payload
-                .get(*pos..*pos + remaining * esize)
-                .ok_or_else(|| Error::Corrupt("ndzip: tail words truncated".into()))?;
-            *pos += remaining * esize;
-            for c in raw.chunks_exact(esize) {
-                let mut le = [0u8; 8];
-                le[..esize].copy_from_slice(c);
-                words.push(u64::from_le_bytes(le));
-            }
-            remaining = 0;
-        }
-    }
-    Ok(words)
-}
-
-/// Grid geometry: decompose the extent into whole cubes plus a border set.
+/// One call's grid geometry: the extent decomposed into whole cubes plus a
+/// border set, and the kernels that code one cube of it. Shared with
+/// ndzip-GPU, whose pipeline is identical (§4.4) — only the schedule and
+/// the directory differ.
 pub struct Cubes {
     /// Linear element indices per cube, cube by cube.
     pub cube_indices: Vec<Vec<usize>>,
@@ -257,10 +166,12 @@ pub struct Cubes {
     pub border: Vec<usize>,
     /// Cube side lengths per dimension.
     pub sides: Vec<usize>,
+    /// Element width in bits (32/64).
+    elem_bits: usize,
 }
 
 /// Plan the cube decomposition of a `dims` grid with `sides` cubes.
-pub fn plan_cubes(dims: &[usize], sides: &[usize]) -> Cubes {
+fn plan_cubes(dims: &[usize], sides: &[usize], elem_bits: usize) -> Cubes {
     let nd = dims.len();
     let counts: Vec<usize> = (0..nd).map(|d| dims[d] / sides[d]).collect();
     let mut covered = vec![false; dims.iter().product()];
@@ -305,19 +216,119 @@ pub fn plan_cubes(dims: &[usize], sides: &[usize]) -> Cubes {
         cube_indices,
         border,
         sides: sides.to_vec(),
+        elem_bits,
     }
 }
 
-/// View any-precision data as a u64 word stream (fp32 zero-extended).
-pub fn words_of(data: &FloatData) -> Vec<u64> {
-    match data.desc().precision {
-        Precision::Double => data.as_u64_words().expect("checked precision"),
-        Precision::Single => data
-            .as_u32_words()
-            .expect("checked precision")
-            .into_iter()
-            .map(u64::from)
-            .collect(),
+impl Cubes {
+    fn esize(&self) -> usize {
+        self.elem_bits / 8
+    }
+
+    /// Code cube `k` of the grid held in `bytes` onto `out`: gather, integer
+    /// Lorenzo, then per chunk of `elem_bits` residuals a bit transpose and
+    /// a bitmap of the nonzero transposed words followed by those words.
+    pub fn encode_cube(&self, k: usize, bytes: &[u8], out: &mut Vec<u8>) {
+        let (chunk, esize) = (self.elem_bits, self.esize());
+        let element = |&i: &usize| load_le(&bytes[i * esize..(i + 1) * esize]);
+        let mut cube: Vec<u64> = self.cube_indices[k].iter().map(element).collect();
+        lorenzo_forward(&mut cube, &self.sides, self.elem_bits as u32);
+        out.reserve(cube.len() * esize);
+        // Chunk staging buffers are hoisted out of the loop (a cube runs 64–128
+        // chunks) and nonzero words stream straight into `out`, the bitmap
+        // patched in place once the chunk's zero scan is done.
+        let mut raw = Vec::with_capacity(chunk * esize);
+        let mut t = Vec::new();
+        for words_chunk in cube.chunks(chunk) {
+            if words_chunk.len() < chunk {
+                // Ragged tail of a cube that is no chunk multiple: verbatim.
+                put_words(words_chunk, esize, out);
+                continue;
+            }
+            raw.clear();
+            put_words(words_chunk, esize, &mut raw);
+            bit_transpose_into(&raw, chunk, self.elem_bits, &mut t);
+            // The transposed data is `elem_bits` words of `chunk` bits each;
+            // word w is bytes [w*esize, (w+1)*esize) since chunk == elem_bits.
+            let mut bitmap = [0u8; 8];
+            let bitmap_pos = out.len();
+            out.extend_from_slice(&bitmap[..esize]);
+            for (w, word) in t.chunks_exact(esize).enumerate() {
+                if word.iter().any(|&b| b != 0) {
+                    bitmap[w / 8] |= 1 << (w % 8);
+                    out.extend_from_slice(word);
+                }
+            }
+            out[bitmap_pos..bitmap_pos + esize].copy_from_slice(&bitmap[..esize]);
+        }
+    }
+
+    /// Append the border elements of the grid held in `bytes` verbatim.
+    pub fn put_border(&self, bytes: &[u8], out: &mut Vec<u8>) {
+        let esize = self.esize();
+        for &i in &self.border {
+            out.extend_from_slice(&bytes[i * esize..(i + 1) * esize]);
+        }
+    }
+
+    /// Inverse of [`Cubes::encode_cube`]: the cube's words, Lorenzo undone.
+    /// The stream must be consumed exactly.
+    pub fn decode_cube(&self, stream: &[u8]) -> Result<Vec<u64>> {
+        let (chunk, esize) = (self.elem_bits, self.esize());
+        let count: usize = self.sides.iter().product();
+        let mut cur = Cursor::new("ndzip", stream);
+        let mut words = Vec::with_capacity(count);
+        let mut t = Vec::new();
+        let mut raw = Vec::new();
+        while words.len() + chunk <= count {
+            let bitmap = cur.take(esize, "bitmap")?;
+            let nset: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
+            let mut nonzero = cur.take(nset * esize, "nonzero words")?.chunks_exact(esize);
+            t.clear();
+            t.resize(chunk * esize, 0);
+            for (w, word) in t.chunks_exact_mut(esize).enumerate() {
+                if bitmap[w / 8] & (1 << (w % 8)) != 0 {
+                    if let Some(stored) = nonzero.next() {
+                        word.copy_from_slice(stored);
+                    }
+                }
+            }
+            bit_untranspose_into(&t, chunk, self.elem_bits, &mut raw);
+            words.extend(raw.chunks_exact(esize).map(load_le));
+        }
+        let tail = cur.take((count - words.len()) * esize, "tail words")?;
+        words.extend(tail.chunks_exact(esize).map(load_le));
+        cur.finish()?;
+        lorenzo_inverse(&mut words, &self.sides, self.elem_bits as u32);
+        Ok(words)
+    }
+
+    /// Reassemble the grid into `out`: scatter each decoded cube to its
+    /// elements, then the verbatim border elements `cur` must end with.
+    pub fn assemble(
+        &self,
+        desc: &DataDesc,
+        cubes: impl IntoIterator<Item = Result<Vec<u64>>>,
+        mut cur: Cursor<'_>,
+        out: &mut FloatData,
+    ) -> Result<()> {
+        let esize = self.esize();
+        out.refill(desc, |bytes| {
+            bytes.resize(desc.byte_len(), 0);
+            let mut put = |i: usize, element: &[u8]| {
+                bytes[i * esize..(i + 1) * esize].copy_from_slice(&element[..esize]);
+            };
+            for (idxs, cube) in self.cube_indices.iter().zip(cubes) {
+                for (&i, w) in idxs.iter().zip(cube?) {
+                    put(i, &w.to_le_bytes());
+                }
+            }
+            let border = cur.take(self.border.len() * esize, "border")?;
+            for (&i, element) in self.border.iter().zip(border.chunks_exact(esize)) {
+                put(i, element);
+            }
+            cur.finish()
+        })
     }
 }
 
@@ -335,61 +346,15 @@ impl Compressor for Ndzip {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        let desc = data.desc();
-        let elem_bits = desc.precision.bits();
-        let esize = desc.precision.bytes();
-        let dims = effective_dims(desc);
-        let sides = self.cube_sides(dims.len());
-        let plan = plan_cubes(&dims, &sides);
-        let words = words_of(data);
-
-        let mut streams: Vec<Vec<u8>> = vec![Vec::new(); plan.cube_indices.len()];
-        let nworkers = self.threads.min(streams.len()).max(1);
-        if words.len() < PARALLEL_WORDS || nworkers == 1 {
-            // Inline: at benchmark block sizes the per-call spawn cost
-            // dwarfs the cube work. The cube buffer is reused across cubes;
-            // the emitted streams are identical to the threaded path's.
-            let mut cube: Vec<u64> = Vec::new();
-            for (slot, idxs) in streams.iter_mut().zip(plan.cube_indices.iter()) {
-                cube.clear();
-                cube.extend(idxs.iter().map(|&i| words[i]));
-                lorenzo_forward(&mut cube, &plan.sides, elem_bits as u32);
-                slot.reserve(cube.len() * esize);
-                encode_cube(&cube, elem_bits, slot);
-            }
-        } else {
-            let per = streams.len().div_ceil(nworkers).max(1);
-            std::thread::scope(|s| {
-                for (wi, chunk) in streams.chunks_mut(per).enumerate() {
-                    let start = wi * per;
-                    let plan = &plan;
-                    let words = &words;
-                    s.spawn(move || {
-                        for (k, slot) in chunk.iter_mut().enumerate() {
-                            let idxs = &plan.cube_indices[start + k];
-                            let mut cube: Vec<u64> = idxs.iter().map(|&i| words[i]).collect();
-                            lorenzo_forward(&mut cube, &plan.sides, elem_bits as u32);
-                            let mut out = Vec::with_capacity(cube.len() * esize);
-                            encode_cube(&cube, elem_bits, &mut out);
-                            *slot = out;
-                        }
-                    });
-                }
-            });
-        }
-
+        let plan = self.plan(data.desc());
+        let bytes = data.bytes();
+        let ncubes = plan.cube_indices.len();
         out.clear();
-        push_u32(out, streams.len() as u32);
-        for s in &streams {
-            push_u32(out, s.len() as u32);
-        }
-        for s in &streams {
-            out.extend_from_slice(s);
-        }
-        // Border elements verbatim.
-        for &i in &plan.border {
-            out.extend_from_slice(&words[i].to_le_bytes()[..esize]);
-        }
+        out.extend_from_slice(&(ncubes as u32).to_le_bytes());
+        code_chunks(out, ncubes, bytes.len(), self.threads, |k, out| {
+            plan.encode_cube(k, bytes, out)
+        })?;
+        plan.put_border(bytes, out);
         Ok(out.len())
     }
 
@@ -398,80 +363,18 @@ impl Compressor for Ndzip {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let elem_bits = desc.precision.bits();
-        let esize = desc.precision.bytes();
-        let dims = effective_dims(desc);
-        let sides = self.cube_sides(dims.len());
-        let plan = plan_cubes(&dims, &sides);
-
-        let mut pos = 0usize;
-        let ncubes = read_u32(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("ndzip: missing cube count".into()))?
-            as usize;
+        let plan = self.plan(desc);
+        let mut cur = Cursor::new("ndzip", payload);
+        let ncubes = cur.len32("cube count")?;
         if ncubes != plan.cube_indices.len() {
-            return Err(Error::Corrupt(format!(
-                "ndzip: stream has {ncubes} cubes, geometry implies {}",
+            return Err(cur.corrupt(format_args!(
+                "stream has {ncubes} cubes, geometry implies {}",
                 plan.cube_indices.len()
             )));
         }
-        let mut sizes = Vec::with_capacity(ncubes);
-        for _ in 0..ncubes {
-            sizes.push(
-                read_u32(payload, &mut pos)
-                    .ok_or_else(|| Error::Corrupt("ndzip: directory truncated".into()))?
-                    as usize,
-            );
-        }
-
-        let cube_elems: usize = sides.iter().product();
-        let mut words = vec![0u64; desc.elements()];
-        for (k, &sz) in sizes.iter().enumerate() {
-            let slice = payload
-                .get(pos..pos + sz)
-                .ok_or_else(|| Error::Corrupt("ndzip: cube stream truncated".into()))?;
-            let mut local_pos = 0usize;
-            let mut cube = decode_cube(slice, &mut local_pos, cube_elems, elem_bits)?;
-            if local_pos != slice.len() {
-                return Err(Error::Corrupt(
-                    "ndzip: cube stream has trailing bytes".into(),
-                ));
-            }
-            lorenzo_inverse(&mut cube, &sides, elem_bits as u32);
-            for (&i, &w) in plan.cube_indices[k].iter().zip(cube.iter()) {
-                words[i] = w;
-            }
-            pos += sz;
-        }
-        // Border elements.
-        for &i in &plan.border {
-            let raw = payload
-                .get(pos..pos + esize)
-                .ok_or_else(|| Error::Corrupt("ndzip: border truncated".into()))?;
-            let mut le = [0u8; 8];
-            le[..esize].copy_from_slice(raw);
-            words[i] = u64::from_le_bytes(le);
-            pos += esize;
-        }
-        if pos != payload.len() {
-            return Err(Error::Corrupt("ndzip: trailing bytes".into()));
-        }
-
-        out.refill(desc, |bytes| {
-            bytes.reserve(desc.byte_len());
-            match desc.precision {
-                Precision::Double => {
-                    for w in words {
-                        bytes.extend_from_slice(&w.to_le_bytes());
-                    }
-                }
-                Precision::Single => {
-                    for w in words {
-                        bytes.extend_from_slice(&(w as u32).to_le_bytes());
-                    }
-                }
-            }
-            Ok(())
-        })
+        let cubes = cur.take_chunks(ncubes)?;
+        let cubes = cubes.into_iter().map(|stream| plan.decode_cube(stream));
+        plan.assemble(desc, cubes, cur, out)
     }
 
     fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {

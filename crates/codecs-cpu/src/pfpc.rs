@@ -14,19 +14,19 @@
 //! is stored verbatim. The paper's §3.6 insight — aligning thread count
 //! with data dimensionality preserves per-dimension correlation — is
 //! exercised by the `ablation_pfpc` bench via [`Pfpc::with_threads`].
+//!
+//! Payload: the [`begin_word_frame`] frame, one [`pack_counted`] stream
+//! per chunk.
 
-use crate::common::{chunk_ranges, push_u32, push_u64, read_u32, read_u64};
+use crate::common::{
+    begin_word_frame, code_chunks, fan_out, pack_counted, read_word_frame, unpack_counted,
+};
+use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, OpProfile, Platform,
     PrecisionSupport, Result,
 };
 use std::cell::RefCell;
-
-/// Below this many words both directions run their chunks inline on the
-/// calling thread: the chunk layout (and therefore the stream) is
-/// identical either way, and at benchmark block sizes the per-call spawn
-/// cost would dwarf the predictor work itself.
-const PARALLEL_WORDS: usize = 1 << 16;
 
 /// Log2 of the predictor hash-table sizes.
 const TABLE_LOG: u32 = 16;
@@ -44,6 +44,12 @@ fn lzb_to_code(lzb: u32) -> u32 {
         5..=8 => lzb - 1,
         _ => 7,
     }
+}
+
+/// Residual bytes kept for a 3-bit code.
+#[inline]
+fn residual_bytes(code: u32) -> usize {
+    (8 - LZB_TABLE[code as usize & 7]) as usize
 }
 
 /// The pFPC codec.
@@ -72,12 +78,12 @@ impl Pfpc {
 }
 
 /// Reusable FCM/DFCM tables. A chunk touches at most `chunk_len` slots of
-/// each 512 KB table, so zeroing the whole pair per chunk (the original
-/// `vec![0; TABLE_SIZE]` allocation) costs more than the predictor work at
-/// benchmark chunk sizes. Instead the tables live in thread-local scratch
-/// with an all-zero invariant: every slot written during a chunk is
-/// recorded and re-zeroed afterwards — including on corrupt-stream error
-/// paths, so a failed decode cannot poison the next call's predictions.
+/// each 512 KB table, so zeroing the whole pair per chunk costs more than the
+/// predictor work at benchmark chunk sizes. Instead the tables live in
+/// thread-local scratch with an all-zero invariant: every slot written
+/// during a chunk is recorded and re-zeroed afterwards — including on
+/// corrupt-stream error paths, so a failed decode cannot poison the next
+/// call's predictions.
 struct PredictorScratch {
     fcm: Vec<u64>,
     dfcm: Vec<u64>,
@@ -95,24 +101,55 @@ impl PredictorScratch {
         }
     }
 
-    fn ensure(&mut self) {
-        if self.fcm.is_empty() {
-            self.fcm.resize(TABLE_SIZE, 0);
-            self.dfcm.resize(TABLE_SIZE, 0);
-        }
+    /// Run one chunk over the all-zero tables, restoring the invariant —
+    /// exactly the slots the chunk wrote are cleared — however `chunk` ends.
+    fn with<R>(chunk: impl FnOnce(&mut Self) -> R) -> R {
+        PFPC_SCRATCH.with_borrow_mut(|scr| {
+            if scr.fcm.is_empty() {
+                scr.fcm.resize(TABLE_SIZE, 0);
+                scr.dfcm.resize(TABLE_SIZE, 0);
+            }
+            let result = chunk(scr);
+            for s in scr.touched_fcm.drain(..) {
+                scr.fcm[s as usize] = 0;
+            }
+            for s in scr.touched_dfcm.drain(..) {
+                scr.dfcm[s as usize] = 0;
+            }
+            result
+        })
+    }
+}
+
+/// One chunk's running predictor state — compression and decompression
+/// drive the same two steps, so they cannot diverge. Kept apart from the
+/// tables so the three words stay in registers across the chunk loop.
+#[derive(Default)]
+struct Predictors {
+    fcm_hash: usize,
+    dfcm_hash: usize,
+    last: u64,
+}
+
+impl Predictors {
+    /// The FCM and DFCM predictions for the next word.
+    #[inline]
+    fn predict(&self, scr: &PredictorScratch) -> (u64, u64) {
+        let dfcm = scr.dfcm[self.dfcm_hash].wrapping_add(self.last);
+        (scr.fcm[self.fcm_hash], dfcm)
     }
 
-    /// Restore the all-zero invariant by clearing exactly the slots the
-    /// finished chunk wrote.
-    fn reset(&mut self) {
-        for &s in &self.touched_fcm {
-            self.fcm[s as usize] = 0;
-        }
-        for &s in &self.touched_dfcm {
-            self.dfcm[s as usize] = 0;
-        }
-        self.touched_fcm.clear();
-        self.touched_dfcm.clear();
+    /// Absorb the actual word into both tables.
+    #[inline]
+    fn update(&mut self, scr: &mut PredictorScratch, val: u64) {
+        scr.touched_fcm.push(self.fcm_hash as u32);
+        scr.fcm[self.fcm_hash] = val;
+        self.fcm_hash = ((self.fcm_hash << 6) ^ (val >> 48) as usize) & (TABLE_SIZE - 1);
+        let delta = val.wrapping_sub(self.last);
+        scr.touched_dfcm.push(self.dfcm_hash as u32);
+        scr.dfcm[self.dfcm_hash] = delta;
+        self.dfcm_hash = ((self.dfcm_hash << 2) ^ (delta >> 40) as usize) & (TABLE_SIZE - 1);
+        self.last = val;
     }
 }
 
@@ -120,150 +157,42 @@ thread_local! {
     static PFPC_SCRATCH: RefCell<PredictorScratch> = const { RefCell::new(PredictorScratch::new()) };
 }
 
-/// Compress one chunk of words (given as raw little-endian bytes, length a
-/// multiple of 8) with private predictor state, appending the chunk
-/// payload to `out`. Byte-identical to the original per-word
-/// implementation: same predictions, same nibble packing, same residual
-/// order — but the code region is written in place (its size is known up
-/// front) and each residual is one bulk 8-byte store truncated to the
-/// width its code claims.
+/// Compress one chunk of words (raw little-endian bytes, length a multiple
+/// of 8) with private predictor state, appending the chunk to `out`.
 fn compress_chunk_into(bytes: &[u8], out: &mut Vec<u8>) {
-    let count = bytes.len() / 8;
-    let ncodes = count.div_ceil(2);
-    let base = out.len();
-    push_u32(out, ncodes as u32);
-    push_u32(out, 0); // residual byte count, patched below
-    let code_base = out.len();
-    out.resize(code_base + ncodes, 0);
-    out.reserve(count * 4);
-
-    PFPC_SCRATCH.with_borrow_mut(|scr| {
-        scr.ensure();
-        let mut fcm_hash = 0usize;
-        let mut dfcm_hash = 0usize;
-        let mut last = 0u64;
-        for (i, w) in bytes.chunks_exact(8).enumerate() {
-            let val = u64::from_le_bytes(w.try_into().expect("8 bytes"));
-            let xf = val ^ scr.fcm[fcm_hash];
-            let xd = val ^ scr.dfcm[dfcm_hash].wrapping_add(last);
-            let (sel, xor) = if xf <= xd { (0u32, xf) } else { (1u32, xd) };
-            let lzb = (xor.leading_zeros() / 8).min(8);
+    PredictorScratch::with(|scr| {
+        let mut state = Predictors::default();
+        pack_counted(bytes, out, |val| {
+            let (fcm, dfcm) = state.predict(scr);
+            let (xf, xd) = (val ^ fcm, val ^ dfcm);
+            let (sel, xor) = if xf <= xd { (0, xf) } else { (8, xd) };
             // The code table may claim fewer leading zero bytes than
             // actual (4 -> 3); residual bytes are emitted per the *code*.
-            let code = lzb_to_code(lzb);
-            let nib = (sel << 3) | code;
-            if i & 1 == 0 {
-                out[code_base + i / 2] = (nib << 4) as u8;
-            } else {
-                out[code_base + i / 2] |= nib as u8;
-            }
-            let eb = (8 - LZB_TABLE[code as usize]) as usize;
-            let res_start = out.len();
-            out.extend_from_slice(&xor.to_le_bytes());
-            out.truncate(res_start + eb);
-
-            scr.touched_fcm.push(fcm_hash as u32);
-            scr.fcm[fcm_hash] = val;
-            fcm_hash = ((fcm_hash << 6) ^ (val >> 48) as usize) & (TABLE_SIZE - 1);
-            let delta = val.wrapping_sub(last);
-            scr.touched_dfcm.push(dfcm_hash as u32);
-            scr.dfcm[dfcm_hash] = delta;
-            dfcm_hash = ((dfcm_hash << 2) ^ (delta >> 40) as usize) & (TABLE_SIZE - 1);
-            last = val;
-        }
-        scr.reset();
-    });
-
-    let nres = (out.len() - code_base - ncodes) as u32;
-    out[base + 4..base + 8].copy_from_slice(&nres.to_le_bytes());
+            let code = lzb_to_code(xor.leading_zeros() / 8);
+            state.update(scr, val);
+            (sel | code as u8, xor, residual_bytes(code))
+        })
+    })
 }
 
-/// Decompress one chunk of `count` words into `dst` (`count * 8` bytes).
-///
-/// Accepts and rejects exactly the same payloads as the original
-/// Vec-returning decoder; the decoded words land directly in the caller's
-/// output region instead of a per-chunk heap buffer.
-fn decompress_chunk_into(payload: &[u8], count: usize, dst: &mut [u8]) -> Result<()> {
-    debug_assert_eq!(dst.len(), count * 8);
-    let mut pos = 0usize;
-    let ncodes = read_u32(payload, &mut pos)
-        .ok_or_else(|| Error::Corrupt("pfpc: missing code count".into()))?
-        as usize;
-    let nres = read_u32(payload, &mut pos)
-        .ok_or_else(|| Error::Corrupt("pfpc: missing residual count".into()))?
-        as usize;
-    let codes = payload
-        .get(pos..pos + ncodes)
-        .ok_or_else(|| Error::Corrupt("pfpc: code bytes truncated".into()))?;
-    let residuals = payload
-        .get(pos + ncodes..pos + ncodes + nres)
-        .ok_or_else(|| Error::Corrupt("pfpc: residual bytes truncated".into()))?;
-    if ncodes != count.div_ceil(2) {
-        return Err(Error::Corrupt("pfpc: code count mismatch".into()));
-    }
-
-    PFPC_SCRATCH.with_borrow_mut(|scr| {
-        scr.ensure();
-        let result = (|| {
-            let mut fcm_hash = 0usize;
-            let mut dfcm_hash = 0usize;
-            let mut last = 0u64;
-            let mut rpos = 0usize;
-            for idx in 0..count {
-                let cb = codes[idx / 2];
-                let nib = if idx & 1 == 0 {
-                    (cb >> 4) as u32
-                } else {
-                    (cb & 0x0F) as u32
-                };
-                let sel = nib >> 3;
-                let code = nib & 7;
-                let eb = (8 - LZB_TABLE[code as usize]) as usize;
-                // Word path: one unaligned 8-byte load + mask covers every
-                // residual width; the byte-copy loop only runs for the
-                // last few residuals of the chunk.
-                let xor = if let Some(s) = residuals.get(rpos..rpos + 8) {
-                    let w = u64::from_le_bytes(s.try_into().expect("8 bytes"));
-                    if eb == 8 {
-                        w
-                    } else {
-                        w & ((1u64 << (8 * eb)) - 1)
-                    }
-                } else {
-                    let rbytes = residuals
-                        .get(rpos..rpos + eb)
-                        .ok_or_else(|| Error::Corrupt("pfpc: residual stream truncated".into()))?;
-                    let mut le = [0u8; 8];
-                    le[..eb].copy_from_slice(rbytes);
-                    u64::from_le_bytes(le)
-                };
-                rpos += eb;
-                let pred = if sel == 0 {
-                    scr.fcm[fcm_hash]
-                } else {
-                    scr.dfcm[dfcm_hash].wrapping_add(last)
-                };
-                let val = pred ^ xor;
-
-                scr.touched_fcm.push(fcm_hash as u32);
-                scr.fcm[fcm_hash] = val;
-                fcm_hash = ((fcm_hash << 6) ^ (val >> 48) as usize) & (TABLE_SIZE - 1);
-                let delta = val.wrapping_sub(last);
-                scr.touched_dfcm.push(dfcm_hash as u32);
-                scr.dfcm[dfcm_hash] = delta;
-                dfcm_hash = ((dfcm_hash << 2) ^ (delta >> 40) as usize) & (TABLE_SIZE - 1);
-                last = val;
-
-                dst[idx * 8..idx * 8 + 8].copy_from_slice(&val.to_le_bytes());
+/// Decompress one chunk into `dst`, whose length fixes the word count.
+fn decompress_chunk_into(payload: &[u8], dst: &mut [u8]) -> Result<()> {
+    let mut cur = Cursor::new("pfpc", payload);
+    let count = dst.len() / 8;
+    let mut words = dst.chunks_exact_mut(8);
+    let width = |nibble: u8| Some(residual_bytes(nibble.into()));
+    PredictorScratch::with(|scr| {
+        let mut state = Predictors::default();
+        unpack_counted(&mut cur, count, width, |nibble, xor| {
+            let (fcm, dfcm) = state.predict(scr);
+            let val = xor ^ if nibble & 8 == 0 { fcm } else { dfcm };
+            state.update(scr, val);
+            if let Some(word) = words.next() {
+                word.copy_from_slice(&val.to_le_bytes());
             }
-            if rpos != residuals.len() {
-                return Err(Error::Corrupt("pfpc: trailing residual bytes".into()));
-            }
-            Ok(())
-        })();
-        scr.reset();
-        result
-    })
+        })
+    })?;
+    cur.finish()
 }
 
 impl Compressor for Pfpc {
@@ -281,48 +210,10 @@ impl Compressor for Pfpc {
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
         let bytes = data.bytes();
-        let nwords = bytes.len() / 8;
-        let word_bytes = &bytes[..nwords * 8];
-        let tail = &bytes[nwords * 8..];
-
-        let ranges = chunk_ranges(nwords, self.threads);
-        out.clear();
-        push_u64(out, nwords as u64);
-        push_u32(out, ranges.len() as u32);
-        out.push(tail.len() as u8);
-        let dir_base = out.len();
-
-        if nwords < PARALLEL_WORDS {
-            // Inline: compress each chunk straight into the frame (no
-            // per-chunk buffers, no words materialization), patching the
-            // size directory — which precedes the payloads on the wire —
-            // as each chunk's length becomes known.
-            for _ in 0..ranges.len() {
-                push_u32(out, 0);
-            }
-            for (k, &(start, end)) in ranges.iter().enumerate() {
-                let before = out.len();
-                compress_chunk_into(&word_bytes[start * 8..end * 8], out);
-                let sz = ((out.len() - before) as u32).to_le_bytes();
-                out[dir_base + 4 * k..dir_base + 4 * k + 4].copy_from_slice(&sz);
-            }
-        } else {
-            let mut chunk_payloads: Vec<Vec<u8>> = vec![Vec::new(); ranges.len()];
-            std::thread::scope(|s| {
-                for (slot, &(start, end)) in chunk_payloads.iter_mut().zip(ranges.iter()) {
-                    let wb = &word_bytes[start * 8..end * 8];
-                    s.spawn(move || {
-                        compress_chunk_into(wb, slot);
-                    });
-                }
-            });
-            for p in &chunk_payloads {
-                push_u32(out, p.len() as u32);
-            }
-            for p in &chunk_payloads {
-                out.extend_from_slice(p);
-            }
-        }
+        let (chunks, tail) = begin_word_frame(out, bytes, self.threads);
+        code_chunks(out, chunks.len(), bytes.len(), self.threads, |k, out| {
+            compress_chunk_into(chunks[k], out)
+        })?;
         out.extend_from_slice(tail);
         Ok(out.len())
     }
@@ -332,86 +223,23 @@ impl Compressor for Pfpc {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let mut pos = 0usize;
-        let nwords = read_u64(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("pfpc: missing word count".into()))?
-            as usize;
-        let nchunks = read_u32(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("pfpc: missing chunk count".into()))?
-            as usize;
-        let tail_len = *payload
-            .get(pos)
-            .ok_or_else(|| Error::Corrupt("pfpc: missing tail length".into()))?
-            as usize;
-        pos += 1;
-        // Validate against the descriptor before any allocation sized by
-        // stream-supplied counts (fuzzed payloads must not OOM).
-        if nwords != desc.byte_len() / 8 || tail_len != desc.byte_len() % 8 {
-            return Err(Error::Corrupt(format!(
-                "pfpc: stream geometry ({nwords} words + {tail_len}) does not match descriptor"
-            )));
-        }
-        if nchunks > nwords.max(1) {
-            return Err(Error::Corrupt("pfpc: more chunks than words".into()));
-        }
-        let mut sizes = Vec::with_capacity(nchunks);
-        for _ in 0..nchunks {
-            sizes.push(
-                read_u32(payload, &mut pos)
-                    .ok_or_else(|| Error::Corrupt("pfpc: chunk directory truncated".into()))?
-                    as usize,
-            );
-        }
-        let ranges = chunk_ranges(nwords, nchunks.max(1));
-        if ranges.len() != nchunks {
-            return Err(Error::Corrupt("pfpc: chunk layout mismatch".into()));
-        }
-
-        // Slice up the payload per chunk, then decode in parallel.
-        let mut chunk_slices = Vec::with_capacity(nchunks);
-        for &sz in &sizes {
-            let s = payload
-                .get(pos..pos + sz)
-                .ok_or_else(|| Error::Corrupt("pfpc: chunk payload truncated".into()))?;
-            chunk_slices.push(s);
-            pos += sz;
-        }
-        let tail = payload
-            .get(pos..pos + tail_len)
-            .ok_or_else(|| Error::Corrupt("pfpc: tail truncated".into()))?;
-        if pos + tail_len != payload.len() {
-            return Err(Error::Corrupt("pfpc: trailing bytes".into()));
-        }
-
+        let (chunks, tail) = read_word_frame("pfpc", payload, desc)?;
         out.refill(desc, |bytes| {
             bytes.clear();
-            bytes.resize(nwords * 8, 0);
-            if nwords < PARALLEL_WORDS {
-                for (slice, &(start, end)) in chunk_slices.iter().zip(ranges.iter()) {
-                    decompress_chunk_into(slice, end - start, &mut bytes[start * 8..end * 8])?;
-                }
-            } else {
-                let mut results: Vec<Result<()>> = Vec::with_capacity(nchunks);
-                results.resize_with(nchunks, || Ok(()));
-                std::thread::scope(|s| {
-                    let mut rest: &mut [u8] = bytes;
-                    for ((slot, slice), &(start, end)) in results
-                        .iter_mut()
-                        .zip(chunk_slices.iter())
-                        .zip(ranges.iter())
-                    {
-                        let count = end - start;
-                        let (dst, tail_rest) = rest.split_at_mut(count * 8);
-                        rest = tail_rest;
-                        s.spawn(move || {
-                            *slot = decompress_chunk_into(slice, count, dst);
-                        });
-                    }
-                });
-                for r in results {
-                    r?;
-                }
+            bytes.resize(desc.byte_len() / 8 * 8, 0);
+            // One slot per chunk: its payload, its disjoint output region,
+            // its outcome.
+            let mut rest = bytes.as_mut_slice();
+            let mut slots = Vec::with_capacity(chunks.len());
+            for (chunk, count) in chunks {
+                let (dst, after) = std::mem::take(&mut rest).split_at_mut(count * 8);
+                rest = after;
+                slots.push((chunk, dst, Ok(())));
             }
+            fan_out(&mut slots, desc.byte_len(), self.threads, |_, slot| {
+                slot.2 = decompress_chunk_into(slot.0, slot.1);
+            });
+            slots.into_iter().try_for_each(|(_, _, done)| done)?;
             bytes.extend_from_slice(tail);
             Ok(())
         })

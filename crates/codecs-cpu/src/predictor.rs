@@ -20,12 +20,16 @@
 //! Wire: `nwords (u64) | tail_len (u8) | codes (ceil(nwords/2) bytes,
 //! high nibble = even word) | residual bytes | tail`.
 
-use crate::common::{push_u64, read_u64};
+use crate::common::{pack_nibbles, unpack_nibbles};
+use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, OpProfile, Platform,
     PrecisionSupport, Result,
 };
 use std::cell::RefCell;
+
+/// `u64 nwords | u8 tail_len`.
+const HEADER_BYTES: usize = 9;
 
 /// Log2 of the DFCM hash-table size (same sizing as pFPC's tables).
 const TABLE_LOG: u32 = 16;
@@ -63,10 +67,6 @@ impl Predictor {
 
     pub fn dfcm() -> Self {
         Self::new(PredictorKind::Dfcm)
-    }
-
-    pub fn kind(&self) -> PredictorKind {
-        self.kind
     }
 }
 
@@ -147,102 +147,63 @@ struct DfcmScratch {
     touched: Vec<u32>,
 }
 
-impl DfcmScratch {
-    const fn new() -> Self {
-        DfcmScratch {
-            table: Vec::new(),
-            touched: Vec::new(),
+/// Run `f` with a fresh DFCM model over the thread's all-zero table, then
+/// restore the invariant by clearing exactly the slots `f` wrote.
+fn with_dfcm<R>(f: impl FnOnce(DfcmModel<'_>) -> R) -> R {
+    DFCM_SCRATCH.with_borrow_mut(|scr| {
+        if scr.table.is_empty() {
+            scr.table.resize(TABLE_SIZE, 0);
         }
-    }
-
-    fn ensure(&mut self) {
-        if self.table.is_empty() {
-            self.table.resize(TABLE_SIZE, 0);
+        let result = f(DfcmModel {
+            table: &mut scr.table,
+            touched: &mut scr.touched,
+            hash: 0,
+            last: 0,
+        });
+        for s in scr.touched.drain(..) {
+            scr.table[s as usize] = 0;
         }
-    }
-
-    fn reset(&mut self) {
-        for &s in &self.touched {
-            self.table[s as usize] = 0;
-        }
-        self.touched.clear();
-    }
+        result
+    })
 }
 
 thread_local! {
-    static DFCM_SCRATCH: RefCell<DfcmScratch> = const { RefCell::new(DfcmScratch::new()) };
+    static DFCM_SCRATCH: RefCell<DfcmScratch> = const {
+        RefCell::new(DfcmScratch {
+            table: Vec::new(),
+            touched: Vec::new(),
+        })
+    };
 }
 
-/// Encode the word region: fill the pre-zeroed code bytes at `code_base`
-/// in place and append the residual bytes. Each residual is one bulk
-/// 8-byte store truncated to the width its nibble claims.
-fn encode_words<M: WordModel>(bytes: &[u8], code_base: usize, out: &mut Vec<u8>, mut model: M) {
-    for (i, w) in bytes.chunks_exact(8).enumerate() {
-        let val = u64::from_le_bytes(w.try_into().expect("8 bytes"));
+/// Append the word region, `codes | residuals`: the nibble is the count of
+/// leading zero bytes of `prediction ^ word`, the residual its other bytes.
+fn encode_words<M: WordModel>(bytes: &[u8], out: &mut Vec<u8>, mut model: M) {
+    pack_nibbles(bytes, out, |val| {
         let xor = val ^ model.predict();
         let lzb = xor.leading_zeros() / 8; // 0..=8
-        if i & 1 == 0 {
-            out[code_base + i / 2] = (lzb << 4) as u8;
-        } else {
-            out[code_base + i / 2] |= lzb as u8;
-        }
-        let eb = (8 - lzb) as usize;
-        let res_start = out.len();
-        out.extend_from_slice(&xor.to_le_bytes());
-        out.truncate(res_start + eb);
         model.update(val);
-    }
+        (lzb as u8, xor, (8 - lzb) as usize)
+    });
 }
 
-/// Decode `count` words from the code/residual regions, appending the raw
-/// little-endian bytes to `dst`. Accepts exactly the streams
+/// Decode `count` words from the code/residual regions at `cur`, appending
+/// the raw little-endian bytes to `dst`. Accepts exactly the streams
 /// [`encode_words`] emits: every nibble must be a valid count and the
-/// residual bytes must be consumed exactly.
+/// `nresidual` residual bytes must be consumed exactly.
 fn unpack_words<M: WordModel>(
-    codes: &[u8],
-    residuals: &[u8],
+    cur: &mut Cursor<'_>,
     count: usize,
+    nresidual: usize,
     dst: &mut Vec<u8>,
     mut model: M,
 ) -> Result<()> {
-    let mut rpos = 0usize;
-    for idx in 0..count {
-        let cb = codes[idx / 2];
-        let lzb = if idx & 1 == 0 {
-            (cb >> 4) as usize
-        } else {
-            (cb & 0x0F) as usize
-        };
-        if lzb > 8 {
-            return Err(Error::Corrupt("predictor: invalid code nibble".into()));
-        }
-        let eb = 8 - lzb;
-        // Word path: one unaligned 8-byte load + mask covers every residual
-        // width; the byte-copy fallback only runs near the stream's end.
-        let xor = if let Some(s) = residuals.get(rpos..rpos + 8) {
-            let w = u64::from_le_bytes(s.try_into().expect("8 bytes"));
-            if eb == 8 {
-                w
-            } else {
-                w & ((1u64 << (8 * eb)) - 1)
-            }
-        } else {
-            let rbytes = residuals
-                .get(rpos..rpos + eb)
-                .ok_or_else(|| Error::Corrupt("predictor: residual stream truncated".into()))?;
-            let mut le = [0u8; 8];
-            le[..eb].copy_from_slice(rbytes);
-            u64::from_le_bytes(le)
-        };
-        rpos += eb;
+    let width = |lzb: u8| 8usize.checked_sub(lzb.into());
+    unpack_nibbles(cur, count, nresidual, width, |_, xor| {
         let val = model.predict() ^ xor;
         model.update(val);
         dst.extend_from_slice(&val.to_le_bytes());
-    }
-    if rpos != residuals.len() {
-        return Err(Error::Corrupt("predictor: trailing residual bytes".into()));
-    }
-    Ok(())
+    })
 }
 
 impl Compressor for Predictor {
@@ -265,43 +226,20 @@ impl Compressor for Predictor {
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
         let bytes = data.bytes();
-        let nwords = bytes.len() / 8;
-        let word_bytes = &bytes[..nwords * 8];
-        let tail = &bytes[nwords * 8..];
-        let ncodes = nwords.div_ceil(2);
+        let (word_bytes, tail) = bytes.split_at(bytes.len() / 8 * 8);
+        let nwords = word_bytes.len() / 8;
 
         out.clear();
         // Single worst-case reservation (header + codes + full-width
         // residuals + tail): a fresh buffer allocates exactly once.
-        out.reserve(9 + ncodes + nwords * 8 + tail.len());
-        push_u64(out, nwords as u64);
+        out.reserve(HEADER_BYTES + nwords.div_ceil(2) + bytes.len());
+        out.extend_from_slice(&(nwords as u64).to_le_bytes());
         out.push(tail.len() as u8);
-        let code_base = out.len();
-        out.resize(code_base + ncodes, 0);
 
         match self.kind {
-            PredictorKind::LastValue => {
-                encode_words(word_bytes, code_base, out, LastValueModel::default())
-            }
-            PredictorKind::LastStride => {
-                encode_words(word_bytes, code_base, out, LastStrideModel::default())
-            }
-            PredictorKind::Dfcm => DFCM_SCRATCH.with_borrow_mut(|scr| {
-                scr.ensure();
-                let DfcmScratch { table, touched } = scr;
-                encode_words(
-                    word_bytes,
-                    code_base,
-                    out,
-                    DfcmModel {
-                        table,
-                        touched,
-                        hash: 0,
-                        last: 0,
-                    },
-                );
-                scr.reset();
-            }),
+            PredictorKind::LastValue => encode_words(word_bytes, out, LastValueModel::default()),
+            PredictorKind::LastStride => encode_words(word_bytes, out, LastStrideModel::default()),
+            PredictorKind::Dfcm => with_dfcm(|model| encode_words(word_bytes, out, model)),
         }
         out.extend_from_slice(tail);
         Ok(out.len())
@@ -311,62 +249,42 @@ impl Compressor for Predictor {
         // The descriptor is untrusted: reject implausible output claims
         // before anything is sized against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let mut pos = 0usize;
-        let nwords = read_u64(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("predictor: missing word count".into()))?
-            as usize;
-        let tail_len = *payload
-            .get(pos)
-            .ok_or_else(|| Error::Corrupt("predictor: missing tail length".into()))?
-            as usize;
-        pos += 1;
+        let mut cur = Cursor::new("predictor", payload);
+        let nwords = cur.len64("word count")?;
+        let tail_len = usize::from(cur.u8("tail length")?);
         if nwords != desc.byte_len() / 8 || tail_len != desc.byte_len() % 8 {
-            return Err(Error::Corrupt(format!(
-                "predictor: stream geometry ({nwords} words + {tail_len}) does not match descriptor"
+            return Err(cur.corrupt(format_args!(
+                "stream geometry ({nwords} words + {tail_len}) does not match descriptor"
             )));
         }
-        let ncodes = nwords.div_ceil(2);
-        let codes = payload
-            .get(pos..pos + ncodes)
-            .ok_or_else(|| Error::Corrupt("predictor: code bytes truncated".into()))?;
-        pos += ncodes;
-        let body_end = payload
-            .len()
-            .checked_sub(tail_len)
-            .filter(|&e| e >= pos)
-            .ok_or_else(|| Error::Corrupt("predictor: payload shorter than tail".into()))?;
-        let residuals = &payload[pos..body_end];
-        let tail = &payload[body_end..];
+        // Everything between the codes and the tail is residual bytes.
+        let fixed = HEADER_BYTES + nwords.div_ceil(2) + tail_len;
+        let Some(nresidual) = payload.len().checked_sub(fixed) else {
+            return Err(cur.corrupt("payload shorter than its codes and tail"));
+        };
 
         out.refill(desc, |bytes| {
             bytes.reserve(desc.byte_len());
             match self.kind {
-                PredictorKind::LastValue => {
-                    unpack_words(codes, residuals, nwords, bytes, LastValueModel::default())?
+                PredictorKind::LastValue => unpack_words(
+                    &mut cur,
+                    nwords,
+                    nresidual,
+                    bytes,
+                    LastValueModel::default(),
+                )?,
+                PredictorKind::LastStride => unpack_words(
+                    &mut cur,
+                    nwords,
+                    nresidual,
+                    bytes,
+                    LastStrideModel::default(),
+                )?,
+                PredictorKind::Dfcm => {
+                    with_dfcm(|model| unpack_words(&mut cur, nwords, nresidual, bytes, model))?
                 }
-                PredictorKind::LastStride => {
-                    unpack_words(codes, residuals, nwords, bytes, LastStrideModel::default())?
-                }
-                PredictorKind::Dfcm => DFCM_SCRATCH.with_borrow_mut(|scr| {
-                    scr.ensure();
-                    let DfcmScratch { table, touched } = scr;
-                    let result = unpack_words(
-                        codes,
-                        residuals,
-                        nwords,
-                        bytes,
-                        DfcmModel {
-                            table,
-                            touched,
-                            hash: 0,
-                            last: 0,
-                        },
-                    );
-                    scr.reset();
-                    result
-                })?,
             }
-            bytes.extend_from_slice(tail);
+            bytes.extend_from_slice(cur.rest());
             Ok(())
         })
     }

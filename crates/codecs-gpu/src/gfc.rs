@@ -16,22 +16,23 @@
 //! stream with a verbatim tail.
 //!
 //! Payload: `u64 nwords | u32 nchunks | u8 tail_len | per-chunk u32 size |
-//! chunk streams | tail`.
+//! chunk streams | tail` (the frame pFPC uses), each chunk a
+//! `pack_counted` stream.
 
-use fcbench_codecs_cpu::common::{chunk_ranges, push_u32, push_u64, read_u32, read_u64};
+use fcbench_codecs_cpu::common::{begin_word_frame, pack_counted, read_word_frame, unpack_counted};
+use fcbench_core::wire::{put_chunks, Cursor};
 use fcbench_core::{
     AuxTime, CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile,
     Platform, PrecisionSupport, Result,
 };
-use fcbench_gpu_sim::{Dir, Gpu, GpuConfig, TransferLedger};
+use fcbench_gpu_sim::GpuConfig;
 
 /// Values per subchunk (one GPU warp of 32 lanes).
 pub const SUBCHUNK: usize = 32;
 
 /// The GFC codec on the simulated GPU.
 pub struct Gfc {
-    gpu: Gpu,
-    last_aux: crate::AuxSlot,
+    device: crate::Device,
     input_limit: usize,
     /// Number of parallel chunks (the original sizes this to the warp
     /// count resident on the device).
@@ -55,116 +56,54 @@ impl Gfc {
     /// Custom device and input limit (the harness scales the limit with
     /// dataset scale so the paper's failing cells fail here too).
     pub fn with_config(config: GpuConfig, input_limit: usize) -> Self {
-        let chunks = config.sm_count * 16; // warps resident across SMs
         Gfc {
-            gpu: Gpu::new(config),
-            last_aux: crate::AuxSlot::new(),
+            chunks: config.sm_count * 16, // warps resident across SMs
+            device: crate::Device::new(config),
             input_limit,
-            chunks,
         }
     }
 }
 
-/// Compress one chunk of words: subchunks of 32, delta against the last
-/// value of the previous subchunk.
-fn compress_chunk(words: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(words.len() * 4);
-    let mut codes = Vec::with_capacity(words.len().div_ceil(2));
-    let mut residuals = Vec::with_capacity(words.len() * 4);
-    let mut nibble_pending: Option<u8> = None;
-    let mut prev_last = 0u64;
-
-    for sub in words.chunks(SUBCHUNK) {
-        for &w in sub {
-            let r = w.wrapping_sub(prev_last) as i64;
-            let (sign, mag) = if r < 0 {
-                (1u8, r.unsigned_abs())
-            } else {
-                (0u8, r as u64)
-            };
-            let lzb = (mag.leading_zeros() / 8).min(7);
-            let nib = (sign << 3) | lzb as u8;
-            match nibble_pending.take() {
-                None => nibble_pending = Some(nib),
-                Some(first) => codes.push((first << 4) | nib),
-            }
-            let nbytes = 8 - lzb as usize;
-            residuals.extend_from_slice(&mag.to_le_bytes()[..nbytes]);
+/// Compress one chunk of words (raw little-endian bytes): subchunks of 32,
+/// delta against the last value of the previous subchunk. The nibble is
+/// sign + leading-zero-byte count (at most 7) of the delta's magnitude.
+fn compress_chunk(bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let (mut prev_last, mut idx) = (0u64, 0usize);
+    pack_counted(bytes, &mut out, |w| {
+        let r = w.wrapping_sub(prev_last) as i64;
+        let mag = r.unsigned_abs();
+        let lzb = (mag.leading_zeros() / 8).min(7);
+        idx += 1;
+        if idx % SUBCHUNK == 0 {
+            prev_last = w;
         }
-        prev_last = *sub.last().expect("chunks are non-empty");
-    }
-    if let Some(first) = nibble_pending {
-        codes.push(first << 4);
-    }
-
-    push_u32(&mut out, codes.len() as u32);
-    push_u32(&mut out, residuals.len() as u32);
-    out.extend_from_slice(&codes);
-    out.extend_from_slice(&residuals);
+        let sign = if r < 0 { 8 } else { 0 };
+        (sign | lzb as u8, mag, (8 - lzb) as usize)
+    });
     out
 }
 
-fn decompress_chunk(payload: &[u8], count: usize) -> Result<Vec<u64>> {
-    let mut pos = 0usize;
-    let ncodes = read_u32(payload, &mut pos)
-        .ok_or_else(|| Error::Corrupt("gfc: missing code count".into()))? as usize;
-    let nres = read_u32(payload, &mut pos)
-        .ok_or_else(|| Error::Corrupt("gfc: missing residual count".into()))?
-        as usize;
-    if ncodes != count.div_ceil(2) {
-        return Err(Error::Corrupt("gfc: code count mismatch".into()));
-    }
-    let codes = payload
-        .get(pos..pos + ncodes)
-        .ok_or_else(|| Error::Corrupt("gfc: codes truncated".into()))?;
-    let residuals = payload
-        .get(pos + ncodes..pos + ncodes + nres)
-        .ok_or_else(|| Error::Corrupt("gfc: residuals truncated".into()))?;
-
-    let mut words = Vec::with_capacity(count);
-    let mut rpos = 0usize;
+/// Inverse of [`compress_chunk`] for `count` words, as raw bytes.
+fn decompress_chunk(payload: &[u8], count: usize) -> Result<Vec<u8>> {
+    let mut cur = Cursor::new("gfc", payload);
+    let mut bytes = Vec::with_capacity(count * 8);
     let mut prev_last = 0u64;
-    for idx in 0..count {
-        let cb = codes[idx / 2];
-        let nib = if idx % 2 == 0 { cb >> 4 } else { cb & 0x0F };
-        let sign = nib >> 3;
-        let lzb = (nib & 7) as usize;
-        let nbytes = 8 - lzb;
-        // Word path: one unaligned 8-byte load + mask covers every
-        // residual width; the byte-copy fallback only runs near the end
-        // of the chunk's residual stream.
-        let mag = if let Some(s) = residuals.get(rpos..rpos + 8) {
-            let w = u64::from_le_bytes(s.try_into().expect("8 bytes"));
-            if nbytes == 8 {
-                w
-            } else {
-                w & ((1u64 << (8 * nbytes)) - 1)
-            }
-        } else {
-            let raw = residuals
-                .get(rpos..rpos + nbytes)
-                .ok_or_else(|| Error::Corrupt("gfc: residual stream truncated".into()))?;
-            let mut le = [0u8; 8];
-            le[..nbytes].copy_from_slice(raw);
-            u64::from_le_bytes(le)
-        };
-        rpos += nbytes;
-        let r = if sign == 1 {
+    let width = |nibble: u8| Some(8 - usize::from(nibble & 7));
+    unpack_counted(&mut cur, count, width, |nibble, mag| {
+        let r = if nibble & 8 != 0 {
             (mag as i64).wrapping_neg()
         } else {
             mag as i64
         };
         let w = prev_last.wrapping_add(r as u64);
-        words.push(w);
-        // Subchunk boundary bookkeeping.
-        if (idx + 1) % SUBCHUNK == 0 || idx + 1 == count {
+        bytes.extend_from_slice(&w.to_le_bytes());
+        if bytes.len() % (8 * SUBCHUNK) == 0 {
             prev_last = w;
         }
-    }
-    if rpos != residuals.len() {
-        return Err(Error::Corrupt("gfc: trailing residual bytes".into()));
-    }
-    Ok(words)
+    })?;
+    cur.finish()?;
+    Ok(bytes)
 }
 
 impl Compressor for Gfc {
@@ -181,52 +120,32 @@ impl Compressor for Gfc {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        if data.bytes().len() > self.input_limit {
+        let bytes = data.bytes();
+        if bytes.len() > self.input_limit {
             return Err(Error::Unsupported(format!(
                 "gfc: input of {} bytes exceeds the {} byte limit",
-                data.bytes().len(),
+                bytes.len(),
                 self.input_limit
             )));
         }
-        let ledger = TransferLedger::new();
-        ledger.record(self.gpu.config(), Dir::HostToDevice, data.bytes().len());
-
-        let bytes = data.bytes();
-        let nwords = bytes.len() / 8;
-        let tail = &bytes[nwords * 8..];
-        let words: Vec<u64> = bytes[..nwords * 8]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect();
-
-        // Each chunk should hold enough subchunks to amortize its warmup
-        // (the first subchunk deltas against zero); the original sizes
-        // chunks to the resident warp count on multi-GB inputs.
-        let chunks = self.chunks.min(nwords.div_ceil(1024)).max(1);
-        let ranges = chunk_ranges(nwords, chunks);
-        let items: Vec<&[u64]> = ranges.iter().map(|&(s, e)| &words[s..e]).collect();
-        let (streams, _stats) = self.gpu.launch(items, |ctx, chunk| {
-            // Delta + leading-zero coding: uniform control flow, no
-            // divergence to report (GFC's strength on GPUs).
-            ctx.report_instructions(chunk.len() as u64 * 8);
-            compress_chunk(chunk)
-        });
-
-        out.clear();
-        push_u64(out, nwords as u64);
-        push_u32(out, streams.len() as u32);
-        out.push(tail.len() as u8);
-        for s in &streams {
-            push_u32(out, s.len() as u32);
-        }
-        for s in &streams {
-            out.extend_from_slice(s);
-        }
-        out.extend_from_slice(tail);
-
-        ledger.record(self.gpu.config(), Dir::DeviceToHost, out.len());
-        self.last_aux.store(&ledger);
-        Ok(out.len())
+        self.device.run(bytes.len(), |gpu| {
+            // Each chunk should hold enough subchunks to amortize its warmup
+            // (the first subchunk deltas against zero); the original sizes
+            // chunks to the resident warp count on multi-GB inputs.
+            let chunks = self.chunks.min((bytes.len() / 8).div_ceil(1024)).max(1);
+            let (items, tail) = begin_word_frame(out, bytes, chunks);
+            let (streams, _stats) = gpu.launch(items, |ctx, chunk| {
+                // Delta + leading-zero coding: uniform control flow, no
+                // divergence to report (GFC's strength on GPUs).
+                ctx.report_instructions(chunk.len() as u64); // 8 per 8-byte word
+                compress_chunk(chunk)
+            });
+            put_chunks(out, streams.len(), |k, out| {
+                out.extend_from_slice(&streams[k])
+            })?;
+            out.extend_from_slice(tail);
+            Ok(out.len())
+        })
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
@@ -234,85 +153,25 @@ impl Compressor for Gfc {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let ledger = TransferLedger::new();
-        ledger.record(self.gpu.config(), Dir::HostToDevice, payload.len());
-
-        let mut pos = 0usize;
-        let nwords = read_u64(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("gfc: missing word count".into()))?
-            as usize;
-        let nchunks = read_u32(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("gfc: missing chunk count".into()))?
-            as usize;
-        let tail_len = *payload
-            .get(pos)
-            .ok_or_else(|| Error::Corrupt("gfc: missing tail length".into()))?
-            as usize;
-        pos += 1;
-        // Validate against the descriptor before any allocation sized by
-        // stream-supplied counts (fuzzed payloads must not OOM).
-        if nwords != desc.byte_len() / 8 || tail_len != desc.byte_len() % 8 {
-            return Err(Error::Corrupt(format!(
-                "gfc: stream geometry ({nwords} words + {tail_len}) does not match descriptor"
-            )));
-        }
-        if nchunks > nwords.max(1) {
-            return Err(Error::Corrupt("gfc: more chunks than words".into()));
-        }
-        let mut sizes = Vec::with_capacity(nchunks);
-        for _ in 0..nchunks {
-            sizes.push(
-                read_u32(payload, &mut pos)
-                    .ok_or_else(|| Error::Corrupt("gfc: directory truncated".into()))?
-                    as usize,
-            );
-        }
-        let ranges = chunk_ranges(nwords, nchunks.max(1));
-        if ranges.len() != nchunks {
-            return Err(Error::Corrupt("gfc: chunk layout mismatch".into()));
-        }
-        let mut slices = Vec::with_capacity(nchunks);
-        for &sz in &sizes {
-            let s = payload
-                .get(pos..pos + sz)
-                .ok_or_else(|| Error::Corrupt("gfc: chunk truncated".into()))?;
-            slices.push(s);
-            pos += sz;
-        }
-        let tail = payload
-            .get(pos..pos + tail_len)
-            .ok_or_else(|| Error::Corrupt("gfc: tail truncated".into()))?;
-        if pos + tail_len != payload.len() {
-            return Err(Error::Corrupt("gfc: trailing bytes".into()));
-        }
-
-        let items: Vec<(&[u8], usize)> = slices
-            .iter()
-            .zip(ranges.iter())
-            .map(|(&s, &(a, b))| (s, b - a))
-            .collect();
-        let (results, _stats) = self
-            .gpu
-            .launch(items, |_ctx, (slice, count)| decompress_chunk(slice, count));
-
-        out.refill(desc, |bytes| {
-            bytes.reserve(desc.byte_len());
-            for r in results {
-                for w in r? {
-                    bytes.extend_from_slice(&w.to_le_bytes());
+        let decode = |gpu: &fcbench_gpu_sim::Gpu| {
+            let (items, tail) = read_word_frame("gfc", payload, desc)?;
+            let (chunks, _stats) =
+                gpu.launch(items, |_ctx, (chunk, count)| decompress_chunk(chunk, count));
+            out.refill(desc, |bytes| {
+                bytes.reserve(desc.byte_len());
+                for chunk in chunks {
+                    bytes.extend_from_slice(&chunk?);
                 }
-            }
-            bytes.extend_from_slice(tail);
-            Ok(())
-        })?;
-
-        ledger.record(self.gpu.config(), Dir::DeviceToHost, out.bytes().len());
-        self.last_aux.store(&ledger);
-        Ok(())
+                bytes.extend_from_slice(tail);
+                Ok(())
+            })?;
+            Ok(out.bytes().len())
+        };
+        self.device.run(payload.len(), decode).map(drop)
     }
 
     fn last_aux_time(&self) -> AuxTime {
-        self.last_aux.get()
+        self.device.last_aux_time()
     }
 
     fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {

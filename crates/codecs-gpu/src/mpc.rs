@@ -16,21 +16,21 @@
 //! with a verbatim tail for the last partial chunk.
 
 use fcbench_codecs_cpu::bitshuffle::{bit_transpose, bit_untranspose};
-use fcbench_codecs_cpu::common::{push_u32, read_u32};
+use fcbench_codecs_cpu::common::{load_le, put_words};
 use fcbench_codecs_cpu::ndzip::{unzigzag, zigzag};
+use fcbench_core::wire::{put_chunks, Cursor};
 use fcbench_core::{
-    AuxTime, CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile,
-    Platform, Precision, PrecisionSupport, Result,
+    AuxTime, CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, OpProfile,
+    Platform, PrecisionSupport, Result,
 };
-use fcbench_gpu_sim::{Dir, Gpu, GpuConfig, TransferLedger};
+use fcbench_gpu_sim::GpuConfig;
 
 /// Words per chunk (one thread block).
 pub const CHUNK_WORDS: usize = 1024;
 
 /// The MPC codec on the simulated GPU.
 pub struct Mpc {
-    gpu: Gpu,
-    last_aux: crate::AuxSlot,
+    device: crate::Device,
     /// LNV stride; `None` derives it from the data dimensionality.
     stride_override: Option<usize>,
 }
@@ -44,8 +44,7 @@ impl Default for Mpc {
 impl Mpc {
     pub fn new() -> Self {
         Mpc {
-            gpu: Gpu::new(GpuConfig::default()),
-            last_aux: crate::AuxSlot::new(),
+            device: crate::Device::new(GpuConfig::default()),
             stride_override: None,
         }
     }
@@ -99,9 +98,7 @@ fn compress_chunk(mut words: Vec<u64>, elem_bits: usize, stride: usize) -> Vec<u
     }
     // (2) BIT transpose over the whole chunk.
     let mut raw = Vec::with_capacity(words.len() * esize);
-    for &w in &words {
-        raw.extend_from_slice(&w.to_le_bytes()[..esize]);
-    }
+    put_words(&words, esize, &mut raw);
     let t = bit_transpose(&raw, CHUNK_WORDS, elem_bits);
     // Transposed data = elem_bits lanes of CHUNK_WORDS bits = 128 bytes.
     // (3) LNV1s over the transposed *words* (lane-sized units).
@@ -139,25 +136,17 @@ fn decompress_chunk(payload: &[u8], elem_bits: usize, stride: usize) -> Result<V
     let lane_bytes = CHUNK_WORDS / 8;
     let nlanes = elem_bits;
     let bm_len = nlanes.div_ceil(8);
-    let bitmap = payload
-        .get(..bm_len)
-        .ok_or_else(|| Error::Corrupt("mpc: bitmap truncated".into()))?;
+    let mut cur = Cursor::new("mpc", payload);
+    let bitmap = cur.take(bm_len, "bitmap")?;
     let mut lanes: Vec<Vec<u8>> = Vec::with_capacity(nlanes);
-    let mut pos = bm_len;
     for l in 0..nlanes {
         if bitmap[l / 8] & (1 << (l % 8)) != 0 {
-            let lane = payload
-                .get(pos..pos + lane_bytes)
-                .ok_or_else(|| Error::Corrupt("mpc: lane truncated".into()))?;
-            lanes.push(lane.to_vec());
-            pos += lane_bytes;
+            lanes.push(cur.take(lane_bytes, "lane")?.to_vec());
         } else {
             lanes.push(vec![0u8; lane_bytes]);
         }
     }
-    if pos != payload.len() {
-        return Err(Error::Corrupt("mpc: trailing bytes in chunk".into()));
-    }
+    cur.finish()?;
     // Inverse LNV1s over lanes.
     for l in 1..nlanes {
         let (prev, cur) = {
@@ -174,12 +163,7 @@ fn decompress_chunk(payload: &[u8], elem_bits: usize, stride: usize) -> Result<V
         t.extend_from_slice(lane);
     }
     let raw = bit_untranspose(&t, CHUNK_WORDS, elem_bits);
-    let mut words = Vec::with_capacity(CHUNK_WORDS);
-    for c in raw.chunks_exact(esize) {
-        let mut le = [0u8; 8];
-        le[..esize].copy_from_slice(c);
-        words.push(u64::from_le_bytes(le));
-    }
+    let mut words: Vec<u64> = raw.chunks_exact(esize).map(load_le).collect();
     // Inverse zigzag, then inverse LNV-stride.
     let mask = u64::MAX >> (64 - elem_bits);
     for w in words.iter_mut() {
@@ -192,18 +176,10 @@ fn decompress_chunk(payload: &[u8], elem_bits: usize, stride: usize) -> Result<V
     Ok(words)
 }
 
-fn words_of(data: &FloatData) -> (Vec<u64>, usize) {
-    match data.desc().precision {
-        Precision::Double => (data.as_u64_words().expect("precision checked"), 64),
-        Precision::Single => (
-            data.as_u32_words()
-                .expect("precision checked")
-                .into_iter()
-                .map(u64::from)
-                .collect(),
-            32,
-        ),
-    }
+/// Any-precision data as a `u64` word per element (fp32 zero-extended).
+fn words_of(data: &FloatData) -> Vec<u64> {
+    let esize = data.desc().precision.bytes();
+    data.bytes().chunks_exact(esize).map(load_le).collect()
 }
 
 impl Compressor for Mpc {
@@ -220,38 +196,27 @@ impl Compressor for Mpc {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        let ledger = TransferLedger::new();
-        ledger.record(self.gpu.config(), Dir::HostToDevice, data.bytes().len());
-        let (words, elem_bits) = words_of(data);
-        let esize = elem_bits / 8;
-        let stride = self.stride_for(data.desc());
+        self.device.run(data.bytes().len(), |gpu| {
+            let words = words_of(data);
+            let elem_bits = data.desc().precision.bits();
+            let stride = self.stride_for(data.desc());
 
-        let nfull = words.len() / CHUNK_WORDS;
-        let tail_words = &words[nfull * CHUNK_WORDS..];
-        let items: Vec<Vec<u64>> = (0..nfull)
-            .map(|k| words[k * CHUNK_WORDS..(k + 1) * CHUNK_WORDS].to_vec())
-            .collect();
-        let (streams, _stats) = self.gpu.launch(items, |ctx, chunk| {
-            ctx.report_instructions((CHUNK_WORDS * elem_bits) as u64 / 8);
-            compress_chunk(chunk, elem_bits, stride)
-        });
+            let (full, tail_words) = words.split_at(words.len() / CHUNK_WORDS * CHUNK_WORDS);
+            let items: Vec<Vec<u64>> = full.chunks(CHUNK_WORDS).map(<[u64]>::to_vec).collect();
+            let (streams, _stats) = gpu.launch(items, |ctx, chunk| {
+                ctx.report_instructions((CHUNK_WORDS * elem_bits) as u64 / 8);
+                compress_chunk(chunk, elem_bits, stride)
+            });
 
-        out.clear();
-        push_u32(out, streams.len() as u32);
-        out.push(stride as u8);
-        for s in &streams {
-            push_u32(out, s.len() as u32);
-        }
-        for s in &streams {
-            out.extend_from_slice(s);
-        }
-        for &w in tail_words {
-            out.extend_from_slice(&w.to_le_bytes()[..esize]);
-        }
-
-        ledger.record(self.gpu.config(), Dir::DeviceToHost, out.len());
-        self.last_aux.store(&ledger);
-        Ok(out.len())
+            out.clear();
+            out.extend_from_slice(&(streams.len() as u32).to_le_bytes());
+            out.push(stride as u8);
+            put_chunks(out, streams.len(), |k, out| {
+                out.extend_from_slice(&streams[k])
+            })?;
+            put_words(tail_words, elem_bits / 8, out);
+            Ok(out.len())
+        })
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
@@ -259,88 +224,42 @@ impl Compressor for Mpc {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let ledger = TransferLedger::new();
-        ledger.record(self.gpu.config(), Dir::HostToDevice, payload.len());
-        let elem_bits = desc.precision.bits();
-        let esize = elem_bits / 8;
-        let total_words = desc.elements();
+        let decode = |gpu: &fcbench_gpu_sim::Gpu| {
+            let elem_bits = desc.precision.bits();
+            let esize = elem_bits / 8;
+            let total_words = desc.elements();
 
-        let mut pos = 0usize;
-        let nchunks = read_u32(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("mpc: missing chunk count".into()))?
-            as usize;
-        let stride = *payload
-            .get(pos)
-            .ok_or_else(|| Error::Corrupt("mpc: missing stride".into()))?
-            as usize;
-        pos += 1;
-        if stride == 0 || stride >= CHUNK_WORDS {
-            return Err(Error::Corrupt("mpc: invalid stride".into()));
-        }
-        if nchunks != total_words / CHUNK_WORDS {
-            return Err(Error::Corrupt("mpc: chunk count mismatch".into()));
-        }
-        let mut sizes = Vec::with_capacity(nchunks);
-        for _ in 0..nchunks {
-            sizes.push(
-                read_u32(payload, &mut pos)
-                    .ok_or_else(|| Error::Corrupt("mpc: directory truncated".into()))?
-                    as usize,
-            );
-        }
-        let mut slices = Vec::with_capacity(nchunks);
-        for &sz in &sizes {
-            let s = payload
-                .get(pos..pos + sz)
-                .ok_or_else(|| Error::Corrupt("mpc: chunk truncated".into()))?;
-            slices.push(s);
-            pos += sz;
-        }
-        let tail_count = total_words - nchunks * CHUNK_WORDS;
-        let tail = payload
-            .get(pos..pos + tail_count * esize)
-            .ok_or_else(|| Error::Corrupt("mpc: tail truncated".into()))?;
-        if pos + tail_count * esize != payload.len() {
-            return Err(Error::Corrupt("mpc: trailing bytes".into()));
-        }
-
-        let (results, _stats) = self.gpu.launch(slices, |_ctx, slice| {
-            decompress_chunk(slice, elem_bits, stride)
-        });
-
-        let mut words = Vec::with_capacity(total_words);
-        for r in results {
-            words.extend_from_slice(&r?);
-        }
-        for c in tail.chunks_exact(esize) {
-            let mut le = [0u8; 8];
-            le[..esize].copy_from_slice(c);
-            words.push(u64::from_le_bytes(le));
-        }
-
-        out.refill(desc, |bytes| {
-            bytes.reserve(desc.byte_len());
-            match desc.precision {
-                Precision::Double => {
-                    for w in words {
-                        bytes.extend_from_slice(&w.to_le_bytes());
-                    }
-                }
-                Precision::Single => {
-                    for w in words {
-                        bytes.extend_from_slice(&(w as u32).to_le_bytes());
-                    }
-                }
+            let mut cur = Cursor::new("mpc", payload);
+            let nchunks = cur.len32("chunk count")?;
+            let stride = usize::from(cur.u8("stride")?);
+            if stride == 0 || stride >= CHUNK_WORDS {
+                return Err(cur.corrupt("invalid stride"));
             }
-            Ok(())
-        })?;
-        ledger.record(self.gpu.config(), Dir::DeviceToHost, out.bytes().len());
-        self.last_aux.store(&ledger);
-        Ok(())
+            if nchunks != total_words / CHUNK_WORDS {
+                return Err(cur.corrupt("chunk count mismatch"));
+            }
+            let chunks = cur.take_chunks(nchunks)?;
+            let tail = cur.take((total_words % CHUNK_WORDS) * esize, "tail")?;
+            cur.finish()?;
+
+            let (chunks, _stats) = gpu.launch(chunks, |_ctx, chunk| {
+                decompress_chunk(chunk, elem_bits, stride)
+            });
+            out.refill(desc, |bytes| {
+                bytes.reserve(desc.byte_len());
+                for chunk in chunks {
+                    put_words(&chunk?, esize, bytes);
+                }
+                bytes.extend_from_slice(tail);
+                Ok(())
+            })?;
+            Ok(out.bytes().len())
+        };
+        self.device.run(payload.len(), decode).map(drop)
     }
 
     fn last_aux_time(&self) -> AuxTime {
-        self.last_aux.get()
+        self.device.last_aux_time()
     }
 
     fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
@@ -358,7 +277,7 @@ impl Compressor for Mpc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcbench_core::Domain;
+    use fcbench_core::{Domain, Precision};
 
     fn round_trip(codec: &Mpc, data: &FloatData) -> usize {
         let c = codec.compress(data).unwrap();

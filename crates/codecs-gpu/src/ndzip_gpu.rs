@@ -13,22 +13,18 @@
 //! Payload: `u32 ncubes | per-cube u64 offset (prefix sums) | u64 body len |
 //! cube bodies | border words`.
 
-use fcbench_codecs_cpu::common::effective_dims;
-use fcbench_codecs_cpu::common::{push_u32, push_u64, read_u32, read_u64};
-use fcbench_codecs_cpu::ndzip::{
-    decode_cube, encode_cube, lorenzo_forward, lorenzo_inverse, plan_cubes, words_of, Ndzip,
-};
+use fcbench_codecs_cpu::ndzip::Ndzip;
+use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    AuxTime, CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile,
-    Platform, Precision, PrecisionSupport, Result,
+    AuxTime, CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, OpProfile,
+    Platform, PrecisionSupport, Result,
 };
-use fcbench_gpu_sim::{exclusive_prefix_sum, Dir, Gpu, GpuConfig, TransferLedger};
+use fcbench_gpu_sim::{exclusive_prefix_sum, GpuConfig};
 
 /// The ndzip-GPU codec.
 pub struct NdzipGpu {
-    gpu: Gpu,
-    last_aux: crate::AuxSlot,
-    /// CPU-side geometry helper (cube sides per dimensionality).
+    device: crate::Device,
+    /// CPU-side geometry and cube kernels.
     geometry: Ndzip,
 }
 
@@ -41,8 +37,7 @@ impl Default for NdzipGpu {
 impl NdzipGpu {
     pub fn new() -> Self {
         NdzipGpu {
-            gpu: Gpu::new(GpuConfig::default()),
-            last_aux: crate::AuxSlot::new(),
+            device: crate::Device::new(GpuConfig::default()),
             geometry: Ndzip::new(),
         }
     }
@@ -62,52 +57,34 @@ impl Compressor for NdzipGpu {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        let ledger = TransferLedger::new();
-        ledger.record(self.gpu.config(), Dir::HostToDevice, data.bytes().len());
-        let desc = data.desc();
-        let elem_bits = desc.precision.bits();
-        let esize = desc.precision.bytes();
-        let dims = effective_dims(desc);
-        let sides = self.geometry.cube_sides(dims.len());
-        let plan = plan_cubes(&dims, &sides);
-        let words = words_of(data);
+        self.device.run(data.bytes().len(), |gpu| {
+            let plan = self.geometry.plan(data.desc());
 
-        // One thread block per hypercube writes to private scratch.
-        let items: Vec<Vec<u64>> = plan
-            .cube_indices
-            .iter()
-            .map(|idxs| idxs.iter().map(|&i| words[i]).collect())
-            .collect();
-        let sides_ref = &plan.sides;
-        let (scratch, _stats) = self.gpu.launch(items, |ctx, mut cube| {
-            ctx.report_instructions(cube.len() as u64 * 6);
-            lorenzo_forward(&mut cube, sides_ref, elem_bits as u32);
-            let mut out = Vec::with_capacity(cube.len() * esize);
-            encode_cube(&cube, elem_bits, &mut out);
-            out
-        });
+            // One thread block per hypercube writes to private scratch.
+            let cubes: Vec<usize> = (0..plan.cube_indices.len()).collect();
+            let (scratch, _stats) = gpu.launch(cubes, |ctx, k| {
+                ctx.report_instructions(plan.cube_indices[k].len() as u64 * 6);
+                let mut out = Vec::new();
+                plan.encode_cube(k, data.bytes(), &mut out);
+                out
+            });
 
-        // Parallel prefix sum over chunk sizes -> output offsets.
-        let sizes: Vec<u64> = scratch.iter().map(|s| s.len() as u64).collect();
-        let offsets = exclusive_prefix_sum(&sizes);
-        let body_len: u64 = sizes.iter().sum();
+            // Parallel prefix sum over chunk sizes -> output offsets.
+            let sizes: Vec<u64> = scratch.iter().map(|s| s.len() as u64).collect();
+            let body_len: u64 = sizes.iter().sum();
 
-        out.clear();
-        push_u32(out, scratch.len() as u32);
-        for &off in &offsets {
-            push_u64(out, off);
-        }
-        push_u64(out, body_len);
-        for s in &scratch {
-            out.extend_from_slice(s);
-        }
-        for &i in &plan.border {
-            out.extend_from_slice(&words[i].to_le_bytes()[..esize]);
-        }
-
-        ledger.record(self.gpu.config(), Dir::DeviceToHost, out.len());
-        self.last_aux.store(&ledger);
-        Ok(out.len())
+            out.clear();
+            out.extend_from_slice(&(scratch.len() as u32).to_le_bytes());
+            for offset in exclusive_prefix_sum(&sizes) {
+                out.extend_from_slice(&offset.to_le_bytes());
+            }
+            out.extend_from_slice(&body_len.to_le_bytes());
+            for s in &scratch {
+                out.extend_from_slice(s);
+            }
+            plan.put_border(data.bytes(), out);
+            Ok(out.len())
+        })
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
@@ -115,118 +92,24 @@ impl Compressor for NdzipGpu {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let ledger = TransferLedger::new();
-        ledger.record(self.gpu.config(), Dir::HostToDevice, payload.len());
-        let elem_bits = desc.precision.bits();
-        let esize = desc.precision.bytes();
-        let dims = effective_dims(desc);
-        let sides = self.geometry.cube_sides(dims.len());
-        let plan = plan_cubes(&dims, &sides);
-        let cube_elems: usize = sides.iter().product();
-
-        let mut pos = 0usize;
-        let ncubes = read_u32(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("ndzip-gpu: missing cube count".into()))?
-            as usize;
-        if ncubes != plan.cube_indices.len() {
-            return Err(Error::Corrupt("ndzip-gpu: cube count mismatch".into()));
-        }
-        let mut offsets = Vec::with_capacity(ncubes);
-        for _ in 0..ncubes {
-            offsets.push(
-                read_u64(payload, &mut pos)
-                    .ok_or_else(|| Error::Corrupt("ndzip-gpu: offsets truncated".into()))?
-                    as usize,
-            );
-        }
-        let body_len = read_u64(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("ndzip-gpu: missing body length".into()))?
-            as usize;
-        let body = payload
-            .get(pos..pos + body_len)
-            .ok_or_else(|| Error::Corrupt("ndzip-gpu: body truncated".into()))?;
-        pos += body_len;
-
-        // Offsets must be monotone within the body.
-        for w in offsets.windows(2) {
-            if w[0] > w[1] {
-                return Err(Error::Corrupt("ndzip-gpu: offsets not monotone".into()));
+        let decode = |gpu: &fcbench_gpu_sim::Gpu| {
+            let plan = self.geometry.plan(desc);
+            let mut cur = Cursor::new("ndzip-gpu", payload);
+            let ncubes = cur.len32("cube count")?;
+            if ncubes != plan.cube_indices.len() {
+                return Err(cur.corrupt("cube count mismatch"));
             }
-        }
-        if let Some(&first) = offsets.first() {
-            if first != 0 {
-                return Err(Error::Corrupt("ndzip-gpu: first offset not zero".into()));
-            }
-        }
-
-        // Block-parallel decode: each cube knows its slice via the offsets.
-        let items: Vec<&[u8]> = (0..ncubes)
-            .map(|k| {
-                let start = offsets[k];
-                let end = if k + 1 < ncubes {
-                    offsets[k + 1]
-                } else {
-                    body_len
-                };
-                &body[start..end.min(body_len)]
-            })
-            .collect();
-        let sides_ref = &plan.sides;
-        let (results, _stats) = self.gpu.launch(items, |_ctx, slice| -> Result<Vec<u64>> {
-            let mut local = 0usize;
-            let mut cube = decode_cube(slice, &mut local, cube_elems, elem_bits)?;
-            if local != slice.len() {
-                return Err(Error::Corrupt(
-                    "ndzip-gpu: cube slice has trailing bytes".into(),
-                ));
-            }
-            lorenzo_inverse(&mut cube, sides_ref, elem_bits as u32);
-            Ok(cube)
-        });
-
-        let mut out_words = vec![0u64; desc.elements()];
-        for (k, r) in results.into_iter().enumerate() {
-            let cube = r?;
-            for (&i, &w) in plan.cube_indices[k].iter().zip(cube.iter()) {
-                out_words[i] = w;
-            }
-        }
-        for &i in &plan.border {
-            let raw = payload
-                .get(pos..pos + esize)
-                .ok_or_else(|| Error::Corrupt("ndzip-gpu: border truncated".into()))?;
-            let mut le = [0u8; 8];
-            le[..esize].copy_from_slice(raw);
-            out_words[i] = u64::from_le_bytes(le);
-            pos += esize;
-        }
-        if pos != payload.len() {
-            return Err(Error::Corrupt("ndzip-gpu: trailing bytes".into()));
-        }
-
-        out.refill(desc, |bytes| {
-            bytes.reserve(desc.byte_len());
-            match desc.precision {
-                Precision::Double => {
-                    for w in out_words {
-                        bytes.extend_from_slice(&w.to_le_bytes());
-                    }
-                }
-                Precision::Single => {
-                    for w in out_words {
-                        bytes.extend_from_slice(&(w as u32).to_le_bytes());
-                    }
-                }
-            }
-            Ok(())
-        })?;
-        ledger.record(self.gpu.config(), Dir::DeviceToHost, out.bytes().len());
-        self.last_aux.store(&ledger);
-        Ok(())
+            // Block-parallel decode: each cube knows its slice via the offsets.
+            let bodies = cur.take_chunks_at_offsets(ncubes)?;
+            let (cubes, _stats) = gpu.launch(bodies, |_ctx, body| plan.decode_cube(body));
+            plan.assemble(desc, cubes, cur, out)?;
+            Ok(out.bytes().len())
+        };
+        self.device.run(payload.len(), decode).map(drop)
     }
 
     fn last_aux_time(&self) -> AuxTime {
-        self.last_aux.get()
+        self.device.last_aux_time()
     }
 
     fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {

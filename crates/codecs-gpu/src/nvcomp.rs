@@ -16,59 +16,48 @@
 //!
 //! Neither takes dimensionality parameters, as the paper notes.
 
-use fcbench_codecs_cpu::common::{push_u32, read_u32};
+use fcbench_codecs_cpu::common::{pack_counted, unpack_counted};
+use fcbench_core::wire::{put_chunks, Cursor};
 use fcbench_core::{
     AuxTime, CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile,
     Platform, PrecisionSupport, Result,
 };
 use fcbench_entropy::lz4;
-use fcbench_gpu_sim::{Dir, Gpu, GpuConfig, TransferLedger};
+use fcbench_gpu_sim::{GpuConfig, KernelCtx};
 
 /// Batched page size (nvCOMP's default batch granularity).
 pub const PAGE_BYTES: usize = 64 * 1024;
 
 /// Shared batched-page scaffolding for both nvCOMP-class codecs.
-struct Batched {
-    gpu: Gpu,
-    last_aux: crate::AuxSlot,
-}
+struct Batched(crate::Device);
 
 impl Batched {
     fn new() -> Self {
-        Batched {
-            gpu: Gpu::new(GpuConfig::default()),
-            last_aux: crate::AuxSlot::new(),
-        }
+        Batched(crate::Device::new(GpuConfig::default()))
     }
 
     /// Compress pages with `kernel` into `out` (contents replaced),
     /// assembling the standard container:
     /// `u32 npages | per-page u32 size | pages`.
-    fn compress_pages<K>(&self, bytes: &[u8], out: &mut Vec<u8>, kernel: K) -> usize
+    fn compress_pages<K>(&self, bytes: &[u8], out: &mut Vec<u8>, kernel: K) -> Result<usize>
     where
-        K: Fn(&fcbench_gpu_sim::KernelCtx<'_>, &[u8]) -> Vec<u8> + Sync,
+        K: Fn(&KernelCtx<'_>, &[u8]) -> Vec<u8> + Sync,
     {
-        let ledger = TransferLedger::new();
-        ledger.record(self.gpu.config(), Dir::HostToDevice, bytes.len());
-        let pages: Vec<&[u8]> = bytes.chunks(PAGE_BYTES).collect();
-        let (streams, _stats) = self.gpu.launch(pages, |ctx, page| kernel(ctx, page));
-        let total: usize = streams.iter().map(|s| s.len()).sum();
-        out.clear();
-        out.reserve(8 + 4 * streams.len() + total);
-        push_u32(out, streams.len() as u32);
-        for s in &streams {
-            push_u32(out, s.len() as u32);
-        }
-        for s in &streams {
-            out.extend_from_slice(s);
-        }
-        ledger.record(self.gpu.config(), Dir::DeviceToHost, out.len());
-        self.last_aux.store(&ledger);
-        out.len()
+        self.0.run(bytes.len(), |gpu| {
+            let pages: Vec<&[u8]> = bytes.chunks(PAGE_BYTES).collect();
+            let (streams, _stats) = gpu.launch(pages, |ctx, page| kernel(ctx, page));
+            out.clear();
+            out.extend_from_slice(&(streams.len() as u32).to_le_bytes());
+            put_chunks(out, streams.len(), |k, out| {
+                out.extend_from_slice(&streams[k])
+            })?;
+            Ok(out.len())
+        })
     }
 
     /// Decompress a page container with `kernel(page_payload, raw_len)`,
-    /// appending the decoded bytes to `out`.
+    /// appending the decoded bytes to `out`. Each page's raw length comes
+    /// from `total_len`, never from the stream.
     fn decompress_pages<K>(
         &self,
         payload: &[u8],
@@ -79,51 +68,29 @@ impl Batched {
     where
         K: Fn(&[u8], usize) -> Result<Vec<u8>> + Sync,
     {
-        let ledger = TransferLedger::new();
-        ledger.record(self.gpu.config(), Dir::HostToDevice, payload.len());
-        let mut pos = 0usize;
-        let npages = read_u32(payload, &mut pos)
-            .ok_or_else(|| Error::Corrupt("nvcomp: missing page count".into()))?
-            as usize;
-        let expected_pages = total_len.div_ceil(PAGE_BYTES).max(1);
-        if npages != expected_pages {
-            return Err(Error::Corrupt("nvcomp: page count mismatch".into()));
-        }
-        let mut sizes = Vec::with_capacity(npages);
-        for _ in 0..npages {
-            sizes.push(
-                read_u32(payload, &mut pos)
-                    .ok_or_else(|| Error::Corrupt("nvcomp: directory truncated".into()))?
-                    as usize,
-            );
-        }
-        let mut items = Vec::with_capacity(npages);
-        let mut remaining = total_len;
-        for &sz in &sizes {
-            let s = payload
-                .get(pos..pos + sz)
-                .ok_or_else(|| Error::Corrupt("nvcomp: page truncated".into()))?;
-            let raw_len = remaining.min(PAGE_BYTES);
-            items.push((s, raw_len));
-            remaining -= raw_len;
-            pos += sz;
-        }
-        if pos != payload.len() {
-            return Err(Error::Corrupt("nvcomp: trailing bytes".into()));
-        }
-        if remaining != 0 {
-            return Err(Error::Corrupt("nvcomp: pages do not cover the data".into()));
-        }
-        let (results, _stats) = self
-            .gpu
-            .launch(items, |_ctx, (page, raw_len)| kernel(page, raw_len));
-        out.reserve(total_len);
-        for r in results {
-            out.extend_from_slice(&r?);
-        }
-        ledger.record(self.gpu.config(), Dir::DeviceToHost, out.len());
-        self.last_aux.store(&ledger);
-        Ok(())
+        let decode = |gpu: &fcbench_gpu_sim::Gpu| {
+            let mut cur = Cursor::new("nvcomp", payload);
+            let npages = cur.len32("page count")?;
+            if npages != total_len.div_ceil(PAGE_BYTES).max(1) {
+                return Err(cur.corrupt("page count mismatch"));
+            }
+            let pages = cur.take_chunks(npages)?;
+            cur.finish()?;
+            let mut left = total_len;
+            let pages_with_len = pages.into_iter().map(|page| {
+                let raw_len = left.min(PAGE_BYTES);
+                left -= raw_len;
+                (page, raw_len)
+            });
+            let items: Vec<(&[u8], usize)> = pages_with_len.collect();
+            let (pages, _stats) = gpu.launch(items, |_ctx, (page, raw_len)| kernel(page, raw_len));
+            out.reserve(total_len);
+            for page in pages {
+                out.extend_from_slice(&page?);
+            }
+            Ok(out.len())
+        };
+        self.0.run(payload.len(), decode).map(drop)
     }
 }
 
@@ -160,13 +127,13 @@ impl Compressor for NvLz4 {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        Ok(self.inner.compress_pages(data.bytes(), out, |ctx, page| {
+        self.inner.compress_pages(data.bytes(), out, |ctx, page| {
             // Dictionary matching: every hash-probe mismatch is a
             // data-dependent branch — report coarse divergence.
             ctx.report_divergence();
             ctx.report_instructions(page.len() as u64 * 12);
             lz4::compress(page)
-        }))
+        })
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
@@ -183,7 +150,7 @@ impl Compressor for NvLz4 {
     }
 
     fn last_aux_time(&self) -> AuxTime {
-        self.inner.last_aux.get()
+        self.inner.0.last_aux_time()
     }
 
     fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
@@ -218,84 +185,32 @@ impl NvBitcomp {
 }
 
 /// bitcomp-class page codec: u64-word delta then 4-bit leading-zero-byte
-/// codes + non-zero bytes, with a verbatim sub-8-byte tail.
+/// codes (at most 7) + non-zero bytes, with a verbatim sub-8-byte tail.
 fn bitcomp_page(page: &[u8]) -> Vec<u8> {
-    let nwords = page.len() / 8;
-    let tail = &page[nwords * 8..];
-    let mut codes = Vec::with_capacity(nwords.div_ceil(2));
-    let mut residuals = Vec::with_capacity(page.len() / 2);
-    let mut pending: Option<u8> = None;
+    let (word_bytes, tail) = page.split_at(page.len() / 8 * 8);
+    let mut out = Vec::new();
     let mut prev = 0u64;
-    for c in page[..nwords * 8].chunks_exact(8) {
-        let w = u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]);
+    pack_counted(word_bytes, &mut out, |w| {
         let delta = w.wrapping_sub(prev);
         prev = w;
-        let lzb = (delta.leading_zeros() / 8).min(7) as u8;
-        match pending.take() {
-            None => pending = Some(lzb),
-            Some(first) => codes.push((first << 4) | lzb),
-        }
-        residuals.extend_from_slice(&delta.to_le_bytes()[..8 - lzb as usize]);
-    }
-    if let Some(first) = pending {
-        codes.push(first << 4);
-    }
-    let mut out = Vec::with_capacity(10 + codes.len() + residuals.len() + tail.len());
-    push_u32(&mut out, codes.len() as u32);
-    push_u32(&mut out, residuals.len() as u32);
-    out.extend_from_slice(&codes);
-    out.extend_from_slice(&residuals);
+        let lzb = (delta.leading_zeros() / 8).min(7);
+        (lzb as u8, delta, (8 - lzb) as usize)
+    });
     out.extend_from_slice(tail);
     out
 }
 
 fn bitcomp_unpage(payload: &[u8], raw_len: usize) -> Result<Vec<u8>> {
-    let nwords = raw_len / 8;
-    let tail_len = raw_len - nwords * 8;
-    let mut pos = 0usize;
-    let ncodes = read_u32(payload, &mut pos)
-        .ok_or_else(|| Error::Corrupt("bitcomp: missing code count".into()))?
-        as usize;
-    let nres = read_u32(payload, &mut pos)
-        .ok_or_else(|| Error::Corrupt("bitcomp: missing residual count".into()))?
-        as usize;
-    if ncodes != nwords.div_ceil(2) {
-        return Err(Error::Corrupt("bitcomp: code count mismatch".into()));
-    }
-    let codes = payload
-        .get(pos..pos + ncodes)
-        .ok_or_else(|| Error::Corrupt("bitcomp: codes truncated".into()))?;
-    let residuals = payload
-        .get(pos + ncodes..pos + ncodes + nres)
-        .ok_or_else(|| Error::Corrupt("bitcomp: residuals truncated".into()))?;
-    let tail = payload
-        .get(pos + ncodes + nres..pos + ncodes + nres + tail_len)
-        .ok_or_else(|| Error::Corrupt("bitcomp: tail truncated".into()))?;
-    if pos + ncodes + nres + tail_len != payload.len() {
-        return Err(Error::Corrupt("bitcomp: trailing bytes".into()));
-    }
-
+    let mut cur = Cursor::new("bitcomp", payload);
     let mut out = Vec::with_capacity(raw_len);
-    let mut rpos = 0usize;
     let mut prev = 0u64;
-    for idx in 0..nwords {
-        let cb = codes[idx / 2];
-        let lzb = (if idx % 2 == 0 { cb >> 4 } else { cb & 0x0F } & 7) as usize;
-        let nbytes = 8 - lzb;
-        let raw = residuals
-            .get(rpos..rpos + nbytes)
-            .ok_or_else(|| Error::Corrupt("bitcomp: residual stream truncated".into()))?;
-        rpos += nbytes;
-        let mut le = [0u8; 8];
-        le[..nbytes].copy_from_slice(raw);
-        let delta = u64::from_le_bytes(le);
+    let width = |nibble: u8| Some(8 - usize::from(nibble & 7));
+    unpack_counted(&mut cur, raw_len / 8, width, |_, delta| {
         prev = prev.wrapping_add(delta);
         out.extend_from_slice(&prev.to_le_bytes());
-    }
-    if rpos != residuals.len() {
-        return Err(Error::Corrupt("bitcomp: unread residual bytes".into()));
-    }
-    out.extend_from_slice(tail);
+    })?;
+    out.extend_from_slice(cur.take(raw_len % 8, "tail")?);
+    cur.finish()?;
     Ok(out)
 }
 
@@ -313,11 +228,11 @@ impl Compressor for NvBitcomp {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        Ok(self.inner.compress_pages(data.bytes(), out, |ctx, page| {
+        self.inner.compress_pages(data.bytes(), out, |ctx, page| {
             // Uniform control flow: no divergence reported.
             ctx.report_instructions(page.len() as u64 * 2);
             bitcomp_page(page)
-        }))
+        })
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
@@ -332,7 +247,7 @@ impl Compressor for NvBitcomp {
     }
 
     fn last_aux_time(&self) -> AuxTime {
-        self.inner.last_aux.get()
+        self.inner.0.last_aux_time()
     }
 
     fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {

@@ -12,8 +12,15 @@
 //! where a truncating `as` cast on a 32-bit target could wrap a hostile
 //! 2^32+16 claim into a small, in-bounds, silently-wrong length.
 //!
-//! The `fcbench-analyze` lint rules `no-panic` and `wire-cast` hold
-//! decode paths to these helpers.
+//! [`Cursor`] is the same discipline for a payload read front to back —
+//! the shape every codec's `decompress_into` has — and carries the one
+//! chunk directory the chunk-parallel codecs share: [`put_chunks`] writes
+//! `count` `u32` sizes then the chunks, [`Cursor::take_chunks`] reads them
+//! back as checked sub-slices, and [`Cursor::take_chunks_at_offsets`] is
+//! the same slicer for ndzip-GPU's prefix-sum layout (paper §4.4).
+//!
+//! The `fcbench-analyze` lint rules `no-panic`, `claim-gate` and
+//! `wire-cast` hold decode paths to these helpers.
 
 use crate::error::{Error, Result};
 
@@ -59,6 +66,142 @@ pub fn len64(v: u64) -> usize {
     usize::try_from(v).unwrap_or(usize::MAX)
 }
 
+/// A bounds-checked forward reader over one codec's untrusted payload.
+/// Every failure is an [`Error::Corrupt`] naming the codec and the field.
+#[derive(Debug, Clone)]
+pub struct Cursor<'a> {
+    codec: &'static str,
+    rest: &'a [u8],
+}
+
+impl<'a> Cursor<'a> {
+    pub fn new(codec: &'static str, payload: &'a [u8]) -> Self {
+        Cursor {
+            codec,
+            rest: payload,
+        }
+    }
+
+    /// A typed error in this cursor's voice, for the codec's own checks.
+    pub fn corrupt(&self, what: impl std::fmt::Display) -> Error {
+        Error::Corrupt(format!("{}: {what}", self.codec))
+    }
+
+    /// The next `n` bytes, or "`field` truncated".
+    pub fn take(&mut self, n: usize, field: &str) -> Result<&'a [u8]> {
+        match self.rest.split_at_checked(n) {
+            Some((head, rest)) => {
+                self.rest = rest;
+                Ok(head)
+            }
+            None => Err(self.corrupt(format_args!(
+                "{field} truncated: needs {n} bytes, {} left",
+                self.rest.len()
+            ))),
+        }
+    }
+
+    /// Everything not yet read; the cursor is left empty.
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.rest)
+    }
+
+    pub fn u8(&mut self, field: &str) -> Result<u8> {
+        Ok(self.take(1, field)?.first().copied().unwrap_or_default())
+    }
+
+    /// A `u32` length or count as `usize`, through [`len32`]: a codec never
+    /// holds a raw wire integer it could cast the truncating way.
+    pub fn len32(&mut self, field: &str) -> Result<usize> {
+        le_u32(self.take(4, field)?, 0).map(len32)
+    }
+
+    /// A `u64` length or count as `usize`, through [`len64`].
+    pub fn len64(&mut self, field: &str) -> Result<usize> {
+        le_u64(self.take(8, field)?, 0).map(len64)
+    }
+
+    /// The payload must end here.
+    pub fn finish(self) -> Result<()> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(self.corrupt(format_args!("{} trailing bytes", self.rest.len())))
+        }
+    }
+
+    /// Read what [`put_chunks`] wrote: `count` `u32` sizes, then the chunks.
+    /// The directory itself must be present before anything is sized by
+    /// `count`, so a hostile count costs no more than the payload carries.
+    pub fn take_chunks(&mut self, count: usize) -> Result<Vec<&'a [u8]>> {
+        let dir = self.take(count.saturating_mul(4), "chunk directory")?;
+        let mut chunks = Vec::with_capacity(count); // lint: claim-checked(4 * count bytes were just read)
+        for k in 0..count {
+            chunks.push(self.take(len32(le_u32(dir, 4 * k)?), "chunk")?);
+        }
+        Ok(chunks)
+    }
+
+    /// ndzip-GPU's directory (§4.4): `count` `u64` exclusive prefix sums of
+    /// the chunk sizes, a `u64` body length, then the body. The offsets
+    /// must start at 0, never decrease and stay inside the body, which the
+    /// chunks cover exactly.
+    pub fn take_chunks_at_offsets(&mut self, count: usize) -> Result<Vec<&'a [u8]>> {
+        let dir = self.take(count.saturating_mul(8), "offset directory")?;
+        let body_len = self.len64("body length")?;
+        let body = self.take(body_len, "body")?;
+        let mut chunks = Vec::with_capacity(count); // lint: claim-checked(8 * count bytes were just read)
+        let mut start = match count {
+            0 => 0,
+            _ => len64(le_u64(dir, 0)?),
+        };
+        if start != 0 {
+            return Err(self.corrupt("first chunk offset is not zero"));
+        }
+        for k in 1..=count {
+            let end = if k < count {
+                len64(le_u64(dir, 8 * k)?)
+            } else {
+                body_len
+            };
+            let chunk = body.get(start..end);
+            chunks.push(chunk.ok_or_else(|| self.corrupt("chunk offsets leave the body"))?);
+            start = end;
+        }
+        if start != body_len {
+            return Err(self.corrupt("body holds bytes no chunk covers"));
+        }
+        Ok(chunks)
+    }
+}
+
+/// Append `count` chunks behind a directory of `u32` sizes: the size slots
+/// are reserved first, `fill(k, out)` appends chunk `k` straight onto
+/// `out`, and its slot is patched once its length is known — no per-chunk
+/// buffer unless the caller already has one to copy from.
+pub fn put_chunks(
+    out: &mut Vec<u8>,
+    count: usize,
+    mut fill: impl FnMut(usize, &mut Vec<u8>),
+) -> Result<()> {
+    let dir = out.len();
+    out.resize(dir + 4 * count, 0);
+    for k in 0..count {
+        let start = out.len();
+        fill(k, out);
+        let size = out.len().checked_sub(start).map(u32::try_from);
+        match (size, out.get_mut(dir + 4 * k..dir + 4 * k + 4)) {
+            (Some(Ok(size)), Some(slot)) => slot.copy_from_slice(&size.to_le_bytes()),
+            _ => {
+                return Err(Error::Unsupported(format!(
+                    "chunk {k} does not fit a u32 size"
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,6 +221,79 @@ mod tests {
         // Offsets past the end (including overflow-prone ones) fail cleanly.
         assert!(le_u64(&buf, usize::MAX).is_err());
         assert!(le_u64(&[], 0).is_err());
+    }
+
+    #[test]
+    fn cursor_reads_in_order_and_names_what_is_missing() {
+        let buf = [7u8, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 9, 9];
+        let mut cur = Cursor::new("demo", &buf);
+        assert_eq!(cur.u8("tag").unwrap(), 7);
+        assert_eq!(cur.len32("count").unwrap(), 1);
+        assert_eq!(cur.len64("words").unwrap(), 2);
+        let err = cur.clone().take(3, "tail").unwrap_err().to_string();
+        assert!(err.contains("demo: tail truncated"), "{err}");
+        assert!(cur.clone().take(usize::MAX, "tail").is_err());
+        assert!(cur.clone().finish().is_err(), "two bytes are unread");
+        assert_eq!(cur.rest(), [9, 9]);
+        cur.finish().unwrap();
+    }
+
+    #[test]
+    fn chunk_directory_round_trips_and_rejects_every_truncation() {
+        let parts: [&[u8]; 4] = [b"alpha", b"", b"be", b"gamma!"];
+        let mut buf = vec![0xEE]; // a header byte before the directory
+        put_chunks(&mut buf, parts.len(), |k, out| {
+            out.extend_from_slice(parts[k])
+        })
+        .unwrap();
+        let read = |bytes: &[u8]| {
+            let mut cur = Cursor::new("demo", bytes);
+            cur.u8("header")?;
+            let chunks = cur.take_chunks(parts.len())?;
+            cur.finish()
+                .map(|()| chunks.iter().map(|c| c.to_vec()).collect::<Vec<_>>())
+        };
+        assert_eq!(read(&buf).unwrap(), parts);
+        for cut in 0..buf.len() {
+            assert!(read(&buf[..cut]).is_err(), "cut at {cut}");
+        }
+        // A count no payload could back fails before anything is reserved.
+        assert!(Cursor::new("demo", &buf).take_chunks(usize::MAX).is_err());
+        let mut inflated = buf.clone();
+        inflated[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(read(&inflated).is_err());
+    }
+
+    #[test]
+    fn offset_directory_is_validated_into_the_same_slices() {
+        let frame = |offsets: &[u64], body_len: u64, body: &[u8]| {
+            let mut buf: Vec<u8> = offsets.iter().flat_map(|o| o.to_le_bytes()).collect();
+            buf.extend_from_slice(&body_len.to_le_bytes());
+            buf.extend_from_slice(body);
+            buf
+        };
+        let read = |buf: &[u8], count| {
+            let mut cur = Cursor::new("demo", buf);
+            let chunks = cur.take_chunks_at_offsets(count)?;
+            cur.finish().map(|()| chunks.concat())
+        };
+        let body = b"0123456789";
+        assert_eq!(read(&frame(&[0, 4, 4], 10, body), 3).unwrap(), body);
+        assert_eq!(read(&frame(&[], 0, b""), 0).unwrap(), b"");
+        for (offsets, body_len) in [
+            (&[0u64, 100][..], 10u64), // offset past the body
+            (&[1, 4], 10),             // first offset not zero
+            (&[0, 6, 4], 10),          // not monotone
+            (&[0, 4], u64::MAX),       // body length past the payload
+            (&[0, u64::MAX], 10),      // offset past everything
+            (&[], 10),                 // a body no chunk covers
+        ] {
+            let buf = frame(offsets, body_len, body);
+            assert!(
+                read(&buf, offsets.len()).is_err(),
+                "{offsets:?} / {body_len}"
+            );
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   window loaded at the cursor's byte; `read_bits` is a load, two
 //!   shifts, and a cursor add — no division or per-byte loop. The
 //!   [`BitReader::peek_bits`]/[`BitReader::consume`] pair lets
-//!   variable-length control-code dispatch (Gorilla, Chimp, the timestamp
-//!   codec) read the stream once and branch on the result.
+//!   variable-length control-code dispatch (Gorilla, Chimp) read the
+//!   stream once and branch on the result.
 //!
 //! The wire layout is exactly the MSB-first layout of the reference
 //! implementation — every codec payload, and so every FCB3 stream and FCS1
@@ -123,9 +123,9 @@ fn flush_acc(buf: &mut Vec<u8>, acc: &mut u64, nbits: &mut u32) {
     *nbits = 0;
 }
 
-/// Bulk-append whole bytes; the stream must be byte-aligned. Used for the
-/// aligned runs inside bit streams (e.g. the leading 64-bit header fields
-/// of the timestamp codec) so they cost a `memcpy`, not a bit loop.
+/// Bulk-append whole bytes; the stream must be byte-aligned. For aligned
+/// runs inside bit streams (whole-byte header fields, verbatim blobs), so
+/// they cost a `memcpy`, not a bit loop.
 #[inline]
 fn extend_aligned_acc(buf: &mut Vec<u8>, acc: &mut u64, nbits: &mut u32, bytes: &[u8]) {
     assert_eq!(
