@@ -127,15 +127,17 @@ impl Compressor for StoreCodec {
             precisions: PrecisionSupport::Both,
         }
     }
-    fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
-        Ok(data.bytes().to_vec())
+    fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+        out.clear();
+        out.extend_from_slice(data.bytes());
+        Ok(out.len())
     }
-    fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-        FloatData::from_bytes(desc.clone(), payload.to_vec())
+    fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
+        out.refill_from_slice(desc, payload)
     }
 }
 
-/// Codec that panics in `compress` — the worker-panic injection.
+/// Codec that panics in `compress_into` — the worker-panic injection.
 struct PanicCodec;
 
 impl Compressor for PanicCodec {
@@ -150,11 +152,11 @@ impl Compressor for PanicCodec {
             precisions: PrecisionSupport::Both,
         }
     }
-    fn compress(&self, _data: &FloatData) -> Result<Vec<u8>> {
+    fn compress_into(&self, _data: &FloatData, _out: &mut Vec<u8>) -> Result<usize> {
         panic!("injected codec panic");
     }
-    fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-        FloatData::from_bytes(desc.clone(), payload.to_vec())
+    fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
+        StoreCodec.decompress_into(payload, desc, out)
     }
 }
 

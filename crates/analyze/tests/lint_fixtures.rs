@@ -53,8 +53,8 @@ fn violations_only_fire_for_watched_locations() {
     let findings = lint_fixture("crates/stats/src/friedman.rs", "violations.rs");
     assert_eq!(findings, vec![], "unwatched location must be silent");
 
-    // In a panic-free crate but not a wire/claim file: only R001.
-    let findings = lint_fixture("crates/core/src/metrics.rs", "violations.rs");
+    // In a panic-free file but not a wire/claim file: only R001.
+    let findings = lint_fixture("crates/bench/src/metrics.rs", "violations.rs");
     assert!(findings.iter().all(|f| f.rule == "R001"), "{findings:#?}");
     assert_eq!(findings.len(), 4);
 }

@@ -3,10 +3,10 @@
 //! consume.
 
 use crate::codecs::{paper_registry, GFC_INPUT_LIMIT};
+use crate::runner::{run_cell_pooled, CellOutcome, RunConfig, RunMatrix};
 use fcbench_core::pool::{PoolConfig, WorkerPool};
-use fcbench_core::runner::{run_cell_pooled, CellOutcome, NamedData, RunConfig, RunMatrix};
 use fcbench_core::{CodecRegistry, Platform};
-use fcbench_datasets::{catalog, generate, DatasetSpec};
+use fcbench_datasets::{catalog, generate, DatasetSpec, NamedData};
 use std::sync::Arc;
 
 /// Default elements per scaled dataset.

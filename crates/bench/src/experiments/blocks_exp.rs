@@ -8,10 +8,11 @@
 //! database container would keep.
 
 use crate::context::{render_table, Context};
+use crate::metrics::{arithmetic_mean, harmonic_mean};
+use crate::runner::{run_cell, CellOutcome, RunConfig};
 use fcbench_core::blocks::{BLOCK_4K, BLOCK_64K, BLOCK_8M};
-use fcbench_core::metrics::{arithmetic_mean, harmonic_mean};
-use fcbench_core::runner::{run_cell, NamedData, RunConfig};
 use fcbench_core::Pipeline;
+use fcbench_datasets::NamedData;
 use std::sync::Arc;
 
 struct BlockAvg {
@@ -49,7 +50,7 @@ fn run_block_size(
                     Pipeline::with_codec(Arc::clone(entry.codec()))
                 }
                 .block_elems(block_elems);
-                if let fcbench_core::CellOutcome::Ok(m) = run_cell(&pipeline, &ds.data, cfg) {
+                if let CellOutcome::Ok(m) = run_cell(&pipeline, &ds.data, cfg) {
                     crs.push(m.compression_ratio());
                     cts.push(m.compression_throughput_gbs());
                     dts.push(m.decompression_throughput_gbs());

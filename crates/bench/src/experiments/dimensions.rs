@@ -3,12 +3,11 @@
 //! (§6.1.5: "Compression is 1-d friendly").
 
 use crate::context::render_table;
+use crate::metrics::harmonic_mean;
 use fcbench_codecs_cpu::{Fpzip, Ndzip};
 use fcbench_codecs_gpu::{Mpc, NdzipGpu};
-use fcbench_core::metrics::harmonic_mean;
-use fcbench_core::runner::NamedData;
 use fcbench_core::Compressor;
-use fcbench_datasets::DatasetSpec;
+use fcbench_datasets::{DatasetSpec, NamedData};
 use fcbench_stats::mann_whitney_u;
 
 /// The dimension-sensitive codecs of Table 9. GFC is included in the

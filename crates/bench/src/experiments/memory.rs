@@ -6,7 +6,7 @@ use crate::alloc_track;
 use crate::codecs::paper_registry;
 use crate::context::render_table;
 use fcbench_core::pool::{PoolConfig, WorkerPool};
-use fcbench_core::Pipeline;
+use fcbench_core::{Compressor, Pipeline};
 use fcbench_datasets::{find, generate};
 use std::sync::Arc;
 

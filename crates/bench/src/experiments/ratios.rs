@@ -1,9 +1,10 @@
 //! Compression-ratio experiments: Table 4, Figure 5, Figure 6, Figure 7.
 
 use crate::context::{render_table, Context};
-use fcbench_core::metrics::{harmonic_mean, median};
-use fcbench_core::summary::{boxplot, group_boxplots};
-use fcbench_core::{CellOutcome, Domain, Platform};
+use crate::metrics::{harmonic_mean, median};
+use crate::runner::CellOutcome;
+use crate::summary::{boxplot, group_boxplots};
+use fcbench_core::{Domain, Platform};
 use fcbench_stats::{cd_diagram, friedman_test};
 
 /// Table 4: compression ratio per (dataset × method), with per-domain and

@@ -3,8 +3,8 @@
 
 use crate::codecs::paper_registry;
 use crate::context::render_table;
+use crate::scaling::{pool_scaling_sweep, scaling_sweep, Direction, PAPER_THREAD_COUNTS};
 use fcbench_core::registry::CodecRegistry;
-use fcbench_core::scaling::{pool_scaling_sweep, scaling_sweep, Direction, PAPER_THREAD_COUNTS};
 use fcbench_core::FloatData;
 use fcbench_datasets::{find, generate};
 

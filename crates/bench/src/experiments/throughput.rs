@@ -2,8 +2,9 @@
 //! Table 6.
 
 use crate::context::{render_table, Context};
-use fcbench_core::metrics::arithmetic_mean;
-use fcbench_core::CellOutcome;
+use crate::metrics::arithmetic_mean;
+use crate::runner::CellOutcome;
+use fcbench_gpu_sim::GpuConfig;
 use fcbench_roofline::MachineModel;
 
 struct PerCodec {
@@ -63,7 +64,7 @@ fn modelled_device_gbs(ctx: &Context, codec_idx: usize) -> Option<f64> {
         let desc =
             fcbench_core::DataDesc::new(spec.precision, spec.scaled_dims(1 << 17), spec.domain)
                 .expect("catalog dims are valid");
-        if let Some(p) = codec.op_profile(&desc) {
+        if let Some(p) = super::roofline_exp::kernel_profile(codec.info().name, &desc) {
             let t = (p.bytes_moved as f64 / dram).max(p.int_ops.max(p.float_ops) as f64 / peak_ops);
             rates.push(desc.byte_len() as f64 / t / 1e9);
         }
@@ -208,9 +209,9 @@ pub fn table6(ctx: &Context) -> String {
     // Observation 5 proper: at *device* rates the copies dominate. Compare
     // modelled transfer time with modelled kernel time for a 1 MB page.
     let machine = MachineModel::rtx_6000();
-    let bytes = 1_000_000.0;
-    let kernel_s = 2.0 * bytes / (machine.dram_roof() * 1e9); // read+write at DRAM roof
-    let pcie_s = 2.0 * bytes / 12.0e9 + 2.0 * 10e-6; // h2d + d2h
+    let bytes = 1_000_000;
+    let kernel_s = 2.0 * bytes as f64 / (machine.dram_roof() * 1e9); // read+write at DRAM roof
+    let pcie_s = 2.0 * GpuConfig::default().transfer_seconds(bytes); // h2d + d2h
     out.push_str(&format!(
         "\nat modelled device rates (1 MB page): kernel {:.1} us vs transfers {:.1} us\n\
          -> copies are {:.0}% of GPU end-to-end time (paper Observation 5: 'the\n\

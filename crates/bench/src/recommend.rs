@@ -9,8 +9,9 @@
 //! mean of ratio rank and speed rank).
 
 use crate::context::Context;
-use fcbench_core::metrics::harmonic_mean;
-use fcbench_core::{CellOutcome, Domain};
+use crate::metrics::harmonic_mean;
+use crate::runner::CellOutcome;
+use fcbench_core::Domain;
 use fcbench_stats::rank_row;
 
 /// What the user optimizes for (§7.3's three user classes).
@@ -152,8 +153,8 @@ pub fn recommendation_map(ctx: &Context) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcbench_core::runner::{CellOutcome, RunMatrix};
-    use fcbench_core::Measurement;
+    use crate::metrics::Measurement;
+    use crate::runner::{CellOutcome, RunMatrix};
     use fcbench_datasets::catalog;
 
     /// Build a tiny synthetic context with controlled ratios/times.

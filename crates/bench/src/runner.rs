@@ -6,29 +6,19 @@
 //! precision, or a runtime error — the paper reports 2.0% CPU / 7.3% GPU
 //! failures, Observation 2) are recorded as [`CellOutcome::Failed`] and the
 //! cell is excluded from aggregates, mirroring the dashes in Table 4.
+//!
+//! A GPU cell's host↔device copies are priced here, from the two byte
+//! counts every cell holds: compression copies the original bytes in and
+//! the payload out, decompression the reverse, each at the paper device's
+//! link rate ([`GpuConfig::transfer_seconds`]).
 
-use crate::codec::{AuxTime, CodecInfo, Compressor};
-use crate::data::{DataDesc, FloatData};
-use crate::error::Error;
 use crate::metrics::Measurement;
-use crate::pool::WorkerPool;
+use fcbench_core::pool::WorkerPool;
+use fcbench_core::{CodecInfo, Compressor, DataDesc, Error, FloatData, Platform};
+use fcbench_datasets::NamedData;
+use fcbench_gpu_sim::GpuConfig;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A named dataset instance handed to the runner.
-pub struct NamedData {
-    pub name: String,
-    pub data: FloatData,
-}
-
-impl NamedData {
-    pub fn new(name: impl Into<String>, data: FloatData) -> Self {
-        NamedData {
-            name: name.into(),
-            data,
-        }
-    }
-}
 
 /// Outcome of one (codec, dataset) cell.
 #[derive(Debug, Clone)]
@@ -167,7 +157,7 @@ impl Compressor for Pooled<'_> {
         self.1.info()
     }
 
-    fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> crate::error::Result<usize> {
+    fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> fcbench_core::Result<usize> {
         self.0.run_compress(self.1, data, out)
     }
 
@@ -176,12 +166,8 @@ impl Compressor for Pooled<'_> {
         payload: &[u8],
         desc: &DataDesc,
         out: &mut FloatData,
-    ) -> crate::error::Result<()> {
+    ) -> fcbench_core::Result<()> {
         self.0.run_decompress(self.1, payload, desc, out)
-    }
-
-    fn last_aux_time(&self) -> AuxTime {
-        self.1.last_aux_time()
     }
 }
 
@@ -192,8 +178,9 @@ impl Compressor for Pooled<'_> {
 /// [`decompress_into`](Compressor::decompress_into) forms with scratch
 /// buffers held across repetitions, so after the first repetition the
 /// measurement captures codec work, not the allocator. A block-parallel
-/// [`Pipeline`](crate::pipeline::Pipeline) is a codec like any other here:
-/// its payload is the whole `FCB3` frame.
+/// [`Pipeline`](fcbench_core::Pipeline) is a codec like any other here:
+/// its payload is the whole `FCB3` frame, and a GPU pipeline's copies are
+/// priced on the whole frame too.
 pub fn run_cell(codec: &dyn Compressor, data: &FloatData, cfg: RunConfig) -> CellOutcome {
     let info = codec.info();
     if !info.precisions.accepts(data.desc().precision) {
@@ -205,9 +192,15 @@ pub fn run_cell(codec: &dyn Compressor, data: &FloatData, cfg: RunConfig) -> Cel
     }
     // A cell whose result could never be framed (oversized codec name,
     // >255 dims) is a failure, not a panic-in-waiting.
-    if let Err(e) = crate::frame::check_frame_params(info.name, data.desc()) {
+    if let Err(e) = fcbench_core::frame::check_frame_params(info.name, data.desc()) {
         return CellOutcome::Failed(e.to_string());
     }
+    let link = (info.platform == Platform::Gpu).then(GpuConfig::default);
+    let copies = |into: usize, back: usize| {
+        link.as_ref()
+            .map_or(0.0, |g| g.transfer_seconds(into) + g.transfer_seconds(back))
+    };
+    let orig_bytes = data.bytes().len();
 
     let mut payload = Vec::new();
     let mut back = FloatData::scratch();
@@ -219,14 +212,12 @@ pub fn run_cell(codec: &dyn Compressor, data: &FloatData, cfg: RunConfig) -> Cel
             Err(e) => return CellOutcome::Failed(e.to_string()),
         };
         let comp_seconds = t0.elapsed().as_secs_f64();
-        let comp_aux = codec.last_aux_time();
 
         let t1 = Instant::now();
         if let Err(e) = codec.decompress_into(&payload[..comp_bytes], data.desc(), &mut back) {
             return CellOutcome::Failed(e.to_string());
         }
         let decomp_seconds = t1.elapsed().as_secs_f64();
-        let decomp_aux = codec.last_aux_time();
 
         if cfg.verify && back.bytes() != data.bytes() {
             return CellOutcome::Failed(
@@ -237,12 +228,12 @@ pub fn run_cell(codec: &dyn Compressor, data: &FloatData, cfg: RunConfig) -> Cel
             );
         }
         runs.push(Measurement {
-            orig_bytes: data.bytes().len() as u64,
+            orig_bytes: orig_bytes as u64,
             comp_bytes: comp_bytes as u64,
             comp_seconds,
             decomp_seconds,
-            comp_transfer_seconds: comp_aux.total(),
-            decomp_transfer_seconds: decomp_aux.total(),
+            comp_transfer_seconds: copies(orig_bytes, comp_bytes),
+            decomp_transfer_seconds: copies(comp_bytes, orig_bytes),
         });
     }
     match Measurement::average_of(&runs) {
@@ -290,25 +281,74 @@ pub fn run_matrix(codecs: &[&dyn Compressor], datasets: &[NamedData], cfg: RunCo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{CodecInfo, PrecisionSupport};
-    use crate::data::{DataDesc, Domain};
-    use crate::error::Result;
+    use fcbench_core::{CodecClass, Community, Domain, PrecisionSupport, Result};
 
+    /// Identity codec `name` accepting `precisions`.
     struct StoreCodec(&'static str, PrecisionSupport);
 
     impl Compressor for StoreCodec {
         fn info(&self) -> CodecInfo {
             CodecInfo {
+                name: self.0,
+                year: 2024,
+                community: Community::General,
+                class: CodecClass::Delta,
+                platform: Platform::Cpu,
+                parallel: false,
                 precisions: self.1,
-                ..crate::testing::info(self.0)
             }
         }
-        fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
-            Ok(data.bytes().to_vec())
+        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+            out.clear();
+            out.extend_from_slice(data.bytes());
+            Ok(out.len())
         }
-        fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-            FloatData::from_bytes(desc.clone(), payload.to_vec())
+        fn decompress_into(
+            &self,
+            payload: &[u8],
+            desc: &DataDesc,
+            out: &mut FloatData,
+        ) -> Result<()> {
+            out.refill_from_slice(desc, payload)
         }
+    }
+
+    /// A deliberately broken codec that flips the last byte on decode.
+    struct LossyCodec;
+
+    impl Compressor for LossyCodec {
+        fn info(&self) -> CodecInfo {
+            StoreCodec("lossy", PrecisionSupport::Both).info()
+        }
+        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+            StoreCodec("lossy", PrecisionSupport::Both).compress_into(data, out)
+        }
+        fn decompress_into(
+            &self,
+            payload: &[u8],
+            desc: &DataDesc,
+            out: &mut FloatData,
+        ) -> Result<()> {
+            out.refill(desc, |bytes| {
+                bytes.extend_from_slice(payload);
+                if let Some(last) = bytes.last_mut() {
+                    *last ^= 0xFF;
+                }
+                Ok(())
+            })
+        }
+    }
+
+    /// Modelled seconds of one copy of `into` bytes to the paper device and
+    /// one of `back` bytes from it.
+    fn copies(into: usize, back: usize) -> f64 {
+        let link = GpuConfig::default();
+        link.transfer_seconds(into) + link.transfer_seconds(back)
+    }
+
+    fn ramp(n: usize) -> FloatData {
+        let vals: Vec<f64> = (0..n).map(|i| 1e6 + i as f64 * 0.5).collect();
+        FloatData::from_f64(&vals, vec![n], Domain::Hpc).unwrap()
     }
 
     fn datasets() -> Vec<NamedData> {
@@ -364,9 +404,8 @@ mod tests {
 
     #[test]
     fn pooled_and_pipelined_cells_match_inline_results() {
-        use crate::pipeline::Pipeline;
-        use crate::pool::{PoolConfig, WorkerPool};
-        use crate::registry::{CodecRegistry, RegistryEntry};
+        use fcbench_core::pool::PoolConfig;
+        use fcbench_core::{CodecRegistry, Pipeline, RegistryEntry};
 
         let data = FloatData::from_f64(
             &(0..512).map(|i| i as f64 * 0.5).collect::<Vec<_>>(),
@@ -406,7 +445,7 @@ mod tests {
 
     #[test]
     fn pooled_cell_failures_are_reported_not_hung() {
-        use crate::pool::{PoolConfig, WorkerPool};
+        use fcbench_core::pool::PoolConfig;
         let pool = WorkerPool::new(PoolConfig::with_threads(1));
         let codec: Arc<dyn Compressor> = Arc::new(StoreCodec("d", PrecisionSupport::DoubleOnly));
         let single = FloatData::from_f32(&[1.0, 2.0], vec![2], Domain::Hpc).unwrap();
@@ -430,5 +469,57 @@ mod tests {
         assert_eq!(m.all_ratios().len(), 2);
         assert_eq!(m.ratios_for_codec("a").len(), 2);
         assert!(m.ratios_for_codec("nope").is_empty());
+    }
+
+    #[test]
+    fn verified_compression_catches_lossy_codec() {
+        let data = FloatData::from_f32(&[1.0, 2.0, 3.0], vec![3], Domain::Hpc).unwrap();
+        let out = run_cell(&LossyCodec, &data, RunConfig::default());
+        assert!(
+            matches!(&out, CellOutcome::Failed(msg) if msg.contains("losslessness")),
+            "{out:?}"
+        );
+    }
+
+    #[test]
+    fn gpu_rows_price_transfers_from_call_bytes() {
+        // Compression copies the original bytes in and the payload out,
+        // decompression the reverse, at the paper device's link rate. A
+        // four-block pipeline calls the codec four times, yet its cell's
+        // copies cover the whole input and the whole frame. A CPU row
+        // copies nothing.
+        let registry = crate::codecs::paper_registry();
+        let data = ramp(4096);
+        for entry in registry.by_platform(Platform::Gpu) {
+            let pipeline = fcbench_core::Pipeline::with_codec(Arc::clone(entry.codec()));
+            let framed = pipeline.block_elems(1024);
+            for codec in [entry.codec() as &dyn Compressor, &framed] {
+                let cell = run_cell(codec, &data, RunConfig::default());
+                let m = cell.measurement().expect("GPU rows round-trip the ramp");
+                let (orig, comp) = (m.orig_bytes as usize, m.comp_bytes as usize);
+                assert_eq!(
+                    m.comp_transfer_seconds,
+                    copies(orig, comp),
+                    "{}",
+                    entry.name()
+                );
+                assert_eq!(
+                    m.decomp_transfer_seconds,
+                    copies(comp, orig),
+                    "{}",
+                    entry.name()
+                );
+            }
+        }
+        let cpu = run_cell(
+            &StoreCodec("a", PrecisionSupport::Both),
+            &data,
+            RunConfig::default(),
+        );
+        let m = cpu.measurement().unwrap();
+        assert_eq!(
+            (m.comp_transfer_seconds, m.decomp_transfer_seconds),
+            (0.0, 0.0)
+        );
     }
 }

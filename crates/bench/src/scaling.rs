@@ -5,11 +5,8 @@
 //! parallel efficiency. This module drives any factory of thread-configured
 //! codecs through that sweep.
 
-use crate::codec::Compressor;
-use crate::data::FloatData;
-use crate::error::Result;
-use crate::pipeline::Pipeline;
-use crate::pool::{PoolConfig, WorkerPool};
+use fcbench_core::pool::{PoolConfig, WorkerPool};
+use fcbench_core::{Compressor, FloatData, Pipeline, Result};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -151,8 +148,9 @@ pub fn pool_scaling_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::CodecInfo;
-    use crate::data::{DataDesc, Domain};
+    use fcbench_core::{
+        CodecClass, CodecInfo, Community, DataDesc, Domain, Platform, PrecisionSupport,
+    };
 
     /// Codec whose compression does `work / threads` spins, simulating
     /// perfect linear scaling.
@@ -163,21 +161,33 @@ mod tests {
     impl Compressor for SpinCodec {
         fn info(&self) -> CodecInfo {
             CodecInfo {
+                name: "spin",
+                year: 2024,
+                community: Community::General,
+                class: CodecClass::Delta,
+                platform: Platform::Cpu,
                 parallel: true,
-                ..crate::testing::info("spin")
+                precisions: PrecisionSupport::Both,
             }
         }
-        fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
+        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
             let spins = 2_000_000 / self.threads;
             let mut acc = 0u64;
             for i in 0..spins {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i as u64);
             }
             std::hint::black_box(acc);
-            Ok(data.bytes().to_vec())
+            out.clear();
+            out.extend_from_slice(data.bytes());
+            Ok(out.len())
         }
-        fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-            FloatData::from_bytes(desc.clone(), payload.to_vec())
+        fn decompress_into(
+            &self,
+            payload: &[u8],
+            desc: &DataDesc,
+            out: &mut FloatData,
+        ) -> Result<()> {
+            out.refill_from_slice(desc, payload)
         }
     }
 

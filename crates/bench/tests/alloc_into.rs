@@ -499,7 +499,7 @@ fn streaming_container_writer_memory_stays_bounded() {
 
 fn runner_reuses_buffers_across_repetitions() {
     alloc_track::mark_installed();
-    use fcbench_core::runner::{run_cell, RunConfig};
+    use fcbench_bench::runner::{run_cell, RunConfig};
     let registry = paper_registry();
     let data = telemetry(2048);
     let codec = registry.get("gorilla").expect("registered codec");

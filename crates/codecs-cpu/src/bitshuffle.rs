@@ -20,7 +20,7 @@
 use crate::common::{code_chunks, fan_out};
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform,
     PrecisionSupport, Result,
 };
 use fcbench_entropy::{lz4, lz77::Lz77Config, zzip};
@@ -432,19 +432,6 @@ impl Compressor for Bitshuffle {
                 bytes.extend_from_slice(&done?);
             }
             Ok(())
-        })
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Dominant kernel is the bit transpose: per element-bit one shift,
-        // mask, or — ~3 int ops per bit; the block is read and written once
-        // by the transpose and re-read by the dictionary stage. Bitshuffle
-        // is memory-bound (§6.3 analysis (3)).
-        let bits = (desc.byte_len() * 8) as u64;
-        Some(OpProfile {
-            int_ops: 3 * bits,
-            float_ops: 0,
-            bytes_moved: 4 * desc.byte_len() as u64,
         })
     }
 }

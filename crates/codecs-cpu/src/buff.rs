@@ -27,8 +27,8 @@
 
 use fcbench_core::wire::{le_u32, le_u64, len32, Cursor};
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
-    Precision, PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform, Precision,
+    PrecisionSupport, Result,
 };
 
 /// Table 2 of the paper: bits needed for decimal precisions 1..=10.
@@ -272,18 +272,6 @@ impl Compressor for Buff {
                 }
             }
             Ok(())
-        })
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Dominant loop: scale, round, subtract, and byte scatter per value
-        // (~6 float + 8 int ops); reads each value, writes the padded field.
-        let n = desc.elements() as u64;
-        let esz = desc.precision.bytes() as u64;
-        Some(OpProfile {
-            int_ops: 8 * n,
-            float_ops: 6 * n,
-            bytes_moved: 2 * n * esz,
         })
     }
 }

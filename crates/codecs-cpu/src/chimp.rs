@@ -23,8 +23,8 @@
 use crate::common::{u32_words, u64_words};
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
-    Precision, PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform, Precision,
+    PrecisionSupport, Result,
 };
 use fcbench_entropy::{BitReader, BitSink};
 use std::cell::RefCell;
@@ -423,19 +423,6 @@ impl Compressor for Chimp {
                     bytes.extend_from_slice(&(w as u32).to_le_bytes())
                 }),
             }
-        })
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Dominant loop adds the window probe (hash + compare) to Gorilla's
-        // XOR work: ~20 integer ops per element; the window adds a read of
-        // one stored word per element.
-        let n = desc.elements() as u64;
-        let esz = desc.precision.bytes() as u64;
-        Some(OpProfile {
-            int_ops: 20 * n,
-            float_ops: 0,
-            bytes_moved: 3 * n * esz,
         })
     }
 }

@@ -18,8 +18,8 @@
 use crate::common::effective_dims;
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
-    Precision, PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform, Precision,
+    PrecisionSupport, Result,
 };
 use fcbench_entropy::{AdaptiveModel, BitReader, BitWriter, RangeDecoder, RangeEncoder};
 
@@ -299,19 +299,6 @@ impl Compressor for Fpzip {
                 }
             }
             Ok(())
-        })
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Dominant loop: Lorenzo sum (≤ 7 FP add/sub), map/compare/subtract
-        // plus the range-coder update (~30 int ops — serial and branchy,
-        // which is why fpzip sits lowest on the CPU roofline).
-        let n = desc.elements() as u64;
-        let esz = desc.precision.bytes() as u64;
-        Some(OpProfile {
-            int_ops: 30 * n,
-            float_ops: 7 * n,
-            bytes_moved: 2 * n * esz,
         })
     }
 }

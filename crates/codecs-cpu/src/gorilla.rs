@@ -17,8 +17,8 @@
 use crate::common::{u32_words, u64_words};
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
-    Precision, PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform, Precision,
+    PrecisionSupport, Result,
 };
 use fcbench_entropy::{BitReader, BitSink};
 
@@ -241,18 +241,6 @@ impl Compressor for Gorilla {
                     bytes.extend_from_slice(&(w as u32).to_le_bytes())
                 }),
             }
-        })
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Dominant loop: per element one XOR, lz/tz counts, window compare,
-        // and bit pushes — ~12 integer ops; reads the word, writes ~CR⁻¹ of it.
-        let n = desc.elements() as u64;
-        let esz = desc.precision.bytes() as u64;
-        Some(OpProfile {
-            int_ops: 12 * n,
-            float_ops: 0,
-            bytes_moved: 2 * n * esz,
         })
     }
 }

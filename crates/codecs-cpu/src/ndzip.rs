@@ -22,8 +22,8 @@ use crate::bitshuffle::{bit_transpose_into, bit_untranspose_into};
 use crate::common::{code_chunks, effective_dims, load_le, put_words};
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, OpProfile, Platform,
-    PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
+    Result,
 };
 
 /// Elements per hypercube.
@@ -375,19 +375,6 @@ impl Compressor for Ndzip {
         let cubes = cur.take_chunks(ncubes)?;
         let cubes = cubes.into_iter().map(|stream| plan.decode_cube(stream));
         plan.assemble(desc, cubes, cur, out)
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Dominant kernel: the transpose+compact stage — per element-bit a
-        // shift/mask/or like bitshuffle, plus the Lorenzo sweeps (nd adds
-        // per element). Compute-bound per §6.3's analysis (3).
-        let n = desc.elements() as u64;
-        let bits = (desc.byte_len() * 8) as u64;
-        Some(OpProfile {
-            int_ops: 3 * bits + 3 * n,
-            float_ops: 0,
-            bytes_moved: 3 * desc.byte_len() as u64,
-        })
     }
 }
 

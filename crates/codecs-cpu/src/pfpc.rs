@@ -23,8 +23,8 @@ use crate::common::{
 };
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, OpProfile, Platform,
-    PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
+    Result,
 };
 use std::cell::RefCell;
 
@@ -242,18 +242,6 @@ impl Compressor for Pfpc {
             slots.into_iter().try_for_each(|(_, _, done)| done)?;
             bytes.extend_from_slice(tail);
             Ok(())
-        })
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Per word: two table lookups, two XORs, lz count, two table
-        // updates, hash mixing — ~18 int ops; moves the word plus two
-        // table entries each way.
-        let n = (desc.byte_len() / 8) as u64;
-        Some(OpProfile {
-            int_ops: 18 * n,
-            float_ops: 0,
-            bytes_moved: 6 * 8 * n,
         })
     }
 }

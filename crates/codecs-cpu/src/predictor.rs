@@ -23,8 +23,8 @@
 use crate::common::{pack_nibbles, unpack_nibbles};
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, OpProfile, Platform,
-    PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
+    Result,
 };
 use std::cell::RefCell;
 
@@ -286,23 +286,6 @@ impl Compressor for Predictor {
             }
             bytes.extend_from_slice(cur.rest());
             Ok(())
-        })
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        let n = (desc.byte_len() / 8) as u64;
-        let (int_ops, bytes_moved) = match self.kind {
-            // Predict, XOR, lz count, update: a handful of register ops;
-            // the word moves each way.
-            PredictorKind::LastValue => (5 * n, 2 * 8 * n),
-            PredictorKind::LastStride => (7 * n, 2 * 8 * n),
-            // Adds a table load + store + hash mixing per word.
-            PredictorKind::Dfcm => (12 * n, 4 * 8 * n),
-        };
-        Some(OpProfile {
-            int_ops,
-            float_ops: 0,
-            bytes_moved,
         })
     }
 }

@@ -19,7 +19,7 @@
 //! exactly invertible byte transform, unit-tested in isolation.
 
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile, Platform,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform,
     PrecisionSupport, Result,
 };
 use fcbench_entropy::lz77::{self, Lz77Config};
@@ -157,18 +157,6 @@ impl Compressor for Spdp {
         out.refill(desc, |bytes| {
             bytes.extend_from_slice(&dim8_inverse(&s1));
             Ok(())
-        })
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Dominant kernel is the LZ stage's chained hash probing: per input
-        // byte ~10 integer ops; the three transforms each re-read and
-        // re-write the whole stream.
-        let bytes = desc.byte_len() as u64;
-        Some(OpProfile {
-            int_ops: 10 * bytes,
-            float_ops: 0,
-            bytes_moved: 8 * bytes,
         })
     }
 }

@@ -22,17 +22,17 @@
 use fcbench_codecs_cpu::common::{begin_word_frame, pack_counted, read_word_frame, unpack_counted};
 use fcbench_core::wire::{put_chunks, Cursor};
 use fcbench_core::{
-    AuxTime, CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile,
-    Platform, PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform,
+    PrecisionSupport, Result,
 };
-use fcbench_gpu_sim::GpuConfig;
+use fcbench_gpu_sim::{Gpu, GpuConfig};
 
 /// Values per subchunk (one GPU warp of 32 lanes).
 pub const SUBCHUNK: usize = 32;
 
 /// The GFC codec on the simulated GPU.
 pub struct Gfc {
-    device: crate::Device,
+    gpu: Gpu,
     input_limit: usize,
     /// Number of parallel chunks (the original sizes this to the warp
     /// count resident on the device).
@@ -58,7 +58,7 @@ impl Gfc {
     pub fn with_config(config: GpuConfig, input_limit: usize) -> Self {
         Gfc {
             chunks: config.sm_count * 16, // warps resident across SMs
-            device: crate::Device::new(config),
+            gpu: Gpu::new(config),
             input_limit,
         }
     }
@@ -128,24 +128,22 @@ impl Compressor for Gfc {
                 self.input_limit
             )));
         }
-        self.device.run(bytes.len(), |gpu| {
-            // Each chunk should hold enough subchunks to amortize its warmup
-            // (the first subchunk deltas against zero); the original sizes
-            // chunks to the resident warp count on multi-GB inputs.
-            let chunks = self.chunks.min((bytes.len() / 8).div_ceil(1024)).max(1);
-            let (items, tail) = begin_word_frame(out, bytes, chunks);
-            let (streams, _stats) = gpu.launch(items, |ctx, chunk| {
-                // Delta + leading-zero coding: uniform control flow, no
-                // divergence to report (GFC's strength on GPUs).
-                ctx.report_instructions(chunk.len() as u64); // 8 per 8-byte word
-                compress_chunk(chunk)
-            });
-            put_chunks(out, streams.len(), |k, out| {
-                out.extend_from_slice(&streams[k])
-            })?;
-            out.extend_from_slice(tail);
-            Ok(out.len())
-        })
+        // Each chunk should hold enough subchunks to amortize its warmup
+        // (the first subchunk deltas against zero); the original sizes
+        // chunks to the resident warp count on multi-GB inputs.
+        let chunks = self.chunks.min((bytes.len() / 8).div_ceil(1024)).max(1);
+        let (items, tail) = begin_word_frame(out, bytes, chunks);
+        let (streams, _stats) = self.gpu.launch(items, |ctx, chunk| {
+            // Delta + leading-zero coding: uniform control flow, no
+            // divergence to report (GFC's strength on GPUs).
+            ctx.report_instructions(chunk.len() as u64); // 8 per 8-byte word
+            compress_chunk(chunk)
+        });
+        put_chunks(out, streams.len(), |k, out| {
+            out.extend_from_slice(&streams[k])
+        })?;
+        out.extend_from_slice(tail);
+        Ok(out.len())
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
@@ -153,35 +151,17 @@ impl Compressor for Gfc {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let decode = |gpu: &fcbench_gpu_sim::Gpu| {
-            let (items, tail) = read_word_frame("gfc", payload, desc)?;
-            let (chunks, _stats) =
-                gpu.launch(items, |_ctx, (chunk, count)| decompress_chunk(chunk, count));
-            out.refill(desc, |bytes| {
-                bytes.reserve(desc.byte_len());
-                for chunk in chunks {
-                    bytes.extend_from_slice(&chunk?);
-                }
-                bytes.extend_from_slice(tail);
-                Ok(())
-            })?;
-            Ok(out.bytes().len())
-        };
-        self.device.run(payload.len(), decode).map(drop)
-    }
-
-    fn last_aux_time(&self) -> AuxTime {
-        self.device.last_aux_time()
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Per word: subtract, sign/abs, lz count, nibble pack — ~8 int ops;
-        // reads the word, writes ~the word back. FP ops none.
-        let n = (desc.byte_len() / 8) as u64;
-        Some(OpProfile {
-            int_ops: 8 * n,
-            float_ops: 0,
-            bytes_moved: 2 * 8 * n,
+        let (items, tail) = read_word_frame("gfc", payload, desc)?;
+        let (chunks, _stats) = self
+            .gpu
+            .launch(items, |_ctx, (chunk, count)| decompress_chunk(chunk, count));
+        out.refill(desc, |bytes| {
+            bytes.reserve(desc.byte_len());
+            for chunk in chunks {
+                bytes.extend_from_slice(&chunk?);
+            }
+            bytes.extend_from_slice(tail);
+            Ok(())
         })
     }
 }
@@ -256,19 +236,6 @@ mod tests {
             matches!(err, Error::Unsupported(_)),
             "8000 bytes > 1024 limit"
         );
-    }
-
-    #[test]
-    fn aux_time_models_transfers() {
-        let gfc = small_gfc();
-        let vals: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-        let data = FloatData::from_f64(&vals, vec![10_000], Domain::Hpc).unwrap();
-        let _ = gfc.compress(&data).unwrap();
-        let aux = gfc.last_aux_time();
-        assert!(aux.h2d_seconds > 0.0, "h2d copy must be modelled");
-        assert!(aux.d2h_seconds > 0.0, "d2h copy must be modelled");
-        // 80 KB over a 1 GB/s link: h2d ≈ 80 µs.
-        assert!(aux.h2d_seconds > 5e-5 && aux.h2d_seconds < 5e-4);
     }
 
     #[test]

@@ -20,17 +20,17 @@ use fcbench_codecs_cpu::common::{load_le, put_words};
 use fcbench_codecs_cpu::ndzip::{unzigzag, zigzag};
 use fcbench_core::wire::{put_chunks, Cursor};
 use fcbench_core::{
-    AuxTime, CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, OpProfile,
-    Platform, PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
+    Result,
 };
-use fcbench_gpu_sim::GpuConfig;
+use fcbench_gpu_sim::{Gpu, GpuConfig};
 
 /// Words per chunk (one thread block).
 pub const CHUNK_WORDS: usize = 1024;
 
 /// The MPC codec on the simulated GPU.
 pub struct Mpc {
-    device: crate::Device,
+    gpu: Gpu,
     /// LNV stride; `None` derives it from the data dimensionality.
     stride_override: Option<usize>,
 }
@@ -44,7 +44,7 @@ impl Default for Mpc {
 impl Mpc {
     pub fn new() -> Self {
         Mpc {
-            device: crate::Device::new(GpuConfig::default()),
+            gpu: Gpu::new(GpuConfig::default()),
             stride_override: None,
         }
     }
@@ -196,27 +196,25 @@ impl Compressor for Mpc {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        self.device.run(data.bytes().len(), |gpu| {
-            let words = words_of(data);
-            let elem_bits = data.desc().precision.bits();
-            let stride = self.stride_for(data.desc());
+        let words = words_of(data);
+        let elem_bits = data.desc().precision.bits();
+        let stride = self.stride_for(data.desc());
 
-            let (full, tail_words) = words.split_at(words.len() / CHUNK_WORDS * CHUNK_WORDS);
-            let items: Vec<Vec<u64>> = full.chunks(CHUNK_WORDS).map(<[u64]>::to_vec).collect();
-            let (streams, _stats) = gpu.launch(items, |ctx, chunk| {
-                ctx.report_instructions((CHUNK_WORDS * elem_bits) as u64 / 8);
-                compress_chunk(chunk, elem_bits, stride)
-            });
+        let (full, tail_words) = words.split_at(words.len() / CHUNK_WORDS * CHUNK_WORDS);
+        let items: Vec<Vec<u64>> = full.chunks(CHUNK_WORDS).map(<[u64]>::to_vec).collect();
+        let (streams, _stats) = self.gpu.launch(items, |ctx, chunk| {
+            ctx.report_instructions((CHUNK_WORDS * elem_bits) as u64 / 8);
+            compress_chunk(chunk, elem_bits, stride)
+        });
 
-            out.clear();
-            out.extend_from_slice(&(streams.len() as u32).to_le_bytes());
-            out.push(stride as u8);
-            put_chunks(out, streams.len(), |k, out| {
-                out.extend_from_slice(&streams[k])
-            })?;
-            put_words(tail_words, elem_bits / 8, out);
-            Ok(out.len())
-        })
+        out.clear();
+        out.extend_from_slice(&(streams.len() as u32).to_le_bytes());
+        out.push(stride as u8);
+        put_chunks(out, streams.len(), |k, out| {
+            out.extend_from_slice(&streams[k])
+        })?;
+        put_words(tail_words, elem_bits / 8, out);
+        Ok(out.len())
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
@@ -224,52 +222,33 @@ impl Compressor for Mpc {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let decode = |gpu: &fcbench_gpu_sim::Gpu| {
-            let elem_bits = desc.precision.bits();
-            let esize = elem_bits / 8;
-            let total_words = desc.elements();
+        let elem_bits = desc.precision.bits();
+        let esize = elem_bits / 8;
+        let total_words = desc.elements();
 
-            let mut cur = Cursor::new("mpc", payload);
-            let nchunks = cur.len32("chunk count")?;
-            let stride = usize::from(cur.u8("stride")?);
-            if stride == 0 || stride >= CHUNK_WORDS {
-                return Err(cur.corrupt("invalid stride"));
+        let mut cur = Cursor::new("mpc", payload);
+        let nchunks = cur.len32("chunk count")?;
+        let stride = usize::from(cur.u8("stride")?);
+        if stride == 0 || stride >= CHUNK_WORDS {
+            return Err(cur.corrupt("invalid stride"));
+        }
+        if nchunks != total_words / CHUNK_WORDS {
+            return Err(cur.corrupt("chunk count mismatch"));
+        }
+        let chunks = cur.take_chunks(nchunks)?;
+        let tail = cur.take((total_words % CHUNK_WORDS) * esize, "tail")?;
+        cur.finish()?;
+
+        let (chunks, _stats) = self.gpu.launch(chunks, |_ctx, chunk| {
+            decompress_chunk(chunk, elem_bits, stride)
+        });
+        out.refill(desc, |bytes| {
+            bytes.reserve(desc.byte_len());
+            for chunk in chunks {
+                put_words(&chunk?, esize, bytes);
             }
-            if nchunks != total_words / CHUNK_WORDS {
-                return Err(cur.corrupt("chunk count mismatch"));
-            }
-            let chunks = cur.take_chunks(nchunks)?;
-            let tail = cur.take((total_words % CHUNK_WORDS) * esize, "tail")?;
-            cur.finish()?;
-
-            let (chunks, _stats) = gpu.launch(chunks, |_ctx, chunk| {
-                decompress_chunk(chunk, elem_bits, stride)
-            });
-            out.refill(desc, |bytes| {
-                bytes.reserve(desc.byte_len());
-                for chunk in chunks {
-                    put_words(&chunk?, esize, bytes);
-                }
-                bytes.extend_from_slice(tail);
-                Ok(())
-            })?;
-            Ok(out.bytes().len())
-        };
-        self.device.run(payload.len(), decode).map(drop)
-    }
-
-    fn last_aux_time(&self) -> AuxTime {
-        self.device.last_aux_time()
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Dominant kernel is the BIT transpose (like bitshuffle): ~3 int
-        // ops per element-bit; the chunk is touched by all four stages.
-        let bits = (desc.byte_len() * 8) as u64;
-        Some(OpProfile {
-            int_ops: 3 * bits,
-            float_ops: 0,
-            bytes_moved: 5 * desc.byte_len() as u64,
+            bytes.extend_from_slice(tail);
+            Ok(())
         })
     }
 }
@@ -368,15 +347,6 @@ mod tests {
         vals[2047] = 5e-324;
         let data = FloatData::from_f64(&vals, vec![2048], Domain::Hpc).unwrap();
         round_trip(&Mpc::new(), &data);
-    }
-
-    #[test]
-    fn aux_time_models_transfers() {
-        let mpc = Mpc::new();
-        let vals: Vec<f64> = (0..4096).map(|i| i as f64).collect();
-        let data = FloatData::from_f64(&vals, vec![4096], Domain::Hpc).unwrap();
-        let _ = mpc.compress(&data).unwrap();
-        assert!(mpc.last_aux_time().total() > 0.0);
     }
 
     #[test]

@@ -16,14 +16,14 @@
 use fcbench_codecs_cpu::ndzip::Ndzip;
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
-    AuxTime, CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, OpProfile,
-    Platform, PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
+    Result,
 };
-use fcbench_gpu_sim::{exclusive_prefix_sum, GpuConfig};
+use fcbench_gpu_sim::{exclusive_prefix_sum, Gpu, GpuConfig};
 
 /// The ndzip-GPU codec.
 pub struct NdzipGpu {
-    device: crate::Device,
+    gpu: Gpu,
     /// CPU-side geometry and cube kernels.
     geometry: Ndzip,
 }
@@ -37,7 +37,7 @@ impl Default for NdzipGpu {
 impl NdzipGpu {
     pub fn new() -> Self {
         NdzipGpu {
-            device: crate::Device::new(GpuConfig::default()),
+            gpu: Gpu::new(GpuConfig::default()),
             geometry: Ndzip::new(),
         }
     }
@@ -57,34 +57,32 @@ impl Compressor for NdzipGpu {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        self.device.run(data.bytes().len(), |gpu| {
-            let plan = self.geometry.plan(data.desc());
+        let plan = self.geometry.plan(data.desc());
 
-            // One thread block per hypercube writes to private scratch.
-            let cubes: Vec<usize> = (0..plan.cube_indices.len()).collect();
-            let (scratch, _stats) = gpu.launch(cubes, |ctx, k| {
-                ctx.report_instructions(plan.cube_indices[k].len() as u64 * 6);
-                let mut out = Vec::new();
-                plan.encode_cube(k, data.bytes(), &mut out);
-                out
-            });
+        // One thread block per hypercube writes to private scratch.
+        let cubes: Vec<usize> = (0..plan.cube_indices.len()).collect();
+        let (scratch, _stats) = self.gpu.launch(cubes, |ctx, k| {
+            ctx.report_instructions(plan.cube_indices[k].len() as u64 * 6);
+            let mut out = Vec::new();
+            plan.encode_cube(k, data.bytes(), &mut out);
+            out
+        });
 
-            // Parallel prefix sum over chunk sizes -> output offsets.
-            let sizes: Vec<u64> = scratch.iter().map(|s| s.len() as u64).collect();
-            let body_len: u64 = sizes.iter().sum();
+        // Parallel prefix sum over chunk sizes -> output offsets.
+        let sizes: Vec<u64> = scratch.iter().map(|s| s.len() as u64).collect();
+        let body_len: u64 = sizes.iter().sum();
 
-            out.clear();
-            out.extend_from_slice(&(scratch.len() as u32).to_le_bytes());
-            for offset in exclusive_prefix_sum(&sizes) {
-                out.extend_from_slice(&offset.to_le_bytes());
-            }
-            out.extend_from_slice(&body_len.to_le_bytes());
-            for s in &scratch {
-                out.extend_from_slice(s);
-            }
-            plan.put_border(data.bytes(), out);
-            Ok(out.len())
-        })
+        out.clear();
+        out.extend_from_slice(&(scratch.len() as u32).to_le_bytes());
+        for offset in exclusive_prefix_sum(&sizes) {
+            out.extend_from_slice(&offset.to_le_bytes());
+        }
+        out.extend_from_slice(&body_len.to_le_bytes());
+        for s in &scratch {
+            out.extend_from_slice(s);
+        }
+        plan.put_border(data.bytes(), out);
+        Ok(out.len())
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
@@ -92,36 +90,16 @@ impl Compressor for NdzipGpu {
         // hand it over unchecked): reject implausible output claims before
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
-        let decode = |gpu: &fcbench_gpu_sim::Gpu| {
-            let plan = self.geometry.plan(desc);
-            let mut cur = Cursor::new("ndzip-gpu", payload);
-            let ncubes = cur.len32("cube count")?;
-            if ncubes != plan.cube_indices.len() {
-                return Err(cur.corrupt("cube count mismatch"));
-            }
-            // Block-parallel decode: each cube knows its slice via the offsets.
-            let bodies = cur.take_chunks_at_offsets(ncubes)?;
-            let (cubes, _stats) = gpu.launch(bodies, |_ctx, body| plan.decode_cube(body));
-            plan.assemble(desc, cubes, cur, out)?;
-            Ok(out.bytes().len())
-        };
-        self.device.run(payload.len(), decode).map(drop)
-    }
-
-    fn last_aux_time(&self) -> AuxTime {
-        self.device.last_aux_time()
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Same dominant kernel as ndzip-CPU (transpose + compact), higher
-        // parallelism. Compute-bound (§6.3).
-        let n = desc.elements() as u64;
-        let bits = (desc.byte_len() * 8) as u64;
-        Some(OpProfile {
-            int_ops: 3 * bits + 3 * n,
-            float_ops: 0,
-            bytes_moved: 3 * desc.byte_len() as u64,
-        })
+        let plan = self.geometry.plan(desc);
+        let mut cur = Cursor::new("ndzip-gpu", payload);
+        let ncubes = cur.len32("cube count")?;
+        if ncubes != plan.cube_indices.len() {
+            return Err(cur.corrupt("cube count mismatch"));
+        }
+        // Block-parallel decode: each cube knows its slice via the offsets.
+        let bodies = cur.take_chunks_at_offsets(ncubes)?;
+        let (cubes, _stats) = self.gpu.launch(bodies, |_ctx, body| plan.decode_cube(body));
+        plan.assemble(desc, cubes, cur, out)
     }
 }
 
@@ -173,16 +151,6 @@ mod tests {
         vals[4000] = -0.0;
         let data = FloatData::from_f64(&vals, vec![4096], Domain::Hpc).unwrap();
         round_trip(&data);
-    }
-
-    #[test]
-    fn aux_time_modelled() {
-        let codec = NdzipGpu::new();
-        let vals: Vec<f64> = (0..8192).map(|i| i as f64).collect();
-        let data = FloatData::from_f64(&vals, vec![8192], Domain::Hpc).unwrap();
-        let _ = codec.compress(&data).unwrap();
-        let aux = codec.last_aux_time();
-        assert!(aux.h2d_seconds > 0.0 && aux.d2h_seconds > 0.0);
     }
 
     #[test]

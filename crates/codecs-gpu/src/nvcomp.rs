@@ -19,21 +19,21 @@
 use fcbench_codecs_cpu::common::{pack_counted, unpack_counted};
 use fcbench_core::wire::{put_chunks, Cursor};
 use fcbench_core::{
-    AuxTime, CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile,
-    Platform, PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform,
+    PrecisionSupport, Result,
 };
 use fcbench_entropy::lz4;
-use fcbench_gpu_sim::{GpuConfig, KernelCtx};
+use fcbench_gpu_sim::{Gpu, GpuConfig, KernelCtx};
 
 /// Batched page size (nvCOMP's default batch granularity).
 pub const PAGE_BYTES: usize = 64 * 1024;
 
 /// Shared batched-page scaffolding for both nvCOMP-class codecs.
-struct Batched(crate::Device);
+struct Batched(Gpu);
 
 impl Batched {
     fn new() -> Self {
-        Batched(crate::Device::new(GpuConfig::default()))
+        Batched(Gpu::new(GpuConfig::default()))
     }
 
     /// Compress pages with `kernel` into `out` (contents replaced),
@@ -43,16 +43,14 @@ impl Batched {
     where
         K: Fn(&KernelCtx<'_>, &[u8]) -> Vec<u8> + Sync,
     {
-        self.0.run(bytes.len(), |gpu| {
-            let pages: Vec<&[u8]> = bytes.chunks(PAGE_BYTES).collect();
-            let (streams, _stats) = gpu.launch(pages, |ctx, page| kernel(ctx, page));
-            out.clear();
-            out.extend_from_slice(&(streams.len() as u32).to_le_bytes());
-            put_chunks(out, streams.len(), |k, out| {
-                out.extend_from_slice(&streams[k])
-            })?;
-            Ok(out.len())
-        })
+        let pages: Vec<&[u8]> = bytes.chunks(PAGE_BYTES).collect();
+        let (streams, _stats) = self.0.launch(pages, |ctx, page| kernel(ctx, page));
+        out.clear();
+        out.extend_from_slice(&(streams.len() as u32).to_le_bytes());
+        put_chunks(out, streams.len(), |k, out| {
+            out.extend_from_slice(&streams[k])
+        })?;
+        Ok(out.len())
     }
 
     /// Decompress a page container with `kernel(page_payload, raw_len)`,
@@ -68,29 +66,28 @@ impl Batched {
     where
         K: Fn(&[u8], usize) -> Result<Vec<u8>> + Sync,
     {
-        let decode = |gpu: &fcbench_gpu_sim::Gpu| {
-            let mut cur = Cursor::new("nvcomp", payload);
-            let npages = cur.len32("page count")?;
-            if npages != total_len.div_ceil(PAGE_BYTES).max(1) {
-                return Err(cur.corrupt("page count mismatch"));
-            }
-            let pages = cur.take_chunks(npages)?;
-            cur.finish()?;
-            let mut left = total_len;
-            let pages_with_len = pages.into_iter().map(|page| {
-                let raw_len = left.min(PAGE_BYTES);
-                left -= raw_len;
-                (page, raw_len)
-            });
-            let items: Vec<(&[u8], usize)> = pages_with_len.collect();
-            let (pages, _stats) = gpu.launch(items, |_ctx, (page, raw_len)| kernel(page, raw_len));
-            out.reserve(total_len);
-            for page in pages {
-                out.extend_from_slice(&page?);
-            }
-            Ok(out.len())
-        };
-        self.0.run(payload.len(), decode).map(drop)
+        let mut cur = Cursor::new("nvcomp", payload);
+        let npages = cur.len32("page count")?;
+        if npages != total_len.div_ceil(PAGE_BYTES).max(1) {
+            return Err(cur.corrupt("page count mismatch"));
+        }
+        let pages = cur.take_chunks(npages)?;
+        cur.finish()?;
+        let mut left = total_len;
+        let pages_with_len = pages.into_iter().map(|page| {
+            let raw_len = left.min(PAGE_BYTES);
+            left -= raw_len;
+            (page, raw_len)
+        });
+        let items: Vec<(&[u8], usize)> = pages_with_len.collect();
+        let (pages, _stats) = self
+            .0
+            .launch(items, |_ctx, (page, raw_len)| kernel(page, raw_len));
+        out.reserve(total_len);
+        for page in pages {
+            out.extend_from_slice(&page?);
+        }
+        Ok(())
     }
 }
 
@@ -146,21 +143,6 @@ impl Compressor for NvLz4 {
                 .decompress_pages(payload, desc.byte_len(), bytes, |page, raw| {
                     lz4::decompress(page, raw).map_err(|e| Error::Corrupt(e.to_string()))
                 })
-        })
-    }
-
-    fn last_aux_time(&self) -> AuxTime {
-        self.inner.0.last_aux_time()
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // LZ4 kernel: hash, probe, compare per byte — ~12 int ops/byte,
-        // reads input + table traffic.
-        let b = desc.byte_len() as u64;
-        Some(OpProfile {
-            int_ops: 12 * b,
-            float_ops: 0,
-            bytes_moved: 3 * b,
         })
     }
 }
@@ -245,21 +227,6 @@ impl Compressor for NvBitcomp {
                 .decompress_pages(payload, desc.byte_len(), bytes, bitcomp_unpage)
         })
     }
-
-    fn last_aux_time(&self) -> AuxTime {
-        self.inner.0.last_aux_time()
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Delta + lz count: ~4 int ops per word — bandwidth-bound, the
-        // closest dot to the GPU memory roof in Fig. 11b.
-        let n = (desc.byte_len() / 8) as u64;
-        Some(OpProfile {
-            int_ops: 4 * n,
-            float_ops: 0,
-            bytes_moved: 2 * 8 * n,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -325,15 +292,6 @@ mod tests {
         let data = FloatData::from_f64(&vals, vec![6], Domain::Hpc).unwrap();
         round_trip(&NvLz4::new(), &data);
         round_trip(&NvBitcomp::new(), &data);
-    }
-
-    #[test]
-    fn aux_times_are_modelled() {
-        let codec = NvBitcomp::new();
-        let vals: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-        let data = FloatData::from_f64(&vals, vec![10_000], Domain::Hpc).unwrap();
-        let _ = codec.compress(&data).unwrap();
-        assert!(codec.last_aux_time().total() > 0.0);
     }
 
     #[test]

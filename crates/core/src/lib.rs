@@ -7,8 +7,9 @@
 //! This crate defines:
 //!
 //! - the floating-point [data model](data) (precision, domain, shape);
-//! - the [`Compressor`] trait with the Table 1 taxonomy
-//!   and its buffer-reusing `compress_into`/`decompress_into` hot path;
+//! - the [`Compressor`] trait with the Table 1 taxonomy: `info` plus the
+//!   buffer-reusing `compress_into`/`decompress_into` pair, with the
+//!   allocating forms provided on top;
 //! - the [codec registry](registry) (lookup by name, filtering by platform,
 //!   class, and precision);
 //! - the self-describing [`FCB3` frame](frame): fixed-size blocks
@@ -18,12 +19,8 @@
 //!   pipelined consumer of it submits through;
 //! - [streaming frame I/O](stream) for datasets that exceed memory, and
 //!   the block-parallel [pipeline], its whole-buffer form;
-//! - the paper's [metrics] (CR/CT/DT, harmonic/arithmetic means);
-//! - the benchmark [run matrix](runner) (codecs × datasets);
-//! - [boxplot & group summaries](summary) for Figures 5–6;
 //! - the [block sizes](blocks) of the Table 10 experiment and the
 //!   plausibility gate every block decode passes;
-//! - the [thread-scaling harness](scaling) for Tables 7–8;
 //! - the [sync] shim (one poison policy, swappable for the
 //!   `fcbench-analyze` model checker behind the `model-check` feature) and
 //!   the panic-free [wire] decode helpers the repo lints hold decode paths
@@ -35,7 +32,8 @@
 //!
 //! Compressor implementations live in `fcbench-codecs-cpu`,
 //! `fcbench-codecs-gpu`, and `fcbench-dzip`; everything here is
-//! codec-agnostic.
+//! codec-agnostic. The paper's measurement harness (run matrix, metrics,
+//! summaries, thread-scaling sweeps) lives in `fcbench-bench`.
 
 #![forbid(unsafe_code)]
 
@@ -45,14 +43,10 @@ pub mod data;
 pub mod error;
 pub mod fault;
 pub mod frame;
-pub mod metrics;
 pub mod pipeline;
 pub mod pool;
 pub mod registry;
-pub mod runner;
-pub mod scaling;
 pub mod stream;
-pub mod summary;
 pub mod sync;
 #[cfg(test)]
 mod testing;
@@ -63,15 +57,10 @@ pub mod wire;
 /// [`Registry`](fcbench_telemetry::Registry) without naming the crate.
 pub use fcbench_telemetry as telemetry;
 
-pub use codec::{
-    compress_verified, compress_verified_into, AuxTime, CodecClass, CodecInfo, Community,
-    Compressor, OpProfile, Platform, PrecisionSupport,
-};
+pub use codec::{CodecClass, CodecInfo, Community, Compressor, Platform, PrecisionSupport};
 pub use data::{DataDesc, Domain, FloatData, Precision};
 pub use error::{Error, Result};
-pub use metrics::Measurement;
 pub use pipeline::Pipeline;
 pub use pool::{PoolConfig, Ticket, WorkerPool};
 pub use registry::{CodecRegistry, RegistryEntry};
-pub use runner::{run_cell, run_matrix, CellOutcome, NamedData, RunConfig, RunMatrix};
 pub use stream::{FrameReader, FrameWriter};

@@ -39,9 +39,13 @@
 //! #                     class: CodecClass::Delta, platform: Platform::Cpu,
 //! #                     parallel: false, precisions: PrecisionSupport::Both }
 //! #     }
-//! #     fn compress(&self, data: &FloatData) -> Result<Vec<u8>> { Ok(data.bytes().to_vec()) }
-//! #     fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-//! #         FloatData::from_bytes(desc.clone(), payload.to_vec())
+//! #     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+//! #         out.clear();
+//! #         out.extend_from_slice(data.bytes());
+//! #         Ok(out.len())
+//! #     }
+//! #     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
+//! #         out.refill_from_slice(desc, payload)
 //! #     }
 //! # }
 //! let registry = CodecRegistry::new().with(RegistryEntry::new(Store).thread_scalable());
@@ -57,7 +61,7 @@
 //! assert_eq!(back.bytes(), data.bytes());
 //! ```
 
-use crate::codec::{AuxTime, CodecInfo, Compressor, OpProfile};
+use crate::codec::{CodecInfo, Compressor};
 use crate::data::{DataDesc, FloatData};
 use crate::error::{Error, Result};
 use crate::pool::{PoolConfig, WorkerPool};
@@ -151,13 +155,6 @@ impl Pipeline {
             self.pool
                 .get_or_init(|| Arc::new(WorkerPool::new(PoolConfig::with_threads(self.threads)))),
         )
-    }
-
-    /// Compress `data` into a freshly allocated `FCB3` frame.
-    pub fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.compress_into(data, &mut out)?;
-        Ok(out)
     }
 
     /// Compress `data` into `out` (contents replaced, capacity reused).
@@ -256,14 +253,6 @@ impl Compressor for Pipeline {
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
         self.decode(payload, Some(desc), out)
-    }
-
-    fn last_aux_time(&self) -> AuxTime {
-        self.codec.last_aux_time()
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        self.codec.op_profile(desc)
     }
 }
 

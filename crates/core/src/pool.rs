@@ -50,9 +50,13 @@
 //! #                     class: CodecClass::Delta, platform: Platform::Cpu,
 //! #                     parallel: false, precisions: PrecisionSupport::Both }
 //! #     }
-//! #     fn compress(&self, data: &FloatData) -> Result<Vec<u8>> { Ok(data.bytes().to_vec()) }
-//! #     fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-//! #         FloatData::from_bytes(desc.clone(), payload.to_vec())
+//! #     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+//! #         out.clear();
+//! #         out.extend_from_slice(data.bytes());
+//! #         Ok(out.len())
+//! #     }
+//! #     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
+//! #         out.refill_from_slice(desc, payload)
 //! #     }
 //! # }
 //! let pool = WorkerPool::new(PoolConfig::with_threads(2));

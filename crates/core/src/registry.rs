@@ -269,11 +269,16 @@ mod tests {
                 precisions: self.3,
             }
         }
-        fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
-            Ok(data.bytes().to_vec())
+        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+            crate::testing::Store.compress_into(data, out)
         }
-        fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-            FloatData::from_bytes(desc.clone(), payload.to_vec())
+        fn decompress_into(
+            &self,
+            payload: &[u8],
+            desc: &DataDesc,
+            out: &mut FloatData,
+        ) -> Result<()> {
+            crate::testing::Store.decompress_into(payload, desc, out)
         }
     }
 

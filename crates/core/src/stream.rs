@@ -27,9 +27,13 @@
 //! #                     class: CodecClass::Delta, platform: Platform::Cpu,
 //! #                     parallel: false, precisions: PrecisionSupport::Both }
 //! #     }
-//! #     fn compress(&self, data: &FloatData) -> Result<Vec<u8>> { Ok(data.bytes().to_vec()) }
-//! #     fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-//! #         FloatData::from_bytes(desc.clone(), payload.to_vec())
+//! #     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+//! #         out.clear();
+//! #         out.extend_from_slice(data.bytes());
+//! #         Ok(out.len())
+//! #     }
+//! #     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
+//! #         out.refill_from_slice(desc, payload)
 //! #     }
 //! # }
 //! let codec: Arc<dyn Compressor> = Arc::new(Store);
@@ -728,10 +732,9 @@ impl<R: Read> FrameReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::CodecInfo;
     use crate::data::{Domain, Precision};
     use crate::pool::PoolConfig;
-    use crate::testing::{info, HeaderedStore};
+    use crate::testing::{HeaderedStore, Store};
 
     fn codec() -> Arc<dyn Compressor> {
         Arc::new(HeaderedStore)
@@ -818,20 +821,7 @@ mod tests {
     fn reader_rejects_wrong_codec_and_bad_magic() {
         let data = sample(50);
         let bytes = encode(&data, 16, None, 4096);
-
-        struct Other;
-        impl Compressor for Other {
-            fn info(&self) -> CodecInfo {
-                info("other")
-            }
-            fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
-                Ok(data.bytes().to_vec())
-            }
-            fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-                FloatData::from_bytes(desc.clone(), payload.to_vec())
-            }
-        }
-        assert!(FrameReader::new(&bytes[..], Arc::new(Other), None).is_err());
+        assert!(FrameReader::new(&bytes[..], Arc::new(Store), None).is_err());
 
         let mut bad = bytes.clone();
         bad[3] = b'9';

@@ -11,6 +11,9 @@
 //!   the entropy targets;
 //! - [`entropy`] — the value-entropy estimator matching the Table 3
 //!   column.
+//!
+//! [`generate_all`] hands every dataset over as a [`NamedData`], the
+//! column type of the benchmark run matrix.
 
 #![forbid(unsafe_code)]
 
@@ -22,7 +25,23 @@ pub use catalog::{catalog, find, DatasetSpec, Family};
 pub use entropy::{scaled_target, value_entropy};
 pub use gen::generate;
 
-use fcbench_core::runner::NamedData;
+use fcbench_core::FloatData;
+
+/// A named dataset instance: what the benchmark runner takes as one
+/// column of its matrix.
+pub struct NamedData {
+    pub name: String,
+    pub data: FloatData,
+}
+
+impl NamedData {
+    pub fn new(name: impl Into<String>, data: FloatData) -> Self {
+        NamedData {
+            name: name.into(),
+            data,
+        }
+    }
+}
 
 /// Generate every dataset at `target_elems`, in Table 3 order.
 pub fn generate_all(target_elems: usize) -> Vec<NamedData> {

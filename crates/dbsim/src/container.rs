@@ -1200,11 +1200,18 @@ mod tests {
                 precisions: PrecisionSupport::Both,
             }
         }
-        fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
-            Ok(data.bytes().to_vec())
+        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+            out.clear();
+            out.extend_from_slice(data.bytes());
+            Ok(out.len())
         }
-        fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-            FloatData::from_bytes(desc.clone(), payload.to_vec())
+        fn decompress_into(
+            &self,
+            payload: &[u8],
+            desc: &DataDesc,
+            out: &mut FloatData,
+        ) -> Result<()> {
+            out.refill_from_slice(desc, payload)
         }
     }
 
@@ -1465,14 +1472,19 @@ mod tests {
         fn info(&self) -> CodecInfo {
             StoreCodec.info()
         }
-        fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
+        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
             if data.bytes().starts_with(&(-1.0f64).to_le_bytes()) {
                 return Err(Error::Unsupported("refused page".into()));
             }
-            Ok(data.bytes().to_vec())
+            StoreCodec.compress_into(data, out)
         }
-        fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
-            StoreCodec.decompress(payload, desc)
+        fn decompress_into(
+            &self,
+            payload: &[u8],
+            desc: &DataDesc,
+            out: &mut FloatData,
+        ) -> Result<()> {
+            StoreCodec.decompress_into(payload, desc, out)
         }
     }
 

@@ -27,8 +27,8 @@
 #![forbid(unsafe_code)]
 
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, OpProfile,
-    PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, PrecisionSupport,
+    Result,
 };
 use fcbench_entropy::{RangeDecoder, RangeEncoder};
 use rand::rngs::SmallRng;
@@ -281,7 +281,7 @@ impl Compressor for Dzip {
         }
     }
 
-    fn compress(&self, data: &FloatData) -> Result<Vec<u8>> {
+    fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
         let bytes = data.bytes();
         let reservoir = Reservoir::seeded();
         let boot = bootstrap(
@@ -306,15 +306,16 @@ impl Compressor for Dzip {
         }
         let stream = enc.finish();
 
-        let mut out = Vec::with_capacity(boot_bytes.len() + stream.len() + 12);
+        out.clear();
+        out.reserve(boot_bytes.len() + stream.len() + 12);
         out.extend_from_slice(&(boot_bytes.len() as u32).to_le_bytes());
         out.extend_from_slice(&boot_bytes);
         out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
         out.extend_from_slice(&stream);
-        Ok(out)
+        Ok(out.len())
     }
 
-    fn decompress(&self, payload: &[u8], desc: &DataDesc) -> Result<FloatData> {
+    fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
         if payload.len() < 12 {
             return Err(Error::Corrupt("dzip: payload shorter than header".into()));
         }
@@ -342,38 +343,28 @@ impl Compressor for Dzip {
         let mut readout = boot;
         let mut dec = RangeDecoder::new(stream);
         let mut h = [0.0; HIDDEN];
-        let mut out = Vec::with_capacity(dlen);
-        for _ in 0..dlen {
-            let probs = readout.probs(&h);
-            let (freqs, total) = quantize(&probs);
-            let target = dec.decode_freq(total);
-            // Locate the symbol bucket.
-            let mut cum = 0u32;
-            let mut sym = 255u8;
-            for (s, &f) in freqs.iter().enumerate() {
-                if target < cum + f {
-                    sym = s as u8;
-                    break;
+        out.refill(desc, |out| {
+            out.reserve(dlen);
+            for _ in 0..dlen {
+                let probs = readout.probs(&h);
+                let (freqs, total) = quantize(&probs);
+                let target = dec.decode_freq(total);
+                // Locate the symbol bucket.
+                let mut cum = 0u32;
+                let mut sym = 255u8;
+                for (s, &f) in freqs.iter().enumerate() {
+                    if target < cum + f {
+                        sym = s as u8;
+                        break;
+                    }
+                    cum += f;
                 }
-                cum += f;
+                dec.decode_update(cum, freqs[sym as usize]);
+                readout.train(&h, &probs, sym);
+                h = reservoir.step(sym, &h);
+                out.push(sym);
             }
-            dec.decode_update(cum, freqs[sym as usize]);
-            readout.train(&h, &probs, sym);
-            h = reservoir.step(sym, &h);
-            out.push(sym);
-        }
-        FloatData::from_bytes(desc.clone(), out)
-    }
-
-    fn op_profile(&self, desc: &DataDesc) -> Option<OpProfile> {
-        // Per byte: GRU step 2·H² mults + readout 256·H + softmax ≈ 5000
-        // FLOPs — the reason NN compression runs at KB-not-GB per second.
-        let b = desc.byte_len() as u64;
-        let per_byte = (2 * HIDDEN * HIDDEN + 2 * 256 * HIDDEN + 512) as u64;
-        Some(OpProfile {
-            int_ops: 20 * b,
-            float_ops: per_byte * b,
-            bytes_moved: 2 * b + 256 * (HIDDEN as u64 + 1) * 8,
+            Ok(())
         })
     }
 }

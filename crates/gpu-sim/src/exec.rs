@@ -59,10 +59,6 @@ impl Gpu {
         Gpu { config }
     }
 
-    pub fn config(&self) -> &GpuConfig {
-        &self.config
-    }
-
     /// Launch a kernel over `items`, one thread block per item. Blocks are
     /// distributed over `sm_count` worker threads. Outputs preserve item
     /// order. The kernel must be `Sync` (device code has no host state).

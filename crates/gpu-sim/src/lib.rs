@@ -6,9 +6,10 @@
 //!
 //! 1. **Massive block-level parallelism** — kernels launch one thread
 //!    block per work item over a pool of simulated SMs ([`exec::Gpu`]);
-//! 2. **Host↔device transfer cost** — every copy is priced against link
-//!    bandwidth + latency and accumulated per operation
-//!    ([`transfer::TransferLedger`]), driving the Table 6 end-to-end gap;
+//! 2. **Host↔device transfer cost** — a copy is priced from its byte count
+//!    against link bandwidth + latency
+//!    ([`GpuConfig::transfer_seconds`]), driving the Table 6 end-to-end
+//!    gap;
 //! 3. **Branch divergence** — kernels report divergence events
 //!    ([`exec::KernelCtx::report_divergence`]), making the dictionary-codec
 //!    penalty of Observation 3 measurable.
@@ -20,8 +21,7 @@
 
 pub mod config;
 pub mod exec;
-pub mod transfer;
+mod transfer;
 
 pub use config::GpuConfig;
 pub use exec::{exclusive_prefix_sum, Gpu, KernelCtx, KernelStats};
-pub use transfer::{Dir, Transfer, TransferLedger};

@@ -1,7 +1,7 @@
 //! Property tests for the SIMT simulator: launches preserve order and
 //! coverage for arbitrary grids; the transfer model is monotone in size.
 
-use fcbench_gpu_sim::{exclusive_prefix_sum, Dir, Gpu, GpuConfig, TransferLedger};
+use fcbench_gpu_sim::{exclusive_prefix_sum, Gpu, GpuConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -36,9 +36,8 @@ proptest! {
     #[test]
     fn transfer_time_is_monotone_in_bytes(a in 0usize..1_000_000, b in 0usize..1_000_000) {
         let cfg = GpuConfig::rtx6000();
-        let ledger = TransferLedger::new();
-        let ta = ledger.record(&cfg, Dir::HostToDevice, a.min(b));
-        let tb = ledger.record(&cfg, Dir::HostToDevice, a.max(b));
+        let ta = cfg.transfer_seconds(a.min(b));
+        let tb = cfg.transfer_seconds(a.max(b));
         prop_assert!(ta <= tb + 1e-15);
         prop_assert!(ta >= cfg.transfer_latency_s);
     }

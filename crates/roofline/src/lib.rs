@@ -13,7 +13,19 @@
 
 #![forbid(unsafe_code)]
 
-use fcbench_core::OpProfile;
+/// Analytic operation/byte counts for one full pass of a kernel over a
+/// dataset. A codec is placed by its dominant kernel ("the most expensive
+/// function/loop that consumes greater than 40% of computation time",
+/// Fig. 11 caption).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct OpProfile {
+    /// Integer ALU operations executed by the dominant kernel.
+    pub int_ops: u64,
+    /// Floating-point operations executed by the dominant kernel.
+    pub float_ops: u64,
+    /// Bytes moved to/from memory by the dominant kernel.
+    pub bytes_moved: u64,
+}
 
 /// A named straight-line ceiling.
 #[derive(Debug, Clone, PartialEq)]

@@ -9,7 +9,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use fcbench::core::{Domain, FloatData, Pipeline};
+use fcbench::core::{Compressor, Domain, FloatData, Pipeline};
 use fcbench_bench::codecs::paper_registry;
 
 fn main() {

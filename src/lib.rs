@@ -7,10 +7,11 @@
 //! Re-exports every subsystem crate under one roof so examples, integration
 //! tests, and downstream users have a single dependency:
 //!
-//! - [`core`] — data model, `Compressor` trait, metrics, run matrix
+//! - [`core`] — data model, `Compressor` trait, codec registry, frames,
+//!   worker-pool engine
 //! - [`entropy`] — bit I/O, LZ4, LZ77, Huffman, range & arithmetic coders
 //! - [`cpu`] — fpzip, SPDP, BUFF, Gorilla, Chimp, pFPC, bitshuffle, ndzip
-//! - [`gpu_sim`] — SIMT execution simulator
+//! - [`gpu_sim`] — SIMT execution simulator and host↔device transfer pricing
 //! - [`gpu`] — GFC, MPC, nv-lz4, nv-bitcomp, ndzip-GPU on the simulator
 //! - [`dzip`] — GRU + arithmetic-coding neural compressor
 //! - [`datasets`] — the 33 synthetic FCBench datasets

@@ -2,9 +2,9 @@
 //! findings the reproduction must preserve (EXPERIMENTS.md records the
 //! quantitative side).
 
-use fcbench::core::metrics::harmonic_mean;
 use fcbench::core::{Compressor, Domain};
 use fcbench::datasets::{catalog, generate};
+use fcbench_bench::metrics::harmonic_mean;
 
 const ELEMS: usize = 32_768;
 

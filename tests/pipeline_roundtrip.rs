@@ -5,7 +5,7 @@
 //! payloads, signed zeros, subnormals, infinities) in the stream.
 
 use fcbench::core::frame::decode_stream_header;
-use fcbench::core::{Domain, FloatData, Pipeline};
+use fcbench::core::{Compressor, Domain, FloatData, Pipeline};
 use fcbench_bench::codecs::paper_registry;
 
 const LEN: usize = 1000;

@@ -7,7 +7,7 @@
 //! remaining codecs.
 
 use fcbench::core::pool::{PoolConfig, WorkerPool};
-use fcbench::core::{Domain, Error, FloatData, Pipeline};
+use fcbench::core::{Compressor, Domain, Error, FloatData, Pipeline};
 use fcbench_bench::codecs::paper_registry;
 use std::sync::Arc;
 
