@@ -1,11 +1,12 @@
 //! Codec-kernel microbench: the recorded numbers behind the word-level
-//! rewrite of the slow codec kernels. Measures the blocked 8x8 bitshuffle
-//! transpose (forward and inverse) against the retained bit-granular
-//! `bitshuffle::reference`, and the word-at-a-time lz77 hash-chain match
-//! finder against `lz77::reference`, on bitshuffle-shaped inputs, and the
-//! slice-by-16 CRC-32 behind every FCDB2 record against a local
-//! byte-at-a-time loop. The headline acceptance number is the worst gated
-//! speedup, which must stay ≥ 2x.
+//! rewrites of the slow codec kernels. Measures the tiled bitshuffle
+//! transpose (forward and inverse) against the 8-element-group kernel it
+//! replaced, kept here as `groups`; the LZ4 matcher against one that
+//! clears its hash table per call, as it used to (`clearing_lz4`); the
+//! word-at-a-time lz77 hash-chain match finder against `lz77::reference`,
+//! on bitshuffle-shaped inputs; and the slice-by-16 CRC-32 behind every
+//! FCDB2 record against a local byte-at-a-time loop. The headline
+//! acceptance number is the worst gated speedup, which must stay ≥ 2x.
 //!
 //! Runs without the Criterion harness (`harness = false`): it prints one
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
@@ -13,6 +14,7 @@
 
 use fcbench_codecs_cpu::bitshuffle;
 use fcbench_core::stream::crc32;
+use fcbench_entropy::lz4;
 use fcbench_entropy::lz77::{self, Lz77Config};
 use std::hint::black_box;
 use std::time::Instant;
@@ -67,25 +69,106 @@ fn ramp_bytes(n_bytes: usize) -> Vec<u8> {
     data
 }
 
+/// The transpose the tiled kernel replaced: every 8-element group, one
+/// element-byte column at a time, gathered into a u64, 8x8 bit-transposed
+/// and scattered over 8 bit planes (f64 first transposes the group's 8x8
+/// byte matrix in three word rounds).
+mod groups {
+    fn transpose8(x: u64) -> u64 {
+        let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+        let x = x ^ t ^ (t << 7);
+        let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+        let x = x ^ t ^ (t << 14);
+        let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+        x ^ t ^ (t << 28)
+    }
+
+    fn byte_transpose8x8(mut m: [u64; 8]) -> [u64; 8] {
+        for i in 0..4 {
+            let (a, b) = (m[i], m[i + 4]);
+            m[i] = (a & 0x0000_0000_FFFF_FFFF) | (b << 32);
+            m[i + 4] = (a >> 32) | (b & 0xFFFF_FFFF_0000_0000);
+        }
+        for i in [0usize, 1, 4, 5] {
+            let (a, b) = (m[i], m[i + 2]);
+            m[i] = (a & 0x0000_FFFF_0000_FFFF) | ((b & 0x0000_FFFF_0000_FFFF) << 16);
+            m[i + 2] = ((a >> 16) & 0x0000_FFFF_0000_FFFF) | (b & 0xFFFF_0000_FFFF_0000);
+        }
+        for i in [0usize, 2, 4, 6] {
+            let (a, b) = (m[i], m[i + 1]);
+            m[i] = (a & 0x00FF_00FF_00FF_00FF) | ((b & 0x00FF_00FF_00FF_00FF) << 8);
+            m[i + 1] = ((a >> 8) & 0x00FF_00FF_00FF_00FF) | (b & 0xFF00_FF00_FF00_FF00);
+        }
+        m
+    }
+
+    pub fn bit_transpose_into(data: &[u8], elems: usize, elem_bits: usize, out: &mut Vec<u8>) {
+        let (esize, groups) = (elem_bits / 8, elems / 8);
+        out.clear();
+        out.resize(data.len(), 0);
+        let mut scatter = |g: usize, k: usize, x: u64| {
+            for (t, b) in transpose8(x).to_le_bytes().into_iter().enumerate() {
+                out[(8 * k + t) * groups + g] = b;
+            }
+        };
+        for (g, grp) in data.chunks_exact(8 * esize).enumerate() {
+            if esize == 8 {
+                let mut rows = [0u64; 8];
+                for (j, r) in grp.chunks_exact(8).enumerate() {
+                    rows[j] = u64::from_le_bytes(r.try_into().unwrap());
+                }
+                let cols = byte_transpose8x8(rows);
+                for (k, &x) in cols.iter().enumerate() {
+                    scatter(g, k, x);
+                }
+            } else {
+                for k in 0..esize {
+                    let x = (0..8).fold(0, |x, j| x | u64::from(grp[j * esize + k]) << (8 * j));
+                    scatter(g, k, x);
+                }
+            }
+        }
+    }
+
+    pub fn bit_untranspose_into(data: &[u8], elems: usize, elem_bits: usize, out: &mut Vec<u8>) {
+        let (esize, groups) = (elem_bits / 8, elems / 8);
+        out.clear();
+        out.resize(data.len(), 0);
+        for g in 0..groups {
+            for k in 0..esize {
+                let y = (0..8).fold(0, |y, t| {
+                    y | u64::from(data[(8 * k + t) * groups + g]) << (8 * t)
+                });
+                for (j, b) in transpose8(y).to_le_bytes().into_iter().enumerate() {
+                    out[g * 8 * esize + j * esize + k] = b;
+                }
+            }
+        }
+    }
+}
+
 fn bench_transpose(elems: usize, elem_bits: usize, reps: usize) -> (Row, Row) {
     let data = ramp_bytes(elems * elem_bits / 8);
-    let mut out = Vec::new();
+    let (mut out, mut old) = (Vec::new(), Vec::new());
     let fwd_new = best_of(reps, || {
         bitshuffle::bit_transpose_into(&data, elems, elem_bits, &mut out);
         black_box(out.len());
     });
     let fwd_ref = best_of(reps, || {
-        black_box(bitshuffle::reference::bit_transpose(&data, elems, elem_bits).len());
+        groups::bit_transpose_into(&data, elems, elem_bits, &mut old);
+        black_box(old.len());
     });
-    let t = bitshuffle::bit_transpose(&data, elems, elem_bits);
-    let mut back = Vec::new();
+    assert_eq!(out, old, "tiled and 8-group planes differ");
+    let t = out.clone();
     let inv_new = best_of(reps, || {
-        bitshuffle::bit_untranspose_into(&t, elems, elem_bits, &mut back);
-        black_box(back.len());
+        bitshuffle::bit_untranspose_into(&t, elems, elem_bits, &mut out);
+        black_box(out.len());
     });
     let inv_ref = best_of(reps, || {
-        black_box(bitshuffle::reference::bit_untranspose(&t, elems, elem_bits).len());
+        groups::bit_untranspose_into(&t, elems, elem_bits, &mut old);
+        black_box(old.len());
     });
+    assert_eq!(out, old, "tiled and 8-group elements differ");
     let bytes = data.len() as u64;
     let (fname, iname) = if elem_bits == 32 {
         ("transpose f32 fwd", "transpose f32 inv")
@@ -105,9 +188,96 @@ fn bench_transpose(elems: usize, elem_bits: usize, reps: usize) -> (Row, Row) {
             new_s: inv_new,
             ref_s: inv_ref,
             bytes,
-            gated: true,
+            gated: false,
         },
     )
+}
+
+/// LZ4's greedy matcher as it was before the epoch table: the 64 Ki-slot
+/// hash table zeroed for every call, `pos + 1` per slot, 0 empty. Emits the
+/// same sequences as `lz4::compress_into`.
+fn clearing_lz4(input: &[u8], table: &mut Vec<u32>, out: &mut Vec<u8>) {
+    fn length(out: &mut Vec<u8>, mut rest: usize) {
+        while rest >= 255 {
+            out.push(255);
+            rest -= 255;
+        }
+        out.push(rest as u8);
+    }
+    fn literals(out: &mut Vec<u8>, lits: &[u8], token_low: u8) {
+        out.push((lits.len().min(15) as u8) << 4 | token_low);
+        if lits.len() >= 15 {
+            length(out, lits.len() - 15);
+        }
+        out.extend_from_slice(lits);
+    }
+    let word = |i: usize| u32::from_le_bytes([input[i], input[i + 1], input[i + 2], input[i + 3]]);
+    let hash = |v: u32| (v.wrapping_mul(2654435761) >> 16) as usize;
+    let n = input.len();
+    out.clear();
+    out.reserve(n / 2 + 16);
+    if n < 13 {
+        return literals(out, input, 0);
+    }
+    table.clear();
+    table.resize(1 << 16, 0);
+    let (match_limit, mut anchor, mut i) = (n - 12, 0, 0);
+    while i < match_limit {
+        let h = hash(word(i));
+        let candidate = table[h] as usize;
+        table[h] = (i + 1) as u32;
+        if candidate == 0 || i - (candidate - 1) > 65_535 || word(candidate - 1) != word(i) {
+            i += 1;
+            continue;
+        }
+        let m = candidate - 1;
+        let max_len = n - 5 - i;
+        let mut len = 4;
+        while len < max_len && input[m + len] == input[i + len] {
+            len += 1;
+        }
+        literals(out, &input[anchor..i], (len - 4).min(15) as u8);
+        out.extend_from_slice(&((i - m) as u16).to_le_bytes());
+        if len - 4 >= 15 {
+            length(out, len - 4 - 15);
+        }
+        i += len;
+        anchor = i;
+        if i < match_limit {
+            table[hash(word(i - 2))] = (i - 1) as u32;
+        }
+    }
+    literals(out, &input[anchor..], 0);
+}
+
+/// LZ4 over 64 KiB bit-transposed blocks, a call per block, as
+/// `bitshuffle-lz4` codes them.
+fn bench_lz4(shuffled: &[u8], reps: usize) -> Row {
+    let (mut out, mut old, mut table) = (Vec::new(), Vec::new(), Vec::new());
+    for block in shuffled.chunks(64 << 10) {
+        lz4::compress_into(block, &mut out);
+        clearing_lz4(block, &mut table, &mut old);
+        assert_eq!(out, old, "epoch-table and clearing matchers differ");
+    }
+    let new_s = best_of(reps, || {
+        for block in shuffled.chunks(64 << 10) {
+            lz4::compress_into(block, &mut out);
+            black_box(out.len());
+        }
+    });
+    let ref_s = best_of(reps, || {
+        for block in shuffled.chunks(64 << 10) {
+            clearing_lz4(block, &mut table, &mut old);
+            black_box(old.len());
+        }
+    });
+    Row {
+        name: "lz4 compress 64 KiB blocks",
+        new_s,
+        ref_s,
+        bytes: shuffled.len() as u64,
+        gated: false,
+    }
 }
 
 fn bench_lz77(name: &'static str, input: &[u8], cfg: Lz77Config, reps: usize) -> (Row, Row) {
@@ -193,7 +363,7 @@ fn main() {
     let elems = if quick() { 8192 } else { 65_536 };
     let reps = if quick() { 5 } else { 20 };
 
-    println!("codec kernels vs retained references (best of {reps}):");
+    println!("codec kernels vs the kernels they replaced (best of {reps}):");
     println!(
         "{:<30} {:>10} {:>10} {:>8}",
         "kernel", "new MB/s", "ref MB/s", "speedup"
@@ -218,6 +388,7 @@ fn main() {
     // for. Bench exactly that shape at both effort levels.
     let raw = ramp_bytes(elems * 8);
     let shuffled = bitshuffle::bit_transpose(&raw, elems, 64);
+    gate(&bench_lz4(&shuffled, reps));
     let deep = Lz77Config {
         window: 1 << 16,
         chain_depth: 128,

@@ -40,6 +40,37 @@ fn main() {
     println!("test telemetry_records_and_warm_snapshots_do_not_allocate ... ok");
     bitshuffle_block_claims_are_bounded_by_the_descriptor();
     println!("test bitshuffle_block_claims_are_bounded_by_the_descriptor ... ok");
+    bitshuffle_round_trips_do_not_allocate_per_block();
+    println!("test bitshuffle_round_trips_do_not_allocate_per_block ... ok");
+}
+
+/// `bitshuffle-lz4` codes each block through per-thread scratch and decodes
+/// each straight into its slice of the output: a warm inline round trip of
+/// four blocks allocates no more than one of a single block does.
+fn bitshuffle_round_trips_do_not_allocate_per_block() {
+    alloc_track::mark_installed();
+    let registry = paper_registry();
+    let codec = registry.get("bitshuffle-lz4").expect("registered codec");
+    // 64 KiB blocks of doubles; four stay under the inline threshold.
+    let round_trip = |data: &FloatData| {
+        let (mut payload, mut out) = (Vec::new(), FloatData::scratch());
+        let mut once = || {
+            let n = codec.compress_into(data, &mut payload).expect("compress");
+            codec
+                .decompress_into(&payload[..n], data.desc(), &mut out)
+                .expect("decompress");
+        };
+        once();
+        let (allocs, _) = alloc_track::count_allocations(&mut once);
+        assert_eq!(out.bytes(), data.bytes(), "round trip");
+        allocs
+    };
+    let one = round_trip(&telemetry(8192));
+    let four = round_trip(&telemetry(4 * 8192));
+    assert!(
+        four <= one,
+        "bitshuffle-lz4 allocates per block: {one} allocs for 1 block vs {four} for 4"
+    );
 }
 
 /// A bitshuffle block carries its own raw length, and that length sizes the

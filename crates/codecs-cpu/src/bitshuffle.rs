@@ -17,13 +17,14 @@
 //! Payload: `u32 nblocks | per-block u32 compressed size | blocks`, each
 //! block `u32 raw length | backend stream`.
 
-use crate::common::{code_chunks, fan_out};
+use crate::common::{code_chunks, fan_out, u32_words, u64_words};
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform,
     PrecisionSupport, Result,
 };
 use fcbench_entropy::{lz4, lz77::Lz77Config, zzip};
+use std::cell::RefCell;
 
 /// Default block size in bytes — the paper's evaluation block (64 KB).
 pub const DEFAULT_BLOCK_BYTES: usize = 64 * 1024;
@@ -46,7 +47,8 @@ pub struct Bitshuffle {
 }
 
 impl Bitshuffle {
-    /// `bitshuffle::LZ4` with the 4096-byte default block and 8 threads.
+    /// `bitshuffle::LZ4` with the 64 KiB default block
+    /// ([`DEFAULT_BLOCK_BYTES`]) and 8 threads.
     pub fn lz4() -> Self {
         Bitshuffle {
             backend: Backend::Lz4,
@@ -75,55 +77,6 @@ impl Bitshuffle {
     }
 }
 
-/// The bit-granular transpose this module's blocked kernel replaced.
-///
-/// Retained verbatim so differential tests can prove the word-level
-/// transpose produces byte-identical planes — the PR-5 discipline. Not
-/// used on any production path.
-pub mod reference {
-    /// Transpose the bits of `elems` elements of `elem_bits` bits each,
-    /// one bit per loop iteration.
-    pub fn bit_transpose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
-        debug_assert_eq!(data.len(), elems * elem_bits / 8);
-        debug_assert_eq!(elems % 8, 0);
-        let mut out = vec![0u8; data.len()];
-        for e in 0..elems {
-            let base_bit = e * elem_bits;
-            for b in 0..elem_bits {
-                let in_bit = base_bit + b;
-                let byte = data[in_bit / 8];
-                let bit = (byte >> (in_bit % 8)) & 1;
-                if bit != 0 {
-                    // Lane b collects bit b of every element.
-                    let out_bit = b * elems + e;
-                    out[out_bit / 8] |= 1 << (out_bit % 8);
-                }
-            }
-        }
-        out
-    }
-
-    /// Inverse of [`bit_transpose`], one bit per loop iteration.
-    pub fn bit_untranspose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
-        debug_assert_eq!(data.len(), elems * elem_bits / 8);
-        debug_assert_eq!(elems % 8, 0);
-        let mut out = vec![0u8; data.len()];
-        for e in 0..elems {
-            let base_bit = e * elem_bits;
-            for b in 0..elem_bits {
-                let in_bit = b * elems + e;
-                let byte = data[in_bit / 8];
-                let bit = (byte >> (in_bit % 8)) & 1;
-                if bit != 0 {
-                    let out_bit = base_bit + b;
-                    out[out_bit / 8] |= 1 << (out_bit % 8);
-                }
-            }
-        }
-        out
-    }
-}
-
 /// 8x8 bit-matrix transpose of a u64 (byte = row, LSB-first bit = column),
 /// via three delta-swap rounds (Hacker's Delight §7-3). Branch-free; an
 /// involution.
@@ -137,16 +90,99 @@ fn transpose8(x: u64) -> u64 {
     x ^ t ^ (t << 28)
 }
 
+/// The delta-swap rounds of a 64x64 bit-matrix transpose: round `(j, mask)`
+/// swaps the two `j`-wide off-diagonal blocks of every `2j`-row band, `mask`
+/// selecting each block's low `j` columns (Hacker's Delight §7-3).
+const ROUNDS: [(usize, u64); 6] = [
+    (32, 0x0000_0000_FFFF_FFFF),
+    (16, 0x0000_FFFF_0000_FFFF),
+    (8, 0x00FF_00FF_00FF_00FF),
+    (4, 0x0F0F_0F0F_0F0F_0F0F),
+    (2, 0x3333_3333_3333_3333),
+    (1, 0x5555_5555_5555_5555),
+];
+
+/// Transpose in place the bit matrix whose row `r` is `rows[r]` (LSB-first
+/// bit = column). With 64 rows that is the whole 64x64 tile; with 32 rows it
+/// is the 32x32 halves (columns 0..32 and 32..64) each transposed on its own.
+/// An involution either way.
+#[inline(always)]
+fn transpose_tile<const N: usize>(rows: &mut [u64; N]) {
+    for &(j, mask) in &ROUNDS[6 - N.trailing_zeros() as usize..] {
+        for band in rows.chunks_exact_mut(2 * j) {
+            let (lo, hi) = band.split_at_mut(j);
+            for (x, y) in lo.iter_mut().zip(hi) {
+                let t = ((*x >> j) ^ *y) & mask;
+                *x ^= t << j;
+                *y ^= t;
+            }
+        }
+    }
+}
+
+/// Rows of an f32 tile of up to 64 elements: row `r` holds element `r` in
+/// its low half and element `r + 32` in its high half, so one 32-row
+/// [`transpose_tile`] leaves bit plane `c` of the tile in row `c`. Missing
+/// elements read as zero.
+#[inline(always)]
+fn f32_rows(tile: &[u8]) -> [u64; 32] {
+    let mut rows = [0u64; 32];
+    let (lo, hi) = tile.split_at(tile.len().min(128));
+    for (r, w) in rows.iter_mut().zip(u32_words(lo)) {
+        *r = u64::from(w);
+    }
+    for (r, w) in rows.iter_mut().zip(u32_words(hi)) {
+        *r |= u64::from(w) << 32;
+    }
+    rows
+}
+
+/// Inverse of [`f32_rows`]: write the tile's elements back from the rows.
+#[inline(always)]
+fn put_f32_rows(rows: &[u64; 32], tile: &mut [u8]) {
+    let (lo, hi) = tile.split_at_mut(tile.len().min(128));
+    for (w, &r) in lo.chunks_exact_mut(4).zip(rows) {
+        w.copy_from_slice(&(r as u32).to_le_bytes());
+    }
+    for (w, &r) in hi.chunks_exact_mut(4).zip(rows) {
+        w.copy_from_slice(&((r >> 32) as u32).to_le_bytes());
+    }
+}
+
+/// Store the low `width` bytes of row `c` at byte `at` of bit plane `c`
+/// (planes are `plane` bytes long).
+#[inline(always)]
+fn store_planes(rows: &[u64], width: usize, out: &mut [u8], plane: usize, at: usize) {
+    for (c, bits) in rows.iter().enumerate() {
+        out[c * plane + at..][..width].copy_from_slice(&bits.to_le_bytes()[..width]);
+    }
+}
+
+/// Inverse of [`store_planes`]: row `c` from `width` bytes at byte `at` of
+/// bit plane `c` (a short read yields zero bits, never a panic).
+#[inline(always)]
+fn load_planes<const N: usize>(data: &[u8], width: usize, plane: usize, at: usize) -> [u64; N] {
+    let mut rows = [0u64; N];
+    for (c, bits) in rows.iter_mut().enumerate() {
+        let mut le = [0u8; 8];
+        if let Some(b) = data.get(c * plane + at..).and_then(|b| b.get(..width)) {
+            le[..width].copy_from_slice(b);
+        }
+        *bits = u64::from_le_bytes(le);
+    }
+    rows
+}
+
 /// Transpose the bits of `elems` elements of `elem_bits` bits each.
 /// `data.len()` must equal `elems * elem_bits / 8`; `elems` must be a
 /// multiple of 8 so every output lane is whole bytes.
 ///
-/// Blocked kernel: each group of 8 elements is processed one element-byte
-/// column at a time — gather 8 bytes into a u64, `transpose8` it, and
-/// scatter the 8 result bytes into 8 consecutive bit-lane planes. Eight
-/// bits move per load/store instead of one, and the inner loops are
-/// branch-free gather/transpose/scatter the compiler can vectorize.
-/// Byte-identical to [`reference::bit_transpose`].
+/// Tiled kernel: f64 and f32 elements move 64 at a time — one in-place
+/// 64x64 bit-matrix transpose (six `u64` delta-swap rounds; f32 packs two
+/// elements per row and needs five), then one 8-byte store per bit plane.
+/// A remaining 32 f32 elements take one more tile with 4-byte stores; the
+/// rest, and every other width, go 8 elements at a time through
+/// `transpose8`.
 pub fn bit_transpose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
     let mut out = Vec::new();
     bit_transpose_into(data, elems, elem_bits, &mut out);
@@ -158,66 +194,58 @@ pub fn bit_transpose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
 pub fn bit_transpose_into(data: &[u8], elems: usize, elem_bits: usize, out: &mut Vec<u8>) {
     debug_assert_eq!(data.len(), elems * elem_bits / 8);
     debug_assert_eq!(elems % 8, 0);
-    let elem_size = elem_bits / 8;
-    let groups = elems / 8;
     out.clear();
     out.resize(data.len(), 0);
-    match elem_size {
-        8 => {
-            for (g, grp) in data.chunks_exact(64).enumerate() {
-                let mut rows = [0u64; 8];
-                for (j, r) in grp.chunks_exact(8).enumerate() {
-                    rows[j] = u64::from_le_bytes(r.try_into().unwrap());
+    // Bit plane `c` is bytes `c * plane ..`; the tile of elements from `e`
+    // owns bytes `e / 8 ..` of every plane.
+    let plane = elems / 8;
+    let mut done = 0;
+    match elem_bits {
+        64 => {
+            for tile in data.chunks_exact(512) {
+                let mut rows = [0u64; 64];
+                for (r, w) in rows.iter_mut().zip(u64_words(tile)) {
+                    *r = w;
                 }
-                let cols = byte_transpose8x8(rows);
-                for (k, &x) in cols.iter().enumerate() {
-                    let yb = transpose8(x).to_le_bytes();
-                    for (t, &b) in yb.iter().enumerate() {
-                        out[(8 * k + t) * groups + g] = b;
-                    }
-                }
+                transpose_tile(&mut rows);
+                store_planes(&rows, 8, out, plane, done / 8);
+                done += 64;
             }
         }
-        4 => {
-            for (g, grp) in data.chunks_exact(32).enumerate() {
-                let grp: &[u8; 32] = grp.try_into().unwrap();
-                for k in 0..4 {
-                    let x = u64::from_le_bytes([
-                        grp[k],
-                        grp[4 + k],
-                        grp[8 + k],
-                        grp[12 + k],
-                        grp[16 + k],
-                        grp[20 + k],
-                        grp[24 + k],
-                        grp[28 + k],
-                    ]);
-                    let yb = transpose8(x).to_le_bytes();
-                    for (t, &b) in yb.iter().enumerate() {
-                        out[(8 * k + t) * groups + g] = b;
-                    }
-                }
+        32 => {
+            let tiles = data.chunks_exact(256);
+            let rest = tiles.remainder();
+            for tile in tiles {
+                let mut rows = f32_rows(tile);
+                transpose_tile(&mut rows);
+                store_planes(&rows, 8, out, plane, done / 8);
+                done += 64;
+            }
+            if let Some(half) = rest.first_chunk::<128>() {
+                let mut rows = f32_rows(half);
+                transpose_tile(&mut rows);
+                store_planes(&rows, 4, out, plane, done / 8);
+                done += 32;
             }
         }
-        _ => {
-            for (g, grp) in data.chunks_exact(8 * elem_size).enumerate() {
-                for k in 0..elem_size {
-                    let mut x = 0u64;
-                    for j in 0..8 {
-                        x |= (grp[j * elem_size + k] as u64) << (8 * j);
-                    }
-                    let yb = transpose8(x).to_le_bytes();
-                    for (t, &b) in yb.iter().enumerate() {
-                        out[(8 * k + t) * groups + g] = b;
-                    }
-                }
+        _ => {}
+    }
+    let esize = elem_bits / 8;
+    for g in done / 8..plane {
+        let grp = &data[8 * esize * g..][..8 * esize];
+        for k in 0..esize {
+            let mut x = 0u64;
+            for j in 0..8 {
+                x |= u64::from(grp[j * esize + k]) << (8 * j);
+            }
+            for (t, b) in transpose8(x).to_le_bytes().into_iter().enumerate() {
+                out[(8 * k + t) * plane + g] = b;
             }
         }
     }
 }
 
-/// Inverse of [`bit_transpose`]. Byte-identical to
-/// [`reference::bit_untranspose`].
+/// Inverse of [`bit_transpose`].
 pub fn bit_untranspose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
     let mut out = Vec::new();
     bit_untranspose_into(data, elems, elem_bits, &mut out);
@@ -225,103 +253,99 @@ pub fn bit_untranspose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
 }
 
 /// [`bit_untranspose`] into a caller-owned buffer (contents replaced,
-/// capacity reused). Same blocked kernel as the forward direction with
-/// gather and scatter swapped (`transpose8` is an involution).
+/// capacity reused).
 pub fn bit_untranspose_into(data: &[u8], elems: usize, elem_bits: usize, out: &mut Vec<u8>) {
-    debug_assert_eq!(data.len(), elems * elem_bits / 8);
-    debug_assert_eq!(elems % 8, 0);
-    let elem_size = elem_bits / 8;
-    let groups = elems / 8;
     out.clear();
     out.resize(data.len(), 0);
-    for g in 0..groups {
-        let base = g * 8 * elem_size;
-        for k in 0..elem_size {
+    untranspose_to(data, elems, elem_bits, out);
+}
+
+/// [`bit_untranspose`] into exactly `data.len()` bytes of `out`: the
+/// forward tiles with loads and stores swapped (`transpose_tile` and
+/// `transpose8` are involutions).
+fn untranspose_to(data: &[u8], elems: usize, elem_bits: usize, out: &mut [u8]) {
+    debug_assert_eq!(data.len(), elems * elem_bits / 8);
+    debug_assert_eq!(out.len(), data.len());
+    debug_assert_eq!(elems % 8, 0);
+    let plane = elems / 8;
+    let mut done = 0;
+    match elem_bits {
+        64 => {
+            for tile in out.chunks_exact_mut(512) {
+                let mut rows = load_planes::<64>(data, 8, plane, done / 8);
+                transpose_tile(&mut rows);
+                for (w, r) in tile.chunks_exact_mut(8).zip(rows) {
+                    w.copy_from_slice(&r.to_le_bytes());
+                }
+                done += 64;
+            }
+        }
+        32 => {
+            let mut tiles = out.chunks_exact_mut(256);
+            for tile in &mut tiles {
+                let mut rows = load_planes::<32>(data, 8, plane, done / 8);
+                transpose_tile(&mut rows);
+                put_f32_rows(&rows, tile);
+                done += 64;
+            }
+            if let Some(half) = tiles.into_remainder().first_chunk_mut::<128>() {
+                let mut rows = load_planes::<32>(data, 4, plane, done / 8);
+                transpose_tile(&mut rows);
+                put_f32_rows(&rows, half);
+                done += 32;
+            }
+        }
+        _ => {}
+    }
+    let esize = elem_bits / 8;
+    for g in done / 8..plane {
+        let grp = &mut out[8 * esize * g..][..8 * esize];
+        for k in 0..esize {
             let mut y = 0u64;
             for t in 0..8 {
-                y |= (data[(8 * k + t) * groups + g] as u64) << (8 * t);
+                y |= u64::from(data[(8 * k + t) * plane + g]) << (8 * t);
             }
-            let xb = transpose8(y).to_le_bytes();
-            for (j, &b) in xb.iter().enumerate() {
-                out[base + j * elem_size + k] = b;
+            for (j, b) in transpose8(y).to_le_bytes().into_iter().enumerate() {
+                grp[j * esize + k] = b;
             }
         }
     }
 }
 
-/// Transpose an 8x8 byte matrix held in 8 u64 rows (LE byte = column)
-/// with three rounds of block swaps — 24 word ops instead of 64 byte
-/// moves. `result[k]` holds byte `k` of every input row.
-#[inline]
-fn byte_transpose8x8(w: [u64; 8]) -> [u64; 8] {
-    let mut m = w;
-    // 4x4 byte blocks.
-    for i in 0..4 {
-        let (a, b) = (m[i], m[i + 4]);
-        m[i] = (a & 0x0000_0000_FFFF_FFFF) | (b << 32);
-        m[i + 4] = (a >> 32) | (b & 0xFFFF_FFFF_0000_0000);
-    }
-    // 2x2 byte blocks.
-    for i in [0usize, 1, 4, 5] {
-        let (a, b) = (m[i], m[i + 2]);
-        m[i] = (a & 0x0000_FFFF_0000_FFFF) | ((b & 0x0000_FFFF_0000_FFFF) << 16);
-        m[i + 2] = ((a >> 16) & 0x0000_FFFF_0000_FFFF) | (b & 0xFFFF_0000_FFFF_0000);
-    }
-    // Single bytes.
-    for i in [0usize, 2, 4, 6] {
-        let (a, b) = (m[i], m[i + 1]);
-        m[i] = (a & 0x00FF_00FF_00FF_00FF) | ((b & 0x00FF_00FF_00FF_00FF) << 8);
-        m[i + 1] = ((a >> 8) & 0x00FF_00FF_00FF_00FF) | (b & 0xFF00_FF00_FF00_FF00);
-    }
-    m
-}
-
 /// Shuffle one block: whole groups of 8 elements are bit-transposed; a
 /// ragged tail is passed through unchanged (as the reference does).
 fn shuffle_block_into(block: &[u8], elem_size: usize, out: &mut Vec<u8>) {
-    let group = 8 * elem_size; // bytes per 8-element transpose unit
-    let whole = block.len() / group * group;
-    let elems = whole / elem_size;
-    if elems > 0 {
-        bit_transpose_into(&block[..whole], elems, elem_size * 8, out);
-    } else {
-        out.clear();
-    }
+    let whole = block.len() / (8 * elem_size) * (8 * elem_size);
+    bit_transpose_into(&block[..whole], whole / elem_size, elem_size * 8, out);
     out.extend_from_slice(&block[whole..]);
 }
 
-fn unshuffle_block(block: &[u8], elem_size: usize) -> Vec<u8> {
-    let group = 8 * elem_size;
-    let whole = block.len() / group * group;
-    let elems = whole / elem_size;
-    let mut out = if elems > 0 {
-        bit_untranspose(&block[..whole], elems, elem_size * 8)
-    } else {
-        Vec::new()
-    };
-    out.extend_from_slice(&block[whole..]);
-    out
+/// Inverse of [`shuffle_block_into`] into exactly `block.len()` bytes.
+fn unshuffle_block_to(block: &[u8], elem_size: usize, out: &mut [u8]) {
+    let whole = block.len() / (8 * elem_size) * (8 * elem_size);
+    let (planes, tail) = out.split_at_mut(whole);
+    untranspose_to(&block[..whole], whole / elem_size, elem_size * 8, planes);
+    tail.copy_from_slice(&block[whole..]);
 }
 
-// Per-thread staging buffer for the shuffled block: a scoped worker
-// compresses many blocks, so the transpose target is allocated once per
-// thread rather than once per block.
+// Per-thread staging for one block — the shuffled bytes and, compressing,
+// the coded stream — so a scoped worker sizes both once rather than once
+// per block.
 thread_local! {
-    static SHUFFLE_SCRATCH: std::cell::RefCell<Vec<u8>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    static SCRATCH: RefCell<(Vec<u8>, Vec<u8>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Append one block: `u32 raw length | backend stream`.
 fn compress_one(block: &[u8], elem_size: usize, backend: Backend, out: &mut Vec<u8>) {
-    SHUFFLE_SCRATCH.with_borrow_mut(|shuffled| {
+    SCRATCH.with_borrow_mut(|(shuffled, coded)| {
         shuffle_block_into(block, elem_size, shuffled);
-        let body = match backend {
-            Backend::Lz4 => lz4::compress(shuffled),
+        match backend {
+            Backend::Lz4 => lz4::compress_into(shuffled, coded),
             Backend::Zzip => {
                 // Blocks are <= 64 KB: a 64 KB window with deep chains gives
                 // 2-byte offsets (as tight as LZ4) plus the entropy stage —
                 // the slower-but-stronger profile of real zstd.
-                zzip::compress_with(
+                *coded = zzip::compress_with(
                     shuffled,
                     Lz77Config {
                         window: 1 << 16,
@@ -329,33 +353,31 @@ fn compress_one(block: &[u8], elem_size: usize, backend: Backend, out: &mut Vec<
                     },
                 )
             }
-        };
-        out.reserve(4 + body.len());
+        }
+        out.reserve(4 + coded.len());
         out.extend_from_slice(&(block.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
+        out.extend_from_slice(coded);
     })
 }
 
-/// Decode one block's backend stream to exactly `raw_len` bytes.
-fn decompress_one(
-    body: &[u8],
-    raw_len: usize,
-    elem_size: usize,
-    backend: Backend,
-) -> Result<Vec<u8>> {
-    let shuffled = match backend {
-        Backend::Lz4 => {
-            lz4::decompress(body, raw_len).map_err(|e| Error::Corrupt(e.to_string()))?
-        }
+/// Decode one block's backend stream into exactly `out.len()` bytes.
+fn decompress_one(body: &[u8], elem_size: usize, backend: Backend, out: &mut [u8]) -> Result<()> {
+    let corrupt = |e: &dyn std::fmt::Display| Error::Corrupt(e.to_string());
+    match backend {
+        Backend::Lz4 => SCRATCH.with_borrow_mut(|(shuffled, _)| {
+            lz4::decompress_into(body, out.len(), shuffled).map_err(|e| corrupt(&e))?;
+            unshuffle_block_to(shuffled, elem_size, out);
+            Ok(())
+        }),
         Backend::Zzip => {
-            let out = zzip::decompress(body).map_err(|e| Error::Corrupt(e.to_string()))?;
-            if out.len() != raw_len {
-                return Err(Error::Corrupt("bitshuffle: block length mismatch".into()));
+            let shuffled = zzip::decompress(body).map_err(|e| corrupt(&e))?;
+            if shuffled.len() != out.len() {
+                return Err(corrupt(&"bitshuffle: block length mismatch"));
             }
-            out
+            unshuffle_block_to(&shuffled, elem_size, out);
+            Ok(())
         }
-    };
-    Ok(unshuffle_block(&shuffled, elem_size))
+    }
 }
 
 impl Compressor for Bitshuffle {
@@ -398,40 +420,37 @@ impl Compressor for Bitshuffle {
         }
         let blocks = cur.take_chunks(nblocks)?;
 
-        // A block's stored raw length sizes its decode buffer, so it is held
-        // to the bytes the descriptor still has left — whatever block size
-        // the stream was written with.
-        let mut left = desc.byte_len();
-        let mut slots = Vec::with_capacity(nblocks);
-        for block in blocks {
-            let mut block = Cursor::new("bitshuffle", block);
-            let raw_len = block.len32("block length")?;
-            let Some(after) = left.checked_sub(raw_len) else {
-                return Err(cur.corrupt("block claims more bytes than the descriptor has left"));
-            };
-            left = after;
-            slots.push((block.rest(), raw_len, Ok(Vec::new())));
-        }
-        if left != 0 {
-            return Err(cur.corrupt("blocks do not cover the descriptor"));
-        }
-        cur.finish()?;
-
         let elem_size = desc.precision.bytes();
-        fan_out(
-            &mut slots,
-            desc.byte_len(),
-            self.threads,
-            |_, (body, raw_len, done)| {
-                *done = decompress_one(body, *raw_len, elem_size, self.backend);
-            },
-        );
         out.refill(desc, |bytes| {
-            bytes.reserve(desc.byte_len());
-            for (_, _, done) in slots {
-                bytes.extend_from_slice(&done?);
+            // Each block decodes straight into its own slice of the output.
+            // Its stored raw length sizes that slice and the block's decode
+            // buffer, so it is held to the bytes the descriptor still has
+            // left — whatever block size the stream was written with.
+            bytes.resize(desc.byte_len(), 0);
+            let mut left = bytes.as_mut_slice();
+            let mut slots = Vec::with_capacity(nblocks);
+            for block in blocks {
+                let mut block = Cursor::new("bitshuffle", block);
+                let raw_len = block.len32("block length")?;
+                let Some((dst, rest)) = std::mem::take(&mut left).split_at_mut_checked(raw_len)
+                else {
+                    return Err(cur.corrupt("block claims more bytes than the descriptor has left"));
+                };
+                left = rest;
+                slots.push((block.rest(), dst, Ok(())));
             }
-            Ok(())
+            if !left.is_empty() {
+                return Err(cur.corrupt("blocks do not cover the descriptor"));
+            }
+            cur.finish()?;
+
+            fan_out(
+                &mut slots,
+                desc.byte_len(),
+                self.threads,
+                |_, (body, dst, done)| *done = decompress_one(body, elem_size, self.backend, dst),
+            );
+            slots.into_iter().try_for_each(|(_, _, done)| done)
         })
     }
 }
@@ -455,6 +474,52 @@ mod tests {
     }
 
     // ---- differential tests against the retained bit-granular reference ----
+
+    /// The bit-granular transpose the word-level kernels replaced, kept so
+    /// the differential tests can prove they produce byte-identical planes.
+    mod reference {
+        /// Transpose the bits of `elems` elements of `elem_bits` bits each,
+        /// one bit per loop iteration.
+        pub fn bit_transpose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
+            debug_assert_eq!(data.len(), elems * elem_bits / 8);
+            debug_assert_eq!(elems % 8, 0);
+            let mut out = vec![0u8; data.len()];
+            for e in 0..elems {
+                let base_bit = e * elem_bits;
+                for b in 0..elem_bits {
+                    let in_bit = base_bit + b;
+                    let byte = data[in_bit / 8];
+                    let bit = (byte >> (in_bit % 8)) & 1;
+                    if bit != 0 {
+                        // Lane b collects bit b of every element.
+                        let out_bit = b * elems + e;
+                        out[out_bit / 8] |= 1 << (out_bit % 8);
+                    }
+                }
+            }
+            out
+        }
+
+        /// Inverse of [`bit_transpose`], one bit per loop iteration.
+        pub fn bit_untranspose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
+            debug_assert_eq!(data.len(), elems * elem_bits / 8);
+            debug_assert_eq!(elems % 8, 0);
+            let mut out = vec![0u8; data.len()];
+            for e in 0..elems {
+                let base_bit = e * elem_bits;
+                for b in 0..elem_bits {
+                    let in_bit = b * elems + e;
+                    let byte = data[in_bit / 8];
+                    let bit = (byte >> (in_bit % 8)) & 1;
+                    if bit != 0 {
+                        let out_bit = base_bit + b;
+                        out[out_bit / 8] |= 1 << (out_bit % 8);
+                    }
+                }
+            }
+            out
+        }
+    }
 
     fn xorshift_bytes(n: usize, mut x: u32) -> Vec<u8> {
         (0..n)
@@ -512,9 +577,14 @@ mod tests {
     #[test]
     fn transpose_single_bit_probes_match_reference() {
         // One set bit at every position of a small buffer: catches any
-        // single misrouted bit in the blocked gather/scatter mapping.
-        let elems = 16usize;
-        for elem_bits in [32usize, 64] {
+        // single misrouted bit in the tile and 8-group mappings. The sizes
+        // cover 8-groups alone (16), one 32-element f32 tile (32), one
+        // 64-element tile (64), a tile plus a 32-element tile or 8-groups
+        // (96), and tiles plus both tails (136).
+        for (elems, elem_bits) in [16usize, 32, 64, 96, 136]
+            .into_iter()
+            .flat_map(|e| [(e, 32usize), (e, 64)])
+        {
             let n = elems * elem_bits / 8;
             for bit in 0..n * 8 {
                 let mut data = vec![0u8; n];
@@ -522,12 +592,12 @@ mod tests {
                 assert_eq!(
                     bit_transpose(&data, elems, elem_bits),
                     reference::bit_transpose(&data, elems, elem_bits),
-                    "probe bit {bit} at {elem_bits}"
+                    "probe bit {bit} at {elems} x {elem_bits}"
                 );
                 assert_eq!(
                     bit_untranspose(&data, elems, elem_bits),
                     reference::bit_untranspose(&data, elems, elem_bits),
-                    "inverse probe bit {bit} at {elem_bits}"
+                    "inverse probe bit {bit} at {elems} x {elem_bits}"
                 );
             }
         }

@@ -28,9 +28,12 @@ fn hash4(v: u32) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_LOG)) as usize
 }
 
+/// The little-endian 4-byte word at `data[i..]`, if there is one.
 #[inline]
-fn read_u32(data: &[u8], i: usize) -> u32 {
-    u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]])
+fn word_at(data: &[u8], i: usize) -> Option<u32> {
+    data.get(i..)
+        .and_then(<[u8]>::first_chunk)
+        .map(|w| u32::from_le_bytes(*w))
 }
 
 /// In-bounds unaligned 8-byte little-endian load (callers guarantee
@@ -43,10 +46,40 @@ fn read_u64(data: &[u8], i: usize) -> u64 {
     }
 }
 
-// Reusable hash table: one 256 KB allocation per thread instead of per
-// call. Must be zeroed per call (0 means empty).
+/// The match finder's hash table, kept per thread and never cleared per
+/// call. A slot written by a call holds `base + pos + 1`, where `base` is
+/// the table's epoch when that call began. Each call advances the epoch by
+/// its input length, so every slot an earlier call wrote is at or below the
+/// current call's base and reads as empty. The slots are zeroed only when
+/// the epoch would wrap `u32`.
+struct MatchTable {
+    slots: Vec<u32>,
+    epoch: u32,
+}
+
+impl MatchTable {
+    /// Claim the epoch range of an `n`-byte call and return its base. The
+    /// epoch moves before the scan, so a call that unwinds cannot leave a
+    /// slot above the next call's base.
+    fn begin(&mut self, n: usize) -> u32 {
+        self.slots.resize(1 << HASH_LOG, 0);
+        let n = u32::try_from(n).ok();
+        if let Some(end) = n.and_then(|n| self.epoch.checked_add(n)) {
+            return std::mem::replace(&mut self.epoch, end);
+        }
+        // Wrap: start over from an empty table. An input past `u32::MAX`
+        // bytes stores its positions truncated, so it leaves the epoch at
+        // the top and the next call clears again.
+        self.slots.fill(0);
+        self.epoch = n.unwrap_or(u32::MAX);
+        0
+    }
+}
+
 thread_local! {
-    static LZ4_TABLE: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+    static LZ4_TABLE: RefCell<MatchTable> = const {
+        RefCell::new(MatchTable { slots: Vec::new(), epoch: 0 })
+    };
 }
 
 /// Compress `input` into LZ4 block format.
@@ -74,26 +107,26 @@ pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
 
     let mut anchor = 0usize; // start of pending literals
     LZ4_TABLE.with_borrow_mut(|table| {
-        table.resize(1 << HASH_LOG, 0);
-        table.fill(0);
-        // `table` stores position+1; 0 means empty.
+        let base = table.begin(n);
+        let slots = &mut table.slots;
         let match_limit = n - MF_LIMIT; // last position where a match may start
         let mut i = 0usize;
 
         while i < match_limit {
-            let h = hash4(read_u32(input, i));
-            let candidate = table[h] as usize;
-            table[h] = (i + 1) as u32;
+            let Some(word) = word_at(input, i) else { break };
+            let h = hash4(word);
+            let seen = slots[h];
+            slots[h] = base.wrapping_add((i + 1) as u32);
 
-            let matched = candidate != 0
-                && i - (candidate - 1) <= MAX_DISTANCE
-                && read_u32(input, candidate - 1) == read_u32(input, i);
+            // A slot above `base` was written by this call at `seen - base - 1`.
+            let m = seen.wrapping_sub(base).wrapping_sub(1) as usize;
+            let matched =
+                seen > base && i.wrapping_sub(m) <= MAX_DISTANCE && word_at(input, m) == Some(word);
 
             if !matched {
                 i += 1;
                 continue;
             }
-            let m = candidate - 1;
 
             // Extend the match forward a u64 word at a time, but never
             // into the last-literals zone.
@@ -119,8 +152,10 @@ pub fn compress_into(input: &[u8], out: &mut Vec<u8>) {
 
             // Prime the table at the end of the match, as the reference does.
             if i < match_limit {
-                let h2 = hash4(read_u32(input, i.saturating_sub(2)));
-                table[h2] = (i.saturating_sub(2) + 1) as u32;
+                let p = i.saturating_sub(2);
+                if let Some(w) = word_at(input, p) {
+                    slots[hash4(w)] = base.wrapping_add((p + 1) as u32);
+                }
             }
         }
     });
@@ -183,7 +218,20 @@ impl std::error::Error for Lz4Error {}
 /// `expected_len` is the known decompressed size (the block format does not
 /// embed it); output is validated against it.
 pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, Lz4Error> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::new();
+    decompress_into(input, expected_len, &mut out)?;
+    Ok(out)
+}
+
+/// Like [`decompress`] but into a caller-owned buffer (contents replaced,
+/// capacity reused).
+pub fn decompress_into(
+    input: &[u8],
+    expected_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), Lz4Error> {
+    out.clear();
+    out.reserve(expected_len);
     let mut pos = 0usize;
 
     loop {
@@ -254,7 +302,7 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, Lz4Error
             out.len()
         )));
     }
-    Ok(out)
+    Ok(())
 }
 
 #[inline]
@@ -280,6 +328,173 @@ mod tests {
         let c = compress(data);
         let d = decompress(&c, data.len()).expect("decompress");
         assert_eq!(d, data, "round trip failed for {} bytes", data.len());
+    }
+
+    /// The matcher as it was before the epoch table: a table zeroed for
+    /// every call, `pos + 1` per slot, 0 empty (its word-at-a-time match
+    /// extension is written here a byte at a time; the length is the same).
+    /// The oracle the shipped matcher must equal byte for byte.
+    fn clearing_compress(input: &[u8]) -> Vec<u8> {
+        let read_u32 =
+            |i: usize| u32::from_le_bytes([input[i], input[i + 1], input[i + 2], input[i + 3]]);
+        let n = input.len();
+        let mut out = Vec::new();
+        if n == 0 {
+            out.push(0);
+            return out;
+        }
+        if n < MF_LIMIT + 1 {
+            emit_final_literals(&mut out, input);
+            return out;
+        }
+        let mut table = vec![0u32; 1 << HASH_LOG];
+        let mut anchor = 0usize;
+        let match_limit = n - MF_LIMIT;
+        let mut i = 0usize;
+        while i < match_limit {
+            let h = hash4(read_u32(i));
+            let candidate = table[h] as usize;
+            table[h] = (i + 1) as u32;
+            let matched = candidate != 0
+                && i - (candidate - 1) <= MAX_DISTANCE
+                && read_u32(candidate - 1) == read_u32(i);
+            if !matched {
+                i += 1;
+                continue;
+            }
+            let m = candidate - 1;
+            let max_len = n - LAST_LITERALS - i;
+            let mut len = MIN_MATCH;
+            while len < max_len && input[m + len] == input[i + len] {
+                len += 1;
+            }
+            emit_sequence(&mut out, &input[anchor..i], (i - m) as u16, len);
+            i += len;
+            anchor = i;
+            if i < match_limit {
+                let h2 = hash4(read_u32(i.saturating_sub(2)));
+                table[h2] = (i.saturating_sub(2) + 1) as u32;
+            }
+        }
+        emit_final_literals(&mut out, &input[anchor..]);
+        out
+    }
+
+    /// Move this thread's epoch up to `epoch` (never down: a slot above
+    /// the epoch would read as this call's).
+    fn raise_epoch(epoch: u32) {
+        LZ4_TABLE.with_borrow_mut(|t| {
+            assert!(epoch >= t.epoch);
+            t.epoch = epoch;
+        });
+    }
+
+    /// Compress on this thread, check the bytes against the oracle and the
+    /// invariant that makes them equal: no slot above the epoch.
+    fn assert_like_oracle(input: &[u8]) {
+        assert_eq!(
+            compress(input),
+            clearing_compress(input),
+            "{} bytes",
+            input.len()
+        );
+        LZ4_TABLE.with_borrow(|t| {
+            assert!(
+                t.slots.iter().all(|&s| s <= t.epoch),
+                "a slot above the epoch"
+            );
+        });
+    }
+
+    fn noise(n: usize, mut x: u32) -> Vec<u8> {
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Float-like bytes with runs and repeats, as bit-transposed blocks are.
+    fn planes(n: usize, seed: u32) -> Vec<u8> {
+        let mut data = noise(n, seed);
+        for (i, b) in data.iter_mut().enumerate() {
+            if (i / 512) % 3 != 0 {
+                *b = (i % 61) as u8;
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn interleaved_calls_match_the_clearing_matcher() {
+        let long = planes(60_000, 3);
+        for input in [
+            &long[..],
+            &planes(700, 5),
+            &[],
+            &long[..],
+            &long[..20_000],
+            &noise(5_000, 9),
+        ] {
+            assert_like_oracle(input);
+            round_trip(input);
+        }
+    }
+
+    #[test]
+    fn an_earlier_calls_slots_are_never_taken() {
+        // `short` holds the word `w` twice: at 29, inside a match (a
+        // position the scan skips), and at 48. The clearing matcher has no
+        // slot for `w` at 48 and emits literals; an earlier call that put
+        // `w` at 29 must not lend its slot, or 48 would match 29.
+        let x = noise(16, 11);
+        let y = noise(8, 13);
+        let w = [x[13], x[14], x[15], y[0]];
+        let mut short = [&x[..], &x, &y, &noise(8, 17), &w].concat();
+        short.extend(noise(16, 19));
+        assert_eq!(short[29..33], w);
+        let mut longer = noise(300, 23);
+        longer[29..33].copy_from_slice(&w);
+        assert_like_oracle(&longer);
+        assert_like_oracle(&short);
+    }
+
+    #[test]
+    fn the_table_clears_when_the_epoch_would_wrap() {
+        let long = planes(5_000, 29);
+        let short = planes(2_000, 31);
+        // Fill the table, then land the next call exactly on u32::MAX, just
+        // short of it, and on it already: each sequence crosses the wrap.
+        assert_like_oracle(&long);
+        for end_gap in [0, 100, 5_000] {
+            raise_epoch(u32::MAX - 5_000 + end_gap);
+            for input in [&long, &short, &long] {
+                assert_like_oracle(input);
+            }
+        }
+    }
+
+    #[test]
+    fn no_input_length_overflows_the_epoch() {
+        let mut t = MatchTable {
+            slots: Vec::new(),
+            epoch: 7,
+        };
+        assert_eq!(t.begin(100), 7);
+        assert_eq!(t.epoch, 107);
+        // Past `u32::MAX` bytes the table clears and pins the epoch at the
+        // top, so the next call clears again.
+        t.slots[3] = 99;
+        assert_eq!(t.begin(usize::MAX), 0);
+        assert_eq!((t.epoch, t.slots[3]), (u32::MAX, 0));
+        t.slots[3] = 99;
+        assert_eq!(t.begin(13), 0);
+        assert_eq!((t.epoch, t.slots[3]), (13, 0));
+        assert_eq!(t.begin(u32::MAX as usize - 13), 13);
+        assert_eq!(t.epoch, u32::MAX);
     }
 
     #[test]
