@@ -4,8 +4,10 @@
 //! replaced, kept here as `groups`; the LZ4 matcher against one that
 //! clears its hash table per call, as it used to (`clearing_lz4`); the
 //! word-at-a-time lz77 hash-chain match finder against `lz77::reference`,
-//! on bitshuffle-shaped inputs; and the slice-by-16 CRC-32 behind every
-//! FCDB2 record against a local byte-at-a-time loop. The headline
+//! on bitshuffle-shaped inputs; the table-driven canonical-Huffman decoder
+//! (zzip's entropy stage) against the bit-at-a-time walk it replaced, kept
+//! here as `huffman_walk`; and the slice-by-16 CRC-32 behind every FCDB2
+//! record against a local byte-at-a-time loop. The headline
 //! acceptance number is the worst gated speedup, which must stay ≥ 2x.
 //!
 //! Runs without the Criterion harness (`harness = false`): it prints one
@@ -14,8 +16,8 @@
 
 use fcbench_codecs_cpu::bitshuffle;
 use fcbench_core::stream::crc32;
-use fcbench_entropy::lz4;
 use fcbench_entropy::lz77::{self, Lz77Config};
+use fcbench_entropy::{huffman, lz4, BitReader};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -319,6 +321,76 @@ fn bench_lz77(name: &'static str, input: &[u8], cfg: Lz77Config, reps: usize) ->
     )
 }
 
+/// Canonical-Huffman decode as it was before the lookup table: one bit per
+/// step, checked against each length's code range. `None` where
+/// `huffman::decode` errs.
+fn huffman_walk(input: &[u8]) -> Option<Vec<u8>> {
+    let (table, rest) = input.split_at_checked(128)?;
+    let (count, bits) = rest.split_first_chunk::<4>()?;
+    let mut lens = [0u8; 256];
+    for (i, &pair) in table.iter().enumerate() {
+        (lens[2 * i], lens[2 * i + 1]) = (pair >> 4, pair & 0x0F);
+    }
+    let count = u32::from_le_bytes(*count) as usize;
+    let mut n_at = [0u32; 16];
+    for &l in lens.iter().filter(|&&l| l > 0) {
+        n_at[usize::from(l)] += 1;
+    }
+    let (mut first_code, mut first_idx) = ([0u32; 16], [0u32; 16]);
+    let (mut code, mut idx) = (0u32, 0u32);
+    for len in 1..16 {
+        code <<= 1;
+        (first_code[len], first_idx[len]) = (code, idx);
+        code += n_at[len];
+        idx += n_at[len];
+    }
+    let mut by_idx = Vec::new();
+    for len in 1..16u8 {
+        by_idx.extend((0..=255u8).filter(|&sym| lens[usize::from(sym)] == len));
+    }
+    if by_idx.is_empty() {
+        return (count == 0).then(Vec::new);
+    }
+    let mut r = BitReader::new(bits);
+    let mut out = Vec::with_capacity(count.min(8 * bits.len()));
+    for _ in 0..count {
+        let (mut code, mut len) = (0u32, 0usize);
+        loop {
+            code = (code << 1) | u32::from(r.read_bit()?);
+            len += 1;
+            if len > 15 {
+                return None;
+            }
+            if n_at[len] > 0 && code >= first_code[len] && code < first_code[len] + n_at[len] {
+                out.push(by_idx[(first_idx[len] + code - first_code[len]) as usize]);
+                break;
+            }
+        }
+    }
+    Some(out)
+}
+
+/// Huffman decode of bit-transposed planes, the bytes zzip's entropy stage
+/// sees on the bitshuffle-zstd row.
+fn bench_huffman(planes: &[u8], reps: usize) -> Row {
+    let stream = huffman::encode(planes);
+    assert_eq!(huffman::decode(&stream).expect("valid stream"), planes);
+    assert_eq!(huffman_walk(&stream).as_deref(), Some(planes));
+    let new_s = best_of(reps, || {
+        black_box(huffman::decode(black_box(&stream)).map(|d| d.len()).ok());
+    });
+    let ref_s = best_of(reps, || {
+        black_box(huffman_walk(black_box(&stream)).map(|d| d.len()));
+    });
+    Row {
+        name: "huffman decode",
+        new_s,
+        ref_s,
+        bytes: planes.len() as u64,
+        gated: true,
+    }
+}
+
 /// The byte-at-a-time table loop `Crc32::update` used to be: what the
 /// shipped kernel must keep beating, so it cannot silently fall back.
 fn crc32_bytewise(table: &[u32; 256], bytes: &[u8]) -> u32 {
@@ -399,6 +471,7 @@ fn main() {
     let (c, d) = bench_lz77("lz77 compress fast", &shuffled, Lz77Config::fast(), reps);
     gate(&c);
     gate(&d);
+    gate(&bench_huffman(&shuffled, reps));
 
     // One FCDB2 page record and one steady-state buffer.
     gate(&bench_crc32("crc32 16 KiB", 16 << 10, reps));

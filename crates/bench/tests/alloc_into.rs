@@ -42,6 +42,25 @@ fn main() {
     println!("test bitshuffle_block_claims_are_bounded_by_the_descriptor ... ok");
     bitshuffle_round_trips_do_not_allocate_per_block();
     println!("test bitshuffle_round_trips_do_not_allocate_per_block ... ok");
+    huffman_symbol_claims_are_bounded_by_the_stream();
+    println!("test huffman_symbol_claims_are_bounded_by_the_stream ... ok");
+}
+
+/// A Huffman stream's symbol count is a wire `u32`, and it sizes the decode
+/// buffer. It is held to what the bitstream can carry (every code is at
+/// least one bit), so a 4 Gi-symbol claim behind a few bytes of bitstream
+/// is a typed error that allocates next to nothing.
+fn huffman_symbol_claims_are_bounded_by_the_stream() {
+    use fcbench_entropy::huffman;
+    alloc_track::mark_installed();
+    let mut stream = huffman::encode(b"abracadabra");
+    stream[128..132].copy_from_slice(&u32::MAX.to_le_bytes());
+    let (peak, result) = alloc_track::measure_peak(|| huffman::decode(&stream));
+    assert!(result.is_err(), "a 4 Gi-symbol claim must be rejected");
+    assert!(
+        peak < 64 << 10,
+        "a hostile symbol count peaked at {peak} bytes"
+    );
 }
 
 /// `bitshuffle-lz4` codes each block through per-thread scratch and decodes

@@ -263,7 +263,7 @@ pub fn bit_untranspose_into(data: &[u8], elems: usize, elem_bits: usize, out: &m
 /// [`bit_untranspose`] into exactly `data.len()` bytes of `out`: the
 /// forward tiles with loads and stores swapped (`transpose_tile` and
 /// `transpose8` are involutions).
-fn untranspose_to(data: &[u8], elems: usize, elem_bits: usize, out: &mut [u8]) {
+pub(crate) fn untranspose_to(data: &[u8], elems: usize, elem_bits: usize, out: &mut [u8]) {
     debug_assert_eq!(data.len(), elems * elem_bits / 8);
     debug_assert_eq!(out.len(), data.len());
     debug_assert_eq!(elems % 8, 0);

@@ -161,10 +161,13 @@ fn choose_bounds(p: u32, scaled: &[i64]) -> (i64, i64, Vec<(u32, i64)>) {
     if n < 64 {
         return (full_min, full_max, Vec::new());
     }
-    let mut sorted = scaled.to_vec();
-    sorted.sort_unstable();
-    let lo = sorted[n / 200]; // 0.5th percentile
-    let hi = sorted[n - 1 - n / 200]; // 99.5th percentile
+    // The 0.5th and 99.5th percentiles by two selections: the values a full
+    // sort would put at those ranks, without sorting the rest.
+    let (lo_rank, hi_rank) = (n / 200, n - 1 - n / 200);
+    let mut ranked = scaled.to_vec();
+    let (_, lo, above) = ranked.select_nth_unstable(lo_rank);
+    let lo = *lo;
+    let hi = *above.select_nth_unstable(hi_rank - lo_rank - 1).1;
     if lo == full_min && hi == full_max {
         return (full_min, full_max, Vec::new());
     }
@@ -191,14 +194,15 @@ fn encode_scaled(p: u32, scaled: &[i64]) -> Encoded {
     let bits = field_bits(span, p);
     let nbytes = (bits as usize).div_ceil(8);
     let n = scaled.len();
-    let is_outlier: std::collections::HashSet<u32> = outliers.iter().map(|&(i, _)| i).collect();
+    // The stash is in record order: one cursor walks it beside the records.
+    let mut stash = outliers.iter().map(|&(i, _)| i as usize).peekable();
 
     // Column-major planes: plane b holds byte b (most significant first)
     // of every record, so predicates can scan plane 0 across all records.
     // Outlier slots hold zero; readers consult the stash first.
     let mut planes = vec![0u8; nbytes * n];
     for (i, &q) in scaled.iter().enumerate() {
-        if is_outlier.contains(&(i as u32)) {
+        if stash.next_if_eq(&i).is_some() {
             continue;
         }
         let delta = (q - min) as u64;

@@ -70,13 +70,56 @@ fn unmap32(m: u32) -> u32 {
     }
 }
 
-/// Lorenzo prediction over the already-visited neighbors of position
-/// `(i, j, k)` in a row-major `[nz, ny, nx]` grid (unit offsets; missing
-/// neighbors contribute zero). Generic over the element type.
+/// The grid position of the element being coded, advanced by counters
+/// rather than recovered from the linear index by division: plane `k`, row
+/// `i` and column `j` of a row-major `[nz, ny, nx]` grid (a 2-D grid is one
+/// plane; a 1-D one only needs the index).
+struct Walk {
+    nd: usize,
+    ny: usize,
+    nx: usize,
+    k: usize,
+    i: usize,
+    j: usize,
+}
+
+impl Walk {
+    fn new(dims: &[usize]) -> Self {
+        let nd = dims.len();
+        Walk {
+            nd,
+            ny: if nd >= 2 { dims[nd - 2] } else { 1 },
+            nx: dims[nd - 1],
+            k: 0,
+            i: 0,
+            j: 0,
+        }
+    }
+
+    /// Step to the next element in row-major order.
+    #[inline]
+    fn advance(&mut self) {
+        self.j += 1;
+        if self.j == self.nx {
+            self.j = 0;
+            self.i += 1;
+            if self.i == self.ny {
+                self.i = 0;
+                self.k += 1;
+            }
+        }
+    }
+}
+
+/// Lorenzo prediction over the already-visited neighbors of element `idx`,
+/// at position `at` (unit offsets; missing neighbors contribute zero).
+/// Generic over the element type.
 macro_rules! lorenzo {
     ($name:ident, $t:ty) => {
-        fn $name(out: &[$t], dims: &[usize], idx: usize) -> $t {
-            match dims.len() {
+        fn $name(out: &[$t], idx: usize, at: &Walk) -> $t {
+            let (nx, plane) = (at.nx, at.ny * at.nx);
+            let (i, j, k) = (at.i, at.j, at.k);
+            match at.nd {
                 1 => {
                     if idx == 0 {
                         0.0
@@ -85,9 +128,6 @@ macro_rules! lorenzo {
                     }
                 }
                 2 => {
-                    let nx = dims[1];
-                    let i = idx / nx;
-                    let j = idx % nx;
                     let mut p: $t = 0.0;
                     if j > 0 {
                         p += out[idx - 1];
@@ -101,13 +141,6 @@ macro_rules! lorenzo {
                     p
                 }
                 _ => {
-                    let ny = dims[1];
-                    let nx = dims[2];
-                    let plane = ny * nx;
-                    let k = idx / plane;
-                    let rem = idx % plane;
-                    let i = rem / nx;
-                    let j = rem % nx;
                     let mut p: $t = 0.0;
                     if j > 0 {
                         p += out[idx - 1];
@@ -150,8 +183,10 @@ macro_rules! fpzip_impl {
             let mut rc = RangeEncoder::new();
             let mut verbatim = BitWriter::with_capacity(values.len() * ($bits / 8));
 
+            let mut at = Walk::new(dims);
             for (idx, &v) in values.iter().enumerate() {
-                let pred = $pred(&values[..idx], dims, idx);
+                let pred = $pred(&values[..idx], idx, &at);
+                at.advance();
                 let ma = $map(($to_bits)(v));
                 let mp = $map(($to_bits)(pred));
                 let (neg, mag): (bool, $w) =
@@ -192,8 +227,10 @@ macro_rules! fpzip_impl {
             let mut bits = BitReader::new(verbatim);
             let mut out: Vec<$t> = Vec::with_capacity(count);
 
+            let mut at = Walk::new(dims);
             for idx in 0..count {
-                let pred = $pred(&out, dims, idx);
+                let pred = $pred(&out, idx, &at);
+                at.advance();
                 let mp = $map(($to_bits)(pred));
                 let sym = model.decode(&mut rc);
                 let ma = if sym == 0 {

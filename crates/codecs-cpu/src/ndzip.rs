@@ -13,18 +13,21 @@
 //! 4. **Zero words are removed**: a 32-/64-bit bitmap header marks nonzero
 //!    transposed words, which are copied verbatim.
 //!
-//! Hypercubes compress independently (thread-level parallelism); elements
-//! outside whole cubes (grid borders) are stored verbatim, as in ndzip.
+//! Hypercubes compress and decompress independently (thread-level
+//! parallelism); elements outside whole cubes (grid borders) are stored
+//! verbatim, as in ndzip.
 //!
 //! Payload: `u32 ncubes | per-cube u32 size | cube streams | border bytes`.
 
-use crate::bitshuffle::{bit_transpose_into, bit_untranspose_into};
-use crate::common::{code_chunks, effective_dims, load_le, put_words};
+use crate::bitshuffle::{bit_transpose_into, untranspose_to};
+use crate::common::{code_chunks, effective_dims, fan_out, put_words, u32_words, u64_words};
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
     Result,
 };
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// Elements per hypercube.
 pub const CUBE_ELEMS: usize = 4096;
@@ -73,7 +76,7 @@ impl Ndzip {
     /// leading axes collapse into the slowest one).
     pub fn plan(&self, desc: &DataDesc) -> Cubes {
         let dims = effective_dims(desc);
-        plan_cubes(&dims, &self.cube_sides(dims.len()), desc.precision.bits())
+        Cubes::new(&dims, &self.cube_sides(dims.len()), desc.precision.bits())
     }
 
     /// Cube side lengths for dimensionality `nd`.
@@ -114,21 +117,21 @@ pub fn unzigzag(v: u64, bits: u32) -> u64 {
 /// dimension over a row-major cube of `sides` extents, followed by a
 /// zigzag sign fold of the residuals. Shared with ndzip-GPU, whose
 /// pipeline is identical (§4.4). `bits` is the element width (32/64).
+///
+/// The sweep along an axis of stride `s` and extent `len` runs block by
+/// block (`s * len` words each): every word past a block's first `s` takes
+/// the difference to the word `s` before it.
 fn lorenzo_forward(words: &mut [u64], sides: &[usize], bits: u32) {
-    let nd = sides.len();
-    let mut stride = 1usize;
-    for d in (0..nd).rev() {
-        let len = sides[d];
-        // Sweep along dimension d: x[i] -= x[i - stride] within each line.
-        // Iterate indices in reverse so earlier values stay original.
-        let total = words.len();
-        for idx in (0..total).rev() {
-            let coord = (idx / stride) % len;
-            if coord > 0 {
-                words[idx] = words[idx].wrapping_sub(words[idx - stride]);
+    let mut stride = 1;
+    for &len in sides.iter().rev() {
+        let block = stride * len;
+        for b in words.chunks_exact_mut(block) {
+            // From the back, so every subtrahend is still an original word.
+            for k in (stride..block).rev() {
+                b[k] = b[k].wrapping_sub(b[k - stride]);
             }
         }
-        stride *= len;
+        stride = block;
     }
     let mask = u64::MAX >> (64 - bits);
     for w in words.iter_mut() {
@@ -137,170 +140,271 @@ fn lorenzo_forward(words: &mut [u64], sides: &[usize], bits: u32) {
 }
 
 /// Inverse integer Lorenzo: unfold signs, then prefix-sum sweeps in the
-/// opposite order.
+/// opposite axis order, ascending within each block.
 fn lorenzo_inverse(words: &mut [u64], sides: &[usize], bits: u32) {
     for w in words.iter_mut() {
         *w = unzigzag(*w, bits);
     }
     let mask = u64::MAX >> (64 - bits);
-    let mut stride = words.len();
+    let mut block = words.len();
     for &len in sides {
-        stride /= len;
-        for idx in 0..words.len() {
-            let coord = (idx / stride) % len;
-            if coord > 0 {
-                words[idx] = words[idx].wrapping_add(words[idx - stride]) & mask;
+        let stride = block / len;
+        for b in words.chunks_exact_mut(block) {
+            for k in stride..block {
+                b[k] = b[k].wrapping_add(b[k - stride]) & mask;
+            }
+        }
+        block = stride;
+    }
+}
+
+/// Append the little-endian `esize`-byte elements of `bytes` as words.
+fn extend_words(words: &mut Vec<u64>, bytes: &[u8], esize: usize) {
+    match esize {
+        4 => words.extend(u32_words(bytes).map(u64::from)),
+        _ => words.extend(u64_words(bytes)),
+    }
+}
+
+/// Store the low `esize` bytes of each word into `dst`, little-endian.
+fn store_words(dst: &mut [u8], words: &[u64], esize: usize) {
+    match esize {
+        4 => {
+            for (d, &w) in dst.chunks_exact_mut(4).zip(words) {
+                d.copy_from_slice(&(w as u32).to_le_bytes());
+            }
+        }
+        _ => {
+            for (d, &w) in dst.chunks_exact_mut(8).zip(words) {
+                d.copy_from_slice(&w.to_le_bytes());
             }
         }
     }
 }
 
-/// One call's grid geometry: the extent decomposed into whole cubes plus a
-/// border set, and the kernels that code one cube of it. Shared with
+/// One cube's working set: its words, the same as bytes, and one chunk's
+/// bit planes. Kept per thread, so a warm cube allocates nothing.
+struct Scratch {
+    words: Vec<u64>,
+    raw: Vec<u8>,
+    planes: Vec<u8>,
+}
+
+impl Scratch {
+    const fn new() -> Self {
+        Scratch {
+            words: Vec::new(),
+            raw: Vec::new(),
+            planes: Vec::new(),
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
+}
+
+/// One call's grid geometry: the extent cut into whole cubes plus a
+/// border, and the kernels that code one cube of it. Shared with
 /// ndzip-GPU, whose pipeline is identical (§4.4) — only the schedule and
 /// the directory differ.
+///
+/// The grid is held as 3-D, padded with leading extents of 1 (`[1, 1, n]`,
+/// `[1, ny, nx]`), so a cube is `sides[0] * sides[1]` rows of `sides[2]`
+/// contiguous elements, reached row by row from the cube's origin: no
+/// per-element index is computed or stored.
 pub struct Cubes {
-    /// Linear element indices per cube, cube by cube.
-    pub cube_indices: Vec<Vec<usize>>,
-    /// Linear indices not covered by any whole cube.
-    pub border: Vec<usize>,
-    /// Cube side lengths per dimension.
-    pub sides: Vec<usize>,
+    /// Grid extents, row-major.
+    dims: [usize; 3],
+    /// Cube side lengths.
+    sides: [usize; 3],
+    /// Whole cubes along each axis.
+    counts: [usize; 3],
+    /// The slowest real axis. The cubes sharing one coordinate on it form a
+    /// slab, which covers a contiguous run of the grid.
+    slab_axis: usize,
     /// Element width in bits (32/64).
     elem_bits: usize,
 }
 
-/// Plan the cube decomposition of a `dims` grid with `sides` cubes.
-fn plan_cubes(dims: &[usize], sides: &[usize], elem_bits: usize) -> Cubes {
-    let nd = dims.len();
-    let counts: Vec<usize> = (0..nd).map(|d| dims[d] / sides[d]).collect();
-    let mut covered = vec![false; dims.iter().product()];
-    let mut cube_indices = Vec::new();
-
-    // Enumerate cube origins in row-major order.
-    let ncubes: usize = counts.iter().product();
-    if counts.iter().all(|&c| c > 0) {
-        for cube_id in 0..ncubes {
-            let mut rem = cube_id;
-            let mut origin = vec![0usize; nd];
-            for d in (0..nd).rev() {
-                origin[d] = (rem % counts[d]) * sides[d];
-                rem /= counts[d];
-            }
-            let cube_elems: usize = sides.iter().product();
-            let mut idxs = Vec::with_capacity(cube_elems);
-            for local in 0..cube_elems {
-                let mut rem = local;
-                let mut lin = 0usize;
-                let mut stride = 1usize;
-                // Build coordinates last-dim-fastest.
-                let mut coords = vec![0usize; nd];
-                for d in (0..nd).rev() {
-                    coords[d] = rem % sides[d];
-                    rem /= sides[d];
-                }
-                for d in (0..nd).rev() {
-                    lin += (origin[d] + coords[d]) * stride;
-                    stride *= dims[d];
-                }
-                idxs.push(lin);
-            }
-            for &i in &idxs {
-                covered[i] = true;
-            }
-            cube_indices.push(idxs);
+impl Cubes {
+    /// The decomposition of a `dims` grid (1- to 3-D) into `sides` cubes.
+    fn new(dims: &[usize], sides: &[usize], elem_bits: usize) -> Cubes {
+        let slab_axis = 3 - dims.len();
+        let pad = |v: &[usize]| {
+            let mut padded = [1; 3];
+            padded[slab_axis..].copy_from_slice(v);
+            padded
+        };
+        let (dims, sides) = (pad(dims), pad(sides));
+        Cubes {
+            dims,
+            sides,
+            counts: std::array::from_fn(|d| dims[d] / sides[d]),
+            slab_axis,
+            elem_bits,
         }
     }
-    let border = (0..covered.len()).filter(|&i| !covered[i]).collect();
-    Cubes {
-        cube_indices,
-        border,
-        sides: sides.to_vec(),
-        elem_bits,
-    }
-}
 
-impl Cubes {
     fn esize(&self) -> usize {
         self.elem_bits / 8
+    }
+
+    /// Number of whole cubes.
+    pub fn count(&self) -> usize {
+        self.counts.iter().product()
+    }
+
+    /// Elements per cube.
+    pub fn cube_elems(&self) -> usize {
+        self.sides.iter().product()
+    }
+
+    /// The grid index of the first element of each row of cube `k`, in the
+    /// cube's row-major order; a row is `sides[2]` elements.
+    fn rows(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
+        let ([_, c1, c2], [s0, s1, s2], [_, d1, d2]) = (self.counts, self.sides, self.dims);
+        let (z0, y0, x0) = (k / (c1 * c2) * s0, k / c2 % c1 * s1, k % c2 * s2);
+        (z0..z0 + s0).flat_map(move |z| (y0..y0 + s1).map(move |y| (z * d1 + y) * d2 + x0))
+    }
+
+    /// Call `f` on each maximal run of border elements (those in no whole
+    /// cube), in ascending order.
+    fn border_runs(&self, mut f: impl FnMut(Range<usize>)) {
+        let [d0, d1, d2] = self.dims;
+        let covered: [usize; 3] = std::array::from_fn(|d| self.counts[d] * self.sides[d]);
+        let mut pending = 0..0;
+        for z in 0..d0 {
+            for y in 0..d1 {
+                let row = (z * d1 + y) * d2;
+                let from = if z < covered[0] && y < covered[1] {
+                    covered[2]
+                } else {
+                    0
+                };
+                let run = row + from..row + d2;
+                if run.start == pending.end {
+                    pending.end = run.end;
+                } else {
+                    let done = std::mem::replace(&mut pending, run);
+                    if !done.is_empty() {
+                        f(done);
+                    }
+                }
+            }
+        }
+        if !pending.is_empty() {
+            f(pending);
+        }
     }
 
     /// Code cube `k` of the grid held in `bytes` onto `out`: gather, integer
     /// Lorenzo, then per chunk of `elem_bits` residuals a bit transpose and
     /// a bitmap of the nonzero transposed words followed by those words.
     pub fn encode_cube(&self, k: usize, bytes: &[u8], out: &mut Vec<u8>) {
-        let (chunk, esize) = (self.elem_bits, self.esize());
-        let element = |&i: &usize| load_le(&bytes[i * esize..(i + 1) * esize]);
-        let mut cube: Vec<u64> = self.cube_indices[k].iter().map(element).collect();
-        lorenzo_forward(&mut cube, &self.sides, self.elem_bits as u32);
-        out.reserve(cube.len() * esize);
-        // Chunk staging buffers are hoisted out of the loop (a cube runs 64–128
-        // chunks) and nonzero words stream straight into `out`, the bitmap
-        // patched in place once the chunk's zero scan is done.
-        let mut raw = Vec::with_capacity(chunk * esize);
-        let mut t = Vec::new();
-        for words_chunk in cube.chunks(chunk) {
-            if words_chunk.len() < chunk {
-                // Ragged tail of a cube that is no chunk multiple: verbatim.
-                put_words(words_chunk, esize, out);
-                continue;
+        let (chunk, esize, row) = (self.elem_bits, self.esize(), self.sides[2]);
+        SCRATCH.with_borrow_mut(|Scratch { words, raw, planes }| {
+            words.clear();
+            for start in self.rows(k) {
+                extend_words(words, &bytes[start * esize..(start + row) * esize], esize);
             }
+            lorenzo_forward(words, &self.sides, self.elem_bits as u32);
             raw.clear();
-            put_words(words_chunk, esize, &mut raw);
-            bit_transpose_into(&raw, chunk, self.elem_bits, &mut t);
-            // The transposed data is `elem_bits` words of `chunk` bits each;
-            // word w is bytes [w*esize, (w+1)*esize) since chunk == elem_bits.
-            let mut bitmap = [0u8; 8];
-            let bitmap_pos = out.len();
-            out.extend_from_slice(&bitmap[..esize]);
-            for (w, word) in t.chunks_exact(esize).enumerate() {
-                if word.iter().any(|&b| b != 0) {
-                    bitmap[w / 8] |= 1 << (w % 8);
-                    out.extend_from_slice(word);
+            put_words(words, esize, raw);
+            out.reserve(raw.len());
+            for residuals in raw.chunks(chunk * esize) {
+                if residuals.len() < chunk * esize {
+                    // Ragged tail of a cube that is no chunk multiple: verbatim.
+                    out.extend_from_slice(residuals);
+                    continue;
                 }
+                bit_transpose_into(residuals, chunk, self.elem_bits, planes);
+                // The transposed data is `elem_bits` words of `chunk` bits
+                // each; word w is bytes [w*esize, (w+1)*esize) since chunk ==
+                // elem_bits. The bitmap is patched in once the zero scan is done.
+                let mut bitmap = [0u8; 8];
+                let bitmap_pos = out.len();
+                out.extend_from_slice(&bitmap[..esize]);
+                for (w, word) in planes.chunks_exact(esize).enumerate() {
+                    if word.iter().any(|&b| b != 0) {
+                        bitmap[w / 8] |= 1 << (w % 8);
+                        out.extend_from_slice(word);
+                    }
+                }
+                out[bitmap_pos..bitmap_pos + esize].copy_from_slice(&bitmap[..esize]);
             }
-            out[bitmap_pos..bitmap_pos + esize].copy_from_slice(&bitmap[..esize]);
-        }
+        })
     }
 
     /// Append the border elements of the grid held in `bytes` verbatim.
     pub fn put_border(&self, bytes: &[u8], out: &mut Vec<u8>) {
         let esize = self.esize();
-        for &i in &self.border {
-            out.extend_from_slice(&bytes[i * esize..(i + 1) * esize]);
-        }
+        self.border_runs(|run| out.extend_from_slice(&bytes[run.start * esize..run.end * esize]));
     }
 
-    /// Inverse of [`Cubes::encode_cube`]: the cube's words, Lorenzo undone.
+    /// Inverse of [`Cubes::put_border`]: write the border elements `cur`
+    /// must end with into the grid `bytes`.
+    fn take_border(&self, bytes: &mut [u8], mut cur: Cursor<'_>) -> Result<()> {
+        let esize = self.esize();
+        let border_elems = self.dims.iter().product::<usize>() - self.count() * self.cube_elems();
+        let mut border = cur.take(border_elems * esize, "border")?;
+        self.border_runs(|run| {
+            let (head, rest) = border.split_at(run.len() * esize);
+            bytes[run.start * esize..run.end * esize].copy_from_slice(head);
+            border = rest;
+        });
+        cur.finish()
+    }
+
+    /// Inverse of [`Cubes::encode_cube`] into `s.words`, Lorenzo undone.
     /// The stream must be consumed exactly.
-    pub fn decode_cube(&self, stream: &[u8]) -> Result<Vec<u64>> {
+    fn decode_words(&self, stream: &[u8], s: &mut Scratch) -> Result<()> {
         let (chunk, esize) = (self.elem_bits, self.esize());
-        let count: usize = self.sides.iter().product();
+        let Scratch { words, raw, planes } = s;
+        raw.clear();
+        raw.resize(self.cube_elems() * esize, 0);
         let mut cur = Cursor::new("ndzip", stream);
-        let mut words = Vec::with_capacity(count);
-        let mut t = Vec::new();
-        let mut raw = Vec::new();
-        while words.len() + chunk <= count {
+        let mut chunks = raw.chunks_exact_mut(chunk * esize);
+        for residuals in &mut chunks {
             let bitmap = cur.take(esize, "bitmap")?;
             let nset: usize = bitmap.iter().map(|b| b.count_ones() as usize).sum();
             let mut nonzero = cur.take(nset * esize, "nonzero words")?.chunks_exact(esize);
-            t.clear();
-            t.resize(chunk * esize, 0);
-            for (w, word) in t.chunks_exact_mut(esize).enumerate() {
+            planes.clear();
+            planes.resize(chunk * esize, 0);
+            for (w, word) in planes.chunks_exact_mut(esize).enumerate() {
                 if bitmap[w / 8] & (1 << (w % 8)) != 0 {
                     if let Some(stored) = nonzero.next() {
                         word.copy_from_slice(stored);
                     }
                 }
             }
-            bit_untranspose_into(&t, chunk, self.elem_bits, &mut raw);
-            words.extend(raw.chunks_exact(esize).map(load_le));
+            untranspose_to(planes, chunk, self.elem_bits, residuals);
         }
-        let tail = cur.take((count - words.len()) * esize, "tail words")?;
-        words.extend(tail.chunks_exact(esize).map(load_le));
+        let tail = chunks.into_remainder();
+        tail.copy_from_slice(cur.take(tail.len(), "tail words")?);
         cur.finish()?;
-        lorenzo_inverse(&mut words, &self.sides, self.elem_bits as u32);
-        Ok(words)
+        words.clear();
+        extend_words(words, raw, esize);
+        lorenzo_inverse(words, &self.sides, self.elem_bits as u32);
+        Ok(())
+    }
+
+    /// Write cube `k`'s decoded `words` into `grid`, which holds the grid's
+    /// elements from index `base` on.
+    fn scatter(&self, k: usize, words: &[u64], grid: &mut [u8], base: usize) {
+        let (esize, row) = (self.esize(), self.sides[2]);
+        for (start, words) in self.rows(k).zip(words.chunks_exact(row)) {
+            let at = (start - base) * esize;
+            store_words(&mut grid[at..at + row * esize], words, esize);
+        }
+    }
+
+    /// Inverse of [`Cubes::encode_cube`]: the cube's words, Lorenzo undone.
+    /// The stream must be consumed exactly.
+    pub fn decode_cube(&self, stream: &[u8]) -> Result<Vec<u64>> {
+        let mut s = Scratch::new();
+        self.decode_words(stream, &mut s)?;
+        Ok(s.words)
     }
 
     /// Reassemble the grid into `out`: scatter each decoded cube to its
@@ -309,25 +413,53 @@ impl Cubes {
         &self,
         desc: &DataDesc,
         cubes: impl IntoIterator<Item = Result<Vec<u64>>>,
-        mut cur: Cursor<'_>,
+        cur: Cursor<'_>,
         out: &mut FloatData,
     ) -> Result<()> {
-        let esize = self.esize();
         out.refill(desc, |bytes| {
             bytes.resize(desc.byte_len(), 0);
-            let mut put = |i: usize, element: &[u8]| {
-                bytes[i * esize..(i + 1) * esize].copy_from_slice(&element[..esize]);
-            };
-            for (idxs, cube) in self.cube_indices.iter().zip(cubes) {
-                for (&i, w) in idxs.iter().zip(cube?) {
-                    put(i, &w.to_le_bytes());
-                }
+            for (k, cube) in (0..self.count()).zip(cubes) {
+                self.scatter(k, &cube?, bytes, 0);
             }
-            let border = cur.take(self.border.len() * esize, "border")?;
-            for (&i, element) in self.border.iter().zip(border.chunks_exact(esize)) {
-                put(i, element);
+            self.take_border(bytes, cur)
+        })
+    }
+
+    /// Decode `streams`, one per cube, and the border `cur` must end with
+    /// into `out`. Each slab decodes straight into its stretch of the
+    /// output, the slabs through [`fan_out`] under the rule compression
+    /// fans out by; the first failing cube in cube order is the error.
+    fn decode(
+        &self,
+        streams: &[&[u8]],
+        cur: Cursor<'_>,
+        desc: &DataDesc,
+        out: &mut FloatData,
+        threads: usize,
+    ) -> Result<()> {
+        let (esize, a) = (self.esize(), self.slab_axis);
+        let slab_elems = self.sides[a] * self.dims[a + 1..].iter().product::<usize>();
+        let per_slab: usize = self.counts[a + 1..].iter().product();
+        out.refill(desc, |bytes| {
+            bytes.resize(desc.byte_len(), 0);
+            if self.count() > 0 {
+                let slabs =
+                    bytes[..self.counts[a] * slab_elems * esize].chunks_mut(slab_elems * esize);
+                let mut slots: Vec<(&mut [u8], Result<()>)> =
+                    slabs.map(|slab| (slab, Ok(()))).collect();
+                fan_out(&mut slots, desc.byte_len(), threads, |j, (slab, result)| {
+                    *result = SCRATCH.with_borrow_mut(|s| {
+                        let first = j * per_slab;
+                        for (k, stream) in (first..).zip(&streams[first..first + per_slab]) {
+                            self.decode_words(stream, s)?;
+                            self.scatter(k, &s.words, slab, j * slab_elems);
+                        }
+                        Ok(())
+                    });
+                });
+                slots.into_iter().try_for_each(|(_, result)| result)?;
             }
-            cur.finish()
+            self.take_border(bytes, cur)
         })
     }
 }
@@ -348,7 +480,7 @@ impl Compressor for Ndzip {
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
         let plan = self.plan(data.desc());
         let bytes = data.bytes();
-        let ncubes = plan.cube_indices.len();
+        let ncubes = plan.count();
         out.clear();
         out.extend_from_slice(&(ncubes as u32).to_le_bytes());
         code_chunks(out, ncubes, bytes.len(), self.threads, |k, out| {
@@ -366,22 +498,21 @@ impl Compressor for Ndzip {
         let plan = self.plan(desc);
         let mut cur = Cursor::new("ndzip", payload);
         let ncubes = cur.len32("cube count")?;
-        if ncubes != plan.cube_indices.len() {
+        if ncubes != plan.count() {
             return Err(cur.corrupt(format_args!(
                 "stream has {ncubes} cubes, geometry implies {}",
-                plan.cube_indices.len()
+                plan.count()
             )));
         }
-        let cubes = cur.take_chunks(ncubes)?;
-        let cubes = cubes.into_iter().map(|stream| plan.decode_cube(stream));
-        plan.assemble(desc, cubes, cur, out)
+        let streams = cur.take_chunks(ncubes)?;
+        plan.decode(&streams, cur, desc, out, self.threads)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcbench_core::Domain;
+    use fcbench_core::{Domain, Precision};
 
     #[test]
     fn lorenzo_sweeps_invert_1d() {
@@ -537,5 +668,77 @@ mod tests {
         assert_eq!(info.name, "ndzip-cpu");
         assert_eq!(info.class, CodecClass::Lorenzo);
         assert!(info.parallel);
+    }
+
+    #[test]
+    fn cube_rows_and_border_runs_cover_the_grid_once() {
+        let shapes: [&[usize]; 7] = [
+            &[10_000],
+            &[5],
+            &[72, 130],
+            &[100, 12],
+            &[20, 18, 17],
+            &[32, 32, 32],
+            &[2, 40, 40],
+        ];
+        for dims in shapes {
+            let desc = DataDesc::new(Precision::Single, dims.to_vec(), Domain::Hpc).unwrap();
+            let plan = Ndzip::new().plan(&desc);
+            let mut seen = vec![0u8; desc.elements()];
+            for k in 0..plan.count() {
+                for start in plan.rows(k) {
+                    seen[start..start + plan.sides[2]]
+                        .iter_mut()
+                        .for_each(|n| *n += 1);
+                }
+            }
+            let mut last = 0;
+            plan.border_runs(|run| {
+                assert!(run.start >= last && !run.is_empty(), "{dims:?}: {run:?}");
+                last = run.end;
+                seen[run].iter_mut().for_each(|n| *n += 1);
+            });
+            assert!(seen.iter().all(|&n| n == 1), "{dims:?}");
+        }
+    }
+
+    #[test]
+    fn fanned_out_decode_matches_the_inline_path() {
+        // 64 x 64 x 48 f32 = 768 KiB: above PARALLEL_BYTES, so the default
+        // codec decodes its slabs on threads; one thread decodes inline.
+        let n = 64 * 64 * 48;
+        let vals: Vec<f32> = (0..n).map(|i| (i as f32 * 0.001).sin() * 50.0).collect();
+        let data = FloatData::from_f32(&vals, vec![48, 64, 64], Domain::Hpc).unwrap();
+        let (fanned, inline) = (Ndzip::new(), Ndzip::with_threads(1));
+        let c = fanned.compress(&data).unwrap();
+        assert_eq!(inline.compress(&data).unwrap(), c);
+        assert_eq!(
+            fanned.decompress(&c, data.desc()).unwrap().bytes(),
+            data.bytes()
+        );
+
+        // Corrupt the first bitmap of a middle cube and of a later one (in
+        // another worker's run): both paths must report the middle cube.
+        let ncubes = 48;
+        let size = |k: usize| u32::from_le_bytes(c[4 + 4 * k..8 + 4 * k].try_into().unwrap());
+        let start = |k: usize| 4 + 4 * ncubes + (0..k).map(|j| size(j) as usize).sum::<usize>();
+        let corrupt = |cubes: &[usize]| {
+            let mut bad = c.clone();
+            for &k in cubes {
+                bad[start(k)..start(k) + 4]
+                    .iter_mut()
+                    .for_each(|b| *b ^= 0xA5);
+            }
+            bad
+        };
+        let err = |codec: &Ndzip, bad: &[u8]| codec.decompress(bad, data.desc()).unwrap_err();
+        let middle = err(&inline, &corrupt(&[20]));
+        let later = err(&inline, &corrupt(&[41]));
+        assert!(matches!(middle, fcbench_core::Error::Corrupt(_)));
+        assert_ne!(middle, later, "the two corruptions must be told apart");
+        let both = corrupt(&[20, 41]);
+        assert_eq!(err(&inline, &both), middle);
+        assert_eq!(err(&fanned, &both), middle);
+        assert_eq!(err(&fanned, &corrupt(&[41])), later);
     }
 }

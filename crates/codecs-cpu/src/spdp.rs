@@ -61,8 +61,9 @@ pub fn lnvs2_forward(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`lnvs2_forward`].
-pub fn lnvs2_inverse(data: &[u8]) -> Vec<u8> {
+/// Inverse of [`lnvs2_forward`]; the decoder runs it fused ([`undo_stages`]).
+#[cfg(test)]
+fn lnvs2_inverse(data: &[u8]) -> Vec<u8> {
     let mut out: Vec<u8> = Vec::with_capacity(data.len());
     for (i, &r) in data.iter().enumerate() {
         let prev = if i >= 2 { out[i - 2] } else { 0 };
@@ -86,8 +87,9 @@ pub fn dim8_forward(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`dim8_forward`].
-pub fn dim8_inverse(data: &[u8]) -> Vec<u8> {
+/// Inverse of [`dim8_forward`]; the decoder runs it fused ([`undo_stages`]).
+#[cfg(test)]
+fn dim8_inverse(data: &[u8]) -> Vec<u8> {
     let rows = data.len() / 8;
     let mut out = vec![0u8; data.len()];
     let mut pos = 0;
@@ -112,8 +114,9 @@ pub fn lnvs1_forward(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`lnvs1_forward`].
-pub fn lnvs1_inverse(data: &[u8]) -> Vec<u8> {
+/// Inverse of [`lnvs1_forward`]; the decoder runs it fused ([`undo_stages`]).
+#[cfg(test)]
+fn lnvs1_inverse(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len());
     let mut prev = 0u8;
     for &r in data {
@@ -122,6 +125,34 @@ pub fn lnvs1_inverse(data: &[u8]) -> Vec<u8> {
         prev = b;
     }
     out
+}
+
+/// The three inverses in one pass over the LZ77 output `residuals`,
+/// writing the original bytes into `out` (the same length): LNVs1⁻¹ is a
+/// running sum and LNVs2⁻¹ a sum with the output two bytes back, both
+/// carried in registers, and DIM8⁻¹ stores each result at its row and
+/// column. Same bytes as `dim8_inverse(lnvs2_inverse(lnvs1_inverse(r)))`,
+/// without the three full-size intermediates.
+fn undo_stages(residuals: &[u8], out: &mut [u8]) {
+    let (mut sum, mut back) = (0u8, [0u8; 2]);
+    let mut undo = |r: u8| {
+        sum = sum.wrapping_add(r);
+        let b = sum.wrapping_add(back[0]);
+        back = [back[1], b];
+        b
+    };
+    let rows = residuals.len() / 8;
+    let (columns, tail) = residuals.split_at(rows * 8);
+    if rows > 0 {
+        for (col, column) in columns.chunks_exact(rows).enumerate() {
+            for (row, &r) in out.chunks_exact_mut(8).zip(column) {
+                row[col] = undo(r);
+            }
+        }
+    }
+    for (b, &r) in out[rows * 8..].iter_mut().zip(tail) {
+        *b = undo(r);
+    }
 }
 
 impl Compressor for Spdp {
@@ -152,10 +183,9 @@ impl Compressor for Spdp {
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
         let s3 = lz77::decompress(payload, desc.byte_len())
             .map_err(|e| Error::Corrupt(e.to_string()))?;
-        let s2 = lnvs1_inverse(&s3);
-        let s1 = lnvs2_inverse(&s2);
         out.refill(desc, |bytes| {
-            bytes.extend_from_slice(&dim8_inverse(&s1));
+            bytes.resize(s3.len(), 0);
+            undo_stages(&s3, bytes);
             Ok(())
         })
     }
@@ -187,6 +217,17 @@ mod tests {
         for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 800, 805] {
             let data: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
             assert_eq!(dim8_inverse(&dim8_forward(&data)), data, "len {len}");
+        }
+    }
+
+    #[test]
+    fn fused_inverse_matches_the_composed_stages() {
+        for len in (0..=64).chain(799..=801).chain(4095..=4097) {
+            let residuals: Vec<u8> = (0..len).map(|i| (i * 167 % 251) as u8 ^ 0x5A).collect();
+            let composed = dim8_inverse(&lnvs2_inverse(&lnvs1_inverse(&residuals)));
+            let mut fused = vec![0xEE; len];
+            undo_stages(&residuals, &mut fused);
+            assert_eq!(fused, composed, "len {len}");
         }
     }
 

@@ -60,9 +60,9 @@ impl Compressor for NdzipGpu {
         let plan = self.geometry.plan(data.desc());
 
         // One thread block per hypercube writes to private scratch.
-        let cubes: Vec<usize> = (0..plan.cube_indices.len()).collect();
+        let cubes: Vec<usize> = (0..plan.count()).collect();
         let (scratch, _stats) = self.gpu.launch(cubes, |ctx, k| {
-            ctx.report_instructions(plan.cube_indices[k].len() as u64 * 6);
+            ctx.report_instructions(plan.cube_elems() as u64 * 6);
             let mut out = Vec::new();
             plan.encode_cube(k, data.bytes(), &mut out);
             out
@@ -93,7 +93,7 @@ impl Compressor for NdzipGpu {
         let plan = self.geometry.plan(desc);
         let mut cur = Cursor::new("ndzip-gpu", payload);
         let ncubes = cur.len32("cube count")?;
-        if ncubes != plan.cube_indices.len() {
+        if ncubes != plan.count() {
             return Err(cur.corrupt("cube count mismatch"));
         }
         // Block-parallel decode: each cube knows its slice via the offsets.

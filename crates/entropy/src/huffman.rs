@@ -219,7 +219,151 @@ pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
     w.finish();
 }
 
+/// Bits the primary decode table is indexed by: a code this long or
+/// shorter resolves with one lookup. A longer code — each is rarer than one
+/// symbol in 2^11 — takes the canonical range check over the lengths past it.
+const LOOKUP_BITS: u32 = 11;
+
+/// Per-length arrays, indexed by code length (slot 0 unused).
+const LENS: usize = MAX_CODE_LEN as usize + 1;
+
+/// The decode tables of one length header.
+struct DecodeTable {
+    /// Per `LOOKUP_BITS`-bit window, `[used, sym, sym2, len]`: `sym` is the
+    /// shortest code that is a prefix of the window and `len` its length (0
+    /// where no code that short is); `sym2` is the code after it when that
+    /// one ends inside the window too. `used` is the bits both take, or
+    /// `len` alone, so the decoder shifts by the entry's first byte.
+    primary: [[u8; 4]; 1 << LOOKUP_BITS],
+    /// First canonical code of each length.
+    first_code: [u32; LENS],
+    /// Number of codes of each length.
+    count: [u32; LENS],
+    /// Index into `symbols` of each length's first code.
+    first_index: [u32; LENS],
+    /// Symbols in canonical order: by length, then by value.
+    symbols: [u8; 256],
+}
+
+impl DecodeTable {
+    /// The tables for `lens` (nibbles). Hostile headers decode exactly as a
+    /// bit-at-a-time walk of the canonical code does: a window takes the
+    /// *shortest* code that is a prefix of it, and a code value too large
+    /// for its length (an oversubscribed header) never matches.
+    fn new(lens: &[u8; 256]) -> Self {
+        let mut count = [0u32; LENS];
+        for &l in lens.iter().filter(|&&l| l > 0) {
+            count[usize::from(l)] += 1;
+        }
+        let (mut first_code, mut first_index) = ([0u32; LENS], [0u32; LENS]);
+        let (mut code, mut index) = (0u32, 0u32);
+        for len in 1..LENS {
+            code <<= 1;
+            first_code[len] = code;
+            first_index[len] = index;
+            code += count[len];
+            index += count[len];
+        }
+        let mut table = DecodeTable {
+            primary: [[0; 4]; 1 << LOOKUP_BITS],
+            first_code,
+            count,
+            first_index,
+            symbols: [0; 256],
+        };
+        let mut next = first_index;
+        for (sym, &len) in lens.iter().enumerate().filter(|(_, &l)| l > 0) {
+            let at = next[usize::from(len)];
+            next[usize::from(len)] += 1;
+            table.symbols[at as usize] = sym as u8;
+            let code = first_code[usize::from(len)] + (at - first_index[usize::from(len)]);
+            let bits = u32::from(len);
+            if bits <= LOOKUP_BITS && code >> bits == 0 {
+                let shift = LOOKUP_BITS - bits;
+                let span = (code << shift) as usize..((code + 1) << shift) as usize;
+                for slot in &mut table.primary[span] {
+                    if slot[3] == 0 || slot[3] > len {
+                        *slot = [len, sym as u8, 0, len];
+                    }
+                }
+            }
+        }
+        // Pair each entry with the code after it where the window holds both.
+        let mask = (1 << LOOKUP_BITS) - 1;
+        for window in 0..1 << LOOKUP_BITS {
+            let len = table.primary[window][3];
+            if len == 0 {
+                continue;
+            }
+            let [_, sym2, _, len2] = table.primary[(window << len) & mask];
+            if len2 > 0 && u32::from(len + len2) <= LOOKUP_BITS {
+                table.primary[window][0] = len + len2;
+                table.primary[window][2] = sym2;
+            }
+        }
+        table
+    }
+
+    /// `(symbol, length)` of the shortest code that is a prefix of
+    /// `window`, the next [`MAX_CODE_LEN`] bits.
+    #[inline]
+    fn symbol(&self, window: u32) -> Option<(u8, u32)> {
+        match self.primary[(window >> (MAX_CODE_LEN - LOOKUP_BITS)) as usize] {
+            [.., 0] => self.long_code(window),
+            [_, sym, _, len] => Some((sym, u32::from(len))),
+        }
+    }
+
+    /// [`DecodeTable::symbol`] for a code longer than `LOOKUP_BITS`.
+    fn long_code(&self, window: u32) -> Option<(u8, u32)> {
+        (LOOKUP_BITS + 1..=MAX_CODE_LEN).find_map(|len| {
+            let l = len as usize;
+            let k = (window >> (MAX_CODE_LEN - len)).checked_sub(self.first_code[l])?;
+            if k < self.count[l] {
+                Some((self.symbols[(self.first_index[l] + k) as usize], len))
+            } else {
+                None
+            }
+        })
+    }
+}
+
+fn exhausted() -> HuffmanError {
+    HuffmanError("bitstream exhausted".into())
+}
+
+/// No code is a prefix of the next bits, `remaining` of which are left. A
+/// bit-at-a-time walk reads one bit past [`MAX_CODE_LEN`] before it gives
+/// up, so with more bits than that left the code is overlong, and otherwise
+/// the stream runs out first.
+fn unmatched(remaining: usize) -> HuffmanError {
+    if remaining > MAX_CODE_LEN as usize {
+        HuffmanError("code longer than maximum".into())
+    } else {
+        exhausted()
+    }
+}
+
+/// Every code is at least one bit, so `stream_bytes` carry at most
+/// `8 * stream_bytes` symbols. A larger wire count is the "bitstream
+/// exhausted" decoding would reach anyway, reported before the count sizes
+/// anything.
+fn plausible_count(count: usize, stream_bytes: usize) -> Result<usize, HuffmanError> {
+    if count > stream_bytes.saturating_mul(8) {
+        return Err(exhausted());
+    }
+    Ok(count)
+}
+
 /// Decode a stream produced by [`encode`].
+///
+/// The top `LOOKUP_BITS` of the next bits index the primary table, which
+/// yields one symbol — two where both codes fit the window — and only a
+/// longer code takes the range check. The bits come from a 64-bit
+/// accumulator refilled by one 8-byte load per three lookups; the last few
+/// bytes go through a checked reader. Every input — valid, truncated or
+/// hostile — gives the bytes, or the error, that walking the canonical code
+/// bit by bit gives.
 pub fn decode(input: &[u8]) -> Result<Vec<u8>, HuffmanError> {
     if input.len() < 132 {
         return Err(HuffmanError("stream shorter than header".into()));
@@ -230,64 +374,63 @@ pub fn decode(input: &[u8]) -> Result<Vec<u8>, HuffmanError> {
         lens[2 * i + 1] = input[i] & 0x0F;
     }
     let count = u32::from_le_bytes([input[128], input[129], input[130], input[131]]) as usize;
-
-    // Canonical decoding tables: first code and first symbol index per length.
-    let mut bl_count = [0u32; (MAX_CODE_LEN + 1) as usize];
-    for &l in lens.iter() {
-        if l > 0 {
-            bl_count[l as usize] += 1;
-        }
-    }
-    let total_syms: u32 = bl_count.iter().sum();
-    if total_syms == 0 {
+    if lens.iter().all(|&l| l == 0) {
         if count == 0 {
             return Ok(Vec::new());
         }
         return Err(HuffmanError("no codes but nonzero symbol count".into()));
     }
+    let bits = &input[132..];
+    let count = plausible_count(count, bits.len())?;
+    let table = DecodeTable::new(&lens);
 
-    let mut first_code = [0u32; (MAX_CODE_LEN + 1) as usize];
-    let mut first_sym_idx = [0u32; (MAX_CODE_LEN + 1) as usize];
-    let mut code = 0u32;
-    let mut idx = 0u32;
-    for bits in 1..=MAX_CODE_LEN as usize {
-        code <<= 1;
-        first_code[bits] = code;
-        first_sym_idx[bits] = idx;
-        code += bl_count[bits];
-        idx += bl_count[bits];
-    }
-    // Symbols sorted by (length, symbol) — canonical order.
-    let mut sym_by_idx = Vec::with_capacity(total_syms as usize);
-    for bits in 1..=MAX_CODE_LEN {
-        for (sym, &l) in lens.iter().enumerate() {
-            if u32::from(l) == bits {
-                sym_by_idx.push(sym as u8);
-            }
+    let mut out = vec![0u8; count];
+    // `acc` holds the stream's bits from the first unconsumed one on,
+    // MSB-aligned, `nbits` of them counted; `pos` is the first byte not in
+    // it. A refill leaves 56..=63 bits: room for three lookups unchecked,
+    // and `n + 6 <= count` room for their symbols. A lookup always stores
+    // two bytes and counts the second only where the entry holds one.
+    let (mut acc, mut nbits, mut pos, mut n) = (0u64, 0u32, 0usize, 0usize);
+    while n + 6 <= count {
+        let Some(word) = bits.get(pos..).and_then(|rest| rest.first_chunk::<8>()) else {
+            break;
+        };
+        acc |= u64::from_be_bytes(*word) >> nbits;
+        let take = (63 - nbits) / 8;
+        pos += take as usize;
+        nbits += 8 * take;
+        for _ in 0..3 {
+            let [used, sym, sym2, len] = table.primary[(acc >> (64 - LOOKUP_BITS)) as usize];
+            let used = if used > 0 {
+                out[n..n + 2].copy_from_slice(&[sym, sym2]);
+                n += 1 + usize::from(used > len);
+                u32::from(used)
+            } else {
+                let remaining = 8 * (bits.len() - pos) + nbits as usize;
+                let window = (acc >> (64 - MAX_CODE_LEN)) as u32;
+                let (sym, len) = table
+                    .long_code(window)
+                    .ok_or_else(|| unmatched(remaining))?;
+                out[n] = sym;
+                n += 1;
+                len
+            };
+            acc <<= used;
+            nbits -= used;
         }
     }
-
-    let mut r = BitReader::new(&input[132..]);
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut code = 0u32;
-        let mut len = 0usize;
-        loop {
-            let bit = r
-                .read_bit()
-                .ok_or_else(|| HuffmanError("bitstream exhausted".into()))?;
-            code = (code << 1) | bit as u32;
-            len += 1;
-            if len > MAX_CODE_LEN as usize {
-                return Err(HuffmanError("code longer than maximum".into()));
-            }
-            let n_at_len = bl_count[len];
-            if n_at_len > 0 && code >= first_code[len] && code < first_code[len] + n_at_len {
-                let sym = sym_by_idx[(first_sym_idx[len] + (code - first_code[len])) as usize];
-                out.push(sym);
-                break;
-            }
-        }
+    // The last few symbols, or fewer than 8 bytes left: one bounds-checked
+    // code at a time.
+    let consumed = 8 * pos - nbits as usize;
+    let mut r = BitReader::new(&bits[consumed / 8..]);
+    r.consume((consumed % 8) as u32).ok_or_else(exhausted)?;
+    for slot in &mut out[n..] {
+        let window = r.peek_bits(MAX_CODE_LEN) as u32;
+        let (sym, len) = table
+            .symbol(window)
+            .ok_or_else(|| unmatched(r.remaining()))?;
+        r.consume(len).ok_or_else(exhausted)?;
+        *slot = sym;
     }
     Ok(out)
 }
@@ -295,6 +438,186 @@ pub fn decode(input: &[u8]) -> Result<Vec<u8>, HuffmanError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The decoder the lookup table replaced: one bit per step, checked
+    /// against each length's canonical code range (its only change is not
+    /// reserving for the wire count). The oracle of the differential tests.
+    fn decode_walk(input: &[u8]) -> Result<Vec<u8>, HuffmanError> {
+        if input.len() < 132 {
+            return Err(HuffmanError("stream shorter than header".into()));
+        }
+        let mut lens = [0u8; 256];
+        for i in 0..128 {
+            lens[2 * i] = input[i] >> 4;
+            lens[2 * i + 1] = input[i] & 0x0F;
+        }
+        let count = u32::from_le_bytes([input[128], input[129], input[130], input[131]]) as usize;
+        let mut bl_count = [0u32; LENS];
+        for &l in lens.iter() {
+            if l > 0 {
+                bl_count[l as usize] += 1;
+            }
+        }
+        let total_syms: u32 = bl_count.iter().sum();
+        if total_syms == 0 {
+            if count == 0 {
+                return Ok(Vec::new());
+            }
+            return Err(HuffmanError("no codes but nonzero symbol count".into()));
+        }
+        let mut first_code = [0u32; LENS];
+        let mut first_sym_idx = [0u32; LENS];
+        let mut code = 0u32;
+        let mut idx = 0u32;
+        for bits in 1..=MAX_CODE_LEN as usize {
+            code <<= 1;
+            first_code[bits] = code;
+            first_sym_idx[bits] = idx;
+            code += bl_count[bits];
+            idx += bl_count[bits];
+        }
+        let mut sym_by_idx = Vec::new();
+        for bits in 1..=MAX_CODE_LEN {
+            for (sym, &l) in lens.iter().enumerate() {
+                if u32::from(l) == bits {
+                    sym_by_idx.push(sym as u8);
+                }
+            }
+        }
+        let mut r = BitReader::new(&input[132..]);
+        let mut out = Vec::new();
+        for _ in 0..count {
+            let mut code = 0u32;
+            let mut len = 0usize;
+            loop {
+                let bit = r.read_bit().ok_or_else(exhausted)?;
+                code = (code << 1) | bit as u32;
+                len += 1;
+                if len > MAX_CODE_LEN as usize {
+                    return Err(HuffmanError("code longer than maximum".into()));
+                }
+                let n_at_len = bl_count[len];
+                if n_at_len > 0 && code >= first_code[len] && code < first_code[len] + n_at_len {
+                    out.push(sym_by_idx[(first_sym_idx[len] + (code - first_code[len])) as usize]);
+                    break;
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The table and the walk give the same bytes, or both an error.
+    fn assert_agrees(stream: &[u8]) {
+        match (decode(stream), decode_walk(stream)) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{} byte stream", stream.len()),
+            (Err(_), Err(_)) => {}
+            (a, b) => panic!(
+                "table {a:?} vs walk {b:?} on a {} byte stream",
+                stream.len()
+            ),
+        }
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// A stream with a hand-made header: nibble `lens`, `count`, `bits`.
+    fn stream(lens: &[u8; 256], count: u32, bits: &[u8]) -> Vec<u8> {
+        let mut s: Vec<u8> = lens
+            .chunks(2)
+            .map(|p| (p[0] << 4) | (p[1] & 0x0F))
+            .collect();
+        s.extend_from_slice(&count.to_le_bytes());
+        s.extend_from_slice(bits);
+        s
+    }
+
+    #[test]
+    fn table_decode_matches_the_walk_on_encoded_data_and_every_truncation() {
+        let mut x = 0x1234_5678_9ABC_DEF0;
+        // Geometric symbol frequencies (long codes) and uniform bytes.
+        let skewed: Vec<u8> = (0..800)
+            .map(|_| xorshift(&mut x).leading_zeros() as u8)
+            .collect();
+        let uniform: Vec<u8> = (0..800).map(|_| xorshift(&mut x) as u8).collect();
+        for data in [&skewed[..], &uniform, b"abracadabra", b"z", b""] {
+            let enc = encode(data);
+            assert_eq!(decode(&enc).unwrap(), data);
+            for cut in 0..enc.len() {
+                assert_agrees(&enc[..cut]);
+            }
+        }
+        // A complete code of every length 1..=15 (symbol k has length k + 1,
+        // the last two share 15), so most symbols take the long-code path.
+        let mut lens = [0u8; 256];
+        for (slot, len) in lens.iter_mut().zip((1..=15).chain([15])) {
+            *slot = len;
+        }
+        let codes = canonical_codes(&lens);
+        let deep: Vec<u8> = (0..600).map(|_| (xorshift(&mut x) % 16) as u8).collect();
+        let mut w = crate::bits::BitWriter::new();
+        for &sym in &deep {
+            let (code, len) = codes[usize::from(sym)];
+            w.push_bits(u64::from(code), u32::from(len));
+        }
+        let enc = stream(&lens, deep.len() as u32, &w.into_bytes());
+        assert_eq!(decode(&enc).unwrap(), deep);
+        for cut in 0..enc.len() {
+            assert_agrees(&enc[..cut]);
+        }
+    }
+
+    #[test]
+    fn table_decode_matches_the_walk_on_hostile_headers() {
+        let mut x = 0xDEAD_BEEF_u64;
+        let with = |codes: &[(usize, u8)]| {
+            let mut lens = [0u8; 256];
+            for &(sym, len) in codes {
+                lens[sym] = len;
+            }
+            lens
+        };
+        let mut headers = vec![
+            [1u8; 256],                                       // oversubscribed: 256 one-bit codes
+            with(&[(0, 1), (1, 1), (2, 2), (3, 12), (4, 3)]), // oversubscribed, long code
+            with(&[(7, 3), (9, 13), (200, 15)]),              // incomplete
+            with(&[(42, 1)]),                                 // one symbol
+            with(&[(42, 15)]),                                // one symbol, longest code
+            [0u8; 256],                                       // no codes
+        ];
+        for _ in 0..64 {
+            headers.push(std::array::from_fn(|_| {
+                let r = xorshift(&mut x);
+                if r % 3 == 0 {
+                    0
+                } else {
+                    (r >> 8) as u8 & 0x0F
+                }
+            }));
+        }
+        for lens in &headers {
+            for count in [0, 1, 7, 100, 1000, u32::MAX] {
+                for nbytes in [0, 1, 2, 5, 40, 300] {
+                    let bits: Vec<u8> = (0..nbytes).map(|_| xorshift(&mut x) as u8).collect();
+                    assert_agrees(&stream(lens, count, &bits));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn symbol_count_is_held_to_the_bitstream() {
+        let mut s = encode(b"abracadabra");
+        let bits = s.len() - 132;
+        s[128..132].copy_from_slice(&(8 * bits as u32 + 1).to_le_bytes());
+        assert_eq!(decode(&s), Err(exhausted()));
+        s[128..132].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&s), Err(exhausted()));
+    }
 
     fn round_trip(data: &[u8]) {
         let enc = encode(data);
