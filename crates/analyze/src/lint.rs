@@ -3,7 +3,7 @@
 //!
 //! | Rule | Meaning |
 //! |---|---|
-//! | `R001` no-panic | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the production crates (`core`, `serve`, `dbsim`, `entropy`, `telemetry`), of the codec chunk scaffold and bitshuffle (`codecs-cpu/src/{common,bitshuffle}.rs`), and of the benchmark harness modules (`bench/src/{runner,metrics,summary,scaling}.rs`) |
+//! | `R001` no-panic | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the production crates (`core`, `serve`, `dbsim`, `entropy`, `telemetry`, `gpu-sim`, `codecs-gpu`), of the codec chunk scaffold and bitshuffle (`codecs-cpu/src/{common,bitshuffle}.rs`), and of the benchmark harness modules (`bench/src/{runner,metrics,summary,scaling}.rs`) |
 //! | `R002` claim-gate | no capacity reservation (`with_capacity`, `reserve`, `vec![x; n]`) in decode-like functions of the wire/container modules and the codec decoders on the list unless the function also calls a claim gate, or the site carries a `// lint: claim-checked(reason)` waiver |
 //! | `R003` wire-cast | no truncating `as` cast on a line that decodes wire integers in `protocol.rs`/`stream.rs`/`container.rs`, unless waived with `// lint: cast-checked(reason)` |
 //! | `R004` forbid-unsafe | every non-compat crate root carries `#![forbid(unsafe_code)]` (the `bench` crate is exempt: its tracking allocator implements `GlobalAlloc`) |
@@ -21,7 +21,15 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Crates whose non-test code must be panic-free (R001).
-const PANIC_FREE_CRATES: &[&str] = &["core", "serve", "dbsim", "entropy", "telemetry"];
+const PANIC_FREE_CRATES: &[&str] = &[
+    "core",
+    "serve",
+    "dbsim",
+    "entropy",
+    "telemetry",
+    "gpu-sim",
+    "codecs-gpu",
+];
 
 /// Single files held to R001 ahead of their crate: the chunk scaffold every
 /// chunk-parallel decoder's first contact with untrusted bytes goes through,

@@ -39,16 +39,10 @@ fn main() {
     let mut frame = Vec::new();
     let mut out = FloatData::scratch();
     for entry in registry.iter() {
-        // A fresh pool per codec: the first call is genuinely cold. The
-        // registry's thread_scalable gate applies — GPU-simulated codecs
-        // run inline (their delta is pure buffer/thread-local warm-up).
-        let pipeline = if entry.is_thread_scalable() {
-            let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(threads)));
-            Pipeline::with_pool(Arc::clone(entry.codec()), pool)
-        } else {
-            Pipeline::with_codec(Arc::clone(entry.codec()))
-        }
-        .block_elems(16 * 1024);
+        // A fresh pool per codec, CPU or GPU-simulated: the first call is
+        // genuinely cold.
+        let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(threads)));
+        let pipeline = Pipeline::with_pool(Arc::clone(entry.codec()), pool).block_elems(16 * 1024);
 
         let t0 = Instant::now();
         if pipeline.compress_into(&data, &mut frame).is_err() {

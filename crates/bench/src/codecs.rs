@@ -5,10 +5,6 @@
 //! - **block-capable** entries are the eight methods Table 10 sweeps over
 //!   block sizes ("algorithms that cannot be easily converted to work with
 //!   blocks" are omitted);
-//! - **thread-scalable** entries (the nine CPU methods) may be fanned out
-//!   block-parallel across the persistent `WorkerPool` engine; the five
-//!   GPU-simulated methods are left unmarked — their kernels already model
-//!   device-wide parallelism, so registry-built pipelines run them inline;
 //! - **scalable** entries carry the thread-count factories behind the
 //!   Tables 7–8 scalability sweeps.
 
@@ -33,19 +29,13 @@ pub fn paper_registry() -> CodecRegistry {
         .with(
             RegistryEntry::new(Pfpc::new())
                 .block_capable()
-                .thread_scalable()
                 .scalable(|t| Box::new(Pfpc::with_threads(t)) as Box<dyn Compressor>),
         )
-        .with(
-            RegistryEntry::new(Spdp::new())
-                .block_capable()
-                .thread_scalable(),
-        )
-        .with(RegistryEntry::new(Fpzip::new()).thread_scalable())
+        .with(RegistryEntry::new(Spdp::new()).block_capable())
+        .with(Fpzip::new())
         .with(
             RegistryEntry::new(Bitshuffle::lz4())
                 .block_capable()
-                .thread_scalable()
                 .scalable(|t| {
                     Box::new(Bitshuffle::with_config(Backend::Lz4, 64 * 1024, t))
                         as Box<dyn Compressor>
@@ -54,7 +44,6 @@ pub fn paper_registry() -> CodecRegistry {
         .with(
             RegistryEntry::new(Bitshuffle::zzip())
                 .block_capable()
-                .thread_scalable()
                 .scalable(|t| {
                     Box::new(Bitshuffle::with_config(Backend::Zzip, 64 * 1024, t))
                         as Box<dyn Compressor>
@@ -62,20 +51,11 @@ pub fn paper_registry() -> CodecRegistry {
         )
         .with(
             RegistryEntry::new(Ndzip::new())
-                .thread_scalable()
                 .scalable(|t| Box::new(Ndzip::with_threads(t)) as Box<dyn Compressor>),
         )
-        .with(RegistryEntry::new(Buff::new()).thread_scalable())
-        .with(
-            RegistryEntry::new(Gorilla::new())
-                .block_capable()
-                .thread_scalable(),
-        )
-        .with(
-            RegistryEntry::new(Chimp::new())
-                .block_capable()
-                .thread_scalable(),
-        )
+        .with(Buff::new())
+        .with(RegistryEntry::new(Gorilla::new()).block_capable())
+        .with(RegistryEntry::new(Chimp::new()).block_capable())
         .with(Gfc::with_config(Default::default(), usize::MAX))
         .with(Mpc::new())
         .with(RegistryEntry::new(NvLz4::new()).block_capable())
@@ -90,7 +70,7 @@ pub fn paper_registry() -> CodecRegistry {
 /// experiments that reproduce a specific paper table keep using
 /// [`paper_registry`]; the throughput matrix, the container benches, and
 /// the serving loop use this registry. All three are serial per block but
-/// block-splittable, so they are block-capable and pool-dispatchable.
+/// block-splittable, so they are block-capable.
 pub fn full_registry() -> CodecRegistry {
     let mut r = paper_registry();
     for p in [
@@ -98,7 +78,7 @@ pub fn full_registry() -> CodecRegistry {
         Predictor::last_stride(),
         Predictor::dfcm(),
     ] {
-        r = r.with(RegistryEntry::new(p).block_capable().thread_scalable());
+        r = r.with(RegistryEntry::new(p).block_capable());
     }
     r
 }
@@ -106,7 +86,7 @@ pub fn full_registry() -> CodecRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcbench_core::Platform;
+    use fcbench_core::{Pipeline, Platform};
 
     #[test]
     fn fourteen_rows_in_paper_order() {
@@ -150,31 +130,21 @@ mod tests {
     }
 
     #[test]
-    fn the_nine_cpu_codecs_are_pool_dispatchable() {
+    fn registry_built_gpu_rows_run_on_the_engine() {
+        // At threads(2) a registry-built pipeline over a GPU-simulated row
+        // has an engine, and its blocks are pool jobs like a CPU row's.
         let r = paper_registry();
-        let pooled: Vec<_> = r.thread_scalable().map(|e| e.name()).collect();
-        assert_eq!(
-            pooled,
-            vec![
-                "pfpc",
-                "spdp",
-                "fpzip",
-                "bitshuffle-lz4",
-                "bitshuffle-zstd",
-                "ndzip-cpu",
-                "buff",
-                "gorilla",
-                "chimp128",
-            ]
-        );
-        // Every pool-dispatchable entry is a CPU method, and no GPU-simulated
-        // method is pool-dispatchable (their kernels already model device
-        // parallelism).
-        for e in r.thread_scalable() {
-            assert_eq!(e.codec().info().platform, Platform::Cpu, "{}", e.name());
-        }
+        let spec = fcbench_datasets::find("msg-bt").unwrap();
+        let data = fcbench_datasets::generate(&spec, 4096);
         for e in r.by_platform(Platform::Gpu) {
-            assert!(!e.is_thread_scalable(), "{}", e.name());
+            let p = Pipeline::new(&r, e.name())
+                .unwrap()
+                .block_elems(1024)
+                .threads(2);
+            let frame = p.compress(&data).unwrap();
+            assert_eq!(p.decompress(&frame).unwrap().bytes(), data.bytes());
+            let pool = p.engine().expect("threads(2) has an engine");
+            assert_eq!(pool.jobs_completed(), 2 * 4, "{}", e.name());
         }
     }
 
@@ -208,9 +178,7 @@ mod tests {
         assert_eq!(&names[..14], &paper_registry().names()[..]);
         assert_eq!(&names[14..], &["last-value", "last-stride", "dfcm"]);
         for name in ["last-value", "last-stride", "dfcm"] {
-            let e = full.entry(name).unwrap();
-            assert!(e.is_block_capable(), "{name}");
-            assert!(e.is_thread_scalable(), "{name}");
+            assert!(full.entry(name).unwrap().is_block_capable(), "{name}");
         }
     }
 

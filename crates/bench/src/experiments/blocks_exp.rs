@@ -39,17 +39,11 @@ fn run_block_size(
             let mut dts = Vec::new();
             for ds in datasets {
                 // Blocks are sized in elements; the byte budget is the
-                // paper's page size. The registry's thread_scalable gate
-                // applies here too: GPU-simulated codecs already model
-                // device-wide parallelism, so they run their blocks inline
-                // instead of double-counting CPU pool workers on top.
+                // paper's page size. CPU and GPU-simulated codecs alike
+                // run their blocks as pool jobs.
                 let block_elems = (block_bytes / ds.data.desc().precision.bytes()).max(1);
-                let pipeline = if entry.is_thread_scalable() {
-                    Pipeline::with_pool(Arc::clone(entry.codec()), ctx.pool.clone())
-                } else {
-                    Pipeline::with_codec(Arc::clone(entry.codec()))
-                }
-                .block_elems(block_elems);
+                let pipeline = Pipeline::with_pool(Arc::clone(entry.codec()), ctx.pool.clone())
+                    .block_elems(block_elems);
                 if let CellOutcome::Ok(m) = run_cell(&pipeline, &ds.data, cfg) {
                     crs.push(m.compression_ratio());
                     cts.push(m.compression_throughput_gbs());

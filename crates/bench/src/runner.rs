@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn pooled_and_pipelined_cells_match_inline_results() {
         use fcbench_core::pool::PoolConfig;
-        use fcbench_core::{CodecRegistry, Pipeline, RegistryEntry};
+        use fcbench_core::{CodecRegistry, Pipeline};
 
         let data = FloatData::from_f64(
             &(0..512).map(|i| i as f64 * 0.5).collect::<Vec<_>>(),
@@ -432,8 +432,7 @@ mod tests {
 
         // The pipelined cell's compressed size includes the frame around
         // its blocks.
-        let registry = CodecRegistry::new()
-            .with(RegistryEntry::new(StoreCodec("a", PrecisionSupport::Both)).thread_scalable());
+        let registry = CodecRegistry::new().with(StoreCodec("a", PrecisionSupport::Both));
         let p = Pipeline::new(&registry, "a")
             .unwrap()
             .block_elems(64)

@@ -17,8 +17,8 @@
 //! Payload: `u32 nblocks | per-block u32 compressed size | blocks`, each
 //! block `u32 raw length | backend stream`.
 
-use crate::common::{code_chunks, fan_out, u32_words, u64_words};
-use fcbench_core::wire::Cursor;
+use crate::common::{u32_words, u64_words};
+use fcbench_core::wire::{code_chunks, fan_out, Cursor};
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform,
     PrecisionSupport, Result,

@@ -2,14 +2,13 @@
 //!
 //! Every parallel method the paper surveys (§3.6–3.8, §4.1–4.4) cuts its
 //! input into independent chunks, codes each, and stores them behind a
-//! size directory. The directory and the cursor that reads it live in
-//! [`fcbench_core::wire`]; this module holds the rest of the mechanism,
-//! once:
+//! size directory. The directory, the cursor that reads it, and the one
+//! rule for when chunk work leaves the calling thread
+//! ([`fan_out`](fcbench_core::wire::fan_out) under
+//! [`PARALLEL_BYTES`](fcbench_core::wire::PARALLEL_BYTES), which the GPU
+//! simulator's thread blocks use too) live in [`fcbench_core::wire`]; this
+//! module holds the rest of the mechanism, once:
 //!
-//! - `fan_out` — the single rule for when chunk work leaves the calling
-//!   thread (`PARALLEL_BYTES`) — and `code_chunks`, which codes chunks
-//!   behind a directory under that rule, for the CPU codecs (the GPU
-//!   codecs fan out on the simulated device);
 //! - [`pack_counted`] / [`unpack_counted`] — the 4-bit code + truncated
 //!   residual coder of `pfpc`, `gfc` and `nvcomp-bitcomp`, generic over
 //!   each codec's nibble alphabet (the `predictor` family uses the same
@@ -21,7 +20,7 @@
 //!
 //! The file is held to the no-panic and claim-gate lints (R001, R002).
 
-use fcbench_core::wire::{self, Cursor};
+use fcbench_core::wire::Cursor;
 use fcbench_core::{DataDesc, Result};
 
 /// Split `total` elements into per-thread chunk ranges of roughly equal size.
@@ -52,67 +51,6 @@ pub(crate) fn effective_dims(desc: &DataDesc) -> Vec<usize> {
     }
     let lead: usize = dims[..dims.len() - 2].iter().product();
     vec![lead, dims[dims.len() - 2], dims[dims.len() - 1]]
-}
-
-/// Calls on less input than this run their chunks on the calling thread:
-/// the chunk layout — and so the stream — is the same either way, and below
-/// it a thread spawn costs more than the chunk work it would carry (the
-/// block sizes frame streams and containers hand a codec sit under it).
-pub(crate) const PARALLEL_BYTES: usize = 512 * 1024;
-
-/// How many threads a call over `input_bytes` in `slots` chunks may use.
-fn workers(slots: usize, input_bytes: usize, threads: usize) -> usize {
-    if input_bytes < PARALLEL_BYTES {
-        return 1;
-    }
-    threads.min(slots).max(1)
-}
-
-/// Run `f(k, &mut slots[k])` for every slot: inline below
-/// [`PARALLEL_BYTES`] of input, otherwise on `min(threads, slots)` scoped
-/// threads that each take one contiguous run of slots.
-pub(crate) fn fan_out<S: Send>(
-    slots: &mut [S],
-    input_bytes: usize,
-    threads: usize,
-    f: impl Fn(usize, &mut S) + Sync,
-) {
-    let workers = workers(slots.len(), input_bytes, threads);
-    if workers == 1 {
-        slots.iter_mut().enumerate().for_each(|(k, s)| f(k, s));
-        return;
-    }
-    let per = slots.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, run) in slots.chunks_mut(per).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (k, s) in run.iter_mut().enumerate() {
-                    f(w * per + k, s);
-                }
-            });
-        }
-    });
-}
-
-/// Code `count` chunks with `f(k, out)` behind a [`wire::put_chunks`]
-/// directory. Inline, each chunk is appended straight onto `out`; fanned
-/// out, each is coded into its own buffer and the buffers appended in
-/// order — the bytes are the same.
-pub(crate) fn code_chunks(
-    out: &mut Vec<u8>,
-    count: usize,
-    input_bytes: usize,
-    threads: usize,
-    f: impl Fn(usize, &mut Vec<u8>) + Sync,
-) -> Result<()> {
-    if workers(count, input_bytes, threads) == 1 {
-        return wire::put_chunks(out, count, f);
-    }
-    let mut coded = vec![Vec::new(); count];
-    fan_out(&mut coded, input_bytes, threads, f);
-    out.reserve(4 * count + coded.iter().map(Vec::len).sum::<usize>());
-    wire::put_chunks(out, count, |k, out| out.extend_from_slice(&coded[k]))
 }
 
 /// Iterate little-endian `u64` bit-pattern words over a payload without
@@ -369,41 +307,6 @@ mod tests {
         );
         assert_eq!(load_le(&[0xCD, 0xAB]), 0xABCD);
         assert_eq!(load_le(&[]), 0);
-    }
-
-    #[test]
-    fn fan_out_visits_every_slot_once_on_either_side_of_the_threshold() {
-        for (input_bytes, threads) in [(0, 8), (PARALLEL_BYTES, 1), (PARALLEL_BYTES, 3)] {
-            for n in [0usize, 1, 2, 7, 64] {
-                let mut slots = vec![0usize; n];
-                fan_out(&mut slots, input_bytes, threads, |k, s| *s += k + 1);
-                let want: Vec<usize> = (1..=n).collect();
-                assert_eq!(slots, want, "{input_bytes} bytes, {threads} threads");
-            }
-        }
-        let main = std::thread::current().id();
-        let mut ids = vec![main; 4];
-        fan_out(&mut ids, PARALLEL_BYTES - 1, 8, |_, id| {
-            *id = std::thread::current().id()
-        });
-        assert!(ids.iter().all(|&id| id == main), "below the threshold");
-        fan_out(&mut ids, PARALLEL_BYTES, 8, |_, id| {
-            *id = std::thread::current().id()
-        });
-        assert!(ids.iter().all(|&id| id != main), "at the threshold");
-    }
-
-    #[test]
-    fn code_chunks_writes_the_same_bytes_inline_and_fanned_out() {
-        let chunk = |k: usize, out: &mut Vec<u8>| out.extend(std::iter::repeat_n(k as u8, 3 * k));
-        let (mut inline, mut fanned) = (vec![9u8], vec![9u8]);
-        code_chunks(&mut inline, 5, 0, 4, chunk).unwrap();
-        code_chunks(&mut fanned, 5, PARALLEL_BYTES, 4, chunk).unwrap();
-        assert_eq!(inline, fanned);
-        let mut cur = Cursor::new("demo", &inline[1..]);
-        let read = cur.take_chunks(5).unwrap();
-        assert_eq!(read[4], [4u8; 12]);
-        cur.finish().unwrap();
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! Payload: `u32 ncubes | per-cube u32 size | cube streams | border bytes`.
 
 use crate::bitshuffle::{bit_transpose_into, untranspose_to};
-use crate::common::{code_chunks, effective_dims, fan_out, put_words, u32_words, u64_words};
-use fcbench_core::wire::Cursor;
+use crate::common::{effective_dims, put_words, u32_words, u64_words};
+use fcbench_core::wire::{code_chunks, fan_out, Cursor};
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
     Result,

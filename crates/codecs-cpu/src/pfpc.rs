@@ -18,10 +18,8 @@
 //! Payload: the [`begin_word_frame`] frame, one [`pack_counted`] stream
 //! per chunk.
 
-use crate::common::{
-    begin_word_frame, code_chunks, fan_out, pack_counted, read_word_frame, unpack_counted,
-};
-use fcbench_core::wire::Cursor;
+use crate::common::{begin_word_frame, pack_counted, read_word_frame, unpack_counted};
+use fcbench_core::wire::{code_chunks, fan_out, Cursor};
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
     Result,

@@ -133,14 +133,16 @@ impl Compressor for Gfc {
         // chunks to the resident warp count on multi-GB inputs.
         let chunks = self.chunks.min((bytes.len() / 8).div_ceil(1024)).max(1);
         let (items, tail) = begin_word_frame(out, bytes, chunks);
-        let (streams, _stats) = self.gpu.launch(items, |ctx, chunk| {
-            // Delta + leading-zero coding: uniform control flow, no
-            // divergence to report (GFC's strength on GPUs).
-            ctx.report_instructions(chunk.len() as u64); // 8 per 8-byte word
-            compress_chunk(chunk)
-        });
-        put_chunks(out, streams.len(), |k, out| {
-            out.extend_from_slice(&streams[k])
+        let mut blocks: Vec<_> = items.into_iter().map(|c| (c, Vec::new())).collect();
+        self.gpu
+            .launch(&mut blocks, bytes.len(), |ctx, (chunk, stream)| {
+                // Delta + leading-zero coding: uniform control flow, no
+                // divergence to report (GFC's strength on GPUs).
+                ctx.report_instructions(chunk.len() as u64); // 8 per 8-byte word
+                *stream = compress_chunk(chunk);
+            });
+        put_chunks(out, blocks.len(), |k, out| {
+            out.extend_from_slice(&blocks[k].1)
         })?;
         out.extend_from_slice(tail);
         Ok(out.len())
@@ -152,12 +154,18 @@ impl Compressor for Gfc {
         // anything is reserved against them.
         fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
         let (items, tail) = read_word_frame("gfc", payload, desc)?;
-        let (chunks, _stats) = self
-            .gpu
-            .launch(items, |_ctx, (chunk, count)| decompress_chunk(chunk, count));
+        let mut chunks: Vec<_> = items
+            .into_iter()
+            .map(|(c, n)| (c, n, Ok(Vec::new())))
+            .collect();
+        self.gpu.launch(
+            &mut chunks,
+            desc.byte_len(),
+            |_ctx, (chunk, count, done)| *done = decompress_chunk(chunk, *count),
+        );
         out.refill(desc, |bytes| {
             bytes.reserve(desc.byte_len());
-            for chunk in chunks {
+            for (_, _, chunk) in chunks {
                 bytes.extend_from_slice(&chunk?);
             }
             bytes.extend_from_slice(tail);

@@ -12,7 +12,11 @@
 //! | [`NdzipGpu`] | 4.4 | Lorenzo | shared pipeline with ndzip-CPU |
 //!
 //! Each codec holds its simulated [`fcbench_gpu_sim::Gpu`] and launches
-//! one thread block per chunk, page or hypercube on it. Host↔device copies
+//! one thread block per chunk, page or hypercube on it; the launch fans
+//! out under the same `PARALLEL_BYTES` rule as the CPU codecs' chunks
+//! (inline for the blocks a pool worker hands it), and the codecs run
+//! as pool jobs like every other row. The crate is held to the no-panic
+//! lint (R001). Host↔device copies
 //! are not modelled here: their cost is a function of the call's input and
 //! output byte counts alone, which the caller holds, so the benchmark
 //! runner prices them with [`fcbench_gpu_sim::GpuConfig::transfer_seconds`]

@@ -201,17 +201,18 @@ impl Compressor for Mpc {
         let stride = self.stride_for(data.desc());
 
         let (full, tail_words) = words.split_at(words.len() / CHUNK_WORDS * CHUNK_WORDS);
-        let items: Vec<Vec<u64>> = full.chunks(CHUNK_WORDS).map(<[u64]>::to_vec).collect();
-        let (streams, _stats) = self.gpu.launch(items, |ctx, chunk| {
-            ctx.report_instructions((CHUNK_WORDS * elem_bits) as u64 / 8);
-            compress_chunk(chunk, elem_bits, stride)
-        });
+        let mut chunks: Vec<_> = full.chunks(CHUNK_WORDS).map(|c| (c, Vec::new())).collect();
+        self.gpu
+            .launch(&mut chunks, data.bytes().len(), |ctx, (chunk, stream)| {
+                ctx.report_instructions((CHUNK_WORDS * elem_bits) as u64 / 8);
+                *stream = compress_chunk(chunk.to_vec(), elem_bits, stride);
+            });
 
         out.clear();
-        out.extend_from_slice(&(streams.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
         out.push(stride as u8);
-        put_chunks(out, streams.len(), |k, out| {
-            out.extend_from_slice(&streams[k])
+        put_chunks(out, chunks.len(), |k, out| {
+            out.extend_from_slice(&chunks[k].1)
         })?;
         put_words(tail_words, elem_bits / 8, out);
         Ok(out.len())
@@ -239,12 +240,14 @@ impl Compressor for Mpc {
         let tail = cur.take((total_words % CHUNK_WORDS) * esize, "tail")?;
         cur.finish()?;
 
-        let (chunks, _stats) = self.gpu.launch(chunks, |_ctx, chunk| {
-            decompress_chunk(chunk, elem_bits, stride)
-        });
+        let mut chunks: Vec<_> = chunks.into_iter().map(|c| (c, Ok(Vec::new()))).collect();
+        self.gpu
+            .launch(&mut chunks, desc.byte_len(), |_ctx, (chunk, done)| {
+                *done = decompress_chunk(chunk, elem_bits, stride)
+            });
         out.refill(desc, |bytes| {
             bytes.reserve(desc.byte_len());
-            for chunk in chunks {
+            for (_, chunk) in chunks {
                 put_words(&chunk?, esize, bytes);
             }
             bytes.extend_from_slice(tail);

@@ -60,13 +60,12 @@ impl Compressor for NdzipGpu {
         let plan = self.geometry.plan(data.desc());
 
         // One thread block per hypercube writes to private scratch.
-        let cubes: Vec<usize> = (0..plan.count()).collect();
-        let (scratch, _stats) = self.gpu.launch(cubes, |ctx, k| {
-            ctx.report_instructions(plan.cube_elems() as u64 * 6);
-            let mut out = Vec::new();
-            plan.encode_cube(k, data.bytes(), &mut out);
-            out
-        });
+        let mut scratch = vec![Vec::new(); plan.count()];
+        self.gpu
+            .launch(&mut scratch, data.bytes().len(), |ctx, out| {
+                ctx.report_instructions(plan.cube_elems() as u64 * 6);
+                plan.encode_cube(ctx.block_id(), data.bytes(), out);
+            });
 
         // Parallel prefix sum over chunk sizes -> output offsets.
         let sizes: Vec<u64> = scratch.iter().map(|s| s.len() as u64).collect();
@@ -98,8 +97,12 @@ impl Compressor for NdzipGpu {
         }
         // Block-parallel decode: each cube knows its slice via the offsets.
         let bodies = cur.take_chunks_at_offsets(ncubes)?;
-        let (cubes, _stats) = self.gpu.launch(bodies, |_ctx, body| plan.decode_cube(body));
-        plan.assemble(desc, cubes, cur, out)
+        let mut cubes: Vec<_> = bodies.into_iter().map(|b| (b, Ok(Vec::new()))).collect();
+        self.gpu
+            .launch(&mut cubes, desc.byte_len(), |_ctx, (body, cube)| {
+                *cube = plan.decode_cube(body)
+            });
+        plan.assemble(desc, cubes.into_iter().map(|(_, cube)| cube), cur, out)
     }
 }
 

@@ -43,12 +43,15 @@ impl Batched {
     where
         K: Fn(&KernelCtx<'_>, &[u8]) -> Vec<u8> + Sync,
     {
-        let pages: Vec<&[u8]> = bytes.chunks(PAGE_BYTES).collect();
-        let (streams, _stats) = self.0.launch(pages, |ctx, page| kernel(ctx, page));
+        let mut pages: Vec<_> = bytes.chunks(PAGE_BYTES).map(|p| (p, Vec::new())).collect();
+        self.0
+            .launch(&mut pages, bytes.len(), |ctx, (page, stream)| {
+                *stream = kernel(ctx, page)
+            });
         out.clear();
-        out.extend_from_slice(&(streams.len() as u32).to_le_bytes());
-        put_chunks(out, streams.len(), |k, out| {
-            out.extend_from_slice(&streams[k])
+        out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
+        put_chunks(out, pages.len(), |k, out| {
+            out.extend_from_slice(&pages[k].1)
         })?;
         Ok(out.len())
     }
@@ -74,17 +77,20 @@ impl Batched {
         let pages = cur.take_chunks(npages)?;
         cur.finish()?;
         let mut left = total_len;
-        let pages_with_len = pages.into_iter().map(|page| {
-            let raw_len = left.min(PAGE_BYTES);
-            left -= raw_len;
-            (page, raw_len)
-        });
-        let items: Vec<(&[u8], usize)> = pages_with_len.collect();
-        let (pages, _stats) = self
-            .0
-            .launch(items, |_ctx, (page, raw_len)| kernel(page, raw_len));
+        let mut pages: Vec<_> = pages
+            .into_iter()
+            .map(|page| {
+                let raw_len = left.min(PAGE_BYTES);
+                left -= raw_len;
+                (page, raw_len, Ok(Vec::new()))
+            })
+            .collect();
+        self.0
+            .launch(&mut pages, total_len, |_ctx, (page, raw_len, done)| {
+                *done = kernel(page, *raw_len)
+            });
         out.reserve(total_len);
-        for page in pages {
+        for (_, _, page) in pages {
             out.extend_from_slice(&page?);
         }
         Ok(())

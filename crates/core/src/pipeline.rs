@@ -16,11 +16,11 @@
 //! pool is spawned once (lazily, on the first call) and reused
 //! by every subsequent call, so worker scratch — slot buffers, codec
 //! thread-locals such as chimp's window state — reaches steady state across
-//! calls instead of being rebuilt each time. Pipelines built from a
-//! [`CodecRegistry`] honour the entry's `thread_scalable` capability: codecs
-//! not marked for pool dispatch (e.g. the GPU-simulated methods, which
-//! already model device-wide parallelism) run inline regardless of the
-//! configured thread count.
+//! calls instead of being rebuilt each time. Every codec runs this way,
+//! CPU or GPU-simulated: a codec that fans its own chunks out does so
+//! inside the block it was handed, under the one
+//! [`fan_out`](crate::wire::fan_out) rule, which keeps a default-sized
+//! block on the worker that runs it.
 //!
 //! For datasets that should never be fully resident, use the stream pair
 //! directly — see [`Pipeline::frame_writer`] and
@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use fcbench_core::pipeline::Pipeline;
-//! use fcbench_core::registry::{CodecRegistry, RegistryEntry};
+//! use fcbench_core::registry::CodecRegistry;
 //! use fcbench_core::{Domain, FloatData};
 //! # use fcbench_core::{codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport},
 //! #                    Compressor, DataDesc, Result};
@@ -48,7 +48,7 @@
 //! #         out.refill_from_slice(desc, payload)
 //! #     }
 //! # }
-//! let registry = CodecRegistry::new().with(RegistryEntry::new(Store).thread_scalable());
+//! let registry = CodecRegistry::new().with(Store);
 //! let pipeline = Pipeline::new(&registry, "store")
 //!     .unwrap()
 //!     .block_elems(64 * 1024)
@@ -78,33 +78,23 @@ pub struct Pipeline {
     codec: Arc<dyn Compressor>,
     block_elems: usize,
     threads: usize,
-    /// `false` forces inline execution (registry entries not marked
-    /// `thread_scalable`).
-    pool_dispatch: bool,
     /// The lazily-spawned private engine (unused when an external pool was
     /// attached via [`Pipeline::with_pool`], which pre-fills it).
     pool: OnceLock<Arc<WorkerPool>>,
 }
 
 impl Pipeline {
-    /// Build a pipeline around the registered codec `name`. Pool dispatch
-    /// is gated on the entry's `thread_scalable` capability: unmarked
-    /// codecs execute inline whatever [`threads`](Self::threads) says.
+    /// Build a pipeline around the registered codec `name`.
     pub fn new(registry: &CodecRegistry, name: &str) -> Result<Self> {
-        let entry = registry.entry(name).ok_or_else(|| registry.unknown(name))?;
-        let mut p = Self::with_codec(Arc::clone(entry.codec()));
-        p.pool_dispatch = entry.is_thread_scalable();
-        Ok(p)
+        Ok(Self::with_codec(registry.require(name)?))
     }
 
-    /// Build a pipeline around an explicit codec handle (pool dispatch
-    /// ungated).
+    /// Build a pipeline around an explicit codec handle.
     pub fn with_codec(codec: Arc<dyn Compressor>) -> Self {
         Pipeline {
             codec,
             block_elems: DEFAULT_BLOCK_ELEMS,
             threads: 1,
-            pool_dispatch: true,
             pool: OnceLock::new(),
         }
     }
@@ -135,20 +125,10 @@ impl Pipeline {
         self
     }
 
-    /// The thread count the engine will actually use: the configured count,
-    /// or 1 when the registry gated this codec off pool dispatch.
-    pub fn effective_threads(&self) -> usize {
-        if self.pool_dispatch {
-            self.threads
-        } else {
-            1
-        }
-    }
-
     /// The execution engine, spawned on first use. `None` means inline
-    /// execution (single thread, or pool dispatch gated off).
+    /// execution (a single thread).
     pub fn engine(&self) -> Option<&Arc<WorkerPool>> {
-        if self.effective_threads() <= 1 {
+        if self.threads <= 1 {
             return None;
         }
         Some(
@@ -260,11 +240,11 @@ impl Compressor for Pipeline {
 mod tests {
     use super::*;
     use crate::data::Domain;
-    use crate::registry::{CodecRegistry, RegistryEntry};
+    use crate::registry::CodecRegistry;
     use crate::testing::{info, HeaderedStore};
 
     fn registry() -> CodecRegistry {
-        CodecRegistry::new().with(RegistryEntry::new(HeaderedStore).thread_scalable())
+        CodecRegistry::new().with(HeaderedStore)
     }
 
     fn sample(n: usize) -> FloatData {
@@ -331,22 +311,6 @@ mod tests {
         assert_eq!(pool.threads_spawned(), 4);
         // 5 rounds x ceil(1000/64) blocks x (compress + decompress).
         assert_eq!(pool.jobs_completed(), 5 * 2 * 16);
-    }
-
-    #[test]
-    fn registry_gating_forces_inline_execution() {
-        // Entry NOT marked thread_scalable: threads(8) must stay inline.
-        let r = CodecRegistry::new().with(HeaderedStore);
-        let p = Pipeline::new(&r, "hstore").unwrap().threads(8);
-        assert_eq!(p.effective_threads(), 1);
-        assert!(p.engine().is_none());
-        let data = sample(300);
-        let frame = p.compress(&data).unwrap();
-        assert_eq!(p.decompress(&frame).unwrap().bytes(), data.bytes());
-
-        // Marked entry: engine engages.
-        let p = Pipeline::new(&registry(), "hstore").unwrap().threads(8);
-        assert_eq!(p.effective_threads(), 8);
     }
 
     #[test]
@@ -446,7 +410,7 @@ mod tests {
     fn implausible_declared_size_errors_without_huge_allocation() {
         // A ~50-byte hostile frame declaring 2^50 doubles (8 PB) must fail
         // with a typed error before the codec can reserve the claimed size.
-        let r = CodecRegistry::new().with(RegistryEntry::new(ReservingStore).thread_scalable());
+        let r = CodecRegistry::new().with(ReservingStore);
         for threads in [1usize, 8] {
             let p = Pipeline::new(&r, "rstore").unwrap().threads(threads);
             let mut f = Vec::new();

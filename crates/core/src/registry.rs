@@ -8,15 +8,16 @@
 //! instance can be shared across worker threads (see
 //! [`crate::pipeline::Pipeline`]) without re-construction.
 //!
-//! Three per-entry capabilities ride along:
+//! Two per-entry capabilities ride along:
 //!
 //! - **block-capable** — the codec tolerates being driven block-at-a-time
 //!   (the paper's Table 10 keeps 8 of the 14);
-//! - **thread-scalable** — the execution engine may fan the codec's blocks
-//!   out across [`WorkerPool`](crate::pool::WorkerPool) workers; this flag
-//!   gates pool dispatch for pipelines built from the registry;
 //! - **scalable** — a factory producing the codec configured for an
 //!   explicit internal worker count (Tables 7–8 sweep four of them).
+//!
+//! Execution is not a capability: every entry, CPU or GPU-simulated, runs
+//! its blocks on the [`WorkerPool`](crate::pool::WorkerPool) engine the
+//! same way.
 
 use crate::codec::{CodecClass, Compressor, Platform};
 use crate::data::Precision;
@@ -30,7 +31,6 @@ pub type ScaleFn = dyn Fn(usize) -> Box<dyn Compressor> + Send + Sync;
 pub struct RegistryEntry {
     codec: Arc<dyn Compressor>,
     block_capable: bool,
-    thread_scalable: bool,
     scale: Option<Box<ScaleFn>>,
 }
 
@@ -45,7 +45,6 @@ impl RegistryEntry {
         RegistryEntry {
             codec,
             block_capable: false,
-            thread_scalable: false,
             scale: None,
         }
     }
@@ -53,18 +52,6 @@ impl RegistryEntry {
     /// Mark the codec as usable under fixed-size block decomposition.
     pub fn block_capable(mut self) -> Self {
         self.block_capable = true;
-        self
-    }
-
-    /// Mark the codec as safe and sensible to fan out across the
-    /// [`WorkerPool`](crate::pool::WorkerPool)'s block-parallel workers.
-    /// This is the flag that gates pool dispatch when a
-    /// [`Pipeline`](crate::pipeline::Pipeline) is built from the registry:
-    /// unmarked entries (e.g. the GPU-simulated codecs, whose kernels
-    /// already model device-wide parallelism) run inline regardless of the
-    /// configured thread count.
-    pub fn thread_scalable(mut self) -> Self {
-        self.thread_scalable = true;
         self
     }
 
@@ -90,12 +77,6 @@ impl RegistryEntry {
     /// Is this codec driven block-at-a-time in the Table 10 study?
     pub fn is_block_capable(&self) -> bool {
         self.block_capable
-    }
-
-    /// May the execution engine dispatch this codec's blocks across pool
-    /// workers?
-    pub fn is_thread_scalable(&self) -> bool {
-        self.thread_scalable
     }
 
     /// Does this entry carry a thread-count factory?
@@ -222,11 +203,6 @@ impl CodecRegistry {
         self.entries.iter().filter(|e| e.block_capable)
     }
 
-    /// Entries the execution engine may dispatch across pool workers.
-    pub fn thread_scalable(&self) -> impl Iterator<Item = &RegistryEntry> {
-        self.entries.iter().filter(|e| e.thread_scalable)
-    }
-
     /// Names of the entries carrying a thread-count factory (the Tables 7–8
     /// set).
     pub fn scalable_names(&self) -> Vec<&'static str> {
@@ -292,7 +268,6 @@ mod tests {
                     PrecisionSupport::Both,
                 ))
                 .block_capable()
-                .thread_scalable()
                 .scalable(|_t| {
                     Box::new(Fake(
                         "a",
@@ -350,10 +325,6 @@ mod tests {
         assert_eq!(single, vec!["a"]);
         let blocky: Vec<_> = r.block_capable().map(|e| e.name()).collect();
         assert_eq!(blocky, vec!["a"]);
-        let pooled: Vec<_> = r.thread_scalable().map(|e| e.name()).collect();
-        assert_eq!(pooled, vec!["a"]);
-        assert!(r.entry("a").unwrap().is_thread_scalable());
-        assert!(!r.entry("b").unwrap().is_thread_scalable());
     }
 
     #[test]

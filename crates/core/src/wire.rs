@@ -19,6 +19,13 @@
 //! back as checked sub-slices, and [`Cursor::take_chunks_at_offsets`] is
 //! the same slicer for ndzip-GPU's prefix-sum layout (paper §4.4).
 //!
+//! The chunks behind such a directory are coded independently, so they
+//! are also the unit of parallel work. [`fan_out`] is the one rule for when
+//! that work leaves the calling thread — inline up to [`PARALLEL_BYTES`] of
+//! call input, otherwise on scoped threads — for the CPU codecs' chunks
+//! and the GPU simulator's thread blocks alike, and [`code_chunks`] codes
+//! chunks behind a [`put_chunks`] directory under it.
+//!
 //! The `fcbench-analyze` lint rules `no-panic`, `claim-gate` and
 //! `wire-cast` hold decode paths to these helpers.
 
@@ -202,9 +209,106 @@ pub fn put_chunks(
     Ok(())
 }
 
+/// Calls on at most this much input run their chunks on the calling
+/// thread: the chunk layout — and so the stream — is the same either way,
+/// and up to it a thread spawn costs more than the chunk work it would
+/// carry. The blocks frame streams and containers hand a codec are at most
+/// this size (a default 64 Ki-element f64 block is exactly it), so a codec
+/// running inside a pool worker does not spawn threads of its own.
+pub const PARALLEL_BYTES: usize = 512 * 1024;
+
+/// How many threads a call over `input_bytes` in `slots` chunks may use.
+fn workers(slots: usize, input_bytes: usize, threads: usize) -> usize {
+    if input_bytes <= PARALLEL_BYTES {
+        return 1;
+    }
+    threads.min(slots).max(1)
+}
+
+/// Run `f(k, &mut slots[k])` for every slot: inline up to
+/// [`PARALLEL_BYTES`] of input, otherwise on `min(threads, slots)` scoped
+/// threads that each take one contiguous run of slots.
+pub fn fan_out<S: Send>(
+    slots: &mut [S],
+    input_bytes: usize,
+    threads: usize,
+    f: impl Fn(usize, &mut S) + Sync,
+) {
+    let workers = workers(slots.len(), input_bytes, threads);
+    if workers == 1 {
+        slots.iter_mut().enumerate().for_each(|(k, s)| f(k, s));
+        return;
+    }
+    let per = slots.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        for (w, run) in slots.chunks_mut(per).enumerate() {
+            let f = &f;
+            scope.spawn(move || {
+                for (k, s) in run.iter_mut().enumerate() {
+                    f(w * per + k, s);
+                }
+            });
+        }
+    });
+}
+
+/// Code `count` chunks with `f(k, out)` behind a [`put_chunks`] directory.
+/// Inline, each chunk is appended straight onto `out`; fanned out, each is
+/// coded into its own buffer and the buffers appended in order — the bytes
+/// are the same.
+pub fn code_chunks(
+    out: &mut Vec<u8>,
+    count: usize,
+    input_bytes: usize,
+    threads: usize,
+    f: impl Fn(usize, &mut Vec<u8>) + Sync,
+) -> Result<()> {
+    if workers(count, input_bytes, threads) == 1 {
+        return put_chunks(out, count, f);
+    }
+    let mut coded = vec![Vec::new(); count];
+    fan_out(&mut coded, input_bytes, threads, f);
+    out.reserve(4 * count + coded.iter().map(Vec::len).sum::<usize>());
+    put_chunks(out, count, |k, out| out.extend_from_slice(&coded[k]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fan_out_visits_every_slot_once_on_either_side_of_the_threshold() {
+        let over = PARALLEL_BYTES + 1;
+        for (input_bytes, threads) in [(0, 8), (over, 1), (over, 3)] {
+            for n in [0usize, 1, 2, 7, 64] {
+                let mut slots = vec![0usize; n];
+                fan_out(&mut slots, input_bytes, threads, |k, s| *s += k + 1);
+                let want: Vec<usize> = (1..=n).collect();
+                assert_eq!(slots, want, "{input_bytes} bytes, {threads} threads");
+            }
+        }
+        let main = std::thread::current().id();
+        let mut ids = vec![main; 4];
+        fan_out(&mut ids, PARALLEL_BYTES, 8, |_, id| {
+            *id = std::thread::current().id()
+        });
+        assert!(ids.iter().all(|&id| id == main), "at the threshold");
+        fan_out(&mut ids, over, 8, |_, id| *id = std::thread::current().id());
+        assert!(ids.iter().all(|&id| id != main), "above the threshold");
+    }
+
+    #[test]
+    fn code_chunks_writes_the_same_bytes_inline_and_fanned_out() {
+        let chunk = |k: usize, out: &mut Vec<u8>| out.extend(std::iter::repeat_n(k as u8, 3 * k));
+        let (mut inline, mut fanned) = (vec![9u8], vec![9u8]);
+        code_chunks(&mut inline, 5, 0, 4, chunk).unwrap();
+        code_chunks(&mut fanned, 5, PARALLEL_BYTES + 1, 4, chunk).unwrap();
+        assert_eq!(inline, fanned);
+        let mut cur = Cursor::new("demo", &inline[1..]);
+        let read = cur.take_chunks(5).unwrap();
+        assert_eq!(read[4], [4u8; 12]);
+        cur.finish().unwrap();
+    }
 
     #[test]
     fn reads_at_offsets_and_fails_truncated() {

@@ -3,13 +3,19 @@
 //! The simulator executes a kernel as a grid of independent **thread
 //! blocks** (the granularity at which every surveyed GPU compressor
 //! parallelizes: GFC warps, MPC 1024-element chunks, ndzip hypercubes,
-//! nvCOMP pages). Blocks are dispatched over a pool of host worker threads
-//! standing in for SMs. Within a block, kernels run warp-cooperative code
-//! sequentially but report **branch divergence** through [`KernelCtx`], so
-//! the divergence penalty the paper attributes to dictionary methods
-//! (Observation 3) is observable in kernel statistics.
+//! nvCOMP pages). Blocks are dispatched through the same
+//! [`fan_out`] the CPU codecs' chunks use, with `sm_count` host threads
+//! standing in for SMs: a launch over at most [`PARALLEL_BYTES`] of input
+//! runs every block on the calling thread, a larger one on scoped threads.
+//! Within a block, kernels run warp-cooperative code sequentially but
+//! report **branch divergence** through [`KernelCtx`], so the divergence
+//! penalty the paper attributes to dictionary methods (Observation 3) is
+//! observable in kernel statistics.
+//!
+//! [`PARALLEL_BYTES`]: fcbench_core::wire::PARALLEL_BYTES
 
 use crate::config::GpuConfig;
+use fcbench_core::wire::fan_out;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-launch execution statistics.
@@ -59,62 +65,39 @@ impl Gpu {
         Gpu { config }
     }
 
-    /// Launch a kernel over `items`, one thread block per item. Blocks are
-    /// distributed over `sm_count` worker threads. Outputs preserve item
-    /// order. The kernel must be `Sync` (device code has no host state).
-    pub fn launch<T, R, K>(&self, items: Vec<T>, kernel: K) -> (Vec<R>, KernelStats)
-    where
-        T: Send,
-        R: Send,
-        K: Fn(&KernelCtx<'_>, T) -> R + Sync,
-    {
-        let nblocks = items.len();
-        let divergence = AtomicU64::new(0);
-        let instructions = AtomicU64::new(0);
-
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(nblocks);
-        slots.resize_with(nblocks, || None);
-        let workers = self.config.sm_count.min(nblocks).max(1);
-        let per = nblocks.div_ceil(workers).max(1);
-
-        // Move items into indexed chunks; each worker owns a contiguous run.
-        let mut indexed: Vec<(usize, T)> = items.into_iter().enumerate().collect();
-        std::thread::scope(|s| {
-            let mut slot_rest: &mut [Option<R>] = &mut slots;
-            let mut processed = 0usize;
-            while !indexed.is_empty() {
-                let take = per.min(indexed.len());
-                let chunk: Vec<(usize, T)> = indexed.drain(..take).collect();
-                let (head, tail) = slot_rest.split_at_mut(take);
-                slot_rest = tail;
-                let kernel = &kernel;
-                let divergence = &divergence;
-                let instructions = &instructions;
-                s.spawn(move || {
-                    for ((bid, item), slot) in chunk.into_iter().zip(head.iter_mut()) {
-                        let ctx = KernelCtx {
-                            block_id: bid,
-                            divergence,
-                            instructions,
-                        };
-                        *slot = Some(kernel(&ctx, item));
-                    }
-                });
-                processed += take;
-            }
-            debug_assert_eq!(processed, nblocks);
-        });
-
-        let outputs: Vec<R> = slots
-            .into_iter()
-            .map(|s| s.expect("every block produced output"))
-            .collect();
-        let stats = KernelStats {
-            blocks: nblocks as u64,
-            divergence_events: divergence.load(Ordering::Relaxed),
-            instructions: instructions.load(Ordering::Relaxed),
-        };
-        (outputs, stats)
+    /// Launch a kernel over `blocks`, one thread block per slot: the
+    /// kernel reads its input from the slot and leaves its output there,
+    /// the way the CPU codecs' chunk slots work. `input_bytes` is the
+    /// call's input by the CPU codecs' convention — the raw bytes on
+    /// compress, the descriptor's byte length on decode — and decides,
+    /// through [`fan_out`] with `sm_count` threads, whether the blocks
+    /// leave the calling thread. The kernel must be `Sync` (device code
+    /// has no host state).
+    pub fn launch<S: Send>(
+        &self,
+        blocks: &mut [S],
+        input_bytes: usize,
+        kernel: impl Fn(&KernelCtx<'_>, &mut S) + Sync,
+    ) -> KernelStats {
+        let (divergence, instructions) = (AtomicU64::new(0), AtomicU64::new(0));
+        fan_out(
+            blocks,
+            input_bytes,
+            self.config.sm_count,
+            |block_id, slot| {
+                let ctx = KernelCtx {
+                    block_id,
+                    divergence: &divergence,
+                    instructions: &instructions,
+                };
+                kernel(&ctx, slot);
+            },
+        );
+        KernelStats {
+            blocks: blocks.len() as u64,
+            divergence_events: divergence.into_inner(),
+            instructions: instructions.into_inner(),
+        }
     }
 }
 
@@ -134,35 +117,36 @@ pub fn exclusive_prefix_sum(values: &[u64]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fcbench_core::wire::PARALLEL_BYTES;
+    use std::thread;
 
     #[test]
     fn launch_preserves_order() {
         let gpu = Gpu::new(GpuConfig::tiny());
-        let items: Vec<u64> = (0..1000).collect();
-        let (out, stats) = gpu.launch(items, |_ctx, x| x * 2);
-        let expect: Vec<u64> = (0..1000).map(|x| x * 2).collect();
-        assert_eq!(out, expect);
+        let mut blocks: Vec<(u64, u64)> = (0..1000).map(|x| (x, 0)).collect();
+        let stats = gpu.launch(&mut blocks, 0, |_ctx, (x, y)| *y = *x * 2);
+        assert!(blocks.iter().all(|&(x, y)| y == x * 2));
         assert_eq!(stats.blocks, 1000);
     }
 
     #[test]
     fn empty_launch() {
         let gpu = Gpu::new(GpuConfig::tiny());
-        let (out, stats) = gpu.launch(Vec::<u32>::new(), |_ctx, x| x);
-        assert!(out.is_empty());
-        assert_eq!(stats.blocks, 0);
+        for input_bytes in [0, PARALLEL_BYTES + 1] {
+            let stats = gpu.launch(&mut Vec::<u32>::new(), input_bytes, |_ctx, _| ());
+            assert_eq!(stats, KernelStats::default());
+        }
     }
 
     #[test]
     fn divergence_and_instruction_reporting() {
         let gpu = Gpu::new(GpuConfig::tiny());
-        let items: Vec<u32> = (0..64).collect();
-        let (_, stats) = gpu.launch(items, |ctx, x| {
+        let mut blocks: Vec<u32> = (0..64).collect();
+        let stats = gpu.launch(&mut blocks, 0, |ctx, x| {
             ctx.report_instructions(10);
-            if x % 2 == 0 {
+            if *x % 2 == 0 {
                 ctx.report_divergence();
             }
-            x
         });
         assert_eq!(stats.divergence_events, 32);
         assert_eq!(stats.instructions, 640);
@@ -170,11 +154,30 @@ mod tests {
 
     #[test]
     fn block_ids_cover_grid() {
+        // Up to PARALLEL_BYTES of input every block runs on the calling
+        // thread; above it none does, and ids, order and statistics match
+        // the inline run.
         let gpu = Gpu::new(GpuConfig::tiny());
-        let items: Vec<()> = vec![(); 50];
-        let (ids, _) = gpu.launch(items, |ctx, ()| ctx.block_id());
-        let expect: Vec<usize> = (0..50).collect();
-        assert_eq!(ids, expect);
+        let main = thread::current().id();
+        let launch = |input_bytes| {
+            let mut blocks = vec![(usize::MAX, main); 50];
+            let stats = gpu.launch(&mut blocks, input_bytes, |ctx, (id, ran_on)| {
+                ctx.report_instructions(ctx.block_id() as u64);
+                if ctx.block_id() % 3 == 0 {
+                    ctx.report_divergence();
+                }
+                *id = ctx.block_id();
+                *ran_on = thread::current().id();
+            });
+            let (ids, ran_on): (Vec<_>, Vec<_>) = blocks.into_iter().unzip();
+            (ids, ran_on, stats)
+        };
+        let (ids, ran_on, stats) = launch(PARALLEL_BYTES);
+        assert_eq!(ids, (0..50).collect::<Vec<_>>());
+        assert!(ran_on.iter().all(|&t| t == main), "at the threshold");
+        let (fanned_ids, ran_on, fanned_stats) = launch(PARALLEL_BYTES + 1);
+        assert!(ran_on.iter().all(|&t| t != main), "above the threshold");
+        assert_eq!((fanned_ids, fanned_stats), (ids, stats));
     }
 
     #[test]
@@ -187,9 +190,18 @@ mod tests {
     #[test]
     fn heavy_parallel_launch_is_deterministic() {
         let gpu = Gpu::new(GpuConfig::rtx6000());
-        let items: Vec<u64> = (0..10_000).collect();
-        let (a, _) = gpu.launch(items.clone(), |_ctx, x| x.wrapping_mul(0x9E3779B9));
-        let (b, _) = gpu.launch(items, |_ctx, x| x.wrapping_mul(0x9E3779B9));
-        assert_eq!(a, b);
+        let main = thread::current().id();
+        let run = |input_bytes| {
+            let mut blocks = vec![(0u64, main); 10_000];
+            gpu.launch(&mut blocks, input_bytes, |ctx, (x, ran_on)| {
+                *x = (ctx.block_id() as u64).wrapping_mul(0x9E3779B9);
+                *ran_on = thread::current().id();
+            });
+            blocks
+        };
+        let (fanned, inline) = (run(PARALLEL_BYTES + 1), run(0));
+        assert!(inline.iter().all(|&(_, t)| t == main));
+        assert!(fanned.iter().all(|&(_, t)| t != main));
+        assert!(fanned.iter().zip(&inline).all(|(a, b)| a.0 == b.0));
     }
 }

@@ -5,7 +5,10 @@
 //! GPU effects the paper's observations depend on:
 //!
 //! 1. **Massive block-level parallelism** — kernels launch one thread
-//!    block per work item over a pool of simulated SMs ([`exec::Gpu`]);
+//!    block per work item over `sm_count` host threads standing in for
+//!    SMs ([`exec::Gpu`]), through the chunk fan-out the CPU codecs use
+//!    (`fcbench_core::wire::fan_out`), so a small launch stays on the
+//!    calling thread;
 //! 2. **Host↔device transfer cost** — a copy is priced from its byte count
 //!    against link bandwidth + latency
 //!    ([`GpuConfig::transfer_seconds`]), driving the Table 6 end-to-end

@@ -24,7 +24,7 @@
 //! server keeps serving.
 //!
 //! ```
-//! use fcbench_core::registry::{CodecRegistry, RegistryEntry};
+//! use fcbench_core::registry::CodecRegistry;
 //! use fcbench_core::{Domain, FloatData, PoolConfig, WorkerPool};
 //! use fcbench_serve::{Client, ServeConfig, Server};
 //! use std::sync::Arc;
@@ -46,7 +46,7 @@
 //! #         out.refill_from_slice(desc, payload)
 //! #     }
 //! # }
-//! let registry = Arc::new(CodecRegistry::new().with(RegistryEntry::new(Store).thread_scalable()));
+//! let registry = Arc::new(CodecRegistry::new().with(Store));
 //! let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(2)));
 //! let server = Server::bind("127.0.0.1:0", registry, pool, ServeConfig::default()).unwrap();
 //! let addr = server.local_addr();

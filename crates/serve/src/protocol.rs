@@ -26,7 +26,8 @@
 //!   COMPRESS ok    the compressed FCB3 stream
 //!   DECOMPRESS ok  descriptor, then the raw element bytes
 //!   LIST_CODECS ok u16 count, per codec: u8 name len + name + u8 flags
-//!                  (bit 0 thread-scalable, bit 1 block-capable)
+//!                  (bit 0 thread-scalable, i.e. a CPU method; bit 1
+//!                  block-capable)
 //!   STATS_V2 ok    the server's full telemetry registry snapshot:
 //!                  u16 counter count + (u16 name len + name + u64) each,
 //!                  u16 gauge count   + (u16 name len + name + u64) each,
@@ -392,7 +393,8 @@ fn decode_unknown_codec(body: &[u8]) -> Option<Error> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecListing {
     pub name: String,
-    /// May the server fan this codec's blocks across its pool workers?
+    /// Is this a CPU method (Table 1's platform split)? Every codec's
+    /// blocks run on the server's pool; the flag keeps its wire name.
     pub thread_scalable: bool,
     /// Is the codec driven block-at-a-time (Table 10's set)?
     pub block_capable: bool,

@@ -7,9 +7,10 @@
 //! single warm pool under the drain-own-oldest saturation discipline — so
 //! N clients share the engine without deadlock, and a per-connection
 //! in-flight cap ([`ServeConfig::max_inflight_per_conn`]) keeps any one
-//! stream from pinning every job slot. Codecs the registry does not mark
-//! `thread_scalable` (the GPU-simulated methods) run inline on the handler
-//! thread, exactly as registry-built pipelines run them.
+//! stream from pinning every job slot. Every codec runs this way, the
+//! GPU-simulated methods included, so every request's codec work runs
+//! under the workers' `catch_unwind` and is timed in
+//! `pool.exec.codec.<name>`.
 //!
 //! Protocol errors are *request* failures: the handler replies with a typed
 //! error frame and — whenever the request body was fully consumed, so
@@ -19,9 +20,8 @@
 
 use crate::protocol::{self, CodecListing};
 use crate::stats::{ServerStats, StatsSnapshot};
-use fcbench_core::registry::RegistryEntry;
 use fcbench_core::stream::{FrameReader, FrameWriter};
-use fcbench_core::{CodecRegistry, DataDesc, Error, Result, WorkerPool};
+use fcbench_core::{CodecRegistry, DataDesc, Error, Platform, Result, WorkerPool};
 use fcbench_telemetry::{Counter, Gauge, Histogram, HistogramFamily, Registry};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -831,17 +831,17 @@ fn handle_compress(conn: &mut Conn<'_>, shared: &Shared, started: Instant) -> Re
             &Error::BadDescriptor("block size must be at least 1 element".into()),
         );
     }
-    let Some(entry) = shared.registry.entry(&name) else {
+    let Some(codec) = shared.registry.get(&name) else {
         discard_body(conn, body_len)?;
         return fail_continue(conn, &shared.registry.unknown(&name));
     };
 
     let mut writer = match FrameWriter::new(
         Vec::new(),
-        Arc::clone(entry.codec()),
+        codec,
         desc,
         block_elems,
-        engine_for(entry, shared),
+        Some(Arc::clone(&shared.pool)),
     ) {
         Ok(w) => w.max_in_flight(shared.config.max_inflight_per_conn),
         Err(e) => {
@@ -936,7 +936,7 @@ fn handle_decompress(conn: &mut Conn<'_>, shared: &Shared, started: Instant) -> 
             Err(e) => return fail_continue(conn, &e),
         }
     };
-    let Some(entry) = shared.registry.entry(&name) else {
+    let Some(codec) = shared.registry.get(&name) else {
         return fail_continue(conn, &shared.registry.unknown(&name));
     };
     let claim = desc.byte_len();
@@ -950,11 +950,7 @@ fn handle_decompress(conn: &mut Conn<'_>, shared: &Shared, started: Instant) -> 
         );
     }
 
-    let reader = match FrameReader::new(
-        &body[..],
-        Arc::clone(entry.codec()),
-        engine_for(entry, shared),
-    ) {
+    let reader = match FrameReader::new(&body[..], codec, Some(Arc::clone(&shared.pool))) {
         Ok(r) => r.max_in_flight(shared.config.max_inflight_per_conn),
         Err(e) => return fail_continue(conn, &e),
     };
@@ -997,7 +993,7 @@ fn handle_list_codecs(conn: &mut Conn<'_>, shared: &Shared) -> Result<Flow> {
         .iter()
         .map(|e| CodecListing {
             name: e.name().to_string(),
-            thread_scalable: e.is_thread_scalable(),
+            thread_scalable: e.codec().info().platform == Platform::Cpu,
             block_capable: e.is_block_capable(),
         })
         .collect();
@@ -1022,12 +1018,4 @@ fn handle_stats_v2(conn: &mut Conn<'_>, shared: &Shared) -> Result<Flow> {
     conn.count_ok();
     protocol::write_ok_reply(conn, &body)?;
     Ok(Flow::Continue)
-}
-
-/// The engine a request for this codec runs on: the shared pool for
-/// `thread_scalable` entries, inline on the handler thread otherwise
-/// (GPU-simulated kernels already model device-wide parallelism — the same
-/// gate registry-built pipelines apply).
-fn engine_for(entry: &RegistryEntry, shared: &Shared) -> Option<Arc<WorkerPool>> {
-    entry.is_thread_scalable().then(|| Arc::clone(&shared.pool))
 }

@@ -44,18 +44,28 @@ fn main() {
     // The catalogue, straight off the wire.
     let mut admin = Client::connect(addr).expect("connect");
     let listed = admin.list_codecs().expect("LIST_CODECS");
-    println!("{} codecs served; pool-dispatched: {}", listed.len(), {
-        let pooled: Vec<&str> = listed
-            .iter()
-            .filter(|l| l.thread_scalable)
-            .map(|l| l.name.as_str())
-            .collect();
-        pooled.join(", ")
-    });
+    // The thread-scalable flag reports Table 1's platform split; every
+    // codec's blocks run on the pool.
+    let names = |cpu: bool| {
+        let rows = listed.iter().filter(|l| l.thread_scalable == cpu);
+        rows.map(|l| l.name.as_str()).collect::<Vec<_>>().join(", ")
+    };
+    println!(
+        "{} codecs served, all on the pool\n  CPU: {}\n  GPU-simulated: {}",
+        listed.len(),
+        names(true),
+        names(false)
+    );
 
     // A burst of concurrent clients, each a "storage node" flushing sensor
     // pages through its favourite codec and reading one back.
-    let codecs = ["gorilla", "chimp128", "bitshuffle-zstd", "spdp"];
+    let codecs = [
+        "gorilla",
+        "chimp128",
+        "bitshuffle-zstd",
+        "spdp",
+        "nvcomp-bitcomp",
+    ];
     let workers: Vec<_> = (0..8)
         .map(|i| {
             let name = codecs[i % codecs.len()];

@@ -89,12 +89,21 @@ fn concurrent_clients_share_one_engine_with_byte_exact_roundtrips() {
     for (name, count) in &stats.per_codec {
         assert_eq!(*count, 2, "{name} request count");
     }
+    // ...and every row's blocks, the GPU-simulated ones included, ran as
+    // jobs on the shared pool.
+    let telemetry = running.handle().telemetry().snapshot();
+    for name in &names {
+        let jobs = telemetry
+            .histogram(&format!("pool.exec.codec.{name}"))
+            .map_or(0, |h| h.count());
+        assert!(jobs >= 2, "{name}: {jobs} pool jobs");
+    }
     running.shutdown().expect("graceful shutdown");
 }
 
 #[test]
 fn eight_clients_hammer_one_codec_on_a_starved_pool() {
-    // All clients on the same thread-scalable codec, saturating a 1-thread
+    // All clients on the same codec, saturating a 1-thread
     // 2-slot engine from 8 directions with several round trips each.
     let running = start_server(
         PoolConfig::with_threads(1).queue_depth(2),
@@ -452,8 +461,8 @@ fn stats_v2_carries_layered_latency_histograms_over_the_wire() {
         .expect("per-codec histogram");
     assert_eq!(codec_hist.count(), 8);
 
-    // Engine metrics from the layers below ride the same body: gorilla is
-    // thread-scalable, so its blocks crossed the worker pool.
+    // Engine metrics from the layers below ride the same body: gorilla's
+    // blocks, like every codec's, crossed the worker pool.
     assert!(v2.counter("pool.drain.stalls").is_some());
     assert!(v2.histogram("pool.exec").expect("pool.exec").count() > 0);
     assert!(
