@@ -6,7 +6,7 @@
 //! `bits::reference` implementation. The headline acceptance number for
 //! the rewrite is the multi-bit push/read speedup, which must stay ≥ 2x.
 //!
-//! Runs without the Criterion harness (`harness = false`): it prints one
+//! Runs as a plain `main` (`harness = false`): it prints one
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
 //! shrinks the iteration counts.
 

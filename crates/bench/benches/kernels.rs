@@ -10,7 +10,7 @@
 //! record against a local byte-at-a-time loop. The headline
 //! acceptance number is the worst gated speedup, which must stay ≥ 2x.
 //!
-//! Runs without the Criterion harness (`harness = false`): it prints one
+//! Runs as a plain `main` (`harness = false`): it prints one
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
 //! shrinks the iteration counts.
 

@@ -5,7 +5,7 @@
 //! steady-state call on the same pool — the delta is exactly what the
 //! per-call scoped threads used to re-pay on every single call.
 //!
-//! Runs without the Criterion harness (`harness = false`): it prints one
+//! Runs as a plain `main` (`harness = false`): it prints one
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
 //! shrinks the input.
 

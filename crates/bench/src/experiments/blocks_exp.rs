@@ -8,8 +8,8 @@
 //! database container would keep.
 
 use crate::context::{render_table, Context};
-use crate::metrics::{arithmetic_mean, harmonic_mean};
-use crate::runner::{run_cell, CellOutcome, RunConfig};
+use crate::metrics::{arithmetic_mean, harmonic_mean, timing_rule};
+use crate::runner::{run_cell, CellOutcome};
 use fcbench_core::blocks::{BLOCK_4K, BLOCK_64K, BLOCK_8M};
 use fcbench_core::Pipeline;
 use fcbench_datasets::NamedData;
@@ -26,10 +26,6 @@ fn run_block_size(
     datasets: &[NamedData],
     block_bytes: usize,
 ) -> Vec<(String, BlockAvg)> {
-    let cfg = RunConfig {
-        repetitions: 1,
-        verify: true,
-    };
     ctx.registry
         .block_capable()
         .map(|entry| {
@@ -44,7 +40,7 @@ fn run_block_size(
                 let block_elems = (block_bytes / ds.data.desc().precision.bytes()).max(1);
                 let pipeline = Pipeline::with_pool(Arc::clone(entry.codec()), ctx.pool.clone())
                     .block_elems(block_elems);
-                if let CellOutcome::Ok(m) = run_cell(&pipeline, &ds.data, cfg) {
+                if let CellOutcome::Ok(m) = run_cell(&pipeline, &ds.data, ctx.reps) {
                     crs.push(m.compression_ratio());
                     cts.push(m.compression_throughput_gbs());
                     dts.push(m.decompression_throughput_gbs());
@@ -64,13 +60,14 @@ fn run_block_size(
 
 /// Table 10 over the context's datasets, executed on its shared engine.
 pub fn table10(ctx: &Context) -> String {
-    let datasets = &ctx.datasets;
+    let datasets = ctx.datasets();
     let mut out = format!(
         "Table 10: compression performance under different block sizes\n\
          (block-parallel on the shared {}-worker engine; CR includes the\n\
          FCB3 frame's per-block length fields, the container accounting a\n\
-         paged store pays)\n",
-        ctx.pool.threads()
+         paged store pays; per-cell medians averaged over datasets)\n{}",
+        ctx.pool.threads(),
+        timing_rule(ctx.reps)
     );
     let mut headers = vec!["blocksize / metric".to_string()];
     headers.extend(ctx.registry.block_capable().map(|e| e.name().to_string()));

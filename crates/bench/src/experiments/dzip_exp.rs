@@ -2,16 +2,21 @@
 //! orders of magnitude lower throughput than conventional codecs — "still
 //! not practical for applications at the time of our survey".
 
-use crate::context::render_table;
-use fcbench_core::{CodecRegistry, Compressor, DataDesc, FloatData};
+use crate::context::{render_cells, Context};
+use crate::metrics::timing_rule;
+use crate::runner::{run_cell, CellOutcome};
+use fcbench_core::CodecRegistry;
 use fcbench_datasets::{find, generate};
 use fcbench_dzip::Dzip;
-use std::time::Instant;
 
-/// Compare Dzip against two conventional codecs on a small excerpt.
-pub fn dzip_experiment(excerpt_elems: usize) -> String {
+/// Elements of the msg-bt excerpt: small, because Dzip runs at ~KB/s.
+const EXCERPT_ELEMS: usize = 16384;
+
+/// Compare Dzip against two conventional codecs on a small excerpt, each
+/// cell timed with the context's rep count.
+pub fn dzip_experiment(ctx: &Context) -> String {
     let spec = find("msg-bt").expect("catalog dataset");
-    let data = generate(&spec, excerpt_elems);
+    let data = generate(&spec, EXCERPT_ELEMS);
 
     // A purpose-built registry: the neural codec plus two conventional
     // baselines drawn with the same construction as the paper registry.
@@ -19,71 +24,34 @@ pub fn dzip_experiment(excerpt_elems: usize) -> String {
         .with(Dzip::with_bootstrap(1, 1 << 14))
         .with(fcbench_codecs_cpu::Gorilla::new())
         .with(fcbench_codecs_cpu::Bitshuffle::lz4());
-    let codecs: Vec<_> = registry.codecs().collect();
 
-    let headers = vec![
-        "method".to_string(),
-        "ratio".to_string(),
-        "comp MB/s".to_string(),
-        "decomp MB/s".to_string(),
-    ];
-    let mut rows = Vec::new();
+    let mut cells = Vec::new();
     let mut dzip_ct = f64::NAN;
     let mut fastest_ct = 0.0f64;
-    for codec in &codecs {
-        let t0 = Instant::now();
-        let payload = codec.compress(&data).expect("compresses");
-        let ct = data.bytes().len() as f64 / t0.elapsed().as_secs_f64() / 1e6;
-
-        let t1 = Instant::now();
-        let back = codec
-            .decompress(&payload, data.desc())
-            .expect("decompresses");
-        let dt = data.bytes().len() as f64 / t1.elapsed().as_secs_f64() / 1e6;
-        assert_eq!(back.bytes(), data.bytes(), "lossless check");
-
-        let cr = data.bytes().len() as f64 / payload.len() as f64;
-        if codec.info().name == "dzip" {
+    for entry in registry.iter() {
+        let m = match run_cell(entry.codec().as_ref(), &data, ctx.reps) {
+            CellOutcome::Ok(m) => m,
+            CellOutcome::Failed(e) => panic!("{} on the dzip excerpt: {e}", entry.name()),
+        };
+        let ct = m.compression_throughput_gbs();
+        if entry.name() == "dzip" {
             dzip_ct = ct;
         } else {
             fastest_ct = fastest_ct.max(ct);
         }
-        rows.push(vec![
-            codec.info().name.to_string(),
-            format!("{cr:.3}"),
-            format!("{ct:.3}"),
-            format!("{dt:.3}"),
-        ]);
+        cells.push((entry.name().to_string(), m));
     }
 
     let mut out = format!(
         "Dzip (S4.5): neural compression on a {} KB msg-bt excerpt\n",
         data.bytes().len() / 1024
     );
-    out.push_str(&render_table(&headers, &rows));
+    out.push_str(&timing_rule(ctx.reps));
+    out.push_str(&render_cells("method", &cells));
     out.push_str(&format!(
         "\nconventional/neural speed gap: {:.0}x\n\
          (paper: Dzip runs at ~KB/s; NN-based compression 'still not practical')\n",
         fastest_ct / dzip_ct
     ));
     out
-}
-
-/// Cheap smoke check used by integration tests.
-pub fn dzip_roundtrips_smoke() -> bool {
-    let data = FloatData::from_f64(
-        &(0..64).map(|i| i as f64).collect::<Vec<_>>(),
-        vec![64],
-        fcbench_core::Domain::Hpc,
-    )
-    .expect("valid data");
-    let d = Dzip::with_bootstrap(1, 512);
-    let Ok(c) = d.compress(&data) else {
-        return false;
-    };
-    let desc: &DataDesc = data.desc();
-    match d.decompress(&c, desc) {
-        Ok(back) => back.bytes() == data.bytes(),
-        Err(_) => false,
-    }
 }

@@ -1,5 +1,6 @@
 //! One module per reproduced table/figure; each returns a printable block.
 
+pub mod ablations;
 pub mod blocks_exp;
 pub mod dimensions;
 pub mod dzip_exp;
@@ -10,6 +11,7 @@ pub mod roofline_exp;
 pub mod scaling_exp;
 pub mod throughput;
 
+pub use ablations::ablations;
 pub use blocks_exp::table10;
 pub use dimensions::table9;
 pub use dzip_exp::dzip_experiment;

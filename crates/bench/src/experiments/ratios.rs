@@ -10,7 +10,7 @@ use fcbench_stats::{cd_diagram, friedman_test};
 /// Table 4: compression ratio per (dataset × method), with per-domain and
 /// overall harmonic means.
 pub fn table4(ctx: &Context) -> String {
-    let m = &ctx.matrix;
+    let m = ctx.matrix();
     let mut headers = vec!["dataset".to_string()];
     headers.extend(m.codecs.iter().cloned());
 
@@ -74,7 +74,7 @@ pub fn table4(ctx: &Context) -> String {
 
 /// Figure 5: boxplot of all measured compression ratios.
 pub fn fig5(ctx: &Context) -> String {
-    let ratios = ctx.matrix.all_ratios();
+    let ratios = ctx.matrix().all_ratios();
     let b = boxplot(&ratios).expect("matrix has successful cells");
     let mut out = String::from("Figure 5: boxplot of all compression ratios\n");
     out.push_str(&format!(
@@ -98,7 +98,7 @@ pub fn fig5(ctx: &Context) -> String {
 /// Figure 6: ratios grouped by (a) precision & domain, (b) predictor class
 /// & platform.
 pub fn fig6(ctx: &Context) -> String {
-    let m = &ctx.matrix;
+    let m = ctx.matrix();
     let mut by_type: Vec<(String, f64)> = Vec::new();
     let mut by_domain: Vec<(String, f64)> = Vec::new();
     let mut by_class: Vec<(String, f64)> = Vec::new();
@@ -151,7 +151,7 @@ pub fn fig6(ctx: &Context) -> String {
 /// Figure 7: harmonic-mean CRs per method (7a) and the Friedman + Nemenyi
 /// critical-difference diagram (7b).
 pub fn fig7(ctx: &Context) -> String {
-    let m = &ctx.matrix;
+    let m = ctx.matrix();
     let mut out = String::from("Figure 7a: harmonic-mean compression ratio per method\n");
     for (ci, codec) in m.codecs.iter().enumerate() {
         let ratios: Vec<f64> = (0..m.datasets.len())
@@ -217,7 +217,7 @@ pub fn fig7(ctx: &Context) -> String {
         }
     }
     out.push_str("paper: HPC fpzip; TS nvCOMP::LZ4; OBS bitshuffle+zstd; DB Chimp\n");
-    let med = median(&ctx.matrix.all_ratios()).unwrap_or(f64::NAN);
+    let med = median(&ctx.matrix().all_ratios()).unwrap_or(f64::NAN);
     out.push_str(&format!("\noverall median ratio {med:.3} (paper 1.16)\n"));
     out
 }

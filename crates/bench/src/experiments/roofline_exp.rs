@@ -1,12 +1,11 @@
 //! Figure 11: roofline placement of every codec's dominant kernel, and the
 //! analytic op counts that place it.
 
-use crate::codecs::paper_registry;
-use crate::context::render_table;
+use crate::context::{render_table, Context};
+use crate::metrics::{time_reps, timing_rule, Timing};
 use fcbench_core::{DataDesc, Platform};
 use fcbench_datasets::{find, generate};
 use fcbench_roofline::{Bound, MachineModel, OpProfile, RooflinePoint};
-use std::time::Instant;
 
 /// Operation and byte counts of the dominant compression kernel of the
 /// codec registered as `codec`, for one pass over `desc`: the dots of
@@ -81,49 +80,45 @@ pub fn kernel_profile(codec: &str, desc: &DataDesc) -> Option<OpProfile> {
     })
 }
 
-fn place(
-    registry: &fcbench_core::registry::CodecRegistry,
-    platform: Platform,
-    machine: &MachineModel,
-    target_elems: usize,
-) -> Vec<(RooflinePoint, Bound)> {
+/// One placed dot: the roofline point, its bound, and the timing its
+/// performance was derived from.
+type Placed = (RooflinePoint, Bound, Timing);
+
+fn place(ctx: &Context, platform: Platform, machine: &MachineModel) -> Vec<Placed> {
     // The paper profiles on msg-bt (footnote 15).
     let spec = find("msg-bt").expect("catalog dataset");
-    let data = generate(&spec, target_elems);
+    let data = generate(&spec, ctx.elems);
     let mut payload = Vec::new();
-    registry
+    ctx.registry
         .by_platform(platform)
         .filter_map(|entry| {
             let codec = entry.codec();
             let profile = kernel_profile(entry.name(), data.desc())?;
-            // Untimed warm-up so the first codec doesn't pay the payload
-            // buffer's growth inside its timed region.
-            codec.compress_into(&data, &mut payload).ok()?;
-            let t0 = Instant::now();
-            codec.compress_into(&data, &mut payload).ok()?;
-            let secs = t0.elapsed().as_secs_f64();
-            let point = RooflinePoint::from_profile(entry.name(), &profile, secs);
+            let time = time_reps(ctx.reps, || codec.compress_into(&data, &mut payload)).ok()?;
+            let point = RooflinePoint::from_profile(entry.name(), &profile, time.median);
             let bound = point.classify(machine, 0.5);
-            Some((point, bound))
+            Some((point, bound, time))
         })
         .collect()
 }
 
-fn render(machine: &MachineModel, points: &[(RooflinePoint, Bound)]) -> String {
+fn render(machine: &MachineModel, points: &[Placed]) -> String {
     let headers = vec![
         "method".to_string(),
         "ops/byte".to_string(),
         "GOP/s".to_string(),
+        "IQR %".to_string(),
         "roof GOP/s".to_string(),
         "bound".to_string(),
     ];
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|(p, b)| {
+        .map(|(p, b, t)| {
             vec![
                 p.name.clone(),
                 format!("{:.2}", p.intensity),
                 format!("{:.2}", p.performance),
+                format!("{:.0}", t.iqr_pct()),
                 format!("{:.1}", machine.attainable(p.intensity)),
                 format!("{b:?}"),
             ]
@@ -142,20 +137,20 @@ fn render(machine: &MachineModel, points: &[(RooflinePoint, Bound)]) -> String {
 
 /// Figure 11a/11b: CPU and GPU rooflines (profiled on msg-bt, as in the
 /// paper's footnote 15).
-pub fn fig11(target_elems: usize) -> String {
-    let registry = paper_registry();
+pub fn fig11(ctx: &Context) -> String {
     let cpu_machine = MachineModel::xeon_gold_6126();
     let gpu_machine = MachineModel::rtx_6000();
 
     let mut out = String::from("Figure 11a: CPU-based methods\n");
+    out.push_str(&timing_rule(ctx.reps));
     out.push_str(&render(
         &cpu_machine,
-        &place(&registry, Platform::Cpu, &cpu_machine, target_elems),
+        &place(ctx, Platform::Cpu, &cpu_machine),
     ));
     out.push_str("\nFigure 11b: GPU-based methods (simulated device)\n");
     out.push_str(&render(
         &gpu_machine,
-        &place(&registry, Platform::Gpu, &gpu_machine, target_elems),
+        &place(ctx, Platform::Gpu, &gpu_machine),
     ));
     out.push_str(
         "\npaper shape: serial codecs (fpzip, BUFF, SPDP, Gorilla, Chimp) sit far\n\

@@ -1,8 +1,8 @@
 //! Tables 7 & 8: parallel scalability of the four thread-capable CPU
 //! methods over 1–48 threads.
 
-use crate::codecs::paper_registry;
-use crate::context::render_table;
+use crate::context::{render_table, Context};
+use crate::metrics::timing_rule;
 use crate::scaling::{pool_scaling_sweep, scaling_sweep, Direction, PAPER_THREAD_COUNTS};
 use fcbench_core::registry::CodecRegistry;
 use fcbench_core::FloatData;
@@ -36,8 +36,9 @@ fn sweep_table(
             for c in &curves {
                 let p = &c.points[k];
                 row.push(format!(
-                    "{:.0} MB/s {:.2}x ({:.0}%)",
+                    "{:.0} MB/s IQR {:.0}% {:.2}x ({:.0}%)",
                     p.mb_per_s,
+                    p.time.iqr_pct(),
                     p.speedup,
                     p.efficiency * 100.0
                 ));
@@ -94,7 +95,12 @@ fn engine_sweep_table(registry: &CodecRegistry, data: &FloatData, reps: usize) -
             let mut row = vec![t.to_string()];
             for c in &curves {
                 let p = &c.points[k];
-                row.push(format!("{:.0} MB/s {:.2}x", p.mb_per_s, p.speedup));
+                row.push(format!(
+                    "{:.0} MB/s IQR {:.0}% {:.2}x",
+                    p.mb_per_s,
+                    p.time.iqr_pct(),
+                    p.speedup
+                ));
             }
             row
         })
@@ -108,24 +114,32 @@ fn engine_sweep_table(registry: &CodecRegistry, data: &FloatData, reps: usize) -
     out
 }
 
-/// Tables 7 and 8 together.
-pub fn tables7_8(target_elems: usize, reps: usize) -> String {
+/// Tables 7 and 8 together, at the context's scale and rep count.
+pub fn tables7_8(ctx: &Context) -> String {
     // The paper sweeps on large inputs; miranda3d-like smooth single data
     // parallelizes representatively. Thread scaling needs enough work per
     // worker, so the sweep uses at least 1M elements.
-    let registry = paper_registry();
+    let registry = &ctx.registry;
     let spec = find("miranda3d").expect("catalog dataset");
-    let data = generate(&spec, target_elems.max(1 << 20));
+    let data = generate(&spec, ctx.elems.max(1 << 20));
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut out = format!(
         "(host exposes {cores} hardware thread(s); speedups are bounded by that —\n\
-         the paper's testbed has 2x12 cores)\n\nTable 7: parallel compression throughput\n"
+         the paper's testbed has 2x12 cores)\n{}\
+         cells: median MB/s, IQR as % of the median, speedup, (efficiency)\n\n\
+         Table 7: parallel compression throughput\n",
+        timing_rule(ctx.reps)
     );
-    out.push_str(&sweep_table(&registry, &data, Direction::Compress, reps));
+    out.push_str(&sweep_table(registry, &data, Direction::Compress, ctx.reps));
     out.push_str("\nTable 8: parallel decompression throughput\n");
-    out.push_str(&sweep_table(&registry, &data, Direction::Decompress, reps));
-    out.push_str(&engine_sweep_table(&registry, &data, reps));
+    out.push_str(&sweep_table(
+        registry,
+        &data,
+        Direction::Decompress,
+        ctx.reps,
+    ));
+    out.push_str(&engine_sweep_table(registry, &data, ctx.reps));
     out.push_str(
         "\npaper shape: pFPC and both bitshuffles gain 3-4x up to 16-24 threads,\n\
          then decline from oversubscription; ndzip-CPU's reference implementation\n\

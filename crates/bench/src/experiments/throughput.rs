@@ -2,8 +2,10 @@
 //! Table 6.
 
 use crate::context::{render_table, Context};
-use crate::metrics::arithmetic_mean;
+use crate::metrics::{arithmetic_mean, timing_rule};
 use crate::runner::CellOutcome;
+use fcbench_core::{CodecClass, CodecRegistry, DataDesc, Platform};
+use fcbench_datasets::DatasetSpec;
 use fcbench_gpu_sim::GpuConfig;
 use fcbench_roofline::MachineModel;
 
@@ -16,7 +18,7 @@ struct PerCodec {
 }
 
 fn collect(ctx: &Context) -> Vec<PerCodec> {
-    let m = &ctx.matrix;
+    let m = ctx.matrix();
     m.codecs
         .iter()
         .enumerate()
@@ -44,32 +46,41 @@ fn collect(ctx: &Context) -> Vec<PerCodec> {
         .collect()
 }
 
-/// Roofline-modelled device throughput for a GPU codec (GB/s): the
-/// simulator executes kernels on host cores, so device-scale magnitudes
-/// come from the documented RTX 6000 model — time is the larger of the
-/// memory-traffic and compute terms of the codec's op profile, with a
-/// 16x divergence penalty for dictionary kernels (Observation 3's cause).
-fn modelled_device_gbs(ctx: &Context, codec_idx: usize) -> Option<f64> {
+/// Roofline-modelled device throughput of the registered codec `name`
+/// (GB/s), averaged over `specs` at the default scale: the simulator
+/// executes kernels on host cores, so device-scale magnitudes come from
+/// the documented RTX 6000 model — time is the larger of the
+/// memory-traffic and compute terms of the codec's op profile, with a 16x
+/// divergence penalty for dictionary kernels (Observation 3's cause).
+/// `None` for a CPU row or an unknown name.
+fn modelled_device_gbs(registry: &CodecRegistry, specs: &[DatasetSpec], name: &str) -> Option<f64> {
     let machine = MachineModel::rtx_6000();
-    // Registry order matches matrix row order by construction.
-    let codec = ctx.registry.iter().nth(codec_idx)?.codec();
-    if codec.info().platform != fcbench_core::Platform::Gpu {
+    let info = registry.get(name)?.info();
+    if info.platform != Platform::Gpu {
         return None;
     }
-    let divergent = codec.info().class == fcbench_core::CodecClass::Dictionary;
+    let divergent = info.class == CodecClass::Dictionary;
     let peak_ops = machine.attainable(f64::INFINITY) * 1e9 / if divergent { 16.0 } else { 1.0 };
     let dram = machine.dram_roof() * 1e9;
     let mut rates = Vec::new();
-    for spec in &ctx.specs {
-        let desc =
-            fcbench_core::DataDesc::new(spec.precision, spec.scaled_dims(1 << 17), spec.domain)
-                .expect("catalog dims are valid");
-        if let Some(p) = super::roofline_exp::kernel_profile(codec.info().name, &desc) {
+    for spec in specs {
+        let desc = DataDesc::new(spec.precision, spec.scaled_dims(1 << 17), spec.domain)
+            .expect("catalog dims are valid");
+        if let Some(p) = super::roofline_exp::kernel_profile(name, &desc) {
             let t = (p.bytes_moved as f64 / dram).max(p.int_ops.max(p.float_ops) as f64 / peak_ops);
             rates.push(desc.byte_len() as f64 / t / 1e9);
         }
     }
     arithmetic_mean(&rates)
+}
+
+/// Modelled seconds of the kernel (one read and one write of `bytes` at the
+/// RTX 6000's DRAM roof) and of the host↔device copies (`bytes` each way)
+/// for one page: Observation 5 at device rates.
+fn device_page_seconds(bytes: usize) -> (f64, f64) {
+    let kernel_s = 2.0 * bytes as f64 / (MachineModel::rtx_6000().dram_roof() * 1e9);
+    let pcie_s = 2.0 * GpuConfig::default().transfer_seconds(bytes);
+    (kernel_s, pcie_s)
 }
 
 /// Table 5 / Figure 8: average compression and decompression throughput.
@@ -83,21 +94,23 @@ pub fn table5(ctx: &Context) -> String {
     ];
     let rows: Vec<Vec<String>> = per
         .iter()
-        .enumerate()
-        .map(|(ci, p)| {
+        .map(|p| {
             vec![
                 p.name.clone(),
                 format!("{:.3}", p.avg_ct),
                 format!("{:.3}", p.avg_dt),
-                modelled_device_gbs(ctx, ci).map_or("-".into(), |g| format!("{g:.1}")),
+                modelled_device_gbs(&ctx.registry, &ctx.specs, &p.name)
+                    .map_or("-".into(), |g| format!("{g:.1}")),
             ]
         })
         .collect();
     let mut out = format!(
         "Table 5 / Figure 8: average (de)compression throughput\n\
          (cells executed as jobs on the campaign's shared {}-worker engine;\n\
-         workers stay warm across the whole matrix)\n",
-        ctx.pool.threads()
+         workers stay warm across the whole matrix; per-cell medians averaged\n\
+         over datasets)\n{}",
+        ctx.pool.threads(),
+        timing_rule(ctx.reps)
     );
     out.push_str(&render_table(&headers, &rows));
     out.push_str(
@@ -107,8 +120,8 @@ pub fn table5(ctx: &Context) -> String {
     );
 
     // Median GPU-vs-CPU gap (Observation 3).
-    let cpu = ctx.platform_names(fcbench_core::Platform::Cpu);
-    let gpu = ctx.platform_names(fcbench_core::Platform::Gpu);
+    let cpu = ctx.platform_names(Platform::Cpu);
+    let gpu = ctx.platform_names(Platform::Gpu);
     let med = |names: &[&str], sel: fn(&PerCodec) -> f64| -> f64 {
         let mut v: Vec<f64> = per
             .iter()
@@ -151,6 +164,7 @@ pub fn fig9(ctx: &Context) -> String {
         })
         .collect();
     let mut out = String::from("Figure 9: rD = (CT - DT)/CT; positive = compression faster\n");
+    out.push_str(&timing_rule(ctx.reps));
     out.push_str(&render_table(&headers, &rows));
     out.push_str(
         "\npaper shape: dictionary methods decompress much faster than they\n\
@@ -181,12 +195,13 @@ pub fn table6(ctx: &Context) -> String {
     let mut out = String::from(
         "Table 6: end-to-end wall time (ms), including modelled host<->device copies\n",
     );
+    out.push_str(&timing_rule(ctx.reps));
     out.push_str(&render_table(&headers, &rows));
 
     // The paper's headline: transfer cost narrows the GPU advantage;
     // quantify the share of GPU wall time spent on transfers.
-    let m = &ctx.matrix;
-    let gpu = ctx.platform_names(fcbench_core::Platform::Gpu);
+    let m = ctx.matrix();
+    let gpu = ctx.platform_names(Platform::Gpu);
     let mut transfer = 0.0;
     let mut total = 0.0;
     for (ci, name) in m.codecs.iter().enumerate() {
@@ -208,10 +223,7 @@ pub fn table6(ctx: &Context) -> String {
 
     // Observation 5 proper: at *device* rates the copies dominate. Compare
     // modelled transfer time with modelled kernel time for a 1 MB page.
-    let machine = MachineModel::rtx_6000();
-    let bytes = 1_000_000;
-    let kernel_s = 2.0 * bytes as f64 / (machine.dram_roof() * 1e9); // read+write at DRAM roof
-    let pcie_s = 2.0 * GpuConfig::default().transfer_seconds(bytes); // h2d + d2h
+    let (kernel_s, pcie_s) = device_page_seconds(1_000_000);
     out.push_str(&format!(
         "\nat modelled device rates (1 MB page): kernel {:.1} us vs transfers {:.1} us\n\
          -> copies are {:.0}% of GPU end-to-end time (paper Observation 5: 'the\n\
@@ -222,4 +234,44 @@ pub fn table6(ctx: &Context) -> String {
         100.0 * pcie_s / (pcie_s + kernel_s)
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codecs::paper_registry;
+    use fcbench_datasets::catalog;
+
+    #[test]
+    fn observation_3_bitcomp_leads_and_nvcomp_lz4_trails_at_device_rates() {
+        // The paper's GPU ordering is a model output: no timing involved.
+        let registry = paper_registry();
+        let specs = catalog();
+        let gbs: Vec<(&str, f64)> = registry
+            .by_platform(Platform::Gpu)
+            .map(|e| {
+                let g = modelled_device_gbs(&registry, &specs, e.name()).expect("GPU row");
+                (e.name(), g)
+            })
+            .collect();
+        assert_eq!(gbs.len(), 5);
+        let rate = |name| gbs.iter().find(|(n, _)| *n == name).expect("GPU row").1;
+        let (bitcomp, lz4) = (rate("nvcomp-bitcomp"), rate("nvcomp-lz4"));
+        for &(name, g) in &gbs {
+            assert!(bitcomp >= g, "nvcomp-bitcomp {bitcomp} < {name} {g}");
+            assert!(lz4 <= g, "nvcomp-lz4 {lz4} > {name} {g}");
+        }
+        assert!(lz4 < bitcomp);
+        assert!(modelled_device_gbs(&registry, &specs, "gorilla").is_none());
+    }
+
+    #[test]
+    fn observation_5_copies_dominate_gpu_time_for_a_1mb_page() {
+        let (kernel_s, pcie_s) = device_page_seconds(1_000_000);
+        assert!(kernel_s > 0.0);
+        assert!(
+            pcie_s / (pcie_s + kernel_s) > 0.5,
+            "copies {pcie_s} s vs kernel {kernel_s} s"
+        );
+    }
 }

@@ -5,9 +5,11 @@
 //! means), the codecs × datasets [run matrix](runner) with each GPU cell's
 //! modelled host↔device copies, [boxplot & group summaries](summary) for
 //! Figures 5–6, and the [thread-scaling sweeps](scaling) of Tables 7–8.
-//! The `fcbench` binary drives it; Criterion benches in `benches/` cover
-//! throughput, scaling, block sizes, and the design ablations called out
-//! in DESIGN.md.
+//! Every timed column follows one rule, [`metrics::time_reps`]: one
+//! untimed warm call, then the median and IQR of `--reps` timed calls.
+//! The `fcbench` binary drives it, the design ablations called out in
+//! DESIGN.md included (`fcbench ablations`); the plain-main benches in
+//! `benches/` gate the kernels against their references.
 
 pub mod alloc_track;
 pub mod codecs;
@@ -20,4 +22,4 @@ pub mod runner;
 pub mod scaling;
 pub mod summary;
 
-pub use context::{build_context, Context, DEFAULT_ELEMS};
+pub use context::{Context, DEFAULT_ELEMS};

@@ -5,15 +5,22 @@
 //! fcbench table4|table5|table6|table7|table9|table10|table11
 //! fcbench fig5|fig6|fig7|fig9|fig10|fig11
 //! fcbench dzip                the §4.5 neural-compression experiment
+//! fcbench ablations           the design-choice ablations
 //! fcbench --elems N <exp>     scaled dataset size (default 131072)
-//! fcbench --reps N <exp>      timing repetitions per cell (default 1)
+//! fcbench --reps N <exp>      timed calls per measurement (default 5)
 //! ```
+//!
+//! Every timed column follows one rule: one untimed warm call, then the
+//! median of `--reps` timed calls (with their IQR where a row is one cell).
 
 use fcbench_bench::alloc_track::{mark_installed, CountingAllocator};
-use fcbench_bench::{build_context, experiments, Context, DEFAULT_ELEMS};
+use fcbench_bench::{experiments, Context, DEFAULT_ELEMS};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Default timed calls per measurement.
+const DEFAULT_REPS: usize = 5;
 
 struct Opts {
     elems: usize,
@@ -23,7 +30,7 @@ struct Opts {
 
 fn parse_args() -> Opts {
     let mut elems = DEFAULT_ELEMS;
-    let mut reps = 1usize;
+    let mut reps = DEFAULT_REPS;
     let mut experiments = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -67,78 +74,65 @@ fn print_usage() {
         "usage: fcbench [--elems N] [--reps N] <experiment>...\n\
          experiments: all, table4, fig5, fig6, fig7, table5, fig9, table6,\n\
          table7 (incl. table8), table9, table10, table11, fig10, fig11, dzip,\n\
-         recommend (the S7.3 selection map)"
+         ablations (the design-choice ablations), recommend (the S7.3\n\
+         selection map)\n\
+         --elems N  elements per scaled dataset (default {DEFAULT_ELEMS})\n\
+         --reps N   timed calls per measurement (default {DEFAULT_REPS})\n\
+         timing: every timed column is one untimed warm call, then the\n\
+         median (and IQR) of the N timed calls"
     );
 }
-
-/// Experiments that share the full measurement matrix.
-const MATRIX_EXPERIMENTS: [&str; 8] = [
-    "table4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "table5",
-    "fig9",
-    "table6",
-    "recommend",
-];
 
 fn main() {
     mark_installed();
     let opts = parse_args();
 
     let wanted: Vec<String> = if opts.experiments.iter().any(|e| e == "all") {
-        let mut v: Vec<String> = MATRIX_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-        // "recommend" is already in MATRIX_EXPERIMENTS; adding it here would
-        // run the S7.3 map twice.
-        v.extend(
-            [
-                "table7", "table9", "table10", "table11", "fig10", "fig11", "dzip",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
-        );
-        v
+        [
+            "table4",
+            "fig5",
+            "fig6",
+            "fig7",
+            "table5",
+            "fig9",
+            "table6",
+            "recommend",
+            "table7",
+            "table9",
+            "table10",
+            "table11",
+            "fig10",
+            "fig11",
+            "dzip",
+            "ablations",
+        ]
+        .map(String::from)
+        .to_vec()
     } else {
         opts.experiments.clone()
     };
 
-    let needs_matrix = wanted
-        .iter()
-        .any(|e| MATRIX_EXPERIMENTS.contains(&e.as_str()));
-    let needs_datasets = wanted.iter().any(|e| e == "table9" || e == "table10");
-
-    let mut ctx: Option<Context> = None;
-    if needs_matrix || needs_datasets {
-        eprintln!(
-            "fcbench: generating 33 datasets at ~{} elements and running the 14x33 matrix...",
-            opts.elems
-        );
-        ctx = Some(build_context(opts.elems, opts.reps));
-    }
-
+    // Datasets and the matrix are built on the first experiment that needs
+    // them, and shared by the rest.
+    let ctx = Context::new(opts.elems, opts.reps);
     for exp in &wanted {
         let block = match exp.as_str() {
-            "table4" => experiments::table4(ctx.as_ref().expect("matrix built")),
-            "fig5" => experiments::fig5(ctx.as_ref().expect("matrix built")),
-            "fig6" => experiments::fig6(ctx.as_ref().expect("matrix built")),
-            "fig7" => experiments::fig7(ctx.as_ref().expect("matrix built")),
-            "table5" => experiments::table5(ctx.as_ref().expect("matrix built")),
-            "fig9" => experiments::fig9(ctx.as_ref().expect("matrix built")),
-            "table6" => experiments::table6(ctx.as_ref().expect("matrix built")),
-            "table7" | "table8" => experiments::tables7_8(opts.elems, opts.reps.max(2)),
-            "table9" => {
-                let c = ctx.as_ref().expect("datasets built");
-                experiments::table9(&c.specs, &c.datasets)
-            }
-            "table10" => experiments::table10(ctx.as_ref().expect("datasets built")),
+            "table4" => experiments::table4(&ctx),
+            "fig5" => experiments::fig5(&ctx),
+            "fig6" => experiments::fig6(&ctx),
+            "fig7" => experiments::fig7(&ctx),
+            "table5" => experiments::table5(&ctx),
+            "fig9" => experiments::fig9(&ctx),
+            "table6" => experiments::table6(&ctx),
+            "table7" | "table8" => experiments::tables7_8(&ctx),
+            "table9" => experiments::table9(&ctx.specs, ctx.datasets()),
+            "table10" => experiments::table10(&ctx),
             "table11" => experiments::table11(opts.elems, 64 * 1024 / 8),
             "fig10" => experiments::fig10(opts.elems),
-            "fig11" => experiments::fig11(opts.elems),
-            "dzip" => experiments::dzip_experiment(16384),
-            "recommend" => {
-                fcbench_bench::recommend::recommendation_map(ctx.as_ref().expect("matrix built"))
-            }
+            "fig11" => experiments::fig11(&ctx),
+            "dzip" => experiments::dzip_experiment(&ctx),
+            "ablations" => experiments::ablations(&ctx),
+            "recommend" => fcbench_bench::recommend::recommendation_map(&ctx),
             other => {
                 eprintln!("fcbench: unknown experiment {other:?}");
                 print_usage();

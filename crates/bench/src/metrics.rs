@@ -7,7 +7,56 @@
 //! ```
 //!
 //! plus the aggregation rules the paper uses: harmonic mean for compression
-//! ratios, arithmetic mean for throughputs.
+//! ratios, arithmetic mean for throughputs, and the harness's one timing
+//! rule, [`time_reps`].
+
+use std::time::Instant;
+
+/// Wall-clock seconds of one repeated call, as [`time_reps`] measures them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Timing {
+    /// Median seconds per timed call.
+    pub median: f64,
+    /// Interquartile range of the timed calls' seconds.
+    pub iqr: f64,
+}
+
+impl Timing {
+    /// The IQR as a percentage of the median: the spread a table prints
+    /// beside a median so noise can be told from shape.
+    pub(crate) fn iqr_pct(&self) -> f64 {
+        100.0 * self.iqr / self.median.max(f64::MIN_POSITIVE)
+    }
+}
+
+/// The one timing rule behind every timed `fcbench` column: one untimed
+/// warm call (buffers grow, threads spawn, caches fill), then `reps` timed
+/// calls (at least one), reported as their median and IQR. The first error
+/// stops the timing and is returned.
+pub fn time_reps<T, E>(reps: usize, mut call: impl FnMut() -> Result<T, E>) -> Result<Timing, E> {
+    std::hint::black_box(call()?);
+    let mut secs = Vec::with_capacity(reps.max(1));
+    for _ in 0..reps.max(1) {
+        let t0 = Instant::now();
+        std::hint::black_box(call()?);
+        secs.push(t0.elapsed().as_secs_f64());
+    }
+    // `secs` holds at least one sample, so every quantile exists.
+    let q = |p| quantile(&secs, p).unwrap_or(0.0);
+    Ok(Timing {
+        median: q(0.5),
+        iqr: q(0.75) - q(0.25),
+    })
+}
+
+/// The heading line of every table with timed columns: the rule above,
+/// with the rep count the run used.
+pub(crate) fn timing_rule(reps: usize) -> String {
+    format!(
+        "(timing: one untimed warm call, then the median of {} timed calls)\n",
+        reps.max(1)
+    )
+}
 
 /// One measured compression + decompression run of a codec on a dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -16,10 +65,10 @@ pub struct Measurement {
     pub orig_bytes: u64,
     /// Compressed size in bytes (including nothing but the codec payload).
     pub comp_bytes: u64,
-    /// Wall-clock compression time in seconds (kernel only, I/O excluded).
-    pub comp_seconds: f64,
-    /// Wall-clock decompression time in seconds.
-    pub decomp_seconds: f64,
+    /// Wall-clock compression time (kernel only, I/O excluded).
+    pub comp: Timing,
+    /// Wall-clock decompression time.
+    pub decomp: Timing,
     /// Modelled host→device + device→host transfer seconds during compression
     /// (zero for CPU codecs). Included in end-to-end wall time (Table 6).
     pub comp_transfer_seconds: f64,
@@ -38,26 +87,26 @@ impl Measurement {
     /// Compression throughput in GB/s (decimal GB, as in the paper).
     #[inline]
     pub fn compression_throughput_gbs(&self) -> f64 {
-        self.orig_bytes as f64 / self.comp_seconds.max(f64::MIN_POSITIVE) / 1e9
+        self.orig_bytes as f64 / self.comp.median.max(f64::MIN_POSITIVE) / 1e9
     }
 
     /// Decompression throughput in GB/s.
     #[inline]
     pub fn decompression_throughput_gbs(&self) -> f64 {
-        self.orig_bytes as f64 / self.decomp_seconds.max(f64::MIN_POSITIVE) / 1e9
+        self.orig_bytes as f64 / self.decomp.median.max(f64::MIN_POSITIVE) / 1e9
     }
 
     /// End-to-end compression wall time in seconds, including modelled
     /// host↔device transfers (Table 6).
     #[inline]
     pub fn e2e_comp_seconds(&self) -> f64 {
-        self.comp_seconds + self.comp_transfer_seconds
+        self.comp.median + self.comp_transfer_seconds
     }
 
     /// End-to-end decompression wall time in seconds.
     #[inline]
     pub fn e2e_decomp_seconds(&self) -> f64 {
-        self.decomp_seconds + self.decomp_transfer_seconds
+        self.decomp.median + self.decomp_transfer_seconds
     }
 
     /// The paper's Figure 9 ratio `rD = (CT - DT) / CT`; positive means
@@ -70,24 +119,6 @@ impl Measurement {
         } else {
             (ct - dt) / ct
         }
-    }
-
-    /// Merge repeated measurements of the same configuration by averaging
-    /// times and keeping sizes (the paper repeats each run 10×, §5.2).
-    pub fn average_of(runs: &[Measurement]) -> Option<Measurement> {
-        if runs.is_empty() {
-            return None;
-        }
-        let n = runs.len() as f64;
-        Some(Measurement {
-            orig_bytes: runs[0].orig_bytes,
-            comp_bytes: runs[0].comp_bytes,
-            comp_seconds: runs.iter().map(|m| m.comp_seconds).sum::<f64>() / n,
-            decomp_seconds: runs.iter().map(|m| m.decomp_seconds).sum::<f64>() / n,
-            comp_transfer_seconds: runs.iter().map(|m| m.comp_transfer_seconds).sum::<f64>() / n,
-            decomp_transfer_seconds: runs.iter().map(|m| m.decomp_transfer_seconds).sum::<f64>()
-                / n,
-        })
     }
 }
 
@@ -142,12 +173,16 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
 mod tests {
     use super::*;
 
+    fn secs(median: f64) -> Timing {
+        Timing { median, iqr: 0.0 }
+    }
+
     fn meas() -> Measurement {
         Measurement {
             orig_bytes: 1_000_000_000,
             comp_bytes: 500_000_000,
-            comp_seconds: 2.0,
-            decomp_seconds: 1.0,
+            comp: secs(2.0),
+            decomp: secs(1.0),
             comp_transfer_seconds: 0.5,
             decomp_transfer_seconds: 0.25,
         }
@@ -171,7 +206,7 @@ mod tests {
         let m = meas();
         assert!(m.r_d() < 0.0);
         let balanced = Measurement {
-            decomp_seconds: 2.0,
+            decomp: secs(2.0),
             ..meas()
         };
         assert!(balanced.r_d().abs() < 1e-12);
@@ -187,17 +222,36 @@ mod tests {
     }
 
     #[test]
-    fn average_of_runs() {
-        let a = meas();
-        let b = Measurement {
-            comp_seconds: 4.0,
-            decomp_seconds: 3.0,
-            ..meas()
-        };
-        let avg = Measurement::average_of(&[a, b]).unwrap();
-        assert!((avg.comp_seconds - 3.0).abs() < 1e-12);
-        assert!((avg.decomp_seconds - 2.0).abs() < 1e-12);
-        assert!(Measurement::average_of(&[]).is_none());
+    fn time_reps_warms_once_then_times_each_rep() {
+        let mut calls = 0;
+        let t = time_reps(4, || {
+            calls += 1;
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert_eq!(calls, 5, "one warm call plus four timed calls");
+        assert!(t.median >= 0.0 && t.iqr >= 0.0 && t.iqr_pct().is_finite());
+
+        // Zero reps still times one call; a single sample has no spread.
+        calls = 0;
+        let t = time_reps(0, || {
+            calls += 1;
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert_eq!((calls, t.iqr), (2, 0.0));
+
+        // The first error, warm or timed, stops the timing and is returned.
+        calls = 0;
+        let err = time_reps(4, || {
+            calls += 1;
+            if calls == 3 {
+                Err("third call")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!((err, calls), (Err("third call"), 3));
     }
 
     #[test]

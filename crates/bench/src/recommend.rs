@@ -9,7 +9,7 @@
 //! mean of ratio rank and speed rank).
 
 use crate::context::Context;
-use crate::metrics::harmonic_mean;
+use crate::metrics::{harmonic_mean, timing_rule};
 use crate::runner::CellOutcome;
 use fcbench_core::Domain;
 use fcbench_stats::rank_row;
@@ -37,7 +37,7 @@ pub struct Recommendation {
 
 /// Per-codec aggregates over one domain (or all domains).
 fn aggregates(ctx: &Context, domain: Option<Domain>) -> Vec<Recommendation> {
-    let m = &ctx.matrix;
+    let m = ctx.matrix();
     m.codecs
         .iter()
         .enumerate()
@@ -113,7 +113,9 @@ pub fn recommend(
 
 /// The full §7.3 map as printable text.
 pub fn recommendation_map(ctx: &Context) -> String {
-    let mut out = String::from("Recommendation map (S7.3), derived from the measured matrix:\n\n");
+    let mut out = String::from("Recommendation map (S7.3), derived from the measured matrix\n");
+    out.push_str(&timing_rule(ctx.reps));
+    out.push('\n');
     out.push_str("for users focused on storage reduction:\n");
     for domain in Domain::ALL {
         if let Some(r) = recommend(ctx, Some(domain), Priority::Storage) {
@@ -153,7 +155,7 @@ pub fn recommendation_map(ctx: &Context) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Measurement;
+    use crate::metrics::{Measurement, Timing};
     use crate::runner::{CellOutcome, RunMatrix};
     use fcbench_datasets::catalog;
 
@@ -165,8 +167,14 @@ mod tests {
             CellOutcome::Ok(Measurement {
                 orig_bytes: 1_000_000,
                 comp_bytes: (1_000_000.0 / ratio) as u64,
-                comp_seconds: secs,
-                decomp_seconds: secs,
+                comp: Timing {
+                    median: secs,
+                    iqr: 0.0,
+                },
+                decomp: Timing {
+                    median: secs,
+                    iqr: 0.0,
+                },
                 comp_transfer_seconds: 0.0,
                 decomp_transfer_seconds: 0.0,
             })
@@ -175,18 +183,15 @@ mod tests {
             (0..4).map(|_| mk(1.1, 0.001)).collect(),
             (0..4).map(|_| mk(2.0, 0.5)).collect(),
         ];
+        let matrix = RunMatrix {
+            codecs,
+            datasets: specs.iter().map(|s| s.name.to_string()).collect(),
+            cells,
+        };
         Context {
-            registry: fcbench_core::CodecRegistry::new(),
-            datasets: Vec::new(),
-            matrix: RunMatrix {
-                codecs,
-                datasets: specs.iter().map(|s| s.name.to_string()).collect(),
-                cells,
-            },
             specs,
-            pool: std::sync::Arc::new(fcbench_core::WorkerPool::new(
-                fcbench_core::PoolConfig::with_threads(1),
-            )),
+            matrix: matrix.into(),
+            ..Context::new(0, 1)
         }
     }
 

@@ -12,13 +12,12 @@
 //! the payload out, decompression the reverse, each at the paper device's
 //! link rate ([`GpuConfig::transfer_seconds`]).
 
-use crate::metrics::Measurement;
+use crate::metrics::{time_reps, Measurement};
 use fcbench_core::pool::WorkerPool;
 use fcbench_core::{CodecInfo, Compressor, DataDesc, Error, FloatData, Platform};
 use fcbench_datasets::NamedData;
 use fcbench_gpu_sim::GpuConfig;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Outcome of one (codec, dataset) cell.
 #[derive(Debug, Clone)]
@@ -129,25 +128,6 @@ impl RunMatrix {
     }
 }
 
-/// Configuration for a campaign run.
-#[derive(Debug, Clone, Copy)]
-pub struct RunConfig {
-    /// Timed repetitions per cell; times are averaged (paper uses 10).
-    pub repetitions: usize,
-    /// Verify losslessness on every repetition (always on for tests; the
-    /// harness keeps it on — the check is cheap relative to compression).
-    pub verify: bool,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            repetitions: 1,
-            verify: true,
-        }
-    }
-}
-
 /// A codec whose every call is one submitted-and-collected job on the
 /// persistent [`WorkerPool`] engine.
 struct Pooled<'a>(&'a WorkerPool, &'a Arc<dyn Compressor>);
@@ -173,15 +153,18 @@ impl Compressor for Pooled<'_> {
 
 /// Run one codec over one dataset, timing compression and decompression.
 ///
-/// The timed loop drives the buffer-reusing
+/// Each direction is timed by the harness's one rule, [`time_reps`]: one
+/// untimed warm call, then the median and IQR of `reps` timed calls. The
+/// timed calls are the buffer-reusing
 /// [`compress_into`](Compressor::compress_into) /
 /// [`decompress_into`](Compressor::decompress_into) forms with scratch
-/// buffers held across repetitions, so after the first repetition the
-/// measurement captures codec work, not the allocator. A block-parallel
+/// buffers held across calls, so the measurement captures codec work, not
+/// the allocator. Every cell is checked lossless: the last decoded output
+/// must equal the input byte for byte. A block-parallel
 /// [`Pipeline`](fcbench_core::Pipeline) is a codec like any other here:
 /// its payload is the whole `FCB3` frame, and a GPU pipeline's copies are
 /// priced on the whole frame too.
-pub fn run_cell(codec: &dyn Compressor, data: &FloatData, cfg: RunConfig) -> CellOutcome {
+pub fn run_cell(codec: &dyn Compressor, data: &FloatData, reps: usize) -> CellOutcome {
     let info = codec.info();
     if !info.precisions.accepts(data.desc().precision) {
         return CellOutcome::Failed(format!(
@@ -203,43 +186,40 @@ pub fn run_cell(codec: &dyn Compressor, data: &FloatData, cfg: RunConfig) -> Cel
     let orig_bytes = data.bytes().len();
 
     let mut payload = Vec::new();
+    let mut comp_bytes = 0;
     let mut back = FloatData::scratch();
-    let mut runs = Vec::with_capacity(cfg.repetitions.max(1));
-    for _ in 0..cfg.repetitions.max(1) {
-        let t0 = Instant::now();
-        let comp_bytes = match codec.compress_into(data, &mut payload) {
-            Ok(n) => n,
-            Err(e) => return CellOutcome::Failed(e.to_string()),
-        };
-        let comp_seconds = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        if let Err(e) = codec.decompress_into(&payload[..comp_bytes], data.desc(), &mut back) {
-            return CellOutcome::Failed(e.to_string());
-        }
-        let decomp_seconds = t1.elapsed().as_secs_f64();
-
-        if cfg.verify && back.bytes() != data.bytes() {
-            return CellOutcome::Failed(
-                Error::LosslessViolation {
-                    codec: info.name.to_string(),
-                }
-                .to_string(),
-            );
-        }
-        runs.push(Measurement {
-            orig_bytes: orig_bytes as u64,
-            comp_bytes: comp_bytes as u64,
-            comp_seconds,
-            decomp_seconds,
-            comp_transfer_seconds: copies(orig_bytes, comp_bytes),
-            decomp_transfer_seconds: copies(comp_bytes, orig_bytes),
-        });
+    let timed = time_reps(reps, || {
+        codec
+            .compress_into(data, &mut payload)
+            .map(|n| comp_bytes = n)
+    })
+    .and_then(|comp| {
+        let payload = &payload[..comp_bytes];
+        let decomp = time_reps(reps, || {
+            codec.decompress_into(payload, data.desc(), &mut back)
+        })?;
+        Ok((comp, decomp))
+    });
+    let (comp, decomp) = match timed {
+        Ok(t) => t,
+        Err(e) => return CellOutcome::Failed(e.to_string()),
+    };
+    if back.bytes() != data.bytes() {
+        return CellOutcome::Failed(
+            Error::LosslessViolation {
+                codec: info.name.to_string(),
+            }
+            .to_string(),
+        );
     }
-    match Measurement::average_of(&runs) {
-        Some(avg) => CellOutcome::Ok(avg),
-        None => CellOutcome::Failed("no repetitions ran".into()),
-    }
+    CellOutcome::Ok(Measurement {
+        orig_bytes: orig_bytes as u64,
+        comp_bytes: comp_bytes as u64,
+        comp,
+        decomp,
+        comp_transfer_seconds: copies(orig_bytes, comp_bytes),
+        decomp_transfer_seconds: copies(comp_bytes, orig_bytes),
+    })
 }
 
 /// [`run_cell`] routed through the persistent [`WorkerPool`] engine: each
@@ -256,18 +236,18 @@ pub fn run_cell_pooled(
     pool: &WorkerPool,
     codec: &Arc<dyn Compressor>,
     data: &FloatData,
-    cfg: RunConfig,
+    reps: usize,
 ) -> CellOutcome {
-    run_cell(&Pooled(pool, codec), data, cfg)
+    run_cell(&Pooled(pool, codec), data, reps)
 }
 
 /// Run the full codec × dataset matrix.
-pub fn run_matrix(codecs: &[&dyn Compressor], datasets: &[NamedData], cfg: RunConfig) -> RunMatrix {
+pub fn run_matrix(codecs: &[&dyn Compressor], datasets: &[NamedData], reps: usize) -> RunMatrix {
     let mut cells = Vec::with_capacity(codecs.len());
     for codec in codecs {
         let mut row = Vec::with_capacity(datasets.len());
         for ds in datasets {
-            row.push(run_cell(*codec, &ds.data, cfg));
+            row.push(run_cell(*codec, &ds.data, reps));
         }
         cells.push(row);
     }
@@ -368,7 +348,7 @@ mod tests {
     fn matrix_shape_and_lookup() {
         let a = StoreCodec("a", PrecisionSupport::Both);
         let b = StoreCodec("b", PrecisionSupport::DoubleOnly);
-        let m = run_matrix(&[&a, &b], &datasets(), RunConfig::default());
+        let m = run_matrix(&[&a, &b], &datasets(), 1);
         assert_eq!(m.codecs, vec!["a", "b"]);
         assert_eq!(m.datasets, vec!["single", "double"]);
         assert!(m.cell("a", "single").unwrap().ratio().is_some());
@@ -385,7 +365,7 @@ mod tests {
     fn failure_rate_counts_only_requested_codecs() {
         let a = StoreCodec("a", PrecisionSupport::Both);
         let b = StoreCodec("b", PrecisionSupport::DoubleOnly);
-        let m = run_matrix(&[&a, &b], &datasets(), RunConfig::default());
+        let m = run_matrix(&[&a, &b], &datasets(), 1);
         assert_eq!(m.failure_rate(&["a"]), 0.0);
         assert!((m.failure_rate(&["b"]) - 0.5).abs() < 1e-12);
         assert!((m.failure_rate(&["a", "b"]) - 0.25).abs() < 1e-12);
@@ -395,7 +375,7 @@ mod tests {
     fn complete_rows_drop_failed_datasets() {
         let a = StoreCodec("a", PrecisionSupport::Both);
         let b = StoreCodec("b", PrecisionSupport::DoubleOnly);
-        let m = run_matrix(&[&a, &b], &datasets(), RunConfig::default());
+        let m = run_matrix(&[&a, &b], &datasets(), 1);
         let (kept, rows) = m.complete_ratio_rows(&["a", "b"]);
         assert_eq!(kept, vec!["double"]);
         assert_eq!(rows.len(), 2);
@@ -413,16 +393,13 @@ mod tests {
             Domain::TimeSeries,
         )
         .unwrap();
-        let cfg = RunConfig {
-            repetitions: 2,
-            verify: true,
-        };
+        let reps = 2;
 
-        let inline = run_cell(&StoreCodec("a", PrecisionSupport::Both), &data, cfg);
+        let inline = run_cell(&StoreCodec("a", PrecisionSupport::Both), &data, reps);
 
         let pool = WorkerPool::new(PoolConfig::with_threads(2));
         let codec: Arc<dyn Compressor> = Arc::new(StoreCodec("a", PrecisionSupport::Both));
-        let pooled = run_cell_pooled(&pool, &codec, &data, cfg);
+        let pooled = run_cell_pooled(&pool, &codec, &data, reps);
 
         // Same payload bytes: the pooled job is not block-decomposed.
         assert_eq!(
@@ -437,7 +414,7 @@ mod tests {
             .unwrap()
             .block_elems(64)
             .threads(2);
-        let piped = run_cell(&p, &data, cfg);
+        let piped = run_cell(&p, &data, reps);
         assert!(piped.measurement().unwrap().comp_bytes > inline.measurement().unwrap().comp_bytes);
         assert!(piped.ratio().is_some());
     }
@@ -448,21 +425,14 @@ mod tests {
         let pool = WorkerPool::new(PoolConfig::with_threads(1));
         let codec: Arc<dyn Compressor> = Arc::new(StoreCodec("d", PrecisionSupport::DoubleOnly));
         let single = FloatData::from_f32(&[1.0, 2.0], vec![2], Domain::Hpc).unwrap();
-        let out = run_cell_pooled(&pool, &codec, &single, RunConfig::default());
+        let out = run_cell_pooled(&pool, &codec, &single, 1);
         assert!(matches!(out, CellOutcome::Failed(_)));
     }
 
     #[test]
     fn store_codec_ratio_is_one() {
         let a = StoreCodec("a", PrecisionSupport::Both);
-        let m = run_matrix(
-            &[&a],
-            &datasets(),
-            RunConfig {
-                repetitions: 3,
-                verify: true,
-            },
-        );
+        let m = run_matrix(&[&a], &datasets(), 3);
         let r = m.cell("a", "single").unwrap().ratio().unwrap();
         assert!((r - 1.0).abs() < 1e-12);
         assert_eq!(m.all_ratios().len(), 2);
@@ -473,7 +443,7 @@ mod tests {
     #[test]
     fn verified_compression_catches_lossy_codec() {
         let data = FloatData::from_f32(&[1.0, 2.0, 3.0], vec![3], Domain::Hpc).unwrap();
-        let out = run_cell(&LossyCodec, &data, RunConfig::default());
+        let out = run_cell(&LossyCodec, &data, 1);
         assert!(
             matches!(&out, CellOutcome::Failed(msg) if msg.contains("losslessness")),
             "{out:?}"
@@ -493,7 +463,7 @@ mod tests {
             let pipeline = fcbench_core::Pipeline::with_codec(Arc::clone(entry.codec()));
             let framed = pipeline.block_elems(1024);
             for codec in [entry.codec() as &dyn Compressor, &framed] {
-                let cell = run_cell(codec, &data, RunConfig::default());
+                let cell = run_cell(codec, &data, 1);
                 let m = cell.measurement().expect("GPU rows round-trip the ramp");
                 let (orig, comp) = (m.orig_bytes as usize, m.comp_bytes as usize);
                 assert_eq!(
@@ -510,11 +480,7 @@ mod tests {
                 );
             }
         }
-        let cpu = run_cell(
-            &StoreCodec("a", PrecisionSupport::Both),
-            &data,
-            RunConfig::default(),
-        );
+        let cpu = run_cell(&StoreCodec("a", PrecisionSupport::Both), &data, 1);
         let m = cpu.measurement().unwrap();
         assert_eq!(
             (m.comp_transfer_seconds, m.decomp_transfer_seconds),

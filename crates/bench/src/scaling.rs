@@ -5,10 +5,10 @@
 //! parallel efficiency. This module drives any factory of thread-configured
 //! codecs through that sweep.
 
+use crate::metrics::{time_reps, Timing};
 use fcbench_core::pool::{PoolConfig, WorkerPool};
 use fcbench_core::{Compressor, FloatData, Pipeline, Result};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The thread counts reported in Tables 7–8.
 pub const PAPER_THREAD_COUNTS: [usize; 8] = [1, 2, 4, 8, 16, 24, 32, 48];
@@ -17,7 +17,9 @@ pub const PAPER_THREAD_COUNTS: [usize; 8] = [1, 2, 4, 8, 16, 24, 32, 48];
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingPoint {
     pub threads: usize,
-    /// Throughput in MB/s (decimal), matching the tables' units.
+    /// Wall time of one call ([`time_reps`]).
+    pub time: Timing,
+    /// Median throughput in MB/s (decimal), matching the tables' units.
     pub mb_per_s: f64,
     /// Speedup over the single-thread point.
     pub speedup: f64,
@@ -50,8 +52,9 @@ pub enum Direction {
 }
 
 /// Sweep `factory(threads)` over `thread_counts`, timing the requested
-/// direction on `data` with `reps` repetitions (fastest rep is kept, which
-/// is standard practice for throughput curves).
+/// direction on `data` by the harness's one rule ([`time_reps`] with
+/// `reps` timed calls). The warm call spawns and warms codec-internal or
+/// engine threads, their buffers and thread-locals before timing.
 pub fn scaling_sweep<F>(
     factory: F,
     data: &FloatData,
@@ -64,7 +67,7 @@ where
 {
     assert!(!thread_counts.is_empty());
     let mut name = String::new();
-    let mut raw: Vec<(usize, f64)> = Vec::with_capacity(thread_counts.len());
+    let mut raw: Vec<(usize, Timing)> = Vec::with_capacity(thread_counts.len());
 
     // Reused across every thread count and repetition: the sweep measures
     // codec scalability, not allocator throughput.
@@ -73,45 +76,31 @@ where
     for &t in thread_counts {
         let codec = factory(t);
         name = codec.info().name.to_string();
-        // One untimed pass of the timed direction (compression also yields
-        // the payload to decode): codec-internal or engine threads, their
-        // buffers and thread-locals are spawned and warm before timing.
-        codec.compress_into(data, &mut payload)?;
-        if direction == Direction::Decompress {
-            codec.decompress_into(&payload, data.desc(), &mut scratch)?;
-        }
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let secs = match direction {
-                Direction::Compress => {
-                    let t0 = Instant::now();
-                    let n = codec.compress_into(data, &mut payload)?;
-                    let s = t0.elapsed().as_secs_f64();
-                    std::hint::black_box(n);
-                    s
-                }
-                Direction::Decompress => {
-                    let t0 = Instant::now();
-                    codec.decompress_into(&payload, data.desc(), &mut scratch)?;
-                    let s = t0.elapsed().as_secs_f64();
-                    std::hint::black_box(scratch.bytes().len());
-                    s
-                }
-            };
-            best = best.min(secs);
-        }
-        let mbps = data.bytes().len() as f64 / best.max(f64::MIN_POSITIVE) / 1e6;
-        raw.push((t, mbps));
+        let time = match direction {
+            Direction::Compress => time_reps(reps, || codec.compress_into(data, &mut payload))?,
+            Direction::Decompress => {
+                let n = codec.compress_into(data, &mut payload)?;
+                time_reps(reps, || {
+                    codec.decompress_into(&payload[..n], data.desc(), &mut scratch)
+                })?
+            }
+        };
+        raw.push((t, time));
     }
 
-    let base = raw[0].1.max(f64::MIN_POSITIVE);
+    let rate = |time: Timing| data.bytes().len() as f64 / time.median.max(f64::MIN_POSITIVE) / 1e6;
+    let base = rate(raw[0].1).max(f64::MIN_POSITIVE);
     let points = raw
         .into_iter()
-        .map(|(threads, mb_per_s)| ScalingPoint {
-            threads,
-            mb_per_s,
-            speedup: mb_per_s / base,
-            efficiency: mb_per_s / base / threads as f64,
+        .map(|(threads, time)| {
+            let mb_per_s = rate(time);
+            ScalingPoint {
+                threads,
+                time,
+                mb_per_s,
+                speedup: mb_per_s / base,
+                efficiency: mb_per_s / base / threads as f64,
+            }
         })
         .collect();
     Ok(ScalingCurve {

@@ -44,6 +44,8 @@ fn main() {
     println!("test bitshuffle_round_trips_do_not_allocate_per_block ... ok");
     huffman_symbol_claims_are_bounded_by_the_stream();
     println!("test huffman_symbol_claims_are_bounded_by_the_stream ... ok");
+    compress_into_allocates_less_than_compress_on_every_paper_row();
+    println!("test compress_into_allocates_less_than_compress_on_every_paper_row ... ok");
 }
 
 /// A Huffman stream's symbol count is a wire `u32`, and it sizes the decode
@@ -549,44 +551,58 @@ fn streaming_container_writer_memory_stays_bounded() {
 
 fn runner_reuses_buffers_across_repetitions() {
     alloc_track::mark_installed();
-    use fcbench_bench::runner::{run_cell, RunConfig};
+    use fcbench_bench::runner::run_cell;
     let registry = paper_registry();
     let data = telemetry(2048);
     let codec = registry.get("gorilla").expect("registered codec");
 
     // Warm the allocator-side caches once.
-    let cfg = RunConfig {
-        repetitions: 3,
-        verify: true,
-    };
-    let _ = run_cell(&codec, &data, cfg);
+    let _ = run_cell(&codec, &data, 3);
 
     // A multi-repetition cell allocates only its one-time buffers (payload,
-    // scratch, measurement vec), not per repetition: the delta between 2
+    // scratch, the timing samples), not per repetition: the delta between 2
     // and 20 repetitions stays far below 18x the per-call warm-up cost.
-    let (allocs_few, _) = alloc_track::count_allocations(|| {
-        run_cell(
-            &codec,
-            &data,
-            RunConfig {
-                repetitions: 2,
-                verify: true,
-            },
-        )
-    });
-    let (allocs_many, _) = alloc_track::count_allocations(|| {
-        run_cell(
-            &codec,
-            &data,
-            RunConfig {
-                repetitions: 20,
-                verify: true,
-            },
-        )
-    });
+    let (allocs_few, _) = alloc_track::count_allocations(|| run_cell(&codec, &data, 2));
+    let (allocs_many, _) = alloc_track::count_allocations(|| run_cell(&codec, &data, 20));
     assert!(
         allocs_many <= allocs_few + 4,
         "repetitions must reuse buffers: {allocs_few} allocs at 2 reps vs \
          {allocs_many} at 20"
     );
+}
+
+/// The buffer-reusing form pays off on every paper row: with warm buffers,
+/// `compress_into` makes strictly fewer allocator calls per call than the
+/// allocating `compress` on msg-bt (at least the output `Vec` it reuses).
+fn compress_into_allocates_less_than_compress_on_every_paper_row() {
+    alloc_track::mark_installed();
+    let spec = fcbench_datasets::find("msg-bt").expect("catalog dataset");
+    let data = fcbench_datasets::generate(&spec, 1 << 14);
+    const CALLS: usize = 5;
+    let registry = paper_registry();
+    assert_eq!(registry.len(), 14);
+    for entry in registry.iter() {
+        let codec = entry.codec();
+        let mut out = Vec::new();
+        // Warm both paths so buffers reach steady-state capacity.
+        codec.compress_into(&data, &mut out).expect("compress_into");
+        codec.compress(&data).expect("compress");
+        let (alloc_calls, _) = alloc_track::count_allocations(|| {
+            for _ in 0..CALLS {
+                std::hint::black_box(codec.compress(&data).expect("compress"));
+            }
+        });
+        let (into_calls, _) = alloc_track::count_allocations(|| {
+            for _ in 0..CALLS {
+                std::hint::black_box(codec.compress_into(&data, &mut out).expect("compress_into"));
+            }
+        });
+        assert!(
+            into_calls < alloc_calls,
+            "{}: compress_into makes {:.1} allocator calls per warm call, compress {:.1}",
+            entry.name(),
+            into_calls as f64 / CALLS as f64,
+            alloc_calls as f64 / CALLS as f64
+        );
+    }
 }
