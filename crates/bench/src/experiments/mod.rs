@@ -16,7 +16,7 @@ pub use blocks_exp::table10;
 pub use dimensions::table9;
 pub use dzip_exp::dzip_experiment;
 pub use memory::fig10;
-pub use query::table11;
+pub use query::{table11, time_container};
 pub use ratios::{fig5, fig6, fig7, table4};
 pub use roofline_exp::fig11;
 pub use scaling_exp::tables7_8;

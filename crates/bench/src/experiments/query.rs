@@ -1,14 +1,21 @@
 //! Table 11: read + decode + query time on the TPC datasets, through the
 //! simulated in-memory database (§6.2.2). Container pages are compressed
 //! and decoded on a shared persistent worker-pool engine, the way a
-//! database integration would drive the codecs.
+//! database integration would drive the codecs, and the three read-side
+//! primitives are timed under the harness's one rule ([`time_reps`]).
 
-use crate::codecs::paper_registry;
-use crate::context::{engine_threads, render_table};
-use fcbench_core::pool::{PoolConfig, WorkerPool};
-use fcbench_core::Precision;
-use fcbench_datasets::{catalog, generate};
-use fcbench_dbsim::{measure_three_primitives_pooled, ColumnData, RecoveryOutcome};
+use crate::context::{render_table, Context};
+use crate::metrics::{time_reps, timing_rule, Timing};
+use fcbench_core::pool::WorkerPool;
+use fcbench_core::{Compressor, Error, Result};
+use fcbench_dbsim::{
+    read_container, write_container_pooled, ColumnData, DataFrame, RecoveryOutcome,
+};
+use std::path::Path;
+use std::sync::Arc;
+
+/// Table 11's container page: 64 KiB of doubles.
+const TABLE11_PAGE_ELEMS: usize = 64 * 1024 / 8;
 
 /// Codec rows included in Table 11 (the paper omits BUFF and the nvCOMP
 /// binaries, which expose no block API in their harness; we keep the same
@@ -30,91 +37,163 @@ const TABLE11_CODECS: [&str; 11] = [
 
 /// Split a generated (rows × cols) dataset into dbsim columns.
 fn to_columns(data: &fcbench_core::FloatData) -> Vec<ColumnData> {
-    let dims = data.desc().dims.clone();
-    let (rows, cols) = if dims.len() == 2 {
-        (dims[0], dims[1])
+    let desc = data.desc();
+    let cols = if desc.dims.len() == 2 {
+        desc.dims[1]
     } else {
-        (dims[0], 1)
+        1
     };
-    match data.desc().precision {
-        Precision::Double => {
-            let vals = data.to_f64_vec().expect("precision checked");
-            (0..cols)
-                .map(|c| {
-                    let col: Vec<f64> = (0..rows).map(|r| vals[r * cols + c]).collect();
-                    ColumnData::from_f64(format!("c{c}"), &col)
-                })
-                .collect()
-        }
-        Precision::Single => {
-            let vals = data.to_f32_vec().expect("precision checked");
-            (0..cols)
-                .map(|c| {
-                    let col: Vec<f32> = (0..rows).map(|r| vals[r * cols + c]).collect();
-                    ColumnData::from_f32(format!("c{c}"), &col)
-                })
-                .collect()
-        }
-    }
+    let elems = data.bytes().chunks_exact(desc.precision.bytes());
+    (0..cols)
+        .map(|c| ColumnData {
+            name: format!("c{c}"),
+            precision: desc.precision,
+            bytes: elems
+                .clone()
+                .skip(c)
+                .step_by(cols)
+                .flatten()
+                .copied()
+                .collect(),
+        })
+        .collect()
 }
 
-/// Table 11 over the 7 TPC datasets at `target_elems`, with `chunk_elems`
-/// container pages.
-pub fn table11(target_elems: usize, chunk_elems: usize) -> String {
-    let registry = paper_registry();
-    let pool = WorkerPool::new(PoolConfig::with_threads(engine_threads()));
-    let tpc: Vec<_> = catalog()
-        .into_iter()
-        .filter(|s| s.domain == fcbench_core::Domain::Database)
-        .collect();
+/// The three read-side primitives of one container (§5.1.2), each timed
+/// with [`time_reps`].
+#[derive(Debug, Clone, Copy)]
+pub struct ContainerTimings {
+    /// Reading the container file into memory.
+    pub io: Timing,
+    /// Decoding every column on the engine.
+    pub decode: Timing,
+    /// Ten histogram-driven full table scans.
+    pub query: Timing,
+    /// Compressed chunk bytes on disk.
+    pub compressed_bytes: u64,
+    /// Scan checksum (total matched rows), for verification.
+    pub scan_checksum: usize,
+    /// How the read arrived at its table (`Clean` for a file just written).
+    pub recovery: RecoveryOutcome,
+}
 
+/// Write `columns` to `path` once, `codec` compressing each
+/// `chunk_elems`-element page on `pool`, then time file I/O, the pooled
+/// decode of every column and the scan query with `reps` calls each.
+/// Every decoded column must equal its input — the losslessness rule every
+/// matrix cell is held to — or the call fails.
+pub fn time_container(
+    path: &Path,
+    pool: &WorkerPool,
+    codec: &Arc<dyn Compressor>,
+    columns: &[ColumnData],
+    chunk_elems: usize,
+    reps: usize,
+) -> Result<ContainerTimings> {
+    write_container_pooled(path, pool, codec, columns, chunk_elems)?;
+    let read = read_container(path)?;
+    let io = time_reps(reps, || read_container(path))?;
+
+    let table = read.table;
+    let decode_all = || {
+        table
+            .columns
+            .iter()
+            .map(|col| col.decode_pooled(pool, codec))
+            .collect::<Result<Vec<_>>>()
+    };
+    let decoded = decode_all()?;
+    let lossless = decoded.len() == columns.len()
+        && decoded.iter().zip(columns).all(|(d, c)| d.bytes == c.bytes);
+    if !lossless {
+        return Err(Error::LosslessViolation {
+            codec: codec.info().name.to_string(),
+        });
+    }
+    let decode = time_reps(reps, decode_all)?;
+
+    let df = DataFrame::from_columns(decoded)?;
+    let scan_checksum = df.run_scan_benchmark();
+    let query = time_reps(reps, || Ok::<_, Error>(df.run_scan_benchmark()))?;
+
+    Ok(ContainerTimings {
+        io,
+        decode,
+        query,
+        compressed_bytes: table
+            .columns
+            .iter()
+            .map(|c| c.compressed_bytes() as u64)
+            .sum(),
+        scan_checksum,
+        recovery: read.outcome,
+    })
+}
+
+/// Table 11 over the 7 TPC datasets at the context's scale, with 64 KiB
+/// container pages, on the context's engine.
+pub fn table11(ctx: &Context) -> String {
     let mut headers = vec!["dataset".to_string()];
     headers.extend(TABLE11_CODECS.iter().map(|c| c.to_string()));
     headers.push("query".to_string());
 
     let tmp = std::env::temp_dir();
     let mut rows = Vec::new();
-    for spec in &tpc {
-        let data = generate(spec, target_elems);
-        let columns = to_columns(&data);
+    for (spec, ds) in ctx.specs.iter().zip(ctx.datasets()) {
+        if spec.domain != fcbench_core::Domain::Database {
+            continue;
+        }
+        let columns = to_columns(&ds.data);
         let mut row = vec![spec.name.to_string()];
-        let mut query_ms = f64::NAN;
+        let mut query = None;
         for name in TABLE11_CODECS {
-            let codec = registry.get(name).expect("registered codec");
+            let codec = ctx.registry.get(name).expect("registered codec");
             let path = tmp.join(format!(
                 "fcbench-t11-{}-{}-{}",
                 std::process::id(),
                 spec.name,
                 name
             ));
-            match measure_three_primitives_pooled(&path, &pool, &codec, &columns, chunk_elems) {
-                Ok(r) => {
+            let timed = time_container(
+                &path,
+                &ctx.pool,
+                &codec,
+                &columns,
+                TABLE11_PAGE_ELEMS,
+                ctx.reps,
+            );
+            match timed {
+                Ok(t) => {
                     // A container this experiment just wrote must read back
                     // clean; a recovery here would mean the write path tore.
-                    let flag = if r.recovery == RecoveryOutcome::Clean {
+                    let flag = if t.recovery == RecoveryOutcome::Clean {
                         ""
                     } else {
                         "!"
                     };
                     row.push(format!(
                         "{:.1}+{:.1}{flag}",
-                        r.io_seconds * 1e3,
-                        r.decode_seconds * 1e3
+                        t.io.median * 1e3,
+                        t.decode.median * 1e3
                     ));
-                    query_ms = r.query_seconds * 1e3;
+                    // Every codec decodes to the same checked dataframe, so
+                    // the first scan timing stands for the dataset.
+                    query.get_or_insert(t.query);
                 }
                 Err(_) => row.push("-".to_string()),
             }
             std::fs::remove_file(&path).ok();
         }
-        row.push(format!("{query_ms:.1}"));
+        row.push(query.map_or("-".to_string(), |q| format!("{:.1}", q.median * 1e3)));
         rows.push(row);
     }
 
     let mut out = format!(
         "Table 11: read (I/O + decode) and query time in ms from container files\n\
-         (pages compressed/decoded on a shared {}-worker engine)\n",
-        pool.threads()
+         (pages compressed/decoded on a shared {}-worker engine; every decoded\n\
+         column checked against its input)\n{}",
+        ctx.pool.threads(),
+        timing_rule(ctx.reps)
     );
     out.push_str(&render_table(&headers, &rows));
     out.push_str(
@@ -124,4 +203,35 @@ pub fn table11(target_elems: usize, chunk_elems: usize) -> String {
          the recommendation (bitshuffle+zstd on CPU, MPC on GPU).\n",
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runner::tests::{LossyCodec, StoreCodec};
+    use fcbench_core::pool::PoolConfig;
+    use fcbench_core::PrecisionSupport;
+
+    #[test]
+    fn primitives_are_measured_and_consistent() {
+        let path = std::env::temp_dir().join(format!("fcbench-t11-test-{}", std::process::id()));
+        let a: Vec<f64> = (0..10_000).map(|i| (i % 100) as f64).collect();
+        let cols = vec![ColumnData::from_f64("a", &a)];
+        let pool = WorkerPool::new(PoolConfig::with_threads(2));
+        let store: Arc<dyn Compressor> = Arc::new(StoreCodec("store", PrecisionSupport::Both));
+        let r = time_container(&path, &pool, &store, &cols, 1024, 3).unwrap();
+        assert!(r.io.median >= 0.0);
+        assert!(r.decode.median > 0.0);
+        assert!(r.query.median > 0.0);
+        assert_eq!(r.compressed_bytes, 10_000 * 8);
+        assert_eq!(r.recovery, RecoveryOutcome::Clean);
+        // Histogram over values 0..=99: 10 scans of increasing selectivity.
+        assert!(r.scan_checksum > 0);
+
+        // A column that decodes to other bytes fails the cell.
+        let lossy: Arc<dyn Compressor> = Arc::new(LossyCodec);
+        let r = time_container(&path, &pool, &lossy, &cols, 1024, 1);
+        assert!(matches!(r, Err(Error::LosslessViolation { .. })));
+        std::fs::remove_file(&path).ok();
+    }
 }

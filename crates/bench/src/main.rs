@@ -127,7 +127,7 @@ fn main() {
             "table7" | "table8" => experiments::tables7_8(&ctx),
             "table9" => experiments::table9(&ctx.specs, ctx.datasets()),
             "table10" => experiments::table10(&ctx),
-            "table11" => experiments::table11(opts.elems, 64 * 1024 / 8),
+            "table11" => experiments::table11(&ctx),
             "fig10" => experiments::fig10(opts.elems),
             "fig11" => experiments::fig11(&ctx),
             "dzip" => experiments::dzip_experiment(&ctx),

@@ -259,12 +259,12 @@ pub fn run_matrix(codecs: &[&dyn Compressor], datasets: &[NamedData], reps: usiz
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fcbench_core::{CodecClass, Community, Domain, PrecisionSupport, Result};
 
     /// Identity codec `name` accepting `precisions`.
-    struct StoreCodec(&'static str, PrecisionSupport);
+    pub(crate) struct StoreCodec(pub(crate) &'static str, pub(crate) PrecisionSupport);
 
     impl Compressor for StoreCodec {
         fn info(&self) -> CodecInfo {
@@ -294,7 +294,7 @@ mod tests {
     }
 
     /// A deliberately broken codec that flips the last byte on decode.
-    struct LossyCodec;
+    pub(crate) struct LossyCodec;
 
     impl Compressor for LossyCodec {
         fn info(&self) -> CodecInfo {

@@ -15,7 +15,7 @@ use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Domain, FloatData, Platform, Precision,
     PrecisionSupport, Result,
 };
-use fcbench_dbsim::{ChunkExec, ContainerWriter};
+use fcbench_dbsim::ContainerWriter;
 use fcbench_telemetry::{Registry, Snapshot};
 
 #[global_allocator]
@@ -463,14 +463,16 @@ fn predictor_family_reserves_once_and_pools_cleanly() {
     }
 }
 
-/// The FCDB2 streaming-writer guarantee: a warm inline container write
-/// costs a fixed number of allocations per **column** (writer setup,
-/// metadata vectors, the commit directory), never per **record** — chunk
-/// payloads reuse one scratch buffer and record framing streams straight
-/// to the sink. 4x the chunk records must not mean 4x the allocations.
+/// The FCDB2 streaming-writer guarantee: a warm container write on a warm
+/// engine costs a fixed number of allocations per **column** (writer
+/// setup, metadata vectors, the commit directory), never per **record** —
+/// pages compress in the pool's reused slots and record framing streams
+/// straight to the sink. 4x the chunk records must not mean 4x the
+/// allocations.
 fn streaming_container_writes_do_not_allocate_per_record() {
     alloc_track::mark_installed();
     let registry = paper_registry();
+    let pool = WorkerPool::new(PoolConfig::with_threads(2));
     const CHUNK: usize = 128;
 
     for name in ["gorilla", "chimp128"] {
@@ -480,8 +482,7 @@ fn streaming_container_writes_do_not_allocate_per_record() {
 
         // Warm-up: learn the sink capacity for the big container and size
         // any codec thread-locals (chimp's window scratch).
-        let mut w =
-            ContainerWriter::new(Vec::new(), ChunkExec::Inline(codec.as_ref())).expect("prologue");
+        let mut w = ContainerWriter::new(Vec::new(), &pool, &codec).expect("prologue");
         w.begin_column("t", Precision::Double, CHUNK).expect("col");
         w.write(many.bytes()).expect("write");
         let mut sink = w.finish().expect("finish");
@@ -490,8 +491,7 @@ fn streaming_container_writes_do_not_allocate_per_record() {
             sink.clear(); // keeps capacity: the sink itself stays warm
             let taken = std::mem::take(&mut sink);
             let (allocs, done) = alloc_track::count_allocations(|| {
-                let mut w = ContainerWriter::new(taken, ChunkExec::Inline(codec.as_ref()))
-                    .expect("prologue");
+                let mut w = ContainerWriter::new(taken, &pool, &codec).expect("prologue");
                 w.begin_column("t", Precision::Double, CHUNK).expect("col");
                 w.write(data.bytes()).expect("write");
                 w.finish().expect("finish")
@@ -524,12 +524,9 @@ fn streaming_container_writer_memory_stays_bounded() {
 
     let file = std::fs::File::create(&path).expect("create");
     let (peak, written) = alloc_track::measure_peak(|| {
-        let mut w = ContainerWriter::new(
-            std::io::BufWriter::new(file),
-            ChunkExec::Pooled(&pool, &codec),
-        )
-        .expect("prologue")
-        .max_in_flight(2);
+        let mut w = ContainerWriter::new(std::io::BufWriter::new(file), &pool, &codec)
+            .expect("prologue")
+            .max_in_flight(2);
         w.begin_column("t", Precision::Double, 4096).expect("col");
         // Feed the body in page-sized slices, as an ingest stream would.
         for piece in data.bytes().chunks(4096 * 8) {

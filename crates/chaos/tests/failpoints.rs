@@ -11,7 +11,7 @@ use fcbench_core::fault::Rng;
 use fcbench_core::pool::{PoolConfig, WorkerPool};
 use fcbench_core::stream::FrameWriter;
 use fcbench_core::{Compressor, Domain, Error, FloatData, Precision};
-use fcbench_dbsim::{parse_container, ChunkExec, ColumnData, ContainerWriter, RecoveryOutcome};
+use fcbench_dbsim::{parse_container, ColumnData, ContainerWriter, RecoveryOutcome};
 use fcbench_serve::{Client, ServeConfig, Server};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -109,12 +109,13 @@ fn frame_write_failpoint_is_typed_and_survivable() {
 #[test]
 fn container_commit_failpoint_recovers_to_uncommitted() {
     let _gate = armed_registry_gate();
-    let codec = Gorilla::new();
+    let pool = WorkerPool::new(PoolConfig::with_threads(2));
+    let codec: Arc<dyn Compressor> = Arc::new(Gorilla::new());
     let mut sink = Vec::new();
 
     failpoints::arm("container.commit", 0, u64::MAX);
     {
-        let mut w = ContainerWriter::new(&mut sink, ChunkExec::Inline(&codec)).expect("prologue");
+        let mut w = ContainerWriter::new(&mut sink, &pool, &codec).expect("prologue");
         let col = column("sensor", 200);
         w.begin_column(&col.name, Precision::Single, 64)
             .expect("column");
@@ -180,7 +181,8 @@ fn serve_reply_write_failpoint_is_typed_and_survivable() {
 #[test]
 fn seeded_commit_schedules_always_recover() {
     let _gate = armed_registry_gate();
-    let codec = Gorilla::new();
+    let pool = WorkerPool::new(PoolConfig::with_threads(2));
+    let codec: Arc<dyn Compressor> = Arc::new(Gorilla::new());
     for seed in 0..32u64 {
         let plan = FaultPlan::from_seed(seed);
         note_seed(&plan);
@@ -192,8 +194,7 @@ fn seeded_commit_schedules_always_recover() {
         let mut sink = Vec::new();
         let mut committed = 0u64;
         {
-            let mut w =
-                ContainerWriter::new(&mut sink, ChunkExec::Inline(&codec)).expect("prologue");
+            let mut w = ContainerWriter::new(&mut sink, &pool, &codec).expect("prologue");
             let result = (|| {
                 for i in 0..4 {
                     let col = column(&format!("c{i}"), 120 + 30 * i);

@@ -9,7 +9,8 @@
 //!
 //! `FCDB2` is a record *log*: chunks stream to the sink as they finish
 //! compressing, the directory trails the data it describes, and a
-//! checksummed commit footer marks the last durable point. Writing holds
+//! checksummed commit footer marks the last commit point (durable once the
+//! caller syncs the file; see [`ContainerWriter::commit`]). Writing holds
 //! at most the in-flight compression window in memory, and a torn write
 //! loses only the records after the last commit.
 //!
@@ -48,7 +49,7 @@
 use fcbench_core::pool::{Window, WorkerPool};
 use fcbench_core::stream::{check_record, crc32, put_record, take_record, RecordCheck};
 use fcbench_core::wire;
-use fcbench_core::{Compressor, DataDesc, Domain, Error, FloatData, Precision, Result};
+use fcbench_core::{Compressor, DataDesc, Domain, Error, Precision, Result};
 use fcbench_telemetry::{Counter, Histogram, InflightGauge};
 use std::io::{Read, Write};
 use std::ops::Range;
@@ -95,23 +96,6 @@ const WRITE_BUFFER_BYTES: usize = 1 << 20;
 /// `sink` behind the container's write buffer.
 fn buffered<W: Write>(sink: W) -> std::io::BufWriter<W> {
     std::io::BufWriter::with_capacity(WRITE_BUFFER_BYTES, sink)
-}
-
-/// How container chunks are compressed/decompressed: inline on the caller
-/// thread, or pipelined across the persistent [`WorkerPool`] engine.
-#[derive(Clone, Copy)]
-pub enum ChunkExec<'a> {
-    Inline(&'a dyn Compressor),
-    Pooled(&'a WorkerPool, &'a Arc<dyn Compressor>),
-}
-
-impl ChunkExec<'_> {
-    fn name(&self) -> &'static str {
-        match self {
-            ChunkExec::Inline(c) => c.info().name,
-            ChunkExec::Pooled(_, c) => c.info().name,
-        }
-    }
 }
 
 /// One column to be written.
@@ -242,30 +226,55 @@ fn encode_directory(columns: &[ColumnMeta]) -> Vec<u8> {
     dir
 }
 
+/// The record side of a [`ContainerWriter`]: the sink, how far it has got,
+/// and the directory the next commit writes.
+struct RecordLog<W> {
+    sink: W,
+    /// Bytes emitted to the sink so far (more may still be in flight).
+    written: u64,
+    /// Records emitted since the last commit (COLUMN and CHUNK alike).
+    uncommitted: u64,
+    /// Directory metadata of every column so far (commits are cumulative).
+    columns: Vec<ColumnMeta>,
+}
+
+impl<W: Write> RecordLog<W> {
+    /// Emit one chunk record and log its directory metadata.
+    fn put_chunk(&mut self, elems: u32, payload: &[u8]) -> Result<()> {
+        let rec = put_record(&mut self.sink, TAG_CHUNK, &[&elems.to_le_bytes(), payload])?;
+        let col = open_column_mut(&mut self.columns)?;
+        col.chunks.push(ChunkMeta {
+            offset: self.written,
+            payload_len: payload.len() as u64,
+            elems,
+        });
+        col.rows += elems as u64;
+        self.written += rec;
+        self.uncommitted += 1;
+        Ok(())
+    }
+}
+
 /// Streaming `FCDB2` encoder: columns are declared with
 /// [`begin_column`](Self::begin_column), fed element bytes in
-/// arbitrary-sized chunks with [`write`](Self::write), and made durable
-/// with [`commit`](Self::commit). Full chunks are compressed (fanned out
-/// on the engine in `Pooled` mode with `FrameWriter`-style bounded
-/// in-flight submission) and their records emitted as they form, so the
-/// writer's footprint is bounded by the in-flight window — never by the
-/// container size.
+/// arbitrary-sized chunks with [`write`](Self::write), and committed with
+/// [`commit`](Self::commit). Full chunks are compressed as jobs on the
+/// [`WorkerPool`] engine (with `FrameWriter`-style bounded in-flight
+/// submission) and their records emitted in page order as they finish, so
+/// the writer's footprint is bounded by the in-flight window — never by
+/// the container size. A codec that fails or panics on a page surfaces as
+/// that page's typed error ([`Error::WorkerPanic`] for a panic).
 ///
 /// On any error the writer abandons its in-flight jobs (releasing their
 /// pool slots immediately) and is unusable; drop it. The file then ends in
 /// a torn tail that [`read_container`] recovers past.
 pub struct ContainerWriter<'a, W: Write> {
-    sink: W,
-    exec: ChunkExec<'a>,
-    /// Bytes emitted to the sink so far (more may still be in flight).
-    written: u64,
-    /// Records emitted since the last commit (COLUMN and CHUNK alike).
-    uncommitted: u64,
+    log: RecordLog<W>,
+    pool: &'a WorkerPool,
+    codec: &'a Arc<dyn Compressor>,
     /// Commits emitted so far.
     commits: u64,
-    /// Directory metadata of every column so far (commits are cumulative).
-    columns: Vec<ColumnMeta>,
-    /// Whether the last of `columns` is still accepting bytes.
+    /// Whether the last of `log.columns` is still accepting bytes.
     open: bool,
     /// Partial-chunk accumulator for the open column.
     buf: Vec<u8>,
@@ -274,38 +283,35 @@ pub struct ContainerWriter<'a, W: Write> {
     window: Window<u32>,
     /// Reusable per-chunk descriptor.
     bdesc: DataDesc,
-    /// Inline-mode scratch input container.
-    scratch: FloatData,
-    /// Inline-mode payload buffer.
-    payload: Vec<u8>,
     /// Commit latency (`dbsim.container.commit`), spanning the column
     /// close, directory emit, locator, and sink flush.
     m_commit: Histogram,
     /// Commits emitted (`dbsim.container.commits`).
     m_commits: Counter,
-    /// Records made durable across commits
-    /// (`dbsim.container.records.committed`).
+    /// Records covered by commits (`dbsim.container.records.committed`).
     m_records: Counter,
 }
 
 impl<'a, W: Write> ContainerWriter<'a, W> {
-    /// Start a container on `sink`; the prologue is written immediately.
-    pub fn new(mut sink: W, exec: ChunkExec<'a>) -> Result<Self> {
-        let written = write_prologue(&mut sink, exec.name())?;
+    /// Start a container on `sink` whose pages `codec` compresses on
+    /// `pool`; the prologue is written immediately.
+    pub fn new(mut sink: W, pool: &'a WorkerPool, codec: &'a Arc<dyn Compressor>) -> Result<Self> {
+        let written = write_prologue(&mut sink, codec.info().name)?;
         let reg = crate::metrics::registry();
         Ok(ContainerWriter {
-            sink,
-            exec,
-            written,
-            uncommitted: 0,
+            log: RecordLog {
+                sink,
+                written,
+                uncommitted: 0,
+                columns: Vec::new(),
+            },
+            pool,
+            codec,
             commits: 0,
-            columns: Vec::new(),
             open: false,
             buf: Vec::new(),
             window: Window::new(InflightGauge::detached(), None),
             bdesc: DataDesc::new(Precision::Double, vec![1], Domain::Database)?,
-            scratch: FloatData::scratch(),
-            payload: Vec::new(),
             m_commit: reg.histogram("dbsim.container.commit"),
             m_commits: reg.counter("dbsim.container.commits"),
             m_records: reg.counter("dbsim.container.records.committed"),
@@ -313,8 +319,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     }
 
     /// Cap the number of chunks this writer may have in flight on a shared
-    /// pool at once (see [`Window::set_max_in_flight`]). Inline writers
-    /// ignore it.
+    /// pool at once (see [`Window::set_max_in_flight`]).
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
         self.window.set_max_in_flight(cap);
@@ -323,13 +328,13 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
 
     /// Bytes emitted to the sink so far.
     pub fn bytes_written(&self) -> u64 {
-        self.written
+        self.log.written
     }
 
     /// Records emitted since the last commit — what a crash right now
     /// would lose.
     pub fn uncommitted_records(&self) -> u64 {
-        self.uncommitted
+        self.log.uncommitted
     }
 
     /// Open a new column (closing the previous one, if any): `chunk_elems`
@@ -363,14 +368,14 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         let prec = [precision_byte(precision)];
         let ce = (chunk_elems as u32).to_le_bytes();
         let rec = put_record(
-            &mut self.sink,
+            &mut self.log.sink,
             TAG_COLUMN,
             &[&nlen, name.as_bytes(), &prec, &ce],
         )?;
-        self.written += rec;
-        self.uncommitted += 1;
+        self.log.written += rec;
+        self.log.uncommitted += 1;
         self.bdesc.precision = precision;
-        self.columns.push(ColumnMeta {
+        self.log.columns.push(ColumnMeta {
             name,
             precision,
             chunk_elems: chunk_elems as u32,
@@ -396,7 +401,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
                 "container writer has no open column (call begin_column first)".into(),
             ));
         }
-        let col = open_column(&self.columns)?;
+        let col = open_column(&self.log.columns)?;
         let cbytes = (col.chunk_elems as usize).saturating_mul(col.precision.bytes());
         while !bytes.is_empty() {
             // Whole pages straight from the caller's chunk, no copy into
@@ -422,66 +427,21 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         Ok(())
     }
 
-    /// Compress one page (full, or the short tail) and emit / enqueue its
-    /// chunk record.
+    /// Submit one page (full, or the short tail) to the engine, emitting
+    /// the records of the oldest finished pages whenever the window is full.
     fn emit_chunk(&mut self, chunk: &[u8]) -> Result<()> {
-        let esize = open_column(&self.columns)?.precision.bytes();
+        let esize = open_column(&self.log.columns)?.precision.bytes();
         debug_assert!(!chunk.is_empty() && chunk.len() % esize == 0);
         let elems = (chunk.len() / esize) as u32;
         self.bdesc.dims[0] = chunk.len() / esize;
-        match self.exec {
-            ChunkExec::Inline(codec) => {
-                self.scratch.refill_from_slice(&self.bdesc, chunk)?;
-                let n = codec.compress_into(&self.scratch, &mut self.payload)?;
-                Self::put_chunk(
-                    &mut self.sink,
-                    &mut self.written,
-                    &mut self.uncommitted,
-                    &mut self.columns,
-                    elems,
-                    &self.payload[..n],
-                )
-            }
-            ChunkExec::Pooled(pool, codec) => self.window.push_compress(
-                pool,
-                codec,
-                &self.bdesc,
-                chunk,
-                elems,
-                |payload, elems| {
-                    Self::put_chunk(
-                        &mut self.sink,
-                        &mut self.written,
-                        &mut self.uncommitted,
-                        &mut self.columns,
-                        elems,
-                        payload,
-                    )
-                },
-            ),
-        }
-    }
-
-    /// Emit one chunk record and log its directory metadata.
-    fn put_chunk(
-        sink: &mut W,
-        written: &mut u64,
-        uncommitted: &mut u64,
-        columns: &mut [ColumnMeta],
-        elems: u32,
-        payload: &[u8],
-    ) -> Result<()> {
-        let rec = put_record(sink, TAG_CHUNK, &[&elems.to_le_bytes(), payload])?;
-        let col = open_column_mut(columns)?;
-        col.chunks.push(ChunkMeta {
-            offset: *written,
-            payload_len: payload.len() as u64,
+        self.window.push_compress(
+            self.pool,
+            self.codec,
+            &self.bdesc,
+            chunk,
             elems,
-        });
-        col.rows += elems as u64;
-        *written += rec;
-        *uncommitted += 1;
-        Ok(())
+            |payload, elems| self.log.put_chunk(elems, payload),
+        )
     }
 
     /// Close the open column: emit the short tail page (if any) and drain
@@ -497,7 +457,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
             return Ok(());
         }
         if !self.buf.is_empty() {
-            let esize = open_column(&self.columns)?.precision.bytes();
+            let esize = open_column(&self.log.columns)?.precision.bytes();
             if self.buf.len() % esize != 0 {
                 return Err(Error::BadDescriptor(format!(
                     "column ended mid-element: {} trailing bytes with {esize}-byte elements",
@@ -512,26 +472,20 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         }
         while self
             .window
-            .pop(|payload, elems| {
-                Self::put_chunk(
-                    &mut self.sink,
-                    &mut self.written,
-                    &mut self.uncommitted,
-                    &mut self.columns,
-                    elems,
-                    payload,
-                )
-            })?
+            .pop(|payload, elems| self.log.put_chunk(elems, payload))?
             .is_some()
         {}
         self.open = false;
         Ok(())
     }
 
-    /// Make everything written so far durable: close the open column, then
-    /// emit the cumulative directory as a `COMMIT` record plus its locator
-    /// and flush the sink. A reader recovering a torn file resumes from
-    /// the newest commit point it can validate.
+    /// Close the open column, then emit the cumulative directory as a
+    /// `COMMIT` record plus its locator and flush the sink. Every record
+    /// reaches the sink in order and before the commit that names it, but
+    /// the writer promises no durability of its own: surviving a crash
+    /// takes the caller's sync of the file ([`write_container_pooled`]
+    /// does one `sync_all` at the end). A reader recovering a torn file
+    /// resumes from the newest commit point it can validate.
     pub fn commit(&mut self) -> Result<()> {
         let r = self.commit_inner();
         self.window.settle(r)
@@ -541,17 +495,17 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         fcbench_core::fault::fail_point("container.commit")?;
         let _span = self.m_commit.start_span();
         self.end_column_inner()?;
-        let dir = encode_directory(&self.columns);
-        let commit_offset = self.written;
-        let rec = put_record(&mut self.sink, TAG_COMMIT, &[&dir])?;
-        self.written += rec;
-        self.sink.write_all(&locator(commit_offset))?;
-        self.written += LOCATOR_BYTES as u64;
-        self.m_records.add(self.uncommitted);
+        let log = &mut self.log;
+        let dir = encode_directory(&log.columns);
+        let commit_offset = log.written;
+        log.written += put_record(&mut log.sink, TAG_COMMIT, &[&dir])?;
+        log.sink.write_all(&locator(commit_offset))?;
+        log.written += LOCATOR_BYTES as u64;
+        self.m_records.add(log.uncommitted);
         self.m_commits.inc();
-        self.uncommitted = 0;
+        log.uncommitted = 0;
         self.commits += 1;
-        self.sink.flush()?;
+        log.sink.flush()?;
         Ok(())
     }
 
@@ -559,27 +513,17 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// that never committed gets its first commit here, so every finished
     /// container has at least one commit point — even an empty one.)
     pub fn finish(mut self) -> Result<W> {
-        if self.uncommitted > 0 || self.commits == 0 {
+        if self.log.uncommitted > 0 || self.commits == 0 {
             self.commit_inner()?;
         }
-        Ok(self.sink)
+        Ok(self.log.sink)
     }
 }
 
-/// Write `columns` to `path`, compressing each chunk with `codec`.
-/// `chunk_elems` is the page size in elements (the Table 10 variable).
-pub fn write_container(
-    path: &Path,
-    codec: &dyn Compressor,
-    columns: &[ColumnData],
-    chunk_elems: usize,
-) -> Result<()> {
-    write_container_with(path, &ChunkExec::Inline(codec), columns, chunk_elems)
-}
-
-/// [`write_container`] with chunk compression pipelined across the
-/// persistent worker-pool engine: up to `queue_depth` pages are in flight
-/// at once, collected in page order.
+/// Write `columns` to `path`, each page compressed by `codec` as a job on
+/// `pool`: up to `queue_depth` pages are in flight at once, collected in
+/// page order. `chunk_elems` is the page size in elements (the Table 10
+/// variable). The file is synced once, after the last commit.
 pub fn write_container_pooled(
     path: &Path,
     pool: &WorkerPool,
@@ -587,19 +531,8 @@ pub fn write_container_pooled(
     columns: &[ColumnData],
     chunk_elems: usize,
 ) -> Result<()> {
-    write_container_with(path, &ChunkExec::Pooled(pool, codec), columns, chunk_elems)
-}
-
-/// Shared implementation behind both container writers: drives a
-/// [`ContainerWriter`] column by column and syncs the file.
-pub fn write_container_with(
-    path: &Path,
-    exec: &ChunkExec<'_>,
-    columns: &[ColumnData],
-    chunk_elems: usize,
-) -> Result<()> {
     let file = std::fs::File::create(path)?;
-    let mut w = ContainerWriter::new(buffered(file), *exec)?;
+    let mut w = ContainerWriter::new(buffered(file), pool, codec)?;
     for col in columns {
         w.begin_column(col.name.clone(), col.precision, chunk_elems)?;
         w.write(&col.bytes)?;
@@ -998,35 +931,6 @@ impl CompressedColumn {
         self.chunks.iter().map(|r| &self.image[r.clone()])
     }
 
-    /// Decode every chunk with `codec` — the Table 11 **decode** primitive.
-    /// A single reused scratch container serves every chunk.
-    pub fn decode(&self, codec: &dyn Compressor) -> Result<ColumnData> {
-        let esize = self.precision.bytes();
-        let mut scratch = FloatData::scratch();
-        // lint: claim-checked(reservation clamped to MAX_UPFRONT_RESERVE)
-        let mut bytes =
-            Vec::with_capacity(self.rows.saturating_mul(esize).min(MAX_UPFRONT_RESERVE));
-        let mut remaining = self.rows;
-        for chunk in self.chunks() {
-            let elems = remaining.min(self.chunk_elems);
-            if elems == 0 {
-                return Err(Error::Corrupt("more chunks than rows".into()));
-            }
-            let desc = DataDesc::new(self.precision, vec![elems], Domain::Database)?;
-            codec.decompress_into(chunk, &desc, &mut scratch)?;
-            bytes.extend_from_slice(scratch.bytes());
-            remaining -= elems;
-        }
-        if remaining != 0 {
-            return Err(Error::Corrupt("chunks do not cover all rows".into()));
-        }
-        Ok(ColumnData {
-            name: self.name.clone(),
-            precision: self.precision,
-            bytes,
-        })
-    }
-
     /// An independent pooled reading cursor over this column; any number
     /// of cursors (over the same or different columns, from the same or
     /// different tables) can share one engine concurrently.
@@ -1052,8 +956,8 @@ impl CompressedColumn {
         })
     }
 
-    /// [`decode`](Self::decode) with chunk decompression pipelined across
-    /// the persistent worker-pool engine, collected in page order.
+    /// Decode every chunk with `codec` — the Table 11 **decode** primitive —
+    /// as jobs on `pool`, collected in page order.
     pub fn decode_pooled(
         &self,
         pool: &WorkerPool,
@@ -1184,7 +1088,7 @@ impl ColumnCursor<'_> {
 mod tests {
     use super::*;
     use fcbench_core::pool::PoolConfig;
-    use fcbench_core::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport};
+    use fcbench_core::{CodecClass, CodecInfo, Community, FloatData, Platform, PrecisionSupport};
 
     struct StoreCodec;
 
@@ -1219,38 +1123,12 @@ mod tests {
         std::env::temp_dir().join(format!("fcbench-dbsim-{}-{name}", std::process::id()))
     }
 
-    #[test]
-    fn pooled_container_matches_inline_bytes_and_round_trips() {
-        let inline_path = tmp("pool-a");
-        let pooled_path = tmp("pool-b");
-        let a: Vec<f64> = (0..3000).map(|i| (i as f64 * 0.7).sin()).collect();
-        let b: Vec<f32> = (0..1234).map(|i| i as f32 * 0.5).collect();
-        let cols = vec![
-            ColumnData::from_f64("price", &a),
-            ColumnData::from_f32("qty", &b),
-        ];
-        write_container(&inline_path, &StoreCodec, &cols, 100).unwrap();
-
-        let pool = WorkerPool::new(PoolConfig::with_threads(3));
-        let codec: Arc<dyn Compressor> = Arc::new(StoreCodec);
-        write_container_pooled(&pooled_path, &pool, &codec, &cols, 100).unwrap();
-
-        // Page-order collection means the pooled container is bit-identical.
-        assert_eq!(
-            std::fs::read(&inline_path).unwrap(),
-            std::fs::read(&pooled_path).unwrap()
-        );
-
-        let read = read_container(&pooled_path).unwrap();
-        assert_eq!(read.outcome, RecoveryOutcome::Clean);
-        for (col, orig) in read.table.columns.iter().zip(cols.iter()) {
-            let inline = col.decode(&StoreCodec).unwrap();
-            let pooled = col.decode_pooled(&pool, &codec).unwrap();
-            assert_eq!(inline.bytes, orig.bytes);
-            assert_eq!(pooled.bytes, orig.bytes);
-        }
-        std::fs::remove_file(&inline_path).ok();
-        std::fs::remove_file(&pooled_path).ok();
+    /// A small engine and the store codec, for tests that need some pool.
+    fn store_engine() -> (WorkerPool, Arc<dyn Compressor>) {
+        (
+            WorkerPool::new(PoolConfig::with_threads(2)),
+            Arc::new(StoreCodec),
+        )
     }
 
     #[test]
@@ -1262,7 +1140,8 @@ mod tests {
             ColumnData::from_f64("price", &a),
             ColumnData::from_f32("qty", &b),
         ];
-        write_container(&path, &StoreCodec, &cols, 128).unwrap();
+        let (pool, codec) = store_engine();
+        write_container_pooled(&path, &pool, &codec, &cols, 128).unwrap();
 
         let read = read_container(&path).unwrap();
         assert!(read.is_clean());
@@ -1274,9 +1153,9 @@ mod tests {
         // 1000 rows at 128 elems/chunk => 8 chunks.
         assert_eq!(table.columns[0].chunks().len(), 8);
 
-        let col0 = table.columns[0].decode(&StoreCodec).unwrap();
+        let col0 = table.columns[0].decode_pooled(&pool, &codec).unwrap();
         assert_eq!(col0.bytes, cols[0].bytes);
-        let col1 = table.columns[1].decode(&StoreCodec).unwrap();
+        let col1 = table.columns[1].decode_pooled(&pool, &codec).unwrap();
         assert_eq!(col1.bytes, cols[1].bytes);
         std::fs::remove_file(&path).ok();
     }
@@ -1285,10 +1164,12 @@ mod tests {
     fn ragged_last_chunk() {
         let path = tmp("ragged");
         let a: Vec<f64> = (0..130).map(|i| i as f64).collect();
-        write_container(&path, &StoreCodec, &[ColumnData::from_f64("x", &a)], 64).unwrap();
+        let (pool, codec) = store_engine();
+        let cols = [ColumnData::from_f64("x", &a)];
+        write_container_pooled(&path, &pool, &codec, &cols, 64).unwrap();
         let table = read_container(&path).unwrap().table;
         assert_eq!(table.columns[0].chunks().len(), 3); // 64 + 64 + 2
-        let col = table.columns[0].decode(&StoreCodec).unwrap();
+        let col = table.columns[0].decode_pooled(&pool, &codec).unwrap();
         assert_eq!(col.rows(), 130);
         std::fs::remove_file(&path).ok();
     }
@@ -1304,12 +1185,9 @@ mod tests {
         let a_bytes = ColumnData::from_f64("a", &a).bytes;
         let b_bytes = ColumnData::from_f32("b", &b).bytes;
 
+        let (pool, codec) = store_engine();
         let file = std::fs::File::create(&path).unwrap();
-        let mut w = ContainerWriter::new(
-            std::io::BufWriter::new(file),
-            ChunkExec::Inline(&StoreCodec),
-        )
-        .unwrap();
+        let mut w = ContainerWriter::new(std::io::BufWriter::new(file), &pool, &codec).unwrap();
         w.begin_column("a", Precision::Double, 100).unwrap();
         for piece in a_bytes.chunks(13) {
             w.write(piece).unwrap();
@@ -1323,14 +1201,9 @@ mod tests {
         let read = read_container(&path).unwrap();
         assert!(read.is_clean());
         assert_eq!(read.table.columns.len(), 2);
-        assert_eq!(
-            read.table.columns[0].decode(&StoreCodec).unwrap().bytes,
-            a_bytes
-        );
-        assert_eq!(
-            read.table.columns[1].decode(&StoreCodec).unwrap().bytes,
-            b_bytes
-        );
+        for (col, want) in read.table.columns.iter().zip([a_bytes, b_bytes]) {
+            assert_eq!(col.decode_pooled(&pool, &codec).unwrap().bytes, want);
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1338,7 +1211,9 @@ mod tests {
     fn torn_tails_recover_and_committed_corruption_errors() {
         let path = tmp("torn");
         let a: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        write_container(&path, &StoreCodec, &[ColumnData::from_f64("x", &a)], 32).unwrap();
+        let (pool, codec) = store_engine();
+        let cols = [ColumnData::from_f64("x", &a)];
+        write_container_pooled(&path, &pool, &codec, &cols, 32).unwrap();
         let good = std::fs::read(&path).unwrap();
 
         // Bad magic is an error — there is nothing to recover toward. That
@@ -1359,9 +1234,10 @@ mod tests {
             read.outcome,
             RecoveryOutcome::Recovered { dropped_records: 0 }
         );
+        let col = &read.table.columns[0];
         assert_eq!(
-            read.table.columns[0].decode(&StoreCodec).unwrap().bytes,
-            ColumnData::from_f64("x", &a).bytes
+            col.decode_pooled(&pool, &codec).unwrap().bytes,
+            cols[0].bytes
         );
 
         // Garbage appended after the locator is a torn (unparseable) tail.
@@ -1394,7 +1270,8 @@ mod tests {
 
     #[test]
     fn writer_misuse_is_rejected() {
-        let mut w = ContainerWriter::new(Vec::new(), ChunkExec::Inline(&StoreCodec)).unwrap();
+        let (pool, codec) = store_engine();
+        let mut w = ContainerWriter::new(Vec::new(), &pool, &codec).unwrap();
         // No open column.
         assert!(matches!(w.write(&[0u8; 8]), Err(Error::Unsupported(_))));
         // Bad page sizes.
@@ -1410,10 +1287,10 @@ mod tests {
         let path = tmp("cursor");
         let a: Vec<f64> = (0..1000).map(|i| (i as f64).sqrt()).collect();
         let cols = [ColumnData::from_f64("x", &a)];
-        write_container(&path, &StoreCodec, &cols, 64).unwrap();
-        let table = read_container(&path).unwrap().table;
         let pool = WorkerPool::new(PoolConfig::with_threads(2).queue_depth(3));
         let codec: Arc<dyn Compressor> = Arc::new(StoreCodec);
+        write_container_pooled(&path, &pool, &codec, &cols, 64).unwrap();
+        let table = read_container(&path).unwrap().table;
 
         let col = &table.columns[0];
         let mut cursor = col.cursor(&pool, &codec).unwrap().max_in_flight(1);
@@ -1441,9 +1318,14 @@ mod tests {
 
     #[test]
     fn the_format_is_frozen_against_a_golden_image() {
-        // One commit per column, through the inline store codec.
+        // One commit per column, through the store codec on a 3-worker
+        // engine: pages finish out of order but their records land in page
+        // order, so the image is bit-identical to the one captured from a
+        // single-threaded write.
         let cols = golden_columns();
-        let mut w = ContainerWriter::new(Vec::new(), ChunkExec::Inline(&StoreCodec)).unwrap();
+        let pool = WorkerPool::new(PoolConfig::with_threads(3));
+        let codec: Arc<dyn Compressor> = Arc::new(StoreCodec);
+        let mut w = ContainerWriter::new(Vec::new(), &pool, &codec).unwrap();
         for col in &cols {
             w.begin_column(col.name.clone(), col.precision, 4).unwrap();
             w.write(&col.bytes).unwrap();
@@ -1461,21 +1343,35 @@ mod tests {
         assert_eq!(read.table.columns.len(), 2);
         for (col, orig) in read.table.columns.iter().zip(&cols) {
             assert_eq!(col.chunks().len(), orig.rows().div_ceil(4));
-            assert_eq!(col.decode(&StoreCodec).unwrap().bytes, orig.bytes);
+            assert_eq!(col.decode_pooled(&pool, &codec).unwrap().bytes, orig.bytes);
         }
     }
 
-    /// Stores pages verbatim but refuses any page that starts with -1.0.
-    struct RefusingStore;
+    /// Stores pages verbatim, except a page that starts with -1.0: that one
+    /// is refused with a typed error or panics, compressing or decompressing.
+    enum MarkedPage {
+        Refused,
+        Panics,
+    }
 
-    impl Compressor for RefusingStore {
+    impl MarkedPage {
+        fn check(&self, page: &[u8]) -> Result<()> {
+            if page.starts_with(&(-1.0f64).to_le_bytes()) {
+                match self {
+                    MarkedPage::Refused => return Err(Error::Unsupported("refused page".into())),
+                    MarkedPage::Panics => panic!("marked page"),
+                }
+            }
+            Ok(())
+        }
+    }
+
+    impl Compressor for MarkedPage {
         fn info(&self) -> CodecInfo {
             StoreCodec.info()
         }
         fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-            if data.bytes().starts_with(&(-1.0f64).to_le_bytes()) {
-                return Err(Error::Unsupported("refused page".into()));
-            }
+            self.check(data.bytes())?;
             StoreCodec.compress_into(data, out)
         }
         fn decompress_into(
@@ -1484,6 +1380,7 @@ mod tests {
             desc: &DataDesc,
             out: &mut FloatData,
         ) -> Result<()> {
+            self.check(payload)?;
             StoreCodec.decompress_into(payload, desc, out)
         }
     }
@@ -1495,9 +1392,9 @@ mod tests {
         let mut a: Vec<f64> = (0..40).map(|i| i as f64).collect();
         a[16] = -1.0;
         let pool = WorkerPool::new(PoolConfig::with_threads(2).queue_depth(8));
-        let codec: Arc<dyn Compressor> = Arc::new(RefusingStore);
+        let codec: Arc<dyn Compressor> = Arc::new(MarkedPage::Refused);
         let mut out = Vec::new();
-        let mut w = ContainerWriter::new(&mut out, ChunkExec::Pooled(&pool, &codec)).unwrap();
+        let mut w = ContainerWriter::new(&mut out, &pool, &codec).unwrap();
         w.begin_column("x", Precision::Double, 8).unwrap();
         w.write(&ColumnData::from_f64("x", &a).bytes).unwrap();
         assert!(matches!(w.end_column(), Err(Error::Unsupported(_))));
@@ -1505,14 +1402,52 @@ mod tests {
 
         // The sink holds the COLUMN record and the two pages before the
         // failure, whole, and nothing of the failed or abandoned jobs.
+        assert_eq!(record_tags(&out), [TAG_COLUMN, TAG_CHUNK, TAG_CHUNK]);
+    }
+
+    /// The tags of the records after the store codec's prologue, each
+    /// required to be whole and valid.
+    fn record_tags(image: &[u8]) -> Vec<u8> {
         let mut pos = 4 + 1 + 5 + 4;
         let mut tags = Vec::new();
-        while pos < out.len() {
-            let rec = take_record(&out, pos).expect("only whole, valid records");
+        while pos < image.len() {
+            let rec = take_record(image, pos).expect("only whole, valid records");
             tags.push(rec.tag);
             pos = rec.end;
         }
-        assert_eq!(tags, [TAG_COLUMN, TAG_CHUNK, TAG_CHUNK]);
+        tags
+    }
+
+    #[test]
+    fn a_codec_panic_is_a_typed_error_on_write_and_decode() {
+        // Five 8-element pages; the third one panics in its worker.
+        let mut a: Vec<f64> = (0..40).map(|i| i as f64).collect();
+        a[16] = -1.0;
+        let bytes = ColumnData::from_f64("x", &a).bytes;
+        let pool = WorkerPool::new(PoolConfig::with_threads(2).queue_depth(8));
+        let panicking: Arc<dyn Compressor> = Arc::new(MarkedPage::Panics);
+        let mut out = Vec::new();
+        let mut w = ContainerWriter::new(&mut out, &pool, &panicking).unwrap();
+        w.begin_column("x", Precision::Double, 8).unwrap();
+        w.write(&bytes).unwrap();
+        assert!(matches!(w.end_column(), Err(Error::WorkerPanic(_))));
+        drop(w);
+        // As for a refused page: only the whole records before it.
+        assert_eq!(record_tags(&out), [TAG_COLUMN, TAG_CHUNK, TAG_CHUNK]);
+
+        // The same page written by a codec that does not panic decodes to
+        // a typed error under one that does, and the engine keeps serving.
+        let store: Arc<dyn Compressor> = Arc::new(StoreCodec);
+        let mut w = ContainerWriter::new(Vec::new(), &pool, &store).unwrap();
+        w.begin_column("x", Precision::Double, 8).unwrap();
+        w.write(&bytes).unwrap();
+        let image = w.finish().unwrap();
+        let col = &parse_container(&image).unwrap().table.columns[0];
+        assert!(matches!(
+            col.decode_pooled(&pool, &panicking),
+            Err(Error::WorkerPanic(_))
+        ));
+        assert_eq!(col.decode_pooled(&pool, &store).unwrap().bytes, bytes);
     }
 
     /// Counts the writes that get past the container's buffer.
@@ -1539,11 +1474,8 @@ mod tests {
         // page records of 32 KiB each.
         let a: Vec<f64> = (0..65536).map(|i| i as f64 * 0.5).collect();
         let bytes = ColumnData::from_f64("a", &a).bytes;
-        let mut w = ContainerWriter::new(
-            buffered(CountingSink::default()),
-            ChunkExec::Inline(&StoreCodec),
-        )
-        .unwrap();
+        let (pool, codec) = store_engine();
+        let mut w = ContainerWriter::new(buffered(CountingSink::default()), &pool, &codec).unwrap();
         for name in ["a", "b"] {
             w.begin_column(name, Precision::Double, 4096).unwrap();
             w.write(&bytes).unwrap();

@@ -1,10 +1,13 @@
 //! # fcbench-dbsim
 //!
 //! The paper's simulated in-memory database (§5.1.2, Figure 4): an
-//! HDF5-style chunked columnar [container] on disk, an
-//! in-memory [dataframe] with histogram-driven full-table
-//! scans, and the [three-primitive timer](bench3) (file I/O, decode,
-//! query) behind Table 11 and the block-size study of Table 10.
+//! HDF5-style chunked columnar [container] on disk and an in-memory
+//! [dataframe] with histogram-driven full-table scans. These are the three
+//! primitives behind Table 11 and the block-size study of Table 10 — file
+//! I/O ([`read_container`]), decode ([`CompressedColumn::decode_pooled`])
+//! and query ([`DataFrame::run_scan_benchmark`]); the paper harness times
+//! them. Every page is compressed and decoded as a job on the
+//! [`WorkerPool`](fcbench_core::pool::WorkerPool) engine.
 //!
 //! A table read back with [`read_container`] holds the file's bytes once;
 //! each [`CompressedColumn`] hands out its compressed pages as slices of
@@ -18,7 +21,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bench3;
 pub mod container;
 pub mod dataframe;
 
@@ -40,10 +42,8 @@ pub mod metrics {
     }
 }
 
-pub use bench3::{measure_three_primitives, measure_three_primitives_pooled, ThreePrimitives};
 pub use container::{
-    parse_container, read_container, write_container, write_container_pooled, ChunkExec,
-    ColumnCursor, ColumnData, CompressedColumn, CompressedTable, ContainerRead, ContainerWriter,
-    RecoveryOutcome,
+    parse_container, read_container, write_container_pooled, ColumnCursor, ColumnData,
+    CompressedColumn, CompressedTable, ContainerRead, ContainerWriter, RecoveryOutcome,
 };
 pub use dataframe::{Column, DataFrame};

@@ -2,11 +2,13 @@
 //! asserted from a process that does nothing else: this binary holds one
 //! test and shares the registry with no sibling.
 
+use fcbench_core::pool::{PoolConfig, WorkerPool};
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
     Result,
 };
-use fcbench_dbsim::{read_container, write_container, ColumnData};
+use fcbench_dbsim::{read_container, write_container_pooled, ColumnData};
+use std::sync::Arc;
 
 struct StoreCodec;
 
@@ -42,7 +44,10 @@ fn telemetry_counts_commits_and_recovery_outcomes() {
 
     let path = std::env::temp_dir().join(format!("fcbench-dbsim-{}-telemetry", std::process::id()));
     let a: Vec<f64> = (0..64).map(|i| i as f64).collect();
-    write_container(&path, &StoreCodec, &[ColumnData::from_f64("x", &a)], 32).unwrap();
+    let pool = WorkerPool::new(PoolConfig::with_threads(2));
+    let codec: Arc<dyn Compressor> = Arc::new(StoreCodec);
+    let cols = [ColumnData::from_f64("x", &a)];
+    write_container_pooled(&path, &pool, &codec, &cols, 32).unwrap();
     assert!(read_container(&path).unwrap().is_clean());
     std::fs::remove_file(&path).ok();
 

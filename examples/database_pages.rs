@@ -1,6 +1,7 @@
 //! Database-integration scenario (§5.1.2 / §6.2): store a TPC-style table
 //! in the chunked columnar container under different page sizes, then
-//! measure the paper's three primitives — file I/O, decode, scan query.
+//! measure the paper's three primitives — file I/O, decode, scan query —
+//! with the same timer as Table 11 (one warm call, then the median of five).
 //! A second part streams the same table through the incremental
 //! [`ContainerWriter`], commits mid-stream, tears the file, and shows the
 //! reader recovering to the last commit point.
@@ -11,11 +12,9 @@
 
 use fcbench::core::pool::{PoolConfig, WorkerPool};
 use fcbench::core::{Compressor, Precision};
-use fcbench::dbsim::{
-    measure_three_primitives_pooled, read_container, ChunkExec, ColumnData, ContainerWriter,
-    RecoveryOutcome,
-};
+use fcbench::dbsim::{read_container, ColumnData, ContainerWriter, RecoveryOutcome};
 use fcbench_bench::codecs::paper_registry;
+use fcbench_bench::experiments::time_container;
 use std::io::Write as _;
 
 fn main() {
@@ -71,16 +70,17 @@ fn main() {
                 std::process::id(),
                 codec.info().name
             ));
-            let r = measure_three_primitives_pooled(&path, &pool, codec, &columns, page_elems)
+            let r = time_container(&path, &pool, codec, &columns, page_elems, 5)
                 .expect("three primitives");
+            assert_eq!(r.recovery, RecoveryOutcome::Clean, "fresh container");
             println!(
                 "{:<16} {:>6} {:>8.3} {:>9.2} {:>9.2} {:>9.2}",
                 codec.info().name,
                 label,
                 raw_bytes as f64 / r.compressed_bytes as f64,
-                r.io_seconds * 1e3,
-                r.decode_seconds * 1e3,
-                r.query_seconds * 1e3
+                r.io.median * 1e3,
+                r.decode.median * 1e3,
+                r.query.median * 1e3
             );
             std::fs::remove_file(&path).ok();
         }
@@ -102,11 +102,8 @@ fn main() {
     let codec = registry.get("gorilla").expect("registered codec");
     let path = tmp.join(format!("fcbench-example-{}-recovery", std::process::id()));
     let file = std::fs::File::create(&path).expect("create container");
-    let mut writer = ContainerWriter::new(
-        std::io::BufWriter::new(file),
-        ChunkExec::Pooled(&pool, &codec),
-    )
-    .expect("open container");
+    let mut writer =
+        ContainerWriter::new(std::io::BufWriter::new(file), &pool, &codec).expect("open container");
     for col in &columns {
         writer
             .begin_column(&col.name, Precision::Double, 8192)

@@ -9,11 +9,13 @@
 //! just a truncation the writer didn't choose.
 
 use fcbench::core::fault::{FaultPlan, FaultyIo};
+use fcbench::core::pool::{PoolConfig, WorkerPool};
 use fcbench::core::stream::take_record;
-use fcbench::core::Precision;
+use fcbench::core::{Compressor, Precision};
 use fcbench::cpu::Gorilla;
-use fcbench::dbsim::{parse_container, ChunkExec, ColumnData, ContainerWriter, RecoveryOutcome};
+use fcbench::dbsim::{parse_container, ColumnData, ContainerWriter, RecoveryOutcome};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 // FCDB2 framing tags and locator shape, fixed by the on-disk format.
 const TAG_COMMIT: u8 = 3;
@@ -39,12 +41,13 @@ fn columns() -> Vec<ColumnData> {
 /// a fault kills it mid-record — exactly the crash shape recovery exists
 /// for.
 fn write_through(plan: FaultPlan) -> (Vec<u8>, fcbench::core::Result<()>) {
-    let codec = Gorilla::new();
+    let pool = WorkerPool::new(PoolConfig::with_threads(2));
+    let codec: Arc<dyn Compressor> = Arc::new(Gorilla::new());
     let cols = columns();
     let mut sink = Vec::new();
     let result = (|| {
         let faulty = FaultyIo::new(&mut sink, plan);
-        let mut w = ContainerWriter::new(faulty, ChunkExec::Inline(&codec))?;
+        let mut w = ContainerWriter::new(faulty, &pool, &codec)?;
         for col in &cols {
             w.begin_column(&col.name, Precision::Single, 64)?;
             w.write(&col.bytes)?;

@@ -10,7 +10,8 @@ use fcbench::core::stream::{crc32, put_record, take_record};
 use fcbench::core::{Compressor, Precision};
 use fcbench::cpu::Gorilla;
 use fcbench::dbsim::{
-    parse_container, read_container, ChunkExec, ColumnData, ContainerWriter, RecoveryOutcome,
+    parse_container, read_container, write_container_pooled, ColumnData, ContainerWriter,
+    RecoveryOutcome,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -29,8 +30,9 @@ fn column(name: &str, n: usize, phase: f32) -> ColumnData {
 /// Build a small three-column container in memory with a commit after
 /// every column (so three commit points), returning its bytes.
 fn three_commit_container() -> Vec<u8> {
-    let codec = Gorilla::new();
-    let mut w = ContainerWriter::new(Vec::new(), ChunkExec::Inline(&codec)).expect("prologue");
+    let pool = WorkerPool::new(PoolConfig::with_threads(2));
+    let codec: Arc<dyn Compressor> = Arc::new(Gorilla::new());
+    let mut w = ContainerWriter::new(Vec::new(), &pool, &codec).expect("prologue");
     for (i, col) in [
         column("a", 60, 0.0),
         column("b", 60, 1.0),
@@ -276,7 +278,8 @@ fn boundary_truncations_drop_exact_record_counts() {
 #[test]
 fn recovered_tables_decode_to_committed_data() {
     let bytes = three_commit_container();
-    let codec = Gorilla::new();
+    let pool = WorkerPool::new(PoolConfig::with_threads(2));
+    let codec: Arc<dyn Compressor> = Arc::new(Gorilla::new());
     let cols = [
         column("a", 60, 0.0),
         column("b", 60, 1.0),
@@ -291,7 +294,9 @@ fn recovered_tables_decode_to_committed_data() {
     assert!(matches!(read.outcome, RecoveryOutcome::Recovered { .. }));
     assert_eq!(read.table.columns.len(), 2);
     for (comp, orig) in read.table.columns.iter().zip(&cols) {
-        let decoded = comp.decode(&codec).expect("decode recovered column");
+        let decoded = comp
+            .decode_pooled(&pool, &codec)
+            .expect("decode recovered column");
         assert_eq!(decoded.bytes, orig.bytes, "column {}", orig.name);
     }
 }
@@ -386,13 +391,13 @@ fn concurrent_pooled_readers_share_one_engine() {
         .map(|i| column(&format!("c{i}"), 4000, i as f32))
         .collect();
     let codec: Arc<dyn Compressor> = Arc::new(Gorilla::new());
-    fcbench::dbsim::write_container(&path, &Gorilla::new(), &cols, 256).expect("write");
+    let pool = WorkerPool::new(PoolConfig::with_threads(2));
+    write_container_pooled(&path, &pool, &codec, &cols, 256).expect("write");
     let read = read_container(&path).expect("read");
     assert!(read.is_clean());
     let table = read.table;
     std::fs::remove_file(&path).ok();
 
-    let pool = WorkerPool::new(PoolConfig::with_threads(2));
     std::thread::scope(|s| {
         for t in 0..4 {
             let (table, pool, codec, cols) = (&table, &pool, &codec, &cols);
