@@ -6,16 +6,21 @@
 //! word-at-a-time lz77 hash-chain match finder against `lz77::reference`,
 //! on bitshuffle-shaped inputs; the table-driven canonical-Huffman decoder
 //! (zzip's entropy stage) against the bit-at-a-time walk it replaced, kept
-//! here as `huffman_walk`; and the slice-by-16 CRC-32 behind every FCDB2
-//! record against a local byte-at-a-time loop. The headline
-//! acceptance number is the worst gated speedup, which must stay ≥ 2x.
+//! here as `huffman_walk`; the braided CRC-32 behind every FCDB2 record
+//! against a local byte-at-a-time loop (gated) and against the
+//! slice-by-16 kernel it replaced (`crc32_slice16`, printed); and Gorilla's
+//! one-test-per-value decoder against the field-by-field `BitReader` loop
+//! it replaced (`gorilla_fieldwise`, printed). The headline acceptance
+//! number is the worst gated speedup, which must stay ≥ 2x; `(info)` rows
+//! are printed, not gated.
 //!
 //! Runs as a plain `main` (`harness = false`): it prints one
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
 //! shrinks the iteration counts.
 
-use fcbench_codecs_cpu::bitshuffle;
+use fcbench_codecs_cpu::{bitshuffle, Gorilla};
 use fcbench_core::stream::crc32;
+use fcbench_core::{Compressor, DataDesc, Domain, FloatData, Precision};
 use fcbench_entropy::lz77::{self, Lz77Config};
 use fcbench_entropy::{huffman, lz4, BitReader};
 use std::hint::black_box;
@@ -391,25 +396,78 @@ fn bench_huffman(planes: &[u8], reps: usize) -> Row {
     }
 }
 
-/// The byte-at-a-time table loop `Crc32::update` used to be: what the
-/// shipped kernel must keep beating, so it cannot silently fall back.
-fn crc32_bytewise(table: &[u32; 256], bytes: &[u8]) -> u32 {
+/// The byte-at-a-time table loop: the floor under every CRC-32 kernel,
+/// which the shipped one must keep beating so it cannot silently fall back.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut s = 0xFFFF_FFFFu32;
     for &b in bytes {
-        s = table[((s ^ b as u32) & 0xFF) as usize] ^ (s >> 8);
+        s = SLICE16[0][((s ^ b as u32) & 0xFF) as usize] ^ (s >> 8);
     }
     s ^ 0xFFFF_FFFF
 }
 
-fn bench_crc32(name: &'static str, len: usize, reps: usize) -> Row {
-    let mut table = [0u32; 256];
-    for (i, slot) in table.iter_mut().enumerate() {
-        *slot = (0..8).fold(i as u32, |c, _| {
-            (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
-        });
+/// The slice-by-16 tables the braided kernel replaced: `SLICE16[k][b]` is
+/// the state after byte `b` followed by `k` zero bytes.
+static SLICE16: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
     }
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+};
+
+/// The slice-by-16 kernel `Crc32::update` was before the braid: sixteen
+/// bytes per step, each step waiting on the last.
+fn crc32_slice16(bytes: &[u8]) -> u32 {
+    let word = |w: u32, hi: usize| {
+        SLICE16[hi][(w & 0xFF) as usize]
+            ^ SLICE16[hi - 1][((w >> 8) & 0xFF) as usize]
+            ^ SLICE16[hi - 2][((w >> 16) & 0xFF) as usize]
+            ^ SLICE16[hi - 3][(w >> 24) as usize]
+    };
+    let mut s = 0xFFFF_FFFFu32;
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let w0 = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ s;
+        let w1 = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        let w2 = u32::from_le_bytes([b[8], b[9], b[10], b[11]]);
+        let w3 = u32::from_le_bytes([b[12], b[13], b[14], b[15]]);
+        s = word(w0, 15) ^ word(w1, 11) ^ word(w2, 7) ^ word(w3, 3);
+    }
+    for &b in blocks.remainder() {
+        s = SLICE16[0][((s ^ b as u32) & 0xFF) as usize] ^ (s >> 8);
+    }
+    s ^ 0xFFFF_FFFF
+}
+
+/// The braided `crc32` against one retained kernel over a `len`-byte buffer.
+fn bench_crc32(
+    name: &'static str,
+    len: usize,
+    reps: usize,
+    reference: fn(&[u8]) -> u32,
+    gated: bool,
+) -> Row {
     let data = ramp_bytes(len);
-    assert_eq!(crc32(&data), crc32_bytewise(&table, &data));
+    assert_eq!(crc32(&data), reference(&data));
     // Enough passes per timing that a 16 KiB buffer outlasts the clock.
     let passes = (4 << 20) / len;
     let new_s = best_of(reps, || {
@@ -419,7 +477,7 @@ fn bench_crc32(name: &'static str, len: usize, reps: usize) -> Row {
     });
     let ref_s = best_of(reps, || {
         for _ in 0..passes {
-            black_box(crc32_bytewise(&table, black_box(&data)));
+            black_box(reference(black_box(&data)));
         }
     });
     Row {
@@ -427,7 +485,89 @@ fn bench_crc32(name: &'static str, len: usize, reps: usize) -> Row {
         new_s,
         ref_s,
         bytes: (passes * len) as u64,
-        gated: true,
+        gated,
+    }
+}
+
+/// Gorilla's f64 value decoder as it was before the one-test-per-value
+/// loop: each field read and bounds-checked through a `BitReader`, each
+/// value pushed through a closure. `None` where the codec errs.
+fn gorilla_fieldwise(payload: &[u8]) -> Option<Vec<u8>> {
+    let (count, stream) = payload.split_first_chunk::<8>()?;
+    let count = u64::from_le_bytes(*count) as usize;
+    let mut r = BitReader::new(stream);
+    let mut out = Vec::with_capacity(count.min(8 * stream.len()) * 8);
+    if count == 0 {
+        return Some(out);
+    }
+    let mut prev = r.read_bits(64)?;
+    out.extend_from_slice(&prev.to_le_bytes());
+    let (mut win_tz, mut win_len) = (0u32, 64u32);
+    for _ in 1..count {
+        let ctrl = r.peek_bits(2);
+        if ctrl & 0b10 == 0 {
+            r.consume(1)?;
+        } else {
+            r.consume(2)?;
+            let xor = if ctrl == 0b10 {
+                r.read_bits(win_len)? << win_tz
+            } else {
+                let hdr = r.read_bits(11)?;
+                let (lz, len) = ((hdr >> 6) as u32, (hdr & 0x3F) as u32 + 1);
+                if lz + len > 64 {
+                    return None;
+                }
+                (win_tz, win_len) = (64 - lz - len, len);
+                r.read_bits(len)? << win_tz
+            };
+            prev ^= xor;
+        }
+        out.extend_from_slice(&prev.to_le_bytes());
+    }
+    Some(out)
+}
+
+/// Gorilla decode of `tpcH-order` pages of `page` elements (the column
+/// store's table), shipped codec against `gorilla_fieldwise`.
+fn bench_gorilla(name: &'static str, elems: usize, page: usize, reps: usize) -> Row {
+    let spec = fcbench_datasets::find("tpcH-order").expect("catalogued dataset");
+    let data = fcbench_datasets::generate(&spec, elems);
+    let desc = DataDesc::new(Precision::Double, vec![page], Domain::Database).expect("page");
+    let codec = Gorilla::new();
+    let pages: Vec<(Vec<u8>, &[u8])> = data.bytes()[..elems / page * page * 8]
+        .chunks_exact(page * 8)
+        .map(|raw| {
+            let page = FloatData::from_bytes(desc.clone(), raw.to_vec()).expect("page");
+            (codec.compress(&page).expect("gorilla"), raw)
+        })
+        .collect();
+    let mut out = FloatData::from_bytes(desc.clone(), vec![0; page * 8]).expect("page");
+    for (payload, raw) in &pages {
+        codec
+            .decompress_into(payload, &desc, &mut out)
+            .expect("valid");
+        assert_eq!(out.bytes(), *raw);
+        assert_eq!(gorilla_fieldwise(payload).as_deref(), Some(*raw));
+    }
+    let new_s = best_of(reps, || {
+        for (payload, _) in &pages {
+            codec
+                .decompress_into(black_box(payload), &desc, &mut out)
+                .expect("valid");
+            black_box(out.bytes());
+        }
+    });
+    let ref_s = best_of(reps, || {
+        for (payload, _) in &pages {
+            black_box(gorilla_fieldwise(black_box(payload)).map(|d| d.len()));
+        }
+    });
+    Row {
+        name,
+        new_s,
+        ref_s,
+        bytes: (pages.len() * page * 8) as u64,
+        gated: false,
     }
 }
 
@@ -473,9 +613,29 @@ fn main() {
     gate(&d);
     gate(&bench_huffman(&shuffled, reps));
 
-    // One FCDB2 page record and one steady-state buffer.
-    gate(&bench_crc32("crc32 16 KiB", 16 << 10, reps));
-    gate(&bench_crc32("crc32 1 MiB", 1 << 20, reps));
+    // One FCDB2 page record and one steady-state buffer, against the byte
+    // loop and against the slice-by-16 kernel the braid replaced.
+    for (len, bytewise, sliced) in [
+        (16 << 10, "crc32 16 KiB", "crc32 16 KiB vs slice-by-16"),
+        (1 << 20, "crc32 1 MiB", "crc32 1 MiB vs slice-by-16"),
+    ] {
+        gate(&bench_crc32(bytewise, len, reps, crc32_bytewise, true));
+        gate(&bench_crc32(sliced, len, reps, crc32_slice16, false));
+    }
+
+    // The column store's pages: 4 Ki elements (the paper's page) and 64 Ki.
+    gate(&bench_gorilla(
+        "gorilla decode 4Ki pages",
+        16 * elems,
+        4096,
+        reps,
+    ));
+    gate(&bench_gorilla(
+        "gorilla decode 64Ki page",
+        16 * elems,
+        65_536,
+        reps,
+    ));
 
     println!("worst gated speedup: {worst_gated:.2}x (acceptance gate: >= 2x)");
     // The gate is real: the bench fails if a kernel regresses on any gated

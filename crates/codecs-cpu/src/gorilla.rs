@@ -20,7 +20,7 @@ use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform, Precision,
     PrecisionSupport, Result,
 };
-use fcbench_entropy::{BitReader, BitSink};
+use fcbench_entropy::BitSink;
 
 /// Gorilla's XOR value codec.
 #[derive(Debug, Default, Clone)]
@@ -118,65 +118,160 @@ fn encode_words(mut words: impl Iterator<Item = u64>, lay: Layout, w: &mut BitSi
     }
 }
 
-fn decode_words(
-    r: &mut BitReader<'_>,
-    count: usize,
-    lay: Layout,
-    mut emit: impl FnMut(u64),
-) -> Result<()> {
-    if count == 0 {
-        return Ok(());
-    }
-    let first = r
-        .read_bits(lay.bits)
-        .ok_or_else(|| Error::Corrupt("gorilla: missing first value".into()))?;
-    emit(first);
-    let mut decoded = 1usize;
-    let mut prev = first;
-    let mut win_tz = 0u32;
-    let mut win_len = lay.bits;
-    let len_mask = (1u64 << lay.len_field) - 1;
+/// The 128 stream bits from bit `pos` on, MSB-aligned and zero past the
+/// end of `buf`: one big-endian load, of which at least the top 121 bits
+/// are the stream's, enough for the widest value form.
+#[inline(always)]
+fn window_at(buf: &[u8], pos: usize) -> u128 {
+    let w = match buf.get(pos >> 3..).and_then(|t| t.first_chunk::<16>()) {
+        Some(w) => u128::from_be_bytes(*w),
+        None => padded(buf, pos >> 3),
+    };
+    w << (pos & 7)
+}
 
-    while decoded < count {
-        // One peek covers the whole control prefix; `consume` still
-        // bounds-checks, so truncated control bits surface as errors.
-        let ctrl = r.peek_bits(2);
-        if ctrl & 0b10 == 0 {
-            r.consume(1)
-                .ok_or_else(|| Error::Corrupt("gorilla: truncated control bit".into()))?;
-            emit(prev);
-            decoded += 1;
-            continue;
+/// The last bytes of `buf` from `at`, zero-padded to sixteen.
+#[cold]
+fn padded(buf: &[u8], at: usize) -> u128 {
+    let mut tmp = [0u8; 16];
+    let tail = buf.get(at..).unwrap_or_default();
+    let n = tail.len().min(16);
+    tmp[..n].copy_from_slice(&tail[..n]);
+    u128::from_be_bytes(tmp)
+}
+
+/// The `n` (1..=64) stream bits at bit `pos`, MSB first, zero past the end
+/// of `buf`.
+#[inline(always)]
+fn bits_at(buf: &[u8], pos: usize, n: u32) -> u64 {
+    (window_at(buf, pos) >> (128 - n)) as u64
+}
+
+/// The decoder's running state: the cursor (in bits, never past `total`),
+/// the previous value, and the active meaningful-bit window.
+struct Decoder<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    total: usize,
+    prev: u64,
+    win_tz: u32,
+    win_len: u32,
+    lay: Layout,
+}
+
+impl Decoder<'_> {
+    /// Bits in the longest value form: `11`, the window header, a full word.
+    fn widest(&self) -> usize {
+        (2 + self.lay.lz_field + self.lay.len_field + self.lay.bits) as usize
+    }
+
+    /// Split a `11` window header into its leading-zero count and length,
+    /// rejecting a window wider than the word.
+    fn window(&self, hdr: u64) -> Result<(u32, u32)> {
+        let lz = (hdr >> self.lay.len_field) as u32;
+        let len = (hdr & ((1u64 << self.lay.len_field) - 1)) as u32 + 1;
+        if lz + len > self.lay.bits {
+            return Err(Error::Corrupt("gorilla: window exceeds word".into()));
         }
-        r.consume(2)
-            .ok_or_else(|| Error::Corrupt("gorilla: truncated control form".into()))?;
-        let xor = if ctrl == 0b10 {
-            // `10`: previous window.
-            let bits = r
-                .read_bits(win_len)
-                .ok_or_else(|| Error::Corrupt("gorilla: truncated windowed bits".into()))?;
-            bits << win_tz
+        Ok((lz, len))
+    }
+
+    /// Decode one value when the widest value form fits the stream, so no
+    /// field needs a test of its own: the control bits, the window header
+    /// and the value bits all come from one big-endian load at the cursor.
+    #[inline(always)]
+    fn next_unchecked(&mut self) -> Result<u64> {
+        let w = window_at(self.buf, self.pos);
+        if w >> 127 == 0 {
+            self.pos += 1;
+            return Ok(self.prev);
+        }
+        let xor = if (w >> 126) & 1 == 0 {
+            let bits = ((w << 2) >> (128 - self.win_len)) as u64;
+            self.pos += 2 + self.win_len as usize;
+            bits << self.win_tz
         } else {
-            // `11`: new window; lz count and stored length in one read.
-            let hdr = r
-                .read_bits(lay.lz_field + lay.len_field)
-                .ok_or_else(|| Error::Corrupt("gorilla: truncated window header".into()))?;
-            let lz = (hdr >> lay.len_field) as u32;
-            let len = (hdr & len_mask) as u32 + 1;
-            if lz + len > lay.bits {
-                return Err(Error::Corrupt("gorilla: window exceeds word".into()));
-            }
-            let tz = lay.bits - lz - len;
-            let bits = r
-                .read_bits(len)
-                .ok_or_else(|| Error::Corrupt("gorilla: truncated new-window bits".into()))?;
-            win_tz = tz;
-            win_len = len;
-            bits << tz
+            let hdr_field = self.lay.lz_field + self.lay.len_field;
+            let (lz, len) = self.window(((w << 2) >> (128 - hdr_field)) as u64)?;
+            let head = 2 + hdr_field;
+            let bits = ((w << head) >> (128 - len)) as u64;
+            self.pos += (head + len) as usize;
+            self.win_tz = self.lay.bits - lz - len;
+            self.win_len = len;
+            bits << self.win_tz
         };
-        prev ^= xor;
-        emit(prev);
-        decoded += 1;
+        self.prev ^= xor;
+        Ok(self.prev)
+    }
+
+    /// Advance past `n` bits the caller is about to read, or fail with
+    /// `what` when the stream ends first. Returns the field's position.
+    fn take(&mut self, n: u32, what: &str) -> Result<usize> {
+        if self.total - self.pos < n as usize {
+            return Err(Error::Corrupt(format!("gorilla: truncated {what}")));
+        }
+        let at = self.pos;
+        self.pos += n as usize;
+        Ok(at)
+    }
+
+    /// Decode one value near the end of the stream, testing each field.
+    fn next_checked(&mut self) -> Result<u64> {
+        let ctrl = bits_at(self.buf, self.pos, 2);
+        if ctrl & 0b10 == 0 {
+            self.take(1, "control bit")?;
+            return Ok(self.prev);
+        }
+        self.take(2, "control form")?;
+        let xor = if ctrl == 0b10 {
+            let at = self.take(self.win_len, "windowed bits")?;
+            bits_at(self.buf, at, self.win_len) << self.win_tz
+        } else {
+            let hdr_field = self.lay.lz_field + self.lay.len_field;
+            let at = self.take(hdr_field, "window header")?;
+            let (lz, len) = self.window(bits_at(self.buf, at, hdr_field))?;
+            let at = self.take(len, "new-window bits")?;
+            self.win_tz = self.lay.bits - lz - len;
+            self.win_len = len;
+            bits_at(self.buf, at, len) << self.win_tz
+        };
+        self.prev ^= xor;
+        Ok(self.prev)
+    }
+}
+
+/// Decode the value stream `stream` into `out`, one little-endian `W`-byte
+/// slot per value (`W` is `lay.bits / 8`). The values whose widest form
+/// still fits the stream take one bounds test each; the last few take one
+/// per field.
+fn decode_words<const W: usize>(stream: &[u8], lay: Layout, out: &mut [u8]) -> Result<()> {
+    let mut slots = out.chunks_exact_mut(W);
+    let Some(first_slot) = slots.next() else {
+        return Ok(());
+    };
+    let total = stream.len().saturating_mul(8);
+    if total < lay.bits as usize {
+        return Err(Error::Corrupt("gorilla: missing first value".into()));
+    }
+    let first = bits_at(stream, 0, lay.bits);
+    first_slot.copy_from_slice(&first.to_le_bytes()[..W]);
+    let mut d = Decoder {
+        buf: stream,
+        pos: lay.bits as usize,
+        total,
+        prev: first,
+        win_tz: 0,
+        win_len: lay.bits,
+        lay,
+    };
+    let fast_end = total.saturating_sub(d.widest());
+    for slot in slots {
+        let value = if d.pos <= fast_end {
+            d.next_unchecked()?
+        } else {
+            d.next_checked()?
+        };
+        slot.copy_from_slice(&value.to_le_bytes()[..W]);
     }
     Ok(())
 }
@@ -231,15 +326,10 @@ impl Compressor for Gorilla {
             )));
         }
         out.refill(desc, |bytes| {
-            bytes.reserve(desc.byte_len());
-            let mut r = BitReader::new(cur.rest());
+            bytes.resize(desc.byte_len(), 0);
             match desc.precision {
-                Precision::Double => decode_words(&mut r, count, L64, |w| {
-                    bytes.extend_from_slice(&w.to_le_bytes())
-                }),
-                Precision::Single => decode_words(&mut r, count, L32, |w| {
-                    bytes.extend_from_slice(&(w as u32).to_le_bytes())
-                }),
+                Precision::Double => decode_words::<8>(cur.rest(), L64, bytes),
+                Precision::Single => decode_words::<4>(cur.rest(), L32, bytes),
             }
         })
     }
@@ -249,6 +339,185 @@ impl Compressor for Gorilla {
 mod tests {
     use super::*;
     use fcbench_core::Domain;
+    use fcbench_entropy::BitReader;
+
+    /// The decoder this codec shipped before the one-test-per-value loop,
+    /// field by field through a [`BitReader`], kept as the oracle the
+    /// shipping decoder is held to.
+    fn oracle_words(
+        r: &mut BitReader<'_>,
+        count: usize,
+        lay: Layout,
+        mut emit: impl FnMut(u64),
+    ) -> Result<()> {
+        if count == 0 {
+            return Ok(());
+        }
+        let first = r
+            .read_bits(lay.bits)
+            .ok_or_else(|| Error::Corrupt("gorilla: missing first value".into()))?;
+        emit(first);
+        let mut decoded = 1usize;
+        let mut prev = first;
+        let mut win_tz = 0u32;
+        let mut win_len = lay.bits;
+        let len_mask = (1u64 << lay.len_field) - 1;
+
+        while decoded < count {
+            // One peek covers the whole control prefix; `consume` still
+            // bounds-checks, so truncated control bits surface as errors.
+            let ctrl = r.peek_bits(2);
+            if ctrl & 0b10 == 0 {
+                r.consume(1)
+                    .ok_or_else(|| Error::Corrupt("gorilla: truncated control bit".into()))?;
+                emit(prev);
+                decoded += 1;
+                continue;
+            }
+            r.consume(2)
+                .ok_or_else(|| Error::Corrupt("gorilla: truncated control form".into()))?;
+            let xor = if ctrl == 0b10 {
+                // `10`: previous window.
+                let bits = r
+                    .read_bits(win_len)
+                    .ok_or_else(|| Error::Corrupt("gorilla: truncated windowed bits".into()))?;
+                bits << win_tz
+            } else {
+                // `11`: new window; lz count and stored length in one read.
+                let hdr = r
+                    .read_bits(lay.lz_field + lay.len_field)
+                    .ok_or_else(|| Error::Corrupt("gorilla: truncated window header".into()))?;
+                let lz = (hdr >> lay.len_field) as u32;
+                let len = (hdr & len_mask) as u32 + 1;
+                if lz + len > lay.bits {
+                    return Err(Error::Corrupt("gorilla: window exceeds word".into()));
+                }
+                let tz = lay.bits - lz - len;
+                let bits = r
+                    .read_bits(len)
+                    .ok_or_else(|| Error::Corrupt("gorilla: truncated new-window bits".into()))?;
+                win_tz = tz;
+                win_len = len;
+                bits << tz
+            };
+            prev ^= xor;
+            emit(prev);
+            decoded += 1;
+        }
+        Ok(())
+    }
+
+    /// [`Gorilla::decompress_into`] with the oracle in place of
+    /// [`decode_words`].
+    fn oracle_decompress(payload: &[u8], desc: &DataDesc) -> Result<Vec<u8>> {
+        fcbench_core::blocks::check_decode_claim(desc, payload.len())?;
+        let mut cur = Cursor::new("gorilla", payload);
+        let count = cur.len64("element count")?;
+        if count != desc.elements() {
+            return Err(Error::Corrupt(format!(
+                "gorilla: stream holds {count} elements, descriptor expects {}",
+                desc.elements()
+            )));
+        }
+        let mut r = BitReader::new(cur.rest());
+        let mut bytes = Vec::new();
+        match desc.precision {
+            Precision::Double => oracle_words(&mut r, count, L64, |w| {
+                bytes.extend_from_slice(&w.to_le_bytes())
+            }),
+            Precision::Single => oracle_words(&mut r, count, L32, |w| {
+                bytes.extend_from_slice(&(w as u32).to_le_bytes())
+            }),
+        }?;
+        Ok(bytes)
+    }
+
+    /// One hostile payload: the shipping decoder returns the oracle's typed
+    /// error, or the oracle's bytes at exactly the descriptor's size.
+    fn decodes_like_the_oracle(payload: &[u8], desc: &DataDesc, case: &str) {
+        match (
+            Gorilla::new().decompress(payload, desc),
+            oracle_decompress(payload, desc),
+        ) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(got.bytes().len(), desc.byte_len(), "{case}");
+                assert_eq!(got.bytes(), &want[..], "{case}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got, want, "{case}"),
+            (got, want) => panic!("{case}: decoder {got:?}, oracle {want:?}"),
+        }
+    }
+
+    /// Real pages, every truncation and every single-bit flip in the first
+    /// and last 64 bytes, on both precisions: no panic, and the oracle's
+    /// verdict and bytes.
+    #[test]
+    fn hostile_payloads_decode_like_the_oracle() {
+        let elems = 4096;
+        for name in ["tpcH-order", "citytemp"] {
+            let spec = fcbench_datasets::find(name).expect("catalogued dataset");
+            let full = fcbench_datasets::generate(&spec, elems);
+            let esize = full.desc().precision.bytes();
+            let desc = DataDesc::new(full.desc().precision, vec![elems], Domain::Database).unwrap();
+            let page = FloatData::from_bytes(desc.clone(), full.bytes()[..elems * esize].to_vec())
+                .unwrap();
+            let payload = Gorilla::new().compress(&page).unwrap();
+            decodes_like_the_oracle(&payload, &desc, name);
+            for len in 0..payload.len() {
+                decodes_like_the_oracle(&payload[..len], &desc, &format!("{name} cut at {len}"));
+            }
+            let n = payload.len();
+            for byte in (0..64.min(n)).chain(n.saturating_sub(64)..n) {
+                for bit in 0..8 {
+                    let mut bad = payload.clone();
+                    bad[byte] ^= 1 << bit;
+                    decodes_like_the_oracle(&bad, &desc, &format!("{name} flip {byte}.{bit}"));
+                }
+            }
+        }
+    }
+
+    /// A walk whose residuals take every leading-zero count and every
+    /// meaningful length a `bits`-wide word allows, each followed by one
+    /// inside the same window and a repeat, so the stream holds every `11`
+    /// header, `10` reuses and `0`s.
+    fn window_walk(bits: u32) -> Vec<u64> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut vals = vec![0u64];
+        for lz in 0..bits {
+            for len in 1..=bits - lz {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let tz = bits - lz - len;
+                let mask = u64::MAX.checked_shr(64 - len).unwrap_or(0) << tz;
+                let residual = (x & mask) | 1 << (bits - 1 - lz) | 1 << tz;
+                let prev = *vals.last().unwrap();
+                vals.push(prev ^ residual);
+                vals.push(prev ^ residual ^ (x & mask));
+                vals.push(*vals.last().unwrap());
+            }
+        }
+        vals
+    }
+
+    #[test]
+    fn every_window_shape_decodes_like_the_oracle() {
+        let f64s: Vec<f64> = window_walk(64).into_iter().map(f64::from_bits).collect();
+        let f32s: Vec<f32> = window_walk(32)
+            .into_iter()
+            .map(|v| f32::from_bits(v as u32))
+            .collect();
+        for data in [
+            FloatData::from_f64(&f64s, vec![f64s.len()], Domain::TimeSeries).unwrap(),
+            FloatData::from_f32(&f32s, vec![f32s.len()], Domain::TimeSeries).unwrap(),
+        ] {
+            let payload = Gorilla::new().compress(&data).unwrap();
+            decodes_like_the_oracle(&payload, data.desc(), "window shapes");
+            let out = Gorilla::new().decompress(&payload, data.desc()).unwrap();
+            assert_eq!(out.bytes(), data.bytes());
+        }
+    }
 
     fn round_trip_f64(vals: &[f64]) -> usize {
         let data = FloatData::from_f64(vals, vec![vals.len().max(1)], Domain::TimeSeries)

@@ -47,7 +47,9 @@
 //! recovery is for torn tails only.
 
 use fcbench_core::pool::{Window, WorkerPool};
-use fcbench_core::stream::{check_record, crc32, put_record, take_record, RecordCheck};
+use fcbench_core::stream::{
+    crc32, frame_record, put_record, take_record, FramedRecord, RecordCheck,
+};
 use fcbench_core::wire;
 use fcbench_core::{Compressor, DataDesc, Domain, Error, Precision, Result};
 use fcbench_telemetry::{Counter, Histogram, InflightGauge};
@@ -761,13 +763,67 @@ fn parse_records(image: &Arc<Vec<u8>>) -> Result<ContainerRead> {
 /// every claim against the chunk records it references. Every count is
 /// bounded by real bytes **before** anything is reserved for it — a
 /// directory claiming petabytes backed by a tiny file is a typed error,
-/// never an allocation. A chunk's range of `image` is recorded only after
-/// its record's checksum and every directory claim about it have passed, so
-/// nothing unverified is ever handed out.
+/// never an allocation. Nothing is returned before every referenced chunk
+/// record's checksum has passed, so nothing unverified is ever handed out.
+///
+/// The checksums run after the walk, across cores, yet the error is the one
+/// a walk comparing each checksum in turn would return: the walk stops at
+/// the first error that is not a checksum's, the chunks it reached are then
+/// verified, and the first mismatch among them in directory order wins
+/// over the walk's error.
 fn load_directory(
     image: &Arc<Vec<u8>>,
     dir: &[u8],
     body_start: usize,
+) -> Result<Vec<CompressedColumn>> {
+    let mut reached = Vec::new();
+    let walked = walk_directory(image, dir, body_start, &mut reached);
+    verify_chunks(&reached)?;
+    walked
+}
+
+/// What a chunk record's [`RecordCheck`] failure means for a committed
+/// chunk at `offset`.
+fn chunk_record_error(offset: usize, check: RecordCheck) -> Error {
+    match check {
+        RecordCheck::Truncated => Error::Corrupt("committed chunk record truncated".into()),
+        RecordCheck::Mismatch { stored, computed } => Error::ChecksumMismatch {
+            context: format!("chunk record at offset {offset}"),
+            stored,
+            computed,
+        },
+    }
+}
+
+/// Verify the checksums of `records` (offset, framed record), in directory
+/// order: on the calling thread up to [`wire::PARALLEL_BYTES`], above it on
+/// every core (the engine's workers are idle while a container is read).
+/// Returns the first mismatch in directory order.
+fn verify_chunks(records: &[(usize, FramedRecord<'_>)]) -> Result<()> {
+    let bytes = records
+        .iter()
+        .map(|(offset, rec)| rec.unverified.end - offset)
+        .sum();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut checks = vec![Ok(()); records.len()];
+    wire::fan_out(&mut checks, bytes, threads, |k, check| {
+        *check = records[k].1.verify().map(drop);
+    });
+    for (&(offset, _), check) in records.iter().zip(checks) {
+        check.map_err(|c| chunk_record_error(offset, c))?;
+    }
+    Ok(())
+}
+
+/// [`load_directory`]'s walk: every check but the chunk checksums, which it
+/// leaves to the caller by pushing each chunk record it frames onto
+/// `reached` — before the checks that read the record's fields, so a chunk
+/// that fails one of those is still verified first.
+fn walk_directory<'a>(
+    image: &'a Arc<Vec<u8>>,
+    dir: &[u8],
+    body_start: usize,
+    reached: &mut Vec<(usize, FramedRecord<'a>)>,
 ) -> Result<Vec<CompressedColumn>> {
     let bytes = image.as_slice();
     let mut pos = 0usize;
@@ -845,19 +901,9 @@ fn load_directory(
             if offset < body_start || offset >= bytes.len() {
                 return Err(Error::Corrupt("chunk offset outside the file".into()));
             }
-            let rec = match check_record(bytes, offset) {
-                Ok(rec) => rec,
-                Err(RecordCheck::Truncated) => {
-                    return Err(Error::Corrupt("committed chunk record truncated".into()))
-                }
-                Err(RecordCheck::Mismatch { stored, computed }) => {
-                    return Err(Error::ChecksumMismatch {
-                        context: format!("chunk record at offset {offset}"),
-                        stored,
-                        computed,
-                    })
-                }
-            };
+            let framed = frame_record(bytes, offset).map_err(|c| chunk_record_error(offset, c))?;
+            reached.push((offset, framed));
+            let rec = framed.unverified;
             if rec.tag != TAG_CHUNK || rec.body.len() < 4 {
                 return Err(Error::Corrupt(
                     "directory points at something that is not a chunk record".into(),
@@ -1088,6 +1134,7 @@ impl ColumnCursor<'_> {
 mod tests {
     use super::*;
     use fcbench_core::pool::PoolConfig;
+    use fcbench_core::stream::check_record;
     use fcbench_core::{CodecClass, CodecInfo, Community, FloatData, Platform, PrecisionSupport};
 
     struct StoreCodec;
@@ -1488,6 +1535,236 @@ mod tests {
             sink.writes,
             sink.bytes
         );
+    }
+
+    /// The directory walk as it was before verification fanned out: each
+    /// chunk's checksum compared in turn, before the checks that read its
+    /// fields. The reference `load_directory`'s errors are held to.
+    fn load_directory_sequential(
+        image: &Arc<Vec<u8>>,
+        dir: &[u8],
+        body_start: usize,
+    ) -> Result<Vec<CompressedColumn>> {
+        let bytes = image.as_slice();
+        let mut pos = 0usize;
+        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
+            let s = dir
+                .get(*pos..*pos + n)
+                .ok_or_else(|| Error::Corrupt("commit directory truncated".into()))?;
+            *pos += n;
+            Ok(s)
+        };
+        let ncols = wire::len32(wire::le_u32(take(&mut pos, 4)?, 0)?);
+        if ncols > dir.len() / COLUMN_DIR_BYTES {
+            return Err(Error::Corrupt(format!(
+                "directory claims {ncols} columns in {} bytes",
+                dir.len()
+            )));
+        }
+        let mut columns = Vec::with_capacity(ncols);
+        for _ in 0..ncols {
+            let nlen = usize::from(take(&mut pos, 1)?[0]);
+            let name = String::from_utf8(take(&mut pos, nlen)?.to_vec())
+                .map_err(|_| Error::Corrupt("column name not UTF-8".into()))?;
+            let precision = match take(&mut pos, 1)?[0] {
+                0 => Precision::Single,
+                1 => Precision::Double,
+                b => return Err(Error::Corrupt(format!("bad precision byte {b}"))),
+            };
+            let esize = precision.bytes();
+            let rows = usize::try_from(wire::le_u64(take(&mut pos, 8)?, 0)?)
+                .map_err(|_| Error::Corrupt("row count does not fit in memory".into()))?;
+            let chunk_elems = wire::len32(wire::le_u32(take(&mut pos, 4)?, 0)?);
+            let nchunks = wire::len32(wire::le_u32(take(&mut pos, 4)?, 0)?);
+            if chunk_elems == 0 {
+                return Err(Error::Corrupt("zero chunk size".into()));
+            }
+            if nchunks != rows.div_ceil(chunk_elems) {
+                return Err(Error::Corrupt(format!(
+                    "directory claims {nchunks} chunks for {rows} rows at {chunk_elems} elems/chunk"
+                )));
+            }
+            // The chunk table must be backed by real directory bytes before the
+            // chunk list is reserved.
+            if dir.len().saturating_sub(pos) < nchunks.saturating_mul(CHUNK_DIR_BYTES) {
+                return Err(Error::Corrupt("directory chunk table truncated".into()));
+            }
+            let mut chunks = Vec::with_capacity(nchunks);
+            let mut remaining = rows;
+            for _ in 0..nchunks {
+                let offset = usize::try_from(wire::le_u64(take(&mut pos, 8)?, 0)?)
+                    .map_err(|_| Error::Corrupt("chunk offset outside the file".into()))?;
+                let payload_len = usize::try_from(wire::le_u64(take(&mut pos, 8)?, 0)?)
+                    .map_err(|_| Error::Corrupt("chunk payload length does not fit".into()))?;
+                let elems = wire::len32(wire::le_u32(take(&mut pos, 4)?, 0)?);
+                if elems != remaining.min(chunk_elems) {
+                    return Err(Error::Corrupt(
+                        "chunk element count disagrees with the row count".into(),
+                    ));
+                }
+                // Claim plausibility, both directions, before touching the
+                // record: payload within the expansion ceiling for the chunk's
+                // raw size, and raw size within the decode-claim ceiling for
+                // the payload (the codec-level gate every decode enforces).
+                let raw = elems.saturating_mul(esize);
+                if payload_len
+                    > raw
+                        .saturating_mul(MAX_CHUNK_EXPANSION)
+                        .saturating_add(CHUNK_SLACK)
+                {
+                    return Err(Error::Corrupt(format!(
+                        "directory claims {payload_len} payload bytes for a {raw}-byte chunk"
+                    )));
+                }
+                let cdesc = DataDesc::new(precision, vec![elems], Domain::Database)?;
+                fcbench_core::blocks::check_decode_claim(&cdesc, payload_len)?;
+                if offset < body_start || offset >= bytes.len() {
+                    return Err(Error::Corrupt("chunk offset outside the file".into()));
+                }
+                let rec = match check_record(bytes, offset) {
+                    Ok(rec) => rec,
+                    Err(RecordCheck::Truncated) => {
+                        return Err(Error::Corrupt("committed chunk record truncated".into()))
+                    }
+                    Err(RecordCheck::Mismatch { stored, computed }) => {
+                        return Err(Error::ChecksumMismatch {
+                            context: format!("chunk record at offset {offset}"),
+                            stored,
+                            computed,
+                        })
+                    }
+                };
+                if rec.tag != TAG_CHUNK || rec.body.len() < 4 {
+                    return Err(Error::Corrupt(
+                        "directory points at something that is not a chunk record".into(),
+                    ));
+                }
+                let rec_elems = wire::len32(wire::le_u32(rec.body, 0)?);
+                if rec_elems != elems || rec.body.len() - 4 != payload_len {
+                    return Err(Error::Corrupt(
+                        "chunk record disagrees with the directory".into(),
+                    ));
+                }
+                // The payload is the record body past its `elems u32`; the body
+                // ends where the record's trailing checksum begins.
+                let payload_end = rec.end - 4;
+                chunks.push(payload_end - payload_len..payload_end);
+                remaining -= elems;
+            }
+            columns.push(CompressedColumn {
+                name,
+                precision,
+                rows,
+                chunk_elems,
+                image: Arc::clone(image),
+                chunks,
+            });
+        }
+        if pos != dir.len() {
+            return Err(Error::Corrupt("trailing bytes in commit directory".into()));
+        }
+        Ok(columns)
+    }
+
+    /// `image` with the commit directory's entry for the chunk record at
+    /// `offset` passed through `edit` (offset, payload length, elems), and
+    /// the commit record's checksum recomputed so the directory is still
+    /// the valid commit point.
+    fn with_directory_entry(image: &[u8], offset: usize, edit: impl Fn(&mut [u8])) -> Vec<u8> {
+        let mut out = image.to_vec();
+        let loc = out.len() - LOCATOR_BYTES;
+        let commit = wire::len64(wire::le_u64(&out, loc + 4).unwrap());
+        let rec = check_record(&out, commit).unwrap();
+        let (body_start, body_end) = (rec.end - 4 - rec.body.len(), rec.end - 4);
+        let key = (offset as u64).to_le_bytes();
+        let at = (body_start..body_end - CHUNK_DIR_BYTES)
+            .find(|&p| out[p..p + 8] == key)
+            .expect("directory entry for the chunk");
+        edit(&mut out[at..at + CHUNK_DIR_BYTES]);
+        let crc = crc32(&out[commit..body_end]);
+        out[body_end..body_end + 4].copy_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn fanned_out_verification_returns_the_sequential_error() {
+        // Two 2 MiB columns of 4 Ki-element pages: 128 chunk records, well
+        // over the fan-out threshold, so the checksums run on every core.
+        let (pool, codec) = store_engine();
+        let a: Vec<f64> = (0..262_144).map(|i| i as f64 * 0.5).collect();
+        let bytes = ColumnData::from_f64("a", &a).bytes;
+        let mut w = ContainerWriter::new(Vec::new(), &pool, &codec).unwrap();
+        for name in ["a", "b"] {
+            w.begin_column(name, Precision::Double, 4096).unwrap();
+            w.write(&bytes).unwrap();
+        }
+        let image = w.finish().unwrap();
+        assert!(image.len() > 2 * wire::PARALLEL_BYTES);
+        let table = parse_container(&image).unwrap().table;
+        // Each page's record starts 13 bytes before its payload: 1 tag,
+        // 8 length, 4 elems.
+        let offsets: Vec<usize> = table
+            .columns
+            .iter()
+            .flat_map(|c| c.chunks.iter().map(|r| r.start - 13))
+            .collect();
+        let n = offsets.len();
+        assert_eq!(n, 128);
+
+        // Against the reference walk over the same (possibly edited) image.
+        let sequential = |img: &[u8]| {
+            let img = Arc::new(img.to_vec());
+            let (_, body_start) = parse_prologue(&img).unwrap();
+            let dir = valid_trailing_locator(&img, body_start).expect("committed");
+            load_directory_sequential(&img, dir, body_start).map(|_| ())
+        };
+        let verdict = |img: &[u8]| {
+            let got = parse_container(img).map(|_| ()).unwrap_err();
+            assert_eq!(Err(got.clone()), sequential(img));
+            got
+        };
+        let mismatch_context = |e: Error| match e {
+            Error::ChecksumMismatch { context, .. } => context,
+            other => panic!("{other:?}"),
+        };
+        let at = |chunk: usize| format!("chunk record at offset {}", offsets[chunk]);
+        let flip = |img: &mut Vec<u8>, chunk: usize| img[offsets[chunk] + 13 + 100] ^= 0x10;
+
+        // One late chunk.
+        let mut one = image.clone();
+        flip(&mut one, n - 2);
+        assert_eq!(mismatch_context(verdict(&one)), at(n - 2));
+
+        // Two chunks in different fan-out runs: the earlier one.
+        let mut two = image.clone();
+        flip(&mut two, 1);
+        flip(&mut two, n - 2);
+        assert_eq!(mismatch_context(verdict(&two)), at(1));
+
+        // A checksum failure and a bad directory claim: whichever the walk
+        // meets first. The claim is either one the walk checks before it
+        // frames the record (elems) or one it checks after (payload length).
+        let bad_elems = |e: &mut [u8]| e[16] ^= 1;
+        let bad_len = |e: &mut [u8]| e[8] ^= 1;
+        for edit in [&bad_elems as &dyn Fn(&mut [u8]), &bad_len] {
+            for (i, j) in [(3, n - 5), (n - 5, 3)] {
+                let mut img = with_directory_entry(&image, offsets[j], edit);
+                flip(&mut img, i);
+                if i < j {
+                    assert_eq!(mismatch_context(verdict(&img)), at(i));
+                } else {
+                    assert!(matches!(verdict(&img), Error::Corrupt(_)));
+                }
+            }
+        }
+        // Both on one chunk: its elems claim is checked before its checksum,
+        // its payload length after.
+        let mut img = with_directory_entry(&image, offsets[7], bad_elems);
+        flip(&mut img, 7);
+        assert!(matches!(verdict(&img), Error::Corrupt(_)));
+        let mut img = with_directory_entry(&image, offsets[7], bad_len);
+        flip(&mut img, 7);
+        assert_eq!(mismatch_context(verdict(&img)), at(7));
     }
 
     #[test]
