@@ -61,7 +61,7 @@ impl Scrubbed {
     /// (Two, not one, because rustfmt wraps the waived expression onto a
     /// continuation line often enough that "the line right below the
     /// comment" is not where the flagged token lands.)
-    pub fn waived(&self, kind: &str, line: usize) -> bool {
+    pub(crate) fn waived(&self, kind: &str, line: usize) -> bool {
         self.waivers
             .iter()
             .any(|w| w.kind == kind && (w.line..w.line + 3).contains(&line))
@@ -81,7 +81,7 @@ pub fn scrub(src: &str) -> Scrubbed {
 }
 
 /// 1-based line number of byte offset `at` in `text`.
-pub fn line_of(text: &str, at: usize) -> usize {
+pub(crate) fn line_of(text: &str, at: usize) -> usize {
     text.as_bytes()[..at.min(text.len())]
         .iter()
         .filter(|&&b| b == b'\n')
@@ -393,7 +393,7 @@ fn matching(b: &[u8], open: usize, oc: u8, cc: u8) -> Option<usize> {
 ///
 /// Used by the claim-gate rule to scope reservations to decode-like
 /// functions and to look for gate calls in the same body.
-pub fn fn_spans(text: &str) -> Vec<(String, usize, usize)> {
+pub(crate) fn fn_spans(text: &str) -> Vec<(String, usize, usize)> {
     let b = text.as_bytes();
     let mut spans = Vec::new();
     let mut i = 0;

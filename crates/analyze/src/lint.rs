@@ -3,7 +3,7 @@
 //!
 //! | Rule | Meaning |
 //! |---|---|
-//! | `R001` no-panic | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the production crates (`core`, `serve`, `dbsim`, `entropy`, `telemetry`, `gpu-sim`, `codecs-gpu`, `codecs-cpu`) and of the benchmark harness modules (`bench/src/{runner,metrics,summary,scaling}.rs`) |
+//! | `R001` no-panic | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the production crates (`core`, `serve`, `dbsim`, `entropy`, `telemetry`, `gpu-sim`, `codecs-gpu`, `codecs-cpu`, `dzip`) and of the benchmark harness modules (`bench/src/{runner,metrics,summary,scaling}.rs`) |
 //! | `R002` claim-gate | no capacity reservation (`with_capacity`, `reserve`, `vec![x; n]`) in decode-like functions of the wire/container modules and the codec decoders on the list unless the function also calls a claim gate, or the site carries a `// lint: claim-checked(reason)` waiver |
 //! | `R003` wire-cast | no truncating `as` cast on a line that decodes wire integers in `protocol.rs`/`stream.rs`/`container.rs`, unless waived with `// lint: cast-checked(reason)` |
 //! | `R004` forbid-unsafe | every non-compat crate root carries `#![forbid(unsafe_code)]` (the `bench` crate is exempt: its tracking allocator implements `GlobalAlloc`) |
@@ -30,6 +30,7 @@ const PANIC_FREE_CRATES: &[&str] = &[
     "gpu-sim",
     "codecs-gpu",
     "codecs-cpu",
+    "dzip",
 ];
 
 /// Single files held to R001 ahead of their crate: the benchmark harness

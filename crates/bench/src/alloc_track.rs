@@ -54,22 +54,22 @@ pub fn mark_installed() {
 }
 
 /// Is peak tracking active in this process?
-pub fn is_installed() -> bool {
+pub(crate) fn is_installed() -> bool {
     INSTALLED.load(Ordering::Relaxed)
 }
 
 /// Reset the peak to the current live size.
-pub fn reset_peak() {
+pub(crate) fn reset_peak() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// Peak bytes since the last [`reset_peak`].
-pub fn peak_bytes() -> usize {
+pub(crate) fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
 }
 
 /// Live bytes right now.
-pub fn live_bytes() -> usize {
+pub(crate) fn live_bytes() -> usize {
     LIVE.load(Ordering::Relaxed)
 }
 
@@ -87,7 +87,7 @@ pub fn measure_peak<R>(f: impl FnOnce() -> R) -> (usize, R) {
 }
 
 /// Total `alloc`/`realloc` calls observed so far in this process.
-pub fn alloc_calls() -> usize {
+pub(crate) fn alloc_calls() -> usize {
     CALLS.load(Ordering::Relaxed)
 }
 

@@ -16,14 +16,14 @@ use fcbench_core::{CodecRegistry, Compressor, RegistryEntry};
 
 /// GFC's original input limit (bytes) — applied against the *paper* size
 /// of each dataset, since the scaled instances stand in for the originals.
-pub const GFC_INPUT_LIMIT: u64 = 512 * 1024 * 1024;
+pub(crate) const GFC_INPUT_LIMIT: u64 = 512 * 1024 * 1024;
 
 /// The full 14-method registry in the paper's table order
 /// (pFPC, SPDP, fpzip, shf+LZ4, shf+zstd, ndzip-CPU, BUFF, Gorilla, Chimp,
 /// GFC, MPC, nv-lz4, nv-bitcomp, ndzip-GPU).
 ///
 /// GFC is constructed without its own byte limit — the harness gates it
-/// on paper sizes instead (see [`GFC_INPUT_LIMIT`]).
+/// on paper sizes instead (see `GFC_INPUT_LIMIT`).
 pub fn paper_registry() -> CodecRegistry {
     CodecRegistry::new()
         .with(
@@ -86,7 +86,8 @@ pub fn full_registry() -> CodecRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcbench_core::{Pipeline, Platform};
+    use fcbench_core::{Pipeline, Platform, PoolConfig, WorkerPool};
+    use std::sync::Arc;
 
     #[test]
     fn fourteen_rows_in_paper_order() {
@@ -131,19 +132,16 @@ mod tests {
 
     #[test]
     fn registry_built_gpu_rows_run_on_the_engine() {
-        // At threads(2) a registry-built pipeline over a GPU-simulated row
-        // has an engine, and its blocks are pool jobs like a CPU row's.
+        // On a two-worker pool a pipeline over a GPU-simulated row runs
+        // its blocks as pool jobs like a CPU row's.
         let r = paper_registry();
         let spec = fcbench_datasets::find("msg-bt").unwrap();
         let data = fcbench_datasets::generate(&spec, 4096);
         for e in r.by_platform(Platform::Gpu) {
-            let p = Pipeline::new(&r, e.name())
-                .unwrap()
-                .block_elems(1024)
-                .threads(2);
+            let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(2)));
+            let p = Pipeline::with_pool(Arc::clone(e.codec()), Arc::clone(&pool)).block_elems(1024);
             let frame = p.compress(&data).unwrap();
             assert_eq!(p.decompress(&frame).unwrap().bytes(), data.bytes());
-            let pool = p.engine().expect("threads(2) has an engine");
             assert_eq!(pool.jobs_completed(), 2 * 4, "{}", e.name());
         }
     }

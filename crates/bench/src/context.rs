@@ -16,7 +16,7 @@ pub const DEFAULT_ELEMS: usize = 1 << 17;
 
 /// Worker threads for the campaign's shared execution engine: enough to
 /// keep cells moving, capped so measurement hosts are not oversubscribed.
-pub fn engine_threads() -> usize {
+pub(crate) fn engine_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
@@ -75,7 +75,7 @@ impl Context {
     /// 512 MB device-buffer limit): scaled instances stand in for originals,
     /// so the limit must apply to what they represent — this reproduces
     /// exactly the Table 4 dash pattern.
-    pub fn matrix(&self) -> &RunMatrix {
+    pub(crate) fn matrix(&self) -> &RunMatrix {
         self.matrix.get_or_init(|| {
             eprintln!(
                 "fcbench: generating 33 datasets at ~{} elements and running the 14x33 matrix...",
@@ -115,7 +115,7 @@ impl Context {
     }
 
     /// Names of the registered codecs targeting `platform`.
-    pub fn platform_names(&self, platform: Platform) -> Vec<&'static str> {
+    pub(crate) fn platform_names(&self, platform: Platform) -> Vec<&'static str> {
         self.registry
             .by_platform(platform)
             .map(|e| e.name())
@@ -124,7 +124,7 @@ impl Context {
 }
 
 /// Column-aligned text table helper used by every experiment printer.
-pub fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
     let ncols = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {

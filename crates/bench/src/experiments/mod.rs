@@ -1,15 +1,15 @@
 //! One module per reproduced table/figure; each returns a printable block.
 
-pub mod ablations;
-pub mod blocks_exp;
-pub mod dimensions;
-pub mod dzip_exp;
-pub mod memory;
-pub mod query;
-pub mod ratios;
-pub mod roofline_exp;
-pub mod scaling_exp;
-pub mod throughput;
+mod ablations;
+mod blocks_exp;
+mod dimensions;
+mod dzip_exp;
+mod memory;
+mod query;
+mod ratios;
+mod roofline_exp;
+mod scaling_exp;
+mod throughput;
 
 pub use ablations::ablations;
 pub use blocks_exp::table10;

@@ -11,7 +11,7 @@ use fcbench_roofline::{Bound, MachineModel, OpProfile, RooflinePoint};
 /// codec registered as `codec`, for one pass over `desc`: the dots of
 /// Figure 11 and Table 5's modelled device rates. `None` for a name
 /// without a model.
-pub fn kernel_profile(codec: &str, desc: &DataDesc) -> Option<OpProfile> {
+pub(crate) fn kernel_profile(codec: &str, desc: &DataDesc) -> Option<OpProfile> {
     let n = desc.elements() as u64;
     let esz = desc.precision.bytes() as u64;
     let b = desc.byte_len() as u64;

@@ -8,11 +8,11 @@
 //!
 //! plus the aggregation rules the paper uses: harmonic mean for compression
 //! ratios, arithmetic mean for throughputs, and the harness's one timing
-//! rule, [`time_reps`].
+//! rule, `time_reps`.
 
 use std::time::Instant;
 
-/// Wall-clock seconds of one repeated call, as [`time_reps`] measures them.
+/// Wall-clock seconds of one repeated call, as `time_reps` measures them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Timing {
     /// Median seconds per timed call.
@@ -33,7 +33,10 @@ impl Timing {
 /// warm call (buffers grow, threads spawn, caches fill), then `reps` timed
 /// calls (at least one), reported as their median and IQR. The first error
 /// stops the timing and is returned.
-pub fn time_reps<T, E>(reps: usize, mut call: impl FnMut() -> Result<T, E>) -> Result<Timing, E> {
+pub(crate) fn time_reps<T, E>(
+    reps: usize,
+    mut call: impl FnMut() -> Result<T, E>,
+) -> Result<Timing, E> {
     std::hint::black_box(call()?);
     let mut secs = Vec::with_capacity(reps.max(1));
     for _ in 0..reps.max(1) {
@@ -80,45 +83,33 @@ impl Measurement {
     /// Compression ratio `orig/comp`. Ratios below 1.0 mean expansion —
     /// the paper reports these too (e.g. BUFF 0.64 on rsim).
     #[inline]
-    pub fn compression_ratio(&self) -> f64 {
+    pub(crate) fn compression_ratio(&self) -> f64 {
         self.orig_bytes as f64 / self.comp_bytes.max(1) as f64
     }
 
     /// Compression throughput in GB/s (decimal GB, as in the paper).
     #[inline]
-    pub fn compression_throughput_gbs(&self) -> f64 {
+    pub(crate) fn compression_throughput_gbs(&self) -> f64 {
         self.orig_bytes as f64 / self.comp.median.max(f64::MIN_POSITIVE) / 1e9
     }
 
     /// Decompression throughput in GB/s.
     #[inline]
-    pub fn decompression_throughput_gbs(&self) -> f64 {
+    pub(crate) fn decompression_throughput_gbs(&self) -> f64 {
         self.orig_bytes as f64 / self.decomp.median.max(f64::MIN_POSITIVE) / 1e9
     }
 
     /// End-to-end compression wall time in seconds, including modelled
     /// host↔device transfers (Table 6).
     #[inline]
-    pub fn e2e_comp_seconds(&self) -> f64 {
+    pub(crate) fn e2e_comp_seconds(&self) -> f64 {
         self.comp.median + self.comp_transfer_seconds
     }
 
     /// End-to-end decompression wall time in seconds.
     #[inline]
-    pub fn e2e_decomp_seconds(&self) -> f64 {
+    pub(crate) fn e2e_decomp_seconds(&self) -> f64 {
         self.decomp.median + self.decomp_transfer_seconds
-    }
-
-    /// The paper's Figure 9 ratio `rD = (CT - DT) / CT`; positive means
-    /// compression is faster than decompression.
-    pub fn r_d(&self) -> f64 {
-        let ct = self.compression_throughput_gbs();
-        let dt = self.decompression_throughput_gbs();
-        if ct == 0.0 {
-            0.0
-        } else {
-            (ct - dt) / ct
-        }
     }
 }
 
@@ -133,7 +124,7 @@ pub fn harmonic_mean(values: &[f64]) -> Option<f64> {
 }
 
 /// Arithmetic mean — the paper's aggregation for throughputs (§5.2).
-pub fn arithmetic_mean(values: &[f64]) -> Option<f64> {
+pub(crate) fn arithmetic_mean(values: &[f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
@@ -141,7 +132,7 @@ pub fn arithmetic_mean(values: &[f64]) -> Option<f64> {
 }
 
 /// Median of a sample (averaging the two central order statistics).
-pub fn median(values: &[f64]) -> Option<f64> {
+pub(crate) fn median(values: &[f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
@@ -156,7 +147,7 @@ pub fn median(values: &[f64]) -> Option<f64> {
 }
 
 /// Linear-interpolation quantile (type-7, as NumPy's default), `q` in `[0,1]`.
-pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
+pub(crate) fn quantile(values: &[f64], q: f64) -> Option<f64> {
     if values.is_empty() || !(0.0..=1.0).contains(&q) {
         return None;
     }
@@ -196,20 +187,6 @@ mod tests {
         assert!((m.decompression_throughput_gbs() - 1.0).abs() < 1e-12);
         assert!((m.e2e_comp_seconds() - 2.5).abs() < 1e-12);
         assert!((m.e2e_decomp_seconds() - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_d_sign_convention() {
-        // Decompression faster than compression => rD negative? No:
-        // rD = (CT - DT)/CT; DT > CT gives negative rD, matching the paper
-        // where nvcomp::LZ4 has rD = -18.64.
-        let m = meas();
-        assert!(m.r_d() < 0.0);
-        let balanced = Measurement {
-            decomp: secs(2.0),
-            ..meas()
-        };
-        assert!(balanced.r_d().abs() < 1e-12);
     }
 
     #[test]

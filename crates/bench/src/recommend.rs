@@ -16,7 +16,7 @@ use fcbench_stats::rank_row;
 
 /// What the user optimizes for (§7.3's three user classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Priority {
+pub(crate) enum Priority {
     /// "users focused on storage reduction" — best compression ratio.
     Storage,
     /// "users needing fast speed" — best end-to-end wall time.
@@ -27,7 +27,7 @@ pub enum Priority {
 
 /// A recommendation with its supporting evidence.
 #[derive(Debug, Clone)]
-pub struct Recommendation {
+pub(crate) struct Recommendation {
     pub codec: String,
     /// Harmonic-mean ratio over the relevant datasets.
     pub ratio: f64,
@@ -73,7 +73,7 @@ fn aggregates(ctx: &Context, domain: Option<Domain>) -> Vec<Recommendation> {
 }
 
 /// Recommend a codec for `domain` (or `None` = any data) under `priority`.
-pub fn recommend(
+pub(crate) fn recommend(
     ctx: &Context,
     domain: Option<Domain>,
     priority: Priority,

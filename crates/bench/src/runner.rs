@@ -15,7 +15,6 @@
 use crate::metrics::{time_reps, Measurement};
 use fcbench_core::pool::WorkerPool;
 use fcbench_core::{CodecInfo, Compressor, DataDesc, Error, FloatData, Platform};
-use fcbench_datasets::NamedData;
 use fcbench_gpu_sim::GpuConfig;
 use std::sync::Arc;
 
@@ -30,7 +29,7 @@ pub enum CellOutcome {
 
 impl CellOutcome {
     /// The measurement, if the run succeeded.
-    pub fn measurement(&self) -> Option<&Measurement> {
+    pub(crate) fn measurement(&self) -> Option<&Measurement> {
         match self {
             CellOutcome::Ok(m) => Some(m),
             CellOutcome::Failed(_) => None,
@@ -38,13 +37,13 @@ impl CellOutcome {
     }
 
     /// The compression ratio, if the run succeeded.
-    pub fn ratio(&self) -> Option<f64> {
+    pub(crate) fn ratio(&self) -> Option<f64> {
         self.measurement().map(|m| m.compression_ratio())
     }
 }
 
 /// Full result matrix of a benchmark campaign.
-pub struct RunMatrix {
+pub(crate) struct RunMatrix {
     /// Codec names, row order.
     pub codecs: Vec<String>,
     /// Dataset names, column order.
@@ -54,23 +53,8 @@ pub struct RunMatrix {
 }
 
 impl RunMatrix {
-    /// Look up a cell by names.
-    pub fn cell(&self, codec: &str, dataset: &str) -> Option<&CellOutcome> {
-        let ci = self.codecs.iter().position(|c| c == codec)?;
-        let di = self.datasets.iter().position(|d| d == dataset)?;
-        Some(&self.cells[ci][di])
-    }
-
-    /// All successful compression ratios for one codec, column-ordered.
-    pub fn ratios_for_codec(&self, codec: &str) -> Vec<f64> {
-        let Some(ci) = self.codecs.iter().position(|c| c == codec) else {
-            return Vec::new();
-        };
-        self.cells[ci].iter().filter_map(|c| c.ratio()).collect()
-    }
-
     /// Every successful ratio in the matrix (Figure 5 input).
-    pub fn all_ratios(&self) -> Vec<f64> {
+    pub(crate) fn all_ratios(&self) -> Vec<f64> {
         self.cells
             .iter()
             .flat_map(|row| row.iter().filter_map(|c| c.ratio()))
@@ -80,7 +64,7 @@ impl RunMatrix {
     /// Fraction of failed cells for a set of codec names (Observation 2's
     /// robustness comparison: "2.0% of CPU experiments incurred runtime
     /// errors, while 7.3% of the GPU experiments were killed").
-    pub fn failure_rate(&self, codec_names: &[&str]) -> f64 {
+    pub(crate) fn failure_rate(&self, codec_names: &[&str]) -> f64 {
         let mut total = 0usize;
         let mut failed = 0usize;
         for (ci, codec) in self.codecs.iter().enumerate() {
@@ -104,7 +88,7 @@ impl RunMatrix {
     /// The ratio matrix restricted to datasets where *every* listed codec
     /// succeeded — the complete-cases input required by the Friedman test.
     /// Returns (dataset names, rows per codec in `codec_names` order).
-    pub fn complete_ratio_rows(&self, codec_names: &[&str]) -> (Vec<String>, Vec<Vec<f64>>) {
+    pub(crate) fn complete_ratio_rows(&self, codec_names: &[&str]) -> (Vec<String>, Vec<Vec<f64>>) {
         let idxs: Vec<usize> = codec_names
             .iter()
             .filter_map(|n| self.codecs.iter().position(|c| c == n))
@@ -153,7 +137,7 @@ impl Compressor for Pooled<'_> {
 
 /// Run one codec over one dataset, timing compression and decompression.
 ///
-/// Each direction is timed by the harness's one rule, [`time_reps`]: one
+/// Each direction is timed by the harness's one rule, `time_reps`: one
 /// untimed warm call, then the median and IQR of `reps` timed calls. The
 /// timed calls are the buffer-reusing
 /// [`compress_into`](Compressor::compress_into) /
@@ -232,7 +216,7 @@ pub fn run_cell(codec: &dyn Compressor, data: &FloatData, reps: usize) -> CellOu
 /// [`run_cell`]'s direct-call methodology (the paper-shape assertions use
 /// the direct form). Payload bytes are identical to the inline form — the
 /// job is not block-decomposed.
-pub fn run_cell_pooled(
+pub(crate) fn run_cell_pooled(
     pool: &WorkerPool,
     codec: &Arc<dyn Compressor>,
     data: &FloatData,
@@ -241,27 +225,11 @@ pub fn run_cell_pooled(
     run_cell(&Pooled(pool, codec), data, reps)
 }
 
-/// Run the full codec × dataset matrix.
-pub fn run_matrix(codecs: &[&dyn Compressor], datasets: &[NamedData], reps: usize) -> RunMatrix {
-    let mut cells = Vec::with_capacity(codecs.len());
-    for codec in codecs {
-        let mut row = Vec::with_capacity(datasets.len());
-        for ds in datasets {
-            row.push(run_cell(*codec, &ds.data, reps));
-        }
-        cells.push(row);
-    }
-    RunMatrix {
-        codecs: codecs.iter().map(|c| c.info().name.to_string()).collect(),
-        datasets: datasets.iter().map(|d| d.name.clone()).collect(),
-        cells,
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use fcbench_core::{CodecClass, Community, Domain, PrecisionSupport, Result};
+    use fcbench_datasets::NamedData;
 
     /// Identity codec `name` accepting `precisions`.
     pub(crate) struct StoreCodec(pub(crate) &'static str, pub(crate) PrecisionSupport);
@@ -344,28 +312,42 @@ pub(crate) mod tests {
         ]
     }
 
+    /// `codecs` × [`datasets`], each cell run inline.
+    fn run_matrix(codecs: &[&dyn Compressor], reps: usize) -> RunMatrix {
+        let datasets = datasets();
+        RunMatrix {
+            codecs: codecs.iter().map(|c| c.info().name.to_string()).collect(),
+            datasets: datasets.iter().map(|d| d.name.clone()).collect(),
+            cells: codecs
+                .iter()
+                .map(|c| {
+                    datasets
+                        .iter()
+                        .map(|d| run_cell(*c, &d.data, reps))
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+
     #[test]
     fn matrix_shape_and_lookup() {
         let a = StoreCodec("a", PrecisionSupport::Both);
         let b = StoreCodec("b", PrecisionSupport::DoubleOnly);
-        let m = run_matrix(&[&a, &b], &datasets(), 1);
+        let m = run_matrix(&[&a, &b], 1);
         assert_eq!(m.codecs, vec!["a", "b"]);
         assert_eq!(m.datasets, vec!["single", "double"]);
-        assert!(m.cell("a", "single").unwrap().ratio().is_some());
+        assert!(m.cells[0][0].ratio().is_some());
         // b rejects single precision => Failed cell, like the paper's dashes.
-        assert!(matches!(
-            m.cell("b", "single").unwrap(),
-            CellOutcome::Failed(_)
-        ));
-        assert!(m.cell("b", "double").unwrap().ratio().is_some());
-        assert!(m.cell("zz", "single").is_none());
+        assert!(matches!(m.cells[1][0], CellOutcome::Failed(_)));
+        assert!(m.cells[1][1].ratio().is_some());
     }
 
     #[test]
     fn failure_rate_counts_only_requested_codecs() {
         let a = StoreCodec("a", PrecisionSupport::Both);
         let b = StoreCodec("b", PrecisionSupport::DoubleOnly);
-        let m = run_matrix(&[&a, &b], &datasets(), 1);
+        let m = run_matrix(&[&a, &b], 1);
         assert_eq!(m.failure_rate(&["a"]), 0.0);
         assert!((m.failure_rate(&["b"]) - 0.5).abs() < 1e-12);
         assert!((m.failure_rate(&["a", "b"]) - 0.25).abs() < 1e-12);
@@ -375,7 +357,7 @@ pub(crate) mod tests {
     fn complete_rows_drop_failed_datasets() {
         let a = StoreCodec("a", PrecisionSupport::Both);
         let b = StoreCodec("b", PrecisionSupport::DoubleOnly);
-        let m = run_matrix(&[&a, &b], &datasets(), 1);
+        let m = run_matrix(&[&a, &b], 1);
         let (kept, rows) = m.complete_ratio_rows(&["a", "b"]);
         assert_eq!(kept, vec!["double"]);
         assert_eq!(rows.len(), 2);
@@ -385,7 +367,7 @@ pub(crate) mod tests {
     #[test]
     fn pooled_and_pipelined_cells_match_inline_results() {
         use fcbench_core::pool::PoolConfig;
-        use fcbench_core::{CodecRegistry, Pipeline};
+        use fcbench_core::Pipeline;
 
         let data = FloatData::from_f64(
             &(0..512).map(|i| i as f64 * 0.5).collect::<Vec<_>>(),
@@ -409,11 +391,7 @@ pub(crate) mod tests {
 
         // The pipelined cell's compressed size includes the frame around
         // its blocks.
-        let registry = CodecRegistry::new().with(StoreCodec("a", PrecisionSupport::Both));
-        let p = Pipeline::new(&registry, "a")
-            .unwrap()
-            .block_elems(64)
-            .threads(2);
+        let p = Pipeline::with_pool(codec, Arc::new(pool)).block_elems(64);
         let piped = run_cell(&p, &data, reps);
         assert!(piped.measurement().unwrap().comp_bytes > inline.measurement().unwrap().comp_bytes);
         assert!(piped.ratio().is_some());
@@ -432,12 +410,10 @@ pub(crate) mod tests {
     #[test]
     fn store_codec_ratio_is_one() {
         let a = StoreCodec("a", PrecisionSupport::Both);
-        let m = run_matrix(&[&a], &datasets(), 3);
-        let r = m.cell("a", "single").unwrap().ratio().unwrap();
+        let m = run_matrix(&[&a], 3);
+        let r = m.cells[0][0].ratio().unwrap();
         assert!((r - 1.0).abs() < 1e-12);
         assert_eq!(m.all_ratios().len(), 2);
-        assert_eq!(m.ratios_for_codec("a").len(), 2);
-        assert!(m.ratios_for_codec("nope").is_empty());
     }
 
     #[test]

@@ -11,11 +11,11 @@ use fcbench_core::{Compressor, FloatData, Pipeline, Result};
 use std::sync::Arc;
 
 /// The thread counts reported in Tables 7–8.
-pub const PAPER_THREAD_COUNTS: [usize; 8] = [1, 2, 4, 8, 16, 24, 32, 48];
+pub(crate) const PAPER_THREAD_COUNTS: [usize; 8] = [1, 2, 4, 8, 16, 24, 32, 48];
 
 /// One row of a scalability table.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalingPoint {
+pub(crate) struct ScalingPoint {
     pub threads: usize,
     /// Wall time of one call ([`time_reps`]).
     pub time: Timing,
@@ -29,7 +29,7 @@ pub struct ScalingPoint {
 
 /// Scalability sweep result for one codec and one direction.
 #[derive(Debug, Clone)]
-pub struct ScalingCurve {
+pub(crate) struct ScalingCurve {
     pub codec: String,
     pub points: Vec<ScalingPoint>,
 }
@@ -37,7 +37,7 @@ pub struct ScalingCurve {
 impl ScalingCurve {
     /// The thread count with peak throughput (paper: 16–24 for most codecs,
     /// after which oversubscription degrades it).
-    pub fn peak(&self) -> Option<&ScalingPoint> {
+    pub(crate) fn peak(&self) -> Option<&ScalingPoint> {
         self.points
             .iter()
             .max_by(|a, b| a.mb_per_s.total_cmp(&b.mb_per_s))
@@ -46,7 +46,7 @@ impl ScalingCurve {
 
 /// Which direction to time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
+pub(crate) enum Direction {
     Compress,
     Decompress,
 }
@@ -55,7 +55,7 @@ pub enum Direction {
 /// direction on `data` by the harness's one rule ([`time_reps`] with
 /// `reps` timed calls). The warm call spawns and warms codec-internal or
 /// engine threads, their buffers and thread-locals before timing.
-pub fn scaling_sweep<F>(
+pub(crate) fn scaling_sweep<F>(
     factory: F,
     data: &FloatData,
     thread_counts: &[usize],
@@ -114,7 +114,7 @@ where
 /// block-parallel through a [`Pipeline`] over it. This is how serial codecs
 /// (gorilla, chimp, ...) scale — the engine fans their blocks out across
 /// persistent workers.
-pub fn pool_scaling_sweep(
+pub(crate) fn pool_scaling_sweep(
     codec: &Arc<dyn Compressor>,
     data: &FloatData,
     thread_counts: &[usize],

@@ -7,7 +7,7 @@ use crate::metrics::{median, quantile};
 /// Five-number boxplot summary with Tukey 1.5-IQR whiskers and outliers,
 /// as drawn in Figure 5 of the paper.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BoxplotStats {
+pub(crate) struct BoxplotStats {
     pub min: f64,
     pub q1: f64,
     pub median: f64,
@@ -23,7 +23,7 @@ pub struct BoxplotStats {
 }
 
 /// Compute boxplot statistics; `None` for an empty sample.
-pub fn boxplot(values: &[f64]) -> Option<BoxplotStats> {
+pub(crate) fn boxplot(values: &[f64]) -> Option<BoxplotStats> {
     if values.is_empty() {
         return None;
     }
@@ -66,7 +66,7 @@ pub fn boxplot(values: &[f64]) -> Option<BoxplotStats> {
 
 /// A labelled group of samples with its boxplot, for Figure 6 rows.
 #[derive(Debug, Clone)]
-pub struct GroupSummary {
+pub(crate) struct GroupSummary {
     pub label: String,
     pub stats: BoxplotStats,
 }
@@ -74,7 +74,7 @@ pub struct GroupSummary {
 /// Summarize values grouped by an arbitrary key extractor.
 ///
 /// `pairs` is `(label, value)`; groups preserve first-appearance order.
-pub fn group_boxplots(pairs: &[(String, f64)]) -> Vec<GroupSummary> {
+pub(crate) fn group_boxplots(pairs: &[(String, f64)]) -> Vec<GroupSummary> {
     let mut order: Vec<String> = Vec::new();
     for (label, _) in pairs {
         if !order.contains(label) {

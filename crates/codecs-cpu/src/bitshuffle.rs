@@ -27,7 +27,7 @@ use fcbench_entropy::{lz4, lz77::Lz77Config, zzip};
 use std::cell::RefCell;
 
 /// Default block size in bytes — the paper's evaluation block (64 KB).
-pub const DEFAULT_BLOCK_BYTES: usize = 64 * 1024;
+pub(crate) const DEFAULT_BLOCK_BYTES: usize = 64 * 1024;
 
 /// Dictionary backend applied after the bit transpose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,7 @@ pub struct Bitshuffle {
 
 impl Bitshuffle {
     /// `bitshuffle::LZ4` with the 64 KiB default block
-    /// ([`DEFAULT_BLOCK_BYTES`]) and 8 threads.
+    /// (`DEFAULT_BLOCK_BYTES`) and 8 threads.
     pub fn lz4() -> Self {
         Bitshuffle {
             backend: Backend::Lz4,
@@ -480,7 +480,7 @@ mod tests {
     mod reference {
         /// Transpose the bits of `elems` elements of `elem_bits` bits each,
         /// one bit per loop iteration.
-        pub fn bit_transpose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
+        pub(crate) fn bit_transpose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
             debug_assert_eq!(data.len(), elems * elem_bits / 8);
             debug_assert_eq!(elems % 8, 0);
             let mut out = vec![0u8; data.len()];
@@ -501,7 +501,7 @@ mod tests {
         }
 
         /// Inverse of [`bit_transpose`], one bit per loop iteration.
-        pub fn bit_untranspose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
+        pub(crate) fn bit_untranspose(data: &[u8], elems: usize, elem_bits: usize) -> Vec<u8> {
             debug_assert_eq!(data.len(), elems * elem_bits / 8);
             debug_assert_eq!(elems % 8, 0);
             let mut out = vec![0u8; data.len()];

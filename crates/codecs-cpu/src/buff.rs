@@ -32,10 +32,10 @@ use fcbench_core::{
 };
 
 /// Table 2 of the paper: bits needed for decimal precisions 1..=10.
-pub const BITS_FOR_PRECISION: [u32; 11] = [0, 5, 8, 11, 15, 18, 21, 25, 28, 31, 35];
+pub(crate) const BITS_FOR_PRECISION: [u32; 11] = [0, 5, 8, 11, 15, 18, 21, 25, 28, 31, 35];
 
 /// Maximum decimal precision BUFF will probe.
-pub const MAX_PRECISION: u32 = 10;
+pub(crate) const MAX_PRECISION: u32 = 10;
 
 /// The BUFF codec.
 #[derive(Debug, Default, Clone)]
@@ -367,23 +367,12 @@ impl<'a> BuffView<'a> {
         self.count == 0
     }
 
-    /// The scaled-integer delta of record `i`, assembled from byte planes.
-    #[inline]
-    fn delta_at(&self, i: usize) -> u64 {
-        let mut d = 0u64;
-        for b in 0..self.nbytes {
-            d = (d << 8) | self.planes[b * self.count + i] as u64;
-        }
-        d
-    }
-
-    /// Decode every record in order. Unlike a [`BuffView::value_at`] loop
-    /// (a stride-`count` gather plus an outlier binary search per record),
-    /// this sweeps each byte plane **sequentially** — the sub-columns are
-    /// contiguous on the wire, so full decompression reads them
-    /// plane-major like a memcpy — and merges the sorted outlier stash in
-    /// one forward pass.
-    pub fn decode_each(&self, mut emit: impl FnMut(f64)) {
+    /// Decode every record in order. Rather than gathering each record
+    /// across its planes, this sweeps each byte plane **sequentially** —
+    /// the sub-columns are contiguous on the wire, so full decompression
+    /// reads them plane-major like a memcpy — and merges the sorted
+    /// outlier stash in one forward pass.
+    pub(crate) fn decode_each(&self, mut emit: impl FnMut(f64)) {
         let scale = pow10(self.precision);
         // Per-thread delta scratch (the chimp window pattern): steady-state
         // decompression on a long-lived worker performs no allocation here.
@@ -411,16 +400,6 @@ impl<'a> BuffView<'a> {
             emit(q as f64 / scale);
         }
         DELTA_SCRATCH.with(|s| *s.borrow_mut() = deltas);
-    }
-
-    /// Decode record `i` to its floating-point value.
-    #[inline]
-    pub fn value_at(&self, i: usize) -> f64 {
-        let q = match self.outlier_at(i) {
-            Some(q) => q,
-            None => self.min + self.delta_at(i) as i64,
-        };
-        q as f64 / pow10(self.precision)
     }
 
     /// Translate a predicate constant into plane-byte representation;
@@ -767,10 +746,6 @@ mod tests {
         // Range below the trimmed minimum still finds the negative spike.
         let deep = view.query_lt(-1e8);
         assert_eq!(deep, vec![4001]);
-        // value_at reads through the stash.
-        assert_eq!(view.value_at(777), 1e9);
-        assert_eq!(view.value_at(4001), -1e9);
-        assert_eq!(view.value_at(0), vals[0]);
     }
 
     #[test]
@@ -793,16 +768,13 @@ mod tests {
 
     #[test]
     fn bulk_decode_matches_per_record_decode() {
-        // decode_each (the plane-major bulk path used by decompress) and
-        // value_at (the random-access path used by queries) must agree,
-        // outlier rows included.
+        // decode_each (the plane-major bulk path used by decompress)
+        // gives back every record, outlier rows included.
         let vals = outlier_data();
         let payload = Buff::new().compress(&data_f64(&vals)).unwrap();
         let view = BuffView::parse(&payload).unwrap();
         let mut bulk = Vec::with_capacity(view.len());
         view.decode_each(|v| bulk.push(v));
-        let per_record: Vec<f64> = (0..view.len()).map(|i| view.value_at(i)).collect();
-        assert_eq!(bulk, per_record);
         assert_eq!(bulk, vals);
     }
 

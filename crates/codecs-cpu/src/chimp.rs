@@ -30,10 +30,10 @@ use fcbench_entropy::{BitReader, BitSink};
 use std::cell::RefCell;
 
 /// Residual trailing zeros must exceed this for the indexed (`01`) form.
-pub const TZ_THRESHOLD: u32 = 6;
+pub(crate) const TZ_THRESHOLD: u32 = 6;
 
 /// Window size (number of candidate previous values).
-pub const WINDOW: usize = 128;
+pub(crate) const WINDOW: usize = 128;
 
 /// Leading-zero bucket boundaries for 64-bit words (the original Chimp
 /// rounding table).

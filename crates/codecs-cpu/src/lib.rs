@@ -28,15 +28,15 @@
 #![forbid(unsafe_code)]
 
 pub mod bitshuffle;
-pub mod buff;
-pub mod chimp;
+mod buff;
+mod chimp;
 pub mod common;
-pub mod fpzip;
-pub mod gorilla;
+mod fpzip;
+mod gorilla;
 pub mod ndzip;
-pub mod pfpc;
-pub mod predictor;
-pub mod spdp;
+mod pfpc;
+mod predictor;
+mod spdp;
 
 pub use bitshuffle::{Backend, Bitshuffle};
 pub use buff::{Buff, BuffView};

@@ -30,7 +30,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 
 /// Elements per hypercube.
-pub const CUBE_ELEMS: usize = 4096;
+pub(crate) const CUBE_ELEMS: usize = 4096;
 
 /// The ndzip CPU codec.
 #[derive(Debug, Clone)]

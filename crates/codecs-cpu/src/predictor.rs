@@ -53,7 +53,7 @@ pub struct Predictor {
 }
 
 impl Predictor {
-    pub fn new(kind: PredictorKind) -> Self {
+    pub(crate) fn new(kind: PredictorKind) -> Self {
         Predictor { kind }
     }
 

@@ -52,7 +52,7 @@ impl Spdp {
 }
 
 /// Stage 1: residual of each byte against the byte 2 positions back.
-pub fn lnvs2_forward(data: &[u8]) -> Vec<u8> {
+pub(crate) fn lnvs2_forward(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len());
     for (i, &b) in data.iter().enumerate() {
         let prev = if i >= 2 { data[i - 2] } else { 0 };
@@ -75,7 +75,7 @@ fn lnvs2_inverse(data: &[u8]) -> Vec<u8> {
 /// Stage 2: 8-way byte transpose. The stream is viewed as rows of 8
 /// bytes; output emits column 0 of every row, then column 1, etc.
 /// A ragged tail (len % 8) is appended unchanged.
-pub fn dim8_forward(data: &[u8]) -> Vec<u8> {
+pub(crate) fn dim8_forward(data: &[u8]) -> Vec<u8> {
     let rows = data.len() / 8;
     let mut out = Vec::with_capacity(data.len());
     for col in 0..8 {
@@ -104,7 +104,7 @@ fn dim8_inverse(data: &[u8]) -> Vec<u8> {
 }
 
 /// Stage 3: residual of each byte against the immediately previous byte.
-pub fn lnvs1_forward(data: &[u8]) -> Vec<u8> {
+pub(crate) fn lnvs1_forward(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len());
     let mut prev = 0u8;
     for &b in data {

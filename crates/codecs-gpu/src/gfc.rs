@@ -28,7 +28,7 @@ use fcbench_core::{
 use fcbench_gpu_sim::{Gpu, GpuConfig};
 
 /// Values per subchunk (one GPU warp of 32 lanes).
-pub const SUBCHUNK: usize = 32;
+pub(crate) const SUBCHUNK: usize = 32;
 
 /// The GFC codec on the simulated GPU.
 pub struct Gfc {
@@ -47,9 +47,9 @@ impl Default for Gfc {
 
 impl Gfc {
     /// The original's hardware-era input limit (§4.1).
-    pub const DEFAULT_INPUT_LIMIT: usize = 512 * 1024 * 1024;
+    pub(crate) const DEFAULT_INPUT_LIMIT: usize = 512 * 1024 * 1024;
 
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_config(GpuConfig::default(), Self::DEFAULT_INPUT_LIMIT)
     }
 

@@ -24,10 +24,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod gfc;
-pub mod mpc;
-pub mod ndzip_gpu;
-pub mod nvcomp;
+mod gfc;
+mod mpc;
+mod ndzip_gpu;
+mod nvcomp;
 
 pub use gfc::Gfc;
 pub use mpc::Mpc;

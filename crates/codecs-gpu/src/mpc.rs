@@ -26,13 +26,11 @@ use fcbench_core::{
 use fcbench_gpu_sim::{Gpu, GpuConfig};
 
 /// Words per chunk (one thread block).
-pub const CHUNK_WORDS: usize = 1024;
+pub(crate) const CHUNK_WORDS: usize = 1024;
 
 /// The MPC codec on the simulated GPU.
 pub struct Mpc {
     gpu: Gpu,
-    /// LNV stride; `None` derives it from the data dimensionality.
-    stride_override: Option<usize>,
 }
 
 impl Default for Mpc {
@@ -45,31 +43,17 @@ impl Mpc {
     pub fn new() -> Self {
         Mpc {
             gpu: Gpu::new(GpuConfig::default()),
-            stride_override: None,
         }
     }
+}
 
-    /// Fix the LNV stride (the original's published default is 6; passing
-    /// the true dimensionality is how MPC is driven multi-dimensionally).
-    pub fn with_stride(stride: usize) -> Self {
-        assert!((1..CHUNK_WORDS).contains(&stride));
-        Mpc {
-            stride_override: Some(stride),
-            ..Self::new()
-        }
-    }
-
-    /// Derive the LNV stride from the descriptor: for 2-D tables the
-    /// column count (interleaved fields), bounded to stay within a chunk;
-    /// otherwise the published default of 6.
-    fn stride_for(&self, desc: &DataDesc) -> usize {
-        if let Some(s) = self.stride_override {
-            return s;
-        }
-        match desc.dims.len() {
-            2 if desc.dims[1] >= 2 && desc.dims[1] <= 64 => desc.dims[1],
-            _ => 6,
-        }
+/// Derive the LNV stride from the descriptor: for 2-D tables the column
+/// count (interleaved fields), bounded to stay within a chunk; otherwise
+/// the original's published default of 6.
+fn stride_for(desc: &DataDesc) -> usize {
+    match desc.dims.len() {
+        2 if desc.dims[1] >= 2 && desc.dims[1] <= 64 => desc.dims[1],
+        _ => 6,
     }
 }
 
@@ -198,7 +182,7 @@ impl Compressor for Mpc {
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
         let words = words_of(data);
         let elem_bits = data.desc().precision.bits();
-        let stride = self.stride_for(data.desc());
+        let stride = stride_for(data.desc());
 
         let (full, tail_words) = words.split_at(words.len() / CHUNK_WORDS * CHUNK_WORDS);
         let mut chunks: Vec<_> = full.chunks(CHUNK_WORDS).map(|c| (c, Vec::new())).collect();
@@ -307,18 +291,15 @@ mod tests {
 
     #[test]
     fn stride_follows_table_columns() {
-        let mpc = Mpc::new();
         // 2-D table with 14 columns (solar-wind-like): stride = 14.
         let d = DataDesc::new(Precision::Single, vec![100, 14], Domain::TimeSeries).unwrap();
-        assert_eq!(mpc.stride_for(&d), 14);
+        assert_eq!(stride_for(&d), 14);
         // 1-D: default 6.
         let d1 = d.flatten_1d();
-        assert_eq!(mpc.stride_for(&d1), 6);
+        assert_eq!(stride_for(&d1), 6);
         // 3-D grid: default 6.
         let d3 = DataDesc::new(Precision::Single, vec![16, 16, 16], Domain::Hpc).unwrap();
-        assert_eq!(mpc.stride_for(&d3), 6);
-        // Explicit override wins.
-        assert_eq!(Mpc::with_stride(3).stride_for(&d), 3);
+        assert_eq!(stride_for(&d3), 6);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use fcbench_entropy::lz4;
 use fcbench_gpu_sim::{Gpu, GpuConfig, KernelCtx};
 
 /// Batched page size (nvCOMP's default batch granularity).
-pub const PAGE_BYTES: usize = 64 * 1024;
+pub(crate) const PAGE_BYTES: usize = 64 * 1024;
 
 /// Shared batched-page scaffolding for both nvCOMP-class codecs.
 struct Batched(Gpu);

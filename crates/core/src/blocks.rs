@@ -5,7 +5,7 @@
 //! fixed-size blocks compressed independently, each length alongside its
 //! payload so blocks can be decompressed (and in a database, fetched)
 //! individually — is the [`FCB3` frame](crate::frame) a
-//! [`Pipeline`](crate::pipeline::Pipeline) produces. This module holds the
+//! [`Pipeline`](crate::Pipeline) produces. This module holds the
 //! paper's block sizes and the plausibility gate every block decode passes
 //! before its codec runs.
 

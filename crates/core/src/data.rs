@@ -262,53 +262,6 @@ impl FloatData {
             .collect())
     }
 
-    /// The payload reinterpreted as little-endian `u64` words
-    /// (double-precision bit patterns).
-    pub fn as_u64_words(&self) -> Result<Vec<u64>> {
-        if self.desc.precision != Precision::Double {
-            return Err(Error::BadDescriptor("data is not double-precision".into()));
-        }
-        Ok(self
-            .bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect())
-    }
-
-    /// Rebuild single-precision data from bit-pattern words.
-    pub fn from_u32_words(words: &[u32], dims: Vec<usize>, domain: Domain) -> Result<Self> {
-        let desc = DataDesc::new(Precision::Single, dims, domain)?;
-        if desc.elements() != words.len() {
-            return Err(Error::BadDescriptor(format!(
-                "{} words but dims imply {}",
-                words.len(),
-                desc.elements()
-            )));
-        }
-        let mut bytes = Vec::with_capacity(words.len() * 4);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        Ok(FloatData { desc, bytes })
-    }
-
-    /// Rebuild double-precision data from bit-pattern words.
-    pub fn from_u64_words(words: &[u64], dims: Vec<usize>, domain: Domain) -> Result<Self> {
-        let desc = DataDesc::new(Precision::Double, dims, domain)?;
-        if desc.elements() != words.len() {
-            return Err(Error::BadDescriptor(format!(
-                "{} words but dims imply {}",
-                words.len(),
-                desc.elements()
-            )));
-        }
-        let mut bytes = Vec::with_capacity(words.len() * 8);
-        for w in words {
-            bytes.extend_from_slice(&w.to_le_bytes());
-        }
-        Ok(FloatData { desc, bytes })
-    }
-
     /// A copy of this data re-described as 1-D (same bytes).
     pub fn flattened_1d(&self) -> FloatData {
         FloatData {
@@ -443,12 +396,10 @@ mod tests {
     #[test]
     fn word_round_trips() {
         let words: Vec<u32> = (0..16).map(|i| i * 0x0101_0101).collect();
-        let fd = FloatData::from_u32_words(&words, vec![4, 4], Domain::Observation).unwrap();
+        let bytes = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let desc = DataDesc::new(Precision::Single, vec![4, 4], Domain::Observation).unwrap();
+        let fd = FloatData::from_bytes(desc, bytes).unwrap();
         assert_eq!(fd.as_u32_words().unwrap(), words);
-
-        let dwords: Vec<u64> = (0..8).map(|i| i * 0x0101_0101_0101_0101).collect();
-        let fd = FloatData::from_u64_words(&dwords, vec![8], Domain::Hpc).unwrap();
-        assert_eq!(fd.as_u64_words().unwrap(), dwords);
     }
 
     #[test]
@@ -462,7 +413,6 @@ mod tests {
     fn precision_mismatch_rejected() {
         let fd = FloatData::from_f32(&[1.0], vec![1], Domain::Hpc).unwrap();
         assert!(fd.to_f64_vec().is_err());
-        assert!(fd.as_u64_words().is_err());
         let fd = FloatData::from_f64(&[1.0], vec![1], Domain::Hpc).unwrap();
         assert!(fd.to_f32_vec().is_err());
         assert!(fd.as_u32_words().is_err());

@@ -31,7 +31,7 @@ use std::io::{ErrorKind, Read, Write};
 
 /// Prefix for replayable fault-plan seed strings, e.g.
 /// `fp1:00000000deadbeef`.
-pub const SEED_PREFIX: &str = "fp1:";
+pub(crate) const SEED_PREFIX: &str = "fp1:";
 
 /// SplitMix64: the tiny, high-quality step generator used to derive every
 /// plan knob and every per-operation decision from the seed.
@@ -60,7 +60,7 @@ impl Rng {
     }
 
     /// Bernoulli draw with probability `permille`/1000.
-    pub fn permille(&mut self, permille: u16) -> bool {
+    pub(crate) fn permille(&mut self, permille: u16) -> bool {
         self.below(1000) < u64::from(permille)
     }
 }
@@ -209,7 +209,6 @@ pub struct FaultyIo<T> {
     write_pos: u64,
     read_dead: bool,
     write_dead: bool,
-    injected: u64,
 }
 
 impl<T> FaultyIo<T> {
@@ -223,37 +222,10 @@ impl<T> FaultyIo<T> {
             write_pos: 0,
             read_dead: false,
             write_dead: false,
-            injected: 0,
         }
     }
 
-    /// The wrapped value (e.g. the `Vec<u8>` sink holding whatever was
-    /// actually written before a fault killed the stream).
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
-    pub fn get_ref(&self) -> &T {
-        &self.inner
-    }
-
-    /// How many faults (of any kind) this wrapper has injected.
-    pub fn injected_faults(&self) -> u64 {
-        self.injected
-    }
-
-    /// Bytes delivered to readers so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.read_pos
-    }
-
-    /// Bytes accepted from writers so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.write_pos
-    }
-
-    fn hard_error(&mut self, dir: &str) -> std::io::Error {
-        self.injected += 1;
+    fn hard_error(&self, dir: &str) -> std::io::Error {
         std::io::Error::other(format!(
             "injected {dir} failure ({})",
             self.plan.seed_string()
@@ -265,18 +237,15 @@ impl<T> FaultyIo<T> {
     fn soft_fault(&mut self) -> Option<std::io::Error> {
         if self.plan.delay_permille > 0 && self.rng.permille(self.plan.delay_permille) {
             let micros = self.rng.below(self.plan.max_delay_micros.saturating_add(1));
-            self.injected += 1;
             std::thread::sleep(std::time::Duration::from_micros(micros));
         }
         if self.plan.interrupt_permille > 0 && self.rng.permille(self.plan.interrupt_permille) {
-            self.injected += 1;
             return Some(std::io::Error::new(
                 ErrorKind::Interrupted,
                 "injected interrupt",
             ));
         }
         if self.plan.wouldblock_permille > 0 && self.rng.permille(self.plan.wouldblock_permille) {
-            self.injected += 1;
             return Some(std::io::Error::new(
                 ErrorKind::WouldBlock,
                 "injected would-block",
@@ -514,20 +483,20 @@ mod tests {
         let mut back = Vec::new();
         reader.read_to_end(&mut back).unwrap();
         assert_eq!(back, data);
-        assert_eq!(reader.injected_faults(), 0);
 
-        let mut writer = FaultyIo::new(Vec::new(), FaultPlan::benign());
+        let mut sunk = Vec::new();
+        let mut writer = FaultyIo::new(&mut sunk, FaultPlan::benign());
         writer.write_all(&data).unwrap();
         writer.flush().unwrap();
-        assert_eq!(writer.injected_faults(), 0);
-        assert_eq!(writer.into_inner(), data);
+        assert_eq!(sunk, data);
     }
 
     #[test]
     fn hard_write_error_is_offset_exact_and_sticky() {
         let mut plan = FaultPlan::benign();
         plan.fail_write_at = Some(100);
-        let mut writer = FaultyIo::new(Vec::new(), plan);
+        let mut sunk = Vec::new();
+        let mut writer = FaultyIo::new(&mut sunk, plan);
         let payload = vec![7u8; 64];
         // First 100 bytes land; the boundary write fails.
         assert!(writer.write_all(&payload).is_ok());
@@ -536,7 +505,6 @@ mod tests {
         // Sticky: everything after the boundary fails too, flush included.
         assert!(writer.write_all(&[1]).is_err());
         assert!(writer.flush().is_err());
-        let sunk = writer.into_inner();
         assert_eq!(sunk.len(), 100);
         assert!(sunk.iter().all(|&b| b == 7));
     }
@@ -567,7 +535,8 @@ mod tests {
             plan.wouldblock_permille = 0; // write_all does not retry these
             plan.delay_permille = 0; // keep the test fast
             let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-            let mut writer = FaultyIo::new(Vec::new(), plan.clone());
+            let mut sunk = Vec::new();
+            let mut writer = FaultyIo::new(&mut sunk, plan.clone());
             let mut offset = 0;
             while offset < data.len() {
                 let step = (offset % 97) + 1;
@@ -578,7 +547,7 @@ mod tests {
                     Err(e) => panic!("fp {seed}: unexpected {e}"),
                 }
             }
-            assert_eq!(writer.into_inner(), data, "seed {seed}");
+            assert_eq!(sunk, data, "seed {seed}");
         }
     }
 

@@ -25,7 +25,7 @@
 //!
 //! This module owns the prologue (everything before the first block
 //! record); [`crate::stream::FrameWriter`] / [`crate::stream::FrameReader`]
-//! produce and consume the records, and [`crate::pipeline::Pipeline`] is
+//! produce and consume the records, and [`crate::Pipeline`] is
 //! the whole-buffer entry point over them.
 
 use crate::data::{DataDesc, Domain, Precision};

@@ -6,19 +6,20 @@
 //!
 //! This crate defines:
 //!
-//! - the floating-point [data model](data) (precision, domain, shape);
+//! - the floating-point data model, [`FloatData`] and its [`DataDesc`]
+//!   (precision, domain, shape);
 //! - the [`Compressor`] trait with the Table 1 taxonomy: `info` plus the
 //!   buffer-reusing `compress_into`/`decompress_into` pair, with the
 //!   allocating forms provided on top;
-//! - the [codec registry](registry) (lookup by name, filtering by platform,
-//!   class, and precision);
+//! - the [codec registry](registry) (lookup by name, filtering by platform
+//!   and capability);
 //! - the self-describing [`FCB3` frame](frame): fixed-size blocks
 //!   compressed independently, each behind its own length;
 //! - the persistent [worker-pool execution engine](pool) every compression
 //!   job runs on, and the bounded in-flight [`Window`](pool::Window) every
 //!   pipelined consumer of it submits through;
 //! - [streaming frame I/O](stream) for datasets that exceed memory, and
-//!   the block-parallel [pipeline], its whole-buffer form;
+//!   the block-parallel [`Pipeline`], its whole-buffer form;
 //! - the [block sizes](blocks) of the Table 10 experiment and the
 //!   plausibility gate every block decode passes;
 //! - the [sync] shim (one poison policy, swappable for the
@@ -39,11 +40,11 @@
 
 pub mod blocks;
 pub mod codec;
-pub mod data;
-pub mod error;
+mod data;
+mod error;
 pub mod fault;
 pub mod frame;
-pub mod pipeline;
+mod pipeline;
 pub mod pool;
 pub mod registry;
 pub mod stream;

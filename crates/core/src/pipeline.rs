@@ -11,12 +11,13 @@
 //! (frame out, frame in), so the runner and the scaling sweep drive a
 //! block-decomposed codec exactly as they drive a bare one.
 //!
-//! With more than one thread configured, blocks are **submitted to a
-//! long-lived [`WorkerPool`]** rather than to per-call scoped threads: the
-//! pool is spawned once (lazily, on the first call) and reused
-//! by every subsequent call, so worker scratch — slot buffers, codec
-//! thread-locals such as chimp's window state — reaches steady state across
-//! calls instead of being rebuilt each time. Every codec runs this way,
+//! A pipeline built with [`Pipeline::new`] or [`Pipeline::with_codec`] runs
+//! its blocks inline on the caller's thread. One built with
+//! [`Pipeline::with_pool`] **submits them to that long-lived
+//! [`WorkerPool`]** rather than to per-call scoped threads, so worker
+//! scratch — slot buffers, codec thread-locals such as chimp's window
+//! state — reaches steady state across calls instead of being rebuilt each
+//! time, and many pipelines share one warm engine. Every codec runs this way,
 //! CPU or GPU-simulated: a codec that fans its own chunks out does so
 //! inside the block it was handed, under the one
 //! [`fan_out`](crate::wire::fan_out) rule, which keeps a default-sized
@@ -27,9 +28,8 @@
 //! [`Pipeline::frame_reader`].
 //!
 //! ```
-//! use fcbench_core::pipeline::Pipeline;
-//! use fcbench_core::registry::CodecRegistry;
-//! use fcbench_core::{Domain, FloatData};
+//! use fcbench_core::{CodecRegistry, Domain, FloatData, Pipeline, PoolConfig, WorkerPool};
+//! use std::sync::Arc;
 //! # use fcbench_core::{codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport},
 //! #                    Compressor, DataDesc, Result};
 //! # struct Store;
@@ -48,67 +48,65 @@
 //! #         out.refill_from_slice(desc, payload)
 //! #     }
 //! # }
-//! let registry = CodecRegistry::new().with(Store);
-//! let pipeline = Pipeline::new(&registry, "store")
-//!     .unwrap()
-//!     .block_elems(64 * 1024)
-//!     .threads(4);
-//!
 //! let values: Vec<f64> = (0..200_000).map(|i| (i as f64).sin()).collect();
 //! let data = FloatData::from_f64(&values, vec![values.len()], Domain::TimeSeries).unwrap();
-//! let frame = pipeline.compress(&data).unwrap();
-//! let back = pipeline.decompress(&frame).unwrap();
-//! assert_eq!(back.bytes(), data.bytes());
+//!
+//! // Inline: every block runs on the caller's thread.
+//! let registry = CodecRegistry::new().with(Store);
+//! let inline = Pipeline::new(&registry, "store").unwrap().block_elems(64 * 1024);
+//! let frame = inline.compress(&data).unwrap();
+//!
+//! // On a shared engine: the same frame, its blocks run by four workers.
+//! let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(4)));
+//! let pooled = Pipeline::with_pool(Arc::new(Store), pool).block_elems(64 * 1024);
+//! assert_eq!(pooled.compress(&data).unwrap(), frame);
+//! assert_eq!(pooled.decompress(&frame).unwrap().bytes(), data.bytes());
 //! ```
 
 use crate::codec::{CodecInfo, Compressor};
 use crate::data::{DataDesc, FloatData};
 use crate::error::{Error, Result};
-use crate::pool::{PoolConfig, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::registry::CodecRegistry;
 use crate::stream::{FrameReader, FrameWriter};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Default elements per block: 64 Ki elements, the paper's bitshuffle/nvCOMP
 /// working-set scale.
-pub const DEFAULT_BLOCK_ELEMS: usize = 64 * 1024;
+pub(crate) const DEFAULT_BLOCK_ELEMS: usize = 64 * 1024;
 
 /// A configured block-parallel compression pipeline around one codec.
 pub struct Pipeline {
     codec: Arc<dyn Compressor>,
     block_elems: usize,
-    threads: usize,
-    /// The lazily-spawned private engine (unused when an external pool was
-    /// attached via [`Pipeline::with_pool`], which pre-fills it).
-    pool: OnceLock<Arc<WorkerPool>>,
+    /// The engine its blocks run on; `None` runs them inline.
+    pool: Option<Arc<WorkerPool>>,
 }
 
 impl Pipeline {
-    /// Build a pipeline around the registered codec `name`.
+    /// Build an inline pipeline around the registered codec `name`.
     pub fn new(registry: &CodecRegistry, name: &str) -> Result<Self> {
         Ok(Self::with_codec(registry.require(name)?))
     }
 
-    /// Build a pipeline around an explicit codec handle.
+    /// Build an inline pipeline around an explicit codec handle.
     pub fn with_codec(codec: Arc<dyn Compressor>) -> Self {
         Pipeline {
             codec,
             block_elems: DEFAULT_BLOCK_ELEMS,
-            threads: 1,
-            pool: OnceLock::new(),
+            pool: None,
         }
     }
 
-    /// Build a pipeline that shares an existing [`WorkerPool`] instead of
-    /// owning one — the way to drive many codecs through a single warm
-    /// engine. The thread count defaults to the pool's.
+    /// Build a pipeline whose blocks run on an existing [`WorkerPool`] —
+    /// the way to drive many codecs through a single warm engine. A
+    /// one-worker pool is not used: its blocks run inline, as
+    /// [`with_codec`](Self::with_codec)'s do.
     pub fn with_pool(codec: Arc<dyn Compressor>, pool: Arc<WorkerPool>) -> Self {
-        let mut p = Self::with_codec(codec);
-        p.threads = pool.threads();
-        // `p` was freshly constructed above, so its OnceLock is empty and
-        // this set always lands.
-        let _ = p.pool.set(pool);
-        p
+        Pipeline {
+            pool: (pool.threads() > 1).then_some(pool),
+            ..Self::with_codec(codec)
+        }
     }
 
     /// Set the block size in elements (clamped to at least 1).
@@ -116,25 +114,6 @@ impl Pipeline {
     pub fn block_elems(mut self, elems: usize) -> Self {
         self.block_elems = elems.max(1);
         self
-    }
-
-    /// Set the worker-thread count (clamped to at least 1; 1 = run inline).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The execution engine, spawned on first use. `None` means inline
-    /// execution (a single thread).
-    pub fn engine(&self) -> Option<&Arc<WorkerPool>> {
-        if self.threads <= 1 {
-            return None;
-        }
-        Some(
-            self.pool
-                .get_or_init(|| Arc::new(WorkerPool::new(PoolConfig::with_threads(self.threads)))),
-        )
     }
 
     /// Compress `data` into `out` (contents replaced, capacity reused).
@@ -207,7 +186,7 @@ impl Pipeline {
             Arc::clone(&self.codec),
             desc.clone(),
             self.block_elems,
-            self.engine().cloned(),
+            self.pool.clone(),
         )
     }
 
@@ -215,7 +194,7 @@ impl Pipeline {
     /// decoded blocks come out in stream order, read-ahead bounded by the
     /// engine's queue depth.
     pub fn frame_reader<R: std::io::Read>(&self, src: R) -> Result<FrameReader<R>> {
-        FrameReader::new(src, Arc::clone(&self.codec), self.engine().cloned())
+        FrameReader::new(src, Arc::clone(&self.codec), self.pool.clone())
     }
 }
 
@@ -240,11 +219,23 @@ impl Compressor for Pipeline {
 mod tests {
     use super::*;
     use crate::data::Domain;
+    use crate::pool::PoolConfig;
     use crate::registry::CodecRegistry;
     use crate::testing::{info, HeaderedStore};
 
     fn registry() -> CodecRegistry {
         CodecRegistry::new().with(HeaderedStore)
+    }
+
+    /// `codec`'s pipeline at `threads` workers: inline at one, on a fresh
+    /// pool of `threads` workers above.
+    fn at_threads(codec: Arc<dyn Compressor>, threads: usize) -> Pipeline {
+        if threads == 1 {
+            Pipeline::with_codec(codec)
+        } else {
+            let pool = WorkerPool::new(PoolConfig::with_threads(threads));
+            Pipeline::with_pool(codec, Arc::new(pool))
+        }
     }
 
     fn sample(n: usize) -> FloatData {
@@ -270,15 +261,11 @@ mod tests {
 
     #[test]
     fn round_trips_across_block_sizes_and_threads() {
-        let r = registry();
         let n = 1000;
         let data = sample(n);
         for block in [1usize, n - 1, n, n + 1, 64 * 1024] {
             for threads in [1usize, 2, 8] {
-                let p = Pipeline::new(&r, "hstore")
-                    .unwrap()
-                    .block_elems(block)
-                    .threads(threads);
+                let p = at_threads(Arc::new(HeaderedStore), threads).block_elems(block);
                 let frame = p.compress(&data).unwrap();
                 let back = p.decompress(&frame).unwrap();
                 assert_eq!(
@@ -293,11 +280,8 @@ mod tests {
 
     #[test]
     fn repeated_calls_reuse_one_engine() {
-        let r = registry();
-        let p = Pipeline::new(&r, "hstore")
-            .unwrap()
-            .block_elems(64)
-            .threads(4);
+        let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(4)));
+        let p = Pipeline::with_pool(Arc::new(HeaderedStore), Arc::clone(&pool)).block_elems(64);
         let data = sample(1000);
         let mut frame = Vec::new();
         let mut out = FloatData::scratch();
@@ -306,9 +290,6 @@ mod tests {
             p.decompress_into(&frame, &mut out).unwrap();
             assert_eq!(out.bytes(), data.bytes());
         }
-        // The engine was spawned exactly once and never re-spawned a thread.
-        let pool = p.engine().expect("multi-thread pipeline has an engine");
-        assert_eq!(pool.threads_spawned(), 4);
         // 5 rounds x ceil(1000/64) blocks x (compress + decompress).
         assert_eq!(pool.jobs_completed(), 5 * 2 * 16);
     }
@@ -365,13 +346,9 @@ mod tests {
     fn huge_block_size_saturates_instead_of_overflowing() {
         // block_elems * esize would overflow usize; both the compress and
         // decompress paths must saturate to a single full-buffer block.
-        let r = registry();
         let data = sample(100);
         for threads in [1usize, 4] {
-            let p = Pipeline::new(&r, "hstore")
-                .unwrap()
-                .block_elems(usize::MAX)
-                .threads(threads);
+            let p = at_threads(Arc::new(HeaderedStore), threads).block_elems(usize::MAX);
             let frame = p.compress(&data).unwrap();
             let back = p.decompress(&frame).unwrap();
             assert_eq!(back.bytes(), data.bytes());
@@ -410,9 +387,8 @@ mod tests {
     fn implausible_declared_size_errors_without_huge_allocation() {
         // A ~50-byte hostile frame declaring 2^50 doubles (8 PB) must fail
         // with a typed error before the codec can reserve the claimed size.
-        let r = CodecRegistry::new().with(ReservingStore);
         for threads in [1usize, 8] {
-            let p = Pipeline::new(&r, "rstore").unwrap().threads(threads);
+            let p = at_threads(Arc::new(ReservingStore), threads);
             let mut f = Vec::new();
             f.extend_from_slice(b"FCB3");
             f.push(6);
@@ -431,11 +407,7 @@ mod tests {
 
     #[test]
     fn buffers_are_reusable_across_calls() {
-        let r = registry();
-        let p = Pipeline::new(&r, "hstore")
-            .unwrap()
-            .block_elems(64)
-            .threads(2);
+        let p = at_threads(Arc::new(HeaderedStore), 2).block_elems(64);
         let mut frame_buf = Vec::new();
         let mut out = FloatData::scratch();
         for n in [10usize, 500, 129] {
@@ -472,10 +444,7 @@ mod tests {
         assert_eq!(bad[first_payload_offset], 0xAB);
         bad[first_payload_offset] ^= 0xFF;
         assert!(p.decompress(&bad).is_err());
-        let p8 = Pipeline::new(&r, "hstore")
-            .unwrap()
-            .block_elems(16)
-            .threads(8);
+        let p8 = at_threads(Arc::new(HeaderedStore), 8).block_elems(16);
         assert!(p8.decompress(&bad).is_err());
     }
 }

@@ -714,7 +714,7 @@ impl Ticket {
     /// [`collect`](Ticket::collect) will not block. Lets pipelined callers
     /// flush completed work opportunistically (e.g. while waiting on a slow
     /// input source) instead of pinning finished slots.
-    pub fn is_finished(&self) -> bool {
+    pub(crate) fn is_finished(&self) -> bool {
         matches!(
             lock(&self.shared.inner).states[self.slot],
             JobState::Done(_)
@@ -974,7 +974,10 @@ impl<T> Window<T> {
     /// [`pop`](Self::pop) only if the oldest job has already finished:
     /// never waits. Lets a consumer blocked on a slow input source hand
     /// completed work on, releasing its slots to other consumers.
-    pub fn pop_ready<R>(&mut self, f: impl FnOnce(&[u8], T) -> Result<R>) -> Result<Option<R>> {
+    pub(crate) fn pop_ready<R>(
+        &mut self,
+        f: impl FnOnce(&[u8], T) -> Result<R>,
+    ) -> Result<Option<R>> {
         self.check()?;
         if !self.pending.front().is_some_and(|(t, _)| t.is_finished()) {
             return Ok(None);

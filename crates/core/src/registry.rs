@@ -3,10 +3,9 @@
 //! The benchmark harness, database simulation, examples, and tests all used
 //! to build ad-hoc `Vec<Box<dyn Compressor>>` lists; the registry replaces
 //! those with one queryable catalogue supporting lookup by name, filtering
-//! by [`Platform`] / [`CodecClass`] / precision, and iteration in
-//! registration order. Entries hold `Arc<dyn Compressor>` so the same codec
-//! instance can be shared across worker threads (see
-//! [`crate::pipeline::Pipeline`]) without re-construction.
+//! by [`Platform`], and iteration in registration order. Entries hold
+//! `Arc<dyn Compressor>` so the same codec instance can be shared across
+//! worker threads (see [`crate::Pipeline`]) without re-construction.
 //!
 //! Two per-entry capabilities ride along:
 //!
@@ -19,13 +18,12 @@
 //! its blocks on the [`WorkerPool`](crate::pool::WorkerPool) engine the
 //! same way.
 
-use crate::codec::{CodecClass, Compressor, Platform};
-use crate::data::Precision;
+use crate::codec::{Compressor, Platform};
 use crate::error::{Error, Result};
 use std::sync::Arc;
 
 /// Factory producing a codec configured for a given thread count.
-pub type ScaleFn = dyn Fn(usize) -> Box<dyn Compressor> + Send + Sync;
+pub(crate) type ScaleFn = dyn Fn(usize) -> Box<dyn Compressor> + Send + Sync;
 
 /// One registered codec plus its capabilities.
 pub struct RegistryEntry {
@@ -41,7 +39,7 @@ impl RegistryEntry {
     }
 
     /// Wrap an already-shared codec.
-    pub fn from_arc(codec: Arc<dyn Compressor>) -> Self {
+    pub(crate) fn from_arc(codec: Arc<dyn Compressor>) -> Self {
         RegistryEntry {
             codec,
             block_capable: false,
@@ -80,7 +78,7 @@ impl RegistryEntry {
     }
 
     /// Does this entry carry a thread-count factory?
-    pub fn is_scalable(&self) -> bool {
+    pub(crate) fn is_scalable(&self) -> bool {
         self.scale.is_some()
     }
 }
@@ -105,7 +103,7 @@ impl CodecRegistry {
 
     /// Register an entry (or bare codec, via `Into`). Names must be unique;
     /// re-registering a name is an error so lookups stay unambiguous.
-    pub fn register(&mut self, entry: impl Into<RegistryEntry>) -> Result<()> {
+    pub(crate) fn register(&mut self, entry: impl Into<RegistryEntry>) -> Result<()> {
         let entry = entry.into();
         let name = entry.name();
         if self.entry(name).is_some() {
@@ -117,7 +115,7 @@ impl CodecRegistry {
         Ok(())
     }
 
-    /// Builder-style [`register`](Self::register) that panics on duplicates —
+    /// Builder-style `register` that panics on duplicates —
     /// for static catalogues written out in source.
     #[must_use]
     pub fn with(mut self, entry: impl Into<RegistryEntry>) -> Self {
@@ -175,27 +173,11 @@ impl CodecRegistry {
         self.entries.iter().map(|e| e.name()).collect()
     }
 
-    /// Entries whose codec metadata satisfies `pred`.
-    pub fn filter<'a>(
-        &'a self,
-        pred: impl Fn(&crate::codec::CodecInfo) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a RegistryEntry> {
-        self.entries.iter().filter(move |e| pred(&e.codec.info()))
-    }
-
     /// Entries targeting `platform` (Table 1's CPU/GPU split).
     pub fn by_platform(&self, platform: Platform) -> impl Iterator<Item = &RegistryEntry> {
-        self.filter(move |i| i.platform == platform)
-    }
-
-    /// Entries in predictor/transform family `class` (Figure 6b grouping).
-    pub fn by_class(&self, class: CodecClass) -> impl Iterator<Item = &RegistryEntry> {
-        self.filter(move |i| i.class == class)
-    }
-
-    /// Entries whose precision support accepts `precision`.
-    pub fn accepting(&self, precision: Precision) -> impl Iterator<Item = &RegistryEntry> {
-        self.filter(move |i| i.precisions.accepts(precision))
+        self.entries
+            .iter()
+            .filter(move |e| e.codec.info().platform == platform)
     }
 
     /// Block-capable entries (the Table 10 set).
@@ -228,7 +210,7 @@ impl CodecRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{CodecInfo, Community, PrecisionSupport};
+    use crate::codec::{CodecClass, CodecInfo, Community, PrecisionSupport};
     use crate::data::{DataDesc, FloatData};
 
     struct Fake(&'static str, Platform, CodecClass, PrecisionSupport);
@@ -316,13 +298,6 @@ mod tests {
         let r = sample();
         let cpu: Vec<_> = r.by_platform(Platform::Cpu).map(|e| e.name()).collect();
         assert_eq!(cpu, vec!["a"]);
-        let dict: Vec<_> = r
-            .by_class(CodecClass::Dictionary)
-            .map(|e| e.name())
-            .collect();
-        assert_eq!(dict, vec!["b"]);
-        let single: Vec<_> = r.accepting(Precision::Single).map(|e| e.name()).collect();
-        assert_eq!(single, vec!["a"]);
         let blocky: Vec<_> = r.block_capable().map(|e| e.name()).collect();
         assert_eq!(blocky, vec!["a"]);
     }

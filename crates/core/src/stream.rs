@@ -281,13 +281,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Framing bytes around a record body: 1 tag + 8 length + 4 checksum.
-pub const RECORD_OVERHEAD: u64 = 13;
+pub(crate) const RECORD_OVERHEAD: u64 = 13;
 
 /// Write one framed record to `sink`. The body is supplied in `parts` so a
 /// caller can prepend a small header to a large payload without
 /// concatenating them first; the checksum streams over the parts, so the
 /// call allocates nothing. Returns the total bytes emitted
-/// ([`RECORD_OVERHEAD`] + body length).
+/// (`RECORD_OVERHEAD` + body length).
 pub fn put_record<W: Write>(sink: &mut W, tag: u8, parts: &[&[u8]]) -> Result<u64> {
     let body_len: u64 = parts.iter().map(|p| p.len() as u64).sum();
     let mut head = [0u8; 9];
@@ -415,8 +415,6 @@ pub struct FrameWriter<W: Write> {
     payload: Vec<u8>,
     /// Element bytes accepted so far.
     consumed: usize,
-    /// Bytes emitted to the sink so far.
-    written: u64,
 }
 
 impl<W: Write> FrameWriter<W> {
@@ -454,7 +452,6 @@ impl<W: Write> FrameWriter<W> {
             scratch: FloatData::scratch(),
             payload: Vec::new(),
             consumed: 0,
-            written: prologue.len() as u64,
             desc,
         })
     }
@@ -466,16 +463,6 @@ impl<W: Write> FrameWriter<W> {
     pub fn max_in_flight(mut self, cap: usize) -> Self {
         self.window.set_max_in_flight(cap);
         self
-    }
-
-    /// Element bytes accepted so far.
-    pub fn bytes_consumed(&self) -> usize {
-        self.consumed
-    }
-
-    /// Bytes emitted to the sink so far (more may still be in flight).
-    pub fn bytes_written(&self) -> u64 {
-        self.written
     }
 
     /// Feed the next chunk of little-endian element bytes. Chunks may be
@@ -534,12 +521,12 @@ impl<W: Write> FrameWriter<W> {
                 &self.bdesc,
                 block,
                 (),
-                |payload, ()| put_block(&mut self.sink, &mut self.written, payload),
+                |payload, ()| put_block(&mut self.sink, payload),
             ),
             None => {
                 self.scratch.refill_from_slice(&self.bdesc, block)?;
                 let n = self.codec.compress_into(&self.scratch, &mut self.payload)?;
-                put_block(&mut self.sink, &mut self.written, &self.payload[..n])
+                put_block(&mut self.sink, &self.payload[..n])
             }
         }
     }
@@ -557,7 +544,7 @@ impl<W: Write> FrameWriter<W> {
         let mut flushed = 0usize;
         while self
             .window
-            .pop_ready(|payload, ()| put_block(&mut self.sink, &mut self.written, payload))?
+            .pop_ready(|payload, ()| put_block(&mut self.sink, payload))?
             .is_some()
         {
             flushed += 1;
@@ -583,7 +570,7 @@ impl<W: Write> FrameWriter<W> {
         }
         while self
             .window
-            .pop(|payload, ()| put_block(&mut self.sink, &mut self.written, payload))?
+            .pop(|payload, ()| put_block(&mut self.sink, payload))?
             .is_some()
         {}
         self.sink.flush()?;
@@ -592,10 +579,9 @@ impl<W: Write> FrameWriter<W> {
 }
 
 /// Emit one block record — payload length, then the payload — to `sink`.
-fn put_block<W: Write>(sink: &mut W, written: &mut u64, payload: &[u8]) -> Result<()> {
+fn put_block<W: Write>(sink: &mut W, payload: &[u8]) -> Result<()> {
     sink.write_all(&(payload.len() as u64).to_le_bytes())?;
     sink.write_all(payload)?;
-    *written += 8 + payload.len() as u64;
     Ok(())
 }
 
@@ -1041,10 +1027,8 @@ mod tests {
         // Once the pool has executed the submitted jobs, flush_ready emits
         // their records without waiting on anything.
         pool.drain();
-        let before = w.bytes_written();
         let flushed = w.flush_ready().unwrap();
         assert!(flushed > 0, "finished blocks must flush");
-        assert!(w.bytes_written() > before);
         assert_eq!(w.flush_ready().unwrap(), 0, "nothing left in flight");
         // The stream is still perfectly usable afterwards.
         w.write(&data.bytes()[2048..]).unwrap();
@@ -1261,19 +1245,5 @@ mod tests {
             RecordCheck::Truncated
         );
         assert!(take_record(&buf, buf.len()).is_none());
-    }
-
-    #[test]
-    fn writer_reports_progress() {
-        let data = sample(100);
-        let mut w = FrameWriter::new(Vec::new(), codec(), data.desc().clone(), 25, None).unwrap();
-        assert_eq!(w.bytes_consumed(), 0);
-        let prologue = w.bytes_written();
-        assert!(prologue > 0);
-        w.write(data.bytes()).unwrap();
-        assert_eq!(w.bytes_consumed(), data.bytes().len());
-        assert!(w.bytes_written() > prologue);
-        let out = w.finish().unwrap();
-        assert!(!out.is_empty());
     }
 }

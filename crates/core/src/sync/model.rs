@@ -555,7 +555,7 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
+    pub(crate) fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
         match op_mode() {
             OpMode::Unregistered => match self.inner.lock() {
                 Ok(g) => Ok(MutexGuard {
@@ -643,7 +643,10 @@ impl Condvar {
         }
     }
 
-    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+    pub(crate) fn wait<'a, T>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+    ) -> LockResult<MutexGuard<'a, T>> {
         let lock = guard.lock;
         match op_mode() {
             OpMode::Unregistered => {
@@ -694,7 +697,7 @@ impl Condvar {
         }
     }
 
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         match op_mode() {
             OpMode::Unregistered => self.inner.notify_all(),
             OpMode::Model(h) => h.exec.cv_notify(h.id, self.id, true, true),
@@ -717,13 +720,13 @@ pub struct AtomicU64 {
 }
 
 impl AtomicU64 {
-    pub fn new(v: u64) -> Self {
+    pub(crate) fn new(v: u64) -> Self {
         AtomicU64 {
             v: StdAtomicU64::new(v),
         }
     }
 
-    pub fn load(&self, order: Ordering) -> u64 {
+    pub(crate) fn load(&self, order: Ordering) -> u64 {
         if let OpMode::Model(h) = op_mode() {
             h.exec.op_point(h.id);
         }
@@ -737,7 +740,7 @@ impl AtomicU64 {
         self.v.store(val, order)
     }
 
-    pub fn fetch_add(&self, val: u64, order: Ordering) -> u64 {
+    pub(crate) fn fetch_add(&self, val: u64, order: Ordering) -> u64 {
         if let OpMode::Model(h) = op_mode() {
             h.exec.op_point(h.id);
         }
@@ -873,7 +876,7 @@ impl Default for ExploreOpts {
 impl ExploreOpts {
     /// Replay a single schedule from an encoded seed
     /// (a [`Counterexample::seed`]).
-    pub fn replay(seed: &str) -> Result<Self, String> {
+    pub(crate) fn replay(seed: &str) -> Result<Self, String> {
         Ok(ExploreOpts {
             prefix: decode_schedule(seed)?,
             replay_only: true,

@@ -37,14 +37,6 @@ fn truncated(what: &str, pos: usize, len: usize) -> Error {
     ))
 }
 
-/// Read a little-endian `u16` at `pos`, failing on a short buffer.
-pub fn le_u16(buf: &[u8], pos: usize) -> Result<u16> {
-    match buf.get(pos..).and_then(|t| t.first_chunk::<2>()) {
-        Some(w) => Ok(u16::from_le_bytes(*w)),
-        None => Err(truncated("u16", pos, buf.len())),
-    }
-}
-
 /// Read a little-endian `u32` at `pos`, failing on a short buffer.
 pub fn le_u32(buf: &[u8], pos: usize) -> Result<u32> {
     match buf.get(pos..).and_then(|t| t.first_chunk::<4>()) {
@@ -313,13 +305,11 @@ mod tests {
     #[test]
     fn reads_at_offsets_and_fails_truncated() {
         let buf: Vec<u8> = (0u8..12).collect();
-        assert_eq!(le_u16(&buf, 0).unwrap(), u16::from_le_bytes([0, 1]));
         assert_eq!(le_u32(&buf, 3).unwrap(), u32::from_le_bytes([3, 4, 5, 6]));
         assert_eq!(
             le_u64(&buf, 4).unwrap(),
             u64::from_le_bytes([4, 5, 6, 7, 8, 9, 10, 11])
         );
-        assert!(le_u16(&buf, 11).is_err());
         assert!(le_u32(&buf, 9).is_err());
         assert!(le_u64(&buf, 5).is_err());
         // Offsets past the end (including overflow-prone ones) fail cleanly.

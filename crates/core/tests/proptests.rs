@@ -4,8 +4,8 @@
 use fcbench_core::codec::{CodecClass, CodecInfo, Community, Platform, PrecisionSupport};
 use fcbench_core::frame::{decode_stream_header, encode_stream_header};
 use fcbench_core::{
-    Compressor, DataDesc, Domain, Error, FloatData, FrameReader, FrameWriter, Pipeline, Precision,
-    Result,
+    Compressor, DataDesc, Domain, Error, FloatData, FrameReader, FrameWriter, Pipeline, PoolConfig,
+    Precision, Result, WorkerPool,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -207,11 +207,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let data = arb_data(&desc, seed);
-        let registry = fcbench_core::CodecRegistry::new().with(Store);
-        let p = Pipeline::new(&registry, "store")
-            .unwrap()
-            .block_elems(block_elems)
-            .threads(threads);
+        let p = if threads == 1 {
+            blocked(block_elems)
+        } else {
+            let pool = WorkerPool::new(PoolConfig::with_threads(threads));
+            Pipeline::with_pool(Arc::new(Store), Arc::new(pool)).block_elems(block_elems)
+        };
         let frame = p.compress(&data).unwrap();
         let back = p.decompress(&frame).unwrap();
         prop_assert_eq!(back.bytes(), data.bytes());

@@ -5,7 +5,7 @@
 use fcbench_core::{Domain, Precision};
 
 /// Statistical family a generator draws from (drives
-/// [`crate::gen`]'s dispatch).
+/// `crate::gen`'s dispatch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     /// 1-D instrument/simulation traces (msg-bt, num-*).
@@ -49,7 +49,7 @@ pub struct DatasetSpec {
 
 impl DatasetSpec {
     /// Elements in the original dataset.
-    pub fn paper_elements(&self) -> usize {
+    pub(crate) fn paper_elements(&self) -> usize {
         self.paper_dims.iter().product()
     }
 

@@ -4,22 +4,22 @@
 //! Table 3 (the originals are multi-GB downloads; DESIGN.md documents the
 //! substitution). Three pieces:
 //!
-//! - [`catalog`](mod@catalog) — the full Table 3 transcription (name, domain,
+//! - [`catalog()`] — the full Table 3 transcription (name, domain,
 //!   precision, size, value entropy, extent) plus the scaling rule;
-//! - [`gen`] — deterministic per-dataset generators reproducing domain
+//! - [`generate`] — deterministic per-dataset generators reproducing domain
 //!   structure, decimal representability (BUFF's Table 4 pattern), and
 //!   the entropy targets;
-//! - [`entropy`] — the value-entropy estimator matching the Table 3
+//! - [`value_entropy`] — the value-entropy estimator matching the Table 3
 //!   column.
 //!
-//! [`generate_all`] hands every dataset over as a [`NamedData`], the
-//! column type of the benchmark run matrix.
+//! A [`NamedData`] is one dataset by name, the column type of the
+//! benchmark run matrix.
 
 #![forbid(unsafe_code)]
 
-pub mod catalog;
-pub mod entropy;
-pub mod gen;
+mod catalog;
+mod entropy;
+mod gen;
 
 pub use catalog::{catalog, find, DatasetSpec, Family};
 pub use entropy::{scaled_target, value_entropy};
@@ -41,12 +41,4 @@ impl NamedData {
             data,
         }
     }
-}
-
-/// Generate every dataset at `target_elems`, in Table 3 order.
-pub fn generate_all(target_elems: usize) -> Vec<NamedData> {
-    catalog()
-        .iter()
-        .map(|spec| NamedData::new(spec.name, generate(spec, target_elems)))
-        .collect()
 }

@@ -132,10 +132,6 @@ impl ColumnData {
             bytes,
         }
     }
-
-    pub fn rows(&self) -> usize {
-        self.bytes.len() / self.precision.bytes()
-    }
 }
 
 fn precision_byte(p: Precision) -> u8 {
@@ -365,7 +361,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
                 "chunk size {chunk_elems} is outside 1..=u32::MAX elements"
             )));
         }
-        self.end_column_inner()?;
+        self.end_column()?;
         let nlen = [name.len() as u8];
         let prec = [precision_byte(precision)];
         let ce = (chunk_elems as u32).to_le_bytes();
@@ -449,12 +445,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// Close the open column: emit the short tail page (if any) and drain
     /// the in-flight window so the column's directory metadata is complete.
     /// A no-op when no column is open.
-    pub fn end_column(&mut self) -> Result<()> {
-        let r = self.end_column_inner();
-        self.window.settle(r)
-    }
-
-    fn end_column_inner(&mut self) -> Result<()> {
+    fn end_column(&mut self) -> Result<()> {
         if !self.open {
             return Ok(());
         }
@@ -496,7 +487,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     fn commit_inner(&mut self) -> Result<()> {
         fcbench_core::fault::fail_point("container.commit")?;
         let _span = self.m_commit.start_span();
-        self.end_column_inner()?;
+        self.end_column()?;
         let log = &mut self.log;
         let dir = encode_directory(&log.columns);
         let commit_offset = log.written;
@@ -548,8 +539,7 @@ pub fn write_container_pooled(
 /// A column read back from disk (still compressed). The chunk payloads are
 /// not copied out of the file: the column holds the container's image —
 /// once, shared with the table's other columns — and a verified range of it
-/// per chunk, handed out by [`chunk`](Self::chunk) and
-/// [`chunks`](Self::chunks).
+/// per chunk, handed out by [`chunks`](Self::chunks).
 #[derive(Debug)]
 pub struct CompressedColumn {
     pub name: String,
@@ -968,7 +958,7 @@ impl CompressedColumn {
 
     /// The compressed payload of chunk `i` (panics when `i` is out of
     /// range, like slice indexing).
-    pub fn chunk(&self, i: usize) -> &[u8] {
+    pub(crate) fn chunk(&self, i: usize) -> &[u8] {
         &self.image[self.chunks[i].clone()]
     }
 
@@ -1066,11 +1056,6 @@ impl ColumnCursor<'_> {
     pub fn max_in_flight(mut self, cap: usize) -> Self {
         self.window.set_max_in_flight(cap);
         self
-    }
-
-    /// Chunks not yet handed to the caller.
-    pub fn chunks_remaining(&self) -> usize {
-        self.col.chunks.len() - self.collected
     }
 
     /// Decode and return the next page's element bytes in column order, or
@@ -1217,7 +1202,7 @@ mod tests {
         let table = read_container(&path).unwrap().table;
         assert_eq!(table.columns[0].chunks().len(), 3); // 64 + 64 + 2
         let col = table.columns[0].decode_pooled(&pool, &codec).unwrap();
-        assert_eq!(col.rows(), 130);
+        assert_eq!(col.bytes, cols[0].bytes);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1326,7 +1311,7 @@ mod tests {
         // Mid-element tail.
         w.begin_column("x", Precision::Double, 4).unwrap();
         w.write(&[0u8; 9]).unwrap();
-        assert!(matches!(w.end_column(), Err(Error::BadDescriptor(_))));
+        assert!(matches!(w.commit(), Err(Error::BadDescriptor(_))));
     }
 
     #[test]
@@ -1341,13 +1326,11 @@ mod tests {
 
         let col = &table.columns[0];
         let mut cursor = col.cursor(&pool, &codec).unwrap().max_in_flight(1);
-        assert_eq!(cursor.chunks_remaining(), col.chunks().len());
         let mut restored = Vec::new();
         while let Some(page) = cursor.next_chunk().unwrap() {
             restored.extend_from_slice(page);
         }
         assert_eq!(restored, cols[0].bytes);
-        assert_eq!(cursor.chunks_remaining(), 0);
         assert!(cursor.next_chunk().unwrap().is_none());
         std::fs::remove_file(&path).ok();
     }
@@ -1389,7 +1372,8 @@ mod tests {
         assert_eq!(read.outcome, RecoveryOutcome::Clean);
         assert_eq!(read.table.columns.len(), 2);
         for (col, orig) in read.table.columns.iter().zip(&cols) {
-            assert_eq!(col.chunks().len(), orig.rows().div_ceil(4));
+            let rows = orig.bytes.len() / orig.precision.bytes();
+            assert_eq!(col.chunks().len(), rows.div_ceil(4));
             assert_eq!(col.decode_pooled(&pool, &codec).unwrap().bytes, orig.bytes);
         }
     }
@@ -1444,7 +1428,7 @@ mod tests {
         let mut w = ContainerWriter::new(&mut out, &pool, &codec).unwrap();
         w.begin_column("x", Precision::Double, 8).unwrap();
         w.write(&ColumnData::from_f64("x", &a).bytes).unwrap();
-        assert!(matches!(w.end_column(), Err(Error::Unsupported(_))));
+        assert!(matches!(w.commit(), Err(Error::Unsupported(_))));
         drop(w);
 
         // The sink holds the COLUMN record and the two pages before the
@@ -1477,7 +1461,7 @@ mod tests {
         let mut w = ContainerWriter::new(&mut out, &pool, &panicking).unwrap();
         w.begin_column("x", Precision::Double, 8).unwrap();
         w.write(&bytes).unwrap();
-        assert!(matches!(w.end_column(), Err(Error::WorkerPanic(_))));
+        assert!(matches!(w.commit(), Err(Error::WorkerPanic(_))));
         drop(w);
         // As for a refused page: only the whole records before it.
         assert_eq!(record_tags(&out), [TAG_COLUMN, TAG_CHUNK, TAG_CHUNK]);

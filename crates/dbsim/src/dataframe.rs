@@ -16,20 +16,16 @@ pub enum Column {
 }
 
 impl Column {
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Column::F32(v) => v.len(),
             Column::F64(v) => v.len(),
         }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Value at `i` widened to f64.
     #[inline]
-    pub fn get(&self, i: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize) -> f64 {
         match self {
             Column::F32(v) => v[i] as f64,
             Column::F64(v) => v[i],
@@ -84,26 +80,14 @@ impl DataFrame {
         Ok(DataFrame { names, columns })
     }
 
-    pub fn n_rows(&self) -> usize {
-        self.columns.first().map_or(0, |c| c.len())
-    }
-
-    pub fn n_cols(&self) -> usize {
-        self.columns.len()
-    }
-
     pub fn column(&self, name: &str) -> Option<&Column> {
         let i = self.names.iter().position(|n| n == name)?;
         Some(&self.columns[i])
     }
 
-    pub fn column_names(&self) -> &[String] {
-        &self.names
-    }
-
     /// Histogram edges of `col` with `bins` equal-width bins; returns the
     /// `bins` upper edges used as scan predicates (footnote 14's `v_i`).
-    pub fn histogram_edges(&self, col: &Column, bins: usize) -> Vec<f64> {
+    pub(crate) fn histogram_edges(&self, col: &Column, bins: usize) -> Vec<f64> {
         assert!(bins >= 1);
         let n = col.len();
         if n == 0 {
@@ -139,30 +123,6 @@ impl DataFrame {
         hits
     }
 
-    /// Aggregation with a predicate: sum of `col` over rows where
-    /// `col <= v` (the second primitive class BUFF's §3.3 speedup claim
-    /// covers: "selective and aggregation filtering").
-    pub fn agg_sum_le(&self, col: &Column, v: f64) -> f64 {
-        let mut sum = 0.0;
-        for i in 0..col.len() {
-            let x = col.get(i);
-            if x <= v {
-                sum += x;
-            }
-        }
-        sum
-    }
-
-    /// Mean of `col` over rows where `col <= v`; `None` if nothing matches.
-    pub fn agg_mean_le(&self, col: &Column, v: f64) -> Option<f64> {
-        let hits = self.scan_le(col, v);
-        if hits == 0 {
-            None
-        } else {
-            Some(self.agg_sum_le(col, v) / hits as f64)
-        }
-    }
-
     /// The paper's full query benchmark: 10-bin histogram of the first
     /// column, then one scan per edge. Returns total matched rows (used
     /// as a checksum so the work cannot be optimized away).
@@ -192,12 +152,9 @@ mod tests {
     #[test]
     fn shape_and_lookup() {
         let d = df();
-        assert_eq!(d.n_rows(), 100);
-        assert_eq!(d.n_cols(), 2);
-        assert!(d.column("a").is_some());
-        assert!(d.column("b").is_some());
+        assert_eq!(d.column("a").map(Column::len), Some(100));
+        assert_eq!(d.column("b").map(Column::len), Some(100));
         assert!(d.column("z").is_none());
-        assert_eq!(d.column_names(), &["a".to_string(), "b".to_string()]);
     }
 
     #[test]
@@ -242,17 +199,6 @@ mod tests {
         // Sum over 10 edges of counts 10,20,...,100 = 550.
         assert_eq!(total, 550);
         assert_eq!(d.run_scan_benchmark(), total);
-    }
-
-    #[test]
-    fn aggregations_match_manual_computation() {
-        let d = df();
-        let a = d.column("a").unwrap();
-        // sum of 0..=49 = 1225; mean = 24.5
-        assert!((d.agg_sum_le(a, 49.0) - 1225.0).abs() < 1e-9);
-        assert!((d.agg_mean_le(a, 49.0).unwrap() - 24.5).abs() < 1e-9);
-        assert!(d.agg_mean_le(a, -5.0).is_none());
-        assert!((d.agg_sum_le(a, 1e9) - 4950.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # fcbench-dbsim
 //!
 //! The paper's simulated in-memory database (§5.1.2, Figure 4): an
-//! HDF5-style chunked columnar [container] on disk and an in-memory
-//! [dataframe] with histogram-driven full-table scans. These are the three
+//! HDF5-style chunked columnar container on disk and an in-memory
+//! [`DataFrame`] with histogram-driven full-table scans. These are the three
 //! primitives behind Table 11 and the block-size study of Table 10 — file
 //! I/O ([`read_container`]), decode ([`CompressedColumn::decode_pooled`])
 //! and query ([`DataFrame::run_scan_benchmark`]); the paper harness times
@@ -11,8 +11,7 @@
 //!
 //! A table read back with [`read_container`] holds the file's bytes once;
 //! each [`CompressedColumn`] hands out its compressed pages as slices of
-//! that image through [`chunk`](CompressedColumn::chunk) and
-//! [`chunks`](CompressedColumn::chunks), every one already checked against
+//! that image through [`chunks`](CompressedColumn::chunks), every one already checked against
 //! its record's checksum and the commit directory.
 //!
 //! As the paper notes, this deliberately oversimplifies a real database —
@@ -21,8 +20,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod container;
-pub mod dataframe;
+mod container;
+mod dataframe;
 
 /// The crate-wide telemetry registry: container write/commit timing,
 /// crash-recovery outcomes, and cursor read-ahead behaviour all land

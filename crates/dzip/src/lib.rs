@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 
+use fcbench_core::wire::{le_u64, Cursor};
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, PrecisionSupport,
     Result,
@@ -59,7 +60,7 @@ impl Default for Dzip {
 }
 
 impl Dzip {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Dzip {
             bootstrap_passes: 2,
             bootstrap_budget: 1 << 16,
@@ -221,19 +222,12 @@ impl Readout {
             )));
         }
         let mut r = Readout::zeroed();
-        let mut pos = 0;
-        let mut next = || {
-            let v = f64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("8 bytes"));
-            pos += 8;
-            v
-        };
-        for s in 0..256 {
-            for j in 0..HIDDEN {
-                r.w[s][j] = next();
-            }
-        }
-        for s in 0..256 {
-            r.b[s] = next();
+        let values = bytes
+            .chunks_exact(8)
+            .map(|v| le_u64(v, 0).map(f64::from_bits));
+        let slots = r.w.iter_mut().flatten().chain(r.b.iter_mut());
+        for (slot, v) in slots.zip(values) {
+            *slot = v?;
         }
         Ok(r)
     }
@@ -316,28 +310,14 @@ impl Compressor for Dzip {
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
-        if payload.len() < 12 {
-            return Err(Error::Corrupt("dzip: payload shorter than header".into()));
-        }
-        let wlen = u32::from_le_bytes(payload[..4].try_into().expect("4")) as usize;
-        let wbytes = payload
-            .get(4..4 + wlen)
-            .ok_or_else(|| Error::Corrupt("dzip: weights truncated".into()))?;
-        let boot = Readout::deserialize(wbytes)?;
-        let pos = 4 + wlen;
-        let dlen = u64::from_le_bytes(
-            payload
-                .get(pos..pos + 8)
-                .ok_or_else(|| Error::Corrupt("dzip: length truncated".into()))?
-                .try_into()
-                .expect("8"),
-        ) as usize;
+        let mut cur = Cursor::new("dzip", payload);
+        let wlen = cur.len32("weights length")?;
+        let boot = Readout::deserialize(cur.take(wlen, "weights")?)?;
+        let dlen = cur.len64("data length")?;
         if dlen != desc.byte_len() {
-            return Err(Error::Corrupt(
-                "dzip: length mismatch with descriptor".into(),
-            ));
+            return Err(cur.corrupt("length mismatch with descriptor"));
         }
-        let stream = &payload[pos + 8..];
+        let stream = cur.rest();
 
         let reservoir = Reservoir::seeded();
         let mut readout = boot;
@@ -364,7 +344,13 @@ impl Compressor for Dzip {
                 h = reservoir.step(sym, &h);
                 out.push(sym);
             }
-            Ok(())
+            if dec.at_end() {
+                Ok(())
+            } else {
+                Err(Error::Corrupt(
+                    "dzip: stream length does not match its symbols".into(),
+                ))
+            }
         })
     }
 }
@@ -454,6 +440,40 @@ mod tests {
         let mut bad = c.clone();
         bad[0] ^= 0xFF; // break the weight length
         assert!(d.decompress(&bad, data.desc()).is_err());
+    }
+
+    #[test]
+    fn every_truncation_is_a_typed_error() {
+        let vals: Vec<f64> = (0..64).map(|i| (i as f64 * 0.1).sin()).collect();
+        let data = FloatData::from_f64(&vals, vec![vals.len()], Domain::Hpc).unwrap();
+        let d = Dzip::with_bootstrap(1, 4096);
+        let c = d.compress(&data).unwrap();
+        let weights_end = 4 + 256 * (HIDDEN + 1) * 8;
+        let stream_start = weights_end + 8;
+        assert!(c.len() > stream_start + 16, "a stream worth cutting");
+
+        // Each header field's boundary ±1 byte, then a stride through the
+        // weights and through the range-coded stream.
+        let mut cuts: Vec<usize> = [0, 4, weights_end, stream_start, c.len()]
+            .iter()
+            .flat_map(|&b| [b.saturating_sub(1), b, b + 1])
+            .filter(|&cut| cut < c.len())
+            .collect();
+        cuts.extend((4..weights_end).step_by(997));
+        cuts.extend((stream_start..c.len()).step_by(7));
+        for cut in cuts {
+            match d.decompress(&c[..cut], data.desc()) {
+                Err(Error::Corrupt(_)) => {}
+                Err(e) => panic!("cut at {cut}: untyped {e}"),
+                Ok(_) => panic!("cut at {cut} decoded without an error"),
+            }
+        }
+
+        // Bytes after the stream are no more this stream than a cut one.
+        let mut long = c.clone();
+        long.push(0);
+        assert!(d.decompress(&long, data.desc()).is_err());
+        assert_eq!(d.decompress(&c, data.desc()).unwrap().bytes(), data.bytes());
     }
 
     #[test]

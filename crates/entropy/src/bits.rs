@@ -230,12 +230,6 @@ impl BitWriter {
         align_acc(&mut self.buf, &mut self.acc, &mut self.nbits);
     }
 
-    /// Bulk-append whole bytes. The writer must be byte-aligned (panics
-    /// otherwise).
-    pub fn extend_aligned(&mut self, bytes: &[u8]) {
-        extend_aligned_acc(&mut self.buf, &mut self.acc, &mut self.nbits, bytes);
-    }
-
     /// Finish, returning the backing bytes (final partial byte zero-padded).
     pub fn into_bytes(mut self) -> Vec<u8> {
         flush_acc(&mut self.buf, &mut self.acc, &mut self.nbits);
@@ -860,9 +854,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "byte-aligned")]
     fn extend_aligned_rejects_misaligned_writer() {
-        let mut w = BitWriter::new();
-        w.push_bit(true);
-        w.extend_aligned(&[0xFF]);
+        let mut buf = Vec::new();
+        let mut s = BitSink::new(&mut buf);
+        s.push_bit(true);
+        s.extend_aligned(&[0xFF]);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Canonical Huffman coding over byte symbols (§2.2(2) of the paper).
 //!
 //! Used as the entropy stage of [`crate::zzip`] (the zstd-class codec) and
-//! available standalone. Code lengths are limited to [`MAX_CODE_LEN`] bits
+//! available standalone. Code lengths are limited to `MAX_CODE_LEN` bits
 //! by frequency damping; codes are canonical so the table header is just
 //! 256 nibble lengths (128 bytes).
 
 use crate::bits::BitReader;
 
 /// Maximum code length in bits.
-pub const MAX_CODE_LEN: u32 = 15;
+pub(crate) const MAX_CODE_LEN: u32 = 15;
 
 /// Error type for Huffman decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,7 +24,7 @@ impl std::error::Error for HuffmanError {}
 
 /// Compute Huffman code lengths for 256 byte symbols, limited to
 /// [`MAX_CODE_LEN`]. Symbols with zero frequency get length 0 (no code).
-pub fn code_lengths(freqs: &[u64; 256]) -> [u8; 256] {
+pub(crate) fn code_lengths(freqs: &[u64; 256]) -> [u8; 256] {
     let mut f: Vec<u64> = freqs.to_vec();
     loop {
         let lens = huffman_lengths_unbounded(&f);
@@ -111,7 +111,7 @@ fn huffman_lengths_unbounded(freqs: &[u64]) -> Vec<u8> {
 }
 
 /// Canonical codes from code lengths: `(code, len)` per symbol.
-pub fn canonical_codes(lens: &[u8; 256]) -> [(u16, u8); 256] {
+pub(crate) fn canonical_codes(lens: &[u8; 256]) -> [(u16, u8); 256] {
     let mut count = [0u16; (MAX_CODE_LEN + 1) as usize];
     for &l in lens.iter() {
         if l > 0 {
@@ -147,7 +147,7 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 /// the 132-byte header plus the code-length-weighted histogram, rounded
 /// up to whole bytes. Lets callers evaluating several candidate encodings
 /// (zzip mode selection) price a Huffman mode from one histogram pass.
-pub fn encoded_len(data: &[u8]) -> usize {
+pub(crate) fn encoded_len(data: &[u8]) -> usize {
     let mut freqs = [0u64; 256];
     histogram(data, &mut freqs);
     let lens = code_lengths(&freqs);
@@ -183,7 +183,7 @@ fn histogram(data: &[u8], freqs: &mut [u64; 256]) {
 ///
 /// The hot loops are batched: the histogram counts into four lanes to
 /// break the store-to-load dependency chain, and the emitter fuses four
-/// symbols (≤ 60 bits at [`MAX_CODE_LEN`] 15) into one accumulator push.
+/// symbols (≤ 60 bits at `MAX_CODE_LEN` 15) into one accumulator push.
 /// Concatenating MSB-first codes in an accumulator is bit-exact with
 /// pushing them one by one, so the stream is unchanged.
 pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {

@@ -12,7 +12,8 @@
 //! - [`lz4`] — the LZ4 block format with greedy hash-table matching;
 //! - [`lz77`] — configurable-window hash-chain LZ77 (SPDP's `LZa6`);
 //! - [`huffman`] — canonical, length-limited Huffman over byte symbols;
-//! - [`range`] — carry-less range coder + adaptive models (fpzip, Dzip);
+//! - [`RangeEncoder`]/[`RangeDecoder`] — carry-less range coder +
+//!   [`AdaptiveModel`]s (fpzip, Dzip);
 //! - [`zzip`] — the zstd-class LZ77+Huffman codec used by
 //!   `bitshuffle::zstd`'s backend.
 
@@ -26,7 +27,7 @@ pub mod bits;
 pub mod huffman;
 pub mod lz4;
 pub mod lz77;
-pub mod range;
+mod range;
 pub mod zzip;
 
 pub use bits::{BitReader, BitSink, BitWriter};

@@ -26,14 +26,14 @@
 use std::cell::RefCell;
 
 /// Minimum match length.
-pub const MIN_MATCH: usize = 4;
+pub(crate) const MIN_MATCH: usize = 4;
 /// Maximum supported window (3-byte offsets).
-pub const MAX_WINDOW: usize = (1 << 24) - 1;
+pub(crate) const MAX_WINDOW: usize = (1 << 24) - 1;
 
 /// Matching effort configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Lz77Config {
-    /// Sliding-window size in bytes (max [`MAX_WINDOW`]).
+    /// Sliding-window size in bytes (max `MAX_WINDOW`).
     pub window: usize,
     /// Maximum hash-chain positions probed per input position.
     pub chain_depth: usize,
@@ -83,7 +83,7 @@ pub mod reference {
 
     /// Byte-granular compressor: per-item heap buffers, one-byte-at-a-time
     /// match extension, chain tables allocated fresh per call.
-    pub fn compress_into(input: &[u8], cfg: Lz77Config, out: &mut Vec<u8>) {
+    pub(crate) fn compress_into(input: &[u8], cfg: Lz77Config, out: &mut Vec<u8>) {
         assert!(cfg.window >= MIN_MATCH && cfg.window <= MAX_WINDOW);
         let offset_bytes: usize = if cfg.window <= u16::MAX as usize {
             2
@@ -341,7 +341,7 @@ pub fn compress(input: &[u8], cfg: Lz77Config) -> Vec<u8> {
 /// Like [`compress`] but into a caller-owned buffer (contents replaced,
 /// capacity reused) — the zero-copy `Compressor::compress_into` hot path.
 ///
-/// Emits streams byte-identical to [`reference::compress_into`].
+/// Emits streams byte-identical to `reference::compress_into`.
 pub fn compress_into(input: &[u8], cfg: Lz77Config, out: &mut Vec<u8>) {
     assert!(cfg.window >= MIN_MATCH && cfg.window <= MAX_WINDOW);
     let offset_bytes: usize = if cfg.window <= u16::MAX as usize {

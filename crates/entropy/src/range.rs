@@ -11,7 +11,7 @@ const BOTTOM: u32 = 1 << 16;
 
 /// Maximum allowed total frequency of a model (must stay below `BOTTOM`
 /// so the range never underflows).
-pub const MAX_TOTAL_FREQ: u32 = BOTTOM - 1;
+pub(crate) const MAX_TOTAL_FREQ: u32 = BOTTOM - 1;
 
 /// Streaming range encoder.
 pub struct RangeEncoder {
@@ -138,17 +138,20 @@ impl<'a> RangeDecoder<'a> {
         }
     }
 
-    /// Bytes consumed so far (for diagnostics).
-    pub fn consumed(&self) -> usize {
-        self.pos.min(self.input.len())
+    /// Has decoding consumed the input exactly? The decoder shifts in a
+    /// byte wherever the encoder shifted one out, so a whole stream ends
+    /// with every byte read. A truncated one has read past its end (as
+    /// zeros), and one with bytes left over is not the stream encoded.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.input.len()
     }
 }
 
 /// Adaptive frequency model over `n` symbols with periodic halving.
 ///
 /// Frequencies start at 1 (every symbol encodable) and bump by
-/// [`Self::INCREMENT`] per occurrence; when the total would exceed
-/// [`MAX_TOTAL_FREQ`], all frequencies halve (staying ≥ 1).
+/// `Self::INCREMENT` per occurrence; when the total would exceed
+/// `MAX_TOTAL_FREQ`, all frequencies halve (staying ≥ 1).
 #[derive(Debug, Clone)]
 pub struct AdaptiveModel {
     freq: Vec<u32>,
@@ -156,7 +159,7 @@ pub struct AdaptiveModel {
 }
 
 impl AdaptiveModel {
-    pub const INCREMENT: u32 = 32;
+    pub(crate) const INCREMENT: u32 = 32;
 
     pub fn new(n: usize) -> Self {
         assert!(n >= 1 && n as u32 <= MAX_TOTAL_FREQ);
@@ -166,18 +169,9 @@ impl AdaptiveModel {
         }
     }
 
-    /// Number of symbols.
-    pub fn len(&self) -> usize {
-        self.freq.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.freq.is_empty()
-    }
-
     /// `(cum, freq, total)` triple for `symbol`.
     #[inline]
-    pub fn lookup(&self, symbol: usize) -> (u32, u32, u32) {
+    pub(crate) fn lookup(&self, symbol: usize) -> (u32, u32, u32) {
         let cum: u32 = self.freq[..symbol].iter().sum();
         (cum, self.freq[symbol], self.total)
     }
@@ -185,7 +179,7 @@ impl AdaptiveModel {
     /// Find the symbol whose bucket contains `target`; returns
     /// `(symbol, cum, freq, total)`.
     #[inline]
-    pub fn find(&self, target: u32) -> (usize, u32, u32, u32) {
+    pub(crate) fn find(&self, target: u32) -> (usize, u32, u32, u32) {
         let mut cum = 0u32;
         for (i, &f) in self.freq.iter().enumerate() {
             if target < cum + f {
@@ -204,7 +198,7 @@ impl AdaptiveModel {
 
     /// Record one occurrence of `symbol`.
     #[inline]
-    pub fn update(&mut self, symbol: usize) {
+    pub(crate) fn update(&mut self, symbol: usize) {
         self.freq[symbol] += Self::INCREMENT;
         self.total += Self::INCREMENT;
         if self.total > MAX_TOTAL_FREQ {

@@ -67,7 +67,7 @@ thread_local! {
 /// Compress with an explicit LZ77 configuration.
 ///
 /// Mode selection prices the three Huffman candidates via
-/// [`huffman::encoded_len`] (one histogram pass each, exact by
+/// `huffman::encoded_len` (one histogram pass each, exact by
 /// construction) and materializes only the winning body — the selected
 /// mode and emitted frame are identical to encoding all six candidates
 /// and keeping the smallest, at roughly half the entropy-stage work.

@@ -22,8 +22,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod config;
-pub mod exec;
+mod config;
+mod exec;
 mod transfer;
 
 pub use config::GpuConfig;

@@ -17,7 +17,8 @@
 //!   the failed exchange may have desynced the old connection's framing.
 //!   [`Client::send_raw`] — arbitrary bytes, unknowable semantics — is
 //!   never retried. Retries are off by default
-//!   ([`RetryPolicy::default`]); opt in with [`RetryPolicy::retries`].
+//!   ([`RetryPolicy::default`]); opt in by setting
+//!   [`max_retries`](RetryPolicy::max_retries).
 
 use crate::protocol::{self, CodecListing};
 use fcbench_core::fault::Rng;
@@ -56,14 +57,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy retrying up to `max_retries` times (10ms base, 1s cap).
-    pub fn retries(max_retries: u32) -> Self {
-        RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Is `err` worth retrying at all? Shed replies and transport
     /// failures are; every other typed error is a property of the request
     /// itself and would only fail again.
@@ -79,7 +72,7 @@ impl RetryPolicy {
     /// `None` to give up: budget exhausted, or the error is not
     /// retryable. Exponential with deterministic jitter in the upper half
     /// of the window, floored at a busy reply's retry-after hint.
-    pub fn delay_for(&self, attempt: u32, err: &Error) -> Option<Duration> {
+    pub(crate) fn delay_for(&self, attempt: u32, err: &Error) -> Option<Duration> {
         let floor = Self::retryable(err)?;
         if attempt >= self.max_retries {
             return None;
@@ -256,7 +249,7 @@ impl Client {
 
     /// The server's advertised request-size ceiling in bytes: the raw
     /// element bytes of a `COMPRESS`. A `DECOMPRESS` stream gets expansion
-    /// headroom on top ([`protocol::stream_cap`]) so a stream the server
+    /// headroom on top (`protocol::stream_cap`) so a stream the server
     /// itself produced always fits back through it.
     pub fn server_max_request_bytes(&self) -> u64 {
         self.server_max

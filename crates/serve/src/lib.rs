@@ -66,10 +66,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod client;
+mod client;
 pub mod protocol;
-pub mod server;
-pub mod stats;
+mod server;
+mod stats;
 
 pub use client::{Client, ClientConfig, RetryPolicy};
 pub use protocol::{CodecListing, StatsV2};

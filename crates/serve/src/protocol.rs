@@ -56,36 +56,36 @@ use fcbench_telemetry::{HistogramSnapshot, Snapshot};
 use std::io::{Read, Write};
 
 /// Protocol magic, first on the wire in both directions.
-pub const MAGIC: &[u8; 4] = b"FCS1";
+pub(crate) const MAGIC: &[u8; 4] = b"FCS1";
 
 /// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 /// Request verbs.
 pub const VERB_COMPRESS: u8 = 1;
 pub const VERB_DECOMPRESS: u8 = 2;
-pub const VERB_LIST_CODECS: u8 = 3;
+pub(crate) const VERB_LIST_CODECS: u8 = 3;
 // Verb 4 is reserved (an earlier stats verb used it, so it is never
 // reassigned) and is refused like any unknown verb.
-pub const VERB_STATS_V2: u8 = 5;
+pub(crate) const VERB_STATS_V2: u8 = 5;
 
 /// Reply status codes. `0` is success; everything else maps onto a
 /// [`fcbench_core::Error`] variant on the client side.
-pub const STATUS_OK: u8 = 0;
-pub const ERR_PROTOCOL: u8 = 1;
-pub const ERR_UNKNOWN_CODEC: u8 = 2;
-pub const ERR_BAD_DESCRIPTOR: u8 = 3;
-pub const ERR_UNSUPPORTED: u8 = 4;
-pub const ERR_CORRUPT: u8 = 5;
-pub const ERR_WORKER_PANIC: u8 = 6;
-pub const ERR_IO: u8 = 7;
+pub(crate) const STATUS_OK: u8 = 0;
+pub(crate) const ERR_PROTOCOL: u8 = 1;
+pub(crate) const ERR_UNKNOWN_CODEC: u8 = 2;
+pub(crate) const ERR_BAD_DESCRIPTOR: u8 = 3;
+pub(crate) const ERR_UNSUPPORTED: u8 = 4;
+pub(crate) const ERR_CORRUPT: u8 = 5;
+pub(crate) const ERR_WORKER_PANIC: u8 = 6;
+pub(crate) const ERR_IO: u8 = 7;
 /// The server shed the request under load; the body carries a u64
 /// retry-after hint (milliseconds) followed by the display message.
-pub const ERR_BUSY: u8 = 8;
+pub(crate) const ERR_BUSY: u8 = 8;
 
 /// Ceiling a client accepts for one reply body (a compressed stream never
 /// legitimately expands a request beyond the reader-side record caps).
-pub const MAX_REPLY_BYTES: usize = 1 << 30;
+pub(crate) const MAX_REPLY_BYTES: usize = 1 << 30;
 
 /// The `DECOMPRESS` stream-byte ceiling implied by a raw-byte ceiling.
 ///
@@ -103,12 +103,12 @@ pub const MAX_REPLY_BYTES: usize = 1 << 30;
 /// *decoded-size* claim — the allocation that matters — is still gated at
 /// `max_request_bytes`. Both endpoints use this one formula: the server to
 /// size `read_sized`, the client to refuse locally.
-pub fn stream_cap(max_request_bytes: u64) -> u64 {
+pub(crate) fn stream_cap(max_request_bytes: u64) -> u64 {
     max_request_bytes.saturating_mul(9).saturating_add(1 << 16)
 }
 
 /// Read exactly `buf.len()` bytes, mapping I/O failures to typed errors.
-pub fn read_exact<R: Read>(src: &mut R, buf: &mut [u8]) -> Result<()> {
+pub(crate) fn read_exact<R: Read>(src: &mut R, buf: &mut [u8]) -> Result<()> {
     src.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
             Error::Corrupt("connection closed mid-message".into())
@@ -118,19 +118,19 @@ pub fn read_exact<R: Read>(src: &mut R, buf: &mut [u8]) -> Result<()> {
     })
 }
 
-pub fn read_u8<R: Read>(src: &mut R) -> Result<u8> {
+pub(crate) fn read_u8<R: Read>(src: &mut R) -> Result<u8> {
     let mut b = [0u8; 1];
     read_exact(src, &mut b)?;
     Ok(b[0])
 }
 
-pub fn read_u16<R: Read>(src: &mut R) -> Result<u16> {
+pub(crate) fn read_u16<R: Read>(src: &mut R) -> Result<u16> {
     let mut b = [0u8; 2];
     read_exact(src, &mut b)?;
     Ok(u16::from_le_bytes(b))
 }
 
-pub fn read_u64<R: Read>(src: &mut R) -> Result<u64> {
+pub(crate) fn read_u64<R: Read>(src: &mut R) -> Result<u64> {
     let mut b = [0u8; 8];
     read_exact(src, &mut b)?;
     Ok(u64::from_le_bytes(b))
@@ -144,7 +144,7 @@ const READ_SIZED_STEP: usize = 1 << 20;
 /// Read a length-prefixed buffer, rejecting declared lengths above `cap`
 /// before allocating for them, and growing the buffer incrementally so
 /// the allocation tracks delivered bytes rather than the declared claim.
-pub fn read_sized<R: Read>(src: &mut R, cap: usize) -> Result<Vec<u8>> {
+pub(crate) fn read_sized<R: Read>(src: &mut R, cap: usize) -> Result<Vec<u8>> {
     let len = read_u64(src)?;
     let len = usize::try_from(len)
         .ok()
@@ -177,7 +177,7 @@ pub fn encode_name(name: &str, out: &mut Vec<u8>) -> Result<()> {
 }
 
 /// Read a u8-length-prefixed UTF-8 codec name.
-pub fn decode_name<R: Read>(src: &mut R) -> Result<String> {
+pub(crate) fn decode_name<R: Read>(src: &mut R) -> Result<String> {
     let len = usize::from(read_u8(src)?);
     // lint: claim-checked(len is u8-bounded, at most 255 bytes)
     let mut buf = vec![0u8; len];
@@ -211,7 +211,7 @@ pub fn encode_desc(desc: &DataDesc, out: &mut Vec<u8>) -> Result<()> {
 
 /// Read a data descriptor, re-validating through [`DataDesc::new`] so
 /// hostile dims (zero extents, overflowing products) become typed errors.
-pub fn decode_desc<R: Read>(src: &mut R) -> Result<DataDesc> {
+pub(crate) fn decode_desc<R: Read>(src: &mut R) -> Result<DataDesc> {
     let precision = match read_u8(src)? {
         0 => Precision::Single,
         1 => Precision::Double,
@@ -248,7 +248,7 @@ pub fn client_hello() -> [u8; 6] {
 }
 
 /// Validate a client hello; returns the client's version.
-pub fn check_client_hello(hello: &[u8; 6]) -> Result<u16> {
+pub(crate) fn check_client_hello(hello: &[u8; 6]) -> Result<u16> {
     if &hello[..4] != MAGIC {
         return Err(Error::Corrupt(format!(
             "bad protocol magic {:?} (expected {MAGIC:?})",
@@ -268,7 +268,7 @@ pub fn check_client_hello(hello: &[u8; 6]) -> Result<u16> {
 /// server's request-size ceiling, so clients can refuse oversized
 /// requests with a typed error *before* streaming a body the server will
 /// only cut off.
-pub fn hello_body(max_request_bytes: u64) -> Vec<u8> {
+pub(crate) fn hello_body(max_request_bytes: u64) -> Vec<u8> {
     let mut body = client_hello().to_vec();
     body.extend_from_slice(&max_request_bytes.to_le_bytes());
     body
@@ -276,7 +276,7 @@ pub fn hello_body(max_request_bytes: u64) -> Vec<u8> {
 
 /// Validate the server's handshake body; returns the negotiated version
 /// and the server's advertised request-size ceiling.
-pub fn check_hello_body(body: &[u8]) -> Result<(u16, u64)> {
+pub(crate) fn check_hello_body(body: &[u8]) -> Result<(u16, u64)> {
     if body.len() != 14 {
         return Err(Error::Corrupt("handshake reply has a wrong length".into()));
     }
@@ -289,7 +289,7 @@ pub fn check_hello_body(body: &[u8]) -> Result<(u16, u64)> {
 }
 
 /// The wire status code for an error.
-pub fn error_code(err: &Error) -> u8 {
+pub(crate) fn error_code(err: &Error) -> u8 {
     match err {
         Error::UnknownCodec { .. } => ERR_UNKNOWN_CODEC,
         Error::BadDescriptor(_) => ERR_BAD_DESCRIPTOR,
@@ -308,7 +308,7 @@ pub fn error_code(err: &Error) -> u8 {
 /// Encode an error reply body. [`Error::UnknownCodec`] is structured so the
 /// client reconstructs the typed error (with the available-codec listing);
 /// every other code carries its display message.
-pub fn encode_error_body(err: &Error) -> Vec<u8> {
+pub(crate) fn encode_error_body(err: &Error) -> Vec<u8> {
     match err {
         Error::UnknownCodec {
             requested,
@@ -335,7 +335,7 @@ pub fn encode_error_body(err: &Error) -> Vec<u8> {
 }
 
 /// Rebuild the typed error from a non-OK reply.
-pub fn decode_error(code: u8, body: &[u8]) -> Error {
+pub(crate) fn decode_error(code: u8, body: &[u8]) -> Error {
     if code == ERR_UNKNOWN_CODEC {
         if let Some(err) = decode_unknown_codec(body) {
             return err;
@@ -405,7 +405,7 @@ const FLAG_BLOCK_CAPABLE: u8 = 2;
 
 /// Encode a `LIST_CODECS` reply body. Errors (`NameTooLong`) rather than
 /// silently truncating a name the client would then decode differently.
-pub fn encode_listings(listings: &[CodecListing]) -> Result<Vec<u8>> {
+pub(crate) fn encode_listings(listings: &[CodecListing]) -> Result<Vec<u8>> {
     let mut body = Vec::new();
     body.extend_from_slice(&(listings.len().min(u16::MAX as usize) as u16).to_le_bytes());
     for l in listings.iter().take(u16::MAX as usize) {
@@ -423,7 +423,7 @@ pub fn encode_listings(listings: &[CodecListing]) -> Result<Vec<u8>> {
 }
 
 /// Decode a `LIST_CODECS` reply body.
-pub fn decode_listings(body: &[u8]) -> Result<Vec<CodecListing>> {
+pub(crate) fn decode_listings(body: &[u8]) -> Result<Vec<CodecListing>> {
     let mut src = body;
     let count = usize::from(read_u16(&mut src)?);
     // lint: claim-checked(count is u16-bounded, at most 65535 small rows)
@@ -518,7 +518,7 @@ fn plausible_rows(count: usize, remaining: usize, min_row_bytes: usize) -> Resul
 /// Encode a `STATS_V2` reply body from a registry [`Snapshot`].
 /// Histograms ride sparse — only non-empty buckets — so an idle
 /// histogram costs a few bytes instead of its full bucket table.
-pub fn encode_stats_v2(snap: &Snapshot) -> Result<Vec<u8>> {
+pub(crate) fn encode_stats_v2(snap: &Snapshot) -> Result<Vec<u8>> {
     let mut body = Vec::new();
     for rows in [&snap.counters, &snap.gauges] {
         body.extend_from_slice(&(rows.len().min(u16::MAX as usize) as u16).to_le_bytes());
@@ -551,7 +551,7 @@ pub fn encode_stats_v2(snap: &Snapshot) -> Result<Vec<u8>> {
 /// [`HistogramSnapshot::from_sparse`], and the declared total must agree
 /// with the bucket counts — corrupt wire data becomes a typed error,
 /// never an allocation or a panic.
-pub fn decode_stats_v2(body: &[u8]) -> Result<StatsV2> {
+pub(crate) fn decode_stats_v2(body: &[u8]) -> Result<StatsV2> {
     let mut src = body;
     let mut out = StatsV2::default();
     // Scalar row: 2-byte name length + 8-byte value, at minimum.
@@ -593,7 +593,7 @@ pub fn decode_stats_v2(body: &[u8]) -> Result<StatsV2> {
 }
 
 /// Write an OK reply frame around `body`.
-pub fn write_ok_reply<W: Write>(sink: &mut W, body: &[u8]) -> Result<()> {
+pub(crate) fn write_ok_reply<W: Write>(sink: &mut W, body: &[u8]) -> Result<()> {
     fcbench_core::fault::fail_point("serve.reply_write")?;
     sink.write_all(&[STATUS_OK])?;
     sink.write_all(&(body.len() as u64).to_le_bytes())?;
@@ -603,7 +603,7 @@ pub fn write_ok_reply<W: Write>(sink: &mut W, body: &[u8]) -> Result<()> {
 }
 
 /// Write an error reply frame for `err`.
-pub fn write_err_reply<W: Write>(sink: &mut W, err: &Error) -> Result<()> {
+pub(crate) fn write_err_reply<W: Write>(sink: &mut W, err: &Error) -> Result<()> {
     let body = encode_error_body(err);
     sink.write_all(&[error_code(err)])?;
     sink.write_all(&(body.len() as u64).to_le_bytes())?;
@@ -613,9 +613,9 @@ pub fn write_err_reply<W: Write>(sink: &mut W, err: &Error) -> Result<()> {
 }
 
 /// Read one reply frame: the OK body on success, the decoded typed error on
-/// a non-OK status. Bodies above [`MAX_REPLY_BYTES`] are refused; a client
+/// a non-OK status. Bodies above `MAX_REPLY_BYTES` are refused; a client
 /// that has handshaken with a server advertising a larger request cap
-/// should use [`read_reply_capped`] with the matching [`stream_cap`].
+/// should use `read_reply_capped` with the matching `stream_cap`.
 pub fn read_reply<R: Read>(src: &mut R) -> Result<Vec<u8>> {
     read_reply_capped(src, MAX_REPLY_BYTES)
 }
@@ -625,7 +625,7 @@ pub fn read_reply<R: Read>(src: &mut R) -> Result<Vec<u8>> {
 /// legitimately exceed the default (expansion headroom, [`stream_cap`]),
 /// and refusing it without reading would leave the unread body desyncing
 /// every later frame on the connection.
-pub fn read_reply_capped<R: Read>(src: &mut R, cap: usize) -> Result<Vec<u8>> {
+pub(crate) fn read_reply_capped<R: Read>(src: &mut R, cap: usize) -> Result<Vec<u8>> {
     let status = read_u8(src)?;
     let body = read_sized(src, cap)?;
     if status == STATUS_OK {

@@ -209,7 +209,7 @@ impl Shared {
 }
 
 /// A bound-but-not-yet-running `FCS1` server. Construct with
-/// [`Server::bind`], then either [`run`](Server::run) it on the current
+/// [`Server::bind`], then either `run` it on the current
 /// thread or [`spawn`](Server::spawn) it onto a background one.
 pub struct Server {
     listener: TcpListener,
@@ -272,7 +272,7 @@ impl Server {
     }
 
     /// A handle for stats and shutdown, usable from any thread.
-    pub fn handle(&self) -> ServerHandle {
+    pub(crate) fn handle(&self) -> ServerHandle {
         ServerHandle {
             addr: self.addr,
             shared: Arc::clone(&self.shared),
@@ -288,7 +288,7 @@ impl Server {
     /// flag is always noticed — a blocking `accept` would need a wake-up
     /// self-connection, which can fail (interface-specific binds,
     /// saturated backlogs) and leave shutdown hanging forever.
-    pub fn run(self) -> Result<()> {
+    pub(crate) fn run(self) -> Result<()> {
         self.listener.set_nonblocking(true)?;
         let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         loop {
@@ -333,7 +333,7 @@ impl Server {
         Ok(())
     }
 
-    /// [`run`](Server::run) on a background thread.
+    /// `run` on a background thread.
     pub fn spawn(self) -> RunningServer {
         let handle = self.handle();
         let join = std::thread::Builder::new()
@@ -346,7 +346,7 @@ impl Server {
 
 impl ServerHandle {
     /// The server's bound address.
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 
@@ -368,7 +368,7 @@ impl ServerHandle {
     /// handlers exit at their next request boundary (mid-request work gets
     /// [`ServeConfig::shutdown_grace`]). Returns immediately; use
     /// [`RunningServer::shutdown`] to also wait for the drain.
-    pub fn signal_shutdown(&self) {
+    pub(crate) fn signal_shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
     }
 }

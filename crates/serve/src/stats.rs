@@ -31,7 +31,7 @@ impl ServerStats {
     /// each entry of `registry`. (Handles onto an existing registry start
     /// from whatever the registry already holds — a fresh registry per
     /// server keeps them zero.)
-    pub fn new(registry: &CodecRegistry, metrics: &Registry) -> Self {
+    pub(crate) fn new(registry: &CodecRegistry, metrics: &Registry) -> Self {
         let codec_names = registry.names();
         let codec_requests = codec_names
             .iter()
@@ -49,19 +49,19 @@ impl ServerStats {
         }
     }
 
-    pub fn add_bytes_in(&self, n: u64) {
+    pub(crate) fn add_bytes_in(&self, n: u64) {
         self.bytes_in.add(n);
     }
 
-    pub fn add_bytes_out(&self, n: u64) {
+    pub(crate) fn add_bytes_out(&self, n: u64) {
         self.bytes_out.add(n);
     }
 
-    pub fn request_ok(&self) {
+    pub(crate) fn request_ok(&self) {
         self.requests_ok.inc();
     }
 
-    pub fn request_failed(&self) {
+    pub(crate) fn request_failed(&self) {
         self.requests_failed.inc();
     }
 
@@ -70,14 +70,14 @@ impl ServerStats {
     /// guard drops, however the handler exits — there is no code path that
     /// can leak an increment.
     #[must_use]
-    pub fn connection_opened(&self) -> GaugeGuard {
+    pub(crate) fn connection_opened(&self) -> GaugeGuard {
         self.connections_accepted.inc();
         self.connections_active.inc_scoped()
     }
 
     /// Count one served request against `codec` (no-op for names outside
     /// the registry — those failed before reaching a codec).
-    pub fn count_codec(&self, codec: &str) {
+    pub(crate) fn count_codec(&self, codec: &str) {
         if let Some(i) = self.codec_names.iter().position(|n| *n == codec) {
             if let Some(c) = self.codec_requests.get(i) {
                 c.inc();
@@ -86,7 +86,7 @@ impl ServerStats {
     }
 
     /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             bytes_in: self.bytes_in.get(),
             bytes_out: self.bytes_out.get(),

@@ -6,7 +6,7 @@
 use std::f64::consts::PI;
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Published Lanczos(g = 7) coefficients, kept verbatim.
     #[allow(clippy::excessive_precision)]
     const COEF: [f64; 9] = [
@@ -34,7 +34,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Regularized lower incomplete gamma P(a, x).
-pub fn reg_gamma_p(a: f64, x: f64) -> f64 {
+pub(crate) fn reg_gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0);
     if x == 0.0 {
         return 0.0;
@@ -87,7 +87,7 @@ fn reg_gamma_q_cf(a: f64, x: f64) -> f64 {
 }
 
 /// Regularized incomplete beta I_x(a, b) via Lentz's continued fraction.
-pub fn reg_beta(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn reg_beta(a: f64, b: f64, x: f64) -> f64 {
     assert!(a > 0.0 && b > 0.0 && (0.0..=1.0).contains(&x));
     if x == 0.0 {
         return 0.0;
@@ -149,7 +149,7 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 }
 
 /// Standard normal CDF Φ(z).
-pub fn normal_cdf(z: f64) -> f64 {
+pub(crate) fn normal_cdf(z: f64) -> f64 {
     0.5 * erfc_approx(-z / std::f64::consts::SQRT_2)
 }
 
@@ -177,7 +177,7 @@ fn erfc_approx(x: f64) -> f64 {
 }
 
 /// Chi-squared survival function P(X > x) with k degrees of freedom.
-pub fn chi2_sf(x: f64, k: f64) -> f64 {
+pub(crate) fn chi2_sf(x: f64, k: f64) -> f64 {
     if x <= 0.0 {
         return 1.0;
     }
@@ -186,7 +186,7 @@ pub fn chi2_sf(x: f64, k: f64) -> f64 {
 
 /// F-distribution survival function P(X > x) with (d1, d2) degrees of
 /// freedom.
-pub fn f_sf(x: f64, d1: f64, d2: f64) -> f64 {
+pub(crate) fn f_sf(x: f64, d1: f64, d2: f64) -> f64 {
     if x <= 0.0 {
         return 1.0;
     }

@@ -21,7 +21,7 @@ const Q_ALPHA_10: [f64; 19] = [
 
 /// The q_α critical value for `k` algorithms at significance `alpha`
 /// (0.05 or 0.10 supported, matching published tables).
-pub fn q_alpha(k: usize, alpha: f64) -> f64 {
+pub(crate) fn q_alpha(k: usize, alpha: f64) -> f64 {
     assert!((2..=20).contains(&k), "q_alpha tabulated for k in 2..=20");
     if (alpha - 0.05).abs() < 1e-9 {
         Q_ALPHA_05[k - 2]
@@ -97,18 +97,6 @@ pub fn cd_diagram(names: &[String], avg_ranks: &[f64], n_datasets: usize, alpha:
 }
 
 impl CdDiagram {
-    /// Are algorithms `a` and `b` (by name) within one clique, i.e. *not*
-    /// significantly different?
-    pub fn same_clique(&self, a: &str, b: &str) -> bool {
-        let pos = |n: &str| self.entries.iter().position(|e| e.name == n);
-        let (Some(pa), Some(pb)) = (pos(a), pos(b)) else {
-            return false;
-        };
-        self.cliques
-            .iter()
-            .any(|&(lo, hi)| lo <= pa.min(pb) && pa.max(pb) <= hi)
-    }
-
     /// Render the diagram as indented text (one line per algorithm, bars
     /// marking cliques), for the CLI harness.
     pub fn render_text(&self) -> String {
@@ -168,9 +156,7 @@ mod tests {
         let order: Vec<&str> = d.entries.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(order, vec!["d", "a", "b", "c"]);
         // d & a within CD (0.4 < 1.25): same clique; d & c differ (2.1 > 1.25).
-        assert!(d.same_clique("d", "a"));
-        assert!(!d.same_clique("d", "c"));
-        assert!(d.same_clique("b", "c"));
+        assert_eq!(d.cliques, vec![(0, 1), (1, 2), (2, 3)]);
     }
 
     #[test]

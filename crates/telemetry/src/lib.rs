@@ -143,7 +143,7 @@ impl Counter {
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Gauge(Arc::new(AtomicU64::new(0)))
     }
 
@@ -157,7 +157,7 @@ impl Gauge {
 
     /// Saturating decrement: a stray double-drop clamps at zero instead of
     /// wrapping to `u64::MAX` and poisoning every later reading.
-    pub fn sub(&self, n: u64) {
+    pub(crate) fn sub(&self, n: u64) {
         let mut cur = self.0.load(Ordering::Relaxed);
         loop {
             let next = cur.saturating_sub(n);
@@ -313,7 +313,7 @@ impl Histogram {
         }
     }
 
-    /// Point-in-time copy (allocates; prefer [`Histogram::snapshot_into`]
+    /// Point-in-time copy (allocates; prefer `Histogram::snapshot_into`
     /// on hot paths).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut s = HistogramSnapshot::default();
@@ -323,7 +323,7 @@ impl Histogram {
 
     /// Overwrite `out` in place; allocation-free once `out` has been used
     /// for any histogram snapshot before.
-    pub fn snapshot_into(&self, out: &mut HistogramSnapshot) {
+    pub(crate) fn snapshot_into(&self, out: &mut HistogramSnapshot) {
         self.0.snapshot_into(out);
     }
 }
@@ -333,13 +333,6 @@ impl Histogram {
 pub struct Span {
     hist: Histogram,
     start: Instant,
-}
-
-impl Span {
-    /// Elapsed time so far (the span keeps running).
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
 }
 
 impl Drop for Span {
@@ -391,7 +384,7 @@ impl HistogramSnapshot {
     }
 
     /// Mean sample, zero when empty.
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
@@ -425,7 +418,7 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.quantile(0.90)
     }
 
@@ -433,7 +426,7 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    pub fn p999(&self) -> u64 {
+    pub(crate) fn p999(&self) -> u64 {
         self.quantile(0.999)
     }
 
@@ -703,18 +696,6 @@ impl HistogramFamily {
         }
         None
     }
-
-    /// Time a closure against the label's histogram (records even if the
-    /// family is full — into a detached histogram — so behaviour does not
-    /// change with cardinality).
-    pub fn time<R>(&self, label: &str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let r = f();
-        if let Some(h) = self.get(label) {
-            h.record(nanos(start.elapsed()));
-        }
-        r
-    }
 }
 
 #[cfg(test)]
@@ -865,9 +846,10 @@ mod tests {
     fn family_resolves_and_bounds_cardinality() {
         let reg = Arc::new(Registry::new());
         let fam = reg.histogram_family("pool.exec.codec");
-        fam.time("gorilla", || {});
-        fam.time("gorilla", || {});
-        fam.time("chimp128", || {});
+        let record = |label: &str| fam.get(label).map(|h| h.record(1)).is_some();
+        assert!(record("gorilla"));
+        assert!(record("gorilla"));
+        assert!(record("chimp128"));
         let snap = reg.snapshot();
         assert_eq!(
             snap.histogram("pool.exec.codec.gorilla").map(|h| h.count()),
@@ -881,8 +863,7 @@ mod tests {
         // Overflowing the slot table degrades to dropping samples, not
         // erroring or growing without bound.
         for i in 0..(FAMILY_SLOTS * 2) {
-            let label = format!("label-{i}");
-            fam.time(&label, || {});
+            record(&format!("label-{i}"));
         }
         assert!(reg.snapshot().histograms.len() <= FAMILY_SLOTS + 2);
     }

@@ -9,8 +9,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use fcbench::core::{Compressor, Domain, FloatData, Pipeline};
+use fcbench::core::{Compressor, Domain, FloatData, Pipeline, PoolConfig, WorkerPool};
 use fcbench_bench::codecs::paper_registry;
+use std::sync::Arc;
 
 fn main() {
     // A sensor-like series: slow oscillation plus a small random walk,
@@ -75,13 +76,12 @@ fn main() {
     );
 
     // The pipeline splits the stream into fixed-size blocks and submits
-    // them to a persistent worker pool (spawned once, on the first call;
-    // later calls reuse the warm workers), emitting one record per block.
-    let threads = fcbench::core::PoolConfig::for_host().threads.min(8);
-    let pipeline = Pipeline::new(&registry, "chimp128")
-        .expect("registered codec")
-        .block_elems(16 * 1024)
-        .threads(threads);
+    // them to a persistent worker pool (its workers spawned once, here;
+    // every call reuses them warm), emitting one record per block.
+    let threads = PoolConfig::for_host().threads.min(8);
+    let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(threads)));
+    let chimp = registry.get("chimp128").expect("registered codec");
+    let pipeline = Pipeline::with_pool(chimp, pool).block_elems(16 * 1024);
     let mut chunked = Vec::new();
     let mut cold = std::time::Duration::ZERO;
     let mut warm = std::time::Duration::ZERO;
@@ -92,7 +92,7 @@ fn main() {
             .expect("pipeline compress");
         let dt = t0.elapsed();
         if round == 0 {
-            cold = dt; // includes the one-time pool spawn + buffer growth
+            cold = dt; // includes the one-time buffer growth
         } else {
             warm = dt; // steady state: warm workers, reused slots
         }

@@ -2,11 +2,14 @@
 //! every registered codec across a sweep of block sizes (including the
 //! degenerate 1-element block and the off-by-one sizes around the input
 //! length) and worker-thread counts — with IEEE-754 landmines (NaN
-//! payloads, signed zeros, subnormals, infinities) in the stream.
+//! payloads, signed zeros, subnormals, infinities) in the stream. The
+//! engine never changes a byte: at every worker count the pooled frame is
+//! the inline frame.
 
 use fcbench::core::frame::decode_stream_header;
-use fcbench::core::{Compressor, Domain, FloatData, Pipeline};
+use fcbench::core::{Compressor, Domain, FloatData, Pipeline, PoolConfig, WorkerPool};
 use fcbench_bench::codecs::paper_registry;
+use std::sync::Arc;
 
 const LEN: usize = 1000;
 
@@ -14,7 +17,27 @@ fn block_sizes() -> [usize; 5] {
     [1, LEN - 1, LEN, LEN + 1, 64 * 1024]
 }
 
-const THREADS: [usize; 3] = [1, 2, 8];
+/// One shared engine per pooled worker count.
+fn pools() -> Vec<Arc<WorkerPool>> {
+    [2, 8]
+        .map(|t| Arc::new(WorkerPool::new(PoolConfig::with_threads(t))))
+        .to_vec()
+}
+
+/// `codec`'s pipelines by worker count: the inline `with_codec` one first,
+/// then one `with_pool` pipeline per pool.
+fn pipelines(
+    codec: &Arc<dyn Compressor>,
+    pools: &[Arc<WorkerPool>],
+    block: usize,
+) -> Vec<(usize, Pipeline)> {
+    let inline = Pipeline::with_codec(Arc::clone(codec)).block_elems(block);
+    let pooled = pools.iter().map(|pool| {
+        let p = Pipeline::with_pool(Arc::clone(codec), Arc::clone(pool)).block_elems(block);
+        (pool.threads(), p)
+    });
+    std::iter::once((1, inline)).chain(pooled).collect()
+}
 
 /// Specials-laden doubles: NaN payloads, ±0, subnormals, infinities mixed
 /// into a drifting series.
@@ -52,27 +75,27 @@ fn decimal_data() -> FloatData {
 fn pipeline_sweep_over_full_registry_with_specials() {
     let registry = paper_registry();
     let data = special_data();
+    let pools = pools();
     for entry in registry.iter() {
         for block in block_sizes() {
-            for threads in THREADS {
-                let p = Pipeline::with_codec(entry.codec().clone())
-                    .block_elems(block)
-                    .threads(threads);
-                let frame = match p.compress(&data) {
-                    Ok(f) => f,
-                    // A typed refusal (BUFF rejects non-finite input) is the
-                    // paper's "-" cell, not a failure.
-                    Err(_) => continue,
-                };
-                let back = p.decompress(&frame).unwrap_or_else(|e| {
-                    panic!("{} block {block} threads {threads}: {e}", entry.name())
-                });
-                assert_eq!(
-                    back.bytes(),
-                    data.bytes(),
-                    "{} block {block} threads {threads}: byte-exact round trip",
-                    entry.name()
-                );
+            let runs = pipelines(entry.codec(), &pools, block);
+            let Ok(frame) = runs[0].1.compress(&data) else {
+                // A typed refusal (BUFF rejects non-finite input) is the
+                // paper's "-" cell, not a failure; the engine refuses too.
+                for (threads, p) in &runs[1..] {
+                    let refused = p.compress(&data).is_err();
+                    assert!(refused, "{} block {block} threads {threads}", entry.name());
+                }
+                continue;
+            };
+            for (threads, p) in &runs {
+                let what = format!("{} block {block} threads {threads}", entry.name());
+                let again = p.compress(&data).unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert!(again == frame, "{what}: the engine changed a frame byte");
+                let back = p
+                    .decompress(&frame)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(back.bytes(), data.bytes(), "{what}: byte-exact round trip");
                 assert_eq!(back.desc(), data.desc());
             }
         }
@@ -83,28 +106,32 @@ fn pipeline_sweep_over_full_registry_with_specials() {
 fn pipeline_sweep_every_codec_succeeds_on_decimal_telemetry() {
     let registry = paper_registry();
     let data = decimal_data();
+    let pools = pools();
     for entry in registry.iter() {
         // One representative block size per codec keeps the run fast; the
         // full cross-product runs on the specials sweep above.
-        for threads in THREADS {
-            let p = Pipeline::with_codec(entry.codec().clone())
-                .block_elems(64)
-                .threads(threads);
-            let frame = p
-                .compress(&data)
-                .unwrap_or_else(|e| panic!("{} must accept decimals: {e}", entry.name()));
+        let runs = pipelines(entry.codec(), &pools, 64);
+        let frame = runs[0]
+            .1
+            .compress(&data)
+            .unwrap_or_else(|e| panic!("{} must accept decimals: {e}", entry.name()));
 
-            // The frame is self-describing and names the codec.
-            let (codec, desc, block_elems) =
-                decode_stream_header(&mut &frame[..]).expect("valid prologue");
-            assert_eq!(codec, entry.name());
-            assert_eq!(&desc, data.desc());
-            assert_eq!(block_elems, 64);
+        // The frame is self-describing and names the codec.
+        let (codec, desc, block_elems) =
+            decode_stream_header(&mut &frame[..]).expect("valid prologue");
+        assert_eq!(codec, entry.name());
+        assert_eq!(&desc, data.desc());
+        assert_eq!(block_elems, 64);
+
+        for (threads, p) in &runs {
+            let what = format!("{} threads {threads}", entry.name());
+            let again = p.compress(&data).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(again == frame, "{what}: the engine changed a frame byte");
             let reader = p.frame_reader(&frame[..]).expect("valid frame");
             assert_eq!(reader.blocks_total(), LEN.div_ceil(64));
 
             let back = p.decompress(&frame).expect("decompress");
-            assert_eq!(back.bytes(), data.bytes(), "{}", entry.name());
+            assert_eq!(back.bytes(), data.bytes(), "{what}");
         }
     }
 }

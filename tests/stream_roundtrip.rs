@@ -19,6 +19,15 @@ fn block_sizes() -> [usize; 5] {
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
+/// `codec`'s pipeline at `threads` workers: inline at one, on the shared
+/// pool of that many workers above.
+fn pipeline(codec: &Arc<dyn Compressor>, pools: &[Arc<WorkerPool>], threads: usize) -> Pipeline {
+    match pools.iter().find(|pool| pool.threads() == threads) {
+        Some(pool) => Pipeline::with_pool(Arc::clone(codec), Arc::clone(pool)),
+        None => Pipeline::with_codec(Arc::clone(codec)),
+    }
+}
+
 /// Benign two-decimal telemetry every codec (including BUFF) accepts.
 fn decimal_data() -> FloatData {
     let vals: Vec<f64> = (0..LEN)
@@ -31,12 +40,15 @@ fn decimal_data() -> FloatData {
 fn streaming_sweep_over_full_registry() {
     let registry = paper_registry();
     let data = decimal_data();
+    let pools: Vec<_> = THREADS
+        .into_iter()
+        .filter(|&t| t > 1)
+        .map(|t| Arc::new(WorkerPool::new(PoolConfig::with_threads(t))))
+        .collect();
     for entry in registry.iter() {
         for block in block_sizes() {
             for threads in THREADS {
-                let pipeline = Pipeline::with_codec(entry.codec().clone())
-                    .block_elems(block)
-                    .threads(threads);
+                let pipeline = pipeline(entry.codec(), &pools, threads).block_elems(block);
 
                 // Write in deliberately awkward 313-byte chunks.
                 let mut writer = pipeline
