@@ -6,8 +6,8 @@
 //! payload so blocks can be decompressed (and in a database, fetched)
 //! individually — is the [`FCB3` frame](crate::frame) a
 //! [`Pipeline`](crate::Pipeline) produces. This module holds the
-//! paper's block sizes and the plausibility gate every block decode passes
-//! before its codec runs.
+//! paper's block sizes and the plausibility gates every stored block passes
+//! before it is read and before its codec runs.
 
 use crate::data::DataDesc;
 use crate::error::{Error, Result};
@@ -18,6 +18,20 @@ pub const BLOCK_4K: usize = 4 * 1024;
 pub const BLOCK_64K: usize = 64 * 1024;
 /// 8 MB — the paper's large-block configuration.
 pub const BLOCK_8M: usize = 8 * 1024 * 1024;
+
+/// Cap on the speculative up-front reservation when a whole stream or
+/// column is decoded into memory; past it, memory grows as decoded bytes
+/// actually arrive.
+pub const MAX_UPFRONT_RESERVE: usize = 16 * 1024 * 1024;
+
+/// The most payload bytes a stored block of `raw_bytes` element bytes may
+/// claim — an `FCB3` block record or an FCDB2 chunk alike: 8x its raw size,
+/// plus 4 KiB for codec headers on tiny blocks. No real codec expands a
+/// block anywhere near that, so a longer claim is hostile or corrupt and is
+/// rejected before anything is read or reserved for it.
+pub fn plausible_payload_cap(raw_bytes: usize) -> usize {
+    raw_bytes.saturating_mul(8).saturating_add(4096)
+}
 
 /// Per-block ceiling on declared-output vs payload size. Codecs typically
 /// reserve `desc.byte_len()` before decoding, so a block descriptor is

@@ -26,10 +26,16 @@
 //! This module owns the prologue (everything before the first block
 //! record); [`crate::stream::FrameWriter`] / [`crate::stream::FrameReader`]
 //! produce and consume the records, and [`crate::Pipeline`] is
-//! the whole-buffer entry point over them.
+//! the whole-buffer entry point over them. Its name and descriptor codec
+//! ([`put_name`]/[`read_name`], [`put_desc`]/[`read_desc`]) is also the
+//! `FCS1` service's: a `COMPRESS` header is this prologue after its magic,
+//! and a `DECOMPRESS` reply leads with the descriptor. The precision byte
+//! (`u8::from(Precision)`, `Precision::try_from(u8)`) is FCDB2's too.
 
 use crate::data::{DataDesc, Domain, Precision};
 use crate::error::{Error, Result};
+use crate::wire;
+use std::io::Read;
 
 const MAGIC: &[u8; 4] = b"FCB3";
 
@@ -37,78 +43,99 @@ const MAGIC: &[u8; 4] = b"FCB3";
 /// fields. The benchmark runner calls this up front so an unencodable cell
 /// is reported as a failure instead of panicking mid-campaign.
 pub fn check_frame_params(name: &str, desc: &DataDesc) -> Result<()> {
-    if name.len() > 255 {
-        return Err(Error::NameTooLong { len: name.len() });
+    encode_stream_header(name, desc, 1).map(drop)
+}
+
+impl From<Precision> for u8 {
+    fn from(p: Precision) -> u8 {
+        match p {
+            Precision::Single => 0,
+            Precision::Double => 1,
+        }
     }
-    if desc.dims.len() > 255 {
-        return Err(Error::TooManyDims {
-            ndims: desc.dims.len(),
-        });
+}
+
+impl TryFrom<u8> for Precision {
+    type Error = Error;
+
+    fn try_from(b: u8) -> Result<Precision> {
+        Ok(match b {
+            0 => Precision::Single,
+            1 => Precision::Double,
+            b => return Err(Error::Corrupt(format!("bad precision byte {b}"))),
+        })
+    }
+}
+
+/// Append a u8-length-prefixed UTF-8 codec name.
+pub fn put_name(name: &str, out: &mut Vec<u8>) -> Result<()> {
+    let len = u8::try_from(name.len()).map_err(|_| Error::NameTooLong { len: name.len() })?;
+    out.push(len);
+    out.extend_from_slice(name.as_bytes());
+    Ok(())
+}
+
+/// Read a name written by [`put_name`].
+pub fn read_name<R: Read>(src: &mut R) -> Result<String> {
+    let mut len = [0u8; 1];
+    src.read_exact(&mut len)?;
+    // lint: claim-checked(len is u8-bounded, at most 255 bytes)
+    let mut name = vec![0u8; usize::from(len[0])];
+    src.read_exact(&mut name)?;
+    String::from_utf8(name).map_err(|_| Error::Corrupt("codec name is not UTF-8".into()))
+}
+
+/// Append a data descriptor: precision, domain, ndims, then the dims.
+pub fn put_desc(desc: &DataDesc, out: &mut Vec<u8>) -> Result<()> {
+    let ndims = u8::try_from(desc.dims.len()).map_err(|_| Error::TooManyDims {
+        ndims: desc.dims.len(),
+    })?;
+    let domain = match desc.domain {
+        Domain::Hpc => 0,
+        Domain::TimeSeries => 1,
+        Domain::Observation => 2,
+        Domain::Database => 3,
+    };
+    out.extend_from_slice(&[u8::from(desc.precision), domain, ndims]);
+    for &d in &desc.dims {
+        out.extend_from_slice(&(d as u64).to_le_bytes());
     }
     Ok(())
 }
 
-/// Bounds-checked slice cursor.
-fn take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-    // `pos` never exceeds `bytes.len()`, so this subtraction cannot wrap —
-    // and unlike `pos + n` it cannot overflow on hostile length fields.
-    if n > bytes.len() - *pos {
-        return Err(Error::Corrupt(format!(
-            "frame truncated at offset {} (wanted {} more bytes of {})",
-            pos,
-            n,
-            bytes.len()
-        )));
-    }
-    let s = &bytes[*pos..*pos + n];
-    *pos += n;
-    Ok(s)
-}
-
-fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
-    let s = take(bytes, pos, 8)?;
-    crate::wire::le_u64(s, 0)
-}
-
-/// Decode the header after the magic: `(codec name, descriptor)`.
-fn decode_header(bytes: &[u8], pos: &mut usize) -> Result<(String, DataDesc)> {
-    let name_len = take(bytes, pos, 1)?[0] as usize;
-    let name_bytes = take(bytes, pos, name_len)?;
-    let codec = std::str::from_utf8(name_bytes)
-        .map_err(|_| Error::Corrupt("codec name is not UTF-8".into()))?
-        .to_string();
-
-    let precision = match take(bytes, pos, 1)?[0] {
-        0 => Precision::Single,
-        1 => Precision::Double,
-        b => return Err(Error::Corrupt(format!("bad precision byte {b}"))),
-    };
-    let domain = match take(bytes, pos, 1)?[0] {
+/// Read a descriptor written by [`put_desc`]. No dimensions, or a zero
+/// extent, is [`Error::Corrupt`]; [`DataDesc::new`] then re-validates
+/// with checked arithmetic, so an overflowing element count is a typed
+/// error too.
+pub fn read_desc<R: Read>(src: &mut R) -> Result<DataDesc> {
+    let mut head = [0u8; 3];
+    src.read_exact(&mut head)?;
+    let [precision, domain, ndims] = head;
+    let precision = Precision::try_from(precision)?;
+    let domain = match domain {
         0 => Domain::Hpc,
         1 => Domain::TimeSeries,
         2 => Domain::Observation,
         3 => Domain::Database,
         b => return Err(Error::Corrupt(format!("bad domain byte {b}"))),
     };
-    let ndims = take(bytes, pos, 1)?[0] as usize;
     if ndims == 0 {
-        return Err(Error::Corrupt("frame has zero dimensions".into()));
+        return Err(Error::Corrupt("descriptor has zero dimensions".into()));
     }
     // lint: claim-checked(ndims is u8-bounded, at most 255 dims)
-    let mut dims = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        let v = read_u64(bytes, pos)?;
-        if v == 0 {
-            return Err(Error::Corrupt("frame has a zero-extent dimension".into()));
-        }
-        let v = usize::try_from(v)
-            .map_err(|_| Error::Corrupt(format!("dimension {v} exceeds the address space")))?;
-        dims.push(v);
-    }
-    // `DataDesc::new` re-validates with checked arithmetic, so hostile dims
-    // (element-count or byte-length overflow) become typed errors here.
-    let desc = DataDesc::new(precision, dims, domain)?;
-    Ok((codec, desc))
+    let mut raw = vec![0u8; 8 * usize::from(ndims)];
+    src.read_exact(&mut raw)?;
+    let dims = (0..raw.len())
+        .step_by(8)
+        .map(|at| match wire::le_u64(&raw, at)? {
+            0 => Err(Error::Corrupt(
+                "descriptor has a zero-extent dimension".into(),
+            )),
+            d => usize::try_from(d)
+                .map_err(|_| Error::Corrupt(format!("dimension {d} exceeds the address space"))),
+        })
+        .collect::<Result<Vec<usize>>>()?;
+    DataDesc::new(precision, dims, domain)
 }
 
 /// Encode the `FCB3` prologue — everything before the first block record.
@@ -116,25 +143,10 @@ pub fn encode_stream_header(name: &str, desc: &DataDesc, block_elems: usize) -> 
     if block_elems == 0 {
         return Err(Error::BadDescriptor("block_elems must be >= 1".into()));
     }
-    check_frame_params(name, desc)?;
     let mut out = Vec::with_capacity(4 + 2 + name.len() + 3 + 8 * desc.dims.len() + 8);
     out.extend_from_slice(MAGIC);
-    out.push(name.len() as u8);
-    out.extend_from_slice(name.as_bytes());
-    out.push(match desc.precision {
-        Precision::Single => 0,
-        Precision::Double => 1,
-    });
-    out.push(match desc.domain {
-        Domain::Hpc => 0,
-        Domain::TimeSeries => 1,
-        Domain::Observation => 2,
-        Domain::Database => 3,
-    });
-    out.push(desc.dims.len() as u8);
-    for &d in &desc.dims {
-        out.extend_from_slice(&(d as u64).to_le_bytes());
-    }
+    put_name(name, &mut out)?;
+    put_desc(desc, &mut out)?;
     out.extend_from_slice(&(block_elems as u64).to_le_bytes());
     Ok(out)
 }
@@ -142,28 +154,14 @@ pub fn encode_stream_header(name: &str, desc: &DataDesc, block_elems: usize) -> 
 /// Decode an `FCB3` prologue from `src`:
 /// `(codec name, descriptor, block elems)`. Reads exactly the prologue
 /// bytes, leaving `src` positioned at the first block record.
-pub fn decode_stream_header<R: std::io::Read>(src: &mut R) -> Result<(String, DataDesc, usize)> {
+pub fn decode_stream_header<R: Read>(src: &mut R) -> Result<(String, DataDesc, usize)> {
     let mut magic = [0u8; 4];
     src.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(Error::Corrupt("bad magic (expected FCB3)".into()));
     }
-    // Accumulate the variable-length header and reuse the slice decoder
-    // (and all its validation).
-    let mut hdr = vec![0u8; 1];
-    src.read_exact(&mut hdr)?;
-    let name_len = hdr[0] as usize;
-    let mut at = hdr.len();
-    hdr.resize(at + name_len + 3, 0); // name, precision, domain, ndims
-    src.read_exact(&mut hdr[at..])?;
-    let ndims = usize::from(hdr[hdr.len() - 1]);
-    at = hdr.len();
-    hdr.resize(at + 8 * ndims, 0);
-    src.read_exact(&mut hdr[at..])?;
-    let mut pos = 0usize;
-    let (codec, desc) = decode_header(&hdr, &mut pos)?;
-    debug_assert_eq!(pos, hdr.len());
-
+    let codec = read_name(src)?;
+    let desc = read_desc(src)?;
     let mut be = [0u8; 8];
     src.read_exact(&mut be)?;
     let block_elems = u64::from_le_bytes(be);
@@ -239,6 +237,32 @@ mod tests {
         assert_eq!(d, desc());
         assert_eq!(block_elems, 7);
         assert!(src.is_empty(), "reads exactly the prologue");
+    }
+
+    #[test]
+    fn desc_round_trips_on_the_wire() {
+        let desc = DataDesc::new(Precision::Double, vec![3, 5, 7], Domain::Observation).unwrap();
+        let mut wire = Vec::new();
+        put_desc(&desc, &mut wire).unwrap();
+        let back = read_desc(&mut &wire[..]).unwrap();
+        assert_eq!(back, desc);
+    }
+
+    #[test]
+    fn hostile_desc_is_rejected_typed() {
+        // Zero-extent dimension.
+        let wire = [1u8, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0];
+        assert!(matches!(read_desc(&mut &wire[..]), Err(Error::Corrupt(_))));
+        // Overflowing element count: 2^63 x 2^63 doubles.
+        let mut wire = vec![1u8, 0, 2];
+        wire.extend_from_slice(&(1u64 << 63).to_le_bytes());
+        wire.extend_from_slice(&(1u64 << 63).to_le_bytes());
+        assert!(matches!(
+            read_desc(&mut &wire[..]),
+            Err(Error::BadDescriptor(_))
+        ));
+        // Bad precision byte.
+        assert!(read_desc(&mut &[9u8, 0, 1][..]).is_err());
     }
 
     #[test]

@@ -57,27 +57,16 @@
 //! assert_eq!(restored, data.bytes());
 //! ```
 
+use crate::blocks::{plausible_payload_cap, MAX_UPFRONT_RESERVE};
 use crate::codec::Compressor;
 use crate::data::{DataDesc, FloatData};
 use crate::error::{Error, Result};
 use crate::frame::{decode_stream_header, encode_stream_header};
 use crate::pool::{Window, WorkerPool};
+use crate::wire::read_growing;
 use fcbench_telemetry::InflightGauge;
 use std::io::{Read, Write};
 use std::sync::Arc;
-
-/// Ceiling on one block record's declared payload length, as a multiple of
-/// the block's raw byte size: no real codec expands a block anywhere near
-/// 8x, so a stream claiming more is hostile or corrupt and is rejected
-/// before the reader allocates for it.
-const MAX_RECORD_EXPANSION: usize = 8;
-
-/// Slack added to the record ceiling for codec headers on tiny blocks.
-const RECORD_SLACK: usize = 4096;
-
-/// Cap on the speculative upfront reservation when decoding a whole stream
-/// into memory.
-const MAX_UPFRONT_RESERVE: usize = 16 * 1024 * 1024;
 
 // ---------------------------------------------------------------------------
 // Checksummed record framing
@@ -712,32 +701,15 @@ impl<R: Read> FrameReader<R> {
         let raw = self
             .block_len(block_idx)
             .saturating_mul(self.desc.precision.bytes());
-        let cap = raw
-            .saturating_mul(MAX_RECORD_EXPANSION)
-            .saturating_add(RECORD_SLACK);
         let len = usize::try_from(len)
             .ok()
-            .filter(|&l| l <= cap)
+            .filter(|&l| l <= plausible_payload_cap(raw))
             .ok_or_else(|| {
                 Error::Corrupt(format!(
                     "block record claims {len} payload bytes for a {raw}-byte block"
                 ))
             })?;
-        // Grow the buffer as payload bytes actually arrive (1 MiB steps)
-        // rather than reserving the full claim up front: a hostile record
-        // that declares hundreds of megabytes but delivers nothing must
-        // fail at EOF having committed one step, not the whole claim.
-        // Memory tracks delivered bytes, the same discipline as bounded
-        // length-prefixed reads elsewhere.
-        const STEP: usize = 1 << 20;
-        self.payload.clear();
-        let mut filled = 0usize;
-        while filled < len {
-            let step = STEP.min(len - filled);
-            self.payload.resize(filled + step, 0);
-            self.src.read_exact(&mut self.payload[filled..])?;
-            filled += step;
-        }
+        read_growing(&mut self.src, len, &mut self.payload)?;
         Ok(())
     }
 

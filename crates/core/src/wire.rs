@@ -65,6 +65,28 @@ pub fn len64(v: u64) -> usize {
     usize::try_from(v).unwrap_or(usize::MAX)
 }
 
+/// Growth step of [`read_growing`].
+const READ_STEP: usize = 1 << 20;
+
+/// Replace `buf`'s contents with exactly `len` bytes from `src`, growing it
+/// in 1 MiB steps as bytes arrive rather than reserving `len` up front: a
+/// claim that delivers nothing fails at EOF having committed one step, not
+/// the whole claim. Callers gate `len` first and map the I/O error their
+/// own way.
+pub fn read_growing<R: std::io::Read>(
+    src: &mut R,
+    len: usize,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    buf.clear();
+    while buf.len() < len {
+        let filled = buf.len();
+        buf.resize(filled + READ_STEP.min(len - filled), 0);
+        src.read_exact(&mut buf[filled..])?;
+    }
+    Ok(())
+}
+
 /// A bounds-checked forward reader over one codec's untrusted payload.
 /// Every failure is an [`Error::Corrupt`] naming the codec and the field.
 #[derive(Debug, Clone)]

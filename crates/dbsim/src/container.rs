@@ -46,6 +46,7 @@
 //! directory referencing it is valid) is an error, not a recovery —
 //! recovery is for torn tails only.
 
+use fcbench_core::blocks::{plausible_payload_cap, MAX_UPFRONT_RESERVE};
 use fcbench_core::pool::{Window, WorkerPool};
 use fcbench_core::stream::{
     crc32, frame_record, put_record, take_record, FramedRecord, RecordCheck,
@@ -74,20 +75,6 @@ const TAG_COMMIT: u8 = 3;
 const CHUNK_DIR_BYTES: usize = 20;
 /// Directory bytes per column beyond its name and chunk table.
 const COLUMN_DIR_BYTES: usize = 18;
-
-/// Ceiling on a directory's declared chunk payload length, as a multiple
-/// of the chunk's raw byte size (the container twin of the `FCB3` stream's
-/// record-expansion gate): no real codec expands a chunk anywhere near 8x,
-/// so a directory claiming more is hostile or corrupt and is rejected
-/// before anything is reserved for it.
-const MAX_CHUNK_EXPANSION: usize = 8;
-
-/// Slack added to the chunk ceiling for codec headers on tiny chunks.
-const CHUNK_SLACK: usize = 4096;
-
-/// Cap on the speculative upfront reservation when decoding a whole column
-/// into memory; beyond it, memory grows as decoded bytes actually arrive.
-const MAX_UPFRONT_RESERVE: usize = 16 * 1024 * 1024;
 
 /// Buffer between a container writer and its file. A page record is larger
 /// than `BufWriter`'s 8 KiB default, which would turn every page into two
@@ -131,13 +118,6 @@ impl ColumnData {
             precision: Precision::Single,
             bytes,
         }
-    }
-}
-
-fn precision_byte(p: Precision) -> u8 {
-    match p {
-        Precision::Single => 0,
-        Precision::Double => 1,
     }
 }
 
@@ -211,7 +191,7 @@ fn encode_directory(columns: &[ColumnMeta]) -> Vec<u8> {
     for col in columns {
         dir.push(col.name.len() as u8);
         dir.extend_from_slice(col.name.as_bytes());
-        dir.push(precision_byte(col.precision));
+        dir.push(u8::from(col.precision));
         dir.extend_from_slice(&col.rows.to_le_bytes());
         dir.extend_from_slice(&col.chunk_elems.to_le_bytes());
         dir.extend_from_slice(&(col.chunks.len() as u32).to_le_bytes());
@@ -363,7 +343,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         }
         self.end_column()?;
         let nlen = [name.len() as u8];
-        let prec = [precision_byte(precision)];
+        let prec = [u8::from(precision)];
         let ce = (chunk_elems as u32).to_le_bytes();
         let rec = put_record(
             &mut self.log.sink,
@@ -836,11 +816,7 @@ fn walk_directory<'a>(
         let nlen = usize::from(take(&mut pos, 1)?[0]);
         let name = String::from_utf8(take(&mut pos, nlen)?.to_vec())
             .map_err(|_| Error::Corrupt("column name not UTF-8".into()))?;
-        let precision = match take(&mut pos, 1)?[0] {
-            0 => Precision::Single,
-            1 => Precision::Double,
-            b => return Err(Error::Corrupt(format!("bad precision byte {b}"))),
-        };
+        let precision = Precision::try_from(take(&mut pos, 1)?[0])?;
         let esize = precision.bytes();
         let rows = usize::try_from(wire::le_u64(take(&mut pos, 8)?, 0)?)
             .map_err(|_| Error::Corrupt("row count does not fit in memory".into()))?;
@@ -877,11 +853,7 @@ fn walk_directory<'a>(
             // raw size, and raw size within the decode-claim ceiling for
             // the payload (the codec-level gate every decode enforces).
             let raw = elems.saturating_mul(esize);
-            if payload_len
-                > raw
-                    .saturating_mul(MAX_CHUNK_EXPANSION)
-                    .saturating_add(CHUNK_SLACK)
-            {
+            if payload_len > plausible_payload_cap(raw) {
                 return Err(Error::Corrupt(format!(
                     "directory claims {payload_len} payload bytes for a {raw}-byte chunk"
                 )));
@@ -1591,11 +1563,7 @@ mod tests {
                 // raw size, and raw size within the decode-claim ceiling for
                 // the payload (the codec-level gate every decode enforces).
                 let raw = elems.saturating_mul(esize);
-                if payload_len
-                    > raw
-                        .saturating_mul(MAX_CHUNK_EXPANSION)
-                        .saturating_add(CHUNK_SLACK)
-                {
+                if payload_len > plausible_payload_cap(raw) {
                     return Err(Error::Corrupt(format!(
                         "directory claims {payload_len} payload bytes for a {raw}-byte chunk"
                     )));

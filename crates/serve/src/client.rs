@@ -9,7 +9,7 @@
 //!   peer surfaces as a typed [`Error::Io`] instead of hanging the caller
 //!   forever.
 //! - **Retries.** A [`RetryPolicy`] re-runs *idempotent* requests —
-//!   `COMPRESS`, `DECOMPRESS`, `LIST_CODECS`, `STATS`, `STATS_V2`, all
+//!   `COMPRESS`, `DECOMPRESS`, `LIST_CODECS`, `STATS_V2`, all
 //!   pure reads or pure functions of their payload — after retryable
 //!   failures: the server's `ERR_BUSY` shed reply (honouring its
 //!   retry-after hint as a floor) and transport-level I/O errors. Each
@@ -23,7 +23,7 @@
 use crate::protocol::{self, CodecListing};
 use fcbench_core::fault::Rng;
 use fcbench_core::{Error, FloatData, Result};
-use fcbench_telemetry::{Counter, Registry};
+use fcbench_telemetry::{Counter, Registry, Snapshot};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -303,12 +303,8 @@ impl Client {
         block_elems: usize,
     ) -> Result<Vec<u8>> {
         self.check_request_size(data.bytes().len(), self.server_max)?;
-        let mut req = Vec::with_capacity(32 + codec.len());
-        req.push(protocol::VERB_COMPRESS);
-        protocol::encode_name(codec, &mut req)?;
-        protocol::encode_desc(data.desc(), &mut req)?;
-        req.extend_from_slice(&(block_elems as u64).to_le_bytes());
-        self.stream.write_all(&req)?;
+        let head = protocol::compress_head(codec, data.desc(), block_elems as u64)?;
+        self.stream.write_all(&head)?;
         self.stream.write_all(data.bytes())?;
         self.stream.flush()?;
         self.read_reply()
@@ -331,7 +327,7 @@ impl Client {
         self.stream.flush()?;
         let body = self.read_reply()?;
         let mut cursor = &body[..];
-        let desc = protocol::decode_desc(&mut cursor)?;
+        let desc = protocol::in_body(fcbench_core::frame::read_desc(&mut cursor))?;
         if cursor.len() != desc.byte_len() {
             return Err(Error::Corrupt(format!(
                 "reply carries {} element bytes but its descriptor implies {}",
@@ -365,12 +361,13 @@ impl Client {
         })
     }
 
-    /// The server's full telemetry registry: every counter, gauge, and
-    /// latency histogram across the serve, frame-stream, and pool layers.
-    /// Histograms arrive as complete (sparse) bucket snapshots, so the
-    /// caller takes its own quantiles — `p50()`, `p99()` — or merges
+    /// The server's full telemetry registry as a [`Snapshot`] — the type
+    /// `telemetry().snapshot()` returns in process: every counter, gauge,
+    /// and latency histogram across the serve, frame-stream, and pool
+    /// layers. Histograms arrive as complete (sparse) bucket snapshots, so
+    /// the caller takes its own quantiles — `p50()`, `p99()` — or merges
     /// snapshots across servers. Idempotent: retried under the policy.
-    pub fn stats_v2(&mut self) -> Result<protocol::StatsV2> {
+    pub fn stats_v2(&mut self) -> Result<Snapshot> {
         self.retrying(|c| {
             c.stream.write_all(&[protocol::VERB_STATS_V2])?;
             c.stream.flush()?;

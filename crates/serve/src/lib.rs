@@ -13,11 +13,12 @@
 //!   `FrameWriter`/`FrameReader` under the shared-pool saturation
 //!   discipline, capped per connection so no client pins every job slot.
 //! - [`Client`] is the matching blocking library.
-//! - [`ServerStats`] counts bytes, requests, and per-codec traffic on
-//!   the server's telemetry registry — the same registry the pool and
-//!   frame streams record latency histograms into, exposed whole over
-//!   the wire by the `STATS_V2` verb ([`Client::stats_v2`] →
-//!   [`StatsV2`]).
+//! - The server counts bytes, requests, and per-codec traffic on its
+//!   telemetry registry ([`ServerHandle::telemetry`]) — the same registry
+//!   the pool and frame streams record latency histograms into, exposed
+//!   whole over the wire by the `STATS_V2` verb: [`Client::stats_v2`]
+//!   returns the same [`Snapshot`](fcbench_telemetry::Snapshot) that
+//!   `telemetry().snapshot()` does in process.
 //!
 //! Every protocol error — unknown codec, oversized record, malformed
 //! header, truncated stream — fails the *request* with a typed reply; the
@@ -60,6 +61,8 @@
 //!
 //! let stats = client.stats_v2().unwrap();
 //! assert_eq!(stats.counter("serve.requests.ok"), Some(2));
+//! let local = running.handle().telemetry().snapshot();
+//! assert_eq!(local.counter("serve.requests.codec.store"), Some(2));
 //! drop(client);
 //! running.shutdown().unwrap();
 //! ```
@@ -69,9 +72,7 @@
 mod client;
 pub mod protocol;
 mod server;
-mod stats;
 
 pub use client::{Client, ClientConfig, RetryPolicy};
-pub use protocol::{CodecListing, StatsV2};
+pub use protocol::CodecListing;
 pub use server::{RunningServer, ServeConfig, Server, ServerHandle};
-pub use stats::{ServerStats, StatsSnapshot};

@@ -11,7 +11,8 @@
 //!                  (ok body: magic "FCS1" + u16 negotiated version)
 //!
 //! request          verb u8, then verb-specific header/payload:
-//!   1 COMPRESS     u8 name len + codec name, descriptor, u64 block elems,
+//!   1 COMPRESS     the FCB3 prologue after its magic (`fcbench_core::frame`):
+//!                  u8 name len + codec name, descriptor, u64 block elems;
 //!                  then exactly desc.byte_len() raw element bytes
 //!   2 DECOMPRESS   u64 stream len, then an FCB3 stream (self-describing:
 //!                  its prologue names the codec, shape, and block size)
@@ -20,7 +21,7 @@
 //!   5 STATS_V2     (no payload)
 //!
 //! descriptor       u8 precision (0 single / 1 double), u8 domain (0..=3),
-//!                  u8 ndims, ndims x u64 dims
+//!                  u8 ndims, ndims x u64 dims (the FCB3 prologue's)
 //!
 //! reply            status u8 + u64 body len + body
 //!   COMPRESS ok    the compressed FCB3 stream
@@ -51,9 +52,10 @@
 //! verb, a body too large to skip — closes the connection, and never the
 //! server.
 
-use fcbench_core::{DataDesc, Domain, Error, Precision, Result};
+use fcbench_core::{frame, wire, DataDesc, Error, Result};
 use fcbench_telemetry::{HistogramSnapshot, Snapshot};
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// Protocol magic, first on the wire in both directions.
 pub(crate) const MAGIC: &[u8; 4] = b"FCS1";
@@ -107,14 +109,28 @@ pub(crate) fn stream_cap(max_request_bytes: u64) -> u64 {
     max_request_bytes.saturating_mul(9).saturating_add(1 << 16)
 }
 
+/// The typed error for a failed message read: running out of bytes is a
+/// truncated message, anything else an I/O failure.
+fn read_error(e: std::io::Error) -> Error {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        Error::Corrupt("connection closed mid-message".into())
+    } else {
+        Error::Io(e.to_string())
+    }
+}
+
 /// Read exactly `buf.len()` bytes, mapping I/O failures to typed errors.
 pub(crate) fn read_exact<R: Read>(src: &mut R, buf: &mut [u8]) -> Result<()> {
-    src.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            Error::Corrupt("connection closed mid-message".into())
-        } else {
-            Error::Io(e.to_string())
-        }
+    src.read_exact(buf).map_err(read_error)
+}
+
+/// A name or descriptor parsed out of an in-memory reply body through the
+/// shared `Read`-based codec: running out of bytes there is a malformed
+/// body, not an I/O failure.
+pub(crate) fn in_body<T>(parsed: Result<T>) -> Result<T> {
+    parsed.map_err(|e| match e {
+        Error::Io(_) => Error::Corrupt("reply body truncated".into()),
+        other => other,
     })
 }
 
@@ -136,14 +152,10 @@ pub(crate) fn read_u64<R: Read>(src: &mut R) -> Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
-/// Growth step for length-prefixed bodies: memory is committed as bytes
-/// actually arrive, so a 9-byte request *claiming* a huge (but in-cap)
-/// body cannot pin that allocation while sending nothing.
-const READ_SIZED_STEP: usize = 1 << 20;
-
 /// Read a length-prefixed buffer, rejecting declared lengths above `cap`
-/// before allocating for them, and growing the buffer incrementally so
-/// the allocation tracks delivered bytes rather than the declared claim.
+/// before allocating for them; the buffer grows as bytes actually arrive
+/// ([`wire::read_growing`]), so a 9-byte request *claiming* a huge (but
+/// in-cap) body cannot pin that allocation while sending nothing.
 pub(crate) fn read_sized<R: Read>(src: &mut R, cap: usize) -> Result<Vec<u8>> {
     let len = read_u64(src)?;
     let len = usize::try_from(len)
@@ -155,88 +167,26 @@ pub(crate) fn read_sized<R: Read>(src: &mut R, cap: usize) -> Result<Vec<u8>> {
             ))
         })?;
     let mut buf = Vec::new();
-    let mut filled = 0usize;
-    while filled < len {
-        let step = READ_SIZED_STEP.min(len - filled);
-        buf.resize(filled + step, 0);
-        read_exact(src, &mut buf[filled..])?;
-        filled += step;
-    }
+    wire::read_growing(src, len, &mut buf).map_err(read_error)?;
     Ok(buf)
 }
 
-/// Append a u8-length-prefixed codec name (the frame format's 255-byte
-/// name limit applies on the wire too).
-pub fn encode_name(name: &str, out: &mut Vec<u8>) -> Result<()> {
-    if name.len() > 255 {
-        return Err(Error::NameTooLong { len: name.len() });
-    }
-    out.push(name.len() as u8);
-    out.extend_from_slice(name.as_bytes());
-    Ok(())
+/// The `COMPRESS` request head: the verb, then the `FCB3` prologue after
+/// its magic. The block size goes out unchecked — the server answers a bad
+/// one with a typed reply.
+pub(crate) fn compress_head(codec: &str, desc: &DataDesc, block_elems: u64) -> Result<Vec<u8>> {
+    let mut head = vec![VERB_COMPRESS];
+    frame::put_name(codec, &mut head)?;
+    frame::put_desc(desc, &mut head)?;
+    head.extend_from_slice(&block_elems.to_le_bytes());
+    Ok(head)
 }
 
-/// Read a u8-length-prefixed UTF-8 codec name.
-pub(crate) fn decode_name<R: Read>(src: &mut R) -> Result<String> {
-    let len = usize::from(read_u8(src)?);
-    // lint: claim-checked(len is u8-bounded, at most 255 bytes)
-    let mut buf = vec![0u8; len];
-    read_exact(src, &mut buf)?;
-    String::from_utf8(buf).map_err(|_| Error::Corrupt("codec name is not UTF-8".into()))
-}
-
-/// Append a data descriptor in wire form.
-pub fn encode_desc(desc: &DataDesc, out: &mut Vec<u8>) -> Result<()> {
-    if desc.dims.len() > 255 {
-        return Err(Error::TooManyDims {
-            ndims: desc.dims.len(),
-        });
-    }
-    out.push(match desc.precision {
-        Precision::Single => 0,
-        Precision::Double => 1,
-    });
-    out.push(match desc.domain {
-        Domain::Hpc => 0,
-        Domain::TimeSeries => 1,
-        Domain::Observation => 2,
-        Domain::Database => 3,
-    });
-    out.push(desc.dims.len() as u8);
-    for &d in &desc.dims {
-        out.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-    Ok(())
-}
-
-/// Read a data descriptor, re-validating through [`DataDesc::new`] so
-/// hostile dims (zero extents, overflowing products) become typed errors.
-pub(crate) fn decode_desc<R: Read>(src: &mut R) -> Result<DataDesc> {
-    let precision = match read_u8(src)? {
-        0 => Precision::Single,
-        1 => Precision::Double,
-        b => return Err(Error::Corrupt(format!("bad precision byte {b}"))),
-    };
-    let domain = match read_u8(src)? {
-        0 => Domain::Hpc,
-        1 => Domain::TimeSeries,
-        2 => Domain::Observation,
-        3 => Domain::Database,
-        b => return Err(Error::Corrupt(format!("bad domain byte {b}"))),
-    };
-    let ndims = usize::from(read_u8(src)?);
-    if ndims == 0 {
-        return Err(Error::Corrupt("descriptor has zero dimensions".into()));
-    }
-    // lint: claim-checked(ndims is u8-bounded, at most 255 u64 slots)
-    let mut dims = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        let d = read_u64(src)?;
-        let d = usize::try_from(d)
-            .map_err(|_| Error::Corrupt(format!("dimension {d} exceeds the address space")))?;
-        dims.push(d);
-    }
-    DataDesc::new(precision, dims, domain)
+/// Read a `COMPRESS` head after its verb: `(codec, descriptor, block elems)`.
+pub(crate) fn read_compress_head<R: Read>(src: &mut R) -> Result<(String, DataDesc, u64)> {
+    let name = frame::read_name(src)?;
+    let desc = frame::read_desc(src)?;
+    Ok((name, desc, read_u64(src)?))
 }
 
 /// The client hello: magic plus the version the client speaks.
@@ -409,7 +359,7 @@ pub(crate) fn encode_listings(listings: &[CodecListing]) -> Result<Vec<u8>> {
     let mut body = Vec::new();
     body.extend_from_slice(&(listings.len().min(u16::MAX as usize) as u16).to_le_bytes());
     for l in listings.iter().take(u16::MAX as usize) {
-        encode_name(&l.name, &mut body)?;
+        frame::put_name(&l.name, &mut body)?;
         let mut flags = 0u8;
         if l.thread_scalable {
             flags |= FLAG_THREAD_SCALABLE;
@@ -429,7 +379,7 @@ pub(crate) fn decode_listings(body: &[u8]) -> Result<Vec<CodecListing>> {
     // lint: claim-checked(count is u16-bounded, at most 65535 small rows)
     let mut listings = Vec::with_capacity(count);
     for _ in 0..count {
-        let name = decode_name(&mut src)?;
+        let name = in_body(frame::read_name(&mut src))?;
         let flags = read_u8(&mut src)?;
         listings.push(CodecListing {
             name,
@@ -441,39 +391,6 @@ pub(crate) fn decode_listings(body: &[u8]) -> Result<Vec<CodecListing>> {
         return Err(Error::Corrupt("trailing bytes after codec listing".into()));
     }
     Ok(listings)
-}
-
-/// A decoded `STATS_V2` reply: every counter, gauge, and latency
-/// histogram on the server's telemetry registry, by name — the pool,
-/// frame-stream, and serve-layer metrics in one body, with full
-/// [`HistogramSnapshot`]s so the *client* can take p50/p99/p999 (and
-/// merge snapshots across servers) rather than receiving a few
-/// pre-chosen quantiles.
-#[derive(Debug, Clone, Default)]
-pub struct StatsV2 {
-    pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, u64)>,
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-}
-
-impl StatsV2 {
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    }
 }
 
 /// Append a u16-length-prefixed metric name (registry names compose
@@ -490,16 +407,16 @@ fn encode_metric_name(name: &str, out: &mut Vec<u8>) -> Result<()> {
 
 /// Read a u16-length-prefixed UTF-8 metric name from a slice (bounds are
 /// checked against real bytes; nothing is reserved for the claim).
-fn take_metric_name(src: &mut &[u8]) -> Result<String> {
+fn take_metric_name(src: &mut &[u8]) -> Result<Arc<str>> {
     let len = usize::from(read_u16(src)?);
     if src.len() < len {
         return Err(Error::Corrupt("metric name truncated".into()));
     }
     let (head, rest) = src.split_at(len);
-    let name = String::from_utf8(head.to_vec())
-        .map_err(|_| Error::Corrupt("metric name is not UTF-8".into()))?;
+    let name =
+        std::str::from_utf8(head).map_err(|_| Error::Corrupt("metric name is not UTF-8".into()))?;
     *src = rest;
-    Ok(name)
+    Ok(Arc::from(name))
 }
 
 /// Bound a declared row count by the bytes actually present: each row
@@ -545,15 +462,18 @@ pub(crate) fn encode_stats_v2(snap: &Snapshot) -> Result<Vec<u8>> {
     Ok(body)
 }
 
-/// Decode a `STATS_V2` reply body. Every declared count is bounded by
+/// Decode a `STATS_V2` reply body into the registry's own [`Snapshot`],
+/// so a client holds the same type an in-process caller gets from
+/// `Registry::snapshot` — full [`HistogramSnapshot`]s included, from which
+/// it takes its own quantiles or merges across servers. Every declared count is bounded by
 /// the bytes actually present (`plausible_rows`) before any
 /// reservation, bucket indices are range-checked by
 /// [`HistogramSnapshot::from_sparse`], and the declared total must agree
 /// with the bucket counts — corrupt wire data becomes a typed error,
 /// never an allocation or a panic.
-pub(crate) fn decode_stats_v2(body: &[u8]) -> Result<StatsV2> {
+pub(crate) fn decode_stats_v2(body: &[u8]) -> Result<Snapshot> {
     let mut src = body;
-    let mut out = StatsV2::default();
+    let mut out = Snapshot::default();
     // Scalar row: 2-byte name length + 8-byte value, at minimum.
     for dst in [&mut out.counters, &mut out.gauges] {
         let count = plausible_rows(usize::from(read_u16(&mut src)?), src.len(), 10)?;
@@ -640,29 +560,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn desc_round_trips_on_the_wire() {
-        let desc = DataDesc::new(Precision::Double, vec![3, 5, 7], Domain::Observation).unwrap();
-        let mut wire = Vec::new();
-        encode_desc(&desc, &mut wire).unwrap();
-        let back = decode_desc(&mut &wire[..]).unwrap();
-        assert_eq!(back, desc);
-    }
-
-    #[test]
-    fn hostile_desc_is_rejected_typed() {
-        // Zero-extent dimension.
-        let wire = [1u8, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0];
-        assert!(decode_desc(&mut &wire[..]).is_err());
-        // Overflowing element count: 2^63 x 2^63 doubles.
-        let mut wire = vec![1u8, 0, 2];
-        wire.extend_from_slice(&(1u64 << 63).to_le_bytes());
-        wire.extend_from_slice(&(1u64 << 63).to_le_bytes());
-        assert!(matches!(
-            decode_desc(&mut &wire[..]),
-            Err(Error::BadDescriptor(_))
-        ));
-        // Bad precision byte.
-        assert!(decode_desc(&mut &[9u8, 0, 1][..]).is_err());
+    fn compress_head_is_the_fcb3_prologue_after_its_magic() {
+        // Hand-assembled: verb, name, f64 + observation + 3 dims, the dims,
+        // then 64 elements per block.
+        let mut frozen = vec![VERB_COMPRESS, 7];
+        frozen.extend_from_slice(b"gorilla");
+        frozen.extend_from_slice(&[1, 2, 3]);
+        for v in [3u64, 5, 7, 64] {
+            frozen.extend_from_slice(&v.to_le_bytes());
+        }
+        let desc = DataDesc::new(
+            fcbench_core::Precision::Double,
+            vec![3, 5, 7],
+            fcbench_core::Domain::Observation,
+        )
+        .unwrap();
+        let head = compress_head("gorilla", &desc, 64).unwrap();
+        assert_eq!(head, frozen);
+        let prologue = frame::encode_stream_header("gorilla", &desc, 64).unwrap();
+        assert_eq!(head[1..], prologue[4..]);
+        let back = read_compress_head(&mut &head[1..]).unwrap();
+        assert_eq!(back, ("gorilla".to_string(), desc, 64));
     }
 
     #[test]

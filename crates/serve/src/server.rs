@@ -19,10 +19,9 @@
 //! nothing a client sends takes the server down.
 
 use crate::protocol::{self, CodecListing};
-use crate::stats::{ServerStats, StatsSnapshot};
 use fcbench_core::stream::{FrameReader, FrameWriter};
-use fcbench_core::{CodecRegistry, DataDesc, Error, Platform, Result, WorkerPool};
-use fcbench_telemetry::{Counter, Gauge, Histogram, HistogramFamily, Registry};
+use fcbench_core::{CodecRegistry, Error, Platform, Result, WorkerPool};
+use fcbench_telemetry::{Counter, Gauge, GaugeGuard, Histogram, HistogramFamily, Registry};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -98,13 +97,27 @@ impl Default for ServeConfig {
     }
 }
 
-/// Pre-resolved latency handles on the server's telemetry registry (the
+/// Pre-resolved serving handles on the server's telemetry registry (the
 /// pool's registry, so pool, frame-stream, and serve metrics share one
 /// exposition and one `STATS_V2` body). Everything here is resolved once
 /// at bind time; recording on the request path is a single relaxed
 /// atomic op per sample.
 struct ServeMetrics {
     registry: Arc<Registry>,
+    /// Bytes read off and written to client sockets.
+    bytes_in: Counter,
+    bytes_out: Counter,
+    /// Requests served with an OK reply.
+    requests_ok: Counter,
+    /// Requests refused with a typed error reply, plus connections that
+    /// died with a request in flight (mid-body disconnects, reply write
+    /// failures) — server work consumed without a served reply.
+    requests_failed: Counter,
+    connections_accepted: Counter,
+    connections_active: Gauge,
+    /// Served requests by codec (`serve.requests.codec.<name>`), one
+    /// counter per codec-registry entry in registration order.
+    codec_requests: Vec<(&'static str, Counter)>,
     /// Wall time per verb, refusals included — what a client waited.
     req_compress: Histogram,
     req_decompress: Histogram,
@@ -135,9 +148,27 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn new(registry: &Arc<Registry>) -> Self {
+    /// Resolve every handle on `registry`, with one per-codec counter for
+    /// each entry of `codecs`.
+    fn new(registry: &Arc<Registry>, codecs: &CodecRegistry) -> Self {
         ServeMetrics {
             registry: Arc::clone(registry),
+            bytes_in: registry.counter("serve.bytes.in"),
+            bytes_out: registry.counter("serve.bytes.out"),
+            requests_ok: registry.counter("serve.requests.ok"),
+            requests_failed: registry.counter("serve.requests.failed"),
+            connections_accepted: registry.counter("serve.connections.accepted"),
+            connections_active: registry.gauge("serve.connections.active"),
+            codec_requests: codecs
+                .names()
+                .into_iter()
+                .map(|name| {
+                    (
+                        name,
+                        registry.counter(&format!("serve.requests.codec.{name}")),
+                    )
+                })
+                .collect(),
             req_compress: registry.histogram("serve.request.compress"),
             req_decompress: registry.histogram("serve.request.decompress"),
             req_list_codecs: registry.histogram("serve.request.list_codecs"),
@@ -166,18 +197,33 @@ impl ServeMetrics {
         }
     }
 
-    /// Record a served request's wall time against its codec.
+    /// Count a served request, and its wall time, against its codec
+    /// (no-op for names outside the codec registry — those failed before
+    /// reaching a codec).
     fn note_codec(&self, name: &str, elapsed: Duration) {
+        let Some((_, count)) = self.codec_requests.iter().find(|(n, _)| *n == name) else {
+            return;
+        };
+        count.inc();
         if let Some(h) = self.req_codec.get(name) {
             h.record_duration(elapsed);
         }
+    }
+
+    /// Book one accepted connection and return the RAII guard holding its
+    /// slot in the active-connection gauge: the gauge decrements when the
+    /// guard drops, however the handler exits — there is no code path that
+    /// can leak an increment.
+    #[must_use]
+    fn connection_opened(&self) -> GaugeGuard {
+        self.connections_accepted.inc();
+        self.connections_active.inc_scoped()
     }
 }
 
 struct Shared {
     registry: Arc<CodecRegistry>,
     pool: Arc<WorkerPool>,
-    stats: ServerStats,
     metrics: ServeMetrics,
     config: ServeConfig,
     /// [`ServeConfig::shed_max_inflight`] with `0` resolved to the
@@ -217,7 +263,7 @@ pub struct Server {
     shared: Arc<Shared>,
 }
 
-/// A cheap handle onto a server: address, live stats, shutdown signal.
+/// A cheap handle onto a server: address, telemetry, shutdown signal.
 #[derive(Clone)]
 pub struct ServerHandle {
     addr: SocketAddr,
@@ -245,8 +291,7 @@ impl Server {
         // Serve metrics live on the pool's registry: one snapshot (and one
         // STATS_V2 body) spans the request layer, the frame streams, and
         // the engine underneath them.
-        let metrics = ServeMetrics::new(pool.telemetry());
-        let stats = ServerStats::new(&registry, &metrics.registry);
+        let metrics = ServeMetrics::new(pool.telemetry(), &registry);
         let shed_threshold = match config.shed_max_inflight {
             0 => (pool.config().queue_depth.saturating_mul(64)).max(1024),
             n => n,
@@ -257,7 +302,6 @@ impl Server {
             shared: Arc::new(Shared {
                 registry,
                 pool,
-                stats,
                 metrics,
                 config,
                 shed_threshold,
@@ -271,7 +315,7 @@ impl Server {
         self.addr
     }
 
-    /// A handle for stats and shutdown, usable from any thread.
+    /// A handle for telemetry and shutdown, usable from any thread.
     pub(crate) fn handle(&self) -> ServerHandle {
         ServerHandle {
             addr: self.addr,
@@ -350,11 +394,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// A point-in-time copy of the serving counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
-    }
-
     /// The server's telemetry registry (shared with its worker pool):
     /// request/phase latency histograms, serving counters, engine and
     /// frame-stream metrics. Snapshot it, or dump it with
@@ -379,14 +418,9 @@ impl RunningServer {
         self.handle.addr()
     }
 
-    /// A cloneable handle (stats, shutdown signal).
+    /// A cloneable handle (telemetry, shutdown signal).
     pub fn handle(&self) -> ServerHandle {
         self.handle.clone()
-    }
-
-    /// A point-in-time copy of the serving counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.handle.stats()
     }
 
     /// Gracefully shut down: stop accepting, drain accepted connections,
@@ -415,7 +449,7 @@ enum Boundary {
     TimedOut,
 }
 
-/// One connection's view of the socket: counts bytes for [`ServerStats`]
+/// One connection's view of the socket: counts bytes in [`ServeMetrics`]
 /// and absorbs read timeouts with the mid-message patience policy (stall
 /// limits, shutdown grace). Boundary reads — where blocking forever on an
 /// idle keep-alive connection is correct — go through
@@ -425,7 +459,7 @@ struct Conn<'a> {
     shared: &'a Shared,
     stalled_since: Option<Instant>,
     /// Has the request currently being served been booked in
-    /// [`ServerStats`] (ok or failed)? Keeps the accounting exactly-once:
+    /// [`ServeMetrics`] (ok or failed)? Keeps the accounting exactly-once:
     /// an error propagating out of a handler books a failure only if the
     /// request was never counted (mid-body disconnect), not when a counted
     /// request's reply write failed afterwards.
@@ -437,13 +471,13 @@ impl Conn<'_> {
     /// a client that has read its reply must already see itself counted.
     fn count_ok(&mut self) {
         self.accounted = true;
-        self.shared.stats.request_ok();
+        self.shared.metrics.requests_ok.inc();
     }
 
     /// Book the in-flight request as failed.
     fn count_failed(&mut self) {
         self.accounted = true;
-        self.shared.stats.request_failed();
+        self.shared.metrics.requests_failed.inc();
     }
 }
 
@@ -490,58 +524,17 @@ impl Conn<'_> {
 
     fn stream_read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = (&mut &*self.stream).read(buf)?;
-        self.shared.stats.add_bytes_in(n as u64);
+        self.shared.metrics.bytes_in.add(n as u64);
         Ok(n)
     }
 
-    /// Read up to `buf.len()` body bytes, returning as soon as any arrive.
-    /// Every idle poll tick invokes `on_idle` — the compress path flushes
-    /// finished pool jobs there, so a trickling client cannot keep
-    /// completed job slots pinned away from other connections. The
-    /// mid-message stall budget still applies.
-    fn read_body_some(
-        &mut self,
-        buf: &mut [u8],
-        mut on_idle: impl FnMut() -> Result<()>,
-    ) -> Result<usize> {
-        loop {
-            match self.stream_read(buf) {
-                Ok(0) => {
-                    return Err(Error::Corrupt("connection closed mid-message".into()));
-                }
-                Ok(n) => {
-                    self.stalled_since = None;
-                    return Ok(n);
-                }
-                Err(e) if is_timeout(&e) => {
-                    on_idle()?;
-                    let since = *self.stalled_since.get_or_insert_with(Instant::now);
-                    if since.elapsed() >= self.stall_budget() {
-                        self.stalled_since = None;
-                        self.shared.metrics.timeouts_read.inc();
-                        return Err(Error::Io(
-                            "request read stalled past the server's patience".into(),
-                        ));
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-}
-
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-impl Read for Conn<'_> {
-    /// Mid-message read: retries timeouts until the stall budget runs out,
-    /// so length-prefixed framing never desyncs under a slow client.
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    /// Mid-message read: up to `buf.len()` bytes, returning as soon as any
+    /// arrive (`Ok(0)` at EOF). Timeouts are retried until the stall budget
+    /// runs out, so length-prefixed framing never desyncs under a slow
+    /// client, and every idle poll tick calls `on_idle` — the compress path
+    /// flushes finished pool jobs there, so a trickling client cannot keep
+    /// completed job slots pinned away from other connections.
+    fn read_some(&mut self, buf: &mut [u8], mut on_idle: impl FnMut()) -> std::io::Result<usize> {
         loop {
             match self.stream_read(buf) {
                 Ok(n) => {
@@ -549,6 +542,7 @@ impl Read for Conn<'_> {
                     return Ok(n);
                 }
                 Err(e) if is_timeout(&e) => {
+                    on_idle();
                     let since = *self.stalled_since.get_or_insert_with(Instant::now);
                     if since.elapsed() >= self.stall_budget() {
                         self.stalled_since = None;
@@ -566,6 +560,19 @@ impl Read for Conn<'_> {
     }
 }
 
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+impl Read for Conn<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.read_some(buf, || {})
+    }
+}
+
 impl Write for Conn<'_> {
     /// Reply write under the socket's write deadline
     /// ([`ServeConfig::write_deadline`]): a peer that stopped reading
@@ -573,7 +580,7 @@ impl Write for Conn<'_> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match (&mut &*self.stream).write(buf) {
             Ok(n) => {
-                self.shared.stats.add_bytes_out(n as u64);
+                self.shared.metrics.bytes_out.add(n as u64);
                 Ok(n)
             }
             Err(e) => {
@@ -594,7 +601,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // The guard holds this connection's slot in the active gauge and
     // releases it on drop — no exit path (error, panic unwinding through
     // the handler, early return) can leak an increment.
-    let _active = shared.stats.connection_opened();
+    let _active = shared.metrics.connection_opened();
     let opened = Instant::now();
     // Connection-level I/O failures are that connection's problem alone;
     // request accounting (including deaths mid-request) happens inside.
@@ -735,13 +742,6 @@ fn fail_close(conn: &mut Conn<'_>, err: &Error) -> Result<Flow> {
     Ok(Flow::Close)
 }
 
-fn read_compress_header(conn: &mut Conn<'_>) -> Result<(String, DataDesc, u64)> {
-    let name = protocol::decode_name(conn)?;
-    let desc = protocol::decode_desc(conn)?;
-    let block_elems = protocol::read_u64(conn)?;
-    Ok((name, desc, block_elems))
-}
-
 /// Read and discard `len` body bytes to keep the connection's framing
 /// intact after a request-level refusal.
 fn discard_body(conn: &mut Conn<'_>, len: usize) -> Result<()> {
@@ -759,7 +759,7 @@ fn discard_body(conn: &mut Conn<'_>, len: usize) -> Result<()> {
 /// framing stays intact, then refuse with `ERR_BUSY` and keep the
 /// connection — the client retries after the hint without reconnecting.
 fn shed_compress(conn: &mut Conn<'_>, shared: &Shared) -> Result<Flow> {
-    let (_name, desc, _block_elems) = match read_compress_header(conn) {
+    let (_name, desc, _block_elems) = match protocol::read_compress_head(conn) {
         Ok(h) => h,
         Err(e) => return fail_close(conn, &e),
     };
@@ -802,7 +802,7 @@ fn shed_decompress(conn: &mut Conn<'_>, shared: &Shared) -> Result<Flow> {
 
 fn handle_compress(conn: &mut Conn<'_>, shared: &Shared, started: Instant) -> Result<Flow> {
     // A malformed header desyncs framing: reply, then close.
-    let (name, desc, block_elems) = match read_compress_header(conn) {
+    let (name, desc, block_elems) = match protocol::read_compress_head(conn) {
         Ok(h) => h,
         Err(e) => return fail_close(conn, &e),
     };
@@ -861,14 +861,16 @@ fn handle_compress(conn: &mut Conn<'_>, shared: &Shared, started: Instant) -> Re
     let mut refusal: Option<Error> = None;
     while remaining > 0 {
         let take = chunk.len().min(remaining);
-        let got = conn.read_body_some(&mut chunk[..take], || {
+        let got = conn.read_some(&mut chunk[..take], || {
             if refusal.is_none() {
                 if let Err(e) = writer.flush_ready() {
                     refusal = Some(e);
                 }
             }
-            Ok(())
         })?;
+        if got == 0 {
+            return Err(Error::Corrupt("connection closed mid-message".into()));
+        }
         remaining -= got;
         if refusal.is_none() {
             if let Err(e) = writer.write(&chunk[..got]) {
@@ -895,7 +897,6 @@ fn handle_compress(conn: &mut Conn<'_>, shared: &Shared, started: Instant) -> Re
             // Count before replying: once the client has read this reply,
             // a stats snapshot must already include the request.
             conn.count_ok();
-            shared.stats.count_codec(&name);
             shared.metrics.note_codec(&name, started.elapsed());
             let write_started = Instant::now();
             protocol::write_ok_reply(conn, &body)?;
@@ -960,7 +961,7 @@ fn handle_decompress(conn: &mut Conn<'_>, shared: &Shared, started: Instant) -> 
     // single block has actually decoded. Doubling growth tracks delivered
     // blocks the way read_sized tracks delivered bytes.
     let mut reply = Vec::new();
-    if let Err(e) = protocol::encode_desc(&desc, &mut reply) {
+    if let Err(e) = fcbench_core::frame::put_desc(&desc, &mut reply) {
         return fail_continue(conn, &e);
     }
     let engine_started = Instant::now();
@@ -976,7 +977,6 @@ fn handle_decompress(conn: &mut Conn<'_>, shared: &Shared, started: Instant) -> 
         .phase_engine
         .record_duration(engine_started.elapsed());
     conn.count_ok();
-    shared.stats.count_codec(&name);
     shared.metrics.note_codec(&name, started.elapsed());
     let write_started = Instant::now();
     protocol::write_ok_reply(conn, &reply)?;
@@ -1018,4 +1018,83 @@ fn handle_stats_v2(conn: &mut Conn<'_>, shared: &Shared) -> Result<Flow> {
     conn.count_ok();
     protocol::write_ok_reply(conn, &body)?;
     Ok(Flow::Continue)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fcbench_core::codec::{CodecClass, CodecInfo, Community, PrecisionSupport};
+    use fcbench_core::{Compressor, DataDesc, FloatData};
+
+    struct Fake(&'static str);
+
+    impl Compressor for Fake {
+        fn info(&self) -> CodecInfo {
+            CodecInfo {
+                name: self.0,
+                year: 2024,
+                community: Community::General,
+                class: CodecClass::Delta,
+                platform: Platform::Cpu,
+                parallel: false,
+                precisions: PrecisionSupport::Both,
+            }
+        }
+        fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+            out.clear();
+            out.extend_from_slice(data.bytes());
+            Ok(out.len())
+        }
+        fn decompress_into(
+            &self,
+            payload: &[u8],
+            desc: &DataDesc,
+            out: &mut FloatData,
+        ) -> Result<()> {
+            out.refill_from_slice(desc, payload)
+        }
+    }
+
+    #[test]
+    fn counters_accumulate_and_snapshot() {
+        let codecs = CodecRegistry::new().with(Fake("a")).with(Fake("b"));
+        let registry = Arc::new(Registry::new());
+        let metrics = ServeMetrics::new(&registry, &codecs);
+        let active = metrics.connection_opened();
+        metrics.bytes_in.add(100);
+        metrics.bytes_out.add(40);
+        metrics.requests_ok.inc();
+        metrics.note_codec("b", Duration::from_micros(5));
+        metrics.note_codec("nope", Duration::from_micros(5)); // ignored: never reached a codec
+        metrics.requests_failed.inc();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("serve.bytes.in"), Some(100));
+        assert_eq!(snap.counter("serve.bytes.out"), Some(40));
+        assert_eq!(snap.counter("serve.requests.ok"), Some(1));
+        assert_eq!(snap.counter("serve.requests.failed"), Some(1));
+        assert_eq!(snap.counter("serve.connections.accepted"), Some(1));
+        assert_eq!(snap.gauge("serve.connections.active"), Some(1));
+        assert_eq!(snap.counter("serve.requests.codec.a"), Some(0));
+        assert_eq!(snap.counter("serve.requests.codec.b"), Some(1));
+        assert_eq!(snap.counter("serve.requests.codec.nope"), None);
+        drop(active);
+        let snap = registry.snapshot();
+        assert_eq!(snap.gauge("serve.connections.active"), Some(0));
+    }
+
+    #[test]
+    fn active_gauge_cannot_leak_past_its_guard() {
+        let codecs = CodecRegistry::new().with(Fake("a"));
+        let registry = Arc::new(Registry::new());
+        let metrics = ServeMetrics::new(&registry, &codecs);
+        let active = || registry.snapshot().gauge("serve.connections.active");
+        {
+            let _a = metrics.connection_opened();
+            let _b = metrics.connection_opened();
+            assert_eq!(active(), Some(2));
+        }
+        assert_eq!(active(), Some(0));
+        let accepted = registry.snapshot().counter("serve.connections.accepted");
+        assert_eq!(accepted, Some(2));
+    }
 }

@@ -12,7 +12,7 @@
 use fcbench::core::fault::{FaultPlan, FaultyIo, Rng};
 use fcbench::core::pool::{PoolConfig, WorkerPool};
 use fcbench::core::telemetry::Registry;
-use fcbench::core::{Domain, Error, FloatData};
+use fcbench::core::{frame, Domain, Error, FloatData};
 use fcbench::serve::{
     protocol, Client, ClientConfig, RetryPolicy, RunningServer, ServeConfig, Server,
 };
@@ -206,8 +206,8 @@ fn unresponsive_reader_trips_the_write_deadline() {
     protocol::read_reply(&mut stream).expect("hello reply");
 
     let mut req = vec![protocol::VERB_COMPRESS];
-    protocol::encode_name("gorilla", &mut req).expect("name");
-    protocol::encode_desc(data.desc(), &mut req).expect("desc");
+    frame::put_name("gorilla", &mut req).expect("name");
+    frame::put_desc(data.desc(), &mut req).expect("desc");
     req.extend_from_slice(&(1u64 << 16).to_le_bytes());
     stream.write_all(&req).expect("header");
     stream.write_all(data.bytes()).expect("body");
@@ -242,8 +242,8 @@ fn stalled_compress(addr: SocketAddr) -> TcpStream {
         .expect("send hello");
     protocol::read_reply(&mut stream).expect("hello reply");
     let mut req = vec![protocol::VERB_COMPRESS];
-    protocol::encode_name("gorilla", &mut req).expect("name");
-    protocol::encode_desc(data.desc(), &mut req).expect("desc");
+    frame::put_name("gorilla", &mut req).expect("name");
+    frame::put_desc(data.desc(), &mut req).expect("desc");
     req.extend_from_slice(&64u64.to_le_bytes());
     stream.write_all(&req).expect("header");
     // Eight bytes of an 800-byte body, then silence: the handler is now
@@ -334,7 +334,7 @@ fn overload_sheds_busy_and_retrying_clients_recover() {
     let failed = v2.counter("serve.requests.failed").expect("failed counter");
     assert!(failed >= shed, "every shed is a failed request");
     assert_eq!(
-        handle.stats().requests_failed,
+        handle.telemetry().counter("serve.requests.failed").get(),
         failed,
         "no failures happened since the snapshot"
     );

@@ -6,7 +6,7 @@
 //! typed error while the server keeps serving everyone else.
 
 use fcbench::core::pool::{PoolConfig, WorkerPool};
-use fcbench::core::{Domain, Error, FloatData};
+use fcbench::core::{frame, Domain, Error, FloatData};
 use fcbench::serve::{protocol, Client, RunningServer, ServeConfig, Server};
 use fcbench_bench::codecs::paper_registry;
 use std::io::Write;
@@ -74,24 +74,24 @@ fn concurrent_clients_share_one_engine_with_byte_exact_roundtrips() {
         raw_bytes += w.join().expect("client thread");
     }
 
-    let stats = running.stats();
+    let telemetry = running.handle().telemetry().snapshot();
     // 14 compress + 14 decompress + 14 list = 42 successful requests.
-    assert_eq!(stats.requests_ok, 42);
-    assert_eq!(stats.requests_failed, 0);
-    assert_eq!(stats.connections_accepted, 14);
+    assert_eq!(telemetry.counter("serve.requests.ok"), Some(42));
+    assert_eq!(telemetry.counter("serve.requests.failed"), Some(0));
+    assert_eq!(telemetry.counter("serve.connections.accepted"), Some(14));
+    let bytes_in = telemetry.counter("serve.bytes.in").unwrap_or(0);
     assert!(
-        stats.bytes_in as usize > raw_bytes,
-        "bytes_in {} must exceed the raw payloads {raw_bytes}",
-        stats.bytes_in
+        bytes_in as usize > raw_bytes,
+        "bytes_in {bytes_in} must exceed the raw payloads {raw_bytes}"
     );
-    assert!(stats.bytes_out > 0);
+    assert!(telemetry.counter("serve.bytes.out").unwrap_or(0) > 0);
     // Every codec served exactly one compress and one decompress.
-    for (name, count) in &stats.per_codec {
-        assert_eq!(*count, 2, "{name} request count");
+    for name in &names {
+        let count = telemetry.counter(&format!("serve.requests.codec.{name}"));
+        assert_eq!(count, Some(2), "{name} request count");
     }
     // ...and every row's blocks, the GPU-simulated ones included, ran as
     // jobs on the shared pool.
-    let telemetry = running.handle().telemetry().snapshot();
     for name in &names {
         let jobs = telemetry
             .histogram(&format!("pool.exec.codec.{name}"))
@@ -130,8 +130,8 @@ fn eight_clients_hammer_one_codec_on_a_starved_pool() {
     for w in workers {
         w.join().expect("client thread");
     }
-    let stats = running.stats();
-    assert_eq!(stats.requests_ok, 8 * 3 * 2);
+    let stats = running.handle().telemetry().snapshot();
+    assert_eq!(stats.counter("serve.requests.ok"), Some(8 * 3 * 2));
     running.shutdown().expect("graceful shutdown");
 }
 
@@ -224,8 +224,8 @@ fn hostile_inputs_fail_the_request_not_the_server() {
         )
         .unwrap();
         let mut req = vec![protocol::VERB_COMPRESS];
-        protocol::encode_name("gorilla", &mut req).unwrap();
-        protocol::encode_desc(&huge, &mut req).unwrap();
+        frame::put_name("gorilla", &mut req).unwrap();
+        frame::put_desc(&huge, &mut req).unwrap();
         req.extend_from_slice(&64u64.to_le_bytes());
         let err = client.send_raw(&req).expect_err("petabyte claim must fail");
         assert!(matches!(err, Error::Unsupported(_)), "got {err:?}");
@@ -293,18 +293,72 @@ fn hostile_inputs_fail_the_request_not_the_server() {
 }
 
 #[test]
+fn compress_header_fields_are_checked_with_typed_replies() {
+    let running = start_server(PoolConfig::with_threads(1), ServeConfig::default());
+    let data = decimal_data(100, 0.0);
+    let compress = |block_elems: u64| {
+        let mut req = vec![protocol::VERB_COMPRESS];
+        frame::put_name("gorilla", &mut req).unwrap();
+        frame::put_desc(data.desc(), &mut req).unwrap();
+        req.extend_from_slice(&block_elems.to_le_bytes());
+        req.extend_from_slice(data.bytes());
+        req
+    };
+    let mut client = Client::connect(running.addr()).expect("connect");
+    // A zero block size is refused after the body is consumed, so the same
+    // connection then serves a real round trip.
+    let err = client.send_raw(&compress(0)).expect_err("zero block size");
+    assert!(matches!(err, Error::BadDescriptor(_)), "got {err:?}");
+    let restored = client.roundtrip("gorilla", &data, 64).expect("roundtrip");
+    assert_eq!(restored.bytes(), data.bytes());
+    // u64::MAX is wider than a 32-bit address space (refused the same way);
+    // on a 64-bit host it is one block holding every element.
+    let reply = client.send_raw(&compress(u64::MAX));
+    if usize::try_from(u64::MAX).is_ok() {
+        let stream = reply.expect("a one-block stream");
+        assert_eq!(client.decompress(&stream).unwrap().bytes(), data.bytes());
+    } else {
+        assert!(matches!(reply, Err(Error::BadDescriptor(_))), "{reply:?}");
+    }
+    let restored = client.roundtrip("gorilla", &data, 64).expect("roundtrip");
+    assert_eq!(restored.bytes(), data.bytes());
+
+    // A zero-extent dimension is corrupt, like no dimensions at all: the
+    // header cannot be trusted, so the reply closes the connection.
+    for dims in [&[0u64][..], &[]] {
+        let mut client = Client::connect(running.addr()).expect("connect");
+        let mut req = vec![protocol::VERB_COMPRESS];
+        frame::put_name("gorilla", &mut req).unwrap();
+        req.extend_from_slice(&[1, 1, dims.len() as u8]);
+        for d in dims.iter().chain(&[64]) {
+            req.extend_from_slice(&d.to_le_bytes());
+        }
+        let err = client.send_raw(&req).expect_err("corrupt descriptor");
+        assert!(matches!(err, Error::Corrupt(_)), "{dims:?}: got {err:?}");
+    }
+    running.shutdown().expect("graceful shutdown");
+}
+
+#[test]
 fn mid_body_disconnects_count_as_failed_requests_and_server_survives() {
     let running = start_server(PoolConfig::with_threads(1), ServeConfig::default());
     let addr = running.addr();
-    let before = running.stats().requests_failed;
+    let failed = || {
+        running
+            .handle()
+            .telemetry()
+            .counter("serve.requests.failed")
+            .get()
+    };
+    let before = failed();
     {
         let mut raw = TcpStream::connect(addr).expect("connect");
         raw.write_all(&protocol::client_hello()).expect("hello");
         protocol::read_reply(&mut raw).expect("handshake reply");
         let data = decimal_data(512, 0.0);
         let mut req = vec![protocol::VERB_COMPRESS];
-        protocol::encode_name("gorilla", &mut req).unwrap();
-        protocol::encode_desc(data.desc(), &mut req).unwrap();
+        frame::put_name("gorilla", &mut req).unwrap();
+        frame::put_desc(data.desc(), &mut req).unwrap();
         req.extend_from_slice(&64u64.to_le_bytes());
         req.extend_from_slice(&data.bytes()[..100]); // partial body...
         raw.write_all(&req).expect("partial request");
@@ -312,7 +366,7 @@ fn mid_body_disconnects_count_as_failed_requests_and_server_survives() {
       // The handler hits EOF mid-body and must book the in-flight request
       // as failed (it consumed server work and got no reply).
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    while running.stats().requests_failed == before {
+    while failed() == before {
         assert!(
             std::time::Instant::now() < deadline,
             "mid-body disconnect was never counted as a failed request"
@@ -437,12 +491,13 @@ fn stats_v2_carries_layered_latency_histograms_over_the_wire() {
     assert_eq!(v2.counter("serve.requests.ok"), Some(8));
     assert_eq!(v2.counter("serve.requests.codec.gorilla"), Some(8));
     assert_eq!(v2.gauge("serve.connections.active"), Some(1));
-    let local = running.stats();
+    let local = running.handle().telemetry().snapshot();
     assert_eq!(
-        local.requests_ok, 9,
+        local.counter("serve.requests.ok"),
+        Some(9),
         "the STATS_V2 request has counted by now"
     );
-    assert_eq!(local.requests_failed, 0);
+    assert_eq!(local.counter("serve.requests.failed"), Some(0));
 
     // Serve-layer latency histograms crossed the wire with usable
     // quantiles: 4 compress + 4 decompress requests were timed.
