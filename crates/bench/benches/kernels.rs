@@ -10,7 +10,9 @@
 //! against a local byte-at-a-time loop (gated) and against the
 //! slice-by-16 kernel it replaced (`crc32_slice16`, printed); and Gorilla's
 //! one-test-per-value decoder against the field-by-field `BitReader` loop
-//! it replaced (`gorilla_fieldwise`, printed). The headline acceptance
+//! it replaced (`gorilla_fieldwise`, printed); and SPDP's compressor —
+//! fused front end, key-filtered lz77 — against its three full-size stage
+//! passes and `lz77::reference` on `msg-bt` (gated). The headline acceptance
 //! number is the worst gated speedup, which must stay ≥ 2x; `(info)` rows
 //! are printed, not gated.
 //!
@@ -18,7 +20,7 @@
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
 //! shrinks the iteration counts.
 
-use fcbench_codecs_cpu::{bitshuffle, Gorilla};
+use fcbench_codecs_cpu::{bitshuffle, Gorilla, Spdp};
 use fcbench_core::stream::crc32;
 use fcbench_core::{Compressor, DataDesc, Domain, FloatData, Precision};
 use fcbench_entropy::lz77::{self, Lz77Config};
@@ -571,6 +573,63 @@ fn bench_gorilla(name: &'static str, elems: usize, page: usize, reps: usize) -> 
     }
 }
 
+/// SPDP's front end before the fused pass: DIM8, LNVs2 and LNVs1 as three
+/// full-size passes, one `push` per byte.
+fn spdp_three_pass(data: &[u8]) -> Vec<u8> {
+    let rows = data.len() / 8;
+    let mut dim8 = Vec::with_capacity(data.len());
+    for col in 0..8 {
+        for row in 0..rows {
+            dim8.push(data[row * 8 + col]);
+        }
+    }
+    dim8.extend_from_slice(&data[rows * 8..]);
+    let mut lnvs2 = Vec::with_capacity(dim8.len());
+    for (i, &b) in dim8.iter().enumerate() {
+        lnvs2.push(b.wrapping_sub(if i >= 2 { dim8[i - 2] } else { 0 }));
+    }
+    let mut lnvs1 = Vec::with_capacity(lnvs2.len());
+    let mut last = 0u8;
+    for &b in &lnvs2 {
+        lnvs1.push(b.wrapping_sub(last));
+        last = b;
+    }
+    lnvs1
+}
+
+/// `Spdp::compress_into` on `msg-bt` against the three-pass front end and
+/// `lz77::reference`, which emit the same payload.
+fn bench_spdp(elems: usize, reps: usize) -> Row {
+    let spec = fcbench_datasets::find("msg-bt").expect("catalogued dataset");
+    let data = fcbench_datasets::generate(&spec, elems);
+    let codec = Spdp::new();
+    let mut out = Vec::new();
+    codec.compress_into(&data, &mut out).expect("spdp");
+    let staged = spdp_three_pass(data.bytes());
+    assert_eq!(
+        out,
+        lz77::reference::compress(&staged, Lz77Config::fast()),
+        "spdp and its three-pass reference differ"
+    );
+    let new_s = best_of(reps, || {
+        codec
+            .compress_into(black_box(&data), &mut out)
+            .expect("spdp");
+        black_box(out.len());
+    });
+    let ref_s = best_of(reps, || {
+        let staged = spdp_three_pass(black_box(data.bytes()));
+        black_box(lz77::reference::compress(&staged, Lz77Config::fast()).len());
+    });
+    Row {
+        name: "spdp compress msg-bt",
+        new_s,
+        ref_s,
+        bytes: data.bytes().len() as u64,
+        gated: true,
+    }
+}
+
 fn main() {
     let elems = if quick() { 8192 } else { 65_536 };
     let reps = if quick() { 5 } else { 20 };
@@ -636,6 +695,9 @@ fn main() {
         65_536,
         reps,
     ));
+
+    // SPDP's whole compressor on the ladder corpus's HPC dataset.
+    gate(&bench_spdp(4 * elems, reps));
 
     println!("worst gated speedup: {worst_gated:.2}x (acceptance gate: >= 2x)");
     // The gate is real: the bench fails if a kernel regresses on any gated

@@ -342,9 +342,11 @@ fn compress_one(block: &[u8], elem_size: usize, backend: Backend, out: &mut Vec<
         match backend {
             Backend::Lz4 => lz4::compress_into(shuffled, coded),
             Backend::Zzip => {
-                // Blocks are <= 64 KB: a 64 KB window with deep chains gives
-                // 2-byte offsets (as tight as LZ4) plus the entropy stage —
-                // the slower-but-stronger profile of real zstd.
+                // Blocks are <= 64 KiB: a 64 KiB window with deep chains
+                // reaches across the whole block, plus the entropy stage —
+                // the slower-but-stronger profile of real zstd. The window
+                // is one past `u16::MAX`, so offsets are 3 bytes, not
+                // LZ4's 2; the payload is frozen with that width.
                 *coded = zzip::compress_with(
                     shuffled,
                     Lz77Config {

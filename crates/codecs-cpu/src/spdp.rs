@@ -52,7 +52,9 @@ impl Spdp {
 }
 
 /// Stage 1: residual of each byte against the byte 2 positions back.
-pub(crate) fn lnvs2_forward(data: &[u8]) -> Vec<u8> {
+/// The encoder runs it fused ([`apply_stages`]); this is the oracle.
+#[cfg(test)]
+fn lnvs2_forward(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len());
     for (i, &b) in data.iter().enumerate() {
         let prev = if i >= 2 { data[i - 2] } else { 0 };
@@ -74,8 +76,10 @@ fn lnvs2_inverse(data: &[u8]) -> Vec<u8> {
 
 /// Stage 2: 8-way byte transpose. The stream is viewed as rows of 8
 /// bytes; output emits column 0 of every row, then column 1, etc.
-/// A ragged tail (len % 8) is appended unchanged.
-pub(crate) fn dim8_forward(data: &[u8]) -> Vec<u8> {
+/// A ragged tail (len % 8) is appended unchanged. The encoder runs it
+/// fused ([`apply_stages`]); this is the oracle.
+#[cfg(test)]
+fn dim8_forward(data: &[u8]) -> Vec<u8> {
     let rows = data.len() / 8;
     let mut out = Vec::with_capacity(data.len());
     for col in 0..8 {
@@ -104,7 +108,9 @@ fn dim8_inverse(data: &[u8]) -> Vec<u8> {
 }
 
 /// Stage 3: residual of each byte against the immediately previous byte.
-pub(crate) fn lnvs1_forward(data: &[u8]) -> Vec<u8> {
+/// The encoder runs it fused ([`apply_stages`]); this is the oracle.
+#[cfg(test)]
+fn lnvs1_forward(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len());
     let mut prev = 0u8;
     for &b in data {
@@ -125,6 +131,34 @@ fn lnvs1_inverse(data: &[u8]) -> Vec<u8> {
         prev = b;
     }
     out
+}
+
+/// The three forward stages in two passes over `data`, writing the
+/// residuals into `out` (the same length): DIM8 stores each row's eight
+/// bytes in their columns, then one in-place pass takes LNVs2 (against
+/// the transposed byte two back) and LNVs1 (against the previous LNVs2
+/// residual), both carried in registers. Same bytes as
+/// `lnvs1(lnvs2(dim8(data)))`, without the three full-size intermediates.
+fn apply_stages(data: &[u8], out: &mut [u8]) {
+    let rows = data.len() / 8;
+    let (columns, tail) = out.split_at_mut(rows * 8);
+    if rows > 0 {
+        let mut split = columns.chunks_exact_mut(rows);
+        let mut cols: [&mut [u8]; 8] = std::array::from_fn(|_| split.next().unwrap_or_default());
+        for (row, bytes) in data.chunks_exact(8).enumerate() {
+            for (col, &b) in cols.iter_mut().zip(bytes) {
+                col[row] = b;
+            }
+        }
+    }
+    tail.copy_from_slice(&data[rows * 8..]);
+    let (mut back, mut last) = ([0u8; 2], 0u8);
+    for b in out.iter_mut() {
+        let stride2 = b.wrapping_sub(back[0]);
+        back = [back[1], *b];
+        *b = stride2.wrapping_sub(last);
+        last = stride2;
+    }
 }
 
 /// The three inverses in one pass over the LZ77 output `residuals`,
@@ -169,10 +203,9 @@ impl Compressor for Spdp {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        let s1 = dim8_forward(data.bytes());
-        let s2 = lnvs2_forward(&s1);
-        let s3 = lnvs1_forward(&s2);
-        lz77::compress_into(&s3, self.lz_config, out);
+        let mut staged = vec![0; data.bytes().len()];
+        apply_stages(data.bytes(), &mut staged);
+        lz77::compress_into(&staged, self.lz_config, out);
         Ok(out.len())
     }
 
@@ -228,6 +261,50 @@ mod tests {
             let mut fused = vec![0xEE; len];
             undo_stages(&residuals, &mut fused);
             assert_eq!(fused, composed, "len {len}");
+        }
+    }
+
+    fn composed_stages(data: &[u8]) -> Vec<u8> {
+        lnvs1_forward(&lnvs2_forward(&dim8_forward(data)))
+    }
+
+    #[test]
+    fn fused_forward_matches_the_composed_stages() {
+        // Rows = 0 (len < 8), whole rows, and every ragged tail, into a
+        // buffer of stale bytes.
+        for len in 0..=67 {
+            let data: Vec<u8> = (0..len).map(|i| (i * 167 % 251) as u8 ^ 0xA5).collect();
+            let mut staged = vec![0xEE; len];
+            apply_stages(&data, &mut staged);
+            assert_eq!(staged, composed_stages(&data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn corpus_payloads_match_the_composed_stages() {
+        // The benchmark corpus under the three window ablation configs:
+        // every payload is what the three stages and the reference LZ77
+        // stage produce.
+        let configs = [(1 << 12, 4), (1 << 16, 8), (1 << 20, 64)];
+        for name in ["msg-bt", "citytemp", "acs-wht", "tpcDS-store"] {
+            let spec = fcbench_datasets::find(name).expect("catalogued dataset");
+            let data = fcbench_datasets::generate(&spec, 1 << 16);
+            let mut staged = vec![0; data.bytes().len()];
+            apply_stages(data.bytes(), &mut staged);
+            let composed = composed_stages(data.bytes());
+            assert_eq!(staged, composed, "{name}");
+            for (window, chain_depth) in configs {
+                let cfg = Lz77Config {
+                    window,
+                    chain_depth,
+                };
+                let payload = Spdp::with_lz_config(cfg).compress(&data).unwrap();
+                assert_eq!(
+                    payload,
+                    lz77::reference::compress(&composed, cfg),
+                    "{name} window {window} depth {chain_depth}"
+                );
+            }
         }
     }
 

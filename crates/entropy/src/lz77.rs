@@ -6,22 +6,28 @@
 //! of throughput — exactly the trade-off the paper calls out for SPDP.
 //!
 //! Serialized format: a 1-byte header holding the offset width (2 for
-//! windows ≤ 64 KiB, else 3), then groups of up to 8 items, each preceded
-//! by a control byte whose bit *i* (LSB-first) marks item *i* as a match.
-//! A literal item is one byte. A match item is a little-endian offset
-//! (1-based distance) followed by a length byte: values 0..=254 encode
-//! lengths `4..=258`; 255 is followed by a little-endian u16 extension.
-//! The narrow-offset mode keeps matches as tight as LZ4's inside the
-//! 64 KB blocks bitshuffle feeds this codec.
+//! windows of at most `u16::MAX` = 65 535 bytes, else 3), then groups of
+//! up to 8 items, each preceded by a control byte whose bit *i*
+//! (LSB-first) marks item *i* as a match. A literal item is one byte. A
+//! match item is a little-endian offset (1-based distance) followed by a
+//! length byte: values 0..=254 encode lengths `4..=258`; 255 is followed
+//! by a little-endian u16 extension. The 64 KiB (`1 << 16`) windows of
+//! [`Lz77Config::fast`] and of bitshuffle-zstd are one byte past the
+//! narrow mode, so both write 3-byte offsets; the payload bytes are
+//! frozen, so they stay that way.
 //!
-//! The compressor walks hash chains exactly like the retained
-//! [`reference`](mod@reference) implementation (same probe order, same depth budget, same
-//! acceptance heuristics), but extends candidate matches a u64 word at a
-//! time, emits items through fixed stack buffers instead of per-item heap
-//! allocations, and reuses the chain tables across calls on the same
-//! thread. The decompressor copies matches with bulk slice operations.
-//! Both directions are byte-identical to the reference — proven by the
-//! differential tests below and the proptests in `tests/proptests.rs`.
+//! The compressor finds exactly the matches of the retained
+//! [`reference`](mod@reference) implementation (same probe order, same
+//! depth budget, same acceptance heuristics). It judges the first two
+//! chain links without a branch — a candidate whose first four bytes
+//! differ can never become a match — and walks the chain only where a
+//! match is possible or the chain runs on. It extends candidate matches a
+//! u64 word at a time, emits items through fixed stack buffers instead of
+//! per-item heap allocations, and reuses the chain tables across calls on
+//! the same thread. The decompressor copies matches with bulk slice
+//! operations. Both directions are byte-identical to the reference —
+//! proven by the differential tests below and the proptests in
+//! `tests/proptests.rs`.
 
 use std::cell::RefCell;
 
@@ -61,8 +67,13 @@ const HASH_LOG: u32 = 16;
 
 #[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (v.wrapping_mul(2654435761) >> (32 - HASH_LOG)) as usize
+    hash_key(load_key(data, i))
+}
+
+/// Chain-head index of a 4-byte little-endian key.
+#[inline]
+fn hash_key(key: u32) -> usize {
+    (key.wrapping_mul(2654435761) >> (32 - HASH_LOG)) as usize
 }
 
 /// The byte-granular implementation this module's kernels replaced.
@@ -287,25 +298,22 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Chain-table slot for position `p`: an AND when the window is a power
-/// of two (every production config), a division otherwise. `mask` is
-/// `window - 1` for power-of-two windows and 0 otherwise (a window of at
-/// least [`MIN_MATCH`] makes 0 unambiguous).
-#[inline]
-fn chain_slot(p: usize, window: usize, mask: usize) -> usize {
-    if mask != 0 {
-        p & mask
-    } else {
-        p % window
-    }
-}
-
 /// In-bounds unaligned 8-byte little-endian load (callers guarantee
 /// `i + 8 <= data.len()`; a short read yields 0, never a panic).
 #[inline]
 fn load_u64(data: &[u8], i: usize) -> u64 {
     match data.get(i..).and_then(|t| t.first_chunk::<8>()) {
         Some(w) => u64::from_le_bytes(*w),
+        None => 0,
+    }
+}
+
+/// In-bounds 4-byte little-endian key load (callers guarantee
+/// `i + 4 <= data.len()`; a short read yields 0, never a panic).
+#[inline]
+fn load_key(data: &[u8], i: usize) -> u32 {
+    match data.get(i..).and_then(|t| t.first_chunk::<4>()) {
+        Some(w) => u32::from_le_bytes(*w),
         None => 0,
     }
 }
@@ -331,6 +339,89 @@ fn match_len(input: &[u8], c: usize, i: usize, max_len: usize) -> usize {
     l
 }
 
+/// The longest match for position `i` as `(len, dist)`, `(0, 0)` for
+/// none: exactly what the reference's chain walk finds, whose probe order,
+/// depth budget and tie rule this keeps.
+///
+/// Most positions of a residual stream have a chain one link deep that
+/// holds no 4-byte `key` match, and a candidate whose first four bytes
+/// differ can never reach [`MIN_MATCH`]. So links 1 and 2 (`cand1` is
+/// `head[hash(key)]`) are first judged without a branch: live (non-empty,
+/// in the window, within the depth budget), key hit, and whether a live
+/// link 3 follows. Only a possible hit or a longer chain enters the walk,
+/// which resumes there instead of re-reading links 1 and 2.
+#[inline(always)]
+fn find_match(
+    input: &[u8],
+    i: usize,
+    key: u32,
+    cand1: usize,
+    prev: &[u32],
+    cfg: Lz77Config,
+    slot: impl Fn(usize) -> usize,
+) -> (usize, usize) {
+    let depth = cfg.chain_depth;
+    // Chain entries hold `pos + 1`, 0 for none, so a link is in the window
+    // when its entry lies in `lo..=i`. A link is live (the reference would
+    // probe it) when it and every link before it are in the window and
+    // the depth budget reaches it. A dead link's successor and key are
+    // read (the key clamped into the input) but never trusted.
+    let lo = (i + 1).saturating_sub(cfg.window).max(1);
+    let in_window = |cand: usize| cand.wrapping_sub(lo) < i + 1 - lo;
+    let c1 = cand1.wrapping_sub(1);
+    let live1 = in_window(cand1) & (depth >= 1);
+    let cand2 = prev[slot(c1)] as usize;
+    let c2 = cand2.wrapping_sub(1);
+    let live2 = live1 & in_window(cand2) & (depth >= 2);
+    let cand3 = prev[slot(c2)] as usize;
+    let live3 = live2 & in_window(cand3) & (depth >= 3);
+    let last = input.len() - MIN_MATCH;
+    let hit1 = live1 & (load_key(input, c1.min(last)) == key);
+    let hit2 = live2 & (load_key(input, c2.min(last)) == key);
+    if !(hit1 | hit2 | live3) {
+        return (0, 0);
+    }
+
+    let max_len = input.len() - i;
+    let (mut best_len, mut best_dist) = (0usize, 0usize);
+    for (hit, c) in [(hit1, c1), (hit2, c2)] {
+        // A key hit extends to at least MIN_MATCH; the quick check on the
+        // byte past the current best skips candidates that cannot beat it.
+        if hit && (best_len == 0 || input.get(c + best_len) == input.get(i + best_len)) {
+            let l = match_len(input, c, i, max_len);
+            if l > best_len {
+                (best_len, best_dist) = (l, i - c);
+                if l >= max_len {
+                    return (best_len, best_dist);
+                }
+            }
+        }
+    }
+    let mut candidate = if live3 { cand3 } else { 0 };
+    let mut budget = depth.saturating_sub(2);
+    while candidate != 0 && budget > 0 {
+        let c = candidate - 1;
+        let dist = i - c;
+        if dist > cfg.window {
+            break;
+        }
+        // Quick check on the byte past the current best.
+        if best_len == 0 || input.get(c + best_len) == input.get(i + best_len) {
+            let l = match_len(input, c, i, max_len);
+            if l >= MIN_MATCH && l > best_len {
+                best_len = l;
+                best_dist = dist;
+                if l >= max_len {
+                    break;
+                }
+            }
+        }
+        candidate = prev[slot(c)] as usize;
+        budget -= 1;
+    }
+    (best_len, best_dist)
+}
+
 /// Compress `input` with the given effort configuration.
 pub fn compress(input: &[u8], cfg: Lz77Config) -> Vec<u8> {
     let mut out = Vec::new();
@@ -344,6 +435,36 @@ pub fn compress(input: &[u8], cfg: Lz77Config) -> Vec<u8> {
 /// Emits streams byte-identical to `reference::compress_into`.
 pub fn compress_into(input: &[u8], cfg: Lz77Config, out: &mut Vec<u8>) {
     assert!(cfg.window >= MIN_MATCH && cfg.window <= MAX_WINDOW);
+    CHAIN_SCRATCH.with_borrow_mut(|(head, prev)| {
+        head.resize(1 << HASH_LOG, 0);
+        head.fill(0);
+        if prev.len() < cfg.window {
+            prev.resize(cfg.window, 0);
+        }
+        let prev = &mut prev[..cfg.window];
+        // The chain-table slot of a position: an AND for a power-of-two
+        // window (every production config), a division otherwise, each
+        // compiled into its own copy of the loop.
+        if cfg.window.is_power_of_two() {
+            let mask = cfg.window - 1;
+            compress_chained(input, cfg, head, prev, |p| p & mask, out)
+        } else {
+            compress_chained(input, cfg, head, prev, |p| p % cfg.window, out)
+        }
+    });
+}
+
+/// [`compress_into`] over cleared `head` and any `prev` of `cfg.window`
+/// slots, `slot` mapping a position to its `prev` slot.
+#[inline(always)]
+fn compress_chained(
+    input: &[u8],
+    cfg: Lz77Config,
+    head: &mut [u32],
+    prev: &mut [u32],
+    slot: impl Fn(usize) -> usize + Copy,
+    out: &mut Vec<u8>,
+) {
     let offset_bytes: usize = if cfg.window <= u16::MAX as usize {
         2
     } else {
@@ -361,105 +482,71 @@ pub fn compress_into(input: &[u8], cfg: Lz77Config, out: &mut Vec<u8>) {
     let mut g_bytes = [0u8; 48];
     let mut g_len = 0usize;
 
-    CHAIN_SCRATCH.with_borrow_mut(|(head, prev)| {
-        head.resize(1 << HASH_LOG, 0);
-        head.fill(0);
-        if prev.len() < cfg.window {
-            prev.resize(cfg.window, 0);
-        }
-        let mask = if cfg.window.is_power_of_two() {
-            cfg.window - 1
+    let mut i = 0usize;
+    while i < n {
+        let (best_len, best_dist) = if i + MIN_MATCH <= n {
+            let key = load_key(input, i);
+            let h = hash_key(key);
+            let found = find_match(input, i, key, head[h] as usize, prev, cfg, slot);
+            // Insert current position into the chain only now: a
+            // candidate at exactly `dist == window` shares `i`'s slot.
+            prev[slot(i)] = head[h];
+            head[h] = (i + 1) as u32;
+            found
         } else {
-            0
+            (0, 0)
         };
-
-        let mut i = 0usize;
-        while i < n {
-            let mut best_len = 0usize;
-            let mut best_dist = 0usize;
-
-            if i + MIN_MATCH <= n {
-                let h = hash4(input, i);
-                let mut candidate = head[h] as usize;
-                let mut depth = cfg.chain_depth;
-                let max_len = n - i;
-                while candidate != 0 && depth > 0 {
-                    let c = candidate - 1;
-                    let dist = i - c;
-                    if dist > cfg.window {
-                        break;
-                    }
-                    // Quick check on the byte past the current best.
-                    if best_len == 0 || input.get(c + best_len) == input.get(i + best_len) {
-                        let l = match_len(input, c, i, max_len);
-                        if l >= MIN_MATCH && l > best_len {
-                            best_len = l;
-                            best_dist = dist;
-                            if l >= max_len {
-                                break;
-                            }
-                        }
-                    }
-                    candidate = prev[chain_slot(c, cfg.window, mask)] as usize;
-                    depth -= 1;
-                }
-                // Insert current position into the chain.
-                prev[chain_slot(i, cfg.window, mask)] = head[h];
-                head[h] = (i + 1) as u32;
-            }
-
-            if best_len >= MIN_MATCH {
-                let item_start = g_len;
-                g_bytes[g_len..g_len + 4].copy_from_slice(&(best_dist as u32).to_le_bytes());
-                g_len = item_start + offset_bytes;
-                let code_len = best_len - MIN_MATCH;
-                let actual_len = if code_len < 255 {
-                    g_bytes[g_len] = code_len as u8;
-                    g_len += 1;
-                    best_len
-                } else {
-                    let ext = (code_len - 255).min(u16::MAX as usize);
-                    g_bytes[g_len] = 255;
-                    g_bytes[g_len + 1..g_len + 3].copy_from_slice(&(ext as u16).to_le_bytes());
-                    g_len += 3;
-                    MIN_MATCH + 255 + ext
-                };
-                g_control |= 1 << g_nitems;
-                g_nitems += 1;
-                if g_nitems == 8 {
-                    out.push(g_control);
-                    out.extend_from_slice(&g_bytes[..g_len]);
-                    g_control = 0;
-                    g_nitems = 0;
-                    g_len = 0;
-                }
-
-                // Insert skipped positions into the chain (sparsely for speed).
-                let end = i + actual_len;
-                let step = 1.max(actual_len / 16);
-                let mut j = i + 1;
-                while j < end && j + MIN_MATCH <= n {
-                    let h = hash4(input, j);
-                    prev[chain_slot(j, cfg.window, mask)] = head[h];
-                    head[h] = (j + 1) as u32;
-                    j += step;
-                }
-                i = end;
-            } else {
-                g_bytes[g_len] = input[i];
+        if best_len >= MIN_MATCH {
+            let item_start = g_len;
+            g_bytes[g_len..g_len + 4].copy_from_slice(&(best_dist as u32).to_le_bytes());
+            g_len = item_start + offset_bytes;
+            let code_len = best_len - MIN_MATCH;
+            let actual_len = if code_len < 255 {
+                g_bytes[g_len] = code_len as u8;
                 g_len += 1;
-                g_nitems += 1;
-                if g_nitems == 8 {
-                    out.push(g_control);
-                    out.extend_from_slice(&g_bytes[..g_len]);
-                    g_control = 0;
-                    g_nitems = 0;
-                    g_len = 0;
-                }
-                i += 1;
+                best_len
+            } else {
+                let ext = (code_len - 255).min(u16::MAX as usize);
+                g_bytes[g_len] = 255;
+                g_bytes[g_len + 1..g_len + 3].copy_from_slice(&(ext as u16).to_le_bytes());
+                g_len += 3;
+                MIN_MATCH + 255 + ext
+            };
+            g_control |= 1 << g_nitems;
+            g_nitems += 1;
+            if g_nitems == 8 {
+                out.push(g_control);
+                out.extend_from_slice(&g_bytes[..g_len]);
+                g_control = 0;
+                g_nitems = 0;
+                g_len = 0;
             }
+
+            // Insert skipped positions into the chain (sparsely for speed).
+            let end = i + actual_len;
+            let step = 1.max(actual_len / 16);
+            let mut j = i + 1;
+            while j < end && j + MIN_MATCH <= n {
+                let h = hash4(input, j);
+                prev[slot(j)] = head[h];
+                head[h] = (j + 1) as u32;
+                j += step;
+            }
+            i = end;
+        } else {
+            g_bytes[g_len] = input[i];
+            g_len += 1;
+            g_nitems += 1;
+            if g_nitems == 8 {
+                out.push(g_control);
+                out.extend_from_slice(&g_bytes[..g_len]);
+                g_control = 0;
+                g_nitems = 0;
+                g_len = 0;
+            }
+            i += 1;
         }
-    });
+    }
     if g_nitems > 0 {
         out.push(g_control);
         out.extend_from_slice(&g_bytes[..g_len]);
@@ -783,5 +870,87 @@ mod tests {
             },
         );
         assert_identical(&b, Lz77Config::thorough());
+    }
+
+    // ---- the key filter's edges: chain shapes, depth budgets, windows ----
+
+    /// `n` xorshift bytes: filler that almost never repeats a 4-byte key.
+    fn noise(x: &mut u32, n: usize, data: &mut Vec<u8>) {
+        for _ in 0..n {
+            *x ^= *x << 13;
+            *x ^= *x >> 17;
+            *x ^= *x << 5;
+            data.push((*x >> 11) as u8);
+        }
+    }
+
+    /// One chain, built to order: per link a 4-byte key (`true`: the probed
+    /// key, `false`: another key with the same hash) and a share of a
+    /// common tail, so hits extend to different lengths, then `gap` filler
+    /// bytes; last, the probed key and the whole tail.
+    fn chain_input(links: &[bool], gap: usize) -> Vec<u8> {
+        const TAIL: &[u8] = b"0123456789abcdef";
+        let key = 0x5EED_C0DEu32;
+        let other = (1u32..)
+            .map(|d| key.wrapping_add(d))
+            .find(|&k| hash_key(k) == hash_key(key))
+            .expect("a colliding key");
+        let mut x = 0x2545_F491;
+        let mut data = Vec::new();
+        noise(&mut x, gap, &mut data);
+        for (k, &hit) in links.iter().enumerate() {
+            data.extend_from_slice(&if hit { key } else { other }.to_le_bytes());
+            data.extend_from_slice(&TAIL[..(5 * k) % TAIL.len()]);
+            noise(&mut x, gap, &mut data);
+        }
+        data.extend_from_slice(&key.to_le_bytes());
+        data.extend_from_slice(TAIL);
+        data
+    }
+
+    #[test]
+    fn chain_shapes_match_reference() {
+        // Chains of 0 to 5 links with every hit/collision pattern (a hit
+        // on link 1, 2, 3 or deeper), spaced so small windows cut them
+        // after any link, under every depth budget the filter special-cases
+        // and two it does not; 100 is a non-power-of-two window.
+        for n_links in 0..=5usize {
+            for pattern in 0..1u32 << n_links {
+                let links: Vec<bool> = (0..n_links).map(|k| pattern >> k & 1 == 1).collect();
+                for gap in [3usize, 40] {
+                    let data = chain_input(&links, gap);
+                    for window in [16usize, 100, 1 << 16] {
+                        for chain_depth in [0usize, 1, 2, 3, 8, 128] {
+                            assert_identical(
+                                &data,
+                                Lz77Config {
+                                    window,
+                                    chain_depth,
+                                },
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeat_at_the_window_edge_matches_reference() {
+        // A 64-byte repeat at distance window - 1 and window is a match;
+        // at window + 1 it is out of reach. The candidate at exactly
+        // `window` shares the probed position's chain slot.
+        let cfg = Lz77Config::fast();
+        for dist in [cfg.window - 1, cfg.window, cfg.window + 1] {
+            let mut x = 7;
+            let mut data = Vec::new();
+            noise(&mut x, dist, &mut data);
+            data.extend_from_within(..64);
+            noise(&mut x, 32, &mut data);
+            assert_identical(&data, cfg);
+            let all_literal = 1 + data.len() + data.len().div_ceil(8);
+            let matched = compress(&data, cfg).len() + 40 < all_literal;
+            assert_eq!(matched, dist <= cfg.window, "distance {dist}");
+        }
     }
 }

@@ -332,3 +332,45 @@ fn read_bits_boundary_exhaustive() {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    // ---- differential past the 64 KiB window: inputs of 64–200 KiB with
+    // repeats planted around distance 65 536, over an alphabet small
+    // enough that chains run deep, under the fast config, a
+    // non-power-of-two window and the deep-chain bitshuffle config.
+
+    #[test]
+    fn lz77_window_edge_matches_reference(
+        seed in any::<u64>(),
+        len in 65_536usize..200_000,
+        alphabet in 2u64..=256,
+        plants in prop::collection::vec((0usize..200_000, 65_530usize..65_542, 4usize..64), 1..16),
+    ) {
+        let mut x = seed | 1;
+        let mut data: Vec<u8> = (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % alphabet) as u8
+            })
+            .collect();
+        for &(at, dist, n) in &plants {
+            let at = at % len;
+            if at >= dist && at + n <= len {
+                data.copy_within(at - dist..at - dist + n, at);
+            }
+        }
+        for cfg in [
+            Lz77Config::fast(),
+            Lz77Config { window: 65_537, chain_depth: 3 },
+            Lz77Config { window: 1 << 16, chain_depth: 128 },
+        ] {
+            let fast = lz77::compress(&data, cfg);
+            prop_assert_eq!(&fast, &lz77::reference::compress(&data, cfg));
+            prop_assert_eq!(lz77::decompress(&fast, data.len()).unwrap(), data.clone());
+        }
+    }
+}
