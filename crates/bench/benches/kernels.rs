@@ -12,7 +12,9 @@
 //! one-test-per-value decoder against the field-by-field `BitReader` loop
 //! it replaced (`gorilla_fieldwise`, printed); and SPDP's compressor —
 //! fused front end, key-filtered lz77 — against its three full-size stage
-//! passes and `lz77::reference` on `msg-bt` (gated). The headline acceptance
+//! passes and `lz77::reference` on `msg-bt` (gated); and the `miranda3d`
+//! generator's draw-then-map pipeline against the serial smooth-field
+//! generator it replaced, kept here as `serial_field` (gated). The headline acceptance
 //! number is the worst gated speedup, which must stay ≥ 2x; `(info)` rows
 //! are printed, not gated.
 //!
@@ -630,6 +632,91 @@ fn bench_spdp(elems: usize, reps: usize) -> Row {
     }
 }
 
+/// The smooth-field generator before the draw-then-map pipeline, for
+/// `miranda3d` (4 decimals over [1, 1000], f32): four trig calls, a
+/// `powi` and one Box–Muller normal per element on one thread, then the
+/// `Vec<f64>` field, its quantized copy, its `Vec<f32>` narrowing and the
+/// byte copy of that.
+mod serial_field {
+    use fcbench_core::{Domain, FloatData};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn gauss(rng: &mut SmallRng) -> f64 {
+        let u1: f64 = rng.random_range(1e-12..1.0);
+        let u2: f64 = rng.random_range(0.0..1.0);
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    }
+
+    fn round_dec(v: f64, d: u32) -> f64 {
+        let s = 10f64.powi(d as i32);
+        let r = (v * s).round() / s;
+        if r == 0.0 {
+            0.0
+        } else {
+            r
+        }
+    }
+
+    pub fn miranda3d(dims: &[usize]) -> FloatData {
+        // FNV-1a of the name, the generators' seed.
+        let seed = b"miranda3d".iter().fold(0xcbf29ce484222325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        });
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (lo, hi) = (1.0, 1000.0);
+        let (mid, span) = ((lo + hi) / 2.0, hi - lo);
+        let (f1, f2, f3) = (
+            rng.random_range(0.02..0.08),
+            rng.random_range(0.02..0.08),
+            rng.random_range(0.02..0.08),
+        );
+        let mut raw = Vec::with_capacity(dims.iter().product());
+        for z in 0..dims[0] {
+            for y in 0..dims[1] {
+                for x in 0..dims[2] {
+                    let base = (x as f64 * f1).sin()
+                        + (y as f64 * f2).cos()
+                        + (z as f64 * f3).sin()
+                        + 0.5 * ((x + y) as f64 * f1 * 0.37).sin();
+                    raw.push(mid + span * 0.13 * base + 0.001 * span * gauss(&mut rng));
+                }
+            }
+        }
+        let quantized: Vec<f64> = raw
+            .into_iter()
+            .map(|v| round_dec(v.clamp(lo, hi), 4))
+            .collect();
+        let v32: Vec<f32> = quantized.iter().map(|&v| v as f32).collect();
+        FloatData::from_f32(&v32, dims.to_vec(), Domain::Hpc).expect("consistent dims")
+    }
+}
+
+/// `fcbench_datasets::generate` on `miranda3d` against `serial_field`,
+/// which produces the same bytes.
+fn bench_generate(elems: usize, reps: usize) -> Row {
+    let spec = fcbench_datasets::find("miranda3d").expect("catalogued dataset");
+    let dims = spec.scaled_dims(elems);
+    let data = fcbench_datasets::generate(&spec, elems);
+    assert!(
+        data == serial_field::miranda3d(&dims),
+        "miranda3d and its serial reference differ"
+    );
+    let new_s = best_of(reps, || {
+        black_box(fcbench_datasets::generate(black_box(&spec), elems));
+    });
+    let ref_s = best_of(reps, || {
+        black_box(serial_field::miranda3d(black_box(&dims)));
+    });
+    Row {
+        name: "generate miranda3d",
+        new_s,
+        ref_s,
+        bytes: data.bytes().len() as u64,
+        gated: true,
+    }
+}
+
 fn main() {
     let elems = if quick() { 8192 } else { 65_536 };
     let reps = if quick() { 5 } else { 20 };
@@ -698,6 +785,13 @@ fn main() {
 
     // SPDP's whole compressor on the ladder corpus's HPC dataset.
     gate(&bench_spdp(4 * elems, reps));
+
+    // The frame_stream rung's dataset, at sizes whose map fans out (2 and
+    // 16 MiB of f32 output).
+    gate(&bench_generate(
+        if quick() { 1 << 19 } else { 1 << 22 },
+        reps,
+    ));
 
     println!("worst gated speedup: {worst_gated:.2}x (acceptance gate: >= 2x)");
     // The gate is real: the bench fails if a kernel regresses on any gated

@@ -39,7 +39,8 @@ fn parse_args() -> Opts {
                 elems = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--elems needs a number"));
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| die("--elems needs a positive number"));
             }
             "--reps" => {
                 reps = args

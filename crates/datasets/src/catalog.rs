@@ -62,7 +62,7 @@ impl DatasetSpec {
             return self.paper_dims.to_vec();
         }
         match self.paper_dims.len() {
-            1 => vec![target_elems],
+            1 => vec![target_elems.max(1)],
             2 => {
                 let cols = self.paper_dims[1];
                 if cols <= 256 {

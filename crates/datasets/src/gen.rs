@@ -8,10 +8,14 @@
 //! shows BUFF succeeding on every dataset except `hurricane`, so all
 //! generators except hurricane's quantize to a per-dataset decimal step.
 //!
-//! Generation is deterministic: the RNG is seeded from the dataset name.
+//! Generation is deterministic: the RNG is seeded from the dataset name,
+//! and every family draws from it in one fixed order. The per-element math
+//! that follows the draws fans out across cores (`Store::draw_then_map`),
+//! so the bytes do not depend on the thread count.
 
 use crate::catalog::{DatasetSpec, Family};
-use fcbench_core::{FloatData, Precision};
+use fcbench_core::wire::fan_out;
+use fcbench_core::{DataDesc, FloatData, Precision};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -119,13 +123,17 @@ fn seed_of(name: &str) -> u64 {
     h
 }
 
+/// `10^d` for `d <= 10`: every entry is an exact integer, the value
+/// `10f64.powi(d)` computes.
+const POW10: [f64; 11] = [1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10];
+
 /// Round to `d` decimal digits (exactly representable round trip for
 /// d ≤ 10 and |v·10^d| < 2^52, which every tuning above satisfies).
 /// Negative zero is normalized: decimal data sources never emit `-0.0`,
 /// and scaled-integer codecs (BUFF) cannot carry a zero's sign bit.
 #[inline]
 fn round_dec(v: f64, d: u32) -> f64 {
-    let s = 10f64.powi(d as i32);
+    let s = POW10[d as usize];
     let r = (v * s).round() / s;
     if r == 0.0 {
         0.0
@@ -134,76 +142,220 @@ fn round_dec(v: f64, d: u32) -> f64 {
     }
 }
 
-/// Standard normal via Box–Muller.
-fn gauss(rng: &mut SmallRng) -> f64 {
-    let u1: f64 = rng.random_range(1e-12..1.0);
-    let u2: f64 = rng.random_range(0.0..1.0);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+/// Units (elements, or rows for the decimal series) whose RNG values are
+/// drawn into one buffer before that run is mapped: 256 Ki, so a chunk's
+/// f32 output is 1 MiB, above `PARALLEL_BYTES`, and its map fans out,
+/// while its Box–Muller draws take 4 MiB.
+const CHUNK: usize = 1 << 18;
+
+/// Units per fanned-out slot of a chunk's map.
+const SLOT: usize = 1 << 14;
+
+/// The column after `c` in rows of `cols` (no division per element).
+#[inline]
+fn next_col(c: usize, cols: usize) -> usize {
+    if c + 1 == cols {
+        0
+    } else {
+        c + 1
+    }
 }
 
-fn finalize(spec: &DatasetSpec, tun: Tuning, dims: Vec<usize>, raw: Vec<f64>) -> FloatData {
-    // Grid step is deliberately an arbitrary float (not a decimal);
-    // DecimalGrid rounds the step itself to `d` decimals.
-    let step = match tun.quant {
-        Quant::Grid(levels) => (tun.hi - tun.lo) / levels as f64,
-        Quant::DecimalGrid(d, levels) => round_dec((tun.hi - tun.lo) / levels as f64, d),
-        _ => 1.0,
-    };
-    let clamped: Vec<f64> = raw
-        .into_iter()
-        .map(|v| {
-            let v = v.clamp(tun.lo, tun.hi);
-            match tun.quant {
-                Quant::Decimal(d) => round_dec(v, d),
-                Quant::Grid(_) => {
-                    let q = tun.lo + ((v - tun.lo) / step).round() * step;
-                    // Tiny magnitudes fall where the f32 ULP is finer than
-                    // any 10-decimal grid, which would make the value
-                    // unrepresentable to bounded-decimal codecs in a way
-                    // real instruments never produce - snap sub-resolution
-                    // readings to exact zero instead.
-                    if q.abs() < (step * 0.5).max(2e-3) {
-                        0.0
-                    } else {
-                        q
-                    }
+/// One Box–Muller standard normal as its two uniform draws, taken in the
+/// RNG's order on the drawing thread; [`Normal::value`] is the pure map.
+#[derive(Clone, Copy)]
+struct Normal {
+    u1: f64,
+    u2: f64,
+}
+
+impl Normal {
+    fn draw(rng: &mut SmallRng) -> Self {
+        let u1 = rng.random_range(1e-12..1.0);
+        let u2 = rng.random_range(0.0..1.0);
+        Normal { u1, u2 }
+    }
+
+    #[inline]
+    fn value(self) -> f64 {
+        (-2.0 * self.u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * self.u2).cos()
+    }
+}
+
+/// The per-element tail every generator shares — clamp to the tuned
+/// range, discretize, narrow to the dataset's precision, store
+/// little-endian — and the draw-then-map pipeline that runs it.
+struct Store {
+    tun: Tuning,
+    /// Grid step (an arbitrary float; a `d`-decimal one for DecimalGrid).
+    step: f64,
+    /// Grid values below this magnitude snap to zero.
+    snap: f64,
+    precision: Precision,
+    threads: usize,
+}
+
+impl Store {
+    fn new(tun: Tuning, precision: Precision) -> Self {
+        // Grid step is deliberately an arbitrary float (not a decimal);
+        // DecimalGrid rounds the step itself to `d` decimals.
+        let step = match tun.quant {
+            Quant::Grid(levels) => (tun.hi - tun.lo) / levels as f64,
+            Quant::DecimalGrid(d, levels) => round_dec((tun.hi - tun.lo) / levels as f64, d),
+            _ => 1.0,
+        };
+        Store {
+            tun,
+            step,
+            // Tiny magnitudes fall where the f32 ULP is finer than any
+            // 10-decimal grid, which would make the value unrepresentable
+            // to bounded-decimal codecs in a way real instruments never
+            // produce - snap sub-resolution readings to exact zero instead.
+            snap: (step * 0.5).max(2e-3),
+            precision,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
+    /// Bytes per stored element.
+    fn width(&self) -> usize {
+        self.precision.bytes()
+    }
+
+    /// Clamp and discretize one raw value.
+    #[inline]
+    fn quantize(&self, v: f64) -> f64 {
+        let Tuning { quant, lo, hi } = self.tun;
+        let v = v.clamp(lo, hi);
+        match quant {
+            Quant::Decimal(d) => round_dec(v, d),
+            Quant::Grid(_) => {
+                let q = lo + ((v - lo) / self.step).round() * self.step;
+                if q.abs() < self.snap {
+                    0.0
+                } else {
+                    q
                 }
-                Quant::DecimalGrid(d, _) => {
-                    round_dec(tun.lo + ((v - tun.lo) / step).round() * step, d)
-                }
-                Quant::None => v,
             }
-        })
-        .collect();
-    match spec.precision {
-        Precision::Double => FloatData::from_f64(&clamped, dims, spec.domain)
-            .expect("generator produced consistent dims"),
-        Precision::Single => {
-            let v32: Vec<f32> = clamped.iter().map(|&v| v as f32).collect();
-            FloatData::from_f32(&v32, dims, spec.domain)
-                .expect("generator produced consistent dims")
+            Quant::DecimalGrid(d, _) => {
+                round_dec(lo + ((v - lo) / self.step).round() * self.step, d)
+            }
+            Quant::None => v,
+        }
+    }
+
+    /// Store one raw value into its element's bytes.
+    #[inline]
+    fn put(&self, v: f64, out: &mut [u8]) {
+        let q = self.quantize(v);
+        match self.precision {
+            Precision::Single => out.copy_from_slice(&(q as f32).to_le_bytes()),
+            Precision::Double => out.copy_from_slice(&q.to_le_bytes()),
+        }
+    }
+
+    /// The draw-then-map pipeline over `out`'s units of `per` items: for
+    /// each run of [`CHUNK`] units, `draw` every unit's RNG values on the
+    /// calling thread, in unit order, then run `map(unit, draws, items)`
+    /// over the chunk's [`SLOT`]-unit slots through [`fan_out`] — inline up
+    /// to `PARALLEL_BYTES`, across cores above it. `map` is pure in its
+    /// unit index and draws, so the bytes never depend on the thread count.
+    /// A map that draws nothing passes `|| ()`.
+    fn draw_then_map<D: Sync, T: Send>(
+        &self,
+        out: &mut [T],
+        per: usize,
+        mut draw: impl FnMut() -> D,
+        map: impl Fn(usize, &[D], &mut [T]) + Sync,
+    ) {
+        let mut draws = Vec::with_capacity(CHUNK.min(out.len() / per));
+        for (c, chunk) in out.chunks_mut(CHUNK * per).enumerate() {
+            draws.clear();
+            draws.extend((0..chunk.len() / per).map(|_| draw()));
+            let bytes = std::mem::size_of_val(chunk);
+            let mut slots: Vec<_> = draws
+                .chunks(SLOT)
+                .zip(chunk.chunks_mut(SLOT * per))
+                .collect();
+            fan_out(&mut slots, bytes, self.threads, |k, (d, items)| {
+                map(c * CHUNK + k * SLOT, d, items)
+            });
+        }
+    }
+
+    /// Store raw values into the elements of `items`, pairwise.
+    fn put_run(&self, vals: &[f64], items: &mut [u8]) {
+        for (&v, o) in vals.iter().zip(items.chunks_exact_mut(self.width())) {
+            self.put(v, o);
+        }
+    }
+
+    /// A random walk's pipeline, one chunk of `out`'s units (`per` bytes
+    /// each) at a time: one standard normal per unit, drawn then mapped
+    /// across cores; `scan` turns them into the walk's values in one
+    /// sequential pass (its state carries across chunks); `emit(unit,
+    /// values, bytes)` stores them across cores.
+    fn walk(
+        &self,
+        out: &mut [u8],
+        per: usize,
+        rng: &mut SmallRng,
+        mut scan: impl FnMut(&mut [f64]),
+        emit: impl Fn(usize, &[f64], &mut [u8]) + Sync,
+    ) {
+        let mut vals = Vec::new();
+        for (c, chunk) in out.chunks_mut(CHUNK * per).enumerate() {
+            vals.resize(chunk.len() / per, 0.0);
+            self.draw_then_map(
+                &mut vals,
+                1,
+                || Normal::draw(rng),
+                |_, d, g| {
+                    for (g, d) in g.iter_mut().zip(d) {
+                        *g = d.value();
+                    }
+                },
+            );
+            scan(&mut vals);
+            let vals = &vals;
+            self.draw_then_map(
+                chunk,
+                per,
+                || (),
+                |i, _, items| emit(c * CHUNK + i, &vals[i..], items),
+            );
         }
     }
 }
 
 /// 1-D instrument trace: oscillations + a bounded random walk.
-fn gen_trace(n: usize, tun: Tuning, rng: &mut SmallRng) -> Vec<f64> {
+fn gen_trace(s: &Store, rng: &mut SmallRng, out: &mut [u8]) {
+    let tun = s.tun;
     let mid = (tun.lo + tun.hi) / 2.0;
     let span = tun.hi - tun.lo;
+    let eb = s.width();
     let mut walk = 0.0;
-    (0..n)
-        .map(|i| {
-            walk += gauss(rng) * span * 0.002;
+    let scan = |g: &mut [f64]| {
+        for v in g {
+            walk += *v * span * 0.002;
             walk = walk.clamp(-span * 0.3, span * 0.3);
-            mid + span * 0.2 * (i as f64 * 0.0021).sin()
-                + span * 0.08 * (i as f64 * 0.047).sin()
-                + walk
-        })
-        .collect()
+            *v = walk;
+        }
+    };
+    s.walk(out, eb, rng, scan, |i, walks, items| {
+        for (k, (&walk, o)) in walks.iter().zip(items.chunks_exact_mut(eb)).enumerate() {
+            let i = (i + k) as f64;
+            s.put(
+                mid + span * 0.2 * (i * 0.0021).sin() + span * 0.08 * (i * 0.047).sin() + walk,
+                o,
+            );
+        }
+    });
 }
 
 /// Smooth multidimensional field: superposed low-frequency waves.
-fn gen_smooth_field(dims: &[usize], tun: Tuning, rng: &mut SmallRng, noise: f64) -> Vec<f64> {
+fn gen_smooth_field(dims: &[usize], s: &Store, rng: &mut SmallRng, noise: f64, out: &mut [u8]) {
+    let tun = s.tun;
     let mid = (tun.lo + tun.hi) / 2.0;
     let span = tun.hi - tun.lo;
     let (nz, ny, nx) = match dims.len() {
@@ -216,70 +368,99 @@ fn gen_smooth_field(dims: &[usize], tun: Tuning, rng: &mut SmallRng, noise: f64)
         rng.random_range(0.02..0.08),
         rng.random_range(0.02..0.08),
     );
-    let mut out = Vec::with_capacity(nz * ny * nx);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                let base = (x as f64 * f1).sin()
-                    + (y as f64 * f2).cos()
-                    + (z as f64 * f3).sin()
-                    + 0.5 * ((x + y) as f64 * f1 * 0.37).sin();
-                let v = mid + span * 0.13 * base + noise * span * gauss(rng);
-                out.push(v);
+    // Every wave term depends on one coordinate (or on x + y): one table
+    // each, holding exactly the operand the per-element sum reads.
+    let sx: Vec<f64> = (0..nx).map(|x| (x as f64 * f1).sin()).collect();
+    let cy: Vec<f64> = (0..ny).map(|y| (y as f64 * f2).cos()).collect();
+    let sz: Vec<f64> = (0..nz).map(|z| (z as f64 * f3).sin()).collect();
+    let sxy: Vec<f64> = (0..nx + ny).map(|t| (t as f64 * f1 * 0.37).sin()).collect();
+    let eb = s.width();
+    s.draw_then_map(
+        out,
+        eb,
+        || Normal::draw(rng),
+        |i, draws, items| {
+            let (mut x, mut y, mut z) = (i % nx, i / nx % ny, i / (nx * ny));
+            for (d, o) in draws.iter().zip(items.chunks_exact_mut(eb)) {
+                let base = sx[x] + cy[y] + sz[z] + 0.5 * sxy[x + y];
+                s.put(mid + span * 0.13 * base + noise * span * d.value(), o);
+                x += 1;
+                if x == nx {
+                    x = 0;
+                    y += 1;
+                    if y == ny {
+                        y = 0;
+                        z += 1;
+                    }
+                }
             }
-        }
-    }
-    out
+        },
+    );
 }
 
 /// Mostly-zero field with rare plateaus (astro-mhd's 0.97-bit entropy).
-fn gen_sparse_field(n: usize, tun: Tuning, rng: &mut SmallRng) -> Vec<f64> {
+fn gen_sparse_field(s: &Store, rng: &mut SmallRng, out: &mut [u8]) {
+    let tun = s.tun;
     let levels: Vec<f64> = (1..=8)
         .map(|k| tun.lo + (tun.hi - tun.lo) * k as f64 / 8.0)
         .collect();
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        if rng.random_range(0.0..1.0) < 0.92 {
+    let eb = s.width();
+    let mut elems = out.chunks_exact_mut(eb);
+    let mut left = elems.len();
+    while left > 0 {
+        let (run, v) = if rng.random_range(0.0..1.0) < 0.92 {
             // Sky/zero background in short runs: keeps ratios in the
             // paper's 8-22x band rather than degenerate constant blocks.
-            let run = rng.random_range(8..64).min(n - out.len());
-            out.extend(std::iter::repeat_n(0.0, run));
+            (rng.random_range(8..64).min(left), 0.0)
         } else {
-            let run = rng.random_range(2..12).min(n - out.len());
-            let v = levels[rng.random_range(0..levels.len())];
-            out.extend(std::iter::repeat_n(v, run));
+            let run = rng.random_range(2..12).min(left);
+            (run, levels[rng.random_range(0..levels.len())])
+        };
+        let mut bytes = [0u8; 8];
+        s.put(v, &mut bytes[..eb]);
+        for o in elems.by_ref().take(run) {
+            o.copy_from_slice(&bytes[..eb]);
         }
+        left -= run;
     }
-    out
 }
 
 /// Seasonal decimal series (optionally multi-column, e.g. gas-price).
-fn gen_decimal_series(dims: &[usize], tun: Tuning, rng: &mut SmallRng) -> Vec<f64> {
-    let (rows, cols) = if dims.len() == 2 {
-        (dims[0], dims[1])
-    } else {
-        (dims[0], 1)
-    };
+fn gen_decimal_series(dims: &[usize], s: &Store, rng: &mut SmallRng, out: &mut [u8]) {
+    let tun = s.tun;
+    let cols = if dims.len() == 2 { dims[1] } else { 1 };
     let span = tun.hi - tun.lo;
     let offsets: Vec<f64> = (0..cols)
         .map(|_| rng.random_range(0.0..span * 0.2))
         .collect();
-    let mut out = Vec::with_capacity(rows * cols);
+    let eb = s.width();
     let mut walk = 0.0f64;
-    for r in 0..rows {
-        walk += gauss(rng) * span * 0.004;
-        walk = walk.clamp(-span * 0.25, span * 0.25);
-        let season = span * 0.25 * (r as f64 * 0.0008).sin() + span * 0.1 * (r as f64 * 0.02).sin();
-        for &off in &offsets {
-            out.push(tun.lo + span * 0.45 + off + season + walk);
+    let scan = |g: &mut [f64]| {
+        for v in g {
+            walk += *v * span * 0.004;
+            walk = walk.clamp(-span * 0.25, span * 0.25);
+            *v = walk;
         }
-    }
-    out
+    };
+    s.walk(out, cols * eb, rng, scan, |r, walks, items| {
+        for (k, (&walk, row)) in walks
+            .iter()
+            .zip(items.chunks_exact_mut(cols * eb))
+            .enumerate()
+        {
+            let r = (r + k) as f64;
+            let season = span * 0.25 * (r * 0.0008).sin() + span * 0.1 * (r * 0.02).sin();
+            for (&off, o) in offsets.iter().zip(row.chunks_exact_mut(eb)) {
+                s.put(tun.lo + span * 0.45 + off + season + walk, o);
+            }
+        }
+    });
 }
 
 /// Interleaved sensor channels: independent bounded walks per channel.
-fn gen_sensor_table(dims: &[usize], tun: Tuning, rng: &mut SmallRng) -> Vec<f64> {
-    let (rows, cols) = (dims[0], dims[1]);
+fn gen_sensor_table(dims: &[usize], s: &Store, rng: &mut SmallRng, out: &mut [u8]) {
+    let tun = s.tun;
+    let cols = dims[1];
     let span = tun.hi - tun.lo;
     let mid = (tun.lo + tun.hi) / 2.0;
     let mut state: Vec<f64> = (0..cols)
@@ -288,42 +469,57 @@ fn gen_sensor_table(dims: &[usize], tun: Tuning, rng: &mut SmallRng) -> Vec<f64>
     let steps: Vec<f64> = (0..cols)
         .map(|c| span * 0.002 * (1.0 + c as f64 * 0.37))
         .collect();
-    let mut out = Vec::with_capacity(rows * cols);
-    for _ in 0..rows {
-        for c in 0..cols {
-            state[c] += gauss(rng) * steps[c];
+    let mut c = 0;
+    let scan = |g: &mut [f64]| {
+        for v in g {
+            state[c] += *v * steps[c];
             state[c] = state[c].clamp(-span * 0.45, span * 0.45);
-            out.push(mid + state[c]);
+            *v = mid + state[c];
+            c = next_col(c, cols);
         }
-    }
-    out
+    };
+    let eb = s.width();
+    s.walk(out, eb, rng, scan, |_, vals, items| s.put_run(vals, items));
 }
 
 /// High-entropy market features: AR(1) returns per column.
-fn gen_market_table(dims: &[usize], tun: Tuning, rng: &mut SmallRng) -> Vec<f64> {
-    let (rows, cols) = (dims[0], dims[1]);
-    let span = tun.hi - tun.lo;
+fn gen_market_table(dims: &[usize], s: &Store, rng: &mut SmallRng, out: &mut [u8]) {
+    let cols = dims[1];
+    let span = s.tun.hi - s.tun.lo;
     let mut state: Vec<f64> = vec![0.0; cols];
-    let mut out = Vec::with_capacity(rows * cols);
-    for _ in 0..rows {
-        for s in state.iter_mut() {
-            *s = 0.7 * *s + gauss(rng) * span * 0.05;
-            out.push(*s);
+    let mut c = 0;
+    let scan = |g: &mut [f64]| {
+        for v in g {
+            state[c] = 0.7 * state[c] + *v * span * 0.05;
+            *v = state[c];
+            c = next_col(c, cols);
         }
-    }
-    out
+    };
+    s.walk(out, s.width(), rng, scan, |_, vals, items| {
+        s.put_run(vals, items)
+    });
 }
 
 /// Astronomical image: flat noisy background dominated by sky (>95% per
 /// §1's astronomy discussion) plus point sources.
-fn gen_astro_image(dims: &[usize], tun: Tuning, rng: &mut SmallRng) -> Vec<f64> {
+fn gen_astro_image(dims: &[usize], s: &Store, rng: &mut SmallRng, out: &mut [u8]) {
+    let tun = s.tun;
     let (h, w) = (dims[0], dims[1]);
     let span = tun.hi - tun.lo;
     let bg_mean = tun.lo + span * 0.08;
     let bg_sigma = span * 0.015;
-    let mut img: Vec<f64> = (0..h * w)
-        .map(|_| bg_mean + gauss(rng) * bg_sigma)
-        .collect();
+    // The sources add onto the raw background, so it is kept whole.
+    let mut img = vec![0.0; h * w];
+    s.draw_then_map(
+        &mut img,
+        1,
+        || Normal::draw(rng),
+        |_, draws, px| {
+            for (p, d) in px.iter_mut().zip(draws) {
+                *p = bg_mean + d.value() * bg_sigma;
+            }
+        },
+    );
     // Point sources: ~1 per 3000 pixels, Gaussian PSF of radius ~2.
     let nsrc = (h * w / 3000).max(1);
     for _ in 0..nsrc {
@@ -343,108 +539,143 @@ fn gen_astro_image(dims: &[usize], tun: Tuning, rng: &mut SmallRng) -> Vec<f64> 
             }
         }
     }
-    img
+    s.draw_then_map(
+        out,
+        s.width(),
+        || (),
+        |i, _, items| s.put_run(&img[i..], items),
+    );
 }
 
 /// HDR photograph: smooth luminance gradients (low distinct count).
-fn gen_hdr_image(dims: &[usize], tun: Tuning, rng: &mut SmallRng) -> Vec<f64> {
+fn gen_hdr_image(dims: &[usize], s: &Store, rng: &mut SmallRng, out: &mut [u8]) {
+    let tun = s.tun;
     let (h, w) = (dims[0], dims[1]);
     let span = tun.hi - tun.lo;
-    let (fy, fx) = (rng.random_range(1.5..3.5), rng.random_range(1.5..3.5));
-    let mut out = Vec::with_capacity(h * w);
-    for y in 0..h {
-        for x in 0..w {
+    let (fy, fx): (f64, f64) = (rng.random_range(1.5..3.5), rng.random_range(1.5..3.5));
+    let pi = std::f64::consts::PI;
+    // Per-row and per-column tables of the luminance's terms, summed in
+    // the same order as one per-pixel expression: the first two terms
+    // depend on the row only.
+    let rows: Vec<(f64, f64)> = (0..h)
+        .map(|y| {
             let u = y as f64 / h as f64;
+            let lead = 0.35 * (1.0 - u) + 0.25 * ((u * fy * pi).sin() * 0.5 + 0.5);
+            (lead, (u - 0.5).powi(2))
+        })
+        .collect();
+    let cols: Vec<(f64, f64)> = (0..w)
+        .map(|x| {
             let v = x as f64 / w as f64;
-            let lum = 0.35 * (1.0 - u)
-                + 0.25 * ((u * fy * std::f64::consts::PI).sin() * 0.5 + 0.5)
-                + 0.25 * ((v * fx * std::f64::consts::PI).cos() * 0.5 + 0.5)
-                + 0.15 * (1.0 - ((u - 0.5).powi(2) + (v - 0.5).powi(2)));
-            out.push(tun.lo + span * lum.clamp(0.0, 1.0) * 0.9);
-        }
-    }
-    out
+            (0.25 * ((v * fx * pi).cos() * 0.5 + 0.5), (v - 0.5).powi(2))
+        })
+        .collect();
+    let eb = s.width();
+    s.draw_then_map(
+        out,
+        eb,
+        || (),
+        |i, _, items| {
+            let (mut y, mut x) = (i / w, i % w);
+            for o in items.chunks_exact_mut(eb) {
+                let ((lead, dy), (wave, dx)) = (rows[y], cols[x]);
+                let lum = lead + wave + 0.15 * (1.0 - (dy + dx));
+                s.put(tun.lo + span * lum.clamp(0.0, 1.0) * 0.9, o);
+                x += 1;
+                if x == w {
+                    x = 0;
+                    y += 1;
+                }
+            }
+        },
+    );
 }
 
 /// TPC transaction columns cycling by column index. Column *cardinality*
 /// mirrors the TPC schemas (prices near-continuous, quantities 50 levels,
 /// rates 9 levels, counts 500 levels), mapped into the tuned range so the
 /// dataset-level clamp never crushes a column.
-fn gen_tpc_table(dims: &[usize], tun: Tuning, rng: &mut SmallRng) -> Vec<f64> {
-    let (rows, cols) = if dims.len() == 2 {
-        (dims[0], dims[1])
-    } else {
-        (dims[0], 1)
-    };
+fn gen_tpc_table(dims: &[usize], s: &Store, rng: &mut SmallRng, out: &mut [u8]) {
+    let tun = s.tun;
+    let cols = if dims.len() == 2 { dims[1] } else { 1 };
     let span = tun.hi - tun.lo;
-    let mut out = Vec::with_capacity(rows * cols);
-    for _ in 0..rows {
-        for c in 0..cols {
+    // One draw per element: the uniform of a price, or the level of the
+    // other kinds.
+    let mut c = 0;
+    let draw = || {
+        let d = match c % 5 {
+            0 | 3 => rng.random_range(0.0..1.0),
+            1 => rng.random_range(1..=50) as f64,
+            2 => rng.random_range(0..=8) as f64,
+            _ => rng.random_range(1..=500) as f64,
+        };
+        c = next_col(c, cols);
+        d
+    };
+    let eb = s.width();
+    s.draw_then_map(out, eb, draw, |i, draws, items| {
+        let mut c = i % cols;
+        for (&d, o) in draws.iter().zip(items.chunks_exact_mut(eb)) {
             let v = match c % 5 {
                 // Price-like: skewed toward the low end, near-continuous.
-                0 | 3 => {
-                    let u: f64 = rng.random_range(0.0..1.0);
-                    tun.lo + span * u * u
-                }
+                0 | 3 => tun.lo + span * d * d,
                 // Quantity-like: 50 levels.
-                1 => tun.lo + span * rng.random_range(1..=50) as f64 / 50.0,
+                1 => tun.lo + span * d / 50.0,
                 // Rate-like: 9 levels.
-                2 => tun.lo + span * rng.random_range(0..=8) as f64 / 9.0,
+                2 => tun.lo + span * d / 9.0,
                 // Count-like: 500 levels.
-                _ => tun.lo + span * rng.random_range(1..=500) as f64 / 500.0,
+                _ => tun.lo + span * d / 500.0,
             };
-            out.push(v);
+            s.put(v, o);
+            c = next_col(c, cols);
         }
-    }
-    out
+    });
 }
 
 /// Generate one dataset at roughly `target_elems` elements.
 pub fn generate(spec: &DatasetSpec, target_elems: usize) -> FloatData {
     let mut rng = SmallRng::seed_from_u64(seed_of(spec.name));
-    let dims = spec.scaled_dims(target_elems);
-    let n: usize = dims.iter().product();
-    let tun = tuning(spec.name);
-
-    let raw = match spec.family {
-        Family::HpcTrace => gen_trace(n, tun, &mut rng),
-        Family::SmoothField => gen_smooth_field(&dims, tun, &mut rng, 0.001),
-        Family::SparseField => gen_sparse_field(n, tun, &mut rng),
-        Family::NoisyField => gen_smooth_field(&dims, tun, &mut rng, 0.08),
-        Family::DecimalSeries => gen_decimal_series(&dims, tun, &mut rng),
-        Family::SensorTable => gen_sensor_table(&dims, tun, &mut rng),
-        Family::MarketTable => gen_market_table(&dims, tun, &mut rng),
-        Family::AstroImage => gen_astro_image(&dims, tun, &mut rng),
-        Family::HdrImage => gen_hdr_image(&dims, tun, &mut rng),
-        Family::TpcTable => gen_tpc_table(&dims, tun, &mut rng),
-    };
-    let mut data = finalize(spec, tun, dims, raw);
+    let desc = DataDesc::new(spec.precision, spec.scaled_dims(target_elems), spec.domain)
+        .expect("scaled extents are non-zero");
+    let s = Store::new(tuning(spec.name), spec.precision);
+    let mut out = vec![0u8; desc.byte_len()];
+    let (dims, rng, o) = (&desc.dims[..], &mut rng, &mut out[..]);
+    match spec.family {
+        Family::HpcTrace => gen_trace(&s, rng, o),
+        Family::SmoothField => gen_smooth_field(dims, &s, rng, 0.001, o),
+        Family::SparseField => gen_sparse_field(&s, rng, o),
+        Family::NoisyField => gen_smooth_field(dims, &s, rng, 0.08, o),
+        Family::DecimalSeries => gen_decimal_series(dims, &s, rng, o),
+        Family::SensorTable => gen_sensor_table(dims, &s, rng, o),
+        Family::MarketTable => gen_market_table(dims, &s, rng, o),
+        Family::AstroImage => gen_astro_image(dims, &s, rng, o),
+        Family::HdrImage => gen_hdr_image(dims, &s, rng, o),
+        Family::TpcTable => gen_tpc_table(dims, &s, rng, o),
+    }
 
     // hurricane: climate fields carry NaN fill values over masked regions;
     // these are what break the bounded-decimal codecs in Table 4 (BUFF's
     // and fpzip's "-" cells). Inject short NaN runs (~0.2% of elements).
     if spec.name == "hurricane" {
-        data = inject_nan_runs(data, &mut rng, 0.002);
+        inject_nan_runs(&mut out, rng, 0.002);
     }
-    data
+    FloatData::from_bytes(desc, out).expect("one value per element")
 }
 
-/// Replace roughly `fraction` of elements with NaN, in short runs.
-fn inject_nan_runs(data: FloatData, rng: &mut SmallRng, fraction: f64) -> FloatData {
-    let desc = data.desc().clone();
-    let mut vals = data.to_f32_vec().expect("hurricane is single-precision");
-    let n = vals.len();
+/// Replace roughly `fraction` of an f32 payload's elements with NaN, in
+/// short runs.
+fn inject_nan_runs(out: &mut [u8], rng: &mut SmallRng, fraction: f64) {
+    let n = out.len() / 4;
     let mut filled = 0usize;
     let target = ((n as f64 * fraction) as usize).max(1);
     while filled < target {
         let start = rng.random_range(0..n);
         let run = rng.random_range(4..32).min(n - start);
-        for v in &mut vals[start..start + run] {
-            *v = f32::NAN;
+        for v in out[4 * start..4 * (start + run)].chunks_exact_mut(4) {
+            v.copy_from_slice(&f32::NAN.to_le_bytes());
         }
         filled += run;
     }
-    FloatData::from_f32(&vals, desc.dims, desc.domain).expect("same shape")
 }
 
 #[cfg(test)]
@@ -452,6 +683,7 @@ mod tests {
     use super::*;
     use crate::catalog::{catalog, find};
     use crate::entropy::{scaled_target, value_entropy};
+    use fcbench_core::stream::crc32;
 
     const TEST_ELEMS: usize = 1 << 16;
 
@@ -493,34 +725,73 @@ mod tests {
             let Quant::Decimal(d) = tun.quant else {
                 continue;
             };
-            let data = generate(&spec, 4096);
-            let s = 10f64.powi(d as i32);
-            let check = |v: f64| {
-                let q = (v * s).round();
-                let back = q / s;
-                assert_eq!(
-                    back.to_bits(),
-                    v.to_bits(),
-                    "{}: {v} not representable at {d} decimals",
-                    spec.name
-                );
-            };
-            match spec.precision {
-                Precision::Double => {
-                    for v in data.to_f64_vec().unwrap().iter().take(500) {
-                        check(*v);
+            let s = POW10[d as usize];
+            for n in [4096, 200_000] {
+                let data = generate(&spec, n);
+                match spec.precision {
+                    Precision::Double => {
+                        for v in data.to_f64_vec().unwrap() {
+                            let back = (v * s).round() / s;
+                            assert_eq!(
+                                back.to_bits(),
+                                v.to_bits(),
+                                "{}: {v} not representable at {d} decimals",
+                                spec.name
+                            );
+                        }
                     }
-                }
-                Precision::Single => {
-                    // f32 values must round-trip through their f64 decimal.
-                    for v in data.to_f32_vec().unwrap().iter().take(500) {
-                        let vd = *v as f64;
-                        let q = (vd * s).round();
-                        let back = (q / s) as f32;
-                        assert_eq!(back.to_bits(), v.to_bits(), "{}: {v}", spec.name);
+                    Precision::Single => {
+                        // f32 values must round-trip through their f64 decimal.
+                        for v in data.to_f32_vec().unwrap() {
+                            let back = ((v as f64 * s).round() / s) as f32;
+                            assert_eq!(back.to_bits(), v.to_bits(), "{}: {v}", spec.name);
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pow10_table_is_powi() {
+        for (d, &p) in POW10.iter().enumerate() {
+            assert_eq!(p.to_bits(), 10f64.powi(d as i32).to_bits(), "10^{d}");
+        }
+    }
+
+    #[test]
+    fn every_dataset_generates_at_tiny_sizes() {
+        for spec in catalog() {
+            for n in 0..=3 {
+                let data = generate(&spec, n);
+                assert!(data.elements() >= 1, "{} at {n}", spec.name);
+                assert_eq!(data.desc().ndims(), spec.paper_dims.len(), "{}", spec.name);
+            }
+        }
+    }
+
+    /// `tests/dataset_golden.rs` pins sizes within one draw chunk; these
+    /// cross two chunk seams, where a walk's state, a table's column and a
+    /// grid's coordinates carry from one chunk into the next. The CRCs are
+    /// the generators' before the draw-then-map pipeline.
+    #[test]
+    fn chunk_seams_are_invisible() {
+        let n = 1_100_000;
+        assert!(n > 2 * CHUNK);
+        for (name, crc) in [
+            ("msg-bt", 0x9bf00080),
+            ("astro-mhd", 0x40abd138),
+            ("miranda3d", 0xb703bf55),
+            ("hurricane", 0x5251d095),
+            ("citytemp", 0x18b99077),
+            ("solar-wind", 0x38f85ba1),
+            ("jane-street", 0x6f6f03f4),
+            ("acs-wht", 0xa0c54e4a),
+            ("hdr-night", 0x6f7c48dc),
+            ("tpcxBB-web", 0x799d334f),
+        ] {
+            let data = generate(&find(name).unwrap(), n);
+            assert_eq!(crc32(data.bytes()), crc, "{name}");
         }
     }
 
