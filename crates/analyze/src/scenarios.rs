@@ -16,14 +16,14 @@
 //! checker honest — if the buggy one stops failing, the scheduler has lost
 //! coverage, and `tests/model_check.rs` pins that.
 
-use fcbench_core::pool::Window;
+use fcbench_core::stream::WriterPump;
 use fcbench_core::sync::{lock, wait, Condvar, Mutex};
 use fcbench_core::telemetry::InflightGauge;
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Domain, Error, FloatData, Platform,
-    PoolConfig, PrecisionSupport, Result, WorkerPool,
+    PoolConfig, Precision, PrecisionSupport, Result, WorkerPool,
 };
-use fcbench_dbsim::CompressedColumn;
+use fcbench_dbsim::{parse_container, ContainerWriter};
 use std::sync::Arc;
 
 /// A registered scenario.
@@ -68,22 +68,23 @@ pub fn all() -> Vec<Scenario> {
         },
         Scenario {
             name: "window-writer-saturated",
-            about: "two Windows on two threads share a 2-slot pool, three pushes each: \
-                    no schedule deadlocks and each window collects its own jobs in order",
+            about: "two writer pumps on two threads share a 2-slot pool, three blocks each: \
+                    no schedule deadlocks and each pump emits its own blocks in order",
             run: window_writer_saturated,
             expect_failure: false,
         },
         Scenario {
             name: "window-failure-abandons",
-            about: "a failing job fails its Window sticky: later pops refuse, the tickets \
-                    behind it are abandoned, drain returns and every slot is free",
+            about: "a failing block fails its writer pump sticky: later calls refuse, the \
+                    tickets behind it are abandoned, drain returns and every slot is free",
             run: window_failure_abandons,
             expect_failure: false,
         },
         Scenario {
             name: "cursor-read-ahead",
-            about: "a ColumnCursor with read-ahead 1 over two chunks yields both pages \
-                    in order while sharing the engine",
+            about: "a ColumnCursor (the reader pump) with read-ahead 1 over two pages \
+                    its ContainerWriter (the writer pump) just wrote on the same engine \
+                    yields both pages in order",
             run: cursor_read_ahead,
             expect_failure: false,
         },
@@ -154,6 +155,25 @@ impl Compressor for PanicCodec {
     }
     fn compress_into(&self, _data: &FloatData, _out: &mut Vec<u8>) -> Result<usize> {
         panic!("injected codec panic");
+    }
+    fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
+        StoreCodec.decompress_into(payload, desc, out)
+    }
+}
+
+/// Stores blocks like [`StoreCodec`], but panics compressing a block that
+/// starts with a negative value.
+struct MarkedPanic;
+
+impl Compressor for MarkedPanic {
+    fn info(&self) -> CodecInfo {
+        PanicCodec.info()
+    }
+    fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+        if data.bytes()[7] & 0x80 != 0 {
+            panic!("injected codec panic");
+        }
+        StoreCodec.compress_into(data, out)
     }
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
         StoreCodec.decompress_into(payload, desc, out)
@@ -246,43 +266,39 @@ fn pool_abandon() {
     );
 }
 
-/// Three pushes through one window, then drain it; returns the tags of the
-/// collected jobs in the order they came back.
-fn push_three(pool: &WorkerPool, codec: &Arc<dyn Compressor>, base: usize) -> Vec<usize> {
-    /// A job tagged with its element count came back with its own payload.
-    fn own(payload: &[u8], tag: usize) -> Result<usize> {
-        assert_eq!(
-            payload.len(),
-            tag * 8,
-            "a job came back under another's tag"
-        );
-        Ok(tag)
-    }
-    let mut window: Window<usize> = Window::new(InflightGauge::detached(), None);
+/// A writer pump of one-element blocks of [`sample`]'s shape on `pool`.
+fn one_value_blocks(codec: Arc<dyn Compressor>, pool: &WorkerPool) -> WriterPump<&WorkerPool> {
+    WriterPump::new(
+        codec,
+        Some(pool),
+        sample().desc(),
+        1,
+        InflightGauge::detached(),
+    )
+}
+
+/// Three blocks through one writer pump, written in one piece and then
+/// finished; returns the blocks' values in the order they were emitted.
+fn push_three(pool: &WorkerPool, codec: &Arc<dyn Compressor>, base: f64) -> Vec<f64> {
+    let mut pump = one_value_blocks(Arc::clone(codec), pool);
+    let bytes: Vec<u8> = (0..3)
+        .flat_map(|k| (base + k as f64).to_le_bytes())
+        .collect();
     let mut seen = Vec::new();
-    for elems in base..base + 3 {
-        let vals = vec![1.5f64; elems];
-        let data = match FloatData::from_f64(&vals, vec![elems], Domain::Hpc) {
-            Ok(d) => d,
-            Err(e) => panic!("scenario setup: {e}"),
-        };
-        must(window.push_compress(
-            pool,
-            codec,
-            data.desc(),
-            data.bytes(),
-            elems,
-            |payload, tag| own(payload, tag).map(|tag| seen.push(tag)),
-        ));
-    }
-    while let Some(tag) = must(window.pop(own)) {
-        seen.push(tag);
-    }
+    let mut emit = |payload: &[u8], elems: usize| {
+        assert_eq!((payload.len(), elems), (8, 1), "a block came back resized");
+        let mut value = [0u8; 8];
+        value.copy_from_slice(payload);
+        seen.push(f64::from_le_bytes(value));
+        Ok(())
+    };
+    must(pump.write(&bytes, &mut emit));
+    must(pump.finish(&mut emit));
     seen
 }
 
 fn window_writer_saturated() {
-    // Between them the two windows want six slots of a pool that has two:
+    // Between them the two pumps want six slots of a pool that has two:
     // whichever holds tickets when the pool saturates must collect its own
     // oldest rather than wait on the other.
     let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(1).queue_depth(2)));
@@ -290,36 +306,39 @@ fn window_writer_saturated() {
     let (pool2, codec2) = (Arc::clone(&pool), Arc::clone(&codec));
     let peer = fcbench_core::sync::thread::Builder::new()
         .name("mc-window-peer".into())
-        .spawn(move || push_three(&pool2, &codec2, 10));
+        .spawn(move || push_three(&pool2, &codec2, 10.0));
     let peer = match peer {
         Ok(h) => h,
         Err(e) => panic!("spawn peer: {e}"),
     };
-    assert_eq!(push_three(&pool, &codec, 1), [1, 2, 3]);
+    assert_eq!(push_three(&pool, &codec, 1.0), [1.0, 2.0, 3.0]);
     match peer.join() {
-        Ok(seen) => assert_eq!(seen, [10, 11, 12]),
-        Err(_) => panic!("peer window panicked"),
+        Ok(seen) => assert_eq!(seen, [10.0, 11.0, 12.0]),
+        Err(_) => panic!("peer pump panicked"),
     }
 }
 
 fn window_failure_abandons() {
     let pool = WorkerPool::new(PoolConfig::with_threads(1).queue_depth(3));
-    let bad: Arc<dyn Compressor> = Arc::new(PanicCodec);
     let good: Arc<dyn Compressor> = Arc::new(StoreCodec);
     let data = sample();
-    let mut window: Window<usize> = Window::new(InflightGauge::detached(), None);
-    for (i, codec) in [&bad, &good, &good].into_iter().enumerate() {
-        must(window.push_compress(&pool, codec, data.desc(), data.bytes(), i, |_, _| Ok(())));
-    }
-    match window.pop(|_, tag| Ok(tag)) {
+    // Three blocks in flight at once, the first of which panics.
+    let mut pump = one_value_blocks(Arc::new(MarkedPanic), &pool);
+    let bytes: Vec<u8> = [-1.0f64, 2.0, 3.0]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    must(pump.write(&bytes, |_, _| {
+        panic!("nothing is emitted before the pool saturates")
+    }));
+    match pump.finish(|_, _| Ok(())) {
         Err(Error::WorkerPanic(_)) => {}
-        Err(e) => panic!("the failed job must surface its own error, got {e}"),
-        Ok(tag) => panic!("a panicking job must not yield a result, got {tag:?}"),
+        Err(e) => panic!("the failed block must surface its own error, got {e}"),
+        Ok(()) => panic!("a panicking block must not be emitted"),
     }
-    assert!(window.is_empty(), "the jobs behind a failure are abandoned");
     assert!(
-        matches!(window.pop(|_, tag| Ok(tag)), Err(Error::Corrupt(_))),
-        "a failed window refuses instead of yielding out of order"
+        matches!(pump.finish(|_, _| Ok(())), Err(Error::Corrupt(_))),
+        "a failed pump refuses instead of emitting out of order"
     );
     pool.drain();
     // Every slot is back on the free list, whether its job was abandoned
@@ -336,21 +355,16 @@ fn window_failure_abandons() {
 fn cursor_read_ahead() {
     let pool = WorkerPool::new(PoolConfig::with_threads(1).queue_depth(2));
     let codec: Arc<dyn Compressor> = Arc::new(StoreCodec);
-    // Two 2-element f64 chunks, stored uncompressed by StoreCodec.
-    let chunk = |a: f64, b: f64| {
-        let mut v = Vec::with_capacity(16);
-        v.extend_from_slice(&a.to_le_bytes());
-        v.extend_from_slice(&b.to_le_bytes());
-        v
-    };
-    let col = CompressedColumn::from_chunks(
-        "mc",
-        fcbench_core::Precision::Double,
-        4,
-        2,
-        &[chunk(1.0, 2.0), chunk(3.0, 4.0)],
-    );
-    let mut cursor = must(col.cursor(&pool, &codec)).max_in_flight(1);
+    // Two 2-element f64 pages, stored uncompressed by StoreCodec.
+    let want: Vec<u8> = [1.0f64, 2.0, 3.0, 4.0]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let mut w = must(ContainerWriter::new(Vec::new(), &pool, &codec));
+    must(w.begin_column("mc", Precision::Double, 2));
+    must(w.write(&want));
+    let table = must(parse_container(&must(w.finish()))).table;
+    let mut cursor = must(table.columns[0].cursor(&pool, &codec)).max_in_flight(1);
     let mut seen = Vec::new();
     loop {
         match cursor.next_chunk() {
@@ -359,10 +373,6 @@ fn cursor_read_ahead() {
             Err(e) => panic!("cursor failed: {e}"),
         }
     }
-    let want: Vec<u8> = [1.0f64, 2.0, 3.0, 4.0]
-        .iter()
-        .flat_map(|v| v.to_le_bytes())
-        .collect();
     assert_eq!(seen, want, "pages must come back complete and in order");
 }
 

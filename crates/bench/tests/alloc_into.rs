@@ -12,11 +12,12 @@ use fcbench_bench::alloc_track::{self, CountingAllocator};
 use fcbench_bench::codecs::{full_registry, paper_registry};
 use fcbench_core::pool::{PoolConfig, WorkerPool};
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, Domain, FloatData, Platform, Precision,
-    PrecisionSupport, Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, Domain, FloatData, FrameReader,
+    FrameWriter, Platform, Precision, PrecisionSupport, Result,
 };
-use fcbench_dbsim::ContainerWriter;
+use fcbench_dbsim::{parse_container, ContainerWriter};
 use fcbench_telemetry::{Registry, Snapshot};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -34,6 +35,8 @@ fn main() {
     println!("test predictor_family_reserves_once_and_pools_cleanly ... ok");
     streaming_container_writes_do_not_allocate_per_record();
     println!("test streaming_container_writes_do_not_allocate_per_record ... ok");
+    pooled_streams_do_not_allocate_per_block();
+    println!("test pooled_streams_do_not_allocate_per_block ... ok");
     streaming_container_writer_memory_stays_bounded();
     println!("test streaming_container_writer_memory_stays_bounded ... ok");
     telemetry_records_and_warm_snapshots_do_not_allocate();
@@ -505,6 +508,67 @@ fn streaming_container_writes_do_not_allocate_per_record() {
             allocs_many <= allocs_few + 24,
             "{name}: container writes must not allocate per record: \
              {allocs_few} allocs for 64 chunks vs {allocs_many} for 256"
+        );
+    }
+}
+
+/// The pooled streams allocate per stream, never per block: an `FCB3` write
+/// and finish, its `read_to_end`, and a `ColumnCursor` over the same data as
+/// an `FCDB2` column each allocate no more for 256 blocks than for 64.
+fn pooled_streams_do_not_allocate_per_block() {
+    alloc_track::mark_installed();
+    let registry = paper_registry();
+    let codec = registry.get("gorilla").expect("registered codec");
+    let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(2)));
+    const BLOCK: usize = 128;
+    let (mut sink, mut restored, mut pages) = (Vec::new(), FloatData::scratch(), Vec::new());
+    let mut count = |data: &FloatData| -> [usize; 3] {
+        sink.clear();
+        let taken = std::mem::take(&mut sink);
+        let engine = Some(Arc::clone(&pool));
+        let (write, done) = alloc_track::count_allocations(|| {
+            let desc = data.desc().clone();
+            let mut w = FrameWriter::new(taken, Arc::clone(&codec), desc, BLOCK, engine.clone())
+                .expect("prologue");
+            w.write(data.bytes()).expect("write");
+            w.finish().expect("finish")
+        });
+        sink = done;
+        let (read, ()) = alloc_track::count_allocations(|| {
+            FrameReader::new(&sink[..], Arc::clone(&codec), engine)
+                .and_then(|mut r| r.read_to_end(&mut restored))
+                .expect("read_to_end")
+        });
+        assert_eq!(restored.bytes(), data.bytes(), "FCB3 round trip");
+        let mut w = ContainerWriter::new(Vec::new(), &pool, &codec).expect("prologue");
+        w.begin_column("t", Precision::Double, BLOCK).expect("col");
+        w.write(data.bytes()).expect("write");
+        let table = parse_container(&w.finish().expect("finish"))
+            .expect("parse")
+            .table;
+        pages.clear();
+        let (decode, ()) = alloc_track::count_allocations(|| {
+            let mut cursor = table.columns[0].cursor(&pool, &codec).expect("cursor");
+            while let Some(page) = cursor.next_chunk().expect("page") {
+                pages.extend_from_slice(page);
+            }
+        });
+        assert_eq!(pages, data.bytes(), "cursor round trip");
+        [write, read, decode]
+    };
+    // The first pass brings the sink, the outputs and worker scratch to size.
+    count(&telemetry(256 * BLOCK));
+    let few = count(&telemetry(64 * BLOCK));
+    let many = count(&telemetry(256 * BLOCK));
+    for (k, stream) in ["an FCB3 write", "read_to_end", "a column cursor"]
+        .iter()
+        .enumerate()
+    {
+        assert!(
+            many[k] <= few[k] + 24,
+            "{stream} allocates per block: {} allocs for 64 blocks vs {} for 256",
+            few[k],
+            many[k]
         );
     }
 }

@@ -16,10 +16,10 @@
 //! - the self-describing [`FCB3` frame](frame): fixed-size blocks
 //!   compressed independently, each behind its own length;
 //! - the persistent [worker-pool execution engine](pool) every compression
-//!   job runs on, and the bounded in-flight [`Window`](pool::Window) every
-//!   pipelined consumer of it submits through;
-//! - [streaming frame I/O](stream) for datasets that exceed memory, and
-//!   the block-parallel [`Pipeline`], its whole-buffer form;
+//!   job runs on;
+//! - [streaming frame I/O](stream) for datasets that exceed memory, over
+//!   the writer and reader block pumps every stream in the workspace runs
+//!   on, and the block-parallel [`Pipeline`], its whole-buffer form;
 //! - the [block sizes](blocks) of the Table 10 experiment and the
 //!   plausibility gate every block decode passes;
 //! - the [sync] shim (one poison policy, swappable for the

@@ -24,8 +24,9 @@
 //! Dropping a ticket without collecting it abandons the job: its result is
 //! discarded and the slot returns to the free list on completion.
 //!
-//! A caller that keeps several jobs in flight — every frame stream,
-//! container writer and column cursor — holds its tickets in a [`Window`],
+//! A caller that keeps several jobs in flight — the writer and reader
+//! [block pumps](crate::stream::WriterPump) under every frame stream,
+//! container writer and column cursor — holds its tickets in a `Window`,
 //! which bounds them, collects them in order, and never lets the caller
 //! block in a submit while it pins slots of a pool others share.
 //!
@@ -469,10 +470,9 @@ impl WorkerPool {
     ///
     /// Deadlock discipline: a caller that already holds uncollected
     /// [`Ticket`]s must not block here — with every slot pinned by ticket
-    /// holders, nobody would ever free one. The pipelined consumers (frame
-    /// streams, containers) therefore submit through a [`Window`], which
-    /// collects its own oldest job when the pool is saturated and only
-    /// blocks when it holds nothing.
+    /// holders, nobody would ever free one. The block pumps therefore
+    /// submit through a [`Window`], which collects its own oldest job when
+    /// the pool is saturated and only blocks when it holds nothing.
     fn acquire_slot(&self) -> Result<usize> {
         let mut inner = lock(&self.shared.inner);
         loop {
@@ -581,9 +581,9 @@ impl WorkerPool {
     /// Submit a compression job over `bytes`, a little-endian element
     /// buffer shaped like `desc` (`bytes.len()` must equal
     /// `desc.byte_len()`). Blocks while every slot is in flight — callers
-    /// that keep several jobs in flight should submit through a [`Window`]
-    /// instead. The returned ticket's [`collect`](Ticket::collect) sees the
-    /// compressed payload.
+    /// that keep several jobs in flight should stream through a
+    /// [`WriterPump`](crate::stream::WriterPump) instead. The returned
+    /// ticket's [`collect`](Ticket::collect) sees the compressed payload.
     pub fn submit_compress(
         &self,
         codec: &Arc<dyn Compressor>,
@@ -799,8 +799,8 @@ impl Drop for Ticket {
 }
 
 /// One consumer's bounded window of in-flight jobs — the discipline every
-/// pipelined user of a shared [`WorkerPool`] (frame streams, the container
-/// writer, column cursors) has to follow, enforced in one place:
+/// pipelined user of a shared [`WorkerPool`] has to follow, enforced in one
+/// place, under the two block pumps of [`crate::stream`]:
 ///
 /// - **Bounded.** At most `min(queue_depth, max_in_flight)` jobs are in
 ///   flight, so one consumer's footprint — and its share of a pool many
@@ -816,9 +816,9 @@ impl Drop for Ticket {
 ///   slots recycle as the workers finish) and every later call refuses,
 ///   so nothing is ever yielded out of order past a failure.
 ///
-/// `T` is a per-job tag handed back with the job's output (`()` for frame
-/// blocks, the element count for container chunks).
-pub struct Window<T = ()> {
+/// `T` is a per-job tag handed back with the job's output (the block's
+/// element count in the writer pump, `()` in the reader pump).
+pub(crate) struct Window<T = ()> {
     pending: VecDeque<(Ticket, T)>,
     /// The consumer's own cap on `pending.len()`; the pool's queue depth
     /// bounds it from above.
@@ -835,7 +835,7 @@ pub struct Window<T = ()> {
 impl<T> Window<T> {
     /// An empty window reporting its depth into `inflight` and, when given,
     /// its blocking pops into `wait_stalls`.
-    pub fn new(inflight: InflightGauge, wait_stalls: Option<Counter>) -> Self {
+    pub(crate) fn new(inflight: InflightGauge, wait_stalls: Option<Counter>) -> Self {
         Window {
             pending: VecDeque::new(),
             cap: usize::MAX,
@@ -849,17 +849,12 @@ impl<T> Window<T> {
     /// When many independent consumers share one host-sized engine — a
     /// serving front-end's connections — per-consumer caps stop any single
     /// one from pinning every job slot.
-    pub fn set_max_in_flight(&mut self, cap: usize) {
+    pub(crate) fn set_max_in_flight(&mut self, cap: usize) {
         self.cap = cap.max(1);
     }
 
-    /// `true` when nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
     /// The typed refusal every call makes once the window has failed.
-    pub fn check(&self) -> Result<()> {
+    pub(crate) fn check(&self) -> Result<()> {
         if self.failed {
             return Err(Error::Corrupt(
                 "in-flight window is in a failed state (an earlier job errored)".into(),
@@ -874,7 +869,7 @@ impl<T> Window<T> {
     /// of their own steps through too, so a failure outside the window (a
     /// sink error, an input error) releases their slots right away instead
     /// of leaving them pinned until the consumer is dropped.
-    pub fn settle<R>(&mut self, r: Result<R>) -> Result<R> {
+    pub(crate) fn settle<R>(&mut self, r: Result<R>) -> Result<R> {
         if r.is_err() {
             self.pending.clear();
             self.failed = true;
@@ -895,7 +890,7 @@ impl<T> Window<T> {
     /// must be accepted now — a writer's next block. Whenever the window or
     /// the pool is full, this window's own oldest jobs are collected
     /// through `on_oldest` (output bytes, tag) to make room.
-    pub fn push_compress(
+    pub(crate) fn push_compress(
         &mut self,
         pool: &WorkerPool,
         codec: &Arc<dyn Compressor>,
@@ -932,7 +927,7 @@ impl<T> Window<T> {
     /// submitting when the window is full, or when the pool is saturated
     /// while this window holds tickets (collecting its front frees a slot;
     /// the caller keeps the payload for its next call).
-    pub fn try_push_decompress(
+    pub(crate) fn try_push_decompress(
         &mut self,
         pool: &WorkerPool,
         codec: &Arc<dyn Compressor>,
@@ -960,7 +955,7 @@ impl<T> Window<T> {
 
     /// Wait for the oldest job and hand its output bytes and tag to `f`;
     /// `None` when nothing is in flight.
-    pub fn pop<R>(&mut self, f: impl FnOnce(&[u8], T) -> Result<R>) -> Result<Option<R>> {
+    pub(crate) fn pop<R>(&mut self, f: impl FnOnce(&[u8], T) -> Result<R>) -> Result<Option<R>> {
         self.check()?;
         if let (Some(stalls), Some((ticket, _))) = (&self.wait_stalls, self.pending.front()) {
             if !ticket.is_finished() {

@@ -12,7 +12,8 @@
 //! the writer's footprint regardless of dataset size. [`FrameReader`]
 //! mirrors it with bounded read-ahead, yielding decoded blocks in stream
 //! order. Both run inline (no pool, zero extra threads) when constructed
-//! without an engine.
+//! without an engine. Both are framing policies over the [block
+//! pumps](WriterPump) every stream in the workspace runs on.
 //!
 //! ```
 //! use fcbench_core::stream::{FrameReader, FrameWriter};
@@ -59,13 +60,14 @@
 
 use crate::blocks::{plausible_payload_cap, MAX_UPFRONT_RESERVE};
 use crate::codec::Compressor;
-use crate::data::{DataDesc, FloatData};
+use crate::data::{DataDesc, FloatData, Precision};
 use crate::error::{Error, Result};
 use crate::frame::{decode_stream_header, encode_stream_header};
 use crate::pool::{Window, WorkerPool};
 use crate::wire::read_growing;
-use fcbench_telemetry::InflightGauge;
+use fcbench_telemetry::{Counter, InflightGauge};
 use std::io::{Read, Write};
+use std::ops::Deref;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -302,7 +304,8 @@ pub struct RecordView<'a> {
     pub end: usize,
 }
 
-/// Why [`check_record`] could not return a valid record.
+/// Why [`frame_record`] or [`FramedRecord::verify`] could not return a
+/// valid record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordCheck {
     /// The buffer ends before the record does (a torn write, or not a
@@ -369,40 +372,312 @@ pub fn frame_record(
     })
 }
 
-/// Validate the framed record starting at `bytes[pos..]`: [`frame_record`],
-/// then [`FramedRecord::verify`], so the checksum runs only over bytes the
-/// length field was checked to cover.
-pub fn check_record(bytes: &[u8], pos: usize) -> std::result::Result<RecordView<'_>, RecordCheck> {
-    frame_record(bytes, pos)?.verify()
+// ---------------------------------------------------------------------------
+// Block pumps
+// ---------------------------------------------------------------------------
+//
+// Every stream moves fixed-size blocks through the engine the same way, so
+// the two pumps do it once (inline when built without a pool), and each
+// stream type — `FrameWriter`/`FrameReader` below, `ContainerWriter`/
+// `ColumnCursor` in `fcbench-dbsim` — is a framing policy over one: it says
+// where a block's bytes go (an emit closure) or come from (a payload
+// closure). A pump's first error abandons its in-flight jobs; after it, a
+// reader pump and a writer pump on a pool refuse every later call.
+
+/// The writer pump: element bytes fed in pieces of any size are carved into
+/// blocks, compressed through a bounded window on the pool, and emitted
+/// with their element counts in stream order. Whole blocks go from the
+/// caller's slice straight to the engine; only a block that straddles two
+/// pieces is copied into the accumulator.
+pub struct WriterPump<P> {
+    codec: Arc<dyn Compressor>,
+    pool: Option<P>,
+    /// Bytes per full block, and the partial-block accumulator.
+    bpb: usize,
+    buf: Vec<u8>,
+    bdesc: DataDesc,
+    window: Window<usize>,
+    /// Inline mode: the block as a container, and its payload.
+    scratch: FloatData,
+    payload: Vec<u8>,
 }
 
-/// [`check_record`] collapsed to an `Option` for scanners that only care
-/// whether a valid record starts at `pos`.
-pub fn take_record(bytes: &[u8], pos: usize) -> Option<RecordView<'_>> {
-    check_record(bytes, pos).ok()
+impl<P: Deref<Target = WorkerPool>> WriterPump<P> {
+    /// Blocks of `block_elems` elements shaped like `desc`, compressed by
+    /// `codec`; the in-flight depth reports into `inflight`.
+    pub fn new(
+        codec: Arc<dyn Compressor>,
+        pool: Option<P>,
+        desc: &DataDesc,
+        block_elems: usize,
+        inflight: InflightGauge,
+    ) -> Self {
+        let mut pump = WriterPump {
+            codec,
+            pool,
+            bpb: 0,
+            buf: Vec::new(),
+            bdesc: DataDesc {
+                precision: desc.precision,
+                dims: vec![0],
+                domain: desc.domain,
+            },
+            window: Window::new(inflight, None),
+            scratch: FloatData::scratch(),
+            payload: Vec::new(),
+        };
+        pump.reshape(desc.precision, block_elems);
+        pump
+    }
+
+    /// Carve later bytes into `block_elems`-element blocks of `precision`
+    /// (a container's next column); call it after [`finish`](Self::finish).
+    pub fn reshape(&mut self, precision: Precision, block_elems: usize) {
+        self.bdesc.precision = precision;
+        self.bpb = block_elems.max(1).saturating_mul(precision.bytes());
+    }
+
+    /// Cap the blocks in flight on the pool (at least 1).
+    pub fn set_max_in_flight(&mut self, cap: usize) {
+        self.window.set_max_in_flight(cap);
+    }
+
+    /// Fold the outcome of a policy's own step into the pump's state.
+    pub fn settle<R>(&mut self, r: Result<R>) -> Result<R> {
+        self.window.settle(r)
+    }
+
+    /// Feed the next piece; blocks are emitted as they finish compressing.
+    pub fn write(
+        &mut self,
+        mut bytes: &[u8],
+        mut emit: impl FnMut(&[u8], usize) -> Result<()>,
+    ) -> Result<()> {
+        while !bytes.is_empty() {
+            if self.buf.is_empty() && bytes.len() >= self.bpb {
+                let (block, rest) = bytes.split_at(self.bpb);
+                self.push(Some(block), &mut emit)?;
+                bytes = rest;
+            } else {
+                let (head, rest) = bytes.split_at((self.bpb - self.buf.len()).min(bytes.len()));
+                self.buf.extend_from_slice(head);
+                bytes = rest;
+                if self.buf.len() == self.bpb {
+                    self.push(None, &mut emit)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Emit the blocks that have already finished compressing, without
+    /// waiting on the others; returns how many.
+    pub(crate) fn flush_ready(
+        &mut self,
+        mut emit: impl FnMut(&[u8], usize) -> Result<()>,
+    ) -> Result<usize> {
+        let mut flushed = 0usize;
+        while self.window.pop_ready(&mut emit)?.is_some() {
+            flushed += 1;
+        }
+        Ok(flushed)
+    }
+
+    /// Compress the short tail block, if any, and emit every block still in
+    /// flight, leaving the pump empty for another run.
+    pub fn finish(&mut self, mut emit: impl FnMut(&[u8], usize) -> Result<()>) -> Result<()> {
+        if !self.buf.is_empty() {
+            self.push(None, &mut emit)?;
+        }
+        while self.window.pop(&mut emit)?.is_some() {}
+        Ok(())
+    }
+
+    /// Compress `block` (the accumulator's when `None`): into the window,
+    /// which emits its oldest blocks to make room, or inline, emitted now.
+    fn push(
+        &mut self,
+        block: Option<&[u8]>,
+        emit: &mut impl FnMut(&[u8], usize) -> Result<()>,
+    ) -> Result<()> {
+        let buf = std::mem::take(&mut self.buf);
+        let block = block.unwrap_or(&buf);
+        let elems = block.len() / self.bdesc.precision.bytes();
+        self.bdesc.dims[0] = elems;
+        let (codec, bdesc) = (&self.codec, &self.bdesc);
+        let r = match self.pool.as_deref() {
+            Some(pool) => self
+                .window
+                .push_compress(pool, codec, bdesc, block, elems, emit),
+            None => self.scratch.refill_from_slice(bdesc, block).and_then(|()| {
+                let n = codec.compress_into(&self.scratch, &mut self.payload)?;
+                emit(&self.payload[..n], elems)
+            }),
+        };
+        self.buf = buf;
+        self.buf.clear();
+        r
+    }
 }
 
-/// Streaming `FCB3` encoder; see the [module docs](self).
+/// The reader pump: a stream's blocks, decoded with a bounded read-ahead on
+/// the pool and handed back in stream order.
+///
+/// The payload closure is given a block's index and descriptor and a
+/// reusable buffer. Over a byte stream it reads the record into the buffer
+/// and returns `None`: each record is asked for once, one the window
+/// declined (it was full, or the pool saturated) staying there for the next
+/// call. Over random-access storage it returns `Some(bytes)`.
+pub struct ReaderPump<P> {
+    codec: Arc<dyn Compressor>,
+    pool: Option<P>,
+    /// Elements in the stream, and per block (the last may be short).
+    elems: usize,
+    block_elems: usize,
+    /// Blocks submitted, and blocks handed out.
+    submitted: usize,
+    collected: usize,
+    /// `record` holds block `submitted`'s payload, declined by the window.
+    held: bool,
+    window: Window,
+    bdesc: DataDesc,
+    /// The record buffer, the block [`next`](Self::next) handed out last,
+    /// and the inline decode target.
+    record: Vec<u8>,
+    current: Vec<u8>,
+    scratch: FloatData,
+}
+
+impl<P: Deref<Target = WorkerPool>> ReaderPump<P> {
+    /// Data shaped like `desc` in `block_elems`-element blocks, decoded by
+    /// `codec`; the read-ahead depth reports into `inflight`, and waits on
+    /// unfinished decodes count into `stalls`.
+    pub fn new(
+        codec: Arc<dyn Compressor>,
+        pool: Option<P>,
+        desc: &DataDesc,
+        block_elems: usize,
+        inflight: InflightGauge,
+        stalls: Option<Counter>,
+    ) -> Self {
+        ReaderPump {
+            codec,
+            pool,
+            elems: desc.elements(),
+            block_elems: block_elems.max(1),
+            submitted: 0,
+            collected: 0,
+            held: false,
+            window: Window::new(inflight, stalls),
+            bdesc: DataDesc {
+                precision: desc.precision,
+                dims: vec![0],
+                domain: desc.domain,
+            },
+            record: Vec::new(),
+            current: Vec::new(),
+            scratch: FloatData::scratch(),
+        }
+    }
+
+    /// Cap the read-ahead at `cap` blocks in flight (at least 1).
+    pub fn set_max_in_flight(&mut self, cap: usize) {
+        self.window.set_max_in_flight(cap);
+    }
+
+    /// The next block's element bytes, or `None` after the final block; the
+    /// slice lives until the next call.
+    pub fn next<'p>(
+        &mut self,
+        payload: impl FnMut(usize, &DataDesc, &mut Vec<u8>) -> Result<Option<&'p [u8]>>,
+    ) -> Result<Option<&[u8]>> {
+        let mut current = std::mem::take(&mut self.current);
+        current.clear();
+        let r = self.next_into(&mut current, payload);
+        self.current = current;
+        Ok(r?.then_some(&self.current))
+    }
+
+    /// [`next`](Self::next), appending the bytes to `out` straight from
+    /// where they were decoded; `false` after the final block.
+    pub fn next_into<'p>(
+        &mut self,
+        out: &mut Vec<u8>,
+        mut payload: impl FnMut(usize, &DataDesc, &mut Vec<u8>) -> Result<Option<&'p [u8]>>,
+    ) -> Result<bool> {
+        self.window.check()?;
+        let r = (|| {
+            let nblocks = self.elems.div_ceil(self.block_elems);
+            if self.collected == nblocks {
+                return Ok(false);
+            }
+            let Some(pool) = self.pool.as_deref() else {
+                self.bdesc.dims[0] = self.block_len(self.collected);
+                let bytes = payload(self.collected, &self.bdesc, &mut self.record)?;
+                let bytes = bytes.unwrap_or(&self.record);
+                crate::blocks::check_decode_claim(&self.bdesc, bytes.len())?;
+                self.codec
+                    .decompress_into(bytes, &self.bdesc, &mut self.scratch)?;
+                if self.scratch.bytes().len() != self.bdesc.byte_len() {
+                    return Err(Error::Corrupt("block decoded to a wrong size".into()));
+                }
+                out.extend_from_slice(self.scratch.bytes());
+                self.collected += 1;
+                return Ok(true);
+            };
+            // Top the read-ahead up until the window declines a block.
+            while self.submitted < nblocks {
+                self.bdesc.dims[0] = self.block_len(self.submitted);
+                let borrowed = if self.held {
+                    None
+                } else {
+                    payload(self.submitted, &self.bdesc, &mut self.record)?
+                };
+                let bytes = borrowed.unwrap_or(&self.record);
+                let (codec, bdesc) = (&self.codec, &self.bdesc);
+                let accepted = self
+                    .window
+                    .try_push_decompress(pool, codec, bdesc, bytes, ())?;
+                self.held = !accepted && borrowed.is_none();
+                if !accepted {
+                    break;
+                }
+                self.submitted += 1;
+            }
+            self.window
+                .pop(|block, ()| {
+                    out.extend_from_slice(block);
+                    Ok(())
+                })?
+                .ok_or_else(|| Error::Corrupt("block pump lost its read-ahead".into()))?;
+            self.collected += 1;
+            Ok(true)
+        })();
+        self.window.settle(r)
+    }
+
+    /// Element count of block `i`.
+    fn block_len(&self, i: usize) -> usize {
+        let start = i.saturating_mul(self.block_elems).min(self.elems);
+        self.block_elems.min(self.elems - start)
+    }
+}
+
+/// The in-flight gauge `name` of `pool`'s registry (detached inline).
+fn pool_gauge(pool: Option<&Arc<WorkerPool>>, name: &str) -> InflightGauge {
+    pool.map_or_else(InflightGauge::detached, |p| {
+        InflightGauge::attached(p.telemetry().gauge(name))
+    })
+}
+
+/// Streaming `FCB3` encoder; see the [module docs](self): a [`WriterPump`]
+/// whose blocks go to the sink as records.
 pub struct FrameWriter<W: Write> {
     sink: W,
-    codec: Arc<dyn Compressor>,
-    pool: Option<Arc<WorkerPool>>,
-    desc: DataDesc,
-    esize: usize,
-    /// Bytes per full block (saturating; at least one element).
-    bpb: usize,
-    /// Partial-block accumulator.
-    buf: Vec<u8>,
-    /// In-flight pool jobs, in stream order; reports into the pool-wide
-    /// `stream.writer.blocks_in_flight` gauge (unused without a pool).
-    window: Window,
-    /// Reusable per-block descriptor.
-    bdesc: DataDesc,
-    /// Inline-mode scratch input container.
-    scratch: FloatData,
-    /// Inline-mode payload buffer.
-    payload: Vec<u8>,
-    /// Element bytes accepted so far.
+    /// Reports into the pool-wide `stream.writer.blocks_in_flight` gauge.
+    pump: WriterPump<Arc<WorkerPool>>,
+    /// Element bytes the descriptor declares, and those accepted so far.
+    total: usize,
     consumed: usize,
 }
 
@@ -420,37 +695,23 @@ impl<W: Write> FrameWriter<W> {
         let block_elems = block_elems.max(1);
         let prologue = encode_stream_header(codec.info().name, &desc, block_elems)?;
         sink.write_all(&prologue)?;
-        let esize = desc.precision.bytes();
-        let bdesc = DataDesc {
-            precision: desc.precision,
-            dims: vec![0],
-            domain: desc.domain,
-        };
-        let inflight = pool.as_ref().map_or_else(InflightGauge::detached, |p| {
-            InflightGauge::attached(p.telemetry().gauge("stream.writer.blocks_in_flight"))
-        });
+        let inflight = pool_gauge(pool.as_ref(), "stream.writer.blocks_in_flight");
+        let pump = WriterPump::new(codec, pool, &desc, block_elems, inflight);
+        let total = desc.byte_len();
         Ok(FrameWriter {
             sink,
-            codec,
-            pool,
-            esize,
-            bpb: block_elems.saturating_mul(esize),
-            buf: Vec::new(),
-            window: Window::new(inflight, None),
-            bdesc,
-            scratch: FloatData::scratch(),
-            payload: Vec::new(),
+            pump,
+            total,
             consumed: 0,
-            desc,
         })
     }
 
     /// Cap the number of blocks this writer may have in flight on a shared
-    /// pool at once (see [`Window::set_max_in_flight`]). Inline writers (no
-    /// pool) ignore it.
+    /// pool at once (see [`WriterPump::set_max_in_flight`]). Inline writers
+    /// (no pool) ignore it.
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.window.set_max_in_flight(cap);
+        self.pump.set_max_in_flight(cap);
         self
     }
 
@@ -461,63 +722,21 @@ impl<W: Write> FrameWriter<W> {
     /// On error the writer abandons its in-flight jobs (releasing their
     /// pool slots immediately) and the stream is unusable; drop it.
     pub fn write(&mut self, bytes: &[u8]) -> Result<()> {
-        let r = crate::fault::fail_point("frame.write").and_then(|()| self.write_inner(bytes));
+        let r = crate::fault::fail_point("frame.write").and_then(|()| {
+            if bytes.len() > self.total - self.consumed {
+                return Err(Error::BadDescriptor(format!(
+                    "stream overflow: descriptor declares {} bytes but {} were written",
+                    self.total,
+                    self.consumed + bytes.len()
+                )));
+            }
+            self.consumed += bytes.len();
+            let sink = &mut self.sink;
+            self.pump
+                .write(bytes, |payload, _| put_block(sink, payload))
+        });
         // An errored writer must not pin the engine for other sessions.
-        self.window.settle(r)
-    }
-
-    fn write_inner(&mut self, mut bytes: &[u8]) -> Result<()> {
-        let total = self.desc.byte_len();
-        if bytes.len() > total - self.consumed {
-            return Err(Error::BadDescriptor(format!(
-                "stream overflow: descriptor declares {total} bytes but {} were written",
-                self.consumed + bytes.len()
-            )));
-        }
-        self.consumed += bytes.len();
-        while !bytes.is_empty() {
-            // Whole blocks straight from the caller's chunk, no copy into
-            // the accumulator.
-            if self.buf.is_empty() && bytes.len() >= self.bpb {
-                let (block, rest) = bytes.split_at(self.bpb);
-                self.emit_block(block)?;
-                bytes = rest;
-                continue;
-            }
-            let need = self.bpb - self.buf.len();
-            let take = need.min(bytes.len());
-            let (head, rest) = bytes.split_at(take);
-            self.buf.extend_from_slice(head);
-            bytes = rest;
-            if self.buf.len() == self.bpb {
-                let full = std::mem::take(&mut self.buf);
-                self.emit_block(&full)?;
-                self.buf = full;
-                self.buf.clear();
-            }
-        }
-        Ok(())
-    }
-
-    /// Compress one block (full, or the short tail) and emit / enqueue it.
-    fn emit_block(&mut self, block: &[u8]) -> Result<()> {
-        debug_assert!(!block.is_empty() && block.len() % self.esize == 0);
-        self.bdesc.dims[0] = block.len() / self.esize;
-        match self.pool.as_deref() {
-            Some(pool) => self.window.push_compress(
-                pool,
-                &self.codec,
-                &self.bdesc,
-                block,
-                (),
-                |payload, ()| put_block(&mut self.sink, payload),
-            ),
-            None => {
-                self.scratch.refill_from_slice(&self.bdesc, block)?;
-                let n = self.codec.compress_into(&self.scratch, &mut self.payload)?;
-                put_block(&mut self.sink, &self.payload[..n])
-            }
-        }
+        self.pump.settle(r)
     }
 
     /// Emit records for in-flight blocks that have already finished
@@ -530,15 +749,8 @@ impl<W: Write> FrameWriter<W> {
     /// On error the writer abandons its in-flight jobs and is unusable,
     /// like [`write`](Self::write).
     pub fn flush_ready(&mut self) -> Result<usize> {
-        let mut flushed = 0usize;
-        while self
-            .window
-            .pop_ready(|payload, ()| put_block(&mut self.sink, payload))?
-            .is_some()
-        {
-            flushed += 1;
-        }
-        Ok(flushed)
+        let sink = &mut self.sink;
+        self.pump.flush_ready(|payload, _| put_block(sink, payload))
     }
 
     /// Emit the tail block, drain the pool, flush the sink, and return it.
@@ -546,22 +758,14 @@ impl<W: Write> FrameWriter<W> {
     /// declares (in-flight jobs are abandoned on any error — the writer is
     /// consumed either way).
     pub fn finish(mut self) -> Result<W> {
-        if self.consumed != self.desc.byte_len() {
+        if self.consumed != self.total {
             return Err(Error::BadDescriptor(format!(
                 "stream ended after {} of {} element bytes",
-                self.consumed,
-                self.desc.byte_len()
+                self.consumed, self.total
             )));
         }
-        if !self.buf.is_empty() {
-            let tail = std::mem::take(&mut self.buf);
-            self.emit_block(&tail)?;
-        }
-        while self
-            .window
-            .pop(|payload, ()| put_block(&mut self.sink, payload))?
-            .is_some()
-        {}
+        let sink = &mut self.sink;
+        self.pump.finish(|payload, _| put_block(sink, payload))?;
         self.sink.flush()?;
         Ok(self.sink)
     }
@@ -574,44 +778,39 @@ fn put_block<W: Write>(sink: &mut W, payload: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Where [`FrameReader::advance`] left the block it just decoded.
-enum BlockHome {
-    /// Inline mode: in `FrameReader::scratch`, the codec's decode target.
-    Scratch,
-    /// Pool mode: appended to the caller's buffer straight from the
-    /// engine's slot.
-    Appended,
+/// Read the next block record into `payload` — the [`ReaderPump`] payload
+/// closure over `src` — rejecting implausibly long declared lengths before
+/// allocating for them.
+fn read_record<'p, R: Read>(
+    src: &mut R,
+    block: &DataDesc,
+    payload: &mut Vec<u8>,
+) -> Result<Option<&'p [u8]>> {
+    let mut le = [0u8; 8];
+    src.read_exact(&mut le)?;
+    let len = u64::from_le_bytes(le);
+    let raw = block.byte_len();
+    let len = usize::try_from(len)
+        .ok()
+        .filter(|&l| l <= plausible_payload_cap(raw))
+        .ok_or_else(|| {
+            Error::Corrupt(format!(
+                "block record claims {len} payload bytes for a {raw}-byte block"
+            ))
+        })?;
+    read_growing(src, len, payload)?;
+    Ok(None)
 }
 
-/// Streaming `FCB3` decoder; see the [module docs](self).
+/// Streaming `FCB3` decoder; see the [module docs](self): a [`ReaderPump`]
+/// whose payloads are the source's records.
 pub struct FrameReader<R: Read> {
     src: R,
-    codec: Arc<dyn Compressor>,
-    pool: Option<Arc<WorkerPool>>,
     desc: DataDesc,
-    block_elems: usize,
-    nblocks: usize,
-    /// Blocks whose records were read and submitted.
-    submitted: usize,
-    /// `payload` holds block `submitted`'s record, read but not yet
-    /// submitted (the pool was saturated by other sessions).
-    record_ready: bool,
-    /// Blocks handed to the caller.
-    collected: usize,
-    /// The read-ahead jobs in flight, and the reader's sticky failure (in
-    /// both modes): once a block errors, later reads refuse instead of
-    /// yielding blocks out of order. Reports into the pool-wide
-    /// `stream.reader.blocks_in_flight` gauge and counts the times the
-    /// caller had to wait on a block the read-ahead had not finished
+    /// Reports into the pool-wide `stream.reader.blocks_in_flight` gauge and
+    /// counts the caller's waits on blocks the read-ahead had not finished
     /// decoding in `stream.reader.read_ahead.stalls`.
-    window: Window,
-    bdesc: DataDesc,
-    /// Reusable compressed-record buffer.
-    payload: Vec<u8>,
-    /// Pool mode: the block most recently handed out by `next_block`.
-    current: Vec<u8>,
-    /// Inline mode: the reusable decode target.
-    scratch: FloatData,
+    pump: ReaderPump<Arc<WorkerPool>>,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -631,34 +830,12 @@ impl<R: Read> FrameReader<R> {
                 codec.info().name
             )));
         }
-        let nblocks = desc.elements().div_ceil(block_elems);
-        let bdesc = DataDesc {
-            precision: desc.precision,
-            dims: vec![0],
-            domain: desc.domain,
-        };
-        let inflight = pool.as_ref().map_or_else(InflightGauge::detached, |p| {
-            InflightGauge::attached(p.telemetry().gauge("stream.reader.blocks_in_flight"))
-        });
+        let inflight = pool_gauge(pool.as_ref(), "stream.reader.blocks_in_flight");
         let stalls = pool
             .as_ref()
             .map(|p| p.telemetry().counter("stream.reader.read_ahead.stalls"));
-        Ok(FrameReader {
-            src,
-            codec,
-            pool,
-            block_elems,
-            nblocks,
-            submitted: 0,
-            record_ready: false,
-            collected: 0,
-            window: Window::new(inflight, stalls),
-            bdesc,
-            payload: Vec::new(),
-            current: Vec::new(),
-            scratch: FloatData::scratch(),
-            desc,
-        })
+        let pump = ReaderPump::new(codec, pool, &desc, block_elems, inflight, stalls);
+        Ok(FrameReader { src, desc, pump })
     }
 
     /// Cap this reader's decode read-ahead at `cap` in-flight blocks — the
@@ -666,7 +843,7 @@ impl<R: Read> FrameReader<R> {
     /// (no pool) ignore it.
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.window.set_max_in_flight(cap);
+        self.pump.set_max_in_flight(cap);
         self
     }
 
@@ -677,134 +854,37 @@ impl<R: Read> FrameReader<R> {
 
     /// Elements per block (the tail block may be short).
     pub fn block_elems(&self) -> usize {
-        self.block_elems
+        self.pump.block_elems
     }
 
     /// Total number of blocks in the stream.
     pub fn blocks_total(&self) -> usize {
-        self.nblocks
-    }
-
-    /// Element count of block `i`.
-    fn block_len(&self, i: usize) -> usize {
-        let total = self.desc.elements();
-        let start = i.saturating_mul(self.block_elems).min(total);
-        self.block_elems.min(total - start)
-    }
-
-    /// Read the next block record into `self.payload`, rejecting
-    /// implausibly long declared lengths before allocating for them.
-    fn read_record(&mut self, block_idx: usize) -> Result<()> {
-        let mut be = [0u8; 8];
-        self.src.read_exact(&mut be)?;
-        let len = u64::from_le_bytes(be);
-        let raw = self
-            .block_len(block_idx)
-            .saturating_mul(self.desc.precision.bytes());
-        let len = usize::try_from(len)
-            .ok()
-            .filter(|&l| l <= plausible_payload_cap(raw))
-            .ok_or_else(|| {
-                Error::Corrupt(format!(
-                    "block record claims {len} payload bytes for a {raw}-byte block"
-                ))
-            })?;
-        read_growing(&mut self.src, len, &mut self.payload)?;
-        Ok(())
+        self.desc.elements().div_ceil(self.pump.block_elems)
     }
 
     /// Decode and return the next block's element bytes in stream order, or
     /// `None` after the final block. The returned slice lives until the
-    /// next call.
+    /// next call. Any error fails the reader sticky: the read-ahead is
+    /// abandoned (recycling its pool slots) and later calls refuse.
     pub fn next_block(&mut self) -> Result<Option<&[u8]>> {
-        let mut current = std::mem::take(&mut self.current);
-        current.clear();
-        let home = self.advance(&mut current);
-        self.current = current;
-        Ok(match home? {
-            None => None,
-            Some(BlockHome::Scratch) => Some(self.scratch.bytes()),
-            Some(BlockHome::Appended) => Some(&self.current),
-        })
-    }
-
-    /// Decode the next block, appending its element bytes to `out` in pool
-    /// mode and leaving them in `scratch` inline (see [`BlockHome`]). Any
-    /// error fails the reader sticky: the read-ahead is abandoned
-    /// (recycling its pool slots) and later calls refuse.
-    fn advance(&mut self, out: &mut Vec<u8>) -> Result<Option<BlockHome>> {
-        self.window.check()?;
-        let r = self.advance_inner(out);
-        self.window.settle(r)
-    }
-
-    fn advance_inner(&mut self, out: &mut Vec<u8>) -> Result<Option<BlockHome>> {
-        if self.collected == self.nblocks {
-            return Ok(None);
-        }
-        let Some(pool) = self.pool.clone() else {
-            self.read_record(self.collected)?;
-            self.bdesc.dims[0] = self.block_len(self.collected);
-            crate::blocks::check_decode_claim(&self.bdesc, self.payload.len())?;
-            self.codec
-                .decompress_into(&self.payload, &self.bdesc, &mut self.scratch)?;
-            if self.scratch.bytes().len() != self.bdesc.byte_len() {
-                return Err(Error::Corrupt("block decoded to a wrong size".into()));
-            }
-            self.collected += 1;
-            return Ok(Some(BlockHome::Scratch));
-        };
-        // Keep the read-ahead window full. When the window declines a
-        // block (it is full, or the pool is saturated while we hold
-        // tickets) the top-up just ends: the record already read off `src`
-        // waits in `payload` for the next call.
-        while self.submitted < self.nblocks {
-            let i = self.submitted;
-            if !self.record_ready {
-                self.read_record(i)?;
-                self.record_ready = true;
-            }
-            self.bdesc.dims[0] = self.block_len(i);
-            if !self.window.try_push_decompress(
-                &pool,
-                &self.codec,
-                &self.bdesc,
-                &self.payload,
-                (),
-            )? {
-                break;
-            }
-            self.submitted += 1;
-            self.record_ready = false;
-        }
-        self.window
-            .pop(|decoded, ()| {
-                out.extend_from_slice(decoded);
-                Ok(())
-            })?
-            .ok_or_else(|| Error::Corrupt("stream reader lost its read-ahead".into()))?;
-        self.collected += 1;
-        Ok(Some(BlockHome::Appended))
+        let src = &mut self.src;
+        self.pump.next(|_, block, buf| read_record(src, block, buf))
     }
 
     /// Decode every remaining block into `out` (for a fresh reader: the
     /// whole dataset). Convenience for callers that do want the data
     /// resident; the bounded-memory path is [`next_block`](Self::next_block).
     pub fn read_to_end(&mut self, out: &mut FloatData) -> Result<()> {
-        if self.collected != 0 {
+        if self.pump.collected != 0 {
             return Err(Error::Unsupported(
                 "read_to_end requires a fresh reader (blocks were already consumed)".into(),
             ));
         }
-        let desc = self.desc.clone();
-        out.refill(&desc, |bytes| {
+        let (desc, src, pump) = (&self.desc, &mut self.src, &mut self.pump);
+        out.refill(desc, |bytes| {
             // lint: claim-checked(reservation clamped to MAX_UPFRONT_RESERVE)
             bytes.reserve(desc.byte_len().min(MAX_UPFRONT_RESERVE));
-            while let Some(home) = self.advance(bytes)? {
-                if let BlockHome::Scratch = home {
-                    bytes.extend_from_slice(self.scratch.bytes());
-                }
-            }
+            while pump.next_into(bytes, |_, block, buf| read_record(src, block, buf))? {}
             Ok(())
         })
     }
@@ -1157,13 +1237,18 @@ mod tests {
         }
     }
 
+    /// The record at `bytes[pos..]`, framed and then verified.
+    fn check_record(bytes: &[u8], pos: usize) -> std::result::Result<RecordView<'_>, RecordCheck> {
+        frame_record(bytes, pos)?.verify()
+    }
+
     #[test]
     fn framed_records_round_trip_in_parts() {
         let mut buf = Vec::new();
         let n = put_record(&mut buf, 7, &[b"hello ", b"", b"world"]).unwrap();
         assert_eq!(n, buf.len() as u64);
         assert_eq!(n, RECORD_OVERHEAD + 11);
-        let rec = take_record(&buf, 0).expect("valid record");
+        let rec = check_record(&buf, 0).expect("valid record");
         assert_eq!(rec.tag, 7);
         assert_eq!(rec.body, b"hello world");
         assert_eq!(rec.end, buf.len());
@@ -1176,7 +1261,7 @@ mod tests {
 
         // Back-to-back records parse sequentially.
         put_record(&mut buf, 9, &[&[0xAA; 300]]).unwrap();
-        let second = take_record(&buf, first_end).expect("second record");
+        let second = check_record(&buf, first_end).expect("second record");
         assert_eq!(second.tag, 9);
         assert_eq!(second.body.len(), 300);
         assert_eq!(second.end, buf.len());
@@ -1216,6 +1301,6 @@ mod tests {
             check_record(&hostile, 0).unwrap_err(),
             RecordCheck::Truncated
         );
-        assert!(take_record(&buf, buf.len()).is_none());
+        assert!(check_record(&buf, buf.len()).is_err());
     }
 }

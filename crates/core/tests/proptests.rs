@@ -35,6 +35,12 @@ impl Compressor for Store {
     }
 }
 
+/// One 2-worker engine shared by every case that fans blocks out.
+fn two_worker_pool() -> Arc<WorkerPool> {
+    static POOL: std::sync::OnceLock<Arc<WorkerPool>> = std::sync::OnceLock::new();
+    Arc::clone(POOL.get_or_init(|| Arc::new(WorkerPool::new(PoolConfig::with_threads(2)))))
+}
+
 /// Deterministic pseudo-random element bytes for `desc`.
 fn arb_data(desc: &DataDesc, seed: u64) -> FloatData {
     let mut x = seed | 1;
@@ -122,32 +128,40 @@ proptest! {
     ) {
         // Fed in arbitrary pieces, the writer emits ceil(n / block) records,
         // each block's bytes behind its own length, and the reader hands
-        // the same blocks back.
+        // the same blocks back: inline, and fanned out on a 2-worker pool,
+        // whose frame must equal the inline one byte for byte.
         let data = arb_data(&desc, seed);
         let codec: Arc<dyn Compressor> = Arc::new(Store);
-        let mut w =
-            FrameWriter::new(Vec::new(), Arc::clone(&codec), desc.clone(), block_elems, None).unwrap();
-        for piece in data.bytes().chunks(chunk) {
-            w.write(piece).unwrap();
-        }
-        let framed = w.finish().unwrap();
-
         let bpb = block_elems * desc.precision.bytes();
         let mut expect = encode_stream_header("store", &desc, block_elems).unwrap();
         for block in data.bytes().chunks(bpb) {
             expect.extend_from_slice(&(block.len() as u64).to_le_bytes());
             expect.extend_from_slice(block);
         }
-        prop_assert_eq!(&framed, &expect);
+        for pool in [None, Some(two_worker_pool())] {
+            let mut w = FrameWriter::new(
+                Vec::new(),
+                Arc::clone(&codec),
+                desc.clone(),
+                block_elems,
+                pool.clone(),
+            )
+            .unwrap();
+            for piece in data.bytes().chunks(chunk) {
+                w.write(piece).unwrap();
+            }
+            let framed = w.finish().unwrap();
+            prop_assert_eq!(&framed, &expect);
 
-        let mut r = FrameReader::new(&framed[..], codec, None).unwrap();
-        prop_assert_eq!(r.desc(), &desc);
-        prop_assert_eq!(r.block_elems(), block_elems);
-        prop_assert_eq!(r.blocks_total(), desc.elements().div_ceil(block_elems));
-        for block in data.bytes().chunks(bpb) {
-            prop_assert_eq!(r.next_block().unwrap(), Some(block));
+            let mut r = FrameReader::new(&framed[..], Arc::clone(&codec), pool).unwrap();
+            prop_assert_eq!(r.desc(), &desc);
+            prop_assert_eq!(r.block_elems(), block_elems);
+            prop_assert_eq!(r.blocks_total(), desc.elements().div_ceil(block_elems));
+            for block in data.bytes().chunks(bpb) {
+                prop_assert_eq!(r.next_block().unwrap(), Some(block));
+            }
+            prop_assert_eq!(r.next_block().unwrap(), None);
         }
-        prop_assert_eq!(r.next_block().unwrap(), None);
     }
 
     #[test]

@@ -47,9 +47,9 @@
 //! recovery is for torn tails only.
 
 use fcbench_core::blocks::{plausible_payload_cap, MAX_UPFRONT_RESERVE};
-use fcbench_core::pool::{Window, WorkerPool};
+use fcbench_core::pool::WorkerPool;
 use fcbench_core::stream::{
-    crc32, frame_record, put_record, take_record, FramedRecord, RecordCheck,
+    crc32, frame_record, put_record, FramedRecord, ReaderPump, RecordCheck, RecordView, WriterPump,
 };
 use fcbench_core::wire;
 use fcbench_core::{Compressor, DataDesc, Domain, Error, Precision, Result};
@@ -164,20 +164,14 @@ struct ChunkMeta {
     elems: u32,
 }
 
-/// The metadata entry of the column the writer's `open` flag says is being
-/// written. `begin_column` pushes the entry and raises the flag together,
+/// The metadata entry of the column the writer's `fed` count says is being
+/// written. `begin_column` pushes the entry and starts the count together,
 /// so a miss means the writer's own state went inconsistent — reported as
 /// a typed error rather than a panic in the serving path.
-fn open_column(columns: &[ColumnMeta]) -> Result<&ColumnMeta> {
-    columns
-        .last()
-        .ok_or_else(|| Error::Unsupported("internal: open flag set with no column entry".into()))
-}
-
 fn open_column_mut(columns: &mut [ColumnMeta]) -> Result<&mut ColumnMeta> {
     columns
         .last_mut()
-        .ok_or_else(|| Error::Unsupported("internal: open flag set with no column entry".into()))
+        .ok_or_else(|| Error::Unsupported("internal: column open with no column entry".into()))
 }
 
 /// Serialize the cumulative commit directory.
@@ -217,8 +211,10 @@ struct RecordLog<W> {
 }
 
 impl<W: Write> RecordLog<W> {
-    /// Emit one chunk record and log its directory metadata.
-    fn put_chunk(&mut self, elems: u32, payload: &[u8]) -> Result<()> {
+    /// Emit one chunk record and log its directory metadata (`elems` is at
+    /// most the column's `u32` page size).
+    fn put_chunk(&mut self, payload: &[u8], elems: usize) -> Result<()> {
+        let elems = elems as u32;
         let rec = put_record(&mut self.sink, TAG_CHUNK, &[&elems.to_le_bytes(), payload])?;
         let col = open_column_mut(&mut self.columns)?;
         col.chunks.push(ChunkMeta {
@@ -236,31 +232,26 @@ impl<W: Write> RecordLog<W> {
 /// Streaming `FCDB2` encoder: columns are declared with
 /// [`begin_column`](Self::begin_column), fed element bytes in
 /// arbitrary-sized chunks with [`write`](Self::write), and committed with
-/// [`commit`](Self::commit). Full chunks are compressed as jobs on the
-/// [`WorkerPool`] engine (with `FrameWriter`-style bounded in-flight
-/// submission) and their records emitted in page order as they finish, so
-/// the writer's footprint is bounded by the in-flight window — never by
-/// the container size. A codec that fails or panics on a page surfaces as
-/// that page's typed error ([`Error::WorkerPanic`] for a panic).
+/// [`commit`](Self::commit): a [`WriterPump`] on the [`WorkerPool`]
+/// engine whose pages go to the file as chunk records, in page order as
+/// they finish, so the writer's footprint is bounded by the in-flight
+/// window — never by the container size. A codec that fails or panics on
+/// a page surfaces as that page's typed error ([`Error::WorkerPanic`] for a
+/// panic).
 ///
 /// On any error the writer abandons its in-flight jobs (releasing their
 /// pool slots immediately) and is unusable; drop it. The file then ends in
 /// a torn tail that [`read_container`] recovers past.
 pub struct ContainerWriter<'a, W: Write> {
     log: RecordLog<W>,
-    pool: &'a WorkerPool,
-    codec: &'a Arc<dyn Compressor>,
     /// Commits emitted so far.
     commits: u64,
-    /// Whether the last of `log.columns` is still accepting bytes.
-    open: bool,
-    /// Partial-chunk accumulator for the open column.
-    buf: Vec<u8>,
-    /// In-flight pool jobs, in chunk order (never spanning columns), each
-    /// tagged with its element count.
-    window: Window<u32>,
-    /// Reusable per-chunk descriptor.
-    bdesc: DataDesc,
+    /// Element bytes fed to the last of `log.columns` while it is still
+    /// accepting them; `None` once it is closed.
+    fed: Option<usize>,
+    /// The open column's pages (in-flight pages never span columns);
+    /// reports into `dbsim.container.chunks_in_flight`.
+    pump: WriterPump<&'a WorkerPool>,
     /// Commit latency (`dbsim.container.commit`), spanning the column
     /// close, directory emit, locator, and sink flush.
     m_commit: Histogram,
@@ -276,6 +267,8 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     pub fn new(mut sink: W, pool: &'a WorkerPool, codec: &'a Arc<dyn Compressor>) -> Result<Self> {
         let written = write_prologue(&mut sink, codec.info().name)?;
         let reg = crate::metrics::registry();
+        let inflight = InflightGauge::attached(reg.gauge("dbsim.container.chunks_in_flight"));
+        let desc = DataDesc::new(Precision::Double, vec![1], Domain::Database)?;
         Ok(ContainerWriter {
             log: RecordLog {
                 sink,
@@ -283,13 +276,9 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
                 uncommitted: 0,
                 columns: Vec::new(),
             },
-            pool,
-            codec,
             commits: 0,
-            open: false,
-            buf: Vec::new(),
-            window: Window::new(InflightGauge::detached(), None),
-            bdesc: DataDesc::new(Precision::Double, vec![1], Domain::Database)?,
+            fed: None,
+            pump: WriterPump::new(Arc::clone(codec), Some(pool), &desc, 1, inflight),
             m_commit: reg.histogram("dbsim.container.commit"),
             m_commits: reg.counter("dbsim.container.commits"),
             m_records: reg.counter("dbsim.container.records.committed"),
@@ -297,10 +286,10 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     }
 
     /// Cap the number of chunks this writer may have in flight on a shared
-    /// pool at once (see [`Window::set_max_in_flight`]).
+    /// pool at once (see [`WriterPump::set_max_in_flight`]).
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.window.set_max_in_flight(cap);
+        self.pump.set_max_in_flight(cap);
         self
     }
 
@@ -324,7 +313,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         chunk_elems: usize,
     ) -> Result<()> {
         let r = self.begin_column_inner(name.into(), precision, chunk_elems);
-        self.window.settle(r)
+        self.pump.settle(r)
     }
 
     fn begin_column_inner(
@@ -352,7 +341,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         )?;
         self.log.written += rec;
         self.log.uncommitted += 1;
-        self.bdesc.precision = precision;
+        self.pump.reshape(precision, chunk_elems);
         self.log.columns.push(ColumnMeta {
             name,
             precision,
@@ -360,7 +349,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
             rows: 0,
             chunks: Vec::new(),
         });
-        self.open = true;
+        self.fed = Some(0);
         Ok(())
     }
 
@@ -369,86 +358,38 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// even elements); full pages are compressed and their records emitted
     /// as they form.
     pub fn write(&mut self, bytes: &[u8]) -> Result<()> {
-        let r = self.write_inner(bytes);
-        self.window.settle(r)
-    }
-
-    fn write_inner(&mut self, mut bytes: &[u8]) -> Result<()> {
-        if !self.open {
-            return Err(Error::Unsupported(
+        let r = match self.fed.as_mut() {
+            Some(fed) => {
+                *fed += bytes.len();
+                let log = &mut self.log;
+                self.pump
+                    .write(bytes, |payload, elems| log.put_chunk(payload, elems))
+            }
+            None => Err(Error::Unsupported(
                 "container writer has no open column (call begin_column first)".into(),
-            ));
-        }
-        let col = open_column(&self.log.columns)?;
-        let cbytes = (col.chunk_elems as usize).saturating_mul(col.precision.bytes());
-        while !bytes.is_empty() {
-            // Whole pages straight from the caller's chunk, no copy into
-            // the accumulator.
-            if self.buf.is_empty() && bytes.len() >= cbytes {
-                let (chunk, rest) = bytes.split_at(cbytes);
-                self.emit_chunk(chunk)?;
-                bytes = rest;
-                continue;
-            }
-            let need = cbytes - self.buf.len();
-            let take = need.min(bytes.len());
-            let (head, rest) = bytes.split_at(take);
-            self.buf.extend_from_slice(head);
-            bytes = rest;
-            if self.buf.len() == cbytes {
-                let full = std::mem::take(&mut self.buf);
-                self.emit_chunk(&full)?;
-                self.buf = full;
-                self.buf.clear();
-            }
-        }
-        Ok(())
-    }
-
-    /// Submit one page (full, or the short tail) to the engine, emitting
-    /// the records of the oldest finished pages whenever the window is full.
-    fn emit_chunk(&mut self, chunk: &[u8]) -> Result<()> {
-        let esize = open_column(&self.log.columns)?.precision.bytes();
-        debug_assert!(!chunk.is_empty() && chunk.len() % esize == 0);
-        let elems = (chunk.len() / esize) as u32;
-        self.bdesc.dims[0] = chunk.len() / esize;
-        self.window.push_compress(
-            self.pool,
-            self.codec,
-            &self.bdesc,
-            chunk,
-            elems,
-            |payload, elems| self.log.put_chunk(elems, payload),
-        )
+            )),
+        };
+        self.pump.settle(r)
     }
 
     /// Close the open column: emit the short tail page (if any) and drain
-    /// the in-flight window so the column's directory metadata is complete.
+    /// the in-flight pages so the column's directory metadata is complete.
     /// A no-op when no column is open.
     fn end_column(&mut self) -> Result<()> {
-        if !self.open {
+        let Some(fed) = self.fed else {
             return Ok(());
+        };
+        let esize = open_column_mut(&mut self.log.columns)?.precision.bytes();
+        if fed % esize != 0 {
+            return Err(Error::BadDescriptor(format!(
+                "column ended mid-element: {} trailing bytes with {esize}-byte elements",
+                fed % esize
+            )));
         }
-        if !self.buf.is_empty() {
-            let esize = open_column(&self.log.columns)?.precision.bytes();
-            if self.buf.len() % esize != 0 {
-                return Err(Error::BadDescriptor(format!(
-                    "column ended mid-element: {} trailing bytes with {esize}-byte elements",
-                    self.buf.len() % esize
-                )));
-            }
-            let tail = std::mem::take(&mut self.buf);
-            let r = self.emit_chunk(&tail);
-            self.buf = tail;
-            self.buf.clear();
-            r?;
-        }
-        while self
-            .window
-            .pop(|payload, elems| self.log.put_chunk(elems, payload))?
-            .is_some()
-        {}
-        self.open = false;
+        let log = &mut self.log;
+        self.pump
+            .finish(|payload, elems| log.put_chunk(payload, elems))?;
+        self.fed = None;
         Ok(())
     }
 
@@ -461,7 +402,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
     /// resumes from the newest commit point it can validate.
     pub fn commit(&mut self) -> Result<()> {
         let r = self.commit_inner();
-        self.window.settle(r)
+        self.pump.settle(r)
     }
 
     fn commit_inner(&mut self) -> Result<()> {
@@ -640,6 +581,12 @@ fn parse_prologue(bytes: &[u8]) -> Result<(String, usize)> {
     Ok((codec_name, end))
 }
 
+/// The record at `bytes[pos..]`, framed and then verified, so the checksum
+/// runs only over bytes the length field was checked to cover.
+fn check_record(bytes: &[u8], pos: usize) -> std::result::Result<RecordView<'_>, RecordCheck> {
+    frame_record(bytes, pos)?.verify()
+}
+
 /// Fast path: the last [`LOCATOR_BYTES`] of the file are a valid locator
 /// whose `COMMIT` record validates and closes the file exactly. Returns
 /// the commit directory when so.
@@ -659,7 +606,7 @@ fn valid_trailing_locator(bytes: &[u8], body_start: usize) -> Option<&[u8]> {
     if offset < body_start {
         return None;
     }
-    let rec = take_record(bytes, offset)?;
+    let rec = check_record(bytes, offset).ok()?;
     if rec.tag != TAG_COMMIT || rec.end + LOCATOR_BYTES != bytes.len() {
         return None;
     }
@@ -688,8 +635,8 @@ fn parse_records(image: &Arc<Vec<u8>>) -> Result<ContainerRead> {
     let mut since_commit: u64 = 0;
     let mut torn_tail = false;
     while pos < bytes.len() {
-        match take_record(bytes, pos) {
-            Some(rec) if rec.tag == TAG_COMMIT => {
+        match check_record(bytes, pos) {
+            Ok(rec) if rec.tag == TAG_COMMIT => {
                 last_commit = Some(rec.body);
                 since_commit = 0;
                 // The writer put a locator right after this commit; skip
@@ -704,11 +651,11 @@ fn parse_records(image: &Arc<Vec<u8>>) -> Result<ContainerRead> {
                     pos = rec.end;
                 }
             }
-            Some(rec) => {
+            Ok(rec) => {
                 since_commit += 1;
                 pos = rec.end;
             }
-            None => {
+            Err(_) => {
                 torn_tail = true;
                 break;
             }
@@ -899,35 +846,6 @@ fn walk_directory<'a>(
 }
 
 impl CompressedColumn {
-    /// A column over already-compressed chunk payloads that live in memory
-    /// rather than in a container file (fixtures): the payloads are packed
-    /// into an image of the column's own.
-    pub fn from_chunks<C: AsRef<[u8]>>(
-        name: impl Into<String>,
-        precision: Precision,
-        rows: usize,
-        chunk_elems: usize,
-        chunks: &[C],
-    ) -> Self {
-        let mut image = Vec::with_capacity(chunks.iter().map(|c| c.as_ref().len()).sum());
-        let ranges = chunks
-            .iter()
-            .map(|c| {
-                let start = image.len();
-                image.extend_from_slice(c.as_ref());
-                start..image.len()
-            })
-            .collect();
-        CompressedColumn {
-            name: name.into(),
-            precision,
-            rows,
-            chunk_elems,
-            image: Arc::new(image),
-            chunks: ranges,
-        }
-    }
-
     /// The compressed payload of chunk `i` (panics when `i` is out of
     /// range, like slice indexing).
     pub(crate) fn chunk(&self, i: usize) -> &[u8] {
@@ -947,20 +865,30 @@ impl CompressedColumn {
         pool: &'a WorkerPool,
         codec: &Arc<dyn Compressor>,
     ) -> Result<ColumnCursor<'a>> {
+        if self.chunk_elems == 0 || self.chunks.len() != self.rows.div_ceil(self.chunk_elems) {
+            return Err(Error::Corrupt(format!(
+                "{} chunks cannot hold {} rows at {} elems/chunk",
+                self.chunks.len(),
+                self.rows,
+                self.chunk_elems
+            )));
+        }
         let reg = crate::metrics::registry();
+        let desc = DataDesc {
+            precision: self.precision,
+            dims: vec![self.rows],
+            domain: Domain::Database,
+        };
         Ok(ColumnCursor {
             col: self,
-            pool,
-            codec: Arc::clone(codec),
-            bdesc: DataDesc::new(self.precision, vec![1], Domain::Database)?,
-            submitted: 0,
-            collected: 0,
-            remaining_submit: self.rows,
-            window: Window::new(
+            pump: ReaderPump::new(
+                Arc::clone(codec),
+                Some(pool),
+                &desc,
+                self.chunk_elems,
                 InflightGauge::attached(reg.gauge("dbsim.cursor.chunks_in_flight")),
                 Some(reg.counter("dbsim.cursor.read_ahead.stalls")),
             ),
-            current: Vec::new(),
         })
     }
 
@@ -1001,32 +929,20 @@ impl CompressedColumn {
 /// scans at once — can share one pool without deadlocking it.
 pub struct ColumnCursor<'a> {
     col: &'a CompressedColumn,
-    pool: &'a WorkerPool,
-    codec: Arc<dyn Compressor>,
-    bdesc: DataDesc,
-    /// Chunks submitted to the engine.
-    submitted: usize,
-    /// Chunks handed to the caller.
-    collected: usize,
-    /// Rows not yet covered by submitted chunks.
-    remaining_submit: usize,
-    /// The read-ahead jobs in flight, and the cursor's sticky failure: once
-    /// a chunk errors, later reads refuse instead of yielding pages out of
-    /// order. Reports into `dbsim.cursor.chunks_in_flight` (released on
+    /// The read-ahead over the column's chunks, and the cursor's sticky
+    /// failure. Reports into `dbsim.cursor.chunks_in_flight` (released on
     /// drop even if the cursor is abandoned mid-column) and counts the
     /// times the caller had to wait on a decode that hadn't finished in
     /// `dbsim.cursor.read_ahead.stalls` — read-ahead not keeping up.
-    window: Window,
-    /// The page most recently handed out by `next_chunk`.
-    current: Vec<u8>,
+    pump: ReaderPump<&'a WorkerPool>,
 }
 
 impl ColumnCursor<'_> {
     /// Cap this cursor's decode read-ahead at `cap` in-flight chunks (see
-    /// [`Window::set_max_in_flight`]).
+    /// [`ReaderPump::set_max_in_flight`]).
     #[must_use]
     pub fn max_in_flight(mut self, cap: usize) -> Self {
-        self.window.set_max_in_flight(cap);
+        self.pump.set_max_in_flight(cap);
         self
     }
 
@@ -1034,56 +950,16 @@ impl ColumnCursor<'_> {
     /// `None` after the final chunk. The returned slice lives until the
     /// next call.
     pub fn next_chunk(&mut self) -> Result<Option<&[u8]>> {
-        let mut current = std::mem::take(&mut self.current);
-        current.clear();
-        let r = self.next_chunk_into(&mut current);
-        self.current = current;
-        Ok(r?.then_some(self.current.as_slice()))
+        let col = self.col;
+        self.pump.next(|i, _, _| Ok(Some(col.chunk(i))))
     }
 
     /// [`next_chunk`](Self::next_chunk) appending the page's element bytes
     /// to `out` straight from the engine's slot, with no stop in the
     /// cursor; `false` after the final chunk.
     fn next_chunk_into(&mut self, out: &mut Vec<u8>) -> Result<bool> {
-        self.window.check()?;
-        let r = self.advance(out);
-        self.window.settle(r)
-    }
-
-    fn advance(&mut self, out: &mut Vec<u8>) -> Result<bool> {
-        if self.collected == self.col.chunks.len() {
-            return Ok(false);
-        }
-        // Keep the read-ahead window full; when the window declines a chunk
-        // (it is full, or the pool is saturated while we hold tickets) the
-        // top-up just ends.
-        while self.submitted < self.col.chunks.len() {
-            let elems = self.remaining_submit.min(self.col.chunk_elems);
-            if elems == 0 {
-                return Err(Error::Corrupt("more chunks than rows".into()));
-            }
-            self.bdesc.dims[0] = elems;
-            let payload = self.col.chunk(self.submitted);
-            if !self
-                .window
-                .try_push_decompress(self.pool, &self.codec, &self.bdesc, payload, ())?
-            {
-                break;
-            }
-            self.submitted += 1;
-            self.remaining_submit -= elems;
-        }
-        if self.submitted == self.col.chunks.len() && self.remaining_submit != 0 {
-            return Err(Error::Corrupt("chunks do not cover all rows".into()));
-        }
-        self.window
-            .pop(|decoded, ()| {
-                out.extend_from_slice(decoded);
-                Ok(())
-            })?
-            .ok_or_else(|| Error::Corrupt("column cursor lost its read-ahead".into()))?;
-        self.collected += 1;
-        Ok(true)
+        let col = self.col;
+        self.pump.next_into(out, |i, _, _| Ok(Some(col.chunk(i))))
     }
 }
 
@@ -1091,7 +967,6 @@ impl ColumnCursor<'_> {
 mod tests {
     use super::*;
     use fcbench_core::pool::PoolConfig;
-    use fcbench_core::stream::check_record;
     use fcbench_core::{CodecClass, CodecInfo, Community, FloatData, Platform, PrecisionSupport};
 
     struct StoreCodec;
@@ -1256,10 +1131,10 @@ mod tests {
         // A bit flip inside a committed chunk record is corruption, not a
         // torn tail: typed checksum error.
         let mut flipped = good.clone();
-        let first_chunk = take_record(&good, {
+        let first_chunk = check_record(&good, {
             // prologue: 4 + 1 + "store" + 4 crc; first record is COLUMN.
             let body_start = 4 + 1 + 5 + 4;
-            take_record(&good, body_start).unwrap().end
+            check_record(&good, body_start).unwrap().end
         })
         .unwrap();
         assert_eq!(first_chunk.tag, TAG_CHUNK);
@@ -1284,6 +1159,38 @@ mod tests {
         w.begin_column("x", Precision::Double, 4).unwrap();
         w.write(&[0u8; 9]).unwrap();
         assert!(matches!(w.commit(), Err(Error::BadDescriptor(_))));
+    }
+
+    #[test]
+    fn the_image_does_not_depend_on_how_writes_are_split() {
+        // An f64 and an f32 column, each ending in a short tail page of 16
+        // elements: written in pieces of 1 and 7 bytes, and of a page less
+        // one, a page and a page more one, the image is bit-identical to the
+        // one written whole.
+        let a: Vec<f64> = (0..100).map(|i| i as f64 * 0.75 - 3.0).collect();
+        let b: Vec<f32> = (0..45).map(|i| i as f32 * 1.25).collect();
+        let cols = [ColumnData::from_f64("a", &a), ColumnData::from_f32("b", &b)];
+        let (pool, codec) = store_engine();
+        let image = |k: usize| {
+            let mut w = ContainerWriter::new(Vec::new(), &pool, &codec).unwrap();
+            for col in &cols {
+                let page = 16 * col.precision.bytes();
+                let piece = [col.bytes.len(), 1, 7, page - 1, page, page + 1][k];
+                w.begin_column(col.name.clone(), col.precision, 16).unwrap();
+                for bytes in col.bytes.chunks(piece) {
+                    w.write(bytes).unwrap();
+                }
+            }
+            w.finish().unwrap()
+        };
+        let whole = image(0);
+        for k in 1..6 {
+            assert!(image(k) == whole, "piece size #{k} changed the image");
+        }
+        let table = parse_container(&whole).unwrap().table;
+        for (col, orig) in table.columns.iter().zip(&cols) {
+            assert_eq!(col.decode_pooled(&pool, &codec).unwrap().bytes, orig.bytes);
+        }
     }
 
     #[test]
@@ -1414,7 +1321,7 @@ mod tests {
         let mut pos = 4 + 1 + 5 + 4;
         let mut tags = Vec::new();
         while pos < image.len() {
-            let rec = take_record(image, pos).expect("only whole, valid records");
+            let rec = check_record(image, pos).expect("only whole, valid records");
             tags.push(rec.tag);
             pos = rec.end;
         }

@@ -4,10 +4,10 @@
 
 use fcbench_core::pool::{PoolConfig, WorkerPool};
 use fcbench_core::{
-    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
-    Result,
+    CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, Precision,
+    PrecisionSupport, Result,
 };
-use fcbench_dbsim::{read_container, write_container_pooled, ColumnData};
+use fcbench_dbsim::{read_container, write_container_pooled, ColumnData, ContainerWriter};
 use std::sync::Arc;
 
 struct StoreCodec;
@@ -69,4 +69,14 @@ fn telemetry_counts_commits_and_recovery_outcomes() {
         h(&after, "dbsim.container.commit"),
         h(&before, "dbsim.container.commit") + 1
     );
+
+    // The writer's pages in flight report beside the cursor's: both of the
+    // column's pages sit in the window until the column ends.
+    let in_flight = || reg.snapshot().gauge("dbsim.container.chunks_in_flight");
+    let mut w = ContainerWriter::new(Vec::new(), &pool, &codec).unwrap();
+    w.begin_column("x", Precision::Double, 32).unwrap();
+    w.write(&cols[0].bytes).unwrap();
+    assert_eq!(in_flight(), Some(2));
+    w.finish().unwrap();
+    assert_eq!(in_flight(), Some(0));
 }

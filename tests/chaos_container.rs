@@ -10,7 +10,7 @@
 
 use fcbench::core::fault::{FaultPlan, FaultyIo};
 use fcbench::core::pool::{PoolConfig, WorkerPool};
-use fcbench::core::stream::take_record;
+use fcbench::core::stream::frame_record;
 use fcbench::core::{Compressor, Precision};
 use fcbench::cpu::Gorilla;
 use fcbench::dbsim::{parse_container, ColumnData, ContainerWriter, RecoveryOutcome};
@@ -83,7 +83,9 @@ fn span_map(bytes: &[u8], body_start: usize) -> Vec<Span> {
     let mut spans = Vec::new();
     let mut pos = body_start;
     while pos < bytes.len() {
-        let rec = take_record(bytes, pos).expect("intact file parses");
+        let rec = frame_record(bytes, pos)
+            .and_then(|r| r.verify())
+            .expect("intact file parses");
         spans.push(Span {
             start: pos,
             end: rec.end,

@@ -6,7 +6,7 @@
 //! `tests/hostile_descriptors.rs`).
 
 use fcbench::core::pool::{PoolConfig, WorkerPool};
-use fcbench::core::stream::{crc32, put_record, take_record};
+use fcbench::core::stream::{crc32, frame_record, put_record};
 use fcbench::core::{Compressor, Precision};
 use fcbench::cpu::Gorilla;
 use fcbench::dbsim::{
@@ -65,7 +65,9 @@ fn span_map(bytes: &[u8], body_start: usize) -> Vec<Span> {
     let mut spans = Vec::new();
     let mut pos = body_start;
     while pos < bytes.len() {
-        let rec = take_record(bytes, pos).expect("intact file parses");
+        let rec = frame_record(bytes, pos)
+            .and_then(|r| r.verify())
+            .expect("intact file parses");
         spans.push(Span {
             start: pos,
             end: rec.end,
