@@ -4,12 +4,13 @@
 //! `fcbench-core` with the non-default `fault-inject` feature, arming the
 //! named fail-points threaded through the engine seams —
 //!
-//! | fail-point            | seam                                        |
-//! |-----------------------|---------------------------------------------|
-//! | `pool.submit`         | every [`WorkerPool`] submit entry point     |
-//! | `frame.write`         | [`FrameWriter::write`], per call            |
-//! | `container.commit`    | [`ContainerWriter::commit`], before framing |
-//! | `serve.reply_write`   | every `FCS1` OK reply                       |
+//! | fail-point              | seam                                                |
+//! |-------------------------|-----------------------------------------------------|
+//! | `pool.submit`           | every [`WorkerPool`] submit entry point             |
+//! | `frame.write`           | [`FrameWriter::write`], per call                    |
+//! | `container.commit`      | [`ContainerWriter::commit`], before framing         |
+//! | `container.sync_behind` | each sync [`write_container_pooled`] runs behind it |
+//! | `serve.reply_write`     | every `FCS1` OK reply                               |
 //!
 //! The integration tests in `tests/` drive each point and prove the
 //! blast-radius contract: an injected fault is a **typed error** at the
@@ -30,6 +31,7 @@
 //! [`WorkerPool`]: fcbench_core::pool::WorkerPool
 //! [`FrameWriter::write`]: fcbench_core::stream::FrameWriter::write
 //! [`ContainerWriter::commit`]: fcbench_dbsim::ContainerWriter::commit
+//! [`write_container_pooled`]: fcbench_dbsim::write_container_pooled
 //! [`FaultPlan`]: fcbench_core::fault::FaultPlan
 
 #![forbid(unsafe_code)]

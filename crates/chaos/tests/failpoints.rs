@@ -10,10 +10,15 @@ use fcbench_codecs_cpu::Gorilla;
 use fcbench_core::fault::Rng;
 use fcbench_core::pool::{PoolConfig, WorkerPool};
 use fcbench_core::stream::FrameWriter;
-use fcbench_core::{Compressor, Domain, Error, FloatData, Precision};
-use fcbench_dbsim::{parse_container, ColumnData, ContainerWriter, RecoveryOutcome};
+use fcbench_core::{CodecInfo, Compressor, DataDesc, Domain, Error, FloatData, Precision};
+use fcbench_dbsim::{
+    parse_container, read_container, write_container_pooled, ColumnData, ContainerWriter,
+    RecoveryOutcome,
+};
 use fcbench_serve::{Client, ServeConfig, Server};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// One armed registry per process: serialize every test through this gate
 /// and start each from a disarmed state.
@@ -134,6 +139,75 @@ fn container_commit_failpoint_recovers_to_uncommitted() {
         read.outcome
     );
     assert!(read.table.columns.is_empty(), "nothing was committed");
+}
+
+/// Gorilla, except that its `gate`th page waits (at most 30 s) until the
+/// `container.sync_behind` point has been reached: the pages before it
+/// have spilled the write buffer, so the sync thread is awake.
+struct GatedGorilla {
+    pages: AtomicUsize,
+    gate: usize,
+}
+
+impl Compressor for GatedGorilla {
+    fn info(&self) -> CodecInfo {
+        Gorilla.info()
+    }
+    fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> fcbench_core::Result<usize> {
+        if self.pages.fetch_add(1, Ordering::Relaxed) == self.gate {
+            let start = Instant::now();
+            while failpoints::hits("container.sync_behind") == 0
+                && start.elapsed() < Duration::from_secs(30)
+            {
+                std::thread::yield_now();
+            }
+        }
+        Gorilla.compress_into(data, out)
+    }
+    fn decompress_into(
+        &self,
+        payload: &[u8],
+        desc: &DataDesc,
+        out: &mut FloatData,
+    ) -> fcbench_core::Result<()> {
+        Gorilla.decompress_into(payload, desc, out)
+    }
+}
+
+/// `container.sync_behind` fails the sync a pooled container write runs
+/// behind its compression: the write still lands every byte, joins its
+/// sync thread and returns that typed error instead of reporting a
+/// durable file.
+#[test]
+fn container_sync_behind_failpoint_is_returned_typed() {
+    let _gate = armed_registry_gate();
+    let pool = WorkerPool::new(PoolConfig::with_threads(2));
+    let cols: Vec<ColumnData> = (0..3).map(|i| column(&format!("c{i}"), 1 << 20)).collect();
+    let path = std::env::temp_dir().join(format!(
+        "fcbench-chaos-{}-sync-behind.fcdb",
+        std::process::id()
+    ));
+
+    // 768 pages of 16 KiB; page 200 waits for the point.
+    failpoints::arm("container.sync_behind", 0, u64::MAX);
+    let gated: Arc<dyn Compressor> = Arc::new(GatedGorilla {
+        pages: AtomicUsize::new(0),
+        gate: 200,
+    });
+    let err = write_container_pooled(&path, &pool, &gated, &cols, 4096)
+        .expect_err("the armed sync fails the write");
+    assert!(matches!(err, Error::Io(_)), "typed: {err}");
+    assert!(err.to_string().contains("container.sync_behind"), "{err}");
+    // The first failed sync ends the thread: one hit, one error.
+    assert_eq!(failpoints::hits("container.sync_behind"), 1);
+    assert_eq!(failpoints::fired("container.sync_behind"), 1);
+    failpoints::disarm_all();
+    assert!(read_container(&path).expect("read").is_clean());
+
+    let codec: Arc<dyn Compressor> = Arc::new(Gorilla::new());
+    write_container_pooled(&path, &pool, &codec, &cols, 4096).expect("disarmed write");
+    assert!(read_container(&path).expect("read").is_clean());
+    std::fs::remove_file(&path).ok();
 }
 
 /// `serve.reply_write` kills one OK reply mid-connection: the client sees

@@ -15,9 +15,10 @@
 //! - [`fail_point`] is a **named fail-point** hook compiled to a no-op
 //!   unless the non-default `fault-inject` feature is on. The engine's
 //!   seams call it by name (`pool.submit`, `frame.write`,
-//!   `container.commit`, `serve.reply_write`); the chaos suite arms
-//!   individual points to fail after N passes and asserts the failure
-//!   surfaces as a typed error, never a hang or a panic. Like
+//!   `container.commit`, `container.sync_behind`, `serve.reply_write`);
+//!   the chaos suite arms individual points to fail after N passes and
+//!   asserts the failure surfaces as a typed error, never a hang or a
+//!   panic. Like
 //!   `model-check`, the feature is enabled only by the non-default
 //!   `fcbench-chaos` workspace member and must never unify into the
 //!   shipping build (CI asserts this on the default feature graph).

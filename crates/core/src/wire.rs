@@ -65,24 +65,27 @@ pub fn len64(v: u64) -> usize {
     usize::try_from(v).unwrap_or(usize::MAX)
 }
 
-/// Growth step of [`read_growing`].
-const READ_STEP: usize = 1 << 20;
-
-/// Replace `buf`'s contents with exactly `len` bytes from `src`, growing it
-/// in 1 MiB steps as bytes arrive rather than reserving `len` up front: a
-/// claim that delivers nothing fails at EOF having committed one step, not
-/// the whole claim. Callers gate `len` first and map the I/O error their
-/// own way.
+/// Replace `buf`'s contents with exactly `len` bytes from `src`. The buffer
+/// grows only as bytes arrive (`Read::take(len).read_to_end`), rather than
+/// reserving `len` up front: a claim that delivers nothing fails at EOF
+/// having committed what arrived, not the whole claim. Bytes are read into
+/// the buffer's spare capacity, not over a zero-filled prefix. A stream
+/// that ends short is [`UnexpectedEof`](std::io::ErrorKind::UnexpectedEof).
+/// Callers gate `len` first and map the I/O error their own way.
 pub fn read_growing<R: std::io::Read>(
     src: &mut R,
     len: usize,
     buf: &mut Vec<u8>,
 ) -> std::io::Result<()> {
+    use std::io::Read;
     buf.clear();
-    while buf.len() < len {
-        let filled = buf.len();
-        buf.resize(filled + READ_STEP.min(len - filled), 0);
-        src.read_exact(&mut buf[filled..])?;
+    let limit = u64::try_from(len).unwrap_or(u64::MAX);
+    src.take(limit).read_to_end(buf)?;
+    if buf.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("stream ended {} bytes into a {len}-byte read", buf.len()),
+        ));
     }
     Ok(())
 }
@@ -289,6 +292,28 @@ pub fn code_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn read_growing_holds_only_what_arrives() {
+        // A huge claim that delivers five bytes fails short, its buffer
+        // sized by the five bytes, not by the claim.
+        let mut buf = Vec::new();
+        let err = read_growing(&mut &[7u8; 5][..], usize::MAX, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert_eq!(buf, [7; 5]);
+        assert!(buf.capacity() < 4096, "capacity {}", buf.capacity());
+
+        // An exact claim reads exactly its bytes, replacing the old ones
+        // and leaving the rest of the stream unread.
+        let mut src = &b"abcdefgh"[..];
+        read_growing(&mut src, 6, &mut buf).unwrap();
+        assert_eq!(buf, b"abcdef");
+        assert_eq!(src, b"gh");
+        read_growing(&mut src, 0, &mut buf).unwrap();
+        assert!(buf.is_empty());
+        let err = read_growing(&mut src, 3, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
 
     #[test]
     fn fan_out_visits_every_slot_once_on_either_side_of_the_threshold() {

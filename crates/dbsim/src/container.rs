@@ -51,6 +51,7 @@ use fcbench_core::pool::WorkerPool;
 use fcbench_core::stream::{
     crc32, frame_record, put_record, FramedRecord, ReaderPump, RecordCheck, RecordView, WriterPump,
 };
+use fcbench_core::sync::{lock, wait, Condvar, Mutex};
 use fcbench_core::wire;
 use fcbench_core::{Compressor, DataDesc, Domain, Error, Precision, Result};
 use fcbench_telemetry::{Counter, Histogram, InflightGauge};
@@ -58,6 +59,7 @@ use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Magic of the `FCDB2` layout.
 const MAGIC: &[u8; 4] = b"FCD2";
@@ -437,7 +439,15 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
 /// Write `columns` to `path`, each page compressed by `codec` as a job on
 /// `pool`: up to `queue_depth` pages are in flight at once, collected in
 /// page order. `chunk_elems` is the page size in elements (the Table 10
-/// variable). The file is synced once, after the last commit.
+/// variable). The file is synced once, after the last commit: that
+/// `sync_all` is the only durability point.
+///
+/// While pages are still compressing, one helper thread pushes what has
+/// already reached the file toward stable storage (a `sync_data` after
+/// each spill of the write buffer), so the final `sync_all` waits only for
+/// the tail. An earlier sync makes a prefix durable sooner, and every
+/// prefix already recovers. The helper's first error is returned (a write
+/// error wins over it); the helper is joined on every path.
 pub fn write_container_pooled(
     path: &Path,
     pool: &WorkerPool,
@@ -446,15 +456,142 @@ pub fn write_container_pooled(
     chunk_elems: usize,
 ) -> Result<()> {
     let file = std::fs::File::create(path)?;
-    let mut w = ContainerWriter::new(buffered(file), pool, codec)?;
+    let to_sync = file.try_clone()?;
+    let reg = crate::metrics::registry();
+    let syncs = reg.counter("dbsim.container.syncs_behind");
+    let behind = BehindSync::new();
+    std::thread::scope(|s| {
+        let helper = std::thread::Builder::new()
+            .name("fcdb2-sync-behind".into())
+            .spawn_scoped(s, || behind.run(&to_sync, &syncs))?;
+        let stop = StopOnDrop(&behind);
+        let written = write_columns(
+            SpillSignal {
+                file,
+                behind: &behind,
+            },
+            pool,
+            codec,
+            columns,
+            chunk_elems,
+        );
+        let tail = Instant::now();
+        drop(stop);
+        let synced = helper
+            .join()
+            .unwrap_or_else(|_| Err(Error::WorkerPanic("container sync-behind thread".into())));
+        let file = written?;
+        synced?;
+        file.sync_all()?;
+        reg.histogram("dbsim.container.sync")
+            .record_duration(tail.elapsed());
+        Ok(())
+    })
+}
+
+/// The body of [`write_container_pooled`]: every column through one
+/// [`ContainerWriter`] into `sink`'s file, which comes back unsynced.
+fn write_columns(
+    sink: SpillSignal<'_>,
+    pool: &WorkerPool,
+    codec: &Arc<dyn Compressor>,
+    columns: &[ColumnData],
+    chunk_elems: usize,
+) -> Result<std::fs::File> {
+    let mut w = ContainerWriter::new(buffered(sink), pool, codec)?;
     for col in columns {
         w.begin_column(col.name.clone(), col.precision, chunk_elems)?;
         w.write(&col.bytes)?;
     }
     let sink = w.finish()?;
-    let file = sink.into_inner().map_err(|e| Error::Io(e.to_string()))?;
-    file.sync_all()?;
-    Ok(())
+    let sink = sink.into_inner().map_err(|e| Error::Io(e.to_string()))?;
+    Ok(sink.file)
+}
+
+/// The file under a container write's buffer: every write that reaches it
+/// raises the [`BehindSync`] signal.
+struct SpillSignal<'b> {
+    file: std::fs::File,
+    behind: &'b BehindSync,
+}
+
+impl Write for SpillSignal<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.file.write(buf)?;
+        self.behind.raise();
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
+/// Write-behind for one container file. A spill raises `pending`; one
+/// helper thread ([`run`](Self::run)) clears it and runs one `sync_data`,
+/// so the raises that land while a sync runs merge into the next one.
+/// There is no timer and no threshold: the write buffer's spills are the
+/// clock.
+struct BehindSync {
+    wake: Mutex<Wake>,
+    cv: Condvar,
+}
+
+/// What the helper is owed: a sync, or the end.
+#[derive(Default)]
+struct Wake {
+    pending: bool,
+    stopped: bool,
+}
+
+impl BehindSync {
+    fn new() -> Self {
+        BehindSync {
+            wake: Mutex::new(Wake::default()),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Bytes reached the file since the helper last looked.
+    fn raise(&self) {
+        let mut wake = lock(&self.wake);
+        if !wake.pending {
+            wake.pending = true;
+            self.cv.notify_one();
+        }
+    }
+
+    /// The helper thread: `sync_data` on `file` per batch of raises until
+    /// stopped, counting each into `syncs`; the first error ends it.
+    fn run(&self, file: &std::fs::File, syncs: &Counter) -> Result<()> {
+        loop {
+            let mut wake = lock(&self.wake);
+            while !wake.pending && !wake.stopped {
+                wake = wait(&self.cv, wake);
+            }
+            if wake.stopped {
+                return Ok(());
+            }
+            wake.pending = false;
+            drop(wake);
+            fcbench_core::fault::fail_point("container.sync_behind")?;
+            file.sync_data()?;
+            syncs.inc();
+        }
+    }
+}
+
+/// Stops the [`BehindSync`] helper when dropped: once its current sync
+/// (if any) returns, it ends, and a raise it has not started on is dropped
+/// (the caller's `sync_all` covers it). Dropped on every path out of the
+/// write, an unwinding one included, so the scope's join cannot hang.
+struct StopOnDrop<'b>(&'b BehindSync);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.wake).stopped = true;
+        self.0.cv.notify_one();
+    }
 }
 
 /// A column read back from disk (still compressed). The chunk payloads are
@@ -1398,6 +1535,58 @@ mod tests {
             sink.writes,
             sink.bytes
         );
+    }
+
+    #[test]
+    fn a_pooled_write_is_the_writers_image() {
+        // Three 2 MiB columns: six write-buffer spills, so syncs run
+        // behind the pages that are still compressing.
+        let cols: Vec<ColumnData> = (0..3)
+            .map(|c| {
+                let v: Vec<f64> = (0..1 << 18)
+                    .map(|i| (i as f64 * 0.37 + c as f64).sin())
+                    .collect();
+                ColumnData::from_f64(format!("c{c}"), &v)
+            })
+            .collect();
+        let (pool, codec) = store_engine();
+        for page in [4096, 65536] {
+            let mut w = ContainerWriter::new(Vec::new(), &pool, &codec).unwrap();
+            for col in &cols {
+                w.begin_column(col.name.clone(), col.precision, page)
+                    .unwrap();
+                w.write(&col.bytes).unwrap();
+            }
+            let image = w.finish().unwrap();
+
+            let path = tmp(&format!("behind-{page}"));
+            write_container_pooled(&path, &pool, &codec, &cols, page).unwrap();
+            let file = std::fs::read(&path).unwrap();
+            assert!(file == image, "{page}-element pages: the file differs");
+            let read = read_container(&path).unwrap();
+            assert_eq!(read.outcome, RecoveryOutcome::Clean);
+            assert_eq!(read.table.columns.len(), cols.len());
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_failed_page_ends_a_pooled_write_and_its_sync_thread() {
+        // A refused page 3 MiB into a 4 MiB column, after three spills:
+        // the page's own error comes back (the sync thread is stopped and
+        // joined, not left waiting), and nothing was committed.
+        let mut a: Vec<f64> = (0..1 << 19).map(|i| i as f64).collect();
+        a[3 << 17] = -1.0;
+        let pool = WorkerPool::new(PoolConfig::with_threads(2));
+        let codec: Arc<dyn Compressor> = Arc::new(MarkedPage::Refused);
+        let path = tmp("behind-failed-page");
+        let cols = [ColumnData::from_f64("x", &a)];
+        let err = write_container_pooled(&path, &pool, &codec, &cols, 4096).unwrap_err();
+        assert!(matches!(err, Error::Unsupported(_)), "{err}");
+        let read = read_container(&path).unwrap();
+        assert!(matches!(read.outcome, RecoveryOutcome::Recovered { .. }));
+        assert!(read.table.columns.is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     /// The directory walk as it was before verification fanned out: each

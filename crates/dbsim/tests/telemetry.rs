@@ -8,7 +8,10 @@ use fcbench_core::{
     PrecisionSupport, Result,
 };
 use fcbench_dbsim::{read_container, write_container_pooled, ColumnData, ContainerWriter};
+use fcbench_telemetry::Counter;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 struct StoreCodec;
 
@@ -31,6 +34,33 @@ impl Compressor for StoreCodec {
     }
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
         out.refill_from_slice(desc, payload)
+    }
+}
+
+/// The store codec, except that its `gate`th page waits (at most 30 s)
+/// until `syncs` has passed `before`.
+struct GatedStore {
+    pages: AtomicUsize,
+    gate: usize,
+    syncs: Counter,
+    before: u64,
+}
+
+impl Compressor for GatedStore {
+    fn info(&self) -> CodecInfo {
+        StoreCodec.info()
+    }
+    fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
+        if self.pages.fetch_add(1, Ordering::Relaxed) == self.gate {
+            let start = Instant::now();
+            while self.syncs.get() <= self.before && start.elapsed() < Duration::from_secs(30) {
+                std::thread::yield_now();
+            }
+        }
+        StoreCodec.compress_into(data, out)
+    }
+    fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
+        StoreCodec.decompress_into(payload, desc, out)
     }
 }
 
@@ -69,6 +99,37 @@ fn telemetry_counts_commits_and_recovery_outcomes() {
         h(&after, "dbsim.container.commit"),
         h(&before, "dbsim.container.commit") + 1
     );
+    // One final durability wait per write.
+    assert_eq!(
+        h(&after, "dbsim.container.sync"),
+        h(&before, "dbsim.container.sync") + 1
+    );
+    assert!(after.counter("dbsim.container.syncs_behind").is_some());
+
+    // A 6 MiB table spills the 1 MiB write buffer six times, and each spill
+    // wakes the sync-behind thread. The gated codec's 64th page waits until
+    // one sync has run, so at least one runs behind the write; at most one
+    // runs per file write (six or seven per table).
+    let big: Vec<ColumnData> = (0..3)
+        .map(|c| {
+            let v: Vec<f64> = (0..1 << 18).map(|i| (i + c) as f64 * 0.25).collect();
+            ColumnData::from_f64(format!("c{c}"), &v)
+        })
+        .collect();
+    let syncs = reg.counter("dbsim.container.syncs_behind");
+    let (syncs_before, waits_before) = (syncs.get(), h(&reg.snapshot(), "dbsim.container.sync"));
+    let gated: Arc<dyn Compressor> = Arc::new(GatedStore {
+        pages: AtomicUsize::new(0),
+        gate: 64,
+        syncs: syncs.clone(),
+        before: syncs_before,
+    });
+    write_container_pooled(&path, &pool, &gated, &big, 4096).unwrap();
+    let behind = syncs.get() - syncs_before;
+    assert!((1..=8).contains(&behind), "{behind} syncs behind one write");
+    assert_eq!(h(&reg.snapshot(), "dbsim.container.sync"), waits_before + 1);
+    assert!(read_container(&path).unwrap().is_clean());
+    std::fs::remove_file(&path).ok();
 
     // The writer's pages in flight report beside the cursor's: both of the
     // column's pages sit in the window until the column ends.
