@@ -50,13 +50,19 @@ fn violations_only_fire_for_watched_locations() {
     // The same source in a crate outside the panic-free set, with a
     // basename no wire rule watches: only the claim-gate rule is scoped
     // by... nothing here, so nothing fires at all.
-    let findings = lint_fixture("crates/stats/src/friedman.rs", "violations.rs");
+    let findings = lint_fixture("crates/bench/src/friedman.rs", "violations.rs");
     assert_eq!(findings, vec![], "unwatched location must be silent");
 
-    // In a panic-free file but not a wire/claim file: only R001.
-    let findings = lint_fixture("crates/bench/src/metrics.rs", "violations.rs");
-    assert!(findings.iter().all(|f| f.rule == "R001"), "{findings:#?}");
-    assert_eq!(findings.len(), 4);
+    // In a panic-free file but not a wire/claim file: only R001. The dzip
+    // codec is watched as a bench file, as it was as a crate.
+    for rel in ["crates/bench/src/metrics.rs", "crates/bench/src/dzip.rs"] {
+        let findings = lint_fixture(rel, "violations.rs");
+        assert!(
+            findings.iter().all(|f| f.rule == "R001"),
+            "{rel}: {findings:#?}"
+        );
+        assert_eq!(findings.len(), 4, "{rel}");
+    }
 }
 
 #[test]

@@ -3,14 +3,14 @@
 //! at representative field widths, single-bit push/read, control-code
 //! dispatch (`peek_bits`/`consume` vs bit-by-bit reads), and the aligned
 //! bulk path, each against the retained byte-granular
-//! `bits::reference` implementation. The headline acceptance number for
+//! `reference::bits` implementation. The headline acceptance number for
 //! the rewrite is the multi-bit push/read speedup, which must stay ≥ 2x.
 //!
 //! Runs as a plain `main` (`harness = false`): it prints one
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
 //! shrinks the iteration counts.
 
-use fcbench_entropy::bits::reference;
+use fcbench_bench::reference::bits as reference;
 use fcbench_entropy::{BitReader, BitWriter};
 use std::hint::black_box;
 use std::time::Instant;

@@ -3,7 +3,7 @@
 //! transpose (forward and inverse) against the 8-element-group kernel it
 //! replaced, kept here as `groups`; the LZ4 matcher against one that
 //! clears its hash table per call, as it used to (`clearing_lz4`); the
-//! word-at-a-time lz77 hash-chain match finder against `lz77::reference`,
+//! word-at-a-time lz77 hash-chain match finder against `reference::lz77`,
 //! on bitshuffle-shaped inputs; the table-driven canonical-Huffman decoder
 //! (zzip's entropy stage) against the bit-at-a-time walk it replaced, kept
 //! here as `huffman_walk`; the braided CRC-32 behind every FCDB2 record
@@ -12,7 +12,7 @@
 //! one-test-per-value decoder against the field-by-field `BitReader` loop
 //! it replaced (`gorilla_fieldwise`, printed); and SPDP's compressor —
 //! fused front end, key-filtered lz77 — against its three full-size stage
-//! passes and `lz77::reference` on `msg-bt` (gated); and the `miranda3d`
+//! passes and `reference::lz77` on `msg-bt` (gated); and the `miranda3d`
 //! generator's draw-then-map pipeline against the serial smooth-field
 //! generator it replaced, kept here as `serial_field` (gated). Every row is
 //! best-of-N per side except SPDP's, the median of N interleaved pairs. The
@@ -23,6 +23,7 @@
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
 //! shrinks the iteration counts.
 
+use fcbench_bench::reference::{self, spdp_three_pass};
 use fcbench_codecs_cpu::{bitshuffle, Gorilla, Spdp};
 use fcbench_core::stream::crc32;
 use fcbench_core::{Compressor, DataDesc, Domain, FloatData, Precision};
@@ -324,7 +325,7 @@ fn bench_lz77(name: &'static str, input: &[u8], cfg: Lz77Config, reps: usize) ->
         black_box(out.len());
     });
     let c_ref = best_of(reps, || {
-        black_box(lz77::reference::compress(input, cfg).len());
+        black_box(reference::lz77::compress(input, cfg).len());
     });
     let stream = lz77::compress(input, cfg);
     let d_new = best_of(reps, || {
@@ -332,7 +333,7 @@ fn bench_lz77(name: &'static str, input: &[u8], cfg: Lz77Config, reps: usize) ->
     });
     let d_ref = best_of(reps, || {
         black_box(
-            lz77::reference::decompress(&stream, input.len())
+            reference::lz77::decompress(&stream, input.len())
                 .expect("valid")
                 .len(),
         );
@@ -601,32 +602,8 @@ fn bench_gorilla(name: &'static str, elems: usize, page: usize, reps: usize) -> 
     }
 }
 
-/// SPDP's front end before the fused pass: DIM8, LNVs2 and LNVs1 as three
-/// full-size passes, one `push` per byte.
-fn spdp_three_pass(data: &[u8]) -> Vec<u8> {
-    let rows = data.len() / 8;
-    let mut dim8 = Vec::with_capacity(data.len());
-    for col in 0..8 {
-        for row in 0..rows {
-            dim8.push(data[row * 8 + col]);
-        }
-    }
-    dim8.extend_from_slice(&data[rows * 8..]);
-    let mut lnvs2 = Vec::with_capacity(dim8.len());
-    for (i, &b) in dim8.iter().enumerate() {
-        lnvs2.push(b.wrapping_sub(if i >= 2 { dim8[i - 2] } else { 0 }));
-    }
-    let mut lnvs1 = Vec::with_capacity(lnvs2.len());
-    let mut last = 0u8;
-    for &b in &lnvs2 {
-        lnvs1.push(b.wrapping_sub(last));
-        last = b;
-    }
-    lnvs1
-}
-
 /// `Spdp::compress_into` on `msg-bt` against the three-pass front end and
-/// `lz77::reference`, which emit the same payload: the median of
+/// `reference::lz77`, which emit the same payload: the median of
 /// interleaved pairs ([`median_pair`]), since best-of blocks of ~50 ms
 /// reps read 1.65–2.54x across full runs on a shared 2-vCPU VM.
 fn bench_spdp(elems: usize, reps: usize) -> Row {
@@ -638,7 +615,7 @@ fn bench_spdp(elems: usize, reps: usize) -> Row {
     let staged = spdp_three_pass(data.bytes());
     assert_eq!(
         out,
-        lz77::reference::compress(&staged, Lz77Config::fast()),
+        reference::lz77::compress(&staged, Lz77Config::fast()),
         "spdp and its three-pass reference differ"
     );
     let (new_s, ref_s) = median_pair(
@@ -651,7 +628,7 @@ fn bench_spdp(elems: usize, reps: usize) -> Row {
         },
         || {
             let staged = spdp_three_pass(black_box(data.bytes()));
-            black_box(lz77::reference::compress(&staged, Lz77Config::fast()).len());
+            black_box(reference::lz77::compress(&staged, Lz77Config::fast()).len());
         },
     );
     Row {

@@ -2,7 +2,10 @@
 //!
 //! A counting wrapper around the system allocator. The `fcbench` binary
 //! installs it as the global allocator; library tests that run without it
-//! see zeros and skip footprint assertions.
+//! see zeros and skip footprint assertions. `GlobalAlloc` is an unsafe
+//! trait, so this is the one module of the crate allowed `unsafe`.
+
+#![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -1,5 +1,3 @@
-//! # fcbench-dzip
-//!
 //! A Dzip-style neural lossless compressor (Goyal et al., DCC 2021;
 //! paper §4.5): a recurrent network estimates the conditional
 //! distribution of each input byte, and an arithmetic coder (here the
@@ -23,8 +21,8 @@
 //! magnitude slower** than conventional codecs ("its compression speed is
 //! about several KB/s. Thus, NN-based compression methods are still not
 //! practical", §4.5). The `dzip` experiment in the harness measures that.
-
-#![forbid(unsafe_code)]
+//! Its unit tests live in the crate-root `tests` module beside the
+//! roofline model's, the paths they had as crates of their own.
 
 use fcbench_core::wire::{le_u64, Cursor};
 use fcbench_core::{
@@ -36,38 +34,25 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Hidden state width of the GRU reservoir.
-pub const HIDDEN: usize = 16;
+pub(crate) const HIDDEN: usize = 16;
 
 /// Total frequency budget of the quantized distribution (< 2^16).
-const PROB_TOTAL: u32 = 1 << 14;
+pub(crate) const PROB_TOTAL: u32 = 1 << 14;
 
 /// Learning rate of the readout SGD.
 const LEARNING_RATE: f64 = 0.15;
 
 /// The Dzip-style codec.
 #[derive(Debug, Clone)]
-pub struct Dzip {
+pub(crate) struct Dzip {
     /// Bootstrap training passes over (a prefix of) the input.
     bootstrap_passes: usize,
     /// Cap on bytes used for bootstrap training (keeps encode time sane).
     bootstrap_budget: usize,
 }
 
-impl Default for Dzip {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Dzip {
-    pub(crate) fn new() -> Self {
-        Dzip {
-            bootstrap_passes: 2,
-            bootstrap_budget: 1 << 16,
-        }
-    }
-
-    pub fn with_bootstrap(passes: usize, budget: usize) -> Self {
+    pub(crate) fn with_bootstrap(passes: usize, budget: usize) -> Self {
         Dzip {
             bootstrap_passes: passes,
             bootstrap_budget: budget.max(256),
@@ -77,7 +62,7 @@ impl Dzip {
 
 /// Fixed random GRU reservoir: maps (byte, h) -> h'. Weights are seeded,
 /// never trained, and regenerated identically by the decoder.
-struct Reservoir {
+pub(crate) struct Reservoir {
     /// Update-gate input weights per byte value: `[256][HIDDEN]`.
     wz: Vec<[f64; HIDDEN]>,
     /// Candidate input weights per byte value.
@@ -89,7 +74,7 @@ struct Reservoir {
 }
 
 impl Reservoir {
-    fn seeded() -> Self {
+    pub(crate) fn seeded() -> Self {
         let mut rng = SmallRng::seed_from_u64(0xD21B_0057);
         let mut mat256 = || {
             (0..256)
@@ -122,7 +107,7 @@ impl Reservoir {
     }
 
     /// One GRU step.
-    fn step(&self, byte: u8, h: &[f64; HIDDEN]) -> [f64; HIDDEN] {
+    pub(crate) fn step(&self, byte: u8, h: &[f64; HIDDEN]) -> [f64; HIDDEN] {
         let b = byte as usize;
         let mut out = [0.0; HIDDEN];
         for i in 0..HIDDEN {
@@ -235,7 +220,7 @@ impl Readout {
 
 /// Quantize probabilities into integer frequencies summing ≤ PROB_TOTAL,
 /// every symbol ≥ 1 (so any byte stays encodable).
-fn quantize(probs: &[f64; 256]) -> ([u32; 256], u32) {
+pub(crate) fn quantize(probs: &[f64; 256]) -> ([u32; 256], u32) {
     let mut freqs = [1u32; 256];
     let budget = PROB_TOTAL - 256;
     let mut total = 256u32;
@@ -352,143 +337,5 @@ impl Compressor for Dzip {
                 ))
             }
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fcbench_core::Domain;
-
-    fn round_trip(vals: &[f64]) -> usize {
-        let data = FloatData::from_f64(vals, vec![vals.len()], Domain::TimeSeries).unwrap();
-        let d = Dzip::with_bootstrap(1, 4096);
-        let c = d.compress(&data).unwrap();
-        let back = d.decompress(&c, data.desc()).unwrap();
-        assert_eq!(back.bytes(), data.bytes());
-        c.len()
-    }
-
-    #[test]
-    fn small_repetitive_stream_round_trips() {
-        let vals: Vec<f64> = (0..400).map(|i| (i % 4) as f64).collect();
-        round_trip(&vals);
-    }
-
-    #[test]
-    fn random_bytes_round_trip() {
-        let mut x = 0xBADC0FFEEu64;
-        let vals: Vec<f64> = (0..200)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                f64::from_bits(x)
-            })
-            .collect();
-        round_trip(&vals);
-    }
-
-    #[test]
-    fn special_values() {
-        round_trip(&[
-            0.0,
-            -0.0,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            5e-324,
-        ]);
-    }
-
-    #[test]
-    fn model_learns_skewed_streams() {
-        // A stream of almost all zeros must beat 1 byte/byte by a margin,
-        // even after paying for the shipped bootstrap weights.
-        let vals = vec![0.0f64; 2000];
-        let n = round_trip(&vals);
-        let raw = 2000 * 8;
-        let weights = 256 * (HIDDEN + 1) * 8;
-        assert!(
-            n < weights + raw / 8,
-            "skewed stream: {n} bytes vs raw {raw} + weights {weights}"
-        );
-    }
-
-    #[test]
-    fn quantized_distribution_is_valid() {
-        let mut probs = [0.0f64; 256];
-        probs[7] = 0.9;
-        for (i, p) in probs.iter_mut().enumerate() {
-            if i != 7 {
-                *p = 0.1 / 255.0;
-            }
-        }
-        let (freqs, total) = quantize(&probs);
-        assert!(total <= PROB_TOTAL + 256);
-        assert!(freqs.iter().all(|&f| f >= 1));
-        assert_eq!(freqs.iter().sum::<u32>(), total);
-        assert!(freqs[7] > freqs[8] * 100);
-    }
-
-    #[test]
-    fn corrupt_payload_rejected() {
-        let data = FloatData::from_f64(&[1.0, 2.0, 3.0], vec![3], Domain::Hpc).unwrap();
-        let d = Dzip::with_bootstrap(1, 4096);
-        let c = d.compress(&data).unwrap();
-        assert!(d.decompress(&c[..8], data.desc()).is_err());
-        let mut bad = c.clone();
-        bad[0] ^= 0xFF; // break the weight length
-        assert!(d.decompress(&bad, data.desc()).is_err());
-    }
-
-    #[test]
-    fn every_truncation_is_a_typed_error() {
-        let vals: Vec<f64> = (0..64).map(|i| (i as f64 * 0.1).sin()).collect();
-        let data = FloatData::from_f64(&vals, vec![vals.len()], Domain::Hpc).unwrap();
-        let d = Dzip::with_bootstrap(1, 4096);
-        let c = d.compress(&data).unwrap();
-        let weights_end = 4 + 256 * (HIDDEN + 1) * 8;
-        let stream_start = weights_end + 8;
-        assert!(c.len() > stream_start + 16, "a stream worth cutting");
-
-        // Each header field's boundary ±1 byte, then a stride through the
-        // weights and through the range-coded stream.
-        let mut cuts: Vec<usize> = [0, 4, weights_end, stream_start, c.len()]
-            .iter()
-            .flat_map(|&b| [b.saturating_sub(1), b, b + 1])
-            .filter(|&cut| cut < c.len())
-            .collect();
-        cuts.extend((4..weights_end).step_by(997));
-        cuts.extend((stream_start..c.len()).step_by(7));
-        for cut in cuts {
-            match d.decompress(&c[..cut], data.desc()) {
-                Err(Error::Corrupt(_)) => {}
-                Err(e) => panic!("cut at {cut}: untyped {e}"),
-                Ok(_) => panic!("cut at {cut} decoded without an error"),
-            }
-        }
-
-        // Bytes after the stream are no more this stream than a cut one.
-        let mut long = c.clone();
-        long.push(0);
-        assert!(d.decompress(&long, data.desc()).is_err());
-        assert_eq!(d.decompress(&c, data.desc()).unwrap().bytes(), data.bytes());
-    }
-
-    #[test]
-    fn reservoir_is_deterministic() {
-        let a = Reservoir::seeded();
-        let b = Reservoir::seeded();
-        let h = [0.1; HIDDEN];
-        assert_eq!(a.step(42, &h), b.step(42, &h));
-    }
-
-    #[test]
-    fn info_marks_prediction_class() {
-        let info = Dzip::new().info();
-        assert_eq!(info.name, "dzip");
-        assert_eq!(info.class, CodecClass::Prediction);
-        assert_eq!(info.year, 2021);
     }
 }

@@ -4,11 +4,11 @@
 
 use crate::context::render_table;
 use crate::metrics::harmonic_mean;
+use crate::stats::mann_whitney_u;
 use fcbench_codecs_cpu::{Fpzip, Ndzip};
 use fcbench_codecs_gpu::{Mpc, NdzipGpu};
 use fcbench_core::Compressor;
 use fcbench_datasets::{DatasetSpec, NamedData};
-use fcbench_stats::mann_whitney_u;
 
 /// The dimension-sensitive codecs of Table 9. GFC is included in the
 /// paper's table but its predictor ignores dimensionality by construction

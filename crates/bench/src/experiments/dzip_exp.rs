@@ -3,11 +3,11 @@
 //! not practical for applications at the time of our survey".
 
 use crate::context::{render_cells, Context};
+use crate::dzip::Dzip;
 use crate::metrics::timing_rule;
 use crate::runner::{run_cell, CellOutcome};
 use fcbench_core::CodecRegistry;
 use fcbench_datasets::{find, generate};
-use fcbench_dzip::Dzip;
 
 /// Elements of the msg-bt excerpt: small, because Dzip runs at ~KB/s.
 const EXCERPT_ELEMS: usize = 16384;

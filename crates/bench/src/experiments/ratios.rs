@@ -3,9 +3,9 @@
 use crate::context::{render_table, Context};
 use crate::metrics::{harmonic_mean, median};
 use crate::runner::CellOutcome;
+use crate::stats::{cd_diagram, friedman_test};
 use crate::summary::{boxplot, group_boxplots};
 use fcbench_core::{Domain, Platform};
-use fcbench_stats::{cd_diagram, friedman_test};
 
 /// Table 4: compression ratio per (dataset × method), with per-domain and
 /// overall harmonic means.

@@ -3,9 +3,9 @@
 
 use crate::context::{render_table, Context};
 use crate::metrics::{time_reps, timing_rule, Timing};
+use crate::roofline::{Bound, MachineModel, OpProfile, RooflinePoint};
 use fcbench_core::{DataDesc, Platform};
 use fcbench_datasets::{find, generate};
-use fcbench_roofline::{Bound, MachineModel, OpProfile, RooflinePoint};
 
 /// Operation and byte counts of the dominant compression kernel of the
 /// codec registered as `codec`, for one pass over `desc`: the dots of
@@ -67,7 +67,7 @@ pub(crate) fn kernel_profile(codec: &str, desc: &DataDesc) -> Option<OpProfile> 
         // Per byte: GRU step 2·H² mults + readout 256·H + softmax ≈ 5000
         // FLOPs — the reason NN compression runs at KB-not-GB per second.
         "dzip" => {
-            let h = fcbench_dzip::HIDDEN as u64;
+            let h = crate::dzip::HIDDEN as u64;
             let per_byte = 2 * h * h + 2 * 256 * h + 512;
             (20 * b, per_byte * b, 2 * b + 256 * (h + 1) * 8)
         }
@@ -127,7 +127,7 @@ fn render(machine: &MachineModel, points: &[Placed]) -> String {
     let mut out = format!(
         "{}: compute roof {:.1} GOP/s, DRAM roof {:.1} GB/s, ridge {:.2} ops/byte\n",
         machine.name,
-        machine.compute_roof(),
+        machine.attainable(f64::INFINITY),
         machine.dram_roof(),
         machine.ridge_intensity()
     );
@@ -161,4 +161,56 @@ pub fn fig11(ctx: &Context) -> String {
          *relative* placement (who is near which roof) is what reproduces.\n",
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn header_prints_the_compute_roof_the_rows_use() {
+        for machine in [MachineModel::xeon_gold_6126(), MachineModel::rtx_6000()] {
+            let timing = Timing {
+                median: 1.0,
+                iqr: 0.0,
+            };
+            let placed = |intensity: f64| {
+                let performance = machine.attainable(intensity) / 2.0;
+                let point = RooflinePoint {
+                    name: "dot".into(),
+                    intensity,
+                    performance,
+                };
+                (point, Bound::Underutilized, timing)
+            };
+            let points: Vec<Placed> = [0.01, 0.5, 3.0, 40.0, 1e4].map(placed).into();
+            let out = render(&machine, &points);
+            // "<name>: compute roof C GOP/s, DRAM roof D GB/s, ridge R ops/byte"
+            let header: Vec<f64> = out
+                .lines()
+                .next()
+                .expect("header line")
+                .split([' ', ','])
+                .filter_map(|word| word.parse().ok())
+                .collect();
+            let [compute, dram, ridge] = header[header.len() - 3..] else {
+                unreachable!("three numbers end the header")
+            };
+            // The ridge is printed to two decimals.
+            assert!((ridge * dram - compute).abs() <= 0.005 * dram, "{header:?}");
+            // Header, column titles and rule, then one row per dot, its
+            // roof in the fifth column.
+            let rows: Vec<&str> = out.lines().skip(3).collect();
+            assert_eq!(rows.len(), points.len());
+            for row in rows {
+                let roof: f64 = row
+                    .split_whitespace()
+                    .nth(4)
+                    .expect("roof")
+                    .parse()
+                    .expect("f64");
+                assert!(roof <= compute, "{row} over {compute}");
+            }
+        }
+    }
 }

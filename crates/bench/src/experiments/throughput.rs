@@ -3,11 +3,11 @@
 
 use crate::context::{render_table, Context};
 use crate::metrics::{arithmetic_mean, timing_rule};
+use crate::roofline::MachineModel;
 use crate::runner::CellOutcome;
+use fcbench_codecs_gpu::GpuConfig;
 use fcbench_core::{CodecClass, CodecRegistry, DataDesc, Platform};
 use fcbench_datasets::DatasetSpec;
-use fcbench_gpu_sim::GpuConfig;
-use fcbench_roofline::MachineModel;
 
 struct PerCodec {
     name: String,

@@ -27,7 +27,7 @@ pub struct FriedmanResult {
 impl FriedmanResult {
     /// Reject the null "all algorithms are equivalent" at level `alpha`
     /// (using the Iman–Davenport refinement)?
-    pub fn rejects_at(&self, alpha: f64) -> bool {
+    pub(crate) fn rejects_at(&self, alpha: f64) -> bool {
         self.p_f < alpha
     }
 }

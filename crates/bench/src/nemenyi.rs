@@ -33,7 +33,7 @@ pub(crate) fn q_alpha(k: usize, alpha: f64) -> f64 {
 }
 
 /// Nemenyi critical difference for `k` algorithms over `n` datasets.
-pub fn critical_difference(k: usize, n: usize, alpha: f64) -> f64 {
+pub(crate) fn critical_difference(k: usize, n: usize, alpha: f64) -> f64 {
     q_alpha(k, alpha) * ((k * (k + 1)) as f64 / (6.0 * n as f64)).sqrt()
 }
 
@@ -99,7 +99,7 @@ pub fn cd_diagram(names: &[String], avg_ranks: &[f64], n_datasets: usize, alpha:
 impl CdDiagram {
     /// Render the diagram as indented text (one line per algorithm, bars
     /// marking cliques), for the CLI harness.
-    pub fn render_text(&self) -> String {
+    pub(crate) fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("CD = {:.3}\n", self.cd));
         for (i, e) in self.entries.iter().enumerate() {

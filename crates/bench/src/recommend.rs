@@ -11,8 +11,8 @@
 use crate::context::Context;
 use crate::metrics::{harmonic_mean, timing_rule};
 use crate::runner::CellOutcome;
+use crate::stats::rank_row;
 use fcbench_core::Domain;
-use fcbench_stats::rank_row;
 
 /// What the user optimizes for (§7.3's three user classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

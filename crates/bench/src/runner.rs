@@ -13,9 +13,9 @@
 //! link rate ([`GpuConfig::transfer_seconds`]).
 
 use crate::metrics::{time_reps, Measurement};
+use fcbench_codecs_gpu::GpuConfig;
 use fcbench_core::pool::WorkerPool;
 use fcbench_core::{CodecInfo, Compressor, DataDesc, Error, FloatData, Platform};
-use fcbench_gpu_sim::GpuConfig;
 use std::sync::Arc;
 
 /// Outcome of one (codec, dataset) cell.

@@ -282,29 +282,15 @@ mod tests {
 
     #[test]
     fn corpus_payloads_match_the_composed_stages() {
-        // The benchmark corpus under the three window ablation configs:
-        // every payload is what the three stages and the reference LZ77
-        // stage produce.
-        let configs = [(1 << 12, 4), (1 << 16, 8), (1 << 20, 64)];
+        // The fused pass on the benchmark corpus is the three stages
+        // composed; the bench crate's reference module checks the payloads
+        // built on it against the reference LZ77.
         for name in ["msg-bt", "citytemp", "acs-wht", "tpcDS-store"] {
             let spec = fcbench_datasets::find(name).expect("catalogued dataset");
             let data = fcbench_datasets::generate(&spec, 1 << 16);
             let mut staged = vec![0; data.bytes().len()];
             apply_stages(data.bytes(), &mut staged);
-            let composed = composed_stages(data.bytes());
-            assert_eq!(staged, composed, "{name}");
-            for (window, chain_depth) in configs {
-                let cfg = Lz77Config {
-                    window,
-                    chain_depth,
-                };
-                let payload = Spdp::with_lz_config(cfg).compress(&data).unwrap();
-                assert_eq!(
-                    payload,
-                    lz77::reference::compress(&composed, cfg),
-                    "{name} window {window} depth {chain_depth}"
-                );
-            }
+            assert_eq!(staged, composed_stages(data.bytes()), "{name}");
         }
     }
 

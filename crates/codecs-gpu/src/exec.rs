@@ -45,12 +45,12 @@ impl KernelCtx<'_> {
 
     /// Report one warp-divergence event (e.g. a data-dependent branch in a
     /// match-search loop).
-    pub fn report_divergence(&self) {
+    pub(crate) fn report_divergence(&self) {
         self.divergence.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Report `n` simulated instructions executed by this block.
-    pub fn report_instructions(&self, n: u64) {
+    pub(crate) fn report_instructions(&self, n: u64) {
         self.instructions.fetch_add(n, Ordering::Relaxed);
     }
 }

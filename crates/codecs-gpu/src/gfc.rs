@@ -19,13 +19,13 @@
 //! chunk streams | tail` (the frame pFPC uses), each chunk a
 //! `pack_counted` stream.
 
+use crate::{Gpu, GpuConfig};
 use fcbench_codecs_cpu::common::{begin_word_frame, pack_counted, read_word_frame, unpack_counted};
 use fcbench_core::wire::{put_chunks, Cursor};
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform,
     PrecisionSupport, Result,
 };
-use fcbench_gpu_sim::{Gpu, GpuConfig};
 
 /// Values per subchunk (one GPU warp of 32 lanes).
 pub(crate) const SUBCHUNK: usize = 32;

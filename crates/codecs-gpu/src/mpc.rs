@@ -15,6 +15,7 @@
 //! Payload: `u32 nchunks | u8 dim | per-chunk u32 size | chunks | tail`,
 //! with a verbatim tail for the last partial chunk.
 
+use crate::{Gpu, GpuConfig};
 use fcbench_codecs_cpu::bitshuffle::{bit_transpose, bit_untranspose};
 use fcbench_codecs_cpu::common::{load_le, put_words};
 use fcbench_codecs_cpu::ndzip::{unzigzag, zigzag};
@@ -23,7 +24,6 @@ use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
     Result,
 };
-use fcbench_gpu_sim::{Gpu, GpuConfig};
 
 /// Words per chunk (one thread block).
 pub(crate) const CHUNK_WORDS: usize = 1024;

@@ -13,13 +13,13 @@
 //! Payload: `u32 ncubes | per-cube u64 offset (prefix sums) | u64 body len |
 //! cube bodies | border words`.
 
+use crate::{exclusive_prefix_sum, Gpu, GpuConfig};
 use fcbench_codecs_cpu::ndzip::Ndzip;
 use fcbench_core::wire::Cursor;
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, FloatData, Platform, PrecisionSupport,
     Result,
 };
-use fcbench_gpu_sim::{exclusive_prefix_sum, Gpu, GpuConfig};
 
 /// The ndzip-GPU codec.
 pub struct NdzipGpu {

@@ -16,6 +16,7 @@
 //!
 //! Neither takes dimensionality parameters, as the paper notes.
 
+use crate::{Gpu, GpuConfig, KernelCtx};
 use fcbench_codecs_cpu::common::{pack_counted, unpack_counted};
 use fcbench_core::wire::{put_chunks, Cursor};
 use fcbench_core::{
@@ -23,7 +24,6 @@ use fcbench_core::{
     PrecisionSupport, Result,
 };
 use fcbench_entropy::lz4;
-use fcbench_gpu_sim::{Gpu, GpuConfig, KernelCtx};
 
 /// Batched page size (nvCOMP's default batch granularity).
 pub(crate) const PAGE_BYTES: usize = 64 * 1024;

@@ -1,8 +1,8 @@
 //! Property tests for the SIMT simulator: launches preserve order and
 //! coverage for arbitrary grids; the transfer model is monotone in size.
 
+use fcbench_codecs_gpu::{exclusive_prefix_sum, Gpu, GpuConfig};
 use fcbench_core::wire::PARALLEL_BYTES;
-use fcbench_gpu_sim::{exclusive_prefix_sum, Gpu, GpuConfig};
 use proptest::prelude::*;
 use std::thread;
 

@@ -6,9 +6,7 @@
 //!
 //! - [`bits`] — word-at-a-time MSB-first bit writer/reader built on a
 //!   64-bit accumulator (Gorilla/Chimp control streams, fpzip verbatim
-//!   tails); the pre-rewrite byte-granular code survives as
-//!   [`bits::reference`] for differential testing and the `bitstream`
-//!   microbench;
+//!   tails);
 //! - [`lz4`] — the LZ4 block format with greedy hash-table matching;
 //! - [`lz77`] — configurable-window hash-chain LZ77 (SPDP's `LZa6`);
 //! - [`huffman`] — canonical, length-limited Huffman over byte symbols;

@@ -11,15 +11,15 @@
 //!   worker-pool engine
 //! - [`entropy`] — bit I/O, LZ4, LZ77, Huffman, range & arithmetic coders
 //! - [`cpu`] — fpzip, SPDP, BUFF, Gorilla, Chimp, pFPC, bitshuffle, ndzip
-//! - [`gpu_sim`] — SIMT execution simulator and host↔device transfer pricing
 //! - [`gpu`] — GFC, MPC, nv-lz4, nv-bitcomp, ndzip-GPU on the simulator
-//! - [`dzip`] — GRU + arithmetic-coding neural compressor
+//! - [`gpu_sim`] — that simulator and its host↔device transfer pricing
 //! - [`datasets`] — the 33 synthetic FCBench datasets
 //! - [`dbsim`] — simulated in-memory database (container, dataframe, scans)
-//! - [`stats`] — Friedman/Nemenyi/Mann-Whitney statistics
-//! - [`roofline`] — roofline performance model
 //! - [`serve`] — the `FCS1` network compression service over the shared
 //!   worker-pool engine
+//! - [`dzip`], [`stats`], [`roofline`] — `fcbench-bench`'s harness-side
+//!   analyses (neural compressor, Friedman/Nemenyi/Mann-Whitney statistics,
+//!   roofline model); dzip's and roofline's items are crate-internal
 //!
 //! ## Quickstart
 //!
@@ -39,14 +39,16 @@
 
 #![forbid(unsafe_code)]
 
+pub use fcbench_bench::{dzip, roofline, stats};
 pub use fcbench_codecs_cpu as cpu;
 pub use fcbench_codecs_gpu as gpu;
 pub use fcbench_core as core;
 pub use fcbench_datasets as datasets;
 pub use fcbench_dbsim as dbsim;
-pub use fcbench_dzip as dzip;
 pub use fcbench_entropy as entropy;
-pub use fcbench_gpu_sim as gpu_sim;
-pub use fcbench_roofline as roofline;
 pub use fcbench_serve as serve;
-pub use fcbench_stats as stats;
+
+/// The SIMT simulator the GPU codecs run on, and its transfer pricing.
+pub mod gpu_sim {
+    pub use fcbench_codecs_gpu::{exclusive_prefix_sum, Gpu, GpuConfig, KernelCtx, KernelStats};
+}
