@@ -256,7 +256,7 @@ impl Cubes {
     }
 
     /// Elements per cube.
-    pub fn cube_elems(&self) -> usize {
+    fn cube_elems(&self) -> usize {
         self.sides.iter().product()
     }
 

@@ -51,88 +51,6 @@ impl Spdp {
     }
 }
 
-/// Stage 1: residual of each byte against the byte 2 positions back.
-/// The encoder runs it fused ([`apply_stages`]); this is the oracle.
-#[cfg(test)]
-fn lnvs2_forward(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    for (i, &b) in data.iter().enumerate() {
-        let prev = if i >= 2 { data[i - 2] } else { 0 };
-        out.push(b.wrapping_sub(prev));
-    }
-    out
-}
-
-/// Inverse of [`lnvs2_forward`]; the decoder runs it fused ([`undo_stages`]).
-#[cfg(test)]
-fn lnvs2_inverse(data: &[u8]) -> Vec<u8> {
-    let mut out: Vec<u8> = Vec::with_capacity(data.len());
-    for (i, &r) in data.iter().enumerate() {
-        let prev = if i >= 2 { out[i - 2] } else { 0 };
-        out.push(r.wrapping_add(prev));
-    }
-    out
-}
-
-/// Stage 2: 8-way byte transpose. The stream is viewed as rows of 8
-/// bytes; output emits column 0 of every row, then column 1, etc.
-/// A ragged tail (len % 8) is appended unchanged. The encoder runs it
-/// fused ([`apply_stages`]); this is the oracle.
-#[cfg(test)]
-fn dim8_forward(data: &[u8]) -> Vec<u8> {
-    let rows = data.len() / 8;
-    let mut out = Vec::with_capacity(data.len());
-    for col in 0..8 {
-        for row in 0..rows {
-            out.push(data[row * 8 + col]);
-        }
-    }
-    out.extend_from_slice(&data[rows * 8..]);
-    out
-}
-
-/// Inverse of [`dim8_forward`]; the decoder runs it fused ([`undo_stages`]).
-#[cfg(test)]
-fn dim8_inverse(data: &[u8]) -> Vec<u8> {
-    let rows = data.len() / 8;
-    let mut out = vec![0u8; data.len()];
-    let mut pos = 0;
-    for col in 0..8 {
-        for row in 0..rows {
-            out[row * 8 + col] = data[pos];
-            pos += 1;
-        }
-    }
-    out[rows * 8..].copy_from_slice(&data[pos..]);
-    out
-}
-
-/// Stage 3: residual of each byte against the immediately previous byte.
-/// The encoder runs it fused ([`apply_stages`]); this is the oracle.
-#[cfg(test)]
-fn lnvs1_forward(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    let mut prev = 0u8;
-    for &b in data {
-        out.push(b.wrapping_sub(prev));
-        prev = b;
-    }
-    out
-}
-
-/// Inverse of [`lnvs1_forward`]; the decoder runs it fused ([`undo_stages`]).
-#[cfg(test)]
-fn lnvs1_inverse(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len());
-    let mut prev = 0u8;
-    for &r in data {
-        let b = r.wrapping_add(prev);
-        out.push(b);
-        prev = b;
-    }
-    out
-}
-
 /// The three forward stages in two passes over `data`, writing the
 /// residuals into `out` (the same length): DIM8 stores each row's eight
 /// bytes in their columns, then one in-place pass takes LNVs2 (against
@@ -228,6 +146,82 @@ impl Compressor for Spdp {
 mod tests {
     use super::*;
     use fcbench_core::Domain;
+
+    /// Stage 1: residual of each byte against the byte 2 positions back.
+    /// The encoder runs it fused ([`apply_stages`]); this is the oracle.
+    fn lnvs2_forward(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len());
+        for (i, &b) in data.iter().enumerate() {
+            let prev = if i >= 2 { data[i - 2] } else { 0 };
+            out.push(b.wrapping_sub(prev));
+        }
+        out
+    }
+
+    /// Inverse of [`lnvs2_forward`]; the decoder runs it fused ([`undo_stages`]).
+    fn lnvs2_inverse(data: &[u8]) -> Vec<u8> {
+        let mut out: Vec<u8> = Vec::with_capacity(data.len());
+        for (i, &r) in data.iter().enumerate() {
+            let prev = if i >= 2 { out[i - 2] } else { 0 };
+            out.push(r.wrapping_add(prev));
+        }
+        out
+    }
+
+    /// Stage 2: 8-way byte transpose. The stream is viewed as rows of 8
+    /// bytes; output emits column 0 of every row, then column 1, etc.
+    /// A ragged tail (len % 8) is appended unchanged. The encoder runs it
+    /// fused ([`apply_stages`]); this is the oracle.
+    fn dim8_forward(data: &[u8]) -> Vec<u8> {
+        let rows = data.len() / 8;
+        let mut out = Vec::with_capacity(data.len());
+        for col in 0..8 {
+            for row in 0..rows {
+                out.push(data[row * 8 + col]);
+            }
+        }
+        out.extend_from_slice(&data[rows * 8..]);
+        out
+    }
+
+    /// Inverse of [`dim8_forward`]; the decoder runs it fused ([`undo_stages`]).
+    fn dim8_inverse(data: &[u8]) -> Vec<u8> {
+        let rows = data.len() / 8;
+        let mut out = vec![0u8; data.len()];
+        let mut pos = 0;
+        for col in 0..8 {
+            for row in 0..rows {
+                out[row * 8 + col] = data[pos];
+                pos += 1;
+            }
+        }
+        out[rows * 8..].copy_from_slice(&data[pos..]);
+        out
+    }
+
+    /// Stage 3: residual of each byte against the immediately previous byte.
+    /// The encoder runs it fused ([`apply_stages`]); this is the oracle.
+    fn lnvs1_forward(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len());
+        let mut prev = 0u8;
+        for &b in data {
+            out.push(b.wrapping_sub(prev));
+            prev = b;
+        }
+        out
+    }
+
+    /// Inverse of [`lnvs1_forward`]; the decoder runs it fused ([`undo_stages`]).
+    fn lnvs1_inverse(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(data.len());
+        let mut prev = 0u8;
+        for &r in data {
+            let b = r.wrapping_add(prev);
+            out.push(b);
+            prev = b;
+        }
+        out
+    }
 
     #[test]
     fn lnvs2_inverts() {

@@ -135,11 +135,8 @@ impl Compressor for Gfc {
         let (items, tail) = begin_word_frame(out, bytes, chunks);
         let mut blocks: Vec<_> = items.into_iter().map(|c| (c, Vec::new())).collect();
         self.gpu
-            .launch(&mut blocks, bytes.len(), |ctx, (chunk, stream)| {
-                // Delta + leading-zero coding: uniform control flow, no
-                // divergence to report (GFC's strength on GPUs).
-                ctx.report_instructions(chunk.len() as u64); // 8 per 8-byte word
-                *stream = compress_chunk(chunk);
+            .launch(&mut blocks, bytes.len(), |(chunk, stream)| {
+                *stream = compress_chunk(chunk)
             });
         put_chunks(out, blocks.len(), |k, out| {
             out.extend_from_slice(&blocks[k].1)
@@ -158,11 +155,10 @@ impl Compressor for Gfc {
             .into_iter()
             .map(|(c, n)| (c, n, Ok(Vec::new())))
             .collect();
-        self.gpu.launch(
-            &mut chunks,
-            desc.byte_len(),
-            |_ctx, (chunk, count, done)| *done = decompress_chunk(chunk, *count),
-        );
+        self.gpu
+            .launch(&mut chunks, desc.byte_len(), |(chunk, count, done)| {
+                *done = decompress_chunk(chunk, *count)
+            });
         out.refill(desc, |bytes| {
             bytes.reserve(desc.byte_len());
             for (_, _, chunk) in chunks {

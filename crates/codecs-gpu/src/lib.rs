@@ -16,15 +16,14 @@
 //! chunk, page or hypercube on it ([`Gpu::launch`]). The blocks fan out
 //! over `sm_count` threads standing in for SMs, under the same
 //! `PARALLEL_BYTES` rule as the CPU codecs' chunks (inline for the blocks
-//! a pool worker hands it), and kernels report branch divergence, the
-//! dictionary-codec penalty of Observation 3. The codecs run as pool jobs
-//! like every other row, and the crate is held to the no-panic lint
-//! (R001). Host↔device copies are not modelled here: their cost is a
-//! function of the call's input and output byte counts alone, which the
-//! caller holds, so the benchmark runner prices them with
-//! [`GpuConfig::transfer_seconds`] for the paper's Table 6 end-to-end wall
-//! times. The simulator's modules (`config`, `exec`, `transfer`) sit at
-//! the crate root, the paths they had as a crate of their own.
+//! a pool worker hands it). The codecs run as pool jobs like every other
+//! row, and the crate is held to the no-panic lint (R001). Host↔device
+//! copies are not modelled here: their cost is a function of the call's
+//! input and output byte counts alone, which the caller holds, so the
+//! benchmark runner prices them with [`GpuConfig::transfer_seconds`] for
+//! the paper's Table 6 end-to-end wall times. The simulator's modules
+//! (`config`, `exec`, `transfer`) sit at the crate root, the paths they
+//! had as a crate of their own.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +36,7 @@ mod nvcomp;
 mod transfer;
 
 pub use config::GpuConfig;
-pub use exec::{exclusive_prefix_sum, Gpu, KernelCtx, KernelStats};
+pub use exec::{exclusive_prefix_sum, Gpu};
 pub use gfc::Gfc;
 pub use mpc::Mpc;
 pub use ndzip_gpu::NdzipGpu;

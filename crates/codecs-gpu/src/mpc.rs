@@ -187,9 +187,8 @@ impl Compressor for Mpc {
         let (full, tail_words) = words.split_at(words.len() / CHUNK_WORDS * CHUNK_WORDS);
         let mut chunks: Vec<_> = full.chunks(CHUNK_WORDS).map(|c| (c, Vec::new())).collect();
         self.gpu
-            .launch(&mut chunks, data.bytes().len(), |ctx, (chunk, stream)| {
-                ctx.report_instructions((CHUNK_WORDS * elem_bits) as u64 / 8);
-                *stream = compress_chunk(chunk.to_vec(), elem_bits, stride);
+            .launch(&mut chunks, data.bytes().len(), |(chunk, stream)| {
+                *stream = compress_chunk(chunk.to_vec(), elem_bits, stride)
             });
 
         out.clear();
@@ -226,7 +225,7 @@ impl Compressor for Mpc {
 
         let mut chunks: Vec<_> = chunks.into_iter().map(|c| (c, Ok(Vec::new()))).collect();
         self.gpu
-            .launch(&mut chunks, desc.byte_len(), |_ctx, (chunk, done)| {
+            .launch(&mut chunks, desc.byte_len(), |(chunk, done)| {
                 *done = decompress_chunk(chunk, elem_bits, stride)
             });
         out.refill(desc, |bytes| {

@@ -60,15 +60,14 @@ impl Compressor for NdzipGpu {
         let plan = self.geometry.plan(data.desc());
 
         // One thread block per hypercube writes to private scratch.
-        let mut scratch = vec![Vec::new(); plan.count()];
+        let mut scratch: Vec<_> = (0..plan.count()).map(|k| (k, Vec::new())).collect();
         self.gpu
-            .launch(&mut scratch, data.bytes().len(), |ctx, out| {
-                ctx.report_instructions(plan.cube_elems() as u64 * 6);
-                plan.encode_cube(ctx.block_id(), data.bytes(), out);
+            .launch(&mut scratch, data.bytes().len(), |(k, out)| {
+                plan.encode_cube(*k, data.bytes(), out)
             });
 
         // Parallel prefix sum over chunk sizes -> output offsets.
-        let sizes: Vec<u64> = scratch.iter().map(|s| s.len() as u64).collect();
+        let sizes: Vec<u64> = scratch.iter().map(|(_, s)| s.len() as u64).collect();
         let body_len: u64 = sizes.iter().sum();
 
         out.clear();
@@ -77,7 +76,7 @@ impl Compressor for NdzipGpu {
             out.extend_from_slice(&offset.to_le_bytes());
         }
         out.extend_from_slice(&body_len.to_le_bytes());
-        for s in &scratch {
+        for (_, s) in &scratch {
             out.extend_from_slice(s);
         }
         plan.put_border(data.bytes(), out);
@@ -99,7 +98,7 @@ impl Compressor for NdzipGpu {
         let bodies = cur.take_chunks_at_offsets(ncubes)?;
         let mut cubes: Vec<_> = bodies.into_iter().map(|b| (b, Ok(Vec::new()))).collect();
         self.gpu
-            .launch(&mut cubes, desc.byte_len(), |_ctx, (body, cube)| {
+            .launch(&mut cubes, desc.byte_len(), |(body, cube)| {
                 *cube = plan.decode_cube(body)
             });
         plan.assemble(desc, cubes.into_iter().map(|(_, cube)| cube), cur, out)

@@ -6,9 +6,10 @@
 //!
 //! - [`NvLz4`] — batched LZ4: the input is cut into fixed pages, each
 //!   compressed by one thread block with our from-scratch LZ4. Dictionary
-//!   matching has data-dependent branches, which the kernels report as
-//!   divergence — the cause of nvCOMP::LZ4's low GPU compression speed
-//!   (Observation 3) and its very fast decompression (Observation 4).
+//!   matching has data-dependent branches, so warps diverge — the cause of
+//!   nvCOMP::LZ4's low GPU compression speed (Observation 3, priced by
+//!   codec class in Table 5's modelled device rate) — and decompression
+//!   is very fast (Observation 4).
 //! - [`NvBitcomp`] — "transform + prediction" per NVIDIA's description:
 //!   per page, a delta predictor over words followed by vectorized
 //!   leading-zero-byte suppression. Uniform control flow, the fastest
@@ -16,7 +17,7 @@
 //!
 //! Neither takes dimensionality parameters, as the paper notes.
 
-use crate::{Gpu, GpuConfig, KernelCtx};
+use crate::{Gpu, GpuConfig};
 use fcbench_codecs_cpu::common::{pack_counted, unpack_counted};
 use fcbench_core::wire::{put_chunks, Cursor};
 use fcbench_core::{
@@ -41,13 +42,12 @@ impl Batched {
     /// `u32 npages | per-page u32 size | pages`.
     fn compress_pages<K>(&self, bytes: &[u8], out: &mut Vec<u8>, kernel: K) -> Result<usize>
     where
-        K: Fn(&KernelCtx<'_>, &[u8]) -> Vec<u8> + Sync,
+        K: Fn(&[u8]) -> Vec<u8> + Sync,
     {
         let mut pages: Vec<_> = bytes.chunks(PAGE_BYTES).map(|p| (p, Vec::new())).collect();
-        self.0
-            .launch(&mut pages, bytes.len(), |ctx, (page, stream)| {
-                *stream = kernel(ctx, page)
-            });
+        self.0.launch(&mut pages, bytes.len(), |(page, stream)| {
+            *stream = kernel(page)
+        });
         out.clear();
         out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
         put_chunks(out, pages.len(), |k, out| {
@@ -86,7 +86,7 @@ impl Batched {
             })
             .collect();
         self.0
-            .launch(&mut pages, total_len, |_ctx, (page, raw_len, done)| {
+            .launch(&mut pages, total_len, |(page, raw_len, done)| {
                 *done = kernel(page, *raw_len)
             });
         out.reserve(total_len);
@@ -130,13 +130,7 @@ impl Compressor for NvLz4 {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        self.inner.compress_pages(data.bytes(), out, |ctx, page| {
-            // Dictionary matching: every hash-probe mismatch is a
-            // data-dependent branch — report coarse divergence.
-            ctx.report_divergence();
-            ctx.report_instructions(page.len() as u64 * 12);
-            lz4::compress(page)
-        })
+        self.inner.compress_pages(data.bytes(), out, lz4::compress)
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {
@@ -216,11 +210,7 @@ impl Compressor for NvBitcomp {
     }
 
     fn compress_into(&self, data: &FloatData, out: &mut Vec<u8>) -> Result<usize> {
-        self.inner.compress_pages(data.bytes(), out, |ctx, page| {
-            // Uniform control flow: no divergence reported.
-            ctx.report_instructions(page.len() as u64 * 2);
-            bitcomp_page(page)
-        })
+        self.inner.compress_pages(data.bytes(), out, bitcomp_page)
     }
 
     fn decompress_into(&self, payload: &[u8], desc: &DataDesc, out: &mut FloatData) -> Result<()> {

@@ -36,20 +36,20 @@
 //!   crc32               u32  (over the preceding locator bytes)
 //! ```
 //!
-//! A **commit point** is a valid `COMMIT` record; the locator is only a
-//! fast path for finding the last one without scanning. [`read_container`]
-//! first tries the trailing locator and, when the tail is torn, scans
-//! forward from the prologue validating record checksums, resuming from
-//! the last valid commit and reporting how many uncommitted records were
-//! dropped as [`RecoveryOutcome::Recovered`]. Corruption *inside* the
-//! committed region (a chunk record whose checksum fails while the
-//! directory referencing it is valid) is an error, not a recovery —
-//! recovery is for torn tails only.
+//! A **commit point** is a `COMMIT` record whose checksum passes.
+//! [`read_container`] has one path: it frames the records forward from the
+//! prologue, verifies each once, and loads the newest commit point whose
+//! directory and chunks all validate: the trailing locator's commit
+//! ([`RecoveryOutcome::Clean`]; the locator reaches past a destroyed
+//! record header) or an older one ([`RecoveryOutcome::Recovered`]). It
+//! errors only when no commit point validates, and returns the empty
+//! table only when the walk meets no commit record before EOF or a torn
+//! tail.
 
 use fcbench_core::blocks::{plausible_payload_cap, MAX_UPFRONT_RESERVE};
 use fcbench_core::pool::WorkerPool;
 use fcbench_core::stream::{
-    crc32, frame_record, put_record, FramedRecord, ReaderPump, RecordCheck, RecordView, WriterPump,
+    crc32, frame_record, put_record, ReaderPump, RecordCheck, RecordView, WriterPump,
 };
 use fcbench_core::sync::{lock, wait, Condvar, Mutex};
 use fcbench_core::wire;
@@ -621,13 +621,14 @@ pub struct CompressedTable {
 /// How [`read_container`] arrived at the table it returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryOutcome {
-    /// The trailing commit locator validated and every byte is accounted
-    /// for: the file is exactly what its writer finished.
+    /// The table is the commit the trailing locator names: the file ends
+    /// where its writer's last commit left it.
     Clean,
-    /// The file ends in a torn write. The reader resumed from the last
-    /// valid commit point, dropping `dropped_records` uncommitted records
-    /// (complete-but-uncommitted records, plus one for a partial tail
-    /// record when present).
+    /// The table is an older commit point: the newest one whose directory
+    /// and chunks all validate, behind a torn tail or damaged records.
+    /// `dropped_records` counts the records framed after it, plus one when
+    /// the forward walk stopped before the end of the file (a partial tail
+    /// record, or one that is not a container record).
     Recovered { dropped_records: u64 },
 }
 
@@ -646,8 +647,9 @@ impl ContainerRead {
 }
 
 /// Read the container file: this is the Table 11 **file I/O** primitive
-/// (bytes land in memory; nothing is decompressed yet). A torn tail is
-/// recovered, not errored — check [`ContainerRead::outcome`].
+/// (bytes land in memory; nothing is decompressed yet). A torn tail, or
+/// damage an older commit point predates, is recovered, not errored —
+/// check [`ContainerRead::outcome`].
 pub fn read_container(path: &Path) -> Result<ContainerRead> {
     let mut bytes = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut bytes)?;
@@ -661,17 +663,9 @@ pub fn parse_container(bytes: &[u8]) -> Result<ContainerRead> {
     parse_image(Arc::new(bytes.to_vec()))
 }
 
-/// Parse a container image the returned table then owns: its columns
-/// borrow their chunk payloads from it instead of copying them out.
-fn parse_image(image: Arc<Vec<u8>>) -> Result<ContainerRead> {
-    let read = parse_records(&image)?;
-    note_outcome(&read.outcome);
-    Ok(read)
-}
-
 /// Count how a parse resolved: `dbsim.recovery.clean` / `.recovered` tally
 /// outcomes, and `dbsim.recovery.dropped_records` accumulates the records
-/// lost to torn tails.
+/// lost to torn tails and damage.
 fn note_outcome(outcome: &RecoveryOutcome) {
     let reg = crate::metrics::registry();
     match outcome {
@@ -718,122 +712,143 @@ fn parse_prologue(bytes: &[u8]) -> Result<(String, usize)> {
     Ok((codec_name, end))
 }
 
-/// The record at `bytes[pos..]`, framed and then verified, so the checksum
-/// runs only over bytes the length field was checked to cover.
-fn check_record(bytes: &[u8], pos: usize) -> std::result::Result<RecordView<'_>, RecordCheck> {
-    frame_record(bytes, pos)?.verify()
+/// The records framed forward from the prologue, each verified once.
+struct Walk {
+    /// Each record's offset and checksum verdict, in file order: one
+    /// fixed-size entry per record, so bounded by the file's length.
+    records: Vec<(usize, std::result::Result<(), RecordCheck>)>,
+    /// `None` at EOF; else whether the walk stopped at a record that frames
+    /// but is not a container record (a zeroed page, say), rather than at
+    /// one running past EOF (a torn tail, or a destroyed header).
+    stop: Option<bool>,
 }
 
-/// Fast path: the last [`LOCATOR_BYTES`] of the file are a valid locator
-/// whose `COMMIT` record validates and closes the file exactly. Returns
-/// the commit directory when so.
-fn valid_trailing_locator(bytes: &[u8], body_start: usize) -> Option<&[u8]> {
-    if bytes.len() < body_start + LOCATOR_BYTES {
-        return None;
-    }
-    let loc = &bytes[bytes.len() - LOCATOR_BYTES..];
-    if &loc[..4] != LOCATOR_MAGIC {
-        return None;
-    }
-    let stored = wire::le_u32(loc, 12).ok()?;
-    if crc32(&loc[..12]) != stored {
-        return None;
-    }
-    let offset = usize::try_from(wire::le_u64(loc, 4).ok()?).ok()?;
-    if offset < body_start {
-        return None;
-    }
-    let rec = check_record(bytes, offset).ok()?;
-    if rec.tag != TAG_COMMIT || rec.end + LOCATOR_BYTES != bytes.len() {
-        return None;
-    }
-    Some(rec.body)
-}
-
-fn parse_records(image: &Arc<Vec<u8>>) -> Result<ContainerRead> {
-    let bytes = image.as_slice();
-    let (codec_name, body_start) = parse_prologue(bytes)?;
-
-    if let Some(dir) = valid_trailing_locator(bytes, body_start) {
-        let columns = load_directory(image, dir, body_start)?;
-        return Ok(ContainerRead {
-            table: CompressedTable {
-                codec_name,
-                columns,
-            },
-            outcome: RecoveryOutcome::Clean,
+impl Walk {
+    /// Frame the records from `body_start` on, skipping each `COMMIT`'s
+    /// locator, up to the first that does not frame or is not a container
+    /// record; then verify every one, on every core above
+    /// [`wire::PARALLEL_BYTES`] (the engine's workers are idle while a
+    /// container is read).
+    fn new(bytes: &[u8], body_start: usize) -> Walk {
+        let (mut records, mut framed, mut pos) = (Vec::new(), 0, body_start);
+        let stop = loop {
+            if pos == bytes.len() {
+                break None;
+            }
+            let rec = match frame_record(bytes, pos).map(|r| r.unverified) {
+                Ok(rec) if matches!(rec.tag, TAG_COLUMN | TAG_CHUNK | TAG_COMMIT) => rec,
+                other => break Some(other.is_ok()),
+            };
+            records.push((pos, Ok(())));
+            framed += rec.end - pos;
+            // A torn prefix of the locator at EOF loses nothing: the commit
+            // record alone is the commit point.
+            let tail = &bytes[rec.end..];
+            let k = tail.len().min(LOCATOR_BYTES);
+            let located = rec.tag == TAG_COMMIT && tail[..k] == locator(pos as u64)[..k];
+            pos = rec.end + if located { k } else { 0 };
+        };
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        wire::fan_out(&mut records, framed, threads, |_, (at, verdict)| {
+            *verdict = frame_record(bytes, *at).and_then(|r| r.verify()).map(drop);
         });
+        Walk { records, stop }
     }
 
-    // Torn tail: scan forward from the prologue, validating record
-    // checksums, and resume from the last commit point that validates.
-    let mut pos = body_start;
-    let mut last_commit: Option<&[u8]> = None;
-    let mut since_commit: u64 = 0;
-    let mut torn_tail = false;
-    while pos < bytes.len() {
-        match check_record(bytes, pos) {
-            Ok(rec) if rec.tag == TAG_COMMIT => {
-                last_commit = Some(rec.body);
-                since_commit = 0;
-                // The writer put a locator right after this commit; skip
-                // it — including a torn prefix of it at EOF, which loses
-                // nothing (the commit record alone is the commit point).
-                let expect = locator(pos as u64);
-                let avail = &bytes[rec.end..];
-                let k = avail.len().min(LOCATOR_BYTES);
-                if avail[..k] == expect[..k] {
-                    pos = rec.end + k;
-                } else {
-                    pos = rec.end;
-                }
-            }
-            Ok(rec) => {
-                since_commit += 1;
-                pos = rec.end;
-            }
-            Err(_) => {
-                torn_tail = true;
-                break;
-            }
+    /// The record at `offset` with its checksum verdict: the walk's when it
+    /// framed a record there, otherwise verified on the spot.
+    fn record<'a>(
+        &self,
+        bytes: &'a [u8],
+        offset: usize,
+    ) -> std::result::Result<RecordView<'a>, RecordCheck> {
+        let framed = frame_record(bytes, offset)?;
+        match self.records.binary_search_by_key(&offset, |r| r.0) {
+            Ok(i) => self.records[i].1.map(|()| framed.unverified),
+            Err(_) => framed.verify(),
         }
     }
-    let dropped_records = since_commit + u64::from(torn_tail);
-    let columns = match last_commit {
-        Some(dir) => load_directory(image, dir, body_start)?,
-        // No commit ever made it to disk: recover to the empty container.
-        None => Vec::new(),
+
+    /// Recovery to the commit at `offset`: the records framed after it are
+    /// dropped, plus one if the walk stopped short of EOF.
+    fn recovered_to(&self, offset: usize) -> RecoveryOutcome {
+        let after = self.records.len() - self.records.partition_point(|r| r.0 <= offset);
+        RecoveryOutcome::Recovered {
+            dropped_records: after as u64 + u64::from(self.stop.is_some()),
+        }
+    }
+}
+
+/// The `COMMIT` record (offset, directory) the file's last
+/// [`LOCATOR_BYTES`] name, when they are the locator its writer put there
+/// and the record validates and ends right before them.
+fn trailing_commit<'a>(
+    bytes: &'a [u8],
+    body_start: usize,
+    walk: &Walk,
+) -> Option<(usize, &'a [u8])> {
+    let loc = bytes.len().checked_sub(LOCATOR_BYTES)?;
+    let offset = wire::le_u64(bytes, loc + 4).ok()?;
+    let at = usize::try_from(offset).ok()?;
+    if at < body_start || bytes[loc..] != locator(offset)[..] {
+        return None;
+    }
+    let rec = walk.record(bytes, at).ok()?;
+    (rec.tag == TAG_COMMIT && rec.end == loc).then_some((at, rec.body))
+}
+
+/// Parse a container image the returned table then owns (its columns
+/// borrow their chunk payloads from it), on the one read path: the commit
+/// points are every `COMMIT` the walk framed whose checksum passes, plus
+/// the trailing locator's. Newest first, the first whose directory and
+/// chunks all load is the table; if none loads, the newest one's error is.
+fn parse_image(image: Arc<Vec<u8>>) -> Result<ContainerRead> {
+    let bytes = image.as_slice();
+    let (codec_name, body_start) = parse_prologue(bytes)?;
+    let walk = Walk::new(bytes, body_start);
+    let mut points: Vec<(usize, &[u8])> = walk
+        .records
+        .iter()
+        .filter_map(|&(at, _)| {
+            let rec = walk.record(bytes, at).ok()?;
+            (rec.tag == TAG_COMMIT).then_some((at, rec.body))
+        })
+        .collect();
+    let located = trailing_commit(bytes, body_start, &walk);
+    points.extend(located);
+    points.sort_unstable_by_key(|p| p.0);
+    points.dedup_by_key(|p| p.0);
+    let mut newest_error = None;
+    let (columns, outcome) = loop {
+        let Some((at, dir)) = points.pop() else {
+            if let Some(e) = newest_error {
+                return Err(e);
+            }
+            // The table is empty only when the walk shows no commit record:
+            // none framed (a failed one included), and none possibly hidden
+            // past a framed record that is not a container record.
+            if walk.stop == Some(true) || walk.records.iter().any(|r| bytes[r.0] == TAG_COMMIT) {
+                return Err(Error::Corrupt("no commit record validates".into()));
+            }
+            break (Vec::new(), walk.recovered_to(0));
+        };
+        let outcome = match located {
+            Some((l, _)) if l == at => RecoveryOutcome::Clean,
+            _ => walk.recovered_to(at),
+        };
+        match load_directory(&image, dir, body_start, &walk) {
+            Ok(columns) => break (columns, outcome),
+            Err(e) => newest_error = newest_error.or(Some(e)),
+        }
     };
+    note_outcome(&outcome);
     Ok(ContainerRead {
         table: CompressedTable {
             codec_name,
             columns,
         },
-        outcome: RecoveryOutcome::Recovered { dropped_records },
+        outcome,
     })
-}
-
-/// Materialize the columns a commit directory describes, cross-validating
-/// every claim against the chunk records it references. Every count is
-/// bounded by real bytes **before** anything is reserved for it — a
-/// directory claiming petabytes backed by a tiny file is a typed error,
-/// never an allocation. Nothing is returned before every referenced chunk
-/// record's checksum has passed, so nothing unverified is ever handed out.
-///
-/// The checksums run after the walk, across cores, yet the error is the one
-/// a walk comparing each checksum in turn would return: the walk stops at
-/// the first error that is not a checksum's, the chunks it reached are then
-/// verified, and the first mismatch among them in directory order wins
-/// over the walk's error.
-fn load_directory(
-    image: &Arc<Vec<u8>>,
-    dir: &[u8],
-    body_start: usize,
-) -> Result<Vec<CompressedColumn>> {
-    let mut reached = Vec::new();
-    let walked = walk_directory(image, dir, body_start, &mut reached);
-    verify_chunks(&reached)?;
-    walked
 }
 
 /// What a chunk record's [`RecordCheck`] failure means for a committed
@@ -849,35 +864,19 @@ fn chunk_record_error(offset: usize, check: RecordCheck) -> Error {
     }
 }
 
-/// Verify the checksums of `records` (offset, framed record), in directory
-/// order: on the calling thread up to [`wire::PARALLEL_BYTES`], above it on
-/// every core (the engine's workers are idle while a container is read).
-/// Returns the first mismatch in directory order.
-fn verify_chunks(records: &[(usize, FramedRecord<'_>)]) -> Result<()> {
-    let bytes = records
-        .iter()
-        .map(|(offset, rec)| rec.unverified.end - offset)
-        .sum();
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut checks = vec![Ok(()); records.len()];
-    wire::fan_out(&mut checks, bytes, threads, |k, check| {
-        *check = records[k].1.verify().map(drop);
-    });
-    for (&(offset, _), check) in records.iter().zip(checks) {
-        check.map_err(|c| chunk_record_error(offset, c))?;
-    }
-    Ok(())
-}
-
-/// [`load_directory`]'s walk: every check but the chunk checksums, which it
-/// leaves to the caller by pushing each chunk record it frames onto
-/// `reached` — before the checks that read the record's fields, so a chunk
-/// that fails one of those is still verified first.
-fn walk_directory<'a>(
-    image: &'a Arc<Vec<u8>>,
+/// Materialize the columns a commit directory describes, cross-validating
+/// every claim against the chunk records it references. Every count is
+/// bounded by real bytes **before** anything is reserved for it — a
+/// directory claiming petabytes backed by a tiny file is a typed error,
+/// never an allocation. Each chunk record's checksum verdict (the walk's,
+/// or computed on the spot for an offset the walk did not frame) is read
+/// before the record's fields, so the first error is the one a sequential
+/// walk would meet, and nothing unverified is ever handed out.
+fn load_directory(
+    image: &Arc<Vec<u8>>,
     dir: &[u8],
     body_start: usize,
-    reached: &mut Vec<(usize, FramedRecord<'a>)>,
+    walk: &Walk,
 ) -> Result<Vec<CompressedColumn>> {
     let bytes = image.as_slice();
     let mut pos = 0usize;
@@ -947,9 +946,9 @@ fn walk_directory<'a>(
             if offset < body_start || offset >= bytes.len() {
                 return Err(Error::Corrupt("chunk offset outside the file".into()));
             }
-            let framed = frame_record(bytes, offset).map_err(|c| chunk_record_error(offset, c))?;
-            reached.push((offset, framed));
-            let rec = framed.unverified;
+            let rec = walk
+                .record(bytes, offset)
+                .map_err(|c| chunk_record_error(offset, c))?;
             if rec.tag != TAG_CHUNK || rec.body.len() < 4 {
                 return Err(Error::Corrupt(
                     "directory points at something that is not a chunk record".into(),
@@ -1139,6 +1138,11 @@ mod tests {
         std::env::temp_dir().join(format!("fcbench-dbsim-{}-{name}", std::process::id()))
     }
 
+    /// The record at `bytes[pos..]`, framed and then verified.
+    fn check_record(bytes: &[u8], pos: usize) -> std::result::Result<RecordView<'_>, RecordCheck> {
+        frame_record(bytes, pos)?.verify()
+    }
+
     /// A small engine and the store codec, for tests that need some pool.
     fn store_engine() -> (WorkerPool, Arc<dyn Compressor>) {
         (
@@ -1280,6 +1284,15 @@ mod tests {
         assert!(matches!(
             parse_container(&flipped),
             Err(Error::ChecksumMismatch { .. })
+        ));
+
+        // So is a bit flip in the only commit record: a file that holds a
+        // commit record never reads as the empty table.
+        let mut bad_commit = good.clone();
+        bad_commit[good.len() - LOCATOR_BYTES - 6] ^= 0x01;
+        assert!(matches!(
+            parse_container(&bad_commit),
+            Err(Error::Corrupt(_))
         ));
         std::fs::remove_file(&path).ok();
     }
@@ -1763,7 +1776,9 @@ mod tests {
         let sequential = |img: &[u8]| {
             let img = Arc::new(img.to_vec());
             let (_, body_start) = parse_prologue(&img).unwrap();
-            let dir = valid_trailing_locator(&img, body_start).expect("committed");
+            let loc = img.len() - LOCATOR_BYTES;
+            let commit = wire::len64(wire::le_u64(&img, loc + 4).unwrap());
+            let dir = check_record(&img, commit).expect("committed").body;
             load_directory_sequential(&img, dir, body_start).map(|_| ())
         };
         let verdict = |img: &[u8]| {

@@ -17,9 +17,8 @@
 //! - [`dbsim`] — simulated in-memory database (container, dataframe, scans)
 //! - [`serve`] — the `FCS1` network compression service over the shared
 //!   worker-pool engine
-//! - [`dzip`], [`stats`], [`roofline`] — `fcbench-bench`'s harness-side
-//!   analyses (neural compressor, Friedman/Nemenyi/Mann-Whitney statistics,
-//!   roofline model); dzip's and roofline's items are crate-internal
+//! - [`stats`] — `fcbench-bench`'s Friedman/Nemenyi/Mann-Whitney
+//!   statistics
 //!
 //! ## Quickstart
 //!
@@ -39,7 +38,7 @@
 
 #![forbid(unsafe_code)]
 
-pub use fcbench_bench::{dzip, roofline, stats};
+pub use fcbench_bench::stats;
 pub use fcbench_codecs_cpu as cpu;
 pub use fcbench_codecs_gpu as gpu;
 pub use fcbench_core as core;
@@ -50,5 +49,5 @@ pub use fcbench_serve as serve;
 
 /// The SIMT simulator the GPU codecs run on, and its transfer pricing.
 pub mod gpu_sim {
-    pub use fcbench_codecs_gpu::{exclusive_prefix_sum, Gpu, GpuConfig, KernelCtx, KernelStats};
+    pub use fcbench_codecs_gpu::{exclusive_prefix_sum, Gpu, GpuConfig};
 }

@@ -7,7 +7,7 @@
 
 use fcbench::core::pool::{PoolConfig, WorkerPool};
 use fcbench::core::stream::{crc32, frame_record, put_record};
-use fcbench::core::{Compressor, Precision};
+use fcbench::core::{Compressor, Error, Precision};
 use fcbench::cpu::Gorilla;
 use fcbench::dbsim::{
     parse_container, read_container, write_container_pooled, ColumnData, ContainerWriter,
@@ -300,6 +300,90 @@ fn recovered_tables_decode_to_committed_data() {
             .decode_pooled(&pool, &codec)
             .expect("decode recovered column");
         assert_eq!(decoded.bytes, orig.bytes, "column {}", orig.name);
+    }
+}
+
+/// Damage inside the committed region, not only a torn tail. Every record
+/// of the three-commit container gets one bit of its body flipped, and
+/// every CHUNK record is also zeroed whole. Each damaged file is parsed
+/// twice: with its trailing locator intact, and with the locator's last
+/// byte cut. Both parses return the table of the newest commit that
+/// neither is the damaged record nor references it (directories are
+/// cumulative, so a commit references every CHUNK record before it),
+/// decoded byte-exact, with the same outcome — except that the intact
+/// file reads `Clean` when that commit is the last. When every commit
+/// references the record, both parses are a typed error.
+#[test]
+fn damaged_records_recover_the_newest_commit_that_avoids_them() {
+    let bytes = three_commit_container();
+    let records: Vec<Span> = span_map(&bytes, prologue_end(&bytes))
+        .into_iter()
+        .filter(|s| !s.is_locator)
+        .collect();
+    assert_eq!(records.len(), 17);
+    let commits: Vec<usize> = (0..records.len())
+        .filter(|&i| records[i].tag == TAG_COMMIT)
+        .collect();
+    let cols = [
+        column("a", 60, 0.0),
+        column("b", 60, 1.0),
+        column("c", 40, 2.0),
+    ];
+    let pool = WorkerPool::new(PoolConfig::with_threads(2));
+    let codec: Arc<dyn Compressor> = Arc::new(Gorilla::new());
+
+    let mut cases = Vec::new();
+    for (i, r) in records.iter().enumerate() {
+        let mut flipped = bytes.clone();
+        flipped[r.start + 9 + (r.end - r.start - 13) / 2] ^= 0x10;
+        cases.push((i, false, flipped));
+        if r.tag == TAG_CHUNK {
+            let mut zeroed = bytes.clone();
+            zeroed[r.start..r.end].fill(0);
+            cases.push((i, true, zeroed));
+        }
+    }
+    for (i, zeroed, damaged) in cases {
+        let how = if zeroed { "zeroed" } else { "bit flip" };
+        let ctx = format!("{how} in record {i} at offset {}", records[i].start);
+        let references = |c: usize| c == i || (records[i].tag == TAG_CHUNK && i < c);
+        let want = commits.iter().rposition(|&c| !references(c));
+        let intact = parse_container(&damaged);
+        let torn = parse_container(&damaged[..damaged.len() - 1]);
+        let Some(k) = want else {
+            for read in [intact, torn] {
+                match read {
+                    Err(Error::ChecksumMismatch { .. } | Error::Corrupt(_)) => {}
+                    other => panic!("{ctx}: every commit references it, got {other:?}"),
+                }
+            }
+            continue;
+        };
+        let (intact, torn) = (
+            intact.unwrap_or_else(|e| panic!("{ctx}: intact locator: {e}")),
+            torn.unwrap_or_else(|e| panic!("{ctx}: torn locator: {e}")),
+        );
+        // A zeroed record stops the forward walk: it and the records after
+        // it go unframed, and the stop itself counts as one.
+        let dropped = if zeroed { i } else { records.len() - 1 } - commits[k];
+        let recovered = RecoveryOutcome::Recovered {
+            dropped_records: dropped as u64,
+        };
+        assert_eq!(torn.outcome, recovered, "{ctx}: torn locator");
+        let last = k == commits.len() - 1;
+        let intact_outcome = if last {
+            RecoveryOutcome::Clean
+        } else {
+            recovered
+        };
+        assert_eq!(intact.outcome, intact_outcome, "{ctx}: intact locator");
+        for read in [&intact, &torn] {
+            assert_eq!(read.table.columns.len(), k + 1, "{ctx}: commit {}", k + 1);
+            for (comp, orig) in read.table.columns.iter().zip(&cols) {
+                let decoded = comp.decode_pooled(&pool, &codec).expect("decode");
+                assert_eq!(decoded.bytes, orig.bytes, "{ctx}: column {}", orig.name);
+            }
+        }
     }
 }
 
