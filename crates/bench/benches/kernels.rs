@@ -12,12 +12,14 @@
 //! one-test-per-value decoder against the field-by-field `BitReader` loop
 //! it replaced (`gorilla_fieldwise`, printed); and SPDP's compressor —
 //! fused front end, key-filtered lz77 — against its three full-size stage
-//! passes and `reference::lz77` on `msg-bt` (gated); and the `miranda3d`
+//! passes and `reference::lz77` on `msg-bt` (gated); zzip's gated chooser
+//! against `reference::zzip_six_way`, which builds all six candidates, on
+//! `msg-bt`'s bit-transposed blocks (gated); and the `miranda3d`
 //! generator's draw-then-map pipeline against the serial smooth-field
 //! generator it replaced, kept here as `serial_field` (gated). Every row is
-//! best-of-N per side except SPDP's, the median of N interleaved pairs. The
-//! headline acceptance number is the worst gated speedup, which must stay
-//! ≥ 2x; `(info)` rows are printed, not gated.
+//! best-of-N per side except SPDP's and zzip's, the median of N interleaved
+//! pairs. The headline acceptance number is the worst gated speedup, which
+//! must stay ≥ 2x; `(info)` rows are printed, not gated.
 //!
 //! Runs as a plain `main` (`harness = false`): it prints one
 //! table and exits, sized for a CI smoke budget. `FCBENCH_QUICK_BENCH=1`
@@ -28,7 +30,7 @@ use fcbench_codecs_cpu::{bitshuffle, Gorilla, Spdp};
 use fcbench_core::stream::crc32;
 use fcbench_core::{Compressor, DataDesc, Domain, FloatData, Precision};
 use fcbench_entropy::lz77::{self, Lz77Config};
-use fcbench_entropy::{huffman, lz4, BitReader};
+use fcbench_entropy::{huffman, lz4, zzip, BitReader};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -84,7 +86,7 @@ impl Row {
     fn print(&self) {
         let rate = |s: f64| self.bytes as f64 / s / 1e6;
         println!(
-            "{:<30} {:>10.1} {:>10.1} {:>7.2}x{}",
+            "{:<34} {:>10.1} {:>10.1} {:>7.2}x{}",
             self.name,
             rate(self.new_s),
             rate(self.ref_s),
@@ -640,6 +642,51 @@ fn bench_spdp(elems: usize, reps: usize) -> Row {
     }
 }
 
+/// zzip over `msg-bt`'s 64 KiB blocks, bit-transposed as bitshuffle-zstd
+/// codes them, against `reference::zzip_six_way`, which builds all six
+/// candidate bodies; the frames are equal. Median of interleaved pairs
+/// ([`median_pair`]).
+fn bench_zzip(elems: usize, reps: usize) -> Row {
+    let spec = fcbench_datasets::find("msg-bt").expect("catalogued dataset");
+    let data = fcbench_datasets::generate(&spec, elems);
+    let blocks: Vec<Vec<u8>> = data
+        .bytes()
+        .chunks(64 << 10)
+        .map(|b| bitshuffle::bit_transpose(b, b.len() / 8, 64))
+        .collect();
+    let cfg = Lz77Config {
+        window: 1 << 16,
+        chain_depth: 128,
+    };
+    for block in &blocks {
+        assert_eq!(
+            zzip::compress_with(block, cfg),
+            reference::zzip_six_way(block, cfg),
+            "zzip and its six-way reference differ"
+        );
+    }
+    let (new_s, ref_s) = median_pair(
+        reps,
+        || {
+            for block in &blocks {
+                black_box(zzip::compress_with(black_box(block), cfg).len());
+            }
+        },
+        || {
+            for block in &blocks {
+                black_box(reference::zzip_six_way(black_box(block), cfg).len());
+            }
+        },
+    );
+    Row {
+        name: "zzip compress (bitshuffled msg-bt)",
+        new_s,
+        ref_s,
+        bytes: data.bytes().len() as u64,
+        gated: true,
+    }
+}
+
 /// The smooth-field generator before the draw-then-map pipeline, for
 /// `miranda3d` (4 decimals over [1, 1000], f32): four trig calls, a
 /// `powi` and one Box–Muller normal per element on one thread, then the
@@ -729,9 +776,9 @@ fn main() {
     let elems = if quick() { 8192 } else { 65_536 };
     let reps = if quick() { 5 } else { 20 };
 
-    println!("codec kernels vs the kernels they replaced (best of {reps}; spdp: median of {reps} pairs):");
+    println!("codec kernels vs the kernels they replaced (best of {reps}; spdp, zzip: median of {reps} pairs):");
     println!(
-        "{:<30} {:>10} {:>10} {:>8}",
+        "{:<34} {:>10} {:>10} {:>8}",
         "kernel", "new MB/s", "ref MB/s", "speedup"
     );
 
@@ -791,8 +838,10 @@ fn main() {
         reps,
     ));
 
-    // SPDP's whole compressor on the ladder corpus's HPC dataset.
+    // SPDP's whole compressor, and bitshuffle-zstd's back end, on the
+    // ladder corpus's HPC dataset.
     gate(&bench_spdp(4 * elems, reps));
+    gate(&bench_zzip(4 * elems, reps));
 
     // The frame_stream rung's dataset, at sizes whose map fans out (2 and
     // 16 MiB of f32 output).

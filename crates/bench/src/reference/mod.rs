@@ -1,10 +1,44 @@
 //! The kernels the optimized code paths replaced, kept verbatim as oracles
-//! ([bit I/O](bits), [LZ77](lz77), [SPDP's front end](spdp_three_pass)):
-//! differential tests here and in `tests/proptests.rs` prove the shipping
-//! code byte-identical to them, and the benches time the speedups.
+//! ([bit I/O](bits), [LZ77](lz77), [SPDP's front end](spdp_three_pass),
+//! [zzip's six-way chooser](zzip_six_way)): differential tests here and in
+//! `tests/` prove the shipping code byte-identical to them, and the benches
+//! time the speedups.
 
 pub mod bits;
 pub mod lz77;
+
+use fcbench_entropy::lz77::Lz77Config;
+use fcbench_entropy::{huffman, lz4};
+
+/// zzip's frame for `input` as the chooser wrote it before the LZ77 gate:
+/// all six candidate bodies built in full (LZ77 raw and Huffman-coded,
+/// Huffman-only, stored, LZ4 raw and Huffman-coded), and the first strict
+/// minimum in that mode order kept. `zzip::compress_with` must emit exactly
+/// this frame whenever its gate lets the LZ77 search run, and whenever the
+/// winner here is not an LZ77 mode.
+pub fn zzip_six_way(input: &[u8], cfg: Lz77Config) -> Vec<u8> {
+    let lz = fcbench_entropy::lz77::compress(input, cfg);
+    let l4 = lz4::compress(input);
+    let candidates = [
+        huffman::encode(&lz),
+        huffman::encode(input),
+        input.to_vec(),
+        l4.clone(),
+        huffman::encode(&l4),
+    ];
+    let mut mode = 0u8;
+    let mut body = lz;
+    for (m, c) in (1u8..).zip(candidates) {
+        if c.len() < body.len() {
+            (mode, body) = (m, c);
+        }
+    }
+    let mut frame = vec![0x5A, mode];
+    frame.extend_from_slice(&(input.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&body);
+    frame
+}
 
 /// SPDP's front end before the fused pass: DIM8, LNVs2 and LNVs1 as three
 /// full-size passes, one `push` per byte.
@@ -35,7 +69,6 @@ mod tests {
     use super::*;
     use fcbench_codecs_cpu::Spdp;
     use fcbench_core::Compressor;
-    use fcbench_entropy::lz77::Lz77Config;
 
     #[test]
     fn spdp_corpus_payloads_are_reference_lz77_over_the_three_passes() {

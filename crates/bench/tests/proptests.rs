@@ -1,10 +1,13 @@
 //! Property tests for the harness: rank invariants, Friedman consistency
 //! and Mann-Whitney symmetry on arbitrary samples, and the entropy crate's
-//! bit engine and LZ77 held byte-identical to `fcbench_bench::reference`.
+//! bit engine, LZ77 and zzip chooser held to `fcbench_bench::reference`.
 
 use fcbench_bench::reference;
 use fcbench_bench::stats::{average_ranks, cd_diagram, friedman_test, mann_whitney_u, rank_row};
+use fcbench_codecs_cpu::Bitshuffle;
+use fcbench_core::Compressor;
 use fcbench_entropy::lz77::{self, Lz77Config};
+use fcbench_entropy::{huffman, lz4, zzip};
 use fcbench_entropy::{BitReader, BitSink, BitWriter};
 use proptest::prelude::*;
 
@@ -386,4 +389,151 @@ proptest! {
             prop_assert_eq!(lz77::decompress(&fast, data.len()).unwrap(), data.clone());
         }
     }
+}
+
+// ---- zzip's gated chooser vs the six-way oracle.
+
+/// bitshuffle-zstd's match-stage configuration.
+const BITSHUFFLE_ZZIP: Lz77Config = Lz77Config {
+    window: 1 << 16,
+    chain_depth: 128,
+};
+
+/// The smallest of zzip's four non-LZ77 bodies (Huffman-only, stored, LZ4
+/// raw and LZ4 + Huffman), from the public calls.
+fn cheap_best(input: &[u8]) -> usize {
+    let l4 = lz4::compress(input);
+    [
+        huffman::encode(input).len(),
+        input.len(),
+        l4.len(),
+        huffman::encode(&l4).len(),
+    ]
+    .into_iter()
+    .min()
+    .unwrap_or(0)
+}
+
+/// Whether zzip's documented gate runs the LZ77 search on `input`: the best
+/// non-LZ77 body is at most 30 % of the input, or the input is under the
+/// 440 bytes where the 132-byte Huffman table alone exceeds that share.
+fn gate_open(input: &[u8]) -> bool {
+    input.len() < 440 || cheap_best(input) * 100 <= 30 * input.len()
+}
+
+/// The zzip frame of every block of a bitshuffle-zstd payload
+/// (`u32 nblocks | nblocks × u32 size | blocks`, each block
+/// `u32 raw length | zzip frame`).
+fn zzip_frames(payload: &[u8]) -> Vec<&[u8]> {
+    let word = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+    let nblocks = word(0);
+    let mut at = 4 + 4 * nblocks;
+    (0..nblocks)
+        .map(|k| {
+            let block = &payload[at..at + word(4 + 4 * k)];
+            at += block.len();
+            &block[4..]
+        })
+        .collect()
+}
+
+/// Input whose segments are noise over a random alphabet, byte runs, and
+/// copies of earlier bytes at random distances: both sides of the gate,
+/// LZ77 wins included, and the short inputs below the search floor.
+fn zzip_input() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((0u8..3, 1usize..3_000, any::<u64>()), 0..12).prop_map(|segments| {
+        let mut data: Vec<u8> = Vec::new();
+        for (kind, len, seed) in segments {
+            let mut x = seed | 1;
+            let alphabet = seed % 256 + 1;
+            for _ in 0..len {
+                let byte = match kind {
+                    0 => {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        (x % alphabet) as u8
+                    }
+                    1 if !data.is_empty() => data[data.len() - 1 - (seed as usize % data.len())],
+                    _ => seed as u8,
+                };
+                data.push(byte);
+            }
+        }
+        data
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The gated frame is the oracle's, except where the oracle's winner
+    /// is an LZ77 mode (0 or 1) and the gate kept the search from running:
+    /// then the frame is the best non-LZ77 body, which still round-trips
+    /// and only gives up ratio.
+    #[test]
+    fn zzip_frames_match_the_six_way_oracle(data in zzip_input()) {
+        for cfg in [Lz77Config::thorough(), BITSHUFFLE_ZZIP] {
+            let gated = zzip::compress_with(&data, cfg);
+            prop_assert_eq!(zzip::decompress(&gated).unwrap(), data.clone());
+            let oracle = reference::zzip_six_way(&data, cfg);
+            if gated != oracle {
+                prop_assert!(oracle[1] <= 1, "oracle mode {} is not an LZ77 mode", oracle[1]);
+                prop_assert!(!gate_open(&data), "the gate was open on {} bytes", data.len());
+                prop_assert!(gated[1] >= 2 && gated.len() - 10 == cheap_best(&data));
+                prop_assert!(gated.len() >= oracle.len());
+            }
+        }
+    }
+}
+
+/// Every bitshuffle-zstd block's zzip frame over all 33 corpus datasets is
+/// exactly the six-way oracle's: on the corpus the gate never skips a
+/// search an LZ77 mode would have won. The sizes default to 4 096, 65 536
+/// and 200 000 elements (a near miss sits at 65 536); set
+/// `FCBENCH_ZZIP_CORPUS_ELEMS` to a comma-separated list to run others, e.g.
+/// `FCBENCH_ZZIP_CORPUS_ELEMS=1048576,4194304 cargo test --release -p
+/// fcbench-bench --test proptests corpus -- --nocapture`. Each size prints
+/// its blocks, the blocks the search ran on, the LZ77 wins and the widest
+/// share of its block the best non-LZ77 body had on a win.
+#[test]
+fn bitshuffle_zstd_frames_match_the_six_way_oracle_on_the_corpus() {
+    let sizes: Vec<usize> = match std::env::var("FCBENCH_ZZIP_CORPUS_ELEMS") {
+        Ok(list) => list
+            .split(',')
+            .map(|n| n.trim().parse().expect("element count"))
+            .collect(),
+        Err(_) => vec![4_096, 65_536, 200_000],
+    };
+    let codec = Bitshuffle::zzip();
+    let mut misses = Vec::new();
+    for n in sizes {
+        let (mut blocks, mut searched, mut wins, mut widest_win) = (0, 0, 0, 0f64);
+        for spec in fcbench_datasets::catalog() {
+            let data = fcbench_datasets::generate(&spec, n);
+            let payload = codec.compress(&data).expect("bitshuffle-zstd");
+            for (k, frame) in zzip_frames(&payload).into_iter().enumerate() {
+                let shuffled = zzip::decompress(frame).expect("frame decodes");
+                let oracle = reference::zzip_six_way(&shuffled, BITSHUFFLE_ZZIP);
+                blocks += 1;
+                searched += usize::from(gate_open(&shuffled));
+                if oracle[1] <= 1 {
+                    wins += 1;
+                    let share = cheap_best(&shuffled) as f64 / shuffled.len() as f64;
+                    widest_win = widest_win.max(share);
+                }
+                if frame != oracle {
+                    misses.push(format!("{} at {n} elements, block {k}", spec.name));
+                }
+            }
+        }
+        eprintln!(
+            "{n} elements: {blocks} blocks, LZ77 searched on {searched}, \
+             won {wins}, widest win at {widest_win:.4} of its block"
+        );
+    }
+    assert!(
+        misses.is_empty(),
+        "frames differ from the oracle: {misses:#?}"
+    );
 }

@@ -10,6 +10,10 @@ use crate::bits::BitReader;
 /// Maximum code length in bits.
 pub(crate) const MAX_CODE_LEN: u32 = 15;
 
+/// Fixed cost of every encoded stream: the 128-byte nibble-packed length
+/// table and the u32 symbol count.
+pub(crate) const HEADER_BYTES: usize = 128 + 4;
+
 /// Error type for Huffman decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HuffmanError(pub String);
@@ -156,7 +160,7 @@ pub(crate) fn encoded_len(data: &[u8]) -> usize {
         .zip(lens.iter())
         .map(|(&f, &l)| f * u64::from(l))
         .sum();
-    128 + 4 + (bits as usize).div_ceil(8)
+    HEADER_BYTES + (bits as usize).div_ceil(8)
 }
 
 /// Four-lane byte histogram: independent counters break the
@@ -193,7 +197,7 @@ pub fn encode_into(data: &[u8], out: &mut Vec<u8>) {
     let codes = canonical_codes(&lens);
 
     out.clear();
-    out.reserve(128 + 4 + data.len() / 2);
+    out.reserve(HEADER_BYTES + data.len() / 2);
     for pair in lens.chunks(2) {
         out.push((pair[0] << 4) | (pair[1] & 0x0F));
     }
@@ -365,7 +369,7 @@ fn plausible_count(count: usize, stream_bytes: usize) -> Result<usize, HuffmanEr
 /// hostile — gives the bytes, or the error, that walking the canonical code
 /// bit by bit gives.
 pub fn decode(input: &[u8]) -> Result<Vec<u8>, HuffmanError> {
-    if input.len() < 132 {
+    if input.len() < HEADER_BYTES {
         return Err(HuffmanError("stream shorter than header".into()));
     }
     let mut lens = [0u8; 256];
@@ -380,7 +384,7 @@ pub fn decode(input: &[u8]) -> Result<Vec<u8>, HuffmanError> {
         }
         return Err(HuffmanError("no codes but nonzero symbol count".into()));
     }
-    let bits = &input[132..];
+    let bits = &input[HEADER_BYTES..];
     let count = plausible_count(count, bits.len())?;
     let table = DecodeTable::new(&lens);
 

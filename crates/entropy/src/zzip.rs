@@ -23,6 +23,15 @@
 //! makes zzip strictly stronger than LZ4 in ratio and slower to compress —
 //! the zstd-vs-LZ4 relationship the paper measures.
 //!
+//! Modes 2–5 are priced first. The deep LZ77 search behind modes 0 and 1
+//! runs only when the best of them is at most 30 % of the input
+//! (`LZ77_BAR_PERCENT`), or when the input is too short for a Huffman body
+//! ever to pass that bar (`ALWAYS_SEARCH_BELOW`, 440 bytes). With the
+//! search run, the frame is the one that encoding all six candidates and
+//! keeping the first strict minimum in mode order gives. With it skipped,
+//! the frame is the best of modes 2–5, which differs from that only where
+//! mode 0 or 1 would have won.
+//!
 //! Frame: `magic (1) | mode (1) | raw_len (u32) | body_len (u32) | body`.
 
 use crate::huffman;
@@ -37,6 +46,22 @@ const MODE_HUFF_ONLY: u8 = 2;
 const MODE_STORED: u8 = 3;
 const MODE_LZ4_RAW: u8 = 4;
 const MODE_LZ4_HUFF: u8 = 5;
+
+/// The LZ77 search runs only when the best of modes 2–5 is at most this
+/// share of the input, in percent. Over bitshuffle-zstd's blocks of all 33
+/// corpus datasets at 4 096, 65 536, 200 000, 1 Mi and 4 Mi elements
+/// (ROADMAP item 18), every block an LZ77 mode won had its best other body
+/// at no more than 25.35 % of the block, and ~9 % of blocks pass the bar.
+/// The search was half of zzip's compress time. `fcbench-bench`'s
+/// `bitshuffle_zstd_frames_match_the_six_way_oracle_on_the_corpus` checks
+/// that no corpus frame changes.
+const LZ77_BAR_PERCENT: usize = 30;
+
+/// Below this many input bytes the Huffman table alone
+/// ([`huffman::HEADER_BYTES`]) is more than [`LZ77_BAR_PERCENT`] % of the
+/// input, so the cheap modes cannot show that it compresses; the LZ77
+/// search, cheap at this size, always runs.
+const ALWAYS_SEARCH_BELOW: usize = (huffman::HEADER_BYTES * 100).div_ceil(LZ77_BAR_PERCENT);
 
 /// Error from [`decompress`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,33 +91,40 @@ thread_local! {
 
 /// Compress with an explicit LZ77 configuration.
 ///
-/// Mode selection prices the three Huffman candidates via
-/// `huffman::encoded_len` (one histogram pass each, exact by
-/// construction) and materializes only the winning body — the selected
-/// mode and emitted frame are identical to encoding all six candidates
-/// and keeping the smallest, at roughly half the entropy-stage work.
+/// Modes 2–5 are priced first: LZ4 runs, and the Huffman candidates are
+/// priced via `huffman::encoded_len` (one histogram pass each, exact by
+/// construction). The LZ77 candidate is built only when the best of those
+/// is at most 30 % of the input or the input is shorter than 440 bytes
+/// (see the module doc); then the frame is the one that encoding all six
+/// candidates and keeping the first strict minimum in mode order gives.
+/// Otherwise it is the best of modes 2–5, which differs from that
+/// frame only where mode 0 or 1 would have been the first strict minimum.
+/// Only the winning body is materialized.
 pub fn compress_with(input: &[u8], cfg: Lz77Config) -> Vec<u8> {
     CANDIDATE_SCRATCH.with_borrow_mut(|[lz, l4, huff]| {
-        lz77::compress_into(input, cfg, lz);
         lz4::compress_into(input, l4);
-
-        // Candidate sizes in mode order; first strict minimum wins, so
-        // ties resolve exactly as the materialize-everything fold did.
-        let sizes: [(u8, usize); 6] = [
-            (MODE_LZ_RAW, lz.len()),
-            (MODE_LZ_HUFF, huffman::encoded_len(lz)),
+        let cheap = first_strict_min(&[
             (MODE_HUFF_ONLY, huffman::encoded_len(input)),
             (MODE_STORED, input.len()),
             (MODE_LZ4_RAW, l4.len()),
             (MODE_LZ4_HUFF, huffman::encoded_len(l4)),
-        ];
-        let (mode, body_len) =
-            sizes
-                .iter()
-                .skip(1)
-                .fold(&sizes[0], |best, c| if c.1 < best.1 { c } else { best });
+        ]);
+        // The LZ77 modes come first in mode order, so they win ties with
+        // the cheap winner, as in the six-way fold.
+        let (mode, body_len) = if input.len() < ALWAYS_SEARCH_BELOW
+            || cheap.1 * 100 <= LZ77_BAR_PERCENT * input.len()
+        {
+            lz77::compress_into(input, cfg, lz);
+            first_strict_min(&[
+                (MODE_LZ_RAW, lz.len()),
+                (MODE_LZ_HUFF, huffman::encoded_len(lz)),
+                cheap,
+            ])
+        } else {
+            cheap
+        };
 
-        let body: &[u8] = match *mode {
+        let body: &[u8] = match mode {
             MODE_LZ_RAW => lz,
             MODE_LZ_HUFF => {
                 huffman::encode_into(lz, huff);
@@ -109,16 +141,24 @@ pub fn compress_with(input: &[u8], cfg: Lz77Config) -> Vec<u8> {
             }
             _ => input, // MODE_STORED
         };
-        debug_assert_eq!(body.len(), *body_len);
+        debug_assert_eq!(body.len(), body_len);
 
         let mut out = Vec::with_capacity(10 + body.len());
         out.push(MAGIC);
-        out.push(*mode);
+        out.push(mode);
         out.extend_from_slice(&(input.len() as u32).to_le_bytes());
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(body);
         out
     })
+}
+
+/// The first `(mode, size)` of `candidates` with the smallest size.
+fn first_strict_min(candidates: &[(u8, usize)]) -> (u8, usize) {
+    candidates.iter().fold(
+        candidates[0],
+        |best, &c| if c.1 < best.1 { c } else { best },
+    )
 }
 
 /// Decompress a [`compress`] stream.
@@ -281,6 +321,56 @@ mod tests {
         let data = b"fast config data ".repeat(300);
         let c = compress_with(&data, Lz77Config::fast());
         assert_eq!(decompress(&c).unwrap(), data);
+    }
+
+    /// Noise, then a copy of its first 30 000 bytes from 70 000 back: LZ4's
+    /// 64 KiB window cannot reach it and Huffman cannot shrink the noise, so
+    /// every non-LZ77 body is over 30 % of the input and the search is
+    /// skipped. An LZ77 mode would have been smaller, so this is the ratio
+    /// the gate trades for speed on such data.
+    #[test]
+    fn gate_skips_the_search_where_only_a_long_match_pays() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut data: Vec<u8> = (0..70_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        data.extend_from_within(..30_000);
+        let c = compress(&data);
+        assert_eq!(c[1], MODE_STORED);
+        let lz = lz77::compress(&data, Lz77Config::thorough());
+        assert!(
+            lz.len() < (c.len() - 10) * 4 / 5,
+            "mode 0 would store {} bytes against {}",
+            lz.len(),
+            c.len() - 10
+        );
+        round_trip(&data);
+    }
+
+    /// A four-symbol source repeated four times: Huffman alone is about a
+    /// quarter of the input, under the bar, so the search runs, and the
+    /// Huffman-coded LZ77 stream wins.
+    #[test]
+    fn low_entropy_input_still_reaches_lz_huff() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let source: Vec<u8> = (0..16_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                b"ACGT"[(x >> 60) as usize % 4]
+            })
+            .collect();
+        let data = source.repeat(4);
+        assert!(huffman::encoded_len(&data) * 100 <= LZ77_BAR_PERCENT * data.len());
+        let c = compress(&data);
+        assert_eq!(c[1], MODE_LZ_HUFF);
+        round_trip(&data);
     }
 
     #[test]
