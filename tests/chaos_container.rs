@@ -8,18 +8,17 @@
 //! truncation suite in `tests/container_recovery.rs`: a faulted write is
 //! just a truncation the writer didn't choose.
 
+#[path = "common/fcdb2.rs"]
+mod fcdb2;
+
 use fcbench::core::fault::{FaultPlan, FaultyIo};
 use fcbench::core::pool::{PoolConfig, WorkerPool};
-use fcbench::core::stream::frame_record;
 use fcbench::core::{Compressor, Precision};
 use fcbench::cpu::Gorilla;
 use fcbench::dbsim::{parse_container, ColumnData, ContainerWriter, RecoveryOutcome};
+use fcdb2::{assert_recovers_exactly, commit_tables, prologue_end, span_map, CommitTables, Span};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-// FCDB2 framing tags and locator shape, fixed by the on-disk format.
-const TAG_COMMIT: u8 = 3;
-const LOCATOR_BYTES: usize = 16;
 
 fn column(name: &str, n: usize, phase: f32) -> ColumnData {
     let vals: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31 + phase).sin()).collect();
@@ -69,79 +68,15 @@ fn reference_bytes() -> &'static [u8] {
     })
 }
 
-/// One framing span of the intact file: a record, or a commit locator.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    start: usize,
-    end: usize,
-    tag: u8,
-    is_locator: bool,
-}
-
-/// Map every record and locator span of the intact container body.
-fn span_map(bytes: &[u8], body_start: usize) -> Vec<Span> {
-    let mut spans = Vec::new();
-    let mut pos = body_start;
-    while pos < bytes.len() {
-        let rec = frame_record(bytes, pos)
-            .and_then(|r| r.verify())
-            .expect("intact file parses");
-        spans.push(Span {
-            start: pos,
-            end: rec.end,
-            tag: rec.tag,
-            is_locator: false,
-        });
-        pos = rec.end;
-        if rec.tag == TAG_COMMIT {
-            spans.push(Span {
-                start: pos,
-                end: pos + LOCATOR_BYTES,
-                tag: 0,
-                is_locator: true,
-            });
-            pos += LOCATOR_BYTES;
-        }
-    }
-    assert_eq!(pos, bytes.len(), "intact file is fully spanned");
-    spans
-}
-
-/// Prologue length: magic, name length byte, name, crc.
-fn prologue_end(bytes: &[u8]) -> usize {
-    assert_eq!(&bytes[..4], b"FCD2");
-    4 + 1 + bytes[4] as usize + 4
-}
-
-/// Structural fingerprint of a parsed table: (name, rows, chunks) per
-/// column, for comparing a recovered read against the clean read at the
-/// same commit point.
-type Fingerprint = Vec<(String, usize, Vec<Vec<u8>>)>;
-
-fn fingerprint(read: &fcbench::dbsim::ContainerRead) -> Fingerprint {
-    read.table
-        .columns
-        .iter()
-        .map(|c| {
-            let chunks = c.chunks().map(<[u8]>::to_vec).collect();
-            (c.name.clone(), c.rows, chunks)
-        })
-        .collect()
-}
-
-/// Reference tables at each commit locator end of the intact file.
-fn commit_tables() -> Vec<(usize, Fingerprint)> {
-    let bytes = reference_bytes();
-    let spans = span_map(bytes, prologue_end(bytes));
-    spans
-        .iter()
-        .filter(|s| s.is_locator)
-        .map(|s| {
-            let read = parse_container(&bytes[..s.end]).expect("commit prefix parses");
-            assert_eq!(read.outcome, RecoveryOutcome::Clean);
-            (s.end, fingerprint(&read))
-        })
-        .collect()
+/// The intact file's span map and the clean table at each commit point.
+fn reference_framing() -> &'static (Vec<Span>, CommitTables) {
+    static FRAMING: std::sync::OnceLock<(Vec<Span>, CommitTables)> = std::sync::OnceLock::new();
+    FRAMING.get_or_init(|| {
+        let bytes = reference_bytes();
+        let spans = span_map(bytes, prologue_end(bytes));
+        let tables = commit_tables(bytes, &spans);
+        (spans, tables)
+    })
 }
 
 /// When a chaos case fails, surface the replayable `fp1:` seed both in the
@@ -158,69 +93,9 @@ fn note_seed(plan: &FaultPlan) {
 /// The core assertion: a container prefix of `cut` bytes either rejects a
 /// torn prologue or recovers to the last commit point with the exact
 /// dropped-record count the reference walk predicts.
-fn assert_recovers_exactly(cut: usize, ctx: &str) {
-    let bytes = reference_bytes();
-    let body = prologue_end(bytes);
-    if cut < body {
-        assert!(
-            parse_container(&bytes[..cut]).is_err(),
-            "{ctx}: torn prologue at cut {cut} must be a typed error"
-        );
-        return;
-    }
-
-    // Reference walk over the intact span map, stopping at `cut`.
-    let spans = span_map(bytes, body);
-    let mut dropped = 0u64;
-    let mut last_commit_end: Option<usize> = None;
-    let mut clean = false;
-    let mut torn = false;
-    for s in &spans {
-        if s.is_locator {
-            if s.end <= cut {
-                clean = s.end == cut;
-            }
-            continue;
-        }
-        if s.end <= cut {
-            if s.tag == TAG_COMMIT {
-                dropped = 0;
-                last_commit_end = Some(s.end);
-            } else {
-                dropped += 1;
-            }
-        } else {
-            torn = s.start < cut; // partial tail record
-            break;
-        }
-    }
-    dropped += u64::from(torn);
-
-    let read = parse_container(&bytes[..cut])
-        .unwrap_or_else(|e| panic!("{ctx}: recovery at cut {cut} must not error: {e}"));
-    let expected_table = last_commit_end
-        .map(|end| {
-            commit_tables()
-                .iter()
-                .find(|(loc_end, _)| end < *loc_end)
-                .expect("commit has a table")
-                .1
-                .clone()
-        })
-        .unwrap_or_default();
-    assert_eq!(
-        fingerprint(&read),
-        expected_table,
-        "{ctx}: cut {cut} must read back the last committed table"
-    );
-    let expected = if clean {
-        RecoveryOutcome::Clean
-    } else {
-        RecoveryOutcome::Recovered {
-            dropped_records: dropped,
-        }
-    };
-    assert_eq!(read.outcome, expected, "{ctx}: outcome at cut {cut}");
+fn assert_prefix_recovers(cut: usize, ctx: &str) {
+    let (spans, tables) = reference_framing();
+    assert_recovers_exactly(reference_bytes(), spans, tables, cut, ctx);
 }
 
 /// Run one seeded chaos case end to end and assert every guarantee.
@@ -251,7 +126,7 @@ fn chaos_case(seed: u64) {
             "{plan}: a write that reported success must have landed every byte"
         );
     }
-    assert_recovers_exactly(sink.len(), &plan.seed_string());
+    assert_prefix_recovers(sink.len(), &plan.seed_string());
 }
 
 /// A deterministic sweep of 256 seeded plans — the issue's acceptance
@@ -297,6 +172,6 @@ proptest! {
         let (sink, _) = write_through(plan.clone());
         let cut = ((sink.len() as f64) * frac) as usize;
         let cut = cut.min(sink.len());
-        assert_recovers_exactly(cut, &format!("{} then cut", plan.seed_string()));
+        assert_prefix_recovers(cut, &format!("{} then cut", plan.seed_string()));
     }
 }

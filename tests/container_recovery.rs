@@ -5,22 +5,22 @@
 //! reserved for it (the container-level mirror of
 //! `tests/hostile_descriptors.rs`).
 
+#[path = "common/fcdb2.rs"]
+mod fcdb2;
+
 use fcbench::core::pool::{PoolConfig, WorkerPool};
-use fcbench::core::stream::{crc32, frame_record, put_record};
+use fcbench::core::stream::{crc32, put_record};
 use fcbench::core::{Compressor, Error, Precision};
 use fcbench::cpu::Gorilla;
 use fcbench::dbsim::{
     parse_container, read_container, write_container_pooled, ColumnData, ContainerWriter,
     RecoveryOutcome,
 };
+use fcdb2::{
+    assert_recovers_exactly, commit_tables, prologue_end, span_map, Span, TAG_CHUNK, TAG_COMMIT,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-// The FCDB2 framing tags and locator shape, fixed by the on-disk format
-// (see crates/dbsim/src/container.rs module docs).
-const TAG_CHUNK: u8 = 2;
-const TAG_COMMIT: u8 = 3;
-const LOCATOR_BYTES: usize = 16;
 
 fn column(name: &str, n: usize, phase: f32) -> ColumnData {
     let vals: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31 + phase).sin()).collect();
@@ -51,63 +51,6 @@ fn three_commit_container() -> Vec<u8> {
     w.finish().expect("finish")
 }
 
-/// One framing span of the intact file: a record, or a commit locator.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    start: usize,
-    end: usize,
-    tag: u8,
-    is_locator: bool,
-}
-
-/// Map every record and locator span of an intact container body.
-fn span_map(bytes: &[u8], body_start: usize) -> Vec<Span> {
-    let mut spans = Vec::new();
-    let mut pos = body_start;
-    while pos < bytes.len() {
-        let rec = frame_record(bytes, pos)
-            .and_then(|r| r.verify())
-            .expect("intact file parses");
-        spans.push(Span {
-            start: pos,
-            end: rec.end,
-            tag: rec.tag,
-            is_locator: false,
-        });
-        pos = rec.end;
-        if rec.tag == TAG_COMMIT {
-            spans.push(Span {
-                start: pos,
-                end: pos + LOCATOR_BYTES,
-                tag: 0,
-                is_locator: true,
-            });
-            pos += LOCATOR_BYTES;
-        }
-    }
-    assert_eq!(pos, bytes.len(), "intact file is fully spanned");
-    spans
-}
-
-/// Prologue length: magic, name length byte, name, crc.
-fn prologue_end(bytes: &[u8]) -> usize {
-    assert_eq!(&bytes[..4], b"FCD2");
-    4 + 1 + bytes[4] as usize + 4
-}
-
-/// Structural fingerprint of a parsed table, for comparing a recovered
-/// read against the clean read at the same commit point.
-fn fingerprint(read: &fcbench::dbsim::ContainerRead) -> Vec<(String, usize, Vec<Vec<u8>>)> {
-    read.table
-        .columns
-        .iter()
-        .map(|c| {
-            let chunks = c.chunks().map(<[u8]>::to_vec).collect();
-            (c.name.clone(), c.rows, chunks)
-        })
-        .collect()
-}
-
 /// The tentpole guarantee, proven exhaustively: for **every** prefix of
 /// the file, the reader either rejects a torn prologue or recovers to the
 /// last commit point with the exact dropped-record count a reference walk
@@ -115,88 +58,12 @@ fn fingerprint(read: &fcbench::dbsim::ContainerRead) -> Vec<(String, usize, Vec<
 #[test]
 fn every_byte_truncation_recovers_to_the_last_commit_point() {
     let bytes = three_commit_container();
-    let body = prologue_end(&bytes);
-    let spans = span_map(&bytes, body);
-
-    // Reference tables: the clean parse at each commit's locator end.
-    let mut commit_tables = Vec::new(); // (locator_end, fingerprint)
-    for s in spans.iter().filter(|s| s.is_locator) {
-        let read = parse_container(&bytes[..s.end]).expect("commit prefix parses");
-        assert_eq!(read.outcome, RecoveryOutcome::Clean);
-        commit_tables.push((s.end, fingerprint(&read)));
-    }
+    let spans = span_map(&bytes, prologue_end(&bytes));
+    let commit_tables = commit_tables(&bytes, &spans);
     assert_eq!(commit_tables.len(), 3, "three commit points");
 
     for cut in 0..=bytes.len() {
-        let truncated = &bytes[..cut];
-        if cut < body {
-            assert!(
-                parse_container(truncated).is_err(),
-                "cut {cut}: torn prologue must be an error"
-            );
-            continue;
-        }
-
-        // Reference walk over the intact span map, stopping at `cut`.
-        let mut dropped = 0u64;
-        let mut last_commit_end: Option<usize> = None;
-        let mut clean = false;
-        let mut torn = false;
-        for s in &spans {
-            if s.is_locator {
-                // Any prefix of a commit locator is consumed losslessly;
-                // the full locator at EOF is the clean fast path.
-                if s.end <= cut {
-                    clean = s.end == cut;
-                }
-                continue;
-            }
-            if s.end <= cut {
-                if s.tag == TAG_COMMIT {
-                    dropped = 0;
-                    last_commit_end = Some(s.end);
-                } else {
-                    dropped += 1;
-                }
-            } else {
-                torn = s.start < cut; // partial tail record
-                break;
-            }
-        }
-        dropped += u64::from(torn);
-
-        let read = parse_container(truncated)
-            .unwrap_or_else(|e| panic!("cut {cut}: recovery must not error: {e}"));
-        let expected_table = last_commit_end
-            .map(|end| {
-                commit_tables
-                    .iter()
-                    .find(|(loc_end, _)| end < *loc_end)
-                    .expect("commit has a table")
-                    .1
-                    .clone()
-            })
-            .unwrap_or_default();
-        assert_eq!(
-            fingerprint(&read),
-            expected_table,
-            "cut {cut}: table must match the last commit point"
-        );
-        if clean {
-            assert_eq!(
-                read.outcome,
-                RecoveryOutcome::Clean,
-                "cut {cut} ends on a commit locator"
-            );
-        } else {
-            assert_eq!(
-                read.outcome,
-                RecoveryOutcome::Recovered {
-                    dropped_records: dropped
-                },
-                "cut {cut}: dropped-record count"
-            );
-        }
+        assert_recovers_exactly(&bytes, &spans, &commit_tables, cut, "truncation");
     }
 }
 
