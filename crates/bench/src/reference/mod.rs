@@ -1,8 +1,8 @@
-//! The kernels the optimized code paths replaced, kept verbatim as oracles
-//! ([bit I/O](bits), [LZ77](lz77), [SPDP's front end](spdp_three_pass),
-//! [zzip's six-way chooser](zzip_six_way)): differential tests here and in
-//! `tests/` prove the shipping code byte-identical to them, and the benches
-//! time the speedups.
+//! The kernels the optimized code paths replaced, kept as oracles ([bit
+//! I/O](bits), [LZ77](lz77) and [SPDP's front end](spdp_three_pass)
+//! verbatim; [zzip's six-way chooser](zzip_six_way) rebuilt from the public
+//! calls): differential tests here and in `tests/` prove the shipping code
+//! byte-identical to them, and the benches time the speedups.
 
 pub mod bits;
 pub mod lz77;

@@ -369,7 +369,7 @@ fn plausible_count(count: usize, stream_bytes: usize) -> Result<usize, HuffmanEr
 /// hostile — gives the bytes, or the error, that walking the canonical code
 /// bit by bit gives.
 pub fn decode(input: &[u8]) -> Result<Vec<u8>, HuffmanError> {
-    if input.len() < HEADER_BYTES {
+    if input.len() < 132 {
         return Err(HuffmanError("stream shorter than header".into()));
     }
     let mut lens = [0u8; 256];
@@ -384,7 +384,7 @@ pub fn decode(input: &[u8]) -> Result<Vec<u8>, HuffmanError> {
         }
         return Err(HuffmanError("no codes but nonzero symbol count".into()));
     }
-    let bits = &input[HEADER_BYTES..];
+    let bits = &input[132..];
     let count = plausible_count(count, bits.len())?;
     let table = DecodeTable::new(&lens);
 

@@ -68,17 +68,6 @@ fn reference_bytes() -> &'static [u8] {
     })
 }
 
-/// The intact file's span map and the clean table at each commit point.
-fn reference_framing() -> &'static (Vec<Span>, CommitTables) {
-    static FRAMING: std::sync::OnceLock<(Vec<Span>, CommitTables)> = std::sync::OnceLock::new();
-    FRAMING.get_or_init(|| {
-        let bytes = reference_bytes();
-        let spans = span_map(bytes, prologue_end(bytes));
-        let tables = commit_tables(bytes, &spans);
-        (spans, tables)
-    })
-}
-
 /// When a chaos case fails, surface the replayable `fp1:` seed both in the
 /// failure message and — if the CI harness asked for it — in a seed file
 /// it can upload as an artifact.
@@ -94,7 +83,14 @@ fn note_seed(plan: &FaultPlan) {
 /// torn prologue or recovers to the last commit point with the exact
 /// dropped-record count the reference walk predicts.
 fn assert_prefix_recovers(cut: usize, ctx: &str) {
-    let (spans, tables) = reference_framing();
+    // The intact file's span map and the clean table at each commit point.
+    static FRAMING: std::sync::OnceLock<(Vec<Span>, CommitTables)> = std::sync::OnceLock::new();
+    let (spans, tables) = FRAMING.get_or_init(|| {
+        let bytes = reference_bytes();
+        let spans = span_map(bytes, prologue_end(bytes));
+        let tables = commit_tables(bytes, &spans);
+        (spans, tables)
+    });
     assert_recovers_exactly(reference_bytes(), spans, tables, cut, ctx);
 }
 

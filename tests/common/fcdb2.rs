@@ -10,21 +10,21 @@ use fcbench::dbsim::{parse_container, ContainerRead, RecoveryOutcome};
 
 // The FCDB2 framing tags and locator shape, fixed by the on-disk format
 // (see crates/dbsim/src/container.rs module docs).
-pub const TAG_CHUNK: u8 = 2;
-pub const TAG_COMMIT: u8 = 3;
-pub const LOCATOR_BYTES: usize = 16;
+pub(crate) const TAG_CHUNK: u8 = 2;
+pub(crate) const TAG_COMMIT: u8 = 3;
+pub(crate) const LOCATOR_BYTES: usize = 16;
 
 /// One framing span of the intact file: a record, or a commit locator.
 #[derive(Debug, Clone, Copy)]
-pub struct Span {
-    pub start: usize,
-    pub end: usize,
-    pub tag: u8,
-    pub is_locator: bool,
+pub(crate) struct Span {
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+    pub(crate) tag: u8,
+    pub(crate) is_locator: bool,
 }
 
 /// Map every record and locator span of an intact container body.
-pub fn span_map(bytes: &[u8], body_start: usize) -> Vec<Span> {
+pub(crate) fn span_map(bytes: &[u8], body_start: usize) -> Vec<Span> {
     let mut spans = Vec::new();
     let mut pos = body_start;
     while pos < bytes.len() {
@@ -53,7 +53,7 @@ pub fn span_map(bytes: &[u8], body_start: usize) -> Vec<Span> {
 }
 
 /// Prologue length: magic, name length byte, name, crc.
-pub fn prologue_end(bytes: &[u8]) -> usize {
+pub(crate) fn prologue_end(bytes: &[u8]) -> usize {
     assert_eq!(&bytes[..4], b"FCD2");
     4 + 1 + bytes[4] as usize + 4
 }
@@ -61,9 +61,9 @@ pub fn prologue_end(bytes: &[u8]) -> usize {
 /// Structural fingerprint of a parsed table: (name, rows, chunks) per
 /// column, for comparing a recovered read against the clean read at the
 /// same commit point.
-pub type Fingerprint = Vec<(String, usize, Vec<Vec<u8>>)>;
+pub(crate) type Fingerprint = Vec<(String, usize, Vec<Vec<u8>>)>;
 
-pub fn fingerprint(read: &ContainerRead) -> Fingerprint {
+pub(crate) fn fingerprint(read: &ContainerRead) -> Fingerprint {
     read.table
         .columns
         .iter()
@@ -76,10 +76,10 @@ pub fn fingerprint(read: &ContainerRead) -> Fingerprint {
 
 /// `(locator end, table)` per commit point of the intact file, in file
 /// order.
-pub type CommitTables = Vec<(usize, Fingerprint)>;
+pub(crate) type CommitTables = Vec<(usize, Fingerprint)>;
 
 /// The clean parse at each commit locator end of the intact file.
-pub fn commit_tables(bytes: &[u8], spans: &[Span]) -> CommitTables {
+pub(crate) fn commit_tables(bytes: &[u8], spans: &[Span]) -> CommitTables {
     spans
         .iter()
         .filter(|s| s.is_locator)
@@ -149,7 +149,7 @@ fn expected_at(
 /// The recovery guarantee for one prefix of the intact container `bytes`:
 /// a cut inside the prologue is a typed error; any other cut recovers to
 /// the last commit point with the exact outcome [`expected_at`] predicts.
-pub fn assert_recovers_exactly(
+pub(crate) fn assert_recovers_exactly(
     bytes: &[u8],
     spans: &[Span],
     commit_tables: &[(usize, Fingerprint)],
