@@ -151,7 +151,7 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 /// the 132-byte header plus the code-length-weighted histogram, rounded
 /// up to whole bytes. Lets callers evaluating several candidate encodings
 /// (zzip mode selection) price a Huffman mode from one histogram pass.
-pub(crate) fn encoded_len(data: &[u8]) -> usize {
+pub fn encoded_len(data: &[u8]) -> usize {
     let mut freqs = [0u64; 256];
     histogram(data, &mut freqs);
     let lens = code_lengths(&freqs);

@@ -59,8 +59,10 @@ const LZ77_BAR_PERCENT: usize = 30;
 
 /// Below this many input bytes the Huffman table alone
 /// ([`huffman::HEADER_BYTES`]) is more than [`LZ77_BAR_PERCENT`] % of the
-/// input, so the cheap modes cannot show that it compresses; the LZ77
-/// search, cheap at this size, always runs.
+/// input, so no Huffman-coded cheap mode can pass the bar (LZ4 raw still
+/// can, on a run). The LZ77 search always runs here: it is cheap at this
+/// size and keeps the small-input LZ77 wins, such as the 9-byte
+/// `MODE_LZ_RAW` frame in `all_modes_reachable`.
 const ALWAYS_SEARCH_BELOW: usize = (huffman::HEADER_BYTES * 100).div_ceil(LZ77_BAR_PERCENT);
 
 /// Error from [`decompress`].
