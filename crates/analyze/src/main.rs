@@ -137,13 +137,13 @@ fn cmd_check_pool(args: &[&str]) -> ExitCode {
         match (&outcome.failure, s.expect_failure) {
             (None, false) => {
                 println!(
-                    "check-pool {:<24} ok: {} executions, {} decisions, {coverage}, {:.2?}",
+                    "check-pool {:<28} ok: {} executions, {} decisions, {coverage}, {:.2?}",
                     s.name, outcome.executions, outcome.decisions, elapsed
                 );
             }
             (Some(cx), true) => {
                 println!(
-                    "check-pool {:<24} ok (self-test found the planted bug): seed {} — {}",
+                    "check-pool {:<28} ok (self-test found the planted bug): seed {} — {}",
                     s.name,
                     cx.seed,
                     first_line(&cx.message)
@@ -151,7 +151,7 @@ fn cmd_check_pool(args: &[&str]) -> ExitCode {
             }
             (Some(cx), false) => {
                 println!(
-                    "check-pool {:<24} FAILED after {} executions: {}\n  replay: \
+                    "check-pool {:<28} FAILED after {} executions: {}\n  replay: \
                      fcbench-analyze check-pool --scenario {} --replay '{}'",
                     s.name, outcome.executions, cx.message, s.name, cx.seed
                 );
@@ -165,7 +165,7 @@ fn cmd_check_pool(args: &[&str]) -> ExitCode {
             }
             (None, true) => {
                 println!(
-                    "check-pool {:<24} FAILED: the planted bug was not found \
+                    "check-pool {:<28} FAILED: the planted bug was not found \
                      ({} executions, {coverage}) — the scheduler lost coverage",
                     s.name, outcome.executions
                 );

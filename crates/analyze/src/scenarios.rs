@@ -16,7 +16,7 @@
 //! checker honest — if the buggy one stops failing, the scheduler has lost
 //! coverage, and `tests/model_check.rs` pins that.
 
-use fcbench_core::stream::WriterPump;
+use fcbench_core::stream::{FrameReader, FrameWriter, WriterPump};
 use fcbench_core::sync::{lock, wait, Condvar, Mutex};
 use fcbench_core::telemetry::InflightGauge;
 use fcbench_core::{
@@ -24,6 +24,7 @@ use fcbench_core::{
     PoolConfig, Precision, PrecisionSupport, Result, WorkerPool,
 };
 use fcbench_dbsim::{parse_container, ContainerWriter};
+use std::io::Read;
 use std::sync::Arc;
 
 /// A registered scenario.
@@ -53,13 +54,6 @@ pub fn all() -> Vec<Scenario> {
             expect_failure: false,
         },
         Scenario {
-            name: "pool-try-submit-drain",
-            about: "try_submit on a saturated pool returns None instead of blocking; \
-                    drain quiesces with tickets outstanding",
-            run: pool_try_submit_drain,
-            expect_failure: false,
-        },
-        Scenario {
             name: "pool-abandon",
             about: "dropping a ticket abandons the job; the slot is recycled and \
                     accounting still balances",
@@ -78,6 +72,16 @@ pub fn all() -> Vec<Scenario> {
             about: "a failing block fails its writer pump sticky: later calls refuse, the \
                     tickets behind it are abandoned, drain returns and every slot is free",
             run: window_failure_abandons,
+            expect_failure: false,
+        },
+        Scenario {
+            name: "reader-read-ahead-saturated",
+            about: "a pooled FrameReader reads three blocks on a 2-slot pool while a peer \
+                    thread's ticket holds a slot and it submits again: the read-ahead \
+                    declines while its window holds a ticket, blocks only when empty, \
+                    and yields every block in order; each record is read into its \
+                    acquired slot with a scheduling point mid-fill",
+            run: reader_read_ahead_saturated,
             expect_failure: false,
         },
         Scenario {
@@ -230,25 +234,6 @@ fn pool_worker_panic() {
     assert_eq!(n, data.bytes().len(), "pool must survive a worker panic");
 }
 
-fn pool_try_submit_drain() {
-    let pool = WorkerPool::new(PoolConfig::with_threads(1).queue_depth(1));
-    let codec: Arc<dyn Compressor> = Arc::new(StoreCodec);
-    let data = sample();
-    let first = must(pool.try_submit_compress(&codec, data.desc(), data.bytes()));
-    let first = match first {
-        Some(t) => t,
-        None => panic!("an idle pool must accept the first job"),
-    };
-    // With the single slot held by an uncollected ticket, try_submit may
-    // see the slot either in flight or finished-but-unreclaimed; it must
-    // never block. Either outcome is legal, deadlock is not.
-    let second = must(pool.try_submit_compress(&codec, data.desc(), data.bytes()));
-    drop(second);
-    pool.drain();
-    let n = must(first.collect(|p| p.len()));
-    assert_eq!(n, data.bytes().len());
-}
-
 fn pool_abandon() {
     let pool = WorkerPool::new(PoolConfig::with_threads(1).queue_depth(2));
     let codec: Arc<dyn Compressor> = Arc::new(StoreCodec);
@@ -349,6 +334,71 @@ fn window_failure_abandons() {
         .collect();
     for t in tickets {
         must(t.collect(|p| p.len()));
+    }
+}
+
+/// A byte source whose every read is a scheduling point: the model
+/// explores the peer and the worker running while the reader holds a slot
+/// it acquired and has not yet queued.
+struct Gated<'a> {
+    src: &'a [u8],
+    gate: Mutex<()>,
+}
+
+impl Read for Gated<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        drop(lock(&self.gate));
+        self.src.read(buf)
+    }
+}
+
+fn reader_read_ahead_saturated() {
+    let pool = Arc::new(WorkerPool::new(PoolConfig::with_threads(1).queue_depth(2)));
+    let codec: Arc<dyn Compressor> = Arc::new(StoreCodec);
+    // Three one-value blocks, framed inline.
+    let data = must(FloatData::from_f64(&[1.0, 2.0, 3.0], vec![3], Domain::Hpc));
+    let mut w = must(FrameWriter::new(
+        Vec::new(),
+        Arc::clone(&codec),
+        data.desc().clone(),
+        1,
+        None,
+    ));
+    must(w.write(data.bytes()));
+    let frame = must(w.finish());
+    // The peer holds one slot with its first ticket while it submits a
+    // second: between them the two threads want more slots than there are,
+    // so the reader must never block holding a ticket of its own.
+    let (pool2, codec2) = (Arc::clone(&pool), Arc::clone(&codec));
+    let peer = fcbench_core::sync::thread::Builder::new()
+        .name("mc-reader-peer".into())
+        .spawn(move || {
+            let data = sample();
+            let first = must(pool2.submit_compress(&codec2, data.desc(), data.bytes()));
+            let second = must(pool2.submit_compress(&codec2, data.desc(), data.bytes()));
+            must(first.collect(|p| p.len())) + must(second.collect(|p| p.len()))
+        });
+    let peer = match peer {
+        Ok(h) => h,
+        Err(e) => panic!("spawn peer: {e}"),
+    };
+    let src = Gated {
+        src: &frame,
+        gate: Mutex::new(()),
+    };
+    let mut reader = must(FrameReader::new(src, codec, Some(Arc::clone(&pool))));
+    let mut seen = Vec::new();
+    while let Some(block) = must(reader.next_block()) {
+        seen.extend_from_slice(block);
+    }
+    assert_eq!(
+        seen,
+        data.bytes(),
+        "blocks must come back complete and in order"
+    );
+    match peer.join() {
+        Ok(n) => assert_eq!(n, 2 * sample().bytes().len()),
+        Err(_) => panic!("peer panicked"),
     }
 }
 

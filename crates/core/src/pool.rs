@@ -28,7 +28,11 @@
 //! [block pumps](crate::stream::WriterPump) under every frame stream,
 //! container writer and column cursor — holds its tickets in a `Window`,
 //! which bounds them, collects them in order, and never lets the caller
-//! block in a submit while it pins slots of a pool others share.
+//! block in a submit while it pins slots of a pool others share. The
+//! reader side acquires its slot first and then has the caller fill the
+//! slot's input buffer in place, so a record read off a source is copied
+//! once, into the slot; the caller holds that acquired, not yet queued
+//! slot for as long as its fill runs, and a fill that fails gives it back.
 //!
 //! Shutdown is graceful: [`WorkerPool::shutdown`] (or dropping the pool)
 //! lets workers finish every queued job before exiting, and outstanding
@@ -297,9 +301,10 @@ struct Shared {
 // pool's invariants are maintained under the lock by straight-line code,
 // and worker panics are caught before they can unwind through a guard
 // (see `worker_loop`), so a poisoned mutex only ever reflects a panic in a
-// caller-supplied collect closure; the regression tests
-// `worker_panic_is_a_typed_error_and_pool_survives` and
-// `panicking_collect_closures_do_not_leak_slots` pin this down.
+// caller-supplied collect or fill closure; the regression tests
+// `worker_panic_is_a_typed_error_and_pool_survives`,
+// `panicking_collect_closures_do_not_leak_slots` and
+// `failing_fills_give_their_slots_back` pin this down.
 
 impl Shared {
     /// Refresh the occupancy gauge from the free-list length; called under
@@ -501,16 +506,6 @@ impl WorkerPool {
         Ok(idx)
     }
 
-    /// Return an acquired-but-never-enqueued slot to the free list
-    /// (used when filling the slot fails validation).
-    fn release_unused_slot(&self, idx: usize) {
-        let mut inner = lock(&self.shared.inner);
-        inner.free.push(idx);
-        self.shared.note_occupancy(&inner);
-        drop(inner);
-        self.shared.free.notify_all();
-    }
-
     /// Enqueue the filled slot `idx` and wake a worker.
     fn enqueue(&self, idx: usize) {
         let mut inner = lock(&self.shared.inner);
@@ -521,7 +516,36 @@ impl WorkerPool {
         self.shared.work.notify_one();
     }
 
-    /// Fill acquired slot `idx` with a compress job and enqueue it.
+    /// Set acquired slot `idx` up for a `kind` job, `fill` its input, and
+    /// enqueue it. Until it is queued the slot goes back to the free list
+    /// on any exit: a fill that fails or unwinds does not leak it.
+    fn dispatch(
+        &self,
+        idx: usize,
+        kind: JobKind,
+        codec: &Arc<dyn Compressor>,
+        desc: &DataDesc,
+        fill: impl FnOnce(&mut Slot) -> Result<()>,
+    ) -> Result<Ticket> {
+        let unqueued = Recycle {
+            shared: &self.shared,
+            idx,
+        };
+        {
+            let mut slot = lock(&self.shared.slots[idx]);
+            slot.kind = kind;
+            slot.codec = Some(Arc::clone(codec));
+            slot.set_desc(desc);
+            fill(&mut slot)?;
+            slot.enqueued_at = Some(Instant::now());
+        }
+        std::mem::forget(unqueued);
+        self.enqueue(idx);
+        Ok(Ticket::new(Arc::clone(&self.shared), idx))
+    }
+
+    /// Fill acquired slot `idx` with a compress job over `bytes` and
+    /// enqueue it.
     fn dispatch_compress(
         &self,
         idx: usize,
@@ -529,42 +553,24 @@ impl WorkerPool {
         desc: &DataDesc,
         bytes: &[u8],
     ) -> Result<Ticket> {
-        {
-            let mut guard = lock(&self.shared.slots[idx]);
-            let slot = &mut *guard;
-            slot.kind = JobKind::Compress;
-            slot.codec = Some(Arc::clone(codec));
-            slot.set_desc(desc);
-            if let Err(e) = slot.data.refill_from_slice(&slot.desc, bytes) {
-                drop(guard);
-                self.release_unused_slot(idx);
-                return Err(e);
-            }
-            slot.enqueued_at = Some(Instant::now());
-        }
-        self.enqueue(idx);
-        Ok(Ticket::new(Arc::clone(&self.shared), idx))
+        self.dispatch(idx, JobKind::Compress, codec, desc, |slot| {
+            slot.data.refill_from_slice(&slot.desc, bytes)
+        })
     }
 
-    /// Fill acquired slot `idx` with a decompress job and enqueue it.
+    /// Fill acquired slot `idx` with a decompress job and enqueue it:
+    /// `fill` writes the payload into the slot's emptied input buffer.
     fn dispatch_decompress(
         &self,
         idx: usize,
         codec: &Arc<dyn Compressor>,
         desc: &DataDesc,
-        payload: &[u8],
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<()>,
     ) -> Result<Ticket> {
-        {
-            let mut slot = lock(&self.shared.slots[idx]);
-            slot.kind = JobKind::Decompress;
-            slot.codec = Some(Arc::clone(codec));
-            slot.set_desc(desc);
+        self.dispatch(idx, JobKind::Decompress, codec, desc, |slot| {
             slot.buf.clear();
-            slot.buf.extend_from_slice(payload);
-            slot.enqueued_at = Some(Instant::now());
-        }
-        self.enqueue(idx);
-        Ok(Ticket::new(Arc::clone(&self.shared), idx))
+            fill(&mut slot.buf)
+        })
     }
 
     fn check_compress_job(desc: &DataDesc, bytes: &[u8]) -> Result<()> {
@@ -596,22 +602,6 @@ impl WorkerPool {
         self.dispatch_compress(idx, codec, desc, bytes)
     }
 
-    /// Non-blocking [`submit_compress`](Self::submit_compress): returns
-    /// `Ok(None)` when every slot is in flight.
-    pub fn try_submit_compress(
-        &self,
-        codec: &Arc<dyn Compressor>,
-        desc: &DataDesc,
-        bytes: &[u8],
-    ) -> Result<Option<Ticket>> {
-        crate::fault::fail_point("pool.submit")?;
-        Self::check_compress_job(desc, bytes)?;
-        match self.try_acquire_slot()? {
-            Some(idx) => Ok(Some(self.dispatch_compress(idx, codec, desc, bytes)?)),
-            None => Ok(None),
-        }
-    }
-
     /// Submit a decompression job: `payload` was produced by `codec` for
     /// data shaped like `desc`. The descriptor is treated as untrusted —
     /// the worker rejects implausible output claims before the codec can
@@ -626,7 +616,10 @@ impl WorkerPool {
     ) -> Result<Ticket> {
         crate::fault::fail_point("pool.submit")?;
         let idx = self.acquire_slot()?;
-        self.dispatch_decompress(idx, codec, desc, payload)
+        self.dispatch_decompress(idx, codec, desc, |buf| {
+            buf.extend_from_slice(payload);
+            Ok(())
+        })
     }
 
     /// Compress `data` through the pool as one job, replacing `out` with
@@ -692,6 +685,25 @@ impl Drop for WorkerPool {
     }
 }
 
+/// Pushes slot `idx` back onto the free list when dropped, so an owner
+/// that holds it outside the queue — a dispatch filling it, a collector
+/// reading it — gives it back on every exit, an unwind included: leaked
+/// slots would shrink the queue until every submit blocks forever.
+struct Recycle<'a> {
+    shared: &'a Shared,
+    idx: usize,
+}
+
+impl Drop for Recycle<'_> {
+    fn drop(&mut self) {
+        let mut inner = lock(&self.shared.inner);
+        inner.free.push(self.idx);
+        self.shared.note_occupancy(&inner);
+        drop(inner);
+        self.shared.free.notify_all();
+    }
+}
+
 /// A handle to one submitted job. Collect it to obtain the result and
 /// recycle the slot; dropping it abandons the job (the result is discarded
 /// and the slot is recycled once the worker finishes).
@@ -742,22 +754,8 @@ impl Ticket {
             }
         };
 
-        // Recycle the slot on every exit from here on — including an unwind
-        // out of the caller's closure, which must not leak the slot (leaked
-        // slots would shrink the queue until every submit blocks forever).
-        struct Recycle<'a> {
-            shared: &'a Shared,
-            idx: usize,
-        }
-        impl Drop for Recycle<'_> {
-            fn drop(&mut self) {
-                let mut inner = lock(&self.shared.inner);
-                inner.free.push(self.idx);
-                self.shared.note_occupancy(&inner);
-                drop(inner);
-                self.shared.free.notify_all();
-            }
-        }
+        // Recycle the slot on every exit from here on, an unwind out of the
+        // caller's closure included.
         let _recycle = Recycle {
             shared: &shared,
             idx,
@@ -923,16 +921,20 @@ impl<T> Window<T> {
     }
 
     /// Submit a decompression job (see [`WorkerPool::submit_decompress`])
-    /// that may wait — a reader's read-ahead. Returns `Ok(false)` without
-    /// submitting when the window is full, or when the pool is saturated
-    /// while this window holds tickets (collecting its front frees a slot;
-    /// the caller keeps the payload for its next call).
+    /// that may wait — a reader's read-ahead. The slot is acquired first,
+    /// then `fill` writes the payload into its emptied input buffer, so the
+    /// payload is read once, straight into the slot; a failed fill gives
+    /// the slot back. The reader holds that one acquired, unqueued slot
+    /// for as long as `fill` runs. Returns `Ok(false)` without acquiring a
+    /// slot or calling `fill` when the window is full, or when the pool is
+    /// saturated while this window holds tickets (collecting its front
+    /// frees a slot).
     pub(crate) fn try_push_decompress(
         &mut self,
         pool: &WorkerPool,
         codec: &Arc<dyn Compressor>,
         desc: &DataDesc,
-        payload: &[u8],
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<()>,
         tag: T,
     ) -> Result<bool> {
         self.check()?;
@@ -946,7 +948,7 @@ impl<T> Window<T> {
                 None if self.pending.is_empty() => pool.acquire_slot()?,
                 None => return Ok(false),
             };
-            let ticket = pool.dispatch_decompress(idx, codec, desc, payload)?;
+            let ticket = pool.dispatch_decompress(idx, codec, desc, fill)?;
             self.pending.push_back((ticket, tag));
             Ok(true)
         })();
@@ -1189,6 +1191,42 @@ mod tests {
         let tickets: Vec<Ticket> = (0..pool.queue_depth())
             .map(|_| {
                 pool.submit_compress(&codec, data.desc(), data.bytes())
+                    .unwrap()
+            })
+            .collect();
+        for t in tickets {
+            t.collect(|b| assert_eq!(b, data.bytes())).unwrap();
+        }
+    }
+
+    #[test]
+    fn failing_fills_give_their_slots_back() {
+        let pool = WorkerPool::new(PoolConfig::with_threads(1).queue_depth(2));
+        let codec = arc(Store);
+        let data = sample(16);
+        // Fail and panic inside the fill of an acquired slot more times
+        // than there are slots: a leaked one would block a later acquire.
+        for k in 0..4 {
+            let idx = pool.acquire_slot().unwrap();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.dispatch_decompress(idx, &codec, data.desc(), |buf| {
+                    buf.push(7);
+                    if k % 2 == 0 {
+                        panic!("fill bug");
+                    }
+                    Err(Error::Corrupt("short record".into()))
+                })
+            }));
+            match r {
+                Err(_) => assert_eq!(k % 2, 0, "only the even fills panic"),
+                Ok(r) => assert!(matches!(r, Err(Error::Corrupt(_)))),
+            }
+        }
+        let snap = pool.telemetry().snapshot();
+        assert_eq!(snap.gauge("pool.slots.occupied"), Some(0));
+        let tickets: Vec<Ticket> = (0..pool.queue_depth())
+            .map(|_| {
+                pool.submit_decompress(&codec, data.desc(), data.bytes())
                     .unwrap()
             })
             .collect();

@@ -523,11 +523,19 @@ impl<P: Deref<Target = WorkerPool>> WriterPump<P> {
 /// The reader pump: a stream's blocks, decoded with a bounded read-ahead on
 /// the pool and handed back in stream order.
 ///
-/// The payload closure is given a block's index and descriptor and a
-/// reusable buffer. Over a byte stream it reads the record into the buffer
-/// and returns `None`: each record is asked for once, one the window
-/// declined (it was full, or the pool saturated) staying there for the next
-/// call. Over random-access storage it returns `Some(bytes)`.
+/// The payload closure is given a block's index and descriptor and an
+/// empty buffer, and fills the buffer with that block's payload: over a
+/// byte stream it reads the record, over random-access storage it copies
+/// the chunk. On the pool the buffer is the input of a job slot already
+/// acquired for the block, so a payload is asked for once, only when a
+/// slot is there for it, and lands in the slot with one copy; inline it is
+/// the pump's own record buffer.
+///
+/// While the closure runs, the pump holds that one acquired, unqueued
+/// slot. Every pooled source today is in memory (a frame slice, a
+/// `Pipeline` frame, a buffered DECOMPRESS body, a container image), so
+/// none pins a slot on I/O; a source that blocks — a socket — pins one for
+/// as long as it blocks.
 pub struct ReaderPump<P> {
     codec: Arc<dyn Compressor>,
     pool: Option<P>,
@@ -537,12 +545,10 @@ pub struct ReaderPump<P> {
     /// Blocks submitted, and blocks handed out.
     submitted: usize,
     collected: usize,
-    /// `record` holds block `submitted`'s payload, declined by the window.
-    held: bool,
     window: Window,
     bdesc: DataDesc,
-    /// The record buffer, the block [`next`](Self::next) handed out last,
-    /// and the inline decode target.
+    /// The inline record buffer, the block [`next`](Self::next) handed out
+    /// last, and the inline decode target.
     record: Vec<u8>,
     current: Vec<u8>,
     scratch: FloatData,
@@ -567,7 +573,6 @@ impl<P: Deref<Target = WorkerPool>> ReaderPump<P> {
             block_elems: block_elems.max(1),
             submitted: 0,
             collected: 0,
-            held: false,
             window: Window::new(inflight, stalls),
             bdesc: DataDesc {
                 precision: desc.precision,
@@ -587,9 +592,9 @@ impl<P: Deref<Target = WorkerPool>> ReaderPump<P> {
 
     /// The next block's element bytes, or `None` after the final block; the
     /// slice lives until the next call.
-    pub fn next<'p>(
+    pub fn next(
         &mut self,
-        payload: impl FnMut(usize, &DataDesc, &mut Vec<u8>) -> Result<Option<&'p [u8]>>,
+        payload: impl FnMut(usize, &DataDesc, &mut Vec<u8>) -> Result<()>,
     ) -> Result<Option<&[u8]>> {
         let mut current = std::mem::take(&mut self.current);
         current.clear();
@@ -600,10 +605,10 @@ impl<P: Deref<Target = WorkerPool>> ReaderPump<P> {
 
     /// [`next`](Self::next), appending the bytes to `out` straight from
     /// where they were decoded; `false` after the final block.
-    pub fn next_into<'p>(
+    pub fn next_into(
         &mut self,
         out: &mut Vec<u8>,
-        mut payload: impl FnMut(usize, &DataDesc, &mut Vec<u8>) -> Result<Option<&'p [u8]>>,
+        mut payload: impl FnMut(usize, &DataDesc, &mut Vec<u8>) -> Result<()>,
     ) -> Result<bool> {
         self.window.check()?;
         let r = (|| {
@@ -613,11 +618,11 @@ impl<P: Deref<Target = WorkerPool>> ReaderPump<P> {
             }
             let Some(pool) = self.pool.as_deref() else {
                 self.bdesc.dims[0] = self.block_len(self.collected);
-                let bytes = payload(self.collected, &self.bdesc, &mut self.record)?;
-                let bytes = bytes.unwrap_or(&self.record);
-                crate::blocks::check_decode_claim(&self.bdesc, bytes.len())?;
+                self.record.clear();
+                payload(self.collected, &self.bdesc, &mut self.record)?;
+                crate::blocks::check_decode_claim(&self.bdesc, self.record.len())?;
                 self.codec
-                    .decompress_into(bytes, &self.bdesc, &mut self.scratch)?;
+                    .decompress_into(&self.record, &self.bdesc, &mut self.scratch)?;
                 if self.scratch.bytes().len() != self.bdesc.byte_len() {
                     return Err(Error::Corrupt("block decoded to a wrong size".into()));
                 }
@@ -627,19 +632,11 @@ impl<P: Deref<Target = WorkerPool>> ReaderPump<P> {
             };
             // Top the read-ahead up until the window declines a block.
             while self.submitted < nblocks {
-                self.bdesc.dims[0] = self.block_len(self.submitted);
-                let borrowed = if self.held {
-                    None
-                } else {
-                    payload(self.submitted, &self.bdesc, &mut self.record)?
-                };
-                let bytes = borrowed.unwrap_or(&self.record);
-                let (codec, bdesc) = (&self.codec, &self.bdesc);
-                let accepted = self
-                    .window
-                    .try_push_decompress(pool, codec, bdesc, bytes, ())?;
-                self.held = !accepted && borrowed.is_none();
-                if !accepted {
+                let i = self.submitted;
+                self.bdesc.dims[0] = self.block_len(i);
+                let (codec, bdesc, window) = (&self.codec, &self.bdesc, &mut self.window);
+                let fill = |buf: &mut Vec<u8>| payload(i, bdesc, buf);
+                if !window.try_push_decompress(pool, codec, bdesc, fill, ())? {
                     break;
                 }
                 self.submitted += 1;
@@ -781,11 +778,7 @@ fn put_block<W: Write>(sink: &mut W, payload: &[u8]) -> Result<()> {
 /// Read the next block record into `payload` — the [`ReaderPump`] payload
 /// closure over `src` — rejecting implausibly long declared lengths before
 /// allocating for them.
-fn read_record<'p, R: Read>(
-    src: &mut R,
-    block: &DataDesc,
-    payload: &mut Vec<u8>,
-) -> Result<Option<&'p [u8]>> {
+fn read_record<R: Read>(src: &mut R, block: &DataDesc, payload: &mut Vec<u8>) -> Result<()> {
     let mut le = [0u8; 8];
     src.read_exact(&mut le)?;
     let len = u64::from_le_bytes(le);
@@ -799,7 +792,7 @@ fn read_record<'p, R: Read>(
             ))
         })?;
     read_growing(src, len, payload)?;
-    Ok(None)
+    Ok(())
 }
 
 /// Streaming `FCB3` decoder; see the [module docs](self): a [`ReaderPump`]

@@ -24,9 +24,9 @@
 //! straight-line code, and worker panics are caught *before* they can
 //! unwind through a guard (see `worker_loop` in [`pool`](crate::pool)), so
 //! a poisoned mutex only ever reflects a panic in a caller-supplied collect
-//! closure — the protected state is still consistent and the right move is
-//! to keep serving. The worker-panic regression tests in `pool` hold this
-//! policy in place.
+//! or fill closure — the protected state is still consistent and the right
+//! move is to keep serving. The worker-panic regression tests in `pool`
+//! hold this policy in place.
 
 #[cfg(feature = "model-check")]
 pub mod model;

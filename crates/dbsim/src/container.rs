@@ -1087,7 +1087,10 @@ impl ColumnCursor<'_> {
     /// next call.
     pub fn next_chunk(&mut self) -> Result<Option<&[u8]>> {
         let col = self.col;
-        self.pump.next(|i, _, _| Ok(Some(col.chunk(i))))
+        self.pump.next(|i, _, buf| {
+            buf.extend_from_slice(col.chunk(i));
+            Ok(())
+        })
     }
 
     /// [`next_chunk`](Self::next_chunk) appending the page's element bytes
@@ -1095,7 +1098,10 @@ impl ColumnCursor<'_> {
     /// cursor; `false` after the final chunk.
     fn next_chunk_into(&mut self, out: &mut Vec<u8>) -> Result<bool> {
         let col = self.col;
-        self.pump.next_into(out, |i, _, _| Ok(Some(col.chunk(i))))
+        self.pump.next_into(out, |i, _, buf| {
+            buf.extend_from_slice(col.chunk(i));
+            Ok(())
+        })
     }
 }
 

@@ -115,6 +115,14 @@ fn one_shared_engine_serves_every_codec_with_zero_respawns() {
     assert!(pool.jobs_completed() > 0);
 }
 
+/// Every job slot of `pool` is back on the free list once its jobs finish:
+/// a pooled read that fails while filling a slot it acquired gives it back.
+fn assert_slots_free(pool: &WorkerPool, what: &str) {
+    pool.drain();
+    let occupied = pool.telemetry().snapshot().gauge("pool.slots.occupied");
+    assert_eq!(occupied, Some(0), "{what}: a failed read leaked a slot");
+}
+
 /// The serving front-end feeds `FrameReader` state straight from untrusted
 /// sockets, so a stream cut anywhere — mid-prologue, mid-record-length,
 /// mid-payload — must surface a typed error (never a panic or a hang) and
@@ -174,6 +182,8 @@ fn truncated_streams_from_untrusted_sources_fail_typed() {
             // Sticky: later reads refuse instead of yielding blocks out of
             // order (and must never panic on the drained read-ahead).
             assert!(reader.next_block().is_err(), "cut {cut} pooled {pooled}");
+            drop(reader);
+            assert_slots_free(&pool, &format!("cut {cut} pooled {pooled}"));
         }
     }
 
@@ -201,6 +211,8 @@ fn truncated_streams_from_untrusted_sources_fail_typed() {
             matches!(result, Err(Error::Corrupt(_))),
             "pooled {pooled}: petabyte record claim must be Corrupt, got {result:?}"
         );
+        drop(reader);
+        assert_slots_free(&pool, &format!("petabyte claim pooled {pooled}"));
     }
 }
 
