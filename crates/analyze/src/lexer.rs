@@ -1,22 +1,18 @@
 //! A deliberately small Rust source scrubber.
 //!
 //! The lint rules in [`crate::lint`] are token-level: they look for
-//! `.unwrap()`, `with_capacity(`, `as u32`, and similar spellings. Matching
-//! those against raw source would fire inside comments, doc examples, and
-//! string literals, and — worse — inside `#[cfg(test)]` code where panics
-//! are the correct idiom. This module produces a *scrubbed* view of a file:
+//! `with_capacity(`, `as u32`, and similar spellings. Matching those
+//! against raw source would fire inside comments, doc examples, and string
+//! literals, and — worse — inside `#[cfg(test)]` code, which sizes buffers
+//! from trusted values. This module produces a *scrubbed* view of a file:
 //!
 //! - comments (line, doc, nested block) and string/char literals are
 //!   blanked with spaces, **preserving byte offsets and line numbers**;
 //! - `// lint: <kind>(<reason>)` waiver comments are collected with their
 //!   line numbers before being blanked;
 //! - byte ranges of test-only items (`#[cfg(test)]`, `#[test]`,
-//!   `mod tests { .. }`) and model-check-only items
-//!   (`#[cfg(feature = "model-check")]`) are recorded so rules can skip
-//!   them;
-//! - files that are test/model-check-only as a whole (an inner
-//!   `#![cfg(test)]` / `#![cfg(feature = "model-check")]`) are flagged for
-//!   a whole-file skip.
+//!   `mod tests { .. }`) are recorded so rules can skip them; an inner
+//!   `#![cfg(test)]` marks the whole file.
 //!
 //! This is not a parser, and does not try to be `syn`: the repo bans
 //! exotic token trees in its own source far more effectively than the
@@ -47,8 +43,6 @@ pub struct Scrubbed {
     pub waivers: Vec<Waiver>,
     /// Byte ranges (half-open) of items the rules must ignore.
     pub ignored: Vec<(usize, usize)>,
-    /// The whole file is test- or model-check-only.
-    pub skip_file: bool,
 }
 
 impl Scrubbed {
@@ -71,12 +65,11 @@ impl Scrubbed {
 /// Scrub `src` (see module docs).
 pub fn scrub(src: &str) -> Scrubbed {
     let (text, waivers) = blank_noncode(src);
-    let (ignored, skip_file) = find_ignored(&text, src);
+    let ignored = find_ignored(&text);
     Scrubbed {
         text,
         waivers,
         ignored,
-        skip_file,
     }
 }
 
@@ -284,15 +277,13 @@ fn is_char_literal(b: &[u8], i: usize) -> bool {
     }
 }
 
-/// Pass 2: collect ignored (test-only / model-check-only) item ranges.
+/// Pass 2: collect ignored (test-only) item ranges.
 ///
 /// Works on the scrubbed text so braces inside literals don't confuse the
-/// matcher, but reads attribute payloads from the original source, because
-/// `"model-check"` is a string literal and was blanked.
-fn find_ignored(text: &str, orig: &str) -> (Vec<(usize, usize)>, bool) {
+/// matcher.
+fn find_ignored(text: &str) -> Vec<(usize, usize)> {
     let b = text.as_bytes();
     let mut ignored = Vec::new();
-    let mut skip_file = false;
     let mut i = 0;
     while let Some(off) = text[i..].find('#') {
         let at = i + off;
@@ -305,18 +296,13 @@ fn find_ignored(text: &str, orig: &str) -> (Vec<(usize, usize)>, bool) {
         let Some(close) = matching(b, open, b'[', b']') else {
             continue;
         };
-        let payload = &orig[open + 1..close];
-        let is_test = payload == "test"
-            || (payload.starts_with("cfg") && payload.contains("test"))
-            || (payload.starts_with("cfg") && payload.contains("model-check"));
-        if !is_test {
+        let payload = &text[open + 1..close];
+        if payload != "test" && payload != "cfg(test)" {
             continue;
         }
         if inner {
-            skip_file = true;
-            continue;
-        }
-        if let Some(range) = item_after(b, close + 1) {
+            ignored.push((0, b.len()));
+        } else if let Some(range) = item_after(b, close + 1) {
             ignored.push((at, range.1));
         }
     }
@@ -338,7 +324,7 @@ fn find_ignored(text: &str, orig: &str) -> (Vec<(usize, usize)>, bool) {
             }
         }
     }
-    (ignored, skip_file)
+    ignored
 }
 
 /// The span of the item starting at/after `from`: everything up to the

@@ -4,10 +4,10 @@
 //! checking for FCBench-rs, in two halves:
 //!
 //! - [`lint`] — offline token-level invariant lints over the workspace
-//!   source: panic-freedom of the production crates, claim-gated capacity
-//!   reservations in wire/container parsers, no truncating casts on
-//!   wire-decoded integers, and `#![forbid(unsafe_code)]` in every
-//!   non-compat crate root. Driven by `fcbench-analyze lint`.
+//!   source: claim-gated capacity reservations in wire/container parsers,
+//!   no truncating casts on wire-decoded integers, `#![forbid(unsafe_code)]`
+//!   in every non-compat crate root, and clippy's no-panic lints in every
+//!   panic-free root. Driven by `fcbench-analyze lint`.
 //! - [`scenarios`] — small closed concurrent programs over the real
 //!   [`WorkerPool`](fcbench_core::pool::WorkerPool) and
 //!   [`ColumnCursor`](fcbench_dbsim::ColumnCursor), explored exhaustively

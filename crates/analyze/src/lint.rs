@@ -3,24 +3,33 @@
 //!
 //! | Rule | Meaning |
 //! |---|---|
-//! | `R001` no-panic | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test code of the production crates (`core`, `serve`, `dbsim`, `entropy`, `telemetry`, `codecs-gpu` with its simulator, `codecs-cpu`) and of the benchmark harness modules (`bench/src/{runner,metrics,summary,scaling,dzip}.rs`) |
 //! | `R002` claim-gate | no capacity reservation (`with_capacity`, `reserve`, `vec![x; n]`) in decode-like functions of the wire/container modules and the codec decoders on the list unless the function also calls a claim gate, or the site carries a `// lint: claim-checked(reason)` waiver |
 //! | `R003` wire-cast | no truncating `as` cast on a line that decodes wire integers in `protocol.rs`/`stream.rs`/`container.rs`, unless waived with `// lint: cast-checked(reason)` |
-//! | `R004` forbid-unsafe | every non-compat crate root carries `#![forbid(unsafe_code)]` (the `bench` crate is exempt: it takes the workspace's `unsafe_code = "deny"` instead, which `src/alloc_track.rs` alone lifts to implement `GlobalAlloc`) |
+//! | `R004` root attributes | every non-compat crate root carries `#![forbid(unsafe_code)]` (the `bench` crate is exempt: it takes the workspace's `unsafe_code = "deny"` instead, which `src/alloc_track.rs` alone lifts to implement `GlobalAlloc`), and every panic-free root carries `NO_PANIC` |
 //!
-//! Findings not burnable today live in a committed allowlist
-//! (`ANALYZE_ALLOWLIST`), one `rule path count reason` entry per line.
-//! Counts are exact in both directions: a new finding over the count fails
-//! the build, and so does a stale entry whose findings were burned down —
-//! the allowlist only ever shrinks.
+//! Rule `R001`, no-panic, is clippy's: the `NO_PANIC` attribute denies
+//! `unwrap_used`/`expect_used`/`panic`/`unreachable` in the non-test code
+//! of the production crates (`core`, `serve`, `dbsim`, `entropy`,
+//! `telemetry`, `codecs-gpu` with its simulator, `codecs-cpu`) and of the
+//! benchmark harness modules (`bench/src/{runner,metrics,summary,scaling,dzip}.rs`),
+//! and the workspace denies `todo`/`unimplemented` everywhere. Each
+//! exception is an `#[expect(clippy::expect_used, reason = "…")]` at its
+//! site, which fails the build once the panic it excuses is gone. R004
+//! keeps that scope machine-checked: the attribute cannot be dropped from
+//! a root or module on the lists below.
 
 use crate::lexer::{self, Scrubbed};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Crates whose non-test code must be panic-free (R001).
+/// The no-panic lint attribute every panic-free root carries (R004).
+/// Matched with whitespace ignored, since rustfmt splits it over lines.
+const NO_PANIC: &str = "#![cfg_attr(not(test), deny(clippy::unwrap_used, \
+                            clippy::expect_used, clippy::panic, clippy::unreachable))]";
+
+/// Crates whose non-test code must be panic-free: their `src/lib.rs`
+/// carries [`NO_PANIC`].
 const PANIC_FREE_CRATES: &[&str] = &[
     "core",
     "serve",
@@ -31,9 +40,10 @@ const PANIC_FREE_CRATES: &[&str] = &[
     "codecs-cpu",
 ];
 
-/// Single files held to R001 ahead of their crate: the benchmark harness
-/// modules, which were held to it as part of `core` before they moved to
-/// `bench`, and the dzip codec, held to it as a crate of its own before.
+/// Single modules held to [`NO_PANIC`] ahead of their crate: the benchmark
+/// harness modules, which were held to it as part of `core` before they
+/// moved to `bench`, and the dzip codec, held to it as a crate of its own
+/// before.
 const PANIC_FREE_FILES: &[&str] = &[
     "crates/bench/src/runner.rs",
     "crates/bench/src/metrics.rs",
@@ -99,7 +109,7 @@ const FORBID_UNSAFE_EXEMPT: &[&str] = &["compat", "bench"];
 /// One diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule ID, `R001`..`R004`.
+    /// Rule ID, `R002`..`R004`.
     pub rule: &'static str,
     /// Path relative to the repo root, `/`-separated.
     pub path: String,
@@ -118,33 +128,16 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Lint every watched file under `root`. Returns findings not covered by
-/// the allowlist, plus allowlist integrity errors (stale or over-counted
-/// entries) rendered as findings against the allowlist file itself.
-pub fn run(root: &Path, allowlist_path: &Path) -> Result<Vec<Finding>, String> {
+/// Lint every watched file under `root`.
+pub fn run(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     for file in watched_files(root)? {
         let rel = relpath(root, &file);
         let src = fs::read_to_string(&file).map_err(|e| format!("read {}: {e}", file.display()))?;
-        let scrubbed = lexer::scrub(&src);
-        if scrubbed.skip_file {
-            continue;
-        }
-        lint_file(&rel, &scrubbed, &mut findings);
+        lint_file(&rel, &lexer::scrub(&src), &mut findings);
     }
-    for rel in crate_roots(root)? {
-        let file = root.join(&rel);
-        let src = fs::read_to_string(&file).map_err(|e| format!("read {}: {e}", file.display()))?;
-        if !lexer::scrub(&src).text.contains("#![forbid(unsafe_code)]") {
-            findings.push(Finding {
-                rule: "R004",
-                path: rel,
-                line: 1,
-                message: "crate root is missing #![forbid(unsafe_code)]".into(),
-            });
-        }
-    }
-    apply_allowlist(findings, allowlist_path)
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    Ok(findings)
 }
 
 /// All lintable `.rs` files: `src/` trees of the non-compat crates plus
@@ -183,24 +176,6 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Crate roots subject to R004.
-fn crate_roots(root: &Path) -> Result<Vec<String>, String> {
-    let mut roots = vec!["src/lib.rs".to_string()];
-    let crates = root.join("crates");
-    let entries = fs::read_dir(&crates).map_err(|e| format!("read {}: {e}", crates.display()))?;
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if FORBID_UNSAFE_EXEMPT.contains(&name.as_str()) {
-            continue;
-        }
-        if entry.path().join("src/lib.rs").is_file() {
-            roots.push(format!("crates/{name}/src/lib.rs"));
-        }
-    }
-    roots.sort();
-    Ok(roots)
-}
-
 fn relpath(root: &Path, file: &Path) -> String {
     file.strip_prefix(root)
         .unwrap_or(file)
@@ -210,11 +185,9 @@ fn relpath(root: &Path, file: &Path) -> String {
         .join("/")
 }
 
-/// Run R001–R003 over one scrubbed file.
+/// Run R002–R004 over one scrubbed file.
 pub fn lint_file(rel: &str, s: &Scrubbed, findings: &mut Vec<Finding>) {
-    if in_panic_free_crate(rel) {
-        no_panic(rel, s, findings);
-    }
+    root_attributes(rel, s, findings);
     if CLAIM_GATE_FILES.contains(&rel) {
         claim_gate(rel, s, findings);
     }
@@ -226,36 +199,33 @@ pub fn lint_file(rel: &str, s: &Scrubbed, findings: &mut Vec<Finding>) {
     }
 }
 
-fn in_panic_free_crate(rel: &str) -> bool {
-    PANIC_FREE_FILES.contains(&rel)
-        || PANIC_FREE_CRATES
-            .iter()
-            .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
-}
-
-/// R001: panics in non-test production code.
-fn no_panic(rel: &str, s: &Scrubbed, findings: &mut Vec<Finding>) {
-    const METHODS: &[&str] = &[".unwrap()", ".expect("];
-    const MACROS: &[&str] = &["panic!", "unreachable!", "todo!", "unimplemented!"];
-    for pat in METHODS.iter().chain(MACROS) {
-        for at in occurrences(&s.text, pat) {
-            if s.is_ignored(at) {
-                continue;
-            }
-            // `.expect(` must not also catch `.expect_err(`; boundary
-            // checks keep `core::unreachable!` matched but `my_panic!` not.
-            let b = s.text.as_bytes();
-            let before_ok = pat.starts_with('.')
-                || at == 0
-                || !(b[at - 1].is_ascii_alphanumeric() || b[at - 1] == b'_');
-            if !before_ok {
-                continue;
-            }
+/// R004: the attributes a crate root or panic-free module must carry.
+fn root_attributes(rel: &str, s: &Scrubbed, findings: &mut Vec<Finding>) {
+    let krate = match rel.strip_prefix("crates/") {
+        Some(rest) => rest
+            .strip_suffix("/src/lib.rs")
+            .filter(|c| !c.contains('/')),
+        None => (rel == "src/lib.rs").then_some(""),
+    };
+    let required = [
+        (
+            krate.is_some_and(|c| !FORBID_UNSAFE_EXEMPT.contains(&c)),
+            "#![forbid(unsafe_code)]",
+        ),
+        (
+            krate.is_some_and(|c| PANIC_FREE_CRATES.contains(&c))
+                || PANIC_FREE_FILES.contains(&rel),
+            NO_PANIC,
+        ),
+    ];
+    let squeeze = |t: &str| t.split_whitespace().collect::<String>();
+    for (_, attr) in required.into_iter().filter(|(req, _)| *req) {
+        if !squeeze(&s.text).contains(&squeeze(attr)) {
             findings.push(Finding {
-                rule: "R001",
+                rule: "R004",
                 path: rel.to_string(),
-                line: lexer::line_of(&s.text, at),
-                message: format!("`{pat}` in non-test production code"),
+                line: 1,
+                message: format!("root is missing `{attr}`"),
             });
         }
     }
@@ -409,98 +379,4 @@ fn matching_bracket(b: &[u8], open: usize) -> Option<usize> {
         i += 1;
     }
     None
-}
-
-/// Subtract the allowlist from `findings`; surface integrity errors.
-fn apply_allowlist(findings: Vec<Finding>, allowlist_path: &Path) -> Result<Vec<Finding>, String> {
-    let mut allowed: BTreeMap<(String, String), usize> = BTreeMap::new();
-    let text = match fs::read_to_string(allowlist_path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(format!("read {}: {e}", allowlist_path.display())),
-    };
-    for (no, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(rule), Some(path), Some(count)) = (parts.next(), parts.next(), parts.next())
-        else {
-            return Err(format!(
-                "{}:{}: malformed allowlist entry (want `rule path count reason`)",
-                allowlist_path.display(),
-                no + 1
-            ));
-        };
-        let count: usize = count.parse().map_err(|_| {
-            format!(
-                "{}:{}: count {count:?} is not a number",
-                allowlist_path.display(),
-                no + 1
-            )
-        })?;
-        if parts.next().is_none() {
-            return Err(format!(
-                "{}:{}: allowlist entry has no justification",
-                allowlist_path.display(),
-                no + 1
-            ));
-        }
-        allowed.insert((rule.to_string(), path.to_string()), count);
-    }
-
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for f in &findings {
-        *counts
-            .entry((f.rule.to_string(), f.path.clone()))
-            .or_insert(0) += 1;
-    }
-    let mut out = Vec::new();
-    let list = allowlist_path.display();
-    for f in findings {
-        let key = (f.rule.to_string(), f.path.clone());
-        let found = counts[&key];
-        match allowed.get(&key) {
-            Some(&n) if n == found => {} // exactly covered
-            Some(&n) => out.push(Finding {
-                message: format!(
-                    "{} (allowlist covers {n} for this rule+file, found {found} — \
-                     update {list} with a justification, or burn the finding down)",
-                    f.message
-                ),
-                ..f
-            }),
-            None => out.push(f),
-        }
-    }
-    // Stale entries: the allowlist only shrinks.
-    for ((rule, path), n) in &allowed {
-        let found = counts
-            .get(&(rule.clone(), path.clone()))
-            .copied()
-            .unwrap_or(0);
-        if found < *n {
-            out.push(Finding {
-                rule: match rule.as_str() {
-                    "R001" => "R001",
-                    "R002" => "R002",
-                    "R003" => "R003",
-                    _ => "R004",
-                },
-                path: relpath_str(allowlist_path),
-                line: 1,
-                message: format!(
-                    "stale allowlist entry: `{rule} {path}` allows {n} but only \
-                     {found} remain — shrink the entry"
-                ),
-            });
-        }
-    }
-    out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(out)
-}
-
-fn relpath_str(p: &Path) -> String {
-    p.to_string_lossy().replace('\\', "/")
 }

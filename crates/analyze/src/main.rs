@@ -1,15 +1,14 @@
 //! `fcbench-analyze` — the repo's own analysis gate.
 //!
 //! ```text
-//! fcbench-analyze lint [--root DIR] [--allowlist FILE]
+//! fcbench-analyze lint [--root DIR]
 //! fcbench-analyze check-pool [--scenario NAME] [--preemptions N]
 //!                            [--max-schedules N] [--time-budget-secs N]
 //!                            [--replay SEED] [--seed-out FILE]
 //! fcbench-analyze list-scenarios
 //! ```
 //!
-//! `lint` exits non-zero on any finding not covered by the committed
-//! allowlist. `check-pool` explores every schedule of each scenario within
+//! `lint` exits non-zero on any finding. `check-pool` explores every schedule of each scenario within
 //! the preemption bound and exits non-zero on a counterexample, printing
 //! the `mc1:…` seed that replays it deterministically (and writing it to
 //! `--seed-out`, which CI uploads as an artifact).
@@ -53,10 +52,7 @@ fn take_opt(args: &[&str], name: &str) -> Option<String> {
 
 fn cmd_lint(args: &[&str]) -> ExitCode {
     let root = PathBuf::from(take_opt(args, "--root").unwrap_or_else(|| ".".into()));
-    let allowlist = take_opt(args, "--allowlist")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| root.join("ANALYZE_ALLOWLIST"));
-    match lint::run(&root, &allowlist) {
+    match lint::run(&root) {
         Ok(findings) if findings.is_empty() => {
             println!("fcbench-analyze lint: clean");
             ExitCode::SUCCESS

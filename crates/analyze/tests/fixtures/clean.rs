@@ -1,5 +1,17 @@
 //! Fixture: none of these may produce a finding. Every shape here is a
-//! known false-positive hazard for a token-level scanner.
+//! known false-positive hazard for a token-level scanner, and the root
+//! attributes are laid out as rustfmt writes them.
+
+#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 /// Doc comments may say `.unwrap()` and `panic!("...")` freely.
 pub fn decode_with_gate(src: &[u8], claim: usize) -> Vec<u8> {

@@ -4,23 +4,12 @@
 pub fn decode_payload(src: &[u8]) -> Vec<u8> {
     let n = u32::from_le_bytes([src[0], src[1], src[2], src[3]]) as usize; // line 5: R003
     let mut out = Vec::with_capacity(n); // line 6: R002
-    out.push(src.first().copied().unwrap()); // line 7: R001
+    out.extend_from_slice(src);
     out
 }
 
-pub fn helper(src: &[u8]) -> u8 {
-    let v = src.first().expect("nonempty"); // line 12: R001
-    if *v > 250 {
-        panic!("out of range"); // line 14: R001
-    }
-    match v {
-        0..=250 => *v,
-        _ => unreachable!(), // line 18: R001
-    }
-}
-
 pub fn read_sizes(src: &[u8]) -> Vec<u8> {
-    let mut sizes = vec![0u8; src.len()]; // line 23: R002 (repeat form, expression length)
+    let mut sizes = vec![0u8; src.len()]; // line 12: R002 (repeat form, expression length)
     sizes.copy_from_slice(src);
     sizes
 }

@@ -13,27 +13,21 @@ fn lint_fixture(rel: &str, fixture: &str) -> Vec<Finding> {
             .join(fixture),
     )
     .expect("fixture file");
-    let scrubbed = lexer::scrub(&src);
-    assert!(!scrubbed.skip_file, "fixtures are not test-only files");
     let mut findings = Vec::new();
-    lint_file(rel, &scrubbed, &mut findings);
+    lint_file(rel, &lexer::scrub(&src), &mut findings);
     findings
 }
 
 #[test]
 fn violations_fixture_fires_every_rule_at_the_pinned_lines() {
-    // protocol.rs in the serve crate is watched by R001 (panic-free
-    // crate), R002 (claim-gate file), and R003 (wire-cast file) at once.
+    // protocol.rs in the serve crate is watched by R002 (claim-gate file)
+    // and R003 (wire-cast file) at once.
     let findings = lint_fixture("crates/serve/src/protocol.rs", "violations.rs");
     let got: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
     let want = vec![
         ("R003", 5),  // `as usize` on a from_le_bytes line
         ("R002", 6),  // ungated Vec::with_capacity in decode_payload
-        ("R001", 7),  // .unwrap()
-        ("R001", 12), // .expect(
-        ("R001", 14), // panic!
-        ("R001", 18), // unreachable!
-        ("R002", 23), // vec![0u8; src.len()] repeat form in read_sizes
+        ("R002", 12), // vec![0u8; src.len()] repeat form in read_sizes
     ];
     let mut got_sorted = got.clone();
     got_sorted.sort();
@@ -47,28 +41,45 @@ fn violations_fixture_fires_every_rule_at_the_pinned_lines() {
 
 #[test]
 fn violations_only_fire_for_watched_locations() {
-    // The same source in a crate outside the panic-free set, with a
-    // basename no wire rule watches: only the claim-gate rule is scoped
-    // by... nothing here, so nothing fires at all.
+    // A module no rule watches, with a basename no wire rule watches.
     let findings = lint_fixture("crates/bench/src/friedman.rs", "violations.rs");
     assert_eq!(findings, vec![], "unwatched location must be silent");
+}
 
-    // In a panic-free file but not a wire/claim file: only R001. The dzip
-    // codec is watched as a bench file, as it was as a crate.
+#[test]
+fn roots_missing_their_attributes_fire_r004() {
+    // A panic-free module without the no-panic attribute; the dzip codec
+    // is held to it as a bench module.
     for rel in ["crates/bench/src/metrics.rs", "crates/bench/src/dzip.rs"] {
         let findings = lint_fixture(rel, "violations.rs");
-        assert!(
-            findings.iter().all(|f| f.rule == "R001"),
-            "{rel}: {findings:#?}"
-        );
-        assert_eq!(findings.len(), 4, "{rel}");
+        let got: Vec<(&str, usize)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(got, vec![("R004", 1)], "{rel}: {findings:#?}");
+        assert!(findings[0].message.contains("clippy::unwrap_used"), "{rel}");
+    }
+    // A panic-free crate root needs both attributes; any other crate
+    // root only `forbid(unsafe_code)`; the bench root neither.
+    for (rel, want) in [
+        ("crates/dbsim/src/lib.rs", 2),
+        ("crates/datasets/src/lib.rs", 1),
+        ("src/lib.rs", 1),
+        ("crates/bench/src/lib.rs", 0),
+    ] {
+        let findings = lint_fixture(rel, "violations.rs");
+        assert!(findings.iter().all(|f| f.rule == "R004"), "{rel}");
+        assert_eq!(findings.len(), want, "{rel}: {findings:#?}");
     }
 }
 
 #[test]
 fn clean_fixture_is_silent() {
-    let findings = lint_fixture("crates/serve/src/protocol.rs", "clean.rs");
-    assert_eq!(findings, vec![], "false positive: {findings:#?}");
+    for rel in [
+        "crates/serve/src/protocol.rs",
+        "crates/dbsim/src/lib.rs",
+        "crates/bench/src/runner.rs",
+    ] {
+        let findings = lint_fixture(rel, "clean.rs");
+        assert_eq!(findings, vec![], "{rel}: false positive: {findings:#?}");
+    }
 }
 
 #[test]
@@ -96,7 +107,8 @@ fn scrubber_reports_waivers_and_test_scopes() {
 }
 
 #[test]
-fn model_check_only_files_are_skipped_entirely() {
-    let s = lexer::scrub("#![cfg(feature = \"model-check\")]\npub fn f() { x.unwrap() }\n");
-    assert!(s.skip_file);
+fn test_only_files_are_ignored_whole() {
+    let src = "#![cfg(test)]\npub fn decode(n: usize) -> Vec<u8> { Vec::with_capacity(n) }\n";
+    let s = lexer::scrub(src);
+    assert!(s.is_ignored(src.find("with_capacity").expect("present")));
 }

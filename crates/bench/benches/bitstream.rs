@@ -11,7 +11,7 @@
 //! shrinks the iteration counts.
 
 use fcbench_bench::reference::bits as reference;
-use fcbench_entropy::{BitReader, BitWriter};
+use fcbench_entropy::{BitReader, BitSink};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -72,7 +72,8 @@ fn bench_push(name: &'static str, fields: &[(u64, u32)], reps: usize) -> Row {
     // compares bit I/O, not Vec regrowth.
     let cap = fields.len() * 8 + 8;
     let new_s = best_of(reps, || {
-        let mut w = BitWriter::with_capacity(cap);
+        let mut buf = Vec::with_capacity(cap);
+        let mut w = BitSink::new(&mut buf);
         for &(v, n) in fields {
             w.push_bits(v, n);
         }
@@ -94,11 +95,12 @@ fn bench_push(name: &'static str, fields: &[(u64, u32)], reps: usize) -> Row {
 }
 
 fn bench_read(name: &'static str, fields: &[(u64, u32)], reps: usize) -> Row {
-    let mut w = BitWriter::new();
+    let mut bytes = Vec::new();
+    let mut w = BitSink::new(&mut bytes);
     for &(v, n) in fields {
         w.push_bits(v, n);
     }
-    let bytes = w.into_bytes();
+    w.finish();
     let bits: u64 = fields.iter().map(|&(_, n)| u64::from(n)).sum();
     let new_s = best_of(reps, || {
         let mut r = BitReader::new(&bytes);
@@ -128,7 +130,8 @@ fn bench_read(name: &'static str, fields: &[(u64, u32)], reps: usize) -> Row {
 /// `11 + 13-bit header + 20 bits` records. The new engine dispatches with
 /// one `peek_bits(2)` + `consume`; the reference reads bit by bit.
 fn bench_dispatch(count: usize, reps: usize) -> Row {
-    let mut w = BitWriter::new();
+    let mut bytes = Vec::new();
+    let mut w = BitSink::new(&mut bytes);
     let mut x = 0xD1B5_4A32_D192_ED03u64;
     let mut bits = 0u64;
     for _ in 0..count {
@@ -151,7 +154,7 @@ fn bench_dispatch(count: usize, reps: usize) -> Row {
             }
         }
     }
-    let bytes = w.into_bytes();
+    w.finish();
     let new_s = best_of(reps, || {
         let mut r = BitReader::new(&bytes);
         let mut acc = 0u64;

@@ -22,8 +22,7 @@ pub(crate) const GFC_INPUT_LIMIT: u64 = 512 * 1024 * 1024;
 /// (pFPC, SPDP, fpzip, shf+LZ4, shf+zstd, ndzip-CPU, BUFF, Gorilla, Chimp,
 /// GFC, MPC, nv-lz4, nv-bitcomp, ndzip-GPU).
 ///
-/// GFC is constructed without its own byte limit — the harness gates it
-/// on paper sizes instead (see `GFC_INPUT_LIMIT`).
+/// The harness gates GFC on paper sizes (see `GFC_INPUT_LIMIT`).
 pub fn paper_registry() -> CodecRegistry {
     CodecRegistry::new()
         .with(
@@ -56,7 +55,7 @@ pub fn paper_registry() -> CodecRegistry {
         .with(Buff::new())
         .with(RegistryEntry::new(Gorilla::new()).block_capable())
         .with(RegistryEntry::new(Chimp::new()).block_capable())
-        .with(Gfc::with_config(Default::default(), usize::MAX))
+        .with(Gfc::default())
         .with(Mpc::new())
         .with(RegistryEntry::new(NvLz4::new()).block_capable())
         .with(RegistryEntry::new(NvBitcomp::new()).block_capable())

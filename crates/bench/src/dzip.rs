@@ -24,6 +24,16 @@
 //! Its unit tests live in the crate-root `tests` module beside the
 //! roofline model's, the paths they had as crates of their own.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use fcbench_core::wire::{le_u64, Cursor};
 use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, PrecisionSupport,

@@ -10,6 +10,16 @@
 //! ratios, arithmetic mean for throughputs, and the harness's one timing
 //! rule, `time_reps`.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use std::time::Instant;
 
 /// Wall-clock seconds of one repeated call, as `time_reps` measures them.

@@ -12,6 +12,16 @@
 //! the payload out, decompression the reverse, each at the paper device's
 //! link rate ([`GpuConfig::transfer_seconds`]).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::metrics::{time_reps, Measurement};
 use fcbench_codecs_gpu::GpuConfig;
 use fcbench_core::pool::WorkerPool;

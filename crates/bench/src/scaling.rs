@@ -5,6 +5,16 @@
 //! parallel efficiency. This module drives any factory of thread-configured
 //! codecs through that sweep.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::metrics::{time_reps, Timing};
 use fcbench_core::pool::{PoolConfig, WorkerPool};
 use fcbench_core::{Compressor, FloatData, Pipeline, Result};

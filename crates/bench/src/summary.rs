@@ -2,6 +2,16 @@
 //! domain/precision/class/platform groupings (Fig. 6a/6b), and the Figure 9
 //! compression-vs-decompression asymmetry.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use crate::metrics::{median, quantile};
 
 /// Five-number boxplot summary with Tukey 1.5-IQR whiskers and outliers,

@@ -8,7 +8,7 @@ use fcbench_codecs_cpu::Bitshuffle;
 use fcbench_core::Compressor;
 use fcbench_entropy::lz77::{self, Lz77Config};
 use fcbench_entropy::{huffman, lz4, zzip};
-use fcbench_entropy::{BitReader, BitSink, BitWriter};
+use fcbench_entropy::{BitReader, BitSink};
 use proptest::prelude::*;
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
@@ -150,7 +150,8 @@ proptest! {
         align_every in 1usize..8,
     ) {
         let masked = mask_fields(&fields);
-        let mut new_w = BitWriter::new();
+        let mut new_bytes = Vec::new();
+        let mut new_w = BitSink::new(&mut new_bytes);
         let mut ref_w = reference::bits::BitWriter::new();
         for (i, &(v, n)) in masked.iter().enumerate() {
             new_w.push_bits(v, n);
@@ -166,7 +167,8 @@ proptest! {
             ref_w.push_bit(b);
         }
         prop_assert_eq!(new_w.bit_len(), ref_w.bit_len());
-        prop_assert_eq!(new_w.into_bytes(), ref_w.into_bytes());
+        new_w.finish();
+        prop_assert_eq!(new_bytes, ref_w.into_bytes());
     }
 
     #[test]

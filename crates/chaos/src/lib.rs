@@ -37,14 +37,3 @@
 #![forbid(unsafe_code)]
 
 pub use fcbench_core::fault::{self, failpoints, FaultPlan, FaultyIo};
-
-/// Surface `plan`'s replayable seed for CI artifact upload: written to the
-/// path in `$FCBENCH_CHAOS_SEED_OUT` (when set) before the risky work, so
-/// the seed of a crashed or failed case survives the process.
-pub fn note_seed(plan: &FaultPlan) {
-    if let Ok(path) = std::env::var("FCBENCH_CHAOS_SEED_OUT") {
-        if !path.is_empty() {
-            let _ = std::fs::write(path, plan.seed_string());
-        }
-    }
-}

@@ -5,7 +5,7 @@
 //! leaves the registry disarmed.
 
 use fcbench_bench::codecs::paper_registry;
-use fcbench_chaos::{failpoints, note_seed, FaultPlan};
+use fcbench_chaos::{failpoints, FaultPlan};
 use fcbench_codecs_cpu::Gorilla;
 use fcbench_core::fault::Rng;
 use fcbench_core::pool::{PoolConfig, WorkerPool};
@@ -259,7 +259,7 @@ fn seeded_commit_schedules_always_recover() {
     let codec: Arc<dyn Compressor> = Arc::new(Gorilla::new());
     for seed in 0..32u64 {
         let plan = FaultPlan::from_seed(seed);
-        note_seed(&plan);
+        plan.note_seed();
         let mut rng = Rng::new(plan.seed());
         let skip = rng.below(4);
         let fail = 1 + rng.below(3);

@@ -21,7 +21,7 @@ use fcbench_core::{
     CodecClass, CodecInfo, Community, Compressor, DataDesc, Error, FloatData, Platform, Precision,
     PrecisionSupport, Result,
 };
-use fcbench_entropy::{AdaptiveModel, BitReader, BitWriter, RangeDecoder, RangeEncoder};
+use fcbench_entropy::{AdaptiveModel, BitReader, BitSink, RangeDecoder, RangeEncoder};
 
 /// The fpzip codec.
 #[derive(Debug, Default, Clone)]
@@ -181,7 +181,8 @@ macro_rules! fpzip_impl {
             // BITS+1..=2*BITS negative with k bits.
             let mut model = AdaptiveModel::new(2 * $bits + 1);
             let mut rc = RangeEncoder::new();
-            let mut verbatim = BitWriter::with_capacity(values.len() * ($bits / 8));
+            let mut verbatim = Vec::with_capacity(values.len() * ($bits / 8));
+            let mut bits = BitSink::new(&mut verbatim);
 
             let mut at = Walk::new(dims);
             for (idx, &v) in values.iter().enumerate() {
@@ -200,16 +201,17 @@ macro_rules! fpzip_impl {
                     if k > 1 {
                         // Drop the implicit leading 1 bit.
                         let low = mag & ((1 as $w << (k - 1)) - 1);
-                        verbatim.push_bits(low as u64, (k - 1) as u32);
+                        bits.push_bits(low as u64, (k - 1) as u32);
                     }
                 }
             }
 
+            bits.finish();
             let rc_bytes = rc.finish();
-            let mut out = Vec::with_capacity(8 + rc_bytes.len() + verbatim.byte_len());
+            let mut out = Vec::with_capacity(8 + rc_bytes.len() + verbatim.len());
             out.extend_from_slice(&(rc_bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(&rc_bytes);
-            out.extend_from_slice(&verbatim.into_bytes());
+            out.extend_from_slice(&verbatim);
             out
         }
 

@@ -26,6 +26,15 @@
 //! hand-rolled `pos + n`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod bitshuffle;
 mod buff;

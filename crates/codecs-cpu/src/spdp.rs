@@ -275,20 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn corpus_payloads_match_the_composed_stages() {
-        // The fused pass on the benchmark corpus is the three stages
-        // composed; the bench crate's reference module checks the payloads
-        // built on it against the reference LZ77.
-        for name in ["msg-bt", "citytemp", "acs-wht", "tpcDS-store"] {
-            let spec = fcbench_datasets::find(name).expect("catalogued dataset");
-            let data = fcbench_datasets::generate(&spec, 1 << 16);
-            let mut staged = vec![0; data.bytes().len()];
-            apply_stages(data.bytes(), &mut staged);
-            assert_eq!(staged, composed_stages(data.bytes()), "{name}");
-        }
-    }
-
-    #[test]
     fn dim8_groups_msbs() {
         // 2 rows of 8: transpose puts bytes 0 and 8 first.
         let data: Vec<u8> = (0..16).collect();

@@ -5,7 +5,7 @@
 //!
 //! | Codec | Paper § | Class | Notes |
 //! |---|---|---|---|
-//! | [`Gfc`] | 4.1 | delta | warp subchunks of 32 doubles, input limit |
+//! | [`Gfc`] | 4.1 | delta | warp subchunks of 32 doubles |
 //! | [`Mpc`] | 4.2 | delta + transpose | LNVd/BIT/LNV1/ZE pipeline |
 //! | [`NvLz4`] | 4.3 | dictionary | batched pages, divergence-heavy |
 //! | [`NvBitcomp`] | 4.3 | prediction | delta + LZ suppression, fastest |
@@ -26,6 +26,15 @@
 //! had as a crate of their own.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 mod config;
 mod exec;

@@ -17,7 +17,7 @@ pub enum Error {
     /// byte length not a multiple of the element size, ...).
     BadDescriptor(String),
     /// The input violates a codec-specific constraint
-    /// (e.g. GFC's 512 MB input limit, BUFF's precision table bounds).
+    /// (e.g. BUFF's precision table bounds).
     Unsupported(String),
     /// A name lookup in a [`CodecRegistry`](crate::registry::CodecRegistry)
     /// found no such codec. Carries the registry's available names so the

@@ -158,6 +158,17 @@ impl FaultPlan {
         format!("{SEED_PREFIX}{:016x}", self.seed)
     }
 
+    /// Surface the replayable seed for CI artifact upload: written to the
+    /// path in `$FCBENCH_CHAOS_SEED_OUT` (when set) before the risky work,
+    /// so the seed of a crashed or failed case survives the process.
+    pub fn note_seed(&self) {
+        if let Ok(path) = std::env::var("FCBENCH_CHAOS_SEED_OUT") {
+            if !path.is_empty() {
+                let _ = std::fs::write(path, self.seed_string());
+            }
+        }
+    }
+
     /// Parse an `fp1:` seed string back into its plan.
     pub fn parse(s: &str) -> Result<FaultPlan> {
         let hex = s.strip_prefix(SEED_PREFIX).ok_or_else(|| {

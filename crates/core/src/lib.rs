@@ -37,6 +37,15 @@
 //! summaries, thread-scaling sweeps) lives in `fcbench-bench`.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod blocks;
 pub mod codec;

@@ -420,6 +420,10 @@ impl WorkerPool {
             jobs_done: AtomicU64::new(0),
             metrics: PoolMetrics::new(),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn at pool construction; no Result channel to the caller and a host that cannot spawn threads cannot run the engine at all"
+        )]
         let handles = (0..threads)
             .map(|i| {
                 let shared = Arc::clone(&shared);

@@ -119,6 +119,10 @@ impl CodecRegistry {
     /// for static catalogues written out in source.
     #[must_use]
     pub fn with(mut self, entry: impl Into<RegistryEntry>) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented builder contract: with() panics on duplicate codec names in the static catalogue, a programmer error caught by the catalogue tests"
+        )]
         self.register(entry).expect("duplicate codec name");
         self
     }

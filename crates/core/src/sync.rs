@@ -29,6 +29,11 @@
 //! hold this policy in place.
 
 #[cfg(feature = "model-check")]
+#[allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "the model-check scheduler never ships, and a broken schedule invariant must abort its exploration"
+)]
 pub mod model;
 
 #[cfg(not(feature = "model-check"))]

@@ -26,8 +26,8 @@
 //! and the GPU simulator's thread blocks alike, and [`code_chunks`] codes
 //! chunks behind a [`put_chunks`] directory under it.
 //!
-//! The `fcbench-analyze` lint rules `no-panic`, `claim-gate` and
-//! `wire-cast` hold decode paths to these helpers.
+//! The no-panic lints (clippy) and the `fcbench-analyze` rules
+//! `claim-gate` and `wire-cast` hold decode paths to these helpers.
 
 use crate::error::{Error, Result};
 

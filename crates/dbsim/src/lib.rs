@@ -19,6 +19,15 @@
 //! needed to integrate compressors into an actual database system".
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 mod container;
 mod dataframe;

@@ -8,7 +8,7 @@
 //! `reference::bits` for differential testing and the `bitstream`
 //! microbench):
 //!
-//! - [`BitWriter`]/[`BitSink`] stage bits in a `u64` whose **top** `nbits`
+//! - [`BitSink`] stages bits in a `u64` whose **top** `nbits`
 //!   bits are the pending stream suffix; a field of any width `n <= 64`
 //!   lands with one shift+or, and a whole word spills to the byte buffer
 //!   with a single big-endian store — one capacity check per *word*
@@ -29,28 +29,18 @@
 //! `u64::from_be_bytes`/`to_be_bytes` on fixed-size arrays, which compile
 //! to single unaligned word accesses on every target we care about.
 
-/// Writes bits MSB-first into a growable byte buffer.
-///
-/// Invariant: `nbits < 64`, the top `nbits` bits of `acc` are the staged
-/// stream suffix, and all lower bits of `acc` are zero.
-#[derive(Debug, Default, Clone)]
-pub struct BitWriter {
-    buf: Vec<u8>,
-    /// Staged bits, MSB-aligned.
-    acc: u64,
-    /// Number of valid bits in `acc` (0..=63).
-    nbits: u32,
-}
-
-/// Writes bits MSB-first by **appending to a caller-owned byte buffer** —
-/// the zero-allocation sibling of [`BitWriter`], used by codecs whose
-/// `compress_into` emits straight into a reused output vector. The sink
-/// starts byte-aligned after whatever the buffer already holds.
+/// Writes bits MSB-first by **appending to a caller-owned byte buffer**,
+/// so codecs whose `compress_into` emits straight into a reused output
+/// vector allocate nothing. The sink starts byte-aligned after whatever
+/// the buffer already holds.
 ///
 /// Staged bits are held in the accumulator until a whole word (or the
 /// sink's end of life) spills them, so the final partial word reaches the
 /// buffer when the sink is dropped or [`BitSink::finish`]ed — callers
 /// reading `buf.len()` must let the sink go first.
+///
+/// Invariant: `nbits < 64`, the top `nbits` bits of `acc` are the staged
+/// stream suffix, and all lower bits of `acc` are zero.
 #[derive(Debug)]
 pub struct BitSink<'a> {
     buf: &'a mut Vec<u8>,
@@ -59,83 +49,6 @@ pub struct BitSink<'a> {
     acc: u64,
     /// Number of valid bits in `acc` (0..=63).
     nbits: u32,
-}
-
-/// Append the low `n` bits of `value` to an accumulator/buffer pair.
-/// Shared by [`BitWriter`] and [`BitSink`]; the single hot branch is
-/// "does the field fit the accumulator's free space".
-#[inline]
-fn push_bits_acc(buf: &mut Vec<u8>, acc: &mut u64, nbits: &mut u32, value: u64, n: u32) {
-    debug_assert!(n <= 64);
-    if n == 0 {
-        return;
-    }
-    debug_assert!(n == 64 || value >> n == 0, "value has bits above the field");
-    let space = 64 - *nbits; // 1..=64
-    if n < space {
-        *acc |= value << (space - n);
-        *nbits += n;
-    } else {
-        // The field completes (and possibly overflows) the word: spill.
-        let word = *acc | (value >> (n - space));
-        buf.extend_from_slice(&word.to_be_bytes());
-        let rem = n - space; // 0..=63
-        *acc = if rem == 0 { 0 } else { value << (64 - rem) };
-        *nbits = rem;
-    }
-}
-
-/// Append a single bit — the fully-inlined one-branch form of
-/// [`push_bits_acc`].
-#[inline]
-fn push_bit_acc(buf: &mut Vec<u8>, acc: &mut u64, nbits: &mut u32, bit: bool) {
-    let space = 64 - *nbits;
-    if space > 1 {
-        *acc |= (bit as u64) << (space - 1);
-        *nbits += 1;
-    } else {
-        let word = *acc | bit as u64;
-        buf.extend_from_slice(&word.to_be_bytes());
-        *acc = 0;
-        *nbits = 0;
-    }
-}
-
-/// Zero-pad the staged bits to a byte boundary (bits beyond `nbits` are
-/// already zero by invariant, so only the count moves).
-#[inline]
-fn align_acc(buf: &mut Vec<u8>, acc: &mut u64, nbits: &mut u32) {
-    let aligned = (*nbits + 7) & !7;
-    if aligned == 64 {
-        buf.extend_from_slice(&acc.to_be_bytes());
-        *acc = 0;
-        *nbits = 0;
-    } else {
-        *nbits = aligned;
-    }
-}
-
-/// Spill the staged partial word: `ceil(nbits / 8)` big-endian bytes.
-#[inline]
-fn flush_acc(buf: &mut Vec<u8>, acc: &mut u64, nbits: &mut u32) {
-    let bytes = (*nbits as usize).div_ceil(8);
-    buf.extend_from_slice(&acc.to_be_bytes()[..bytes]);
-    *acc = 0;
-    *nbits = 0;
-}
-
-/// Bulk-append whole bytes; the stream must be byte-aligned. For aligned
-/// runs inside bit streams (whole-byte header fields, verbatim blobs), so
-/// they cost a `memcpy`, not a bit loop.
-#[inline]
-fn extend_aligned_acc(buf: &mut Vec<u8>, acc: &mut u64, nbits: &mut u32, bytes: &[u8]) {
-    assert_eq!(
-        *nbits % 8,
-        0,
-        "extend_aligned requires a byte-aligned stream"
-    );
-    flush_acc(buf, acc, nbits);
-    buf.extend_from_slice(bytes);
 }
 
 impl<'a> BitSink<'a> {
@@ -155,28 +68,80 @@ impl<'a> BitSink<'a> {
         (self.buf.len() - self.start) * 8 + self.nbits as usize
     }
 
-    /// Append a single bit.
+    /// Append a single bit — the one-branch form of [`BitSink::push_bits`].
     #[inline]
     pub fn push_bit(&mut self, bit: bool) {
-        push_bit_acc(self.buf, &mut self.acc, &mut self.nbits, bit);
+        let space = 64 - self.nbits;
+        if space > 1 {
+            self.acc |= (bit as u64) << (space - 1);
+            self.nbits += 1;
+        } else {
+            let word = self.acc | bit as u64;
+            self.buf.extend_from_slice(&word.to_be_bytes());
+            self.acc = 0;
+            self.nbits = 0;
+        }
     }
 
     /// Append the low `n` bits of `value`, MSB of that field first. `n <= 64`.
+    /// The single hot branch is "does the field fit the accumulator's free
+    /// space".
     #[inline]
     pub fn push_bits(&mut self, value: u64, n: u32) {
-        push_bits_acc(self.buf, &mut self.acc, &mut self.nbits, value, n);
+        debug_assert!(n <= 64);
+        if n == 0 {
+            return;
+        }
+        debug_assert!(n == 64 || value >> n == 0, "value has bits above the field");
+        let space = 64 - self.nbits; // 1..=64
+        if n < space {
+            self.acc |= value << (space - n);
+            self.nbits += n;
+        } else {
+            // The field completes (and possibly overflows) the word: spill.
+            let word = self.acc | (value >> (n - space));
+            self.buf.extend_from_slice(&word.to_be_bytes());
+            let rem = n - space; // 0..=63
+            self.acc = if rem == 0 { 0 } else { value << (64 - rem) };
+            self.nbits = rem;
+        }
     }
 
-    /// Pad with zero bits to the next byte boundary.
+    /// Pad with zero bits to the next byte boundary (bits beyond `nbits`
+    /// are already zero by invariant, so only the count moves).
     pub fn align_byte(&mut self) {
-        align_acc(self.buf, &mut self.acc, &mut self.nbits);
+        let aligned = (self.nbits + 7) & !7;
+        if aligned == 64 {
+            self.buf.extend_from_slice(&self.acc.to_be_bytes());
+            self.acc = 0;
+            self.nbits = 0;
+        } else {
+            self.nbits = aligned;
+        }
     }
 
-    /// Bulk-append whole bytes. The sink must be byte-aligned (panics
+    /// Bulk-append whole bytes, for aligned runs inside bit streams
+    /// (whole-byte header fields, verbatim blobs), so they cost a
+    /// `memcpy`, not a bit loop. The sink must be byte-aligned (panics
     /// otherwise — a misaligned bulk copy would silently corrupt the
     /// stream).
     pub fn extend_aligned(&mut self, bytes: &[u8]) {
-        extend_aligned_acc(self.buf, &mut self.acc, &mut self.nbits, bytes);
+        assert_eq!(
+            self.nbits % 8,
+            0,
+            "extend_aligned requires a byte-aligned stream"
+        );
+        self.flush();
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Spill the staged partial word: `ceil(nbits / 8)` big-endian bytes.
+    #[inline]
+    fn flush(&mut self) {
+        let bytes = (self.nbits as usize).div_ceil(8);
+        self.buf.extend_from_slice(&self.acc.to_be_bytes()[..bytes]);
+        self.acc = 0;
+        self.nbits = 0;
     }
 
     /// Flush the staged partial word into the buffer and release the
@@ -187,54 +152,7 @@ impl<'a> BitSink<'a> {
 
 impl Drop for BitSink<'_> {
     fn drop(&mut self) {
-        flush_acc(self.buf, &mut self.acc, &mut self.nbits);
-    }
-}
-
-impl BitWriter {
-    pub fn new() -> Self {
-        BitWriter::default()
-    }
-
-    pub fn with_capacity(bytes: usize) -> Self {
-        BitWriter {
-            buf: Vec::with_capacity(bytes),
-            acc: 0,
-            nbits: 0,
-        }
-    }
-
-    /// Total bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.buf.len() * 8 + self.nbits as usize
-    }
-
-    /// Bytes the finished stream will occupy (final partial byte included).
-    pub fn byte_len(&self) -> usize {
-        self.bit_len().div_ceil(8)
-    }
-
-    /// Append a single bit.
-    #[inline]
-    pub fn push_bit(&mut self, bit: bool) {
-        push_bit_acc(&mut self.buf, &mut self.acc, &mut self.nbits, bit);
-    }
-
-    /// Append the low `n` bits of `value`, MSB of that field first. `n <= 64`.
-    #[inline]
-    pub fn push_bits(&mut self, value: u64, n: u32) {
-        push_bits_acc(&mut self.buf, &mut self.acc, &mut self.nbits, value, n);
-    }
-
-    /// Pad with zero bits to the next byte boundary.
-    pub fn align_byte(&mut self) {
-        align_acc(&mut self.buf, &mut self.acc, &mut self.nbits);
-    }
-
-    /// Finish, returning the backing bytes (final partial byte zero-padded).
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        flush_acc(&mut self.buf, &mut self.acc, &mut self.nbits);
-        self.buf
+        self.flush();
     }
 }
 
@@ -379,12 +297,13 @@ mod tests {
         let pattern = [
             true, false, true, true, false, false, true, false, true, true,
         ];
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         for &b in &pattern {
             w.push_bit(b);
         }
         assert_eq!(w.bit_len(), pattern.len());
-        let bytes = w.into_bytes();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         for &b in &pattern {
             assert_eq!(r.read_bit(), Some(b));
@@ -402,11 +321,12 @@ mod tests {
             (0x7F, 7),
             (0b11, 2),
         ];
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         for &(v, n) in &fields {
             w.push_bits(v, n);
         }
-        let bytes = w.into_bytes();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         for &(v, n) in &fields {
             assert_eq!(r.read_bits(n), Some(v), "field {v:#x}/{n}");
@@ -415,11 +335,12 @@ mod tests {
 
     #[test]
     fn zero_width_fields_are_noops() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         w.push_bits(0, 0);
         w.push_bits(0b1, 1);
         w.push_bits(0, 0);
-        let bytes = w.into_bytes();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(0), Some(0));
         assert_eq!(r.read_bit(), Some(true));
@@ -427,9 +348,10 @@ mod tests {
 
     #[test]
     fn reader_stops_at_end() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         w.push_bits(0b101, 3);
-        let bytes = w.into_bytes();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(8), Some(0b1010_0000)); // zero padding readable
         assert_eq!(r.read_bit(), None);
@@ -438,11 +360,12 @@ mod tests {
 
     #[test]
     fn alignment() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         w.push_bits(0b1, 1);
         w.align_byte();
         w.push_bits(0xAB, 8);
-        let bytes = w.into_bytes();
+        w.finish();
         assert_eq!(bytes, vec![0b1000_0000, 0xAB]);
 
         let mut r = BitReader::new(&bytes);
@@ -480,45 +403,48 @@ mod tests {
 
     #[test]
     fn bit_len_accounting() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         assert_eq!(w.bit_len(), 0);
         w.push_bit(true);
         assert_eq!(w.bit_len(), 1);
-        assert_eq!(w.byte_len(), 1);
         w.push_bits(0, 7);
         assert_eq!(w.bit_len(), 8);
-        assert_eq!(w.byte_len(), 1);
         w.push_bits(0b111, 3);
         assert_eq!(w.bit_len(), 11);
-        assert_eq!(w.byte_len(), 2);
+        w.finish();
+        assert_eq!(bytes.len(), 2);
     }
 
     #[test]
     fn msb_first_layout_matches_expectation() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         w.push_bits(0b1, 1); // 1.......
         w.push_bits(0b01, 2); // 101.....
         w.push_bits(0b10110, 5); // 10110110
-        let bytes = w.into_bytes();
+        w.finish();
         assert_eq!(bytes, vec![0b1011_0110]);
     }
 
     #[test]
     fn accumulator_spills_across_word_boundaries() {
         // 63 + 3 bits: the second push straddles the first word spill.
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         w.push_bits((1u64 << 63) - 1, 63); // 63 ones
         w.push_bits(0b101, 3);
-        let bytes = w.into_bytes();
+        w.finish();
         assert_eq!(w_bits(&bytes, 0, 63), (1u64 << 63) - 1);
         assert_eq!(w_bits(&bytes, 63, 3), 0b101);
         assert_eq!(bytes.len(), 9); // 66 bits -> 9 bytes
 
         // Exact word fill then continue.
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         w.push_bits(0xDEAD_BEEF_CAFE_F00D, 64);
         w.push_bits(0x5, 4);
-        let bytes = w.into_bytes();
+        w.finish();
         assert_eq!(&bytes[..8], &0xDEAD_BEEF_CAFE_F00Du64.to_be_bytes());
         assert_eq!(bytes[8], 0x50);
     }
@@ -560,27 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn sink_and_writer_produce_identical_streams() {
-        let fields: [(u64, u32); 5] = [
-            (0b101, 3),
-            (0xFFFF_FFFF, 32),
-            (0x1234_5678_9ABC_DEF0, 64),
-            (1, 1),
-            (0x7F, 7),
-        ];
-        let mut w = BitWriter::new();
-        let mut buf = Vec::new();
-        {
-            let mut s = BitSink::new(&mut buf);
-            for &(v, n) in &fields {
-                w.push_bits(v, n);
-                s.push_bits(v, n);
-            }
-        }
-        assert_eq!(w.into_bytes(), buf);
-    }
-
-    #[test]
     fn position_tracking() {
         let bytes = [0xFF, 0x00];
         let mut r = BitReader::new(&bytes);
@@ -592,10 +497,11 @@ mod tests {
 
     #[test]
     fn peek_then_consume_matches_read() {
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         w.push_bits(0b1011_0110, 8);
         w.push_bits(0x1234, 16);
-        let bytes = w.into_bytes();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.peek_bits(2), 0b10);
         assert_eq!(r.peek_bits(2), 0b10, "peek does not advance");
@@ -626,10 +532,11 @@ mod tests {
         // 64-bit reads starting at each bit offset 0..8 exercise the
         // ninth-byte path of the window extractor.
         for off in 0..8u32 {
-            let mut w = BitWriter::new();
+            let mut bytes = Vec::new();
+            let mut w = BitSink::new(&mut bytes);
             w.push_bits(0, off);
             w.push_bits(0xA5A5_5A5A_DEAD_BEEF, 64);
-            let bytes = w.into_bytes();
+            w.finish();
             let mut r = BitReader::new(&bytes);
             assert_eq!(r.read_bits(off), Some(0));
             assert_eq!(r.read_bits(64), Some(0xA5A5_5A5A_DEAD_BEEF), "off {off}");

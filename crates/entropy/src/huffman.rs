@@ -563,12 +563,14 @@ mod tests {
         }
         let codes = canonical_codes(&lens);
         let deep: Vec<u8> = (0..600).map(|_| (xorshift(&mut x) % 16) as u8).collect();
-        let mut w = crate::bits::BitWriter::new();
+        let mut bits = Vec::new();
+        let mut w = crate::bits::BitSink::new(&mut bits);
         for &sym in &deep {
             let (code, len) = codes[usize::from(sym)];
             w.push_bits(u64::from(code), u32::from(len));
         }
-        let enc = stream(&lens, deep.len() as u32, &w.into_bytes());
+        w.finish();
+        let enc = stream(&lens, deep.len() as u32, &bits);
         assert_eq!(decode(&enc).unwrap(), deep);
         for cut in 0..enc.len() {
             assert_agrees(&enc[..cut]);

@@ -20,6 +20,15 @@
 // whole crate stays free of `unsafe` (CI's clippy -D warnings plus this
 // attribute enforce it).
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod bits;
 pub mod huffman;
@@ -28,5 +37,5 @@ pub mod lz77;
 mod range;
 pub mod zzip;
 
-pub use bits::{BitReader, BitSink, BitWriter};
+pub use bits::{BitReader, BitSink};
 pub use range::{AdaptiveModel, RangeDecoder, RangeEncoder};

@@ -5,7 +5,7 @@
 
 use fcbench_entropy::lz77::Lz77Config;
 use fcbench_entropy::{huffman, lz4, lz77, zzip, AdaptiveModel, RangeDecoder, RangeEncoder};
-use fcbench_entropy::{BitReader, BitWriter};
+use fcbench_entropy::{BitReader, BitSink};
 use proptest::prelude::*;
 
 /// Mask a `(value, width)` pair so the value fits the field.
@@ -22,11 +22,12 @@ proptest! {
     #[test]
     fn bit_fields_round_trip(fields in prop::collection::vec((any::<u64>(), 1u32..=64), 0..200)) {
         let masked = mask_fields(&fields);
-        let mut w = BitWriter::new();
+        let mut bytes = Vec::new();
+        let mut w = BitSink::new(&mut bytes);
         for &(v, n) in &masked {
             w.push_bits(v, n);
         }
-        let bytes = w.into_bytes();
+        w.finish();
         let mut r = BitReader::new(&bytes);
         for &(v, n) in &masked {
             prop_assert_eq!(r.read_bits(n), Some(v));

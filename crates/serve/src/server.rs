@@ -380,6 +380,10 @@ impl Server {
     /// `run` on a background thread.
     pub fn spawn(self) -> RunningServer {
         let handle = self.handle();
+        #[expect(
+            clippy::expect_used,
+            reason = "thread spawn of the accept loop at server start; same no-spawn-no-service rationale as the pool"
+        )]
         let join = std::thread::Builder::new()
             .name("fcbench-serve-accept".into())
             .spawn(move || self.run())

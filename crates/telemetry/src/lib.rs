@@ -1,4 +1,13 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 //! Zero-allocation metrics spine for FCBench-rs.
 //!
 //! The repo's whole contribution is measurement, so the measurement layer

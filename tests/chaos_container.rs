@@ -68,17 +68,6 @@ fn reference_bytes() -> &'static [u8] {
     })
 }
 
-/// When a chaos case fails, surface the replayable `fp1:` seed both in the
-/// failure message and — if the CI harness asked for it — in a seed file
-/// it can upload as an artifact.
-fn note_seed(plan: &FaultPlan) {
-    if let Ok(path) = std::env::var("FCBENCH_CHAOS_SEED_OUT") {
-        if !path.is_empty() {
-            let _ = std::fs::write(path, plan.seed_string());
-        }
-    }
-}
-
 /// The core assertion: a container prefix of `cut` bytes either rejects a
 /// torn prologue or recovers to the last commit point with the exact
 /// dropped-record count the reference walk predicts.
@@ -97,7 +86,7 @@ fn assert_prefix_recovers(cut: usize, ctx: &str) {
 /// Run one seeded chaos case end to end and assert every guarantee.
 fn chaos_case(seed: u64) {
     let plan = FaultPlan::from_seed(seed);
-    note_seed(&plan);
+    plan.note_seed();
     let reference = reference_bytes();
     let (sink, result) = write_through(plan.clone());
 
@@ -164,7 +153,7 @@ proptest! {
     #[test]
     fn faulted_writes_compose_with_truncation(seed in any::<u64>(), frac in 0.0f64..=1.0) {
         let plan = FaultPlan::from_seed(seed);
-        note_seed(&plan);
+        plan.note_seed();
         let (sink, _) = write_through(plan.clone());
         let cut = ((sink.len() as f64) * frac) as usize;
         let cut = cut.min(sink.len());

@@ -51,15 +51,6 @@ fn wait_for_counter(registry: &Arc<Registry>, name: &str, want: u64, budget: Dur
     }
 }
 
-/// Surface the replayable seed for CI artifact upload on failure.
-fn note_seed(plan: &FaultPlan) {
-    if let Ok(path) = std::env::var("FCBENCH_CHAOS_SEED_OUT") {
-        if !path.is_empty() {
-            let _ = std::fs::write(path, plan.seed_string());
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Client deadlines: a silent or dead peer is a typed error, never a hang.
 // ---------------------------------------------------------------------------
@@ -437,7 +428,7 @@ proptest! {
     #[test]
     fn seeded_fault_plans_over_serve_roundtrips(seed in any::<u64>()) {
         let plan = FaultPlan::from_seed(seed);
-        note_seed(&plan);
+        plan.note_seed();
         let upstream = chaos_server();
         let proxy = fault_proxy(upstream, plan.clone());
 

@@ -57,7 +57,7 @@ fn fpzip_leads_on_hpc_data() {
     ))
     .unwrap();
     let gfc = harmonic_mean(&ratios_for(
-        &fcbench::gpu::Gfc::with_config(Default::default(), usize::MAX),
+        &fcbench::gpu::Gfc::default(),
         Some(Domain::Hpc),
     ))
     .unwrap();
