@@ -50,7 +50,7 @@ impl Gfc {
     }
 
     /// GFC on a custom simulated device.
-    pub fn with_config(config: GpuConfig) -> Self {
+    pub(crate) fn with_config(config: GpuConfig) -> Self {
         Gfc {
             chunks: config.sm_count * 16, // warps resident across SMs
             gpu: Gpu::new(config),
