@@ -1,7 +1,7 @@
 //! A deliberately small Rust source scrubber.
 //!
-//! The lint rules in [`crate::lint`] are token-level: they look for
-//! `with_capacity(`, `as u32`, and similar spellings. Matching those
+//! The lint in [`crate::lint`] is token-level: it looks for
+//! `with_capacity(`, `vec![`, and similar spellings. Matching those
 //! against raw source would fire inside comments, doc examples, and string
 //! literals, and — worse — inside `#[cfg(test)]` code, which sizes buffers
 //! from trusted values. This module produces a *scrubbed* view of a file:
@@ -27,7 +27,7 @@ pub struct Waiver {
     /// 1-based line the comment sits on (applies to that line and the
     /// next, so a waiver can sit above the waived expression).
     pub line: usize,
-    /// The waiver kind: `claim-checked`, `cast-checked`, ...
+    /// The waiver kind; `claim-checked` is the one the lint reads.
     pub kind: String,
     /// The justification inside the parentheses. Must be non-empty.
     pub reason: String,

@@ -1,21 +1,21 @@
-//! `fcbench-analyze` — the repo's own analysis gate.
+//! `fcbench-analyze` — the repo's concurrency model checker. (The
+//! claim-gate lint runs as this crate's `lint_fixtures` test.)
 //!
 //! ```text
-//! fcbench-analyze lint [--root DIR]
 //! fcbench-analyze check-pool [--scenario NAME] [--preemptions N]
 //!                            [--max-schedules N] [--time-budget-secs N]
 //!                            [--replay SEED] [--seed-out FILE]
 //! fcbench-analyze list-scenarios
 //! ```
 //!
-//! `lint` exits non-zero on any finding. `check-pool` explores every schedule of each scenario within
+//! `check-pool` explores every schedule of each scenario within
 //! the preemption bound and exits non-zero on a counterexample, printing
 //! the `mc1:…` seed that replays it deterministically (and writing it to
 //! `--seed-out`, which CI uploads as an artifact).
 
 #![forbid(unsafe_code)]
 
-use fcbench_analyze::{lint, scenarios};
+use fcbench_analyze::scenarios;
 use fcbench_core::sync::model;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,7 +25,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let strs: Vec<&str> = args.iter().map(String::as_str).collect();
     match strs.split_first() {
-        Some((&"lint", rest)) => cmd_lint(rest),
         Some((&"check-pool", rest)) => cmd_check_pool(rest),
         Some((&"list-scenarios", _)) => {
             for s in scenarios::all() {
@@ -35,7 +34,7 @@ fn main() -> ExitCode {
         }
         _ => {
             eprintln!(
-                "usage: fcbench-analyze <lint|check-pool|list-scenarios> [options]\n\
+                "usage: fcbench-analyze <check-pool|list-scenarios> [options]\n\
                  run with a subcommand; see crate docs for the option list"
             );
             ExitCode::from(2)
@@ -48,27 +47,6 @@ fn take_opt(args: &[&str], name: &str) -> Option<String> {
         .position(|a| *a == name)
         .and_then(|i| args.get(i + 1))
         .map(|s| s.to_string())
-}
-
-fn cmd_lint(args: &[&str]) -> ExitCode {
-    let root = PathBuf::from(take_opt(args, "--root").unwrap_or_else(|| ".".into()));
-    match lint::run(&root) {
-        Ok(findings) if findings.is_empty() => {
-            println!("fcbench-analyze lint: clean");
-            ExitCode::SUCCESS
-        }
-        Ok(findings) => {
-            for f in &findings {
-                println!("{f}");
-            }
-            println!("fcbench-analyze lint: {} finding(s)", findings.len());
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("fcbench-analyze lint: {e}");
-            ExitCode::from(2)
-        }
-    }
 }
 
 fn cmd_check_pool(args: &[&str]) -> ExitCode {

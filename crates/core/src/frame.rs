@@ -32,6 +32,8 @@
 //! and a `DECOMPRESS` reply leads with the descriptor. The precision byte
 //! (`u8::from(Precision)`, `Precision::try_from(u8)`) is FCDB2's too.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::data::{DataDesc, Domain, Precision};
 use crate::error::{Error, Result};
 use crate::wire;

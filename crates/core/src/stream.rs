@@ -58,6 +58,11 @@
 //! assert_eq!(restored, data.bytes());
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
+
 use crate::blocks::{plausible_payload_cap, MAX_UPFRONT_RESERVE};
 use crate::codec::Compressor;
 use crate::data::{DataDesc, FloatData, Precision};
@@ -146,9 +151,9 @@ const fn mul_mod(a: u32, mut b: u32) -> u32 {
 /// closes the braid.
 static CRC32_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
-    let mut i = 0;
+    let mut i = 0u32;
     while i < 256 {
-        table[i] = mul_mod((i as u32) << 24, x_pow_mod(32));
+        table[i as usize] = mul_mod(i << 24, x_pow_mod(32));
         i += 1;
     }
     table
@@ -162,9 +167,9 @@ static CRC32_BRAID: [[u32; 256]; 8] = {
     let mut k = 0;
     while k < 8 {
         let shift = x_pow_mod((BRAID_BLOCK + 3 - k) * 8);
-        let mut i = 0;
+        let mut i = 0u32;
         while i < 256 {
-            tables[k][i] = mul_mod((i as u32) << 24, shift);
+            tables[k][i as usize] = mul_mod(i << 24, shift);
             i += 1;
         }
         k += 1;
@@ -192,6 +197,10 @@ fn braid_word(w: u64) -> u32 {
 
 /// The state after eight byte steps over the little-endian word `w`.
 #[inline(always)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "eight 8-bit shifts leave only table entries, all below 2^32"
+)]
 fn crc32_word(mut w: u64) -> u32 {
     for _ in 0..8 {
         w = (w >> 8) ^ u64::from(CRC32_TABLE[(w & 0xFF) as usize]);

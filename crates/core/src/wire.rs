@@ -26,8 +26,10 @@
 //! and the GPU simulator's thread blocks alike, and [`code_chunks`] codes
 //! chunks behind a [`put_chunks`] directory under it.
 //!
-//! The no-panic lints (clippy) and the `fcbench-analyze` rules
-//! `claim-gate` and `wire-cast` hold decode paths to these helpers.
+//! Clippy's no-panic, wire-cast and indexing lints and `fcbench-analyze`'s
+//! claim gate hold decode paths to these helpers.
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use crate::error::{Error, Result};
 
@@ -286,7 +288,9 @@ pub fn code_chunks(
     let mut coded = vec![Vec::new(); count];
     fan_out(&mut coded, input_bytes, threads, f);
     out.reserve(4 * count + coded.iter().map(Vec::len).sum::<usize>());
-    put_chunks(out, count, |k, out| out.extend_from_slice(&coded[k]))
+    put_chunks(out, count, |k, out| {
+        out.extend_from_slice(coded.get(k).map_or(&[], Vec::as_slice))
+    })
 }
 
 #[cfg(test)]

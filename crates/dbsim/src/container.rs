@@ -46,13 +46,18 @@
 //! table only when the walk meets no commit record before EOF or a torn
 //! tail.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
+
 use fcbench_core::blocks::{plausible_payload_cap, MAX_UPFRONT_RESERVE};
 use fcbench_core::pool::WorkerPool;
 use fcbench_core::stream::{
     crc32, frame_record, put_record, ReaderPump, RecordCheck, RecordView, WriterPump,
 };
 use fcbench_core::sync::{lock, wait, Condvar, Mutex};
-use fcbench_core::wire;
+use fcbench_core::{frame, wire};
 use fcbench_core::{Compressor, DataDesc, Domain, Error, Precision, Result};
 use fcbench_telemetry::{Counter, Histogram, InflightGauge};
 use std::io::{Read, Write};
@@ -125,14 +130,9 @@ impl ColumnData {
 
 /// Write the `FCDB2` prologue; returns its byte length.
 fn write_prologue<W: Write>(sink: &mut W, codec_name: &str) -> Result<u64> {
-    let name = codec_name.as_bytes();
-    if name.len() > 255 {
-        return Err(Error::NameTooLong { len: name.len() });
-    }
-    let mut pro = Vec::with_capacity(9 + name.len());
+    let mut pro = Vec::with_capacity(9 + codec_name.len());
     pro.extend_from_slice(MAGIC);
-    pro.push(name.len() as u8);
-    pro.extend_from_slice(name);
+    frame::put_name(codec_name, &mut pro)?;
     let crc = crc32(&pro);
     pro.extend_from_slice(&crc.to_le_bytes());
     sink.write_all(&pro)?;
@@ -177,27 +177,30 @@ fn open_column_mut(columns: &mut [ColumnMeta]) -> Result<&mut ColumnMeta> {
 }
 
 /// Serialize the cumulative commit directory.
-fn encode_directory(columns: &[ColumnMeta]) -> Vec<u8> {
+fn encode_directory(columns: &[ColumnMeta]) -> Result<Vec<u8>> {
+    let count = |n: usize| {
+        u32::try_from(n)
+            .map_err(|_| Error::Unsupported(format!("{n} entries overflow a directory count")))
+    };
     let body: usize = columns
         .iter()
         .map(|c| COLUMN_DIR_BYTES + c.name.len() + c.chunks.len() * CHUNK_DIR_BYTES)
         .sum();
     let mut dir = Vec::with_capacity(4 + body);
-    dir.extend_from_slice(&(columns.len() as u32).to_le_bytes());
+    dir.extend_from_slice(&count(columns.len())?.to_le_bytes());
     for col in columns {
-        dir.push(col.name.len() as u8);
-        dir.extend_from_slice(col.name.as_bytes());
+        frame::put_name(&col.name, &mut dir)?;
         dir.push(u8::from(col.precision));
         dir.extend_from_slice(&col.rows.to_le_bytes());
         dir.extend_from_slice(&col.chunk_elems.to_le_bytes());
-        dir.extend_from_slice(&(col.chunks.len() as u32).to_le_bytes());
+        dir.extend_from_slice(&count(col.chunks.len())?.to_le_bytes());
         for ch in &col.chunks {
             dir.extend_from_slice(&ch.offset.to_le_bytes());
             dir.extend_from_slice(&ch.payload_len.to_le_bytes());
             dir.extend_from_slice(&ch.elems.to_le_bytes());
         }
     }
-    dir
+    Ok(dir)
 }
 
 /// The record side of a [`ContainerWriter`]: the sink, how far it has got,
@@ -216,7 +219,8 @@ impl<W: Write> RecordLog<W> {
     /// Emit one chunk record and log its directory metadata (`elems` is at
     /// most the column's `u32` page size).
     fn put_chunk(&mut self, payload: &[u8], elems: usize) -> Result<()> {
-        let elems = elems as u32;
+        let elems = u32::try_from(elems)
+            .map_err(|_| Error::Unsupported(format!("a page of {elems} elements overflows u32")))?;
         let rec = put_record(&mut self.sink, TAG_CHUNK, &[&elems.to_le_bytes(), payload])?;
         let col = open_column_mut(&mut self.columns)?;
         col.chunks.push(ChunkMeta {
@@ -224,7 +228,7 @@ impl<W: Write> RecordLog<W> {
             payload_len: payload.len() as u64,
             elems,
         });
-        col.rows += elems as u64;
+        col.rows += u64::from(elems);
         self.written += rec;
         self.uncommitted += 1;
         Ok(())
@@ -324,22 +328,21 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         precision: Precision,
         chunk_elems: usize,
     ) -> Result<()> {
-        if name.len() > 255 {
-            return Err(Error::NameTooLong { len: name.len() });
-        }
-        if chunk_elems == 0 || chunk_elems > u32::MAX as usize {
-            return Err(Error::BadDescriptor(format!(
-                "chunk size {chunk_elems} is outside 1..=u32::MAX elements"
-            )));
-        }
+        let nlen = [u8::try_from(name.len()).map_err(|_| Error::NameTooLong { len: name.len() })?];
+        let ce = u32::try_from(chunk_elems)
+            .ok()
+            .filter(|&ce| ce > 0)
+            .ok_or_else(|| {
+                Error::BadDescriptor(format!(
+                    "chunk size {chunk_elems} is outside 1..=u32::MAX elements"
+                ))
+            })?;
         self.end_column()?;
-        let nlen = [name.len() as u8];
         let prec = [u8::from(precision)];
-        let ce = (chunk_elems as u32).to_le_bytes();
         let rec = put_record(
             &mut self.log.sink,
             TAG_COLUMN,
-            &[&nlen, name.as_bytes(), &prec, &ce],
+            &[&nlen, name.as_bytes(), &prec, &ce.to_le_bytes()],
         )?;
         self.log.written += rec;
         self.log.uncommitted += 1;
@@ -347,7 +350,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         self.log.columns.push(ColumnMeta {
             name,
             precision,
-            chunk_elems: chunk_elems as u32,
+            chunk_elems: ce,
             rows: 0,
             chunks: Vec::new(),
         });
@@ -412,7 +415,7 @@ impl<'a, W: Write> ContainerWriter<'a, W> {
         let _span = self.m_commit.start_span();
         self.end_column()?;
         let log = &mut self.log;
-        let dir = encode_directory(&log.columns);
+        let dir = encode_directory(&log.columns)?;
         let commit_offset = log.written;
         log.written += put_record(&mut log.sink, TAG_COMMIT, &[&dir])?;
         log.sink.write_all(&locator(commit_offset))?;
@@ -1315,6 +1318,36 @@ mod tests {
         w.begin_column("x", Precision::Double, 4).unwrap();
         w.write(&[0u8; 9]).unwrap();
         assert!(matches!(w.commit(), Err(Error::BadDescriptor(_))));
+    }
+
+    #[test]
+    fn column_names_and_page_sizes_are_bounded_by_their_wire_fields() {
+        let (pool, codec) = store_engine();
+        let refusal = |name: &str, chunk_elems: usize| {
+            let mut w = ContainerWriter::new(Vec::new(), &pool, &codec).unwrap();
+            w.begin_column(name, Precision::Double, chunk_elems)
+                .unwrap_err()
+        };
+        let long = "n".repeat(256);
+        assert!(matches!(
+            refusal(&long, 16),
+            Error::NameTooLong { len: 256 }
+        ));
+        assert!(matches!(refusal("x", 0), Error::BadDescriptor(_)));
+        #[cfg(target_pointer_width = "64")]
+        assert!(matches!(
+            refusal("x", u32::MAX as usize + 1),
+            Error::BadDescriptor(_)
+        ));
+
+        // A name of exactly 255 bytes fits its u8 length and reads back.
+        let path = tmp("name255");
+        let name = "n".repeat(255);
+        let cols = [ColumnData::from_f64(name.clone(), &[1.5, -2.0])];
+        write_container_pooled(&path, &pool, &codec, &cols, 16).unwrap();
+        let table = read_container(&path).unwrap().table;
+        std::fs::remove_file(&path).ok();
+        assert_eq!(table.columns[0].name, name);
     }
 
     #[test]

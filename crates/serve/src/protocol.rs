@@ -52,6 +52,12 @@
 //! verb, a body too large to skip — closes the connection, and never the
 //! server.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)
+)]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use fcbench_core::{frame, wire, DataDesc, Error, Result};
 use fcbench_telemetry::{HistogramSnapshot, Snapshot};
 use std::io::{Read, Write};
@@ -255,6 +261,12 @@ pub(crate) fn error_code(err: &Error) -> u8 {
     }
 }
 
+/// `n` as a little-endian u16, saturated at `u16::MAX`: the encoders cut
+/// every u16-counted list and string to that many entries.
+fn sat16(n: usize) -> [u8; 2] {
+    u16::try_from(n).unwrap_or(u16::MAX).to_le_bytes()
+}
+
 /// Encode an error reply body. [`Error::UnknownCodec`] is structured so the
 /// client reconstructs the typed error (with the available-codec listing);
 /// every other code carries its display message.
@@ -265,12 +277,12 @@ pub(crate) fn encode_error_body(err: &Error) -> Vec<u8> {
             available,
         } => {
             let mut body = Vec::new();
-            body.extend_from_slice(&(requested.len().min(u16::MAX as usize) as u16).to_le_bytes());
-            body.extend_from_slice(&requested.as_bytes()[..requested.len().min(u16::MAX as usize)]);
-            body.extend_from_slice(&(available.len().min(u16::MAX as usize) as u16).to_le_bytes());
+            body.extend_from_slice(&sat16(requested.len()));
+            body.extend(requested.bytes().take(u16::MAX as usize));
+            body.extend_from_slice(&sat16(available.len()));
             for name in available.iter().take(u16::MAX as usize) {
-                body.extend_from_slice(&(name.len().min(u16::MAX as usize) as u16).to_le_bytes());
-                body.extend_from_slice(&name.as_bytes()[..name.len().min(u16::MAX as usize)]);
+                body.extend_from_slice(&sat16(name.len()));
+                body.extend(name.bytes().take(u16::MAX as usize));
             }
             body
         }
@@ -357,7 +369,7 @@ const FLAG_BLOCK_CAPABLE: u8 = 2;
 /// silently truncating a name the client would then decode differently.
 pub(crate) fn encode_listings(listings: &[CodecListing]) -> Result<Vec<u8>> {
     let mut body = Vec::new();
-    body.extend_from_slice(&(listings.len().min(u16::MAX as usize) as u16).to_le_bytes());
+    body.extend_from_slice(&sat16(listings.len()));
     for l in listings.iter().take(u16::MAX as usize) {
         frame::put_name(&l.name, &mut body)?;
         let mut flags = 0u8;
@@ -397,10 +409,8 @@ pub(crate) fn decode_listings(body: &[u8]) -> Result<Vec<CodecListing>> {
 /// dotted paths and codec labels, so the codec-name u8 limit is too
 /// tight here).
 fn encode_metric_name(name: &str, out: &mut Vec<u8>) -> Result<()> {
-    if name.len() > usize::from(u16::MAX) {
-        return Err(Error::NameTooLong { len: name.len() });
-    }
-    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    let len = u16::try_from(name.len()).map_err(|_| Error::NameTooLong { len: name.len() })?;
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(name.as_bytes());
     Ok(())
 }
@@ -438,24 +448,24 @@ fn plausible_rows(count: usize, remaining: usize, min_row_bytes: usize) -> Resul
 pub(crate) fn encode_stats_v2(snap: &Snapshot) -> Result<Vec<u8>> {
     let mut body = Vec::new();
     for rows in [&snap.counters, &snap.gauges] {
-        body.extend_from_slice(&(rows.len().min(u16::MAX as usize) as u16).to_le_bytes());
+        body.extend_from_slice(&sat16(rows.len()));
         for (name, v) in rows.iter().take(u16::MAX as usize) {
             encode_metric_name(name, &mut body)?;
             body.extend_from_slice(&v.to_le_bytes());
         }
     }
-    body.extend_from_slice(&(snap.histograms.len().min(u16::MAX as usize) as u16).to_le_bytes());
+    body.extend_from_slice(&sat16(snap.histograms.len()));
     for (name, h) in snap.histograms.iter().take(u16::MAX as usize) {
         encode_metric_name(name, &mut body)?;
         body.extend_from_slice(&h.count().to_le_bytes());
         body.extend_from_slice(&h.sum().to_le_bytes());
         body.extend_from_slice(&h.max().to_le_bytes());
         let rows = h.nonzero_len().min(u16::MAX as usize);
-        body.extend_from_slice(&(rows as u16).to_le_bytes());
+        body.extend_from_slice(&sat16(rows));
         for (i, c) in h.nonzero_buckets().take(rows) {
             // A bucket index is structurally < NUM_BUCKETS (1312); an
             // impossible one becomes u16::MAX, which decode rejects.
-            body.extend_from_slice(&u16::try_from(i).unwrap_or(u16::MAX).to_le_bytes());
+            body.extend_from_slice(&sat16(i));
             body.extend_from_slice(&c.to_le_bytes());
         }
     }
